@@ -7,7 +7,6 @@ how perturbed trajectories shadow the collision chains as the third
 centre's intensity shrinks.
 """
 
-from ._accel import NUMBA_ENABLED
 from .arcs import (ArcLabel, CollisionArc, NondegeneracyCertificate,
                    SafetyReport, arc_family, build_arc, find_admissible_beta,
                    initial_velocities, nondegeneracy_certificate,
@@ -34,3 +33,6 @@ from .shadow import ShadowResult, local_expansion_rate, shoot_segment
 from .special import QuadratureResult, adaptive_quadrature, complete_elliptic_k
 
 __version__ = "0.1.0"
+
+# The kernels are pure Python; the flag stays for tools that record it.
+NUMBA_ENABLED = False

@@ -23,7 +23,7 @@ from .dynamics import Params, PhiCrossing, Trajectory, integrate
 from .errors import (AccuracyError, DomainError, PlacementError, RangeError,
                      StructuralError, UnsafeCentreError)
 from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
-                       transform_matrix, wrap_angle)
+                       elliptic_to_xy, transform_matrix, wrap_angle)
 from .periods import (ResonanceSolution, period_phi, period_xi,
                       resonance_residual, solve_resonant_a1,
                       turning_point_xi)
@@ -171,8 +171,7 @@ def build_arc(prm: Params, sign: int, direction: int,
     closure = elliptic_to_cartesian(end).distance_to(prm.centre)
 
     _, states = path.dense_grid(4096)
-    x = np.cosh(states[:, 0]) * np.cos(states[:, 1])
-    y = np.sinh(states[:, 0]) * np.sin(states[:, 1])
+    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
     d1 = np.hypot(x - 1.0, y)
     d2 = np.hypot(x + 1.0, y)
     min_primary = float(min(d1.min(), d2.min()))

@@ -85,13 +85,19 @@ def _load_config(path: str) -> dict:
     return out
 
 
+# Defaults applied after the config file, so that it can set these too.
+_DEFAULTS = {"a": "1", "tol": "1e-12", "delta": "1e-4"}
+
+
 def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
+    """Fill unset options from --config, then from _DEFAULTS; flags win."""
+    if getattr(args, "config", None):
+        for key, val in _load_config(args.config).items():
+            attr = key.replace("-", "_")
+            if getattr(args, attr, None) is None:
+                setattr(args, attr, val)
+    for attr, val in _DEFAULTS.items():
+        if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, val)
 
 
@@ -524,7 +530,7 @@ def cmd_integrate(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     spec = {
-        "a": dict(default="1", help="primary intensity (default 1)"),
+        "a": dict(default=None, help="primary intensity (default 1)"),
         "beta": dict(default=None, help="energy-ratio parameter in [0, 1)"),
         "energy": dict(default=None, help="total energy E < 0"),
         "q": dict(default=None, help="resonance class m/n"),
@@ -535,8 +541,10 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "centre-elliptic": dict(default=None, dest="centre_elliptic",
                                 help="perturbing centre as xi,phi"),
         "eps": dict(default=None, help="third-centre intensity (list for shadow)"),
-        "tol": dict(default="1e-12", help="solver/integration tolerance"),
-        "delta": dict(default="1e-4", help="safety margin in ratio units"),
+        "tol": dict(default=None,
+                    help="solver/integration tolerance (default 1e-12)"),
+        "delta": dict(default=None,
+                      help="safety margin in ratio units (default 1e-4)"),
         "state": dict(default=None, help="initial state xi,phi,xi',phi'"),
         "tau-end": dict(default=None, dest="tau_end",
                         help="integration span in rescaled time"),

@@ -21,19 +21,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import StepStats
 from .errors import DomainError, IntegrationError, SingularityError
 from .geometry import (
     CartesianPoint,
     EllipticPoint,
     cartesian_to_elliptic,
     elliptic_to_cartesian,
+    elliptic_to_xy,
     physical_time_of,
 )
 
 __all__ = [
     "Params", "EllipticState", "Trajectory",
     "XiCrossing", "PhiCrossing", "CentreProximity", "PrimaryProximity",
-    "EventRecord",
+    "EventRecord", "StepStats",
     "primary_potential", "centre_potential",
     "regularized_hamiltonian", "vector_field",
     "integrate", "integrate_symplectic",
@@ -145,13 +147,9 @@ def centre_potential(p: CartesianPoint, centre: CartesianPoint) -> float:
 def regularized_hamiltonian(state, prm: Params) -> float:
     """Value of the regularized Hamiltonian; 0 on orbits of energy prm.energy."""
     y = _as_state_array(state)
-    cx, cy = _centre_xy(prm)
     if prm.eps > 0.0:
-        pos = elliptic_to_cartesian(EllipticPoint(y[0], y[1]))
-        if pos.distance_to(prm.centre) < 1e-13:
-            raise SingularityError("state at the perturbing centre with eps > 0")
-    return _kernels.hamiltonian_kernel(y[0], y[1], y[2], y[3],
-                                       prm.a, prm.energy, prm.eps, cx, cy)
+        _check_off_centre(y, prm, "state at the perturbing centre with eps > 0")
+    return float(hamiltonian_values(y[None, :], prm)[0])
 
 
 def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
@@ -162,8 +160,7 @@ def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
     val = 0.5 * (states[:, 2] ** 2 + states[:, 3] ** 2) - 2.0 * prm.a * ch \
         - prm.energy * rho
     if prm.eps != 0.0:
-        x = ch * cp
-        yy = np.sinh(xi) * np.sin(phi)
+        x, yy = elliptic_to_xy(xi, phi)
         r = np.hypot(x - prm.centre.x, yy - prm.centre.y)
         val += prm.eps * (-1.0 / r) * rho
     return val
@@ -173,13 +170,15 @@ def vector_field(state, prm: Params) -> np.ndarray:
     """d(state)/dtau from Hamilton's equations of the regularized system."""
     y = _as_state_array(state)
     if prm.eps > 0.0:
-        pos = elliptic_to_cartesian(EllipticPoint(y[0], y[1]))
-        if pos.distance_to(prm.centre) < 1e-13:
-            raise SingularityError("vector field singular at the perturbing centre")
-    out = np.empty(4)
-    cx, cy = _centre_xy(prm)
-    _kernels.rhs_kernel(y, out, prm.a, prm.energy, prm.eps, cx, cy)
-    return out
+        _check_off_centre(y, prm, "vector field singular at the perturbing centre")
+    rhs = _kernels.field(prm.a, prm.energy, prm.eps, *_centre_xy(prm))
+    return np.array(rhs(*(float(v) for v in y)))
+
+
+def _check_off_centre(y: np.ndarray, prm: Params, message: str) -> None:
+    pos = elliptic_to_cartesian(EllipticPoint(y[0], y[1]))
+    if pos.distance_to(prm.centre) < 1e-13:
+        raise SingularityError(message)
 
 
 def _centre_xy(prm: Params) -> tuple[float, float]:
@@ -247,9 +246,7 @@ class PrimaryProximity:
     kind: str = field(default="primary_proximity", init=False)
 
     def g(self, states: np.ndarray) -> np.ndarray:
-        xi, phi = states[..., 0], states[..., 1]
-        x = np.cosh(xi) * np.cos(phi)
-        y = np.sinh(xi) * np.sin(phi)
+        x, y = elliptic_to_xy(states[..., 0], states[..., 1])
         px = 1.0 if self.primary == 1 else -1.0
         return (x - px) ** 2 + y ** 2 - self.radius ** 2
 
@@ -269,11 +266,15 @@ class EventRecord:
 # trajectory container with dense output
 
 class Trajectory:
-    """Result of one integration: accepted samples plus dense interpolant."""
+    """Result of one integration: accepted samples plus dense interpolant.
+
+    `stats` reports the steps of the integration that produced it, also
+    for a truncated copy.
+    """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
                  stages: np.ndarray, events: Sequence[EventRecord],
-                 energy_drift: float):
+                 energy_drift: float, stats: StepStats):
         self.params = prm
         self.taus = taus
         self.states = states
@@ -287,6 +288,7 @@ class Trajectory:
             self._h = np.zeros(0)
         self.events = list(events)
         self.energy_drift = energy_drift
+        self.stats = stats
 
     @property
     def samples(self) -> list[tuple[float, EllipticState]]:
@@ -351,6 +353,7 @@ class Trajectory:
         traj._h = self._h[:n_int].copy()
         traj.events = events
         traj.energy_drift = self.energy_drift
+        traj.stats = self.stats
         return traj
 
     def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +363,7 @@ class Trajectory:
 
     def min_centre_distance(self, centre: CartesianPoint, n: int = 4096) -> float:
         _, states = self.dense_grid(n)
-        x = np.cosh(states[:, 0]) * np.cos(states[:, 1])
-        y = np.sinh(states[:, 0]) * np.sin(states[:, 1])
+        x, y = elliptic_to_xy(states[:, 0], states[:, 1])
         return float(np.min(np.hypot(x - centre.x, y - centre.y)))
 
 
@@ -393,9 +395,7 @@ def _detect_events(traj_T, traj_Y, dense_q, prm, specs):
     for spec in specs:
         if isinstance(spec, CentreProximity):
             cx, cy = _centre_xy(prm)
-            xi, phi = grid[..., 0], grid[..., 1]
-            x = np.cosh(xi) * np.cos(phi)
-            y = np.sinh(xi) * np.sin(phi)
+            x, y = elliptic_to_xy(grid[..., 0], grid[..., 1])
             g = (x - cx) ** 2 + (y - cy) ** 2 - spec.radius ** 2
         else:
             g = spec.g(grid)
@@ -421,8 +421,7 @@ def _detect_events(traj_T, traj_Y, dense_q, prm, specs):
 def _event_value(spec, y: np.ndarray, prm: Params) -> float:
     if isinstance(spec, CentreProximity):
         cx, cy = _centre_xy(prm)
-        x = math.cosh(y[0]) * math.cos(y[1])
-        yy = math.sinh(y[0]) * math.sin(y[1])
+        x, yy = elliptic_to_xy(y[0], y[1], math)
         return (x - cx) ** 2 + (yy - cy) ** 2 - spec.radius ** 2
     return float(spec.g(y[None, :])[0])
 
@@ -475,7 +474,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     cx, cy = _centre_xy(prm)
     h_max = max_step if max_step != math.inf else abs(tau_end) or 1.0
 
-    status, n, T, Y, KS = _kernels.dopri5_core(
+    status, n, T, Y, KS, stats = _kernels.dopri5_core(
         y0, 0.0, float(tau_end), tol, tol, float(first_step), float(h_max),
         max_steps, prm.a, prm.energy, prm.eps, cx, cy, float(r_min))
 
@@ -496,7 +495,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     hvals = hamiltonian_values(Y, prm)
     drift = float(np.max(np.abs(hvals - hvals[0]))) if len(hvals) else 0.0
 
-    traj = Trajectory(prm, T, Y, KS, records, drift)
+    traj = Trajectory(prm, T, Y, KS, records, drift, stats)
     for rec in records:
         if getattr(rec.spec, "terminal", False):
             return traj.truncated(rec.tau)
@@ -510,11 +509,12 @@ def integrate_symplectic(state0, prm: Params, tau_end: float,
         raise DomainError(f"dt must be positive, got {dt}")
     y0 = _as_state_array(state0)
     cx, cy = _centre_xy(prm)
-    T, Y = _kernels.verlet_core(y0, 0.0, float(tau_end), float(dt),
-                                int(stride), prm.a, prm.energy, prm.eps, cx, cy)
+    T, Y, stats = _kernels.verlet_core(y0, 0.0, float(tau_end), float(dt),
+                                       int(stride), prm.a, prm.energy, prm.eps,
+                                       cx, cy)
     hvals = hamiltonian_values(Y, prm)
     drift = float(np.max(np.abs(hvals - hvals[0]))) if len(hvals) else 0.0
-    return Trajectory(prm, T, Y, np.zeros((0, 7, 4)), [], drift)
+    return Trajectory(prm, T, Y, np.zeros((0, 7, 4)), [], drift, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +525,7 @@ def trajectory_to_csv(traj: Trajectory, path, n: int = 1000) -> None:
     taus, states = traj.dense_grid(n) if len(traj.taus) > 1 else (
         traj.taus, traj.states)
     t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
-    x = np.cosh(states[:, 0]) * np.cos(states[:, 1])
-    y = np.sinh(states[:, 0]) * np.sin(states[:, 1])
+    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tau", "xi", "phi", "xi_prime", "phi_prime",

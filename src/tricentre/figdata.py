@@ -17,7 +17,7 @@ import numpy as np
 from .arcs import initial_velocities, resonant_params
 from .dynamics import Params, integrate
 from .errors import DomainError
-from .geometry import EllipticPoint
+from .geometry import EllipticPoint, elliptic_to_xy
 from .periods import solve_resonant_a1, turning_point_xi
 
 __all__ = ["OrbitTrack", "xi_potential_curve", "phi_potential_curve",
@@ -70,8 +70,7 @@ def _orbit_track(prm: Params, y0, t_span: float, name: str, colliding: bool,
                  n_samples: int = 2000, tol: float = 1e-11) -> OrbitTrack:
     traj = integrate(np.asarray(y0, float), prm, t_span, tol=tol)
     taus, states = traj.dense_grid(n_samples)
-    x = np.cosh(states[:, 0]) * np.cos(states[:, 1])
-    y = np.sinh(states[:, 0]) * np.sin(states[:, 1])
+    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
     return OrbitTrack(name=name, taus=taus, states=states, x=x, y=y,
                       colliding=colliding)
 
@@ -136,7 +135,9 @@ def polyline_self_intersections(x: np.ndarray, y: np.ndarray,
     d = np.column_stack([np.diff(x), np.diff(y)])
     n = len(px)
     found = []
-    chunk = 128
+    # rows per block: the block's temporaries (about ten chunk x n float
+    # arrays) set the peak memory of the figure 4-6 commands
+    chunk = 32
     for i0 in range(0, n, chunk):
         i1 = min(i0 + chunk, n)
         pi = px[i0:i1, None, :]

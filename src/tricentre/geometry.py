@@ -19,7 +19,7 @@ from .errors import SingularityError
 __all__ = [
     "TWO_PI", "PRIMARY_1", "PRIMARY_2",
     "EllipticPoint", "CartesianPoint",
-    "elliptic_to_cartesian", "cartesian_to_elliptic",
+    "elliptic_to_xy", "elliptic_to_cartesian", "cartesian_to_elliptic",
     "transform_matrix", "velocity_to_cartesian", "physical_time_of",
     "wrap_angle",
 ]
@@ -80,12 +80,17 @@ PRIMARY_1 = CartesianPoint(1.0, 0.0)
 PRIMARY_2 = CartesianPoint(-1.0, 0.0)
 
 
+def elliptic_to_xy(xi, phi, lib=np):
+    """x = cosh(xi) cos(phi), y = sinh(xi) sin(phi), elementwise.
+
+    `lib` supplies cosh/cos/sinh/sin: numpy for arrays, math for floats.
+    """
+    return lib.cosh(xi) * lib.cos(phi), lib.sinh(xi) * lib.sin(phi)
+
+
 def elliptic_to_cartesian(p: EllipticPoint) -> CartesianPoint:
-    """x = cosh(xi) cos(phi), y = sinh(xi) sin(phi)."""
-    return CartesianPoint(
-        math.cosh(p.xi) * math.cos(p.phi),
-        math.sinh(p.xi) * math.sin(p.phi),
-    )
+    """The Cartesian point of p; see elliptic_to_xy."""
+    return CartesianPoint(*elliptic_to_xy(p.xi, p.phi, math))
 
 
 def cartesian_to_elliptic(p: CartesianPoint) -> tuple[EllipticPoint, EllipticPoint]:

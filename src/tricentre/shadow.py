@@ -19,7 +19,8 @@ import numpy as np
 from .arcs import CollisionArc
 from .dynamics import CentreProximity, Params, integrate
 from .errors import DomainError, IntegrationError
-from .geometry import CartesianPoint, cartesian_to_elliptic, transform_matrix
+from .geometry import (CartesianPoint, cartesian_to_elliptic, elliptic_to_xy,
+                       transform_matrix)
 
 __all__ = ["ShadowResult", "shoot_segment", "local_expansion_rate"]
 
@@ -63,9 +64,7 @@ def _rotate(v: np.ndarray, angle: float) -> np.ndarray:
 
 
 def _cartesian_track(states: np.ndarray) -> np.ndarray:
-    x = np.cosh(states[:, 0]) * np.cos(states[:, 1])
-    y = np.sinh(states[:, 0]) * np.sin(states[:, 1])
-    return np.column_stack([x, y])
+    return np.column_stack(elliptic_to_xy(states[:, 0], states[:, 1]))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -85,8 +84,7 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
 
     def dist_at(tau: float, p: np.ndarray) -> float:
         y = arc.path.state_at(tau)
-        x = math.cosh(y[0]) * math.cos(y[1])
-        yy = math.sinh(y[0]) * math.sin(y[1])
+        x, yy = elliptic_to_xy(y[0], y[1], math)
         return math.hypot(x - p[0], yy - p[1])
 
     worst = 0.0

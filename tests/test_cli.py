@@ -140,3 +140,37 @@ class TestConfigFile:
         assert rc == 0
         # flag overrides the config value: T2 = pi / sqrt(1/16) = 4 pi
         assert json.loads(out)["t2"] == pytest.approx(4.0 * math.pi, rel=1e-12)
+
+    # --a, --tol and --delta have defaults; the config must still set them
+
+    def test_config_sets_a(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a = 4\nbeta = 0.0\na1 = 0.25\n")
+        rc, out = run(capsys, ["periods", "--config", str(cfg), "--json"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["a"] == 4.0
+        assert doc["t2"] == pytest.approx(math.pi, rel=1e-12)
+        rc, out = run(capsys, ["periods", "--config", str(cfg), "--a", "1",
+                               "--json"])
+        assert json.loads(out)["a"] == 1.0
+
+    def test_config_sets_tol(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 0\n")
+        argv = ["periods", "--beta", "0.142857", "--q", "1",
+                "--config", str(cfg)]
+        assert main(argv) == 2  # tol = 0 reaches the solver and is refused
+        assert main(argv + ["--tol", "1e-12"]) == 0
+
+    def test_config_sets_delta(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.5\n")
+        argv = ["check", "--centre-elliptic", "2.58,0", "--q", "1",
+                "--beta", "0.142857", "--config", str(cfg), "--json"]
+        rc, out = run(capsys, argv)
+        assert rc == 3  # separation 0.19 < 0.5
+        assert json.loads(out)["delta"] == 0.5
+        rc, out = run(capsys, argv + ["--delta", "1e-3"])
+        assert rc == 0
+        assert json.loads(out)["delta"] == 1e-3

@@ -13,7 +13,7 @@ from tricentre.dynamics import (EllipticState, Params,
                                 trajectory_to_json, vector_field)
 from tricentre.errors import DomainError, IntegrationError, SingularityError
 from tricentre.geometry import CartesianPoint, EllipticPoint
-from tricentre.periods import period_phi, period_xi
+from tricentre.periods import period_phi, period_xi, solve_resonant_a1
 
 
 def separated_state(beta, a1, a=1.0, xi=0.0, phi=0.3, s_xi=1, s_phi=1):
@@ -273,13 +273,106 @@ def test_params_validation():
     assert prm.energy == pytest.approx(-2.0 * 0.5 * 0.5)
 
 
-def test_kernel_python_fallback_matches_compiled():
-    # the pure-Python reference and the compiled kernel integrate identically
-    y0 = separated_state(0.2, 0.3)
-    args = (y0, 0.0, 2.0, 1e-10, 1e-10, 0.0, 2.0, 100000,
-            1.0, -2.0 * 0.2 * 0.3, 0.0, 0.0, 0.0, 0.0)
-    s1, n1, t1, y1, k1 = _kernels.dopri5_core(*args)
-    s2, n2, t2, y2, k2 = _kernels._dopri5_core_py(*args)
-    assert s1 == s2 == _kernels.STATUS_OK
-    assert n1 == n2
-    assert np.array_equal(y1, y2)
+def _bench_orbit_args(tau_end_factor=1.0, max_steps=10_000_000):
+    """Kernel arguments for the plain q = 1 resonant orbit over 5 periods."""
+    beta, phi0 = 1.0 / 7.0, 0.3
+    sol = solve_resonant_a1(beta, 1)
+    y0 = separated_state(beta, sol.a1_hat, phi=phi0)
+    span = 5.0 * sol.t1
+    return (y0, 0.0, tau_end_factor * span, 1e-12, 1e-12, 0.0, span,
+            max_steps, 1.0, -2.0 * beta * sol.a1_hat, 0.0, 0.0, 0.0, 0.0)
+
+
+def _centre_dive_args(r_min):
+    """Straight fall along the x-axis into a centre at (cosh 0.4, 0)."""
+    y0 = np.array([0.0, 0.0, 1.2, 0.0])
+    return (y0, 0.0, 5.0, 1e-10, 1e-10, 0.0, 5.0, 2_000_000,
+            1.0, -2.0 * 0.2 * 0.3, 1e-2, math.cosh(0.4), 0.0, r_min)
+
+
+def _shooting_span_args(family):
+    """eps = 1e-3 over 90% of the reference arc: runs the step-cap branch."""
+    arc = family[0]
+    prm = arc.params
+    y0 = arc.path.state_at(0.05 * arc.duration)
+    span = 0.9 * arc.duration
+    return (y0, 0.0, span, 1e-11, 1e-11, 0.0, span, 2_000_000,
+            prm.a, prm.energy, 1e-3, prm.centre.x, prm.centre.y, 1e-5)
+
+
+class TestKernelOracle:
+    """The float loop against the earlier numpy-indexed loop, exactly."""
+
+    @pytest.mark.parametrize("case", ["bench_orbit", "negative_span",
+                                      "shooting_span", "exclusion_ball",
+                                      "max_steps", "underflow"])
+    def test_bitwise_equal_to_reference(self, case, q1_family):
+        from dopri5_reference import _dopri5_core_py
+        args, status = {
+            "bench_orbit": lambda: (_bench_orbit_args(), _kernels.STATUS_OK),
+            "negative_span": lambda: (_bench_orbit_args(tau_end_factor=-1.0),
+                                      _kernels.STATUS_OK),
+            "shooting_span": lambda: (_shooting_span_args(q1_family),
+                                      _kernels.STATUS_OK),
+            "exclusion_ball": lambda: (_centre_dive_args(1e-4),
+                                       _kernels.STATUS_ENTERED_EXCLUSION_BALL),
+            "max_steps": lambda: (_bench_orbit_args(max_steps=5),
+                                  _kernels.STATUS_MAX_STEPS),
+            "underflow": lambda: (_centre_dive_args(0.0),
+                                  _kernels.STATUS_STEP_UNDERFLOW),
+        }[case]()
+        got = _kernels.dopri5_core(*args)
+        want = _dopri5_core_py(*args)
+        assert got[0] == want[0] == status
+        assert got[1] == want[1]
+        for g, w in zip(got[2:5], want[2:5]):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    def test_endpoint_against_scipy_dop853(self):
+        from scipy.integrate import solve_ivp
+        y0, _, span = _bench_orbit_args()[:3]
+        prm = Params(a=1.0, beta=1.0 / 7.0,
+                     a1=solve_resonant_a1(1.0 / 7.0, 1).a1_hat)
+        traj = integrate(y0, prm, span, tol=1e-12)
+        ref = solve_ivp(lambda t, y: vector_field(y, prm), (0.0, span), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert ref.success
+        assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 2e-9
+
+
+class TestStepStats:
+    def test_counts_match_samples(self):
+        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
+        st = traj.stats
+        assert st.accepted == len(traj.taus) - 1
+        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+        h = np.abs(np.diff(traj.taus))
+        assert st.h_min == pytest.approx(h.min(), rel=1e-12)
+        assert st.h_max == pytest.approx(h.max(), rel=1e-12)
+
+    def test_truncated_keeps_stats(self):
+        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
+        assert traj.truncated(2.0).stats == traj.stats
+
+    def test_zero_length_run_has_no_steps(self):
+        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        traj = integrate(separated_state(0.2, 0.3), prm, 0.0, tol=1e-12)
+        assert traj.stats == (0, 0, 0, 0.0, 0.0)
+
+
+class TestIntegrationErrors:
+    def test_step_budget_exhausted(self):
+        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        with pytest.raises(IntegrationError, match="step budget 5"):
+            integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12,
+                      max_steps=5)
+
+    def test_step_underflow_without_exclusion_ball(self):
+        centre = CartesianPoint(math.cosh(0.4), 0.0)
+        prm = Params(a=1.0, beta=0.2, a1=0.3, eps=1e-2, centre=centre)
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate(np.array([0.0, 0.0, 1.2, 0.0]), prm, 5.0, tol=1e-10,
+                      r_min=0.0)

@@ -6,7 +6,7 @@ import pytest
 from tricentre.errors import SingularityError
 from tricentre.geometry import (TWO_PI, CartesianPoint, EllipticPoint,
                                 cartesian_to_elliptic, elliptic_to_cartesian,
-                                physical_time_of, transform_matrix,
+                                elliptic_to_xy, physical_time_of, transform_matrix,
                                 velocity_to_cartesian, wrap_angle)
 
 
@@ -23,6 +23,16 @@ class TestForwardMap:
             p = elliptic_to_cartesian(EllipticPoint(xi, math.pi / 2.0))
             assert p.x == pytest.approx(0.0, abs=1e-15)
             assert p.y == pytest.approx(math.sinh(xi), rel=1e-15)
+
+    def test_array_form_matches_point_form(self):
+        rng = np.random.default_rng(11)
+        xi = rng.uniform(-3.0, 3.0, 200)
+        phi = rng.uniform(0.0, TWO_PI, 200)
+        x, y = elliptic_to_xy(xi, phi)
+        for i in range(len(xi)):
+            p = elliptic_to_cartesian(EllipticPoint(xi[i], phi[i]))
+            assert x[i] == pytest.approx(p.x, rel=1e-14, abs=1e-14)
+            assert y[i] == pytest.approx(p.y, rel=1e-14, abs=1e-14)
 
 
 class TestInverseMap:

@@ -47,9 +47,3 @@ def test_figs_two_and_four(tmp_path, capsys):
     assert len(doc["orbits"]) == 2
     assert doc["q"] == "1"
 
-
-def test_bench_smoke(capsys):
-    from tricentre.bench import main
-    assert main(["--reps", "1", "--periods", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "pure-Python reference" in out
