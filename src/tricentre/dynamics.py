@@ -361,11 +361,6 @@ class Trajectory:
         t = np.linspace(self.taus[0], self.taus[-1], n)
         return t, self.state_at(t)
 
-    def min_centre_distance(self, centre: CartesianPoint, n: int = 4096) -> float:
-        _, states = self.dense_grid(n)
-        x, y = elliptic_to_xy(states[:, 0], states[:, 1])
-        return float(np.min(np.hypot(x - centre.x, y - centre.y)))
-
 
 # ---------------------------------------------------------------------------
 # event engine

@@ -19,8 +19,8 @@ import numpy as np
 from .arcs import CollisionArc
 from .dynamics import CentreProximity, Params, integrate
 from .errors import DomainError, IntegrationError
-from .geometry import (CartesianPoint, cartesian_to_elliptic, elliptic_to_xy,
-                       transform_matrix)
+from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
+                       elliptic_to_xy, transform_matrix, velocity_to_cartesian)
 
 __all__ = ["ShadowResult", "shoot_segment", "local_expansion_rate"]
 
@@ -41,6 +41,8 @@ class ShadowResult:
     duration: float
     arrival_state: Optional[np.ndarray]  # elliptic state at the exit circle
     params: Optional[Params] = None
+    residual_history: tuple[float, ...] = ()  # residual, then after each step
+    rhs_evals: int = 0        # over every integration of the solve
 
 
 def _energy_consistent_state(pos: CartesianPoint, direction_cart: np.ndarray,
@@ -77,43 +79,45 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
     A coarse polyline gives the nearest-sample seed; a golden-section
     refinement on the arc's dense output removes the discretization floor
     (the arc sweeps fast in Cartesian terms far from the primaries, where
-    uniform-tau sampling is sparse).
+    uniform-tau sampling is sparse).  All points are refined together, one
+    array dense-output query per step; converged points leave the live set.
     """
     arc_taus, arc_states = arc.path.dense_grid(n_seed)
     poly = _cartesian_track(arc_states)
-
-    def dist_at(tau: float, p: np.ndarray) -> float:
-        y = arc.path.state_at(tau)
-        x, yy = elliptic_to_xy(y[0], y[1], math)
-        return math.hypot(x - p[0], yy - p[1])
-
-    worst = 0.0
+    px, py = points[:, 0], points[:, 1]
+    nearest = np.empty(len(points), dtype=np.intp)
     chunk = 256
     for s in range(0, len(points), chunk):
-        pts = points[s:s + chunk]
-        d2 = ((pts[:, None, :] - poly[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argmin(d2, axis=1)
-        for row, j in enumerate(nearest):
-            p = pts[row]
-            lo = arc_taus[max(j - 1, 0)]
-            hi = arc_taus[min(j + 1, len(arc_taus) - 1)]
-            a, b = lo, hi
-            fa = dist_at(a + (1.0 - _GOLDEN) * (b - a), p)
-            fb = dist_at(a + _GOLDEN * (b - a), p)
-            t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
-            for _ in range(40):
-                if fa < fb:
-                    b, t2, fb = t2, t1, fa
-                    t1 = a + (1.0 - _GOLDEN) * (b - a)
-                    fa = dist_at(t1, p)
-                else:
-                    a, t1, fa = t1, t2, fb
-                    t2 = a + _GOLDEN * (b - a)
-                    fb = dist_at(t2, p)
-                if abs(b - a) < 1e-12 * max(1.0, abs(b)):
-                    break
-            worst = max(worst, min(fa, fb))
-    return worst
+        d2 = ((px[s:s + chunk, None] - poly[:, 0]) ** 2
+              + (py[s:s + chunk, None] - poly[:, 1]) ** 2)
+        nearest[s:s + chunk] = np.argmin(d2, axis=1)
+
+    def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+        y = arc.path.state_at(tau)
+        x, yy = elliptic_to_xy(y[:, 0], y[:, 1])
+        return np.hypot(x - qx, yy - qy)
+
+    a = arc_taus[np.maximum(nearest - 1, 0)]
+    b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
+    t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
+    fa, fb = dist_at(t1, px, py), dist_at(t2, px, py)
+    best = np.empty(len(points))
+    live = np.arange(len(points))
+    for _ in range(40):
+        if not len(live):
+            break
+        left = fa < fb
+        a, b = np.where(left, a, t1), np.where(left, t2, b)
+        t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
+        f_new = dist_at(t_new, px, py)
+        t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
+        fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
+        done = np.abs(b - a) < 1e-12 * np.maximum(1.0, np.abs(b))
+        best[live[done]] = np.minimum(fa[done], fb[done])
+        a, b, t1, t2, fa, fb, px, py, live = (
+            v[~done] for v in (a, b, t1, t2, fa, fb, px, py, live))
+    best[live] = np.minimum(fa, fb)
+    return float(best.max(initial=0.0))
 
 
 def shoot_segment(arc: CollisionArc, eps: float,
@@ -146,29 +150,27 @@ def shoot_segment(arc: CollisionArc, eps: float,
     target = c_vec - r_e * u_t
 
     # tau spent inside the circles along the unperturbed arc, for the guess
-    rho_c = math.cosh(arc.start.xi) ** 2 - math.cos(arc.start.phi) ** 2
     v0_cart_speed = float(np.hypot(*arc.v0_cartesian))
     vt_cart_speed = float(np.hypot(*arc.vT_cartesian))
     tau_in = r_e / v0_cart_speed
     tau_out = r_e / vt_cart_speed
-    del rho_c
 
     int_tol = min(1e-12, 0.01 * tol)
-
-    def endpoint(alpha: float, duration: float) -> np.ndarray:
-        direction = _rotate(u0, alpha)
-        pos = CartesianPoint(*(c_vec + r_e * direction))
-        y0 = _energy_consistent_state(pos, direction, prm)
-        traj = integrate(y0, prm, duration, tol=int_tol)
-        return traj, _cartesian_track(traj.states[-1:])[0]
+    rhs_evals = 0
 
     def residual(z):
-        traj, end = endpoint(z[0], z[1])
-        return traj, end - target
+        nonlocal rhs_evals
+        direction = _rotate(u0, z[0])
+        pos = CartesianPoint(*(c_vec + r_e * direction))
+        y0 = _energy_consistent_state(pos, direction, prm)
+        traj = integrate(y0, prm, z[1], tol=int_tol)
+        rhs_evals += traj.stats.rhs_evals
+        return traj, _cartesian_track(traj.states[-1:])[0] - target
 
     z = np.array([0.0, arc.duration - tau_in - tau_out])
     traj, r = residual(z)
     rnorm = float(np.hypot(*r))
+    history = [rnorm]
     n_it = 0
     converged = rnorm <= tol
     while not converged and n_it < max_iter:
@@ -195,6 +197,7 @@ def shoot_segment(arc: CollisionArc, eps: float,
             rn = float(np.hypot(*r_new))
             if rn < rnorm:
                 z, traj, r, rnorm = z_new, traj_new, r_new, rn
+                history.append(rn)
                 improved = True
                 break
             lam *= 0.5
@@ -221,6 +224,8 @@ def shoot_segment(arc: CollisionArc, eps: float,
         duration=float(z[1]),
         arrival_state=traj.states[-1].copy(),
         params=prm,
+        residual_history=tuple(history),
+        rhs_evals=rhs_evals,
     )
 
 
@@ -251,7 +256,6 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float,
     c_vec = np.array([prm.centre.x, prm.centre.y])
 
     y_arr = seg.arrival_state
-    from .geometry import EllipticPoint, velocity_to_cartesian
     p_arr = EllipticPoint(y_arr[0], y_arr[1])
     v_cart = velocity_to_cartesian(p_arr, y_arr[2:])
     v_dir = v_cart / np.hypot(*v_cart)

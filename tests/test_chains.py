@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tricentre.chains import (ChainGraph, CollisionChain, assemble_chain,
                               build_alphabet, build_graph,
@@ -123,6 +126,17 @@ class TestCounts:
         for n in range(1, 8):
             assert count_periodic_chains(g, n) == \
                 brute_force_closed_walks(adj.astype(int).tolist(), n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(adj=st.integers(1, 12).flatmap(
+        lambda k: hnp.arrays(np.bool_, (k, k))))
+    def test_trace_of_matrix_power(self, adj):
+        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
+                       adjacency=adj, arc_refs={})
+        a = adj.astype(np.int64)
+        for n in range(1, 9):
+            assert count_periodic_chains(g, n) == \
+                int(np.trace(np.linalg.matrix_power(a, n)))
 
     def test_bad_period(self, q1_family):
         with pytest.raises(DomainError):

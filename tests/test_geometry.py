@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricentre.errors import SingularityError
 from tricentre.geometry import (TWO_PI, CartesianPoint, EllipticPoint,
@@ -64,6 +66,13 @@ class TestInverseMap:
             for rep in cartesian_to_elliptic(CartesianPoint(x, y)):
                 back = elliptic_to_cartesian(rep)
                 assert math.hypot(back.x - x, back.y - y) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=st.floats(-20.0, 20.0), y=st.floats(-20.0, 20.0))
+    def test_round_trip_property(self, x, y):
+        for rep in cartesian_to_elliptic(CartesianPoint(x, y)):
+            back = elliptic_to_cartesian(rep)
+            assert math.hypot(back.x - x, back.y - y) <= 1e-12
 
     def test_representations_are_identified(self):
         p = EllipticPoint(0.8, 2.3)
