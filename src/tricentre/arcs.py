@@ -12,6 +12,7 @@ finite-difference nondegeneracy certificate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,6 +195,7 @@ def build_arc(prm: Params, sign: int, direction: int,
 # ---------------------------------------------------------------------------
 # primary-collision exclusion
 
+@functools.lru_cache  # one set per class; a failed validation is not cached
 def primary_collision_ratios(q) -> frozenset:
     """Finite set S of travel-time ratios at which primary collisions occur.
 
@@ -222,6 +224,12 @@ def primary_collision_ratios(q) -> frozenset:
     return frozenset(out)
 
 
+@functools.lru_cache
+def _ratio_table(q) -> tuple[tuple[float, Fraction], ...]:
+    """(float(s), s) for s in S, in the iteration order of the set itself."""
+    return tuple((float(s), s) for s in primary_collision_ratios(q))
+
+
 @dataclass(frozen=True)
 class SafetyReport:
     g_plus: float
@@ -230,6 +238,7 @@ class SafetyReport:
     min_separation: float   # distance from {G+, G-} to the nearest S element
     nearest: Fraction
     delta: float
+    quad_evaluations: int = 0  # integrand evaluations of the two travel times
 
 
 def primary_collision_check(prm: Params, delta: float = 1e-4,
@@ -246,12 +255,14 @@ def primary_collision_check(prm: Params, delta: float = 1e-4,
     beta, a1, a = prm.beta, prm.a1, prm.a
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
+    ba1 = beta * a1
 
     def phi_integrand(phi):
-        return 1.0 / math.sqrt(beta * a1 * math.cos(phi) ** 2 + a1)
+        return 1.0 / math.sqrt(ba1 * math.cos(phi) ** 2 + a1)
 
     def xi_integrand(xi):
-        r = math.cosh(xi) - beta * a1 * math.cosh(xi) ** 2 - a1
+        ch = math.cosh(xi)
+        r = ch - ba1 * ch ** 2 - a1
         if r <= 0.0:
             raise AccuracyError(
                 f"xi travel-time integrand singular at xi={xi:.6g}"
@@ -259,22 +270,23 @@ def primary_collision_check(prm: Params, delta: float = 1e-4,
         return 1.0 / math.sqrt(r)
 
     pref = 0.5 / math.sqrt(a)
-    p_val = pref * adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol).value
-    q_val = pref * adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol).value
+    p_quad = adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol)
+    q_quad = adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol)
+    p_val, q_val = pref * p_quad.value, pref * q_quad.value
     t1 = period_xi(beta, a1, a)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1
 
-    s_set = primary_collision_ratios(prm.q)
     best = math.inf
     nearest = Fraction(0)
-    for s in s_set:
+    for s_float, s in _ratio_table(prm.q):
         for g in (g_plus, g_minus):
-            d = abs(g - float(s))
+            d = abs(g - s_float)
             if d < best:
                 best, nearest = d, s
     return SafetyReport(g_plus=g_plus, g_minus=g_minus, safe=best > delta,
-                        min_separation=best, nearest=nearest, delta=delta)
+                        min_separation=best, nearest=nearest, delta=delta,
+                        quad_evaluations=p_quad.evaluations + q_quad.evaluations)
 
 
 # ---------------------------------------------------------------------------

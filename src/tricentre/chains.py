@@ -43,10 +43,6 @@ class ChainGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def successors(self, label: ArcLabel) -> list[ArcLabel]:
-        i = self.nodes.index(label)
-        return [self.nodes[j] for j in np.nonzero(self.adjacency[i])[0]]
-
     def to_json_dict(self) -> dict:
         return {
             "nodes": [str(lb) for lb in self.nodes],

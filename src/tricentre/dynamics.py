@@ -31,6 +31,7 @@ from .geometry import (
     elliptic_to_xy,
     physical_time_of,
 )
+from .periods import _check_domain
 
 __all__ = [
     "Params", "EllipticState", "Trajectory",
@@ -63,12 +64,7 @@ class Params:
     def __post_init__(self):
         if not (self.a > 0.0):
             raise DomainError(f"primary intensity a must be > 0, got {self.a}")
-        if not (0.0 <= self.beta < 1.0):
-            raise DomainError(f"beta must lie in [0, 1), got {self.beta}")
-        if not (0.0 < self.a1 < 1.0 / (1.0 + self.beta)):
-            raise DomainError(
-                f"a1 must lie in (0, 1/(1+beta)) = (0, {1.0/(1.0+self.beta):.6g}),"
-                f" got {self.a1}")
+        _check_domain(self.beta, self.a1)
         if 2.0 * self.beta * self.a1 >= 1.0:
             raise DomainError("admissibility requires 2*beta*a1 < 1")
         if not (self.eps >= 0.0):
@@ -298,10 +294,6 @@ class Trajectory:
     @property
     def tau_final(self) -> float:
         return float(self.taus[-1])
-
-    @property
-    def final_state(self) -> EllipticState:
-        return EllipticState.from_array(self.states[-1])
 
     def state_at(self, tau) -> np.ndarray:
         """Dense-output state(s) at scalar or array tau inside the span."""

@@ -87,17 +87,16 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0, q=1, a: float = 1.0,
     q = Fraction(q)
     sol = solve_resonant_a1(beta, q, a)
     t_span = sol.full_period
+    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
     tracks = []
     for k in range(n_orbits):
         phi_k = (k + 0.5) * math.pi / n_orbits
         centre = EllipticPoint(0.0, phi_k)
         vxi, vphi = initial_velocities(centre, beta, sol.a1_hat, a)
-        prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
         y0 = (0.0, phi_k, vxi, vphi)
         tracks.append(_orbit_track(prm, y0, t_span, f"orbit_{k:02d}", False))
     prim = EllipticPoint(0.0, 0.0)
     vxi, vphi = initial_velocities(prim, beta, sol.a1_hat, a)
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
     for label, sign in (("colliding_0", 1), ("colliding_1", -1)):
         y0 = (0.0, 0.0, sign * vxi, vphi)
         tracks.append(_orbit_track(prm, y0, t_span, label, True))

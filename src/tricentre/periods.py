@@ -8,6 +8,7 @@ periodic orbit of energy E = -2*a*beta*a1_hat.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,7 @@ class ResonanceSolution:
     t2: float
     residual: float
     clamped: bool = False
+    evaluations: int = 0  # residual evaluations of the solve, bracket ends included
 
     @property
     def energy(self) -> float:
@@ -62,6 +64,15 @@ def _check_domain(beta: float, a1: float):
             f"a1 must lie in (0, 1/(1+beta)) = (0, {1.0/(1.0+beta):.6g}), got {a1}")
 
 
+def _xi_modulus(beta: float, a1: float) -> tuple[float, float]:
+    """Discriminant 1 - 4*beta*a1^2 and squared modulus k1^2 of the xi motion."""
+    disc = 1.0 - 4.0 * beta * a1 * a1
+    if disc <= 0.0:
+        raise DomainError(f"discriminant 1 - 4*beta*a1^2 = {disc} must be positive")
+    root = math.sqrt(disc)
+    return disc, (a1 * (1.0 - beta) + root) / (2.0 * root)
+
+
 def modulus_squares(beta: float, a1: float) -> tuple[float, float]:
     """Squared elliptic moduli (k1^2, k2^2) of the two period integrals.
 
@@ -69,34 +80,52 @@ def modulus_squares(beta: float, a1: float) -> tuple[float, float]:
     [0, 1/2) the phi rotation.
     """
     _check_domain(beta, a1)
-    disc = 1.0 - 4.0 * beta * a1 * a1
-    if disc <= 0.0:
-        raise DomainError(f"discriminant 1 - 4*beta*a1^2 = {disc} must be positive")
-    root = math.sqrt(disc)
-    k1sq = (a1 * (1.0 - beta) + root) / (2.0 * root)
-    k2sq = beta / (1.0 + beta)
-    return k1sq, k2sq
+    _, k1sq = _xi_modulus(beta, a1)
+    return k1sq, beta / (1.0 + beta)
+
+
+def _period_xi_in_a1(beta: float, a: float):
+    """a1 -> T1 at fixed (beta, a), for a1 inside the domain."""
+    scale = 2.0 * math.sqrt(2.0 / a)
+
+    def t1(a1: float) -> float:
+        disc, k1sq = _xi_modulus(beta, a1)
+        if k1sq >= 1.0:
+            raise DomainError("xi motion on the separatrix: period diverges")
+        return scale / disc ** 0.25 * complete_elliptic_k(k1sq)
+    return t1
+
+
+def _period_phi_in_a1(beta: float, a: float):
+    """a1 -> T2 at fixed (beta, a), for a1 inside the domain."""
+    k_phi = complete_elliptic_k(beta / (1.0 + beta))
+    return lambda a1: 2.0 / math.sqrt(a * a1 * (1.0 + beta)) * k_phi
 
 
 def period_xi(beta: float, a1: float, a: float = 1.0) -> float:
     """Period T1 of the xi oscillation (strictly increasing in a1)."""
-    k1sq, _ = modulus_squares(beta, a1)
-    if k1sq >= 1.0:
-        raise DomainError("xi motion on the separatrix: period diverges")
-    disc = 1.0 - 4.0 * beta * a1 * a1
-    return 2.0 * math.sqrt(2.0 / a) / disc ** 0.25 * complete_elliptic_k(k1sq)
+    _check_domain(beta, a1)
+    return _period_xi_in_a1(beta, a)(a1)
 
 
 def period_phi(beta: float, a1: float, a: float = 1.0) -> float:
     """Period T2 of the phi rotation (strictly decreasing in a1)."""
-    _, k2sq = modulus_squares(beta, a1)
-    return 2.0 / math.sqrt(a * a1 * (1.0 + beta)) * complete_elliptic_k(k2sq)
+    modulus_squares(beta, a1)  # domain and discriminant checks
+    return _period_phi_in_a1(beta, a)(a1)
+
+
+def _residual_in_a1(beta: float, q: Fraction, a: float):
+    """a1 -> q*T1 - T2 at fixed (beta, q, a), for a1 inside the domain;
+    float(q), 2*sqrt(2/a) and K(k2^2) are computed once, not per a1."""
+    qf, t1, t2 = float(q), _period_xi_in_a1(beta, a), _period_phi_in_a1(beta, a)
+    return lambda a1: qf * t1(a1) - t2(a1)
 
 
 def resonance_residual(beta: float, a1: float, q, a: float = 1.0) -> float:
     """q*T1 - T2; strictly increasing in a1, with a sign change on (0, 1/(1+beta))."""
     q = Fraction(q)
-    return float(q) * period_xi(beta, a1, a) - period_phi(beta, a1, a)
+    _check_domain(beta, a1)
+    return _residual_in_a1(beta, q, a)(a1)
 
 
 def solve_resonant_a1(beta: float, q, a: float = 1.0,
@@ -115,23 +144,26 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0,
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     hi_edge = 1.0 / (1.0 + beta)
-    lo = _EDGE * hi_edge
-    hi = hi_edge * (1.0 - _EDGE)
-    f_lo = resonance_residual(beta, lo, q, a)
-    f_hi = resonance_residual(beta, hi, q, a)
+    lo, hi = _EDGE * hi_edge, hi_edge * (1.0 - _EDGE)
+    _check_domain(beta, lo)  # beta; every a1 tried lies in [lo, hi]
+    residual, calls = _residual_in_a1(beta, q, a), []
 
+    def f(a1: float) -> float:
+        calls.append(a1)
+        return residual(a1)
+
+    f_lo, f_hi = f(lo), f(hi)
     clamped = False
     if f_lo >= 0.0:
         a1, res, clamped = lo, f_lo, True
     elif f_hi <= 0.0:
         a1, res, clamped = hi, f_hi, True
     else:
-        a1, res = _bracketed_root(
-            lambda v: resonance_residual(beta, v, q, a), lo, hi, f_lo, f_hi, tol)
+        a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, tol)
     return ResonanceSolution(
         beta=beta, q=q, a=a, a1_hat=a1,
         t1=period_xi(beta, a1, a), t2=period_phi(beta, a1, a),
-        residual=res, clamped=clamped)
+        residual=res, clamped=clamped, evaluations=len(calls))
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
@@ -175,13 +207,14 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0,
     q = Fraction(q)
     if not (energy < 0.0):
         raise DomainError(f"energy must be negative, got {energy}")
+    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q, a, tol))
 
     def gap(beta: float) -> float:
-        return solve_resonant_a1(beta, q, a, tol).energy - energy
+        return solve(beta).energy - energy
 
     lo = 1e-12
     if gap(lo) <= 0.0:  # |energy| below resolution
-        return solve_resonant_a1(lo, q, a, tol)
+        return solve(lo)
     hi = 0.05
     while gap(hi) > 0.0:
         hi = min(hi * 2.0, beta_cap)
@@ -191,7 +224,7 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0,
                 f" with beta <= {beta_cap}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
                               tol * max(1.0, abs(energy)))
-    return solve_resonant_a1(beta, q, a, tol)
+    return solve(beta)
 
 
 def turning_point_xi(beta: float, a1: float) -> float:
@@ -204,8 +237,6 @@ def turning_point_xi(beta: float, a1: float) -> float:
     _check_domain(beta, a1)
     if beta == 0.0:
         raise DomainError("beta = 0: the xi motion has no finite turning point")
-    disc = 1.0 - 4.0 * beta * a1 * a1
-    if disc <= 0.0:
-        raise DomainError(f"discriminant 1 - 4*beta*a1^2 = {disc} must be positive")
+    disc, _ = _xi_modulus(beta, a1)
     cosh_xi = (1.0 + math.sqrt(disc)) / (2.0 * beta * a1)
     return math.acosh(cosh_xi)

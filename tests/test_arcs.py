@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BETA_REF, primary_visit_times
+from tricentre import arcs
 from tricentre.arcs import (arc_family, build_arc, find_admissible_beta,
                             initial_velocities, nondegeneracy_certificate,
                             primary_collision_check, primary_collision_ratios,
                             resonant_params)
 from tricentre.dynamics import Params, integrate
-from tricentre.errors import DomainError, PlacementError, UnsafeCentreError
+from tricentre.errors import (AccuracyError, DomainError, PlacementError,
+                             UnsafeCentreError)
 from tricentre.geometry import EllipticPoint, elliptic_to_cartesian
-from tricentre.periods import solve_resonant_a1, turning_point_xi
+from tricentre.periods import period_xi, solve_resonant_a1, turning_point_xi
+from tricentre.special import adaptive_quadrature
 
 F = Fraction
 
@@ -290,3 +295,117 @@ class TestFamilies:
         monkeypatch.setattr(arcs_mod, "build_arc", grazing)
         with pytest.raises(StructuralError):
             arc_family(prm)
+
+
+# ---------------------------------------------------------------------------
+# exclusion test against a straightforward scan
+
+EXCLUSION_CLASSES = (F(1), F(2), F(3), F(1, 2), F(3, 2))
+
+
+def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
+    """The exclusion test written out directly: the integrands recompute
+    beta*a1 and cosh(xi), and the scan runs over a freshly built ratio set
+    in its iteration order, converting each element with float(s)."""
+    beta, a1, a = prm.beta, prm.a1, prm.a
+    centre = prm.centre_elliptic
+    xi0, phi0 = centre.xi, centre.phi
+
+    def phi_integrand(phi):
+        return 1.0 / math.sqrt(beta * a1 * math.cos(phi) ** 2 + a1)
+
+    def xi_integrand(xi):
+        r = math.cosh(xi) - beta * a1 * math.cosh(xi) ** 2 - a1
+        if r <= 0.0:
+            raise AccuracyError("singular")
+        return 1.0 / math.sqrt(r)
+
+    pref = 0.5 / math.sqrt(a)
+    p_val = pref * adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol).value
+    q_val = pref * adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol).value
+    t1 = period_xi(beta, a1, a)
+    g_plus = (p_val + q_val) / t1
+    g_minus = (p_val - q_val) / t1
+    best, nearest = math.inf, F(0)
+    for s in primary_collision_ratios.__wrapped__(prm.q):  # uncached build
+        for g in (g_plus, g_minus):
+            d = abs(g - float(s))
+            if d < best:
+                best, nearest = d, s
+    return g_plus.hex(), g_minus.hex(), best > delta, best.hex(), nearest
+
+
+def _report_tuple(report):
+    return (report.g_plus.hex(), report.g_minus.hex(), report.safe,
+            report.min_separation.hex(), report.nearest)
+
+
+def _centre_params(q, beta, u, phi0):
+    sol = solve_resonant_a1(beta, q)
+    xi0 = u * turning_point_xi(beta, sol.a1_hat)
+    prm, _ = resonant_params(EllipticPoint(xi0, phi0), q, beta)
+    return prm
+
+
+class TestExclusionOracle:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(q=st.sampled_from(EXCLUSION_CLASSES),
+           beta=st.sampled_from((0.05, BETA_REF, 0.25)),
+           u=st.floats(0.02, 0.9),
+           phi0=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    def test_matches_reference_scan(self, q, beta, u, phi0):
+        prm = _centre_params(q, beta, u, phi0)
+        report = primary_collision_check(prm)
+        assert _report_tuple(report) == _reference_check(prm)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)], ids=str)
+    def test_axis_tie_keeps_first_minimum(self, q):
+        # phi0 = 0: G- = -G+, so s and -s lie at exactly the same distance
+        prm = _centre_params(q, BETA_REF, 0.5, 0.0)
+        report = primary_collision_check(prm)
+        assert report.g_minus == -report.g_plus
+        mirror = -report.nearest
+        assert report.nearest != 0 and mirror in primary_collision_ratios(q)
+        assert min(abs(report.g_plus - float(mirror)),
+                   abs(report.g_minus - float(mirror))) == report.min_separation
+        assert _report_tuple(report) == _reference_check(prm)
+
+    def test_quad_evaluations(self, monkeypatch):
+        results = []
+        inner = arcs.adaptive_quadrature
+
+        def recording(*args, **kwargs):
+            results.append(inner(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(arcs, "adaptive_quadrature", recording)
+        report = primary_collision_check(_centre_params(F(1), BETA_REF, 0.4, 0.7))
+        assert len(results) == 2
+        assert report.quad_evaluations == sum(r.evaluations for r in results)
+        assert report.quad_evaluations >= 30
+
+
+class TestRatioSetCache:
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3), F(1, 2), F(3, 2), F(7, 3),
+                                   F(1, 64)], ids=str)
+    def test_same_set_as_enumeration(self, q):
+        m, n = q.numerator, q.denominator
+        half = F(1, 2)
+        expect = {F(j, 2) - i * q for j in range(m + 1)
+                  for i in range(n) if 2 * i < n}
+        expect |= {F(j, 2) - q * (ip + sign * half) for j in range(m + 1)
+                   for ip in range(n + 1) if 2 * ip < n + 1
+                   for sign in (1, -1)}
+        assert primary_collision_ratios(q) == expect
+        assert primary_collision_ratios(int(q) if n == 1 else q) == expect
+
+    @pytest.mark.parametrize("q", EXCLUSION_CLASSES, ids=str)
+    def test_cached_set_keeps_build_order(self, q):
+        fresh = primary_collision_ratios.__wrapped__(q)
+        assert list(primary_collision_ratios(q)) == list(fresh)
+        assert [s for _, s in arcs._ratio_table(q)] == list(fresh)
+
+    def test_validates_on_every_call(self):
+        for bad in (0, F(-1, 2), -3):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    primary_collision_ratios(bad)

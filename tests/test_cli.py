@@ -62,6 +62,27 @@ class TestSolve:
         assert main(["solve", "--q", "2", "--energy", "-5.0"]) == 2
 
 
+class TestSolverCountersStayOut:
+    """Evaluation counters live on the returned objects, not in the output."""
+
+    def test_solve_document_keys(self, capsys):
+        rc, out = run(capsys, ["solve", "--q", "2", "--beta", "0.2", "--json"])
+        assert rc == 0
+        assert set(json.loads(out)) == {
+            "command", "a", "q", "beta", "a1_hat", "t1", "t2", "energy",
+            "residual", "clamped"}
+        assert "evaluations" not in out
+
+    def test_check_document_keys(self, capsys):
+        rc, out = run(capsys, ["check", "--centre-elliptic", "2.58,0",
+                               "--q", "1", "--beta", "0.142857", "--json"])
+        assert rc == 0
+        assert set(json.loads(out)) == {
+            "command", "q", "beta", "g_plus", "g_minus", "safe",
+            "min_separation", "nearest", "delta", "ratio_set"}
+        assert "evaluations" not in out
+
+
 class TestFigs:
     def test_fig1_minima(self, capsys, tmp_path):
         rc, out = run(capsys, ["figs", "1", "--out", str(tmp_path), "--json"])

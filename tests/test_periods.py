@@ -1,9 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import resonance_reference as ref
+from tricentre import periods
 from tricentre.errors import DomainError, RangeError
 from tricentre.periods import (ResonanceSolution, modulus_squares, period_phi,
                                period_xi, resonance_residual,
@@ -213,3 +218,164 @@ def test_solution_metadata():
     assert isinstance(sol, ResonanceSolution)
     assert sol.energy == pytest.approx(-2.0 * 0.25 * sol.a1_hat)
     assert sol.full_period == pytest.approx(3 * sol.t1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the earlier implementation, kept in tests/resonance_reference.py
+
+ORACLE_BETAS = (0.0, 1e-12, 0.05, 1.0 / 7.0, 0.3, 0.6, 0.99)
+ORACLE_CLASSES = (Fraction(1, 64), Fraction(1, 9), Fraction(1, 2), Fraction(1),
+                  Fraction(2), Fraction(3), Fraction(7, 2), Fraction(64))
+CLASSES = st.builds(Fraction, st.integers(1, 16), st.integers(1, 16))
+
+
+def _bits(x):
+    """Floats by their exact bits (signed zeros and NaNs included)."""
+    return x.hex() if isinstance(x, float) else x
+
+
+def _fields(sol) -> dict:
+    return {f.name: _bits(getattr(sol, f.name))
+            for f in dataclasses.fields(sol) if f.name != "evaluations"}
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records its positional args."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestResonanceOracle:
+    @pytest.mark.parametrize("q", ORACLE_CLASSES, ids=str)
+    @pytest.mark.parametrize("beta", ORACLE_BETAS)
+    def test_solve_bitwise_equal_to_reference(self, monkeypatch, beta, q):
+        calls = _record_calls(monkeypatch, ref, "resonance_residual")
+        expect = ref.solve_resonant_a1(beta, q)
+        sol = solve_resonant_a1(beta, q)
+        assert _fields(sol) == _fields(expect)
+        # the reference calls resonance_residual once per evaluation
+        assert sol.evaluations == len(calls)
+
+    @pytest.mark.parametrize("a, tol", [(0.5, 1e-12), (2.5, 1e-10),
+                                        (1.0, 1e-14), (3.0, 1e-8)])
+    @pytest.mark.parametrize("beta, q", [(0.0, Fraction(2, 3)),
+                                         (0.2, Fraction(5)),
+                                         (0.9, Fraction(1, 3))])
+    def test_other_intensity_and_tolerance(self, beta, q, a, tol):
+        assert (_fields(solve_resonant_a1(beta, q, a, tol))
+                == _fields(ref.solve_resonant_a1(beta, q, a, tol)))
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, math.nan])
+    def test_bad_beta_raises_like_reference(self, beta):
+        with pytest.raises(DomainError) as expect:
+            ref.solve_resonant_a1(beta, 1)
+        with pytest.raises(DomainError) as got:
+            solve_resonant_a1(beta, 1)
+        assert str(got.value) == str(expect.value)
+
+    # a1 one or two ulps below 1/(1+beta), where k1^2 rounds to 1
+    @pytest.mark.parametrize("beta, a1", [
+        (0.2548139567136823, 0.7969308873635483),
+        (0.09376572718746067, 0.914272567829884),
+        (0.028319129045484302, 0.972460758294197)])
+    def test_separatrix_by_rounding_raises_like_reference(self, beta, a1):
+        assert modulus_squares(beta, a1)[0] == 1.0
+        for f in (ref.period_xi, period_xi,
+                  lambda b, x: ref.resonance_residual(b, x, 1),
+                  lambda b, x: resonance_residual(b, x, 1)):
+            with pytest.raises(DomainError, match="separatrix"):
+                f(beta, a1)
+
+    def test_grid_covers_a_clamped_class(self):
+        sol = solve_resonant_a1(0.0, Fraction(1, 64))
+        assert sol.clamped
+        assert sol.evaluations == 2  # the two bracket ends, no iteration
+
+    def test_evaluations_reference_orbit(self):
+        assert solve_resonant_a1(1.0 / 7.0, 1).evaluations == 36
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.0, 1.2), u=st.floats(0.0, 1.2), q=CLASSES,
+           a=st.floats(0.5, 3.0))
+    @example(beta=0.99, u=1.0 - 1e-15, q=Fraction(1), a=1.0)
+    @example(beta=0.99, u=1.0, q=Fraction(1), a=1.0)
+    @example(beta=1.0, u=0.5, q=Fraction(1), a=1.0)
+    @example(beta=0.0, u=0.0, q=Fraction(1), a=1.0)
+    @example(beta=1e-12, u=1e-12, q=Fraction(1, 64), a=0.5)
+    def test_residual_bitwise_equal_to_reference(self, beta, u, q, a):
+        # a1 = u/(1+beta): u >= 1 lies at or beyond the domain edge
+        a1 = u / (1.0 + beta)
+        try:
+            expect = ref.resonance_residual(beta, a1, q, a)
+        except DomainError:
+            with pytest.raises(DomainError):
+                resonance_residual(beta, a1, q, a)
+            return
+        assert _bits(resonance_residual(beta, a1, q, a)) == _bits(expect)
+
+    @pytest.mark.parametrize("beta, a1", [(0.2, 0.3), (0.99, 0.5), (0.0, 0.9)])
+    def test_periods_bitwise_equal_to_reference(self, beta, a1):
+        for a in (0.5, 1.0, 2.5):
+            assert _bits(period_xi(beta, a1, a)) == _bits(ref.period_xi(beta, a1, a))
+            assert _bits(period_phi(beta, a1, a)) == _bits(ref.period_phi(beta, a1, a))
+        assert modulus_squares(beta, a1) == ref.modulus_squares(beta, a1)
+
+
+class TestResonanceProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.0, 0.99), u=st.floats(1e-6, 1.0 - 1e-6),
+           v=st.floats(1e-6, 1.0 - 1e-6), q=CLASSES, a=st.floats(0.5, 3.0))
+    def test_residual_strictly_increasing(self, beta, u, v, q, a):
+        lo, hi = sorted((u, v))
+        assume(hi - lo >= 1e-7)
+        edge = 1.0 / (1.0 + beta)
+        assert (resonance_residual(beta, lo * edge, q, a)
+                < resonance_residual(beta, hi * edge, q, a))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.0, 0.95), q=CLASSES, a=st.floats(0.5, 3.0),
+           tol=st.sampled_from((1e-8, 1e-10, 1e-12)))
+    def test_solve_meets_tolerance_or_is_clamped(self, beta, q, a, tol):
+        sol = solve_resonant_a1(beta, q, a, tol)
+        assert sol.clamped or abs(sol.residual) <= tol
+        assert 0.0 < sol.a1_hat < 1.0 / (1.0 + beta)
+        assert _bits(sol.residual) == _bits(
+            resonance_residual(beta, sol.a1_hat, q, a))
+
+
+class TestBetaForEnergyOracle:
+    @pytest.mark.parametrize("q, energy", [
+        (1, -0.05), (2, -0.05), (3, -0.05), (Fraction(1, 2), -0.05),
+        (1, -1e-6), (2, -0.1), (1, -0.3), (1, -1e-30)])
+    def test_bitwise_equal_to_reference(self, q, energy):
+        assert (_fields(solve_beta_for_energy(q, energy))
+                == _fields(ref.solve_beta_for_energy(q, energy)))
+
+    def test_out_of_range_like_reference(self):
+        with pytest.raises(RangeError):
+            ref.solve_beta_for_energy(2, -5.0)
+        with pytest.raises(RangeError):
+            solve_beta_for_energy(2, -5.0)
+
+    @pytest.mark.parametrize("q, energy, repeated", [
+        (2, -0.05, True), (1, -0.3, True), (1, -1e-30, True),
+        (2, -5.0, False)])  # the out-of-range path repeats no solve
+    def test_each_nested_solve_made_once(self, monkeypatch, q, energy,
+                                         repeated):
+        calls = _record_calls(monkeypatch, periods, "solve_resonant_a1")
+        ref_calls = _record_calls(monkeypatch, ref, "solve_resonant_a1")
+        for solve in (solve_beta_for_energy, ref.solve_beta_for_energy):
+            try:
+                solve(q, energy)
+            except RangeError:
+                pass
+        betas = [c[0] for c in calls]
+        assert len(betas) == len(set(betas))
+        assert set(betas) == {c[0] for c in ref_calls}
+        assert (len(ref_calls) > len(calls)) == repeated
