@@ -9,10 +9,8 @@ atomically (write-then-rename).  Exit codes: 0 success, 2 domain error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figdata
+from ._output import write_csv, write_json
 from .arcs import (arc_family, find_admissible_beta,
                    primary_collision_check, primary_collision_ratios,
                    resonant_params)
@@ -48,27 +47,6 @@ def _fmt(x: float) -> str:
 def _param_hash(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:10]
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, doc) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True,
-                                   default=str) + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    import io
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    _write_atomic(path, buf.getvalue())
 
 
 def _load_config(path: str) -> dict:
@@ -295,7 +273,7 @@ def cmd_arcs(args) -> int:
     doc = {"command": "arcs", "a": a, "beta": beta, "q": str(q),
            "a1_hat": sol.a1_hat, "energy": sol.energy,
            "t1": sol.t1, "t2": sol.t2, "arcs": records}
-    _write_json(manifest, doc)
+    write_json(manifest, doc)
     _emit(args, {**doc, "manifest": str(manifest)},
           [f"wrote {manifest}"] +
           [f"  {r['label']}: duration={_fmt(r['duration'])}"
@@ -338,7 +316,7 @@ def cmd_chains(args) -> int:
            "entropy": entropy,
            "sample_chain": [str(lb) for lb in sample.labels]}
     path = out / f"chains_{key}.json"
-    _write_json(path, doc)
+    write_json(path, doc)
     lines = [f"alphabet: {len(arcs)} arcs at energy {_fmt(energy)}",
              "P_n (n = 1..12): " + " ".join(str(counts[n])
                                             for n in range(1, n_max + 1)),
@@ -379,7 +357,7 @@ def cmd_shadow(args) -> int:
            "arc_label": str(arc.label), "arc_duration": arc.duration,
            "rows": rows}
     path = out / f"shadow_{key}.json"
-    _write_json(path, doc)
+    write_json(path, doc)
     lines = [(f"eps={row['eps']:g}: deviation={row['max_deviation']:.6g}"
               f" min_c={row['min_c_distance']:.6g}"
               f" defect={row['time_defect']:.3g}"
@@ -393,11 +371,19 @@ def cmd_shadow(args) -> int:
     return EXIT_OK
 
 
-def _track_rows(track: figdata.OrbitTrack):
-    for i in range(len(track.taus)):
-        yield (float(track.taus[i]), float(track.states[i, 0]),
-               float(track.states[i, 1]), float(track.x[i]),
-               float(track.y[i]))
+_TRACK_HEADER = ["tau", "xi", "phi", "x", "y"]
+
+
+def _track_columns(track: figdata.OrbitTrack, window=None):
+    """Columns under _TRACK_HEADER, restricted to the samples in window."""
+    cols = [track.taus, track.states[:, 0], track.states[:, 1],
+            track.x, track.y]
+    if window is None:
+        return cols
+    x0, x1, y0, y1 = window
+    keep = ((x0 <= track.x) & (track.x <= x1)
+            & (y0 <= track.y) & (track.y <= y1))
+    return [c[keep] for c in cols]
 
 
 def cmd_figs(args) -> int:
@@ -415,11 +401,11 @@ def cmd_figs(args) -> int:
             grid, pot, meta = figdata.phi_potential_curve(a, energy)
             header, col = ["phi", "potential"], grid
         csv_path = out / f"fig{which}_{key}.csv"
-        _write_csv(csv_path, header, zip(col.tolist(), pot.tolist()))
+        write_csv(csv_path, header, [col, pot])
         meta_doc = {"command": f"figs {which}", "a": a, "energy": energy,
                     **meta, "csv": csv_path.name}
         json_path = out / f"fig{which}_{key}.json"
-        _write_json(json_path, meta_doc)
+        write_json(json_path, meta_doc)
         _emit(args, meta_doc, [f"wrote {csv_path}", f"wrote {json_path}"])
         return EXIT_OK
 
@@ -430,12 +416,12 @@ def cmd_figs(args) -> int:
         files = []
         for tr in tracks:
             path = out / f"fig3_{key}_{tr.name}.csv"
-            _write_csv(path, ["tau", "xi", "phi", "x", "y"], _track_rows(tr))
+            write_csv(path, _TRACK_HEADER, _track_columns(tr))
             files.append(path.name)
         doc = {"command": "figs 3", "a": a, "beta": beta, "q": "1",
                "orbits": files}
         json_path = out / f"fig3_{key}.json"
-        _write_json(json_path, doc)
+        write_json(json_path, doc)
         _emit(args, doc, [f"wrote {len(files)} orbit files and {json_path}"])
         return EXIT_OK
 
@@ -459,12 +445,7 @@ def cmd_figs(args) -> int:
         files = []
         for tr in tracks:
             path = out / f"fig{which}_{key}_{tr.name}.csv"
-            rows = _track_rows(tr)
-            if window is not None:
-                x0, x1, y0, y1 = window
-                rows = (r for r in rows
-                        if x0 <= r[3] <= x1 and y0 <= r[4] <= y1)
-            _write_csv(path, ["tau", "xi", "phi", "x", "y"], rows)
+            write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
             files.append(path.name)
         doc = {"command": f"figs {which}", "a": a, "beta": beta, "q": str(q),
                "orbits": files,
@@ -472,7 +453,7 @@ def cmd_figs(args) -> int:
         if window is not None:
             doc["window"] = list(window)
         json_path = out / f"fig{which}_{key}.json"
-        _write_json(json_path, doc)
+        write_json(json_path, doc)
         _emit(args, doc,
               [f"wrote {len(files)} orbit files and {json_path}",
                f"self-intersections: {len(crossings)}"])

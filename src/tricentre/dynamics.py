@@ -11,8 +11,6 @@ rotating-pendulum motion in phi.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -22,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import StepStats
+from ._output import write_csv, write_json
 from .errors import DomainError, IntegrationError, SingularityError
 from .geometry import (
     CartesianPoint,
@@ -513,14 +512,9 @@ def trajectory_to_csv(traj: Trajectory, path, n: int = 1000) -> None:
         traj.taus, traj.states)
     t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
     x, y = elliptic_to_xy(states[:, 0], states[:, 1])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau", "xi", "phi", "xi_prime", "phi_prime",
-                    "t_physical", "x", "y"])
-        for i in range(len(taus)):
-            w.writerow([f"{v:.17g}" for v in
-                        (taus[i], states[i, 0], states[i, 1], states[i, 2],
-                         states[i, 3], t_phys[i], x[i], y[i])])
+    write_csv(path, ["tau", "xi", "phi", "xi_prime", "phi_prime",
+                     "t_physical", "x", "y"],
+              [taus, *states.T, t_phys, x, y])
 
 
 def trajectory_to_json(traj: Trajectory, path) -> None:
@@ -536,6 +530,4 @@ def trajectory_to_json(traj: Trajectory, path) -> None:
             for e in traj.events
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

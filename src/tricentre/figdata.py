@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import initial_velocities, resonant_params
+from .arcs import initial_velocities
 from .dynamics import Params, integrate
 from .errors import DomainError
-from .geometry import EllipticPoint, elliptic_to_xy
+from .geometry import EllipticPoint, elliptic_to_cartesian, elliptic_to_xy
 from .periods import solve_resonant_a1, turning_point_xi
 
 __all__ = ["OrbitTrack", "xi_potential_curve", "phi_potential_curve",
@@ -111,7 +111,8 @@ def orbit_bundle_through(centre_frac: float = 2.0 / 3.0, q=1,
     sol = solve_resonant_a1(beta, q, a)
     xi_plus = turning_point_xi(beta, sol.a1_hat)
     centre = EllipticPoint(centre_frac * xi_plus, phi0)
-    prm, _ = resonant_params(centre, q, beta, a)
+    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q,
+                 centre=elliptic_to_cartesian(centre))
     vxi, vphi = initial_velocities(centre, beta, sol.a1_hat, a)
     t_span = sol.full_period
     tracks = []
@@ -126,23 +127,41 @@ def polyline_self_intersections(x: np.ndarray, y: np.ndarray,
                                 skip_adjacent: int = 2) -> list[tuple[float, float]]:
     """Transverse self-crossings of one polyline (approximate, from samples).
 
-    Solves the 2x2 segment-pair intersection for all non-adjacent pairs,
-    chunked over the first index.  Crossing points closer than the local
-    sample spacing are merged.
+    Solves the 2x2 segment-pair intersection for non-adjacent pairs, in
+    blocks of 32 consecutive segments.  A row block is tested only against
+    the blocks at or after it whose bounding boxes overlap its own.  Each
+    box is padded by 1e-9*max(1, max|p|) over all samples p, so that a
+    pair whose computed t and s land in [0, 1] through rounding alone is
+    still tested; as long as rounding moves a computed crossing by less
+    than the padding, the crossings and their order are those of the test
+    on every pair.  Crossing points closer than the local sample spacing
+    are merged.
     """
     px = np.column_stack([x[:-1], y[:-1]])
     d = np.column_stack([np.diff(x), np.diff(y)])
     n = len(px)
     found = []
     # rows per block: the block's temporaries (about ten chunk x n float
-    # arrays) set the peak memory of the figure 4-6 commands
+    # arrays at most) set the peak memory of the figure 4-6 commands
     chunk = 32
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    starts = np.arange(0, n, chunk)
+    ends = np.minimum(starts + chunk, n)  # last point of each block
+    pts = np.column_stack([x, y])
+    # fmin/fmax skip NaN samples: the segments at one never hit anyway
+    pad = 1e-9 * float(np.nanmax(np.abs(pts), initial=1.0))
+    lo = np.fmin(np.fmin.reduceat(pts[:n], starts), pts[ends]) - pad
+    hi = np.fmax(np.fmax.reduceat(pts[:n], starts), pts[ends]) + pad
+    overlap = np.all((lo[:, None, :] <= hi[None, :, :])
+                     & (lo[None, :, :] <= hi[:, None, :]), axis=2)
+    block_of = np.arange(n) // chunk
+    for r, i0 in enumerate(starts.tolist()):
+        i1 = int(ends[r])
+        # a kept pair has b > a, so blocks before this one cannot hold one
+        cols = i0 + np.flatnonzero(overlap[r, block_of[i0:]])
         pi = px[i0:i1, None, :]
         di = d[i0:i1, None, :]
-        pj = px[None, :, :]
-        dj = d[None, :, :]
+        pj = px[None, cols, :]
+        dj = d[None, cols, :]
         rhs = pj - pi
         det = di[..., 0] * (-dj[..., 1]) - di[..., 1] * (-dj[..., 0])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,13 +170,13 @@ def polyline_self_intersections(x: np.ndarray, y: np.ndarray,
         hit = (np.abs(det) > 1e-14) & (t >= 0.0) & (t <= 1.0) \
             & (s >= 0.0) & (s <= 1.0)
         ii, jj = np.nonzero(hit)
-        for a_idx, b_idx in zip(ii + i0, jj):
+        for a_idx, k, b_idx in zip(ii + i0, jj, cols[jj]):
             if abs(a_idx - b_idx) <= skip_adjacent or b_idx <= a_idx:
                 continue
             # endpoints wrap: ignore the trivial closure contact
             if a_idx == 0 and b_idx >= n - 1 - skip_adjacent:
                 continue
-            tt = t[a_idx - i0, b_idx]
+            tt = t[a_idx - i0, k]
             found.append((float(px[a_idx, 0] + tt * d[a_idx, 0]),
                           float(px[a_idx, 1] + tt * d[a_idx, 1])))
     # merge near-duplicates

@@ -56,9 +56,13 @@ class ResonanceSolution:
         return self.q.numerator * self.t1
 
 
-def _check_domain(beta: float, a1: float):
+def _check_beta(beta: float):
     if not (0.0 <= beta < 1.0):
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
+
+
+def _check_domain(beta: float, a1: float):
+    _check_beta(beta)
     if not (0.0 < a1 < 1.0 / (1.0 + beta)):
         raise DomainError(
             f"a1 must lie in (0, 1/(1+beta)) = (0, {1.0/(1.0+beta):.6g}), got {a1}")
@@ -143,9 +147,9 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0,
         raise DomainError(f"class q must be positive, got {q}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    _check_beta(beta)  # before 1/(1+beta); every a1 tried lies in [lo, hi]
     hi_edge = 1.0 / (1.0 + beta)
     lo, hi = _EDGE * hi_edge, hi_edge * (1.0 - _EDGE)
-    _check_domain(beta, lo)  # beta; every a1 tried lies in [lo, hi]
     residual, calls = _residual_in_a1(beta, q, a), []
 
     def f(a1: float) -> float:

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import tricentre._output
 from tricentre.cli import main
 
 
@@ -31,6 +34,13 @@ class TestPeriods:
     def test_domain_error_exit_code(self, capsys):
         assert main(["periods", "--beta", "1.5", "--a1", "0.3"]) == 2
         assert main(["periods", "--beta", "0.2"]) == 2
+
+    @pytest.mark.parametrize("command", ["periods", "solve"])
+    @pytest.mark.parametrize("beta", ["-1", "-2"])
+    def test_negative_beta_is_a_domain_error(self, capsys, command, beta):
+        # beta = -1 makes 1 + beta zero, which the solve divides by
+        assert main([command, "--q", "1", "--beta", beta]) == 2
+        assert "beta must lie in [0, 1)" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -133,6 +143,31 @@ class TestDeterminism:
             h1 = hashlib.sha256(f1.read_bytes()).hexdigest()
             h2 = hashlib.sha256(f2.read_bytes()).hexdigest()
             assert h1 == h2
+
+
+class TestAtomicWrites:
+    """Every output file is written whole and then renamed into place."""
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--beta", "0.2", "--a1", "0.3",
+         "--state", "0,0.3,1.2,1.1", "--tau-end", "2"],
+        ["arcs", "--centre-elliptic", "2.58,0", "--q", "1",
+         "--beta", "0.142857"],
+    ])
+    def test_outputs_arrive_by_rename(self, capsys, tmp_path, monkeypatch,
+                                      argv):
+        renamed = []
+        replace = os.replace
+
+        def recorded(src, dst):
+            renamed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(tricentre._output.os, "replace", recorded)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert any(name.endswith(".csv") for name in written)
+        assert sorted(renamed) == written
 
 
 class TestIntegrate:

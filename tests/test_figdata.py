@@ -1,0 +1,115 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tricentre.arcs
+import tricentre.figdata
+import tricentre.periods
+from intersections_reference import \
+    polyline_self_intersections as reference_intersections
+from tricentre.figdata import orbit_bundle_through, polyline_self_intersections
+
+SIZES = [1, 2, 3, 31, 32, 33, 64, 65, 4000]
+
+
+def _bits(crossings):
+    return [(x.hex(), y.hex()) for x, y in crossings]
+
+
+def _polyline(kind: str, n: int, seed: int):
+    """A drifting random walk with uneven steps or a Lissajous curve sampled
+    at uneven parameter values; both cross themselves often.  The drift
+    keeps a 4,000-step walk near 1,200 crossings instead of 3,800, which
+    the quadratic merge of the reference takes seconds over."""
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        steps = rng.normal(size=(2, n)) * rng.exponential(size=n)
+        return np.cumsum(steps[0] + 0.2), np.cumsum(steps[1])
+    t = np.sort(rng.uniform(0.0, 30.0, size=n))
+    fx, fy = rng.uniform(1.0, 5.0, size=2)
+    return 2.0 * np.sin(fx * t + 0.3), 1.5 * np.sin(fy * t)
+
+
+def _contact_across_block_gap():
+    """Segments 31 and 64 meet only through rounding, across a box gap.
+
+    Segment 31 runs from (-1000, 0) to (0.5, 0); segment 64 is vertical at
+    x0, one ulp right of 0.5.  They do not touch, but x0 - (-1000) rounds
+    to 0.5 - (-1000), so the computed t is exactly 1 and the pair reads as
+    a crossing at (0.5, 0).  The boxes of blocks 0 (segments 0-31) and 2
+    (segments 64-95) are disjoint by that one ulp; block 1 takes the path
+    around.
+    """
+    x0 = math.nextafter(0.5, 1.0)
+    pts = [(-1000.0 + 3.0 * k, -40.0 - k) for k in range(31)]
+    pts += [(-1000.0, 0.0), (0.5, 0.0), (-5.0, -20.0)]
+    pts += [(5.0, -20.0 + 50.0 * k / 28.0) for k in range(29)]
+    pts += [(x0, 20.0), (x0, 1.0), (x0, -1.0)]
+    pts += [(x0 + 0.1 * k, -1.0 - 0.2 * k) for k in range(1, 32)]
+    xy = np.array(pts)
+    return xy[:, 0], xy[:, 1]
+
+
+class TestSelfIntersectionOracle:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["walk", "lissajous"]),
+           n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, kind, n, seed):
+        x, y = _polyline(kind, n, seed)
+        assert _bits(polyline_self_intersections(x, y)) == \
+            _bits(reference_intersections(x, y))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_size(self, n):
+        for kind in ("walk", "lissajous"):
+            x, y = _polyline(kind, n, seed=n)
+            assert _bits(polyline_self_intersections(x, y)) == \
+                _bits(reference_intersections(x, y))
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_orbit_bundle_tracks(self, q):
+        for track in orbit_bundle_through(q=q):
+            got = polyline_self_intersections(track.x, track.y)
+            assert got, "every bundle track crosses itself"
+            assert _bits(got) == _bits(reference_intersections(track.x,
+                                                               track.y))
+
+    def test_rounding_contact_across_block_gap(self):
+        x, y = _contact_across_block_gap()
+        assert len(x) == 97  # three blocks of 32 segments
+        assert x[:33].max() < x[64:].min()
+        want = reference_intersections(x, y)
+        assert want == [(0.5, 0.0)]
+        assert _bits(polyline_self_intersections(x, y)) == _bits(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 5, 31, 32, 33, 99])
+    def test_non_finite_sample(self, bad, at):
+        # the block holding the sample keeps its other crossings
+        x, y = _polyline("lissajous", 100, seed=at)
+        x[at] = bad
+        with np.errstate(all="ignore"):
+            assert _bits(polyline_self_intersections(x, y)) == \
+                _bits(reference_intersections(x, y))
+
+    def test_empty_and_single_point(self):
+        for x in (np.zeros(0), np.zeros(1)):
+            assert polyline_self_intersections(x, x) == []
+
+
+class TestOrbitBundle:
+    def test_one_resonance_solve(self, monkeypatch):
+        calls = []
+        solve = tricentre.periods.solve_resonant_a1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        for module in (tricentre.figdata, tricentre.arcs, tricentre.periods):
+            monkeypatch.setattr(module, "solve_resonant_a1", counted)
+        orbit_bundle_through(q=1, beta=1.0 / 7.0)
+        assert len(calls) == 1
