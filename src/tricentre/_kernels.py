@@ -1,4 +1,4 @@
-"""Hot numerical kernels: the regularized vector field and the ODE steppers.
+"""Hot numerical kernels: the regularized vector field and the DOPRI5 stepper.
 
 The stepping loops work on plain Python floats and 4-tuples; numpy only
 holds the accepted samples.  The Dormand-Prince stage sums are unrolled
@@ -267,40 +267,3 @@ def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
                       h_lo if n else 0.0, h_hi)
     return status, n, T[:n + 1].copy(), Y[:n + 1].copy(), KS[:n].copy(), stats
 
-
-def verlet_core(y0, tau0, tau1, dt, stride, a, energy, eps, cx, cy):
-    """Fixed-step velocity-Verlet cross-check integrator.
-
-    The regularized Hamiltonian is separable (kinetic + position-only
-    potential), so the scheme is symplectic for it.  Samples every
-    `stride` steps plus the final state.  Returns (T, Y, stats).
-    """
-    rhs = field(a, energy, eps, cx, cy)
-    span = tau1 - tau0
-    nsteps = int(math.ceil(abs(span) / dt))
-    if nsteps < 1:
-        nsteps = 1
-    h = span / nsteps
-    nsamp = nsteps // stride + 2
-    T = np.empty(nsamp)
-    Y = np.empty((nsamp, 4))
-
-    xi, phi, pxi, pphi = (float(v) for v in y0)
-    _, _, acc0, acc1 = rhs(xi, phi, pxi, pphi)
-    T[0] = tau0
-    Y[0] = (xi, phi, pxi, pphi)
-    m = 1
-    for step in range(nsteps):
-        pxi_h = pxi + 0.5 * h * acc0
-        pphi_h = pphi + 0.5 * h * acc1
-        xi += h * pxi_h
-        phi += h * pphi_h
-        _, _, acc0, acc1 = rhs(xi, phi, pxi_h, pphi_h)
-        pxi = pxi_h + 0.5 * h * acc0
-        pphi = pphi_h + 0.5 * h * acc1
-        if (step + 1) % stride == 0 or step == nsteps - 1:
-            T[m] = tau0 + (step + 1) * h
-            Y[m] = (xi, phi, pxi, pphi)
-            m += 1
-    stats = StepStats(nsteps, 0, nsteps + 1, abs(h), abs(h))
-    return T[:m].copy(), Y[:m].copy(), stats

@@ -15,24 +15,19 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import figdata
 from ._output import write_csv, write_json
-from .arcs import (arc_family, find_admissible_beta,
-                   primary_collision_check, primary_collision_ratios,
-                   resonant_params)
-from .chains import (assemble_chain, build_alphabet, build_graph,
-                     count_periodic_chains, entropy_estimate)
-from .dynamics import (Params, integrate, trajectory_to_csv,
-                       trajectory_to_json)
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      StructuralError, TricentreError, UnsafeCentreError)
+from .exclusion import (find_admissible_beta, primary_collision_check,
+                        primary_collision_ratios, resonant_params)
 from .geometry import CartesianPoint, EllipticPoint, elliptic_to_cartesian
+from .params import Params
 from .periods import (modulus_squares, period_phi, period_xi,
                       solve_beta_for_energy, solve_resonant_a1,
                       turning_point_xi)
-from .shadow import local_expansion_rate, shoot_segment
+
+# periods, solve and check run on the math-only modules above; the other
+# commands import numpy and the integrating layers inside their bodies.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -234,6 +229,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_arcs(args) -> int:
+    from .arcs import arc_family
+    from .dynamics import trajectory_to_csv
     a = _float(args.a, "--a")
     tol = _float(args.tol, "--tol")
     q = _frac(args.q) if args.q is not None else Fraction(1)
@@ -283,6 +280,8 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_chains(args) -> int:
+    from .chains import (assemble_chain, build_alphabet, build_graph,
+                         count_periodic_chains, entropy_estimate)
     a = _float(args.a, "--a")
     tol = _float(args.tol, "--tol")
     if args.classes is None:
@@ -327,6 +326,8 @@ def cmd_chains(args) -> int:
 
 
 def cmd_shadow(args) -> int:
+    from .arcs import arc_family
+    from .shadow import local_expansion_rate, shoot_segment
     a = _float(args.a, "--a")
     tol = _float(args.tol, "--tol")
     q = _frac(args.q) if args.q is not None else Fraction(1)
@@ -374,8 +375,9 @@ def cmd_shadow(args) -> int:
 _TRACK_HEADER = ["tau", "xi", "phi", "x", "y"]
 
 
-def _track_columns(track: figdata.OrbitTrack, window=None):
-    """Columns under _TRACK_HEADER, restricted to the samples in window."""
+def _track_columns(track, window=None):
+    """Columns of a figdata.OrbitTrack under _TRACK_HEADER, restricted to
+    the samples in window."""
     cols = [track.taus, track.states[:, 0], track.states[:, 1],
             track.x, track.y]
     if window is None:
@@ -387,6 +389,9 @@ def _track_columns(track: figdata.OrbitTrack, window=None):
 
 
 def cmd_figs(args) -> int:
+    import numpy as np
+
+    from . import figdata
     which = int(args.which)
     out = _out_dir(args)
     a = _float(args.a, "--a")
@@ -462,6 +467,9 @@ def cmd_figs(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    import numpy as np
+
+    from .dynamics import integrate, trajectory_to_csv, trajectory_to_json
     a = _float(args.a, "--a")
     tol = _float(args.tol, "--tol")
     if args.beta is None:

@@ -12,8 +12,7 @@ rotating-pendulum motion in phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,12 +24,11 @@ from .errors import DomainError, IntegrationError, SingularityError
 from .geometry import (
     CartesianPoint,
     EllipticPoint,
-    cartesian_to_elliptic,
     elliptic_to_cartesian,
     elliptic_to_xy,
     physical_time_of,
 )
-from .periods import _check_domain
+from .params import Params
 
 __all__ = [
     "Params", "EllipticState", "Trajectory",
@@ -38,60 +36,9 @@ __all__ = [
     "EventRecord", "StepStats",
     "primary_potential", "centre_potential",
     "regularized_hamiltonian", "vector_field",
-    "integrate", "integrate_symplectic",
+    "integrate",
     "trajectory_to_csv", "trajectory_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class Params:
-    """Physical and regime parameters of one problem instance.
-
-    beta = |E|/E1 and a1 = E1/(2a) are the scaled energy parameters of the
-    separated system; the admissibility constraints are beta in [0, 1),
-    0 < a1 < 1/(1+beta) (which also forces 2*beta*a1 < 1).  The total
-    energy E = -2*a*beta*a1 is derived, never stored independently.
-    """
-
-    a: float = 1.0
-    beta: float = 0.0
-    a1: float = 0.25
-    q: Fraction = Fraction(1)
-    eps: float = 0.0
-    centre: Optional[CartesianPoint] = None
-
-    def __post_init__(self):
-        if not (self.a > 0.0):
-            raise DomainError(f"primary intensity a must be > 0, got {self.a}")
-        _check_domain(self.beta, self.a1)
-        if 2.0 * self.beta * self.a1 >= 1.0:
-            raise DomainError("admissibility requires 2*beta*a1 < 1")
-        if not (self.eps >= 0.0):
-            raise DomainError(f"eps must be >= 0, got {self.eps}")
-        if isinstance(self.q, int):
-            object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 0:
-            raise DomainError(f"resonance class q must be positive, got {self.q}")
-        if self.centre is None:
-            if self.eps > 0.0:
-                raise DomainError("a perturbing centre position is required when eps > 0")
-        else:
-            if (self.centre.distance_to(CartesianPoint(1.0, 0.0)) < 1e-12
-                    or self.centre.distance_to(CartesianPoint(-1.0, 0.0)) < 1e-12):
-                raise DomainError("the perturbing centre may not coincide with a primary")
-
-    @property
-    def energy(self) -> float:
-        return -2.0 * self.a * self.beta * self.a1
-
-    @property
-    def centre_elliptic(self) -> EllipticPoint:
-        if self.centre is None:
-            raise DomainError("no perturbing centre configured")
-        return cartesian_to_elliptic(self.centre)[0]
-
-    def with_eps(self, eps: float) -> "Params":
-        return replace(self, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -284,11 +231,6 @@ class Trajectory:
         self.events = list(events)
         self.energy_drift = energy_drift
         self.stats = stats
-
-    @property
-    def samples(self) -> list[tuple[float, EllipticState]]:
-        return [(float(t), EllipticState.from_array(y))
-                for t, y in zip(self.taus, self.states)]
 
     @property
     def tau_final(self) -> float:
@@ -486,21 +428,6 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         if getattr(rec.spec, "terminal", False):
             return traj.truncated(rec.tau)
     return traj
-
-
-def integrate_symplectic(state0, prm: Params, tau_end: float,
-                         dt: float = 1e-4, stride: int = 16) -> Trajectory:
-    """Fixed-step velocity-Verlet cross-check run (no events, no dense output)."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    y0 = _as_state_array(state0)
-    cx, cy = _centre_xy(prm)
-    T, Y, stats = _kernels.verlet_core(y0, 0.0, float(tau_end), float(dt),
-                                       int(stride), prm.a, prm.energy, prm.eps,
-                                       cx, cy)
-    hvals = hamiltonian_values(Y, prm)
-    drift = float(np.max(np.abs(hvals - hvals[0]))) if len(hvals) else 0.0
-    return Trajectory(prm, T, Y, np.zeros((0, 7, 4)), [], drift, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,235 @@
+"""The primary-collision exclusion test and the resonance certificate.
+
+The exclusion test decides from closed forms alone whether the periodic
+orbit through the centre C can hit a primary: the finite ratio set S of
+a class q against the two travel-time ratios G+- of C.  With the
+finite-difference nondegeneracy certificate and the beta search that
+`solve` runs, it makes up the math-only layer behind the `periods`,
+`solve` and `check` commands; nothing here imports numpy.  `arcs` builds
+on it and re-exports its names.
+"""
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import AccuracyError, DomainError, RangeError
+from .geometry import EllipticPoint, elliptic_to_cartesian
+from .params import Params
+from .periods import (ResonanceSolution, period_xi, resonance_residual,
+                      solve_resonant_a1, turning_point_xi)
+from .special import adaptive_quadrature
+
+__all__ = [
+    "resonant_params", "SafetyReport", "primary_collision_ratios",
+    "primary_collision_check", "NondegeneracyCertificate",
+    "nondegeneracy_certificate", "find_admissible_beta",
+]
+
+
+def resonant_params(centre, q, beta: float, a: float = 1.0,
+                    tol: float = 1e-12) -> tuple[Params, ResonanceSolution]:
+    """Params carrying the resonant a1_hat(beta, q) for a centre position.
+
+    centre may be an EllipticPoint or CartesianPoint.
+    """
+    sol = solve_resonant_a1(beta, q, a, tol)
+    if isinstance(centre, EllipticPoint):
+        c_cart = elliptic_to_cartesian(centre)
+    else:
+        c_cart = centre
+    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=Fraction(q), eps=0.0,
+                 centre=c_cart)
+    return prm, sol
+
+
+# ---------------------------------------------------------------------------
+# primary-collision exclusion
+
+@functools.lru_cache  # one set per class; a failed validation is not cached
+def primary_collision_ratios(q) -> frozenset:
+    """Finite set S of travel-time ratios at which primary collisions occur.
+
+    Enumerates j/2 - i*q for 0 <= i < n/2 and j/2 - q*(i' +- 1/2) for
+    0 <= i' < (n+1)/2, with 0 <= j <= m, where q = m/n in lowest terms.
+    A periodic orbit through C of class q can hit a primary only if one of
+    its two ratio values lands in S.
+    """
+    q = Fraction(q)
+    if q <= 0:
+        raise DomainError(f"class q must be positive, got {q}")
+    m, n = q.numerator, q.denominator
+    out = set()
+    half = Fraction(1, 2)
+    for j in range(m + 1):
+        hj = Fraction(j, 2)
+        i = 0
+        while 2 * i < n:
+            out.add(hj - i * q)
+            i += 1
+        ip = 0
+        while 2 * ip < n + 1:
+            out.add(hj - q * (ip + half))
+            out.add(hj - q * (ip - half))
+            ip += 1
+    return frozenset(out)
+
+
+@functools.lru_cache
+def _ratio_table(q) -> tuple[tuple[float, Fraction], ...]:
+    """(float(s), s) for s in S, in the iteration order of the set itself."""
+    return tuple((float(s), s) for s in primary_collision_ratios(q))
+
+
+@dataclass(frozen=True)
+class SafetyReport:
+    g_plus: float
+    g_minus: float
+    safe: bool
+    min_separation: float   # distance from {G+, G-} to the nearest S element
+    nearest: Fraction
+    delta: float
+    quad_evaluations: int = 0  # integrand evaluations of the two travel times
+
+
+def primary_collision_check(prm: Params, delta: float = 1e-4,
+                            quad_tol: float = 1e-12) -> SafetyReport:
+    """Evaluate the exclusion ratios G+- and compare against the set S.
+
+    G+- = (P +- Q) / T1 with P the phi travel time from the primary axis to
+    phi0 and Q the xi travel time from the hyperbola axis to xi0, both for
+    the resonant parameters carried by prm.  A centre is reported safe when
+    both ratios stay further than delta from every element of S.
+    """
+    if delta <= 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    beta, a1, a = prm.beta, prm.a1, prm.a
+    centre = prm.centre_elliptic
+    xi0, phi0 = centre.xi, centre.phi
+    ba1 = beta * a1
+
+    def phi_integrand(phi):
+        return 1.0 / math.sqrt(ba1 * math.cos(phi) ** 2 + a1)
+
+    def xi_integrand(xi):
+        ch = math.cosh(xi)
+        r = ch - ba1 * ch ** 2 - a1
+        if r <= 0.0:
+            raise AccuracyError(
+                f"xi travel-time integrand singular at xi={xi:.6g}"
+                " (centre too close to the turning ellipse)")
+        return 1.0 / math.sqrt(r)
+
+    pref = 0.5 / math.sqrt(a)
+    p_quad = adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol)
+    q_quad = adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol)
+    p_val, q_val = pref * p_quad.value, pref * q_quad.value
+    t1 = period_xi(beta, a1, a)
+    g_plus = (p_val + q_val) / t1
+    g_minus = (p_val - q_val) / t1
+
+    best = math.inf
+    nearest = Fraction(0)
+    for s_float, s in _ratio_table(prm.q):
+        for g in (g_plus, g_minus):
+            d = abs(g - s_float)
+            if d < best:
+                best, nearest = d, s
+    return SafetyReport(g_plus=g_plus, g_minus=g_minus, safe=best > delta,
+                        min_separation=best, nearest=nearest, delta=delta,
+                        quad_evaluations=p_quad.evaluations + q_quad.evaluations)
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy
+
+@dataclass(frozen=True)
+class NondegeneracyCertificate:
+    det_j: float            # Richardson-extrapolated raw determinant
+    det_normalized: float   # after scaling each row to unit max-entry
+    fd_step: float
+    beta: float
+    q: Fraction
+    threshold: float
+    passed: bool
+
+
+def nondegeneracy_certificate(beta: float, q, a: float = 1.0,
+                              fd_step: float = 1e-6,
+                              threshold: float = 1e-6) -> NondegeneracyCertificate:
+    """Certify the resonance Jacobian determinant away from zero.
+
+    The Jacobian couples the residual derivatives (dF/dbeta, dF/da1) with
+    the energy-constraint row (-2*a*a1, -2*a*beta) at the resonant point.
+    Partials use central differences (second-order one-sided in beta at
+    beta = 0); a step-halving disagreement beyond 50% flags the step size
+    as unusable.
+    """
+    q = Fraction(q)
+    sol = solve_resonant_a1(beta, q, a)
+    a1h = sol.a1_hat
+
+    def det_at(h: float) -> tuple[float, float]:
+        if beta >= h:
+            f_b = (resonance_residual(beta + h, a1h, q, a)
+                   - resonance_residual(beta - h, a1h, q, a)) / (2.0 * h)
+        else:
+            f0 = resonance_residual(beta, a1h, q, a)
+            f1 = resonance_residual(beta + h, a1h, q, a)
+            f2 = resonance_residual(beta + 2.0 * h, a1h, q, a)
+            f_b = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+        f_a = (resonance_residual(beta, a1h + h, q, a)
+               - resonance_residual(beta, a1h - h, q, a)) / (2.0 * h)
+        return f_b, f_a
+
+    fb1, fa1 = det_at(fd_step)
+    fb2, fa2 = det_at(0.5 * fd_step)
+    f_b = (4.0 * fb2 - fb1) / 3.0
+    f_a = (4.0 * fa2 - fa1) / 3.0
+
+    def full_det(fb, fa):
+        return fb * (-2.0 * a * beta) - fa * (-2.0 * a * a1h)
+
+    d1 = full_det(fb1, fa1)
+    d2 = full_det(fb2, fa2)
+    det = full_det(f_b, f_a)
+    if abs(d1 - d2) > 0.5 * max(abs(det), 1e-300):
+        raise AccuracyError(
+            f"finite-difference step {fd_step:.3g} is in the nonlinear regime"
+            f" (step-halving disagreement {abs(d1-d2):.3g})",
+            best_estimate=det)
+
+    row1 = max(abs(f_b), abs(f_a))
+    row2 = max(abs(2.0 * a * a1h), abs(2.0 * a * beta))
+    det_norm = det / (row1 * row2) if row1 > 0.0 and row2 > 0.0 else 0.0
+    return NondegeneracyCertificate(
+        det_j=det, det_normalized=det_norm, fd_step=fd_step, beta=beta, q=q,
+        threshold=threshold, passed=abs(det_norm) > threshold)
+
+
+# ---------------------------------------------------------------------------
+# admissible beta
+
+def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
+                         delta: float = 1e-4, margin: float = 0.01,
+                         max_halvings: int = 60) -> float:
+    """Halve beta until the centre is safe and strictly inside the turning
+    ellipse (with the given relative margin on cosh(xi0))."""
+    q = Fraction(q)
+    beta = beta_start
+    for _ in range(max_halvings):
+        try:
+            prm, sol = resonant_params(centre, q, beta, a)
+            xi_plus = turning_point_xi(beta, sol.a1_hat)
+            c_ell = prm.centre_elliptic
+            inside = math.cosh(c_ell.xi) < math.cosh(xi_plus) * (1.0 - margin)
+            if inside and primary_collision_check(prm, delta=delta).safe:
+                return beta
+        except (DomainError, AccuracyError):
+            pass
+        beta *= 0.5
+    raise RangeError(
+        f"no admissible beta found for centre {centre} and q={q}"
+        f" after {max_halvings} halvings from {beta_start}")

@@ -5,14 +5,17 @@ the cylinder R x S^1.  The two primaries sit at the ramification points
 (xi, phi) = (0, 0) -> (1, 0) and (0, pi) -> (-1, 0); every other Cartesian
 point has exactly two elliptic representations, (xi, phi) and
 (-xi, -phi mod 2pi).
+
+The scalar maps use only math and cmath.  numpy is imported on the first
+call of an array helper (elliptic_to_xy without `lib`, transform_matrix,
+velocity_to_cartesian, physical_time_of), so the closed-form layer never
+loads it.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SingularityError
 
@@ -80,11 +83,14 @@ PRIMARY_1 = CartesianPoint(1.0, 0.0)
 PRIMARY_2 = CartesianPoint(-1.0, 0.0)
 
 
-def elliptic_to_xy(xi, phi, lib=np):
+def elliptic_to_xy(xi, phi, lib=None):
     """x = cosh(xi) cos(phi), y = sinh(xi) sin(phi), elementwise.
 
-    `lib` supplies cosh/cos/sinh/sin: numpy for arrays, math for floats.
+    `lib` supplies cosh/cos/sinh/sin: numpy for arrays (the default, None),
+    math for floats.
     """
+    if lib is None:
+        import numpy as lib
     return lib.cosh(xi) * lib.cos(phi), lib.sinh(xi) * lib.sin(phi)
 
 
@@ -112,6 +118,7 @@ def transform_matrix(p: EllipticPoint) -> np.ndarray:
     Satisfies det = cosh^2(xi) - cos^2(phi) and M(-xi, -phi) = -M(xi, phi);
     it is singular exactly at the primaries.
     """
+    import numpy as np
     sh, ch = math.sinh(p.xi), math.cosh(p.xi)
     sp, cp = math.sin(p.phi), math.cos(p.phi)
     return np.array([[sh * cp, -ch * sp],
@@ -123,6 +130,7 @@ def velocity_to_cartesian(p: EllipticPoint, v) -> np.ndarray:
     if p.is_primary():
         raise SingularityError(
             f"velocity transform is singular at the primary near {p}")
+    import numpy as np
     return transform_matrix(p) @ np.asarray(v, dtype=float)
 
 
@@ -134,6 +142,7 @@ def physical_time_of(taus, xis, phis) -> np.ndarray:
     vanishes only at the primaries, where the time reparametrization
     degenerates, so a sample there is rejected.
     """
+    import numpy as np
     taus = np.asarray(taus, dtype=float)
     xis = np.asarray(xis, dtype=float)
     phis = np.asarray(phis, dtype=float)

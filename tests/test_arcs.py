@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BETA_REF, primary_visit_times
-from tricentre import arcs
+from tricentre import exclusion
 from tricentre.arcs import (arc_family, build_arc, find_admissible_beta,
                             initial_velocities, nondegeneracy_certificate,
                             primary_collision_check, primary_collision_ratios,
@@ -372,12 +372,12 @@ class TestExclusionOracle:
 
     def test_quad_evaluations(self, monkeypatch):
         results = []
-        inner = arcs.adaptive_quadrature
+        inner = exclusion.adaptive_quadrature
 
         def recording(*args, **kwargs):
             results.append(inner(*args, **kwargs))
             return results[-1]
-        monkeypatch.setattr(arcs, "adaptive_quadrature", recording)
+        monkeypatch.setattr(exclusion, "adaptive_quadrature", recording)
         report = primary_collision_check(_centre_params(F(1), BETA_REF, 0.4, 0.7))
         assert len(results) == 2
         assert report.quad_evaluations == sum(r.evaluations for r in results)
@@ -402,7 +402,7 @@ class TestRatioSetCache:
     def test_cached_set_keeps_build_order(self, q):
         fresh = primary_collision_ratios.__wrapped__(q)
         assert list(primary_collision_ratios(q)) == list(fresh)
-        assert [s for _, s in arcs._ratio_table(q)] == list(fresh)
+        assert [s for _, s in exclusion._ratio_table(q)] == list(fresh)
 
     def test_validates_on_every_call(self):
         for bad in (0, F(-1, 2), -3):

@@ -8,12 +8,13 @@ from tricentre import _kernels
 from tricentre.dynamics import (EllipticState, Params,
                                 PhiCrossing, PrimaryProximity, XiCrossing,
                                 centre_potential, integrate,
-                                integrate_symplectic, primary_potential,
-                                regularized_hamiltonian, trajectory_to_csv,
-                                trajectory_to_json, vector_field)
+                                primary_potential, regularized_hamiltonian,
+                                trajectory_to_csv, trajectory_to_json,
+                                vector_field)
 from tricentre.errors import DomainError, IntegrationError, SingularityError
 from tricentre.geometry import CartesianPoint, EllipticPoint
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1
+from verlet_check import integrate_symplectic
 
 
 def separated_state(beta, a1, a=1.0, xi=0.0, phi=0.3, s_xi=1, s_phi=1):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tricentre.arcs
+import tricentre.exclusion
 import tricentre.figdata
 import tricentre.periods
 from intersections_reference import \
     polyline_self_intersections as reference_intersections
-from tricentre.figdata import orbit_bundle_through, polyline_self_intersections
+from tricentre.figdata import (_merge_near_duplicates, orbit_bundle_through,
+                               polyline_self_intersections)
 
 SIZES = [1, 2, 3, 31, 32, 33, 64, 65, 4000]
 
@@ -99,6 +100,45 @@ class TestSelfIntersectionOracle:
         for x in (np.zeros(0), np.zeros(1)):
             assert polyline_self_intersections(x, x) == []
 
+    def test_thousands_of_crossings(self):
+        # without drift the walk keeps coming back across itself
+        rng = np.random.default_rng(5)
+        steps = rng.normal(size=(2, 4000)) * rng.exponential(size=4000)
+        x, y = np.cumsum(steps[0]), np.cumsum(steps[1])
+        got = polyline_self_intersections(x, y)
+        assert len(got) > 3000
+        assert _bits(got) == _bits(reference_intersections(x, y))
+
+
+def _plain_merge(points):
+    """The reference's merge: keep p unless a kept point is within 1e-3."""
+    merged = []
+    for p in points:
+        if all(math.hypot(p[0] - m[0], p[1] - m[1]) > 1e-3 for m in merged):
+            merged.append(p)
+    return merged
+
+
+class TestNearDuplicateMerge:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                              st.floats(-1.5e-3, 1.5e-3),
+                              st.floats(-1.5e-3, 1.5e-3)), max_size=300))
+    def test_clustered_points_keep_the_plain_scan(self, offsets):
+        # points crowd the cell boundaries at multiples of 1e-3
+        pts = [(k * 1e-3 + dx, m * 1e-3 + dy) for k, m, dx, dy in offsets]
+        assert _bits(_merge_near_duplicates(pts)) == _bits(_plain_merge(pts))
+
+    def test_exactly_radius_apart_merges(self):
+        assert _merge_near_duplicates([(0.0, 0.0), (1e-3, 0.0)]) == \
+            [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e13])
+    def test_non_finite_or_huge_coordinate(self, bad):
+        pts = [(0.0, 0.0), (bad, 0.0), (5e-4, 0.0), (0.0, bad), (2e-3, 1e-4),
+               (bad, bad), (3e-3, 0.0)]
+        assert _bits(_merge_near_duplicates(pts)) == _bits(_plain_merge(pts))
+
 
 class TestOrbitBundle:
     def test_one_resonance_solve(self, monkeypatch):
@@ -109,7 +149,8 @@ class TestOrbitBundle:
             calls.append(args)
             return solve(*args, **kwargs)
 
-        for module in (tricentre.figdata, tricentre.arcs, tricentre.periods):
+        for module in (tricentre.figdata, tricentre.exclusion,
+                       tricentre.periods):
             monkeypatch.setattr(module, "solve_resonant_a1", counted)
         orbit_bundle_through(q=1, beta=1.0 / 7.0)
         assert len(calls) == 1

@@ -1,28 +1,106 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tricentre
+
+# The package's exports before they resolved lazily, less what was deleted
+# since (integrate_symplectic moved to tests/verlet_check.py).
+EXPORTS = {
+    "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
+    "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
+    "EllipticPoint", "EllipticState", "EventRecord", "IntegrationError",
+    "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",
+    "PlacementError", "PrimaryProximity", "QuadratureResult", "RangeError",
+    "ResonanceSolution", "SafetyReport", "ShadowResult", "SingularityError",
+    "StructuralError", "Trajectory", "TricentreError", "UnsafeCentreError",
+    "XiCrossing", "adaptive_quadrature", "arc_family", "assemble_chain",
+    "build_alphabet", "build_arc", "build_graph", "cartesian_to_elliptic",
+    "centre_potential", "complete_elliptic_k", "count_periodic_chains",
+    "elliptic_to_cartesian", "entropy_estimate", "find_admissible_beta",
+    "initial_velocities", "integrate", "local_expansion_rate",
+    "modulus_squares", "nondegeneracy_certificate", "period_phi",
+    "period_xi", "physical_time_of", "primary_collision_check",
+    "primary_collision_ratios", "primary_potential", "regularized_hamiltonian",
+    "resonance_residual", "resonant_params", "shoot_segment",
+    "solve_beta_for_energy", "solve_resonant_a1", "trajectory_to_csv",
+    "trajectory_to_json", "transform_matrix", "turning_point_xi",
+    "vector_field", "velocity_to_cartesian",
+}
+
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this tricentre; its stdout."""
+    src = str(Path(tricentre.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout
+
 
 def test_top_level_api_exports():
-    import tricentre
     for name in ("Params", "integrate", "arc_family", "build_graph",
                  "entropy_estimate", "shoot_segment", "complete_elliptic_k",
                  "solve_resonant_a1", "NUMBA_ENABLED"):
         assert hasattr(tricentre, name)
 
 
-def test_trajectory_samples_property():
-    from tricentre.dynamics import Params, integrate
-    prm = Params(a=1.0, beta=0.2, a1=0.3)
-    traj = integrate(np.array([0.0, 0.3, 1.2, 1.1]), prm, 1.0, tol=1e-10)
-    samples = traj.samples
-    assert len(samples) == len(traj.taus)
-    tau0, state0 = samples[0]
-    assert tau0 == 0.0
-    assert state0.point.xi == 0.0
-    taus = [t for t, _ in samples]
-    assert all(a < b for a, b in zip(taus, taus[1:]))
+class TestLazyNamespace:
+    def test_exports_are_the_earlier_set(self):
+        assert set(tricentre.__all__) == EXPORTS
+
+    def test_every_export_is_its_defining_object(self):
+        for name in tricentre.__all__:
+            value = getattr(tricentre, name)
+            module = sys.modules.get(getattr(value, "__module__", None))
+            if module is None or module.__name__ == "builtins":
+                assert name == "NUMBA_ENABLED"
+                continue
+            assert getattr(module, name) is value, name
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            tricentre.no_such_name  # noqa: B018
+
+    def test_bare_import_loads_no_submodule(self):
+        out = _fresh_python(
+            "import sys, tricentre\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('tricentre.')))")
+        assert out.strip() == "[]"
+
+    def test_submodule_attribute_after_bare_import(self):
+        out = _fresh_python("import tricentre\n"
+                            "print(tricentre.dynamics.integrate.__name__)")
+        assert out.strip() == "integrate"
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["periods", "--beta", "0.142857", "--q", "1"], 0),
+    (["solve", "--q", "2", "--energy", "-0.05"], 0),
+    (["solve", "--q", "1", "--energy", "-0.05", "--centre-xy", "0.3,0.4",
+      "--json"], 0),
+    (["check", "--centre-elliptic", "2.58,0", "--q", "1",
+      "--beta", "0.142857"], 0),
+    (["check", "--centre-elliptic", "0,3.141582653589793", "--q", "1",
+      "--beta", "0.01"], 3),
+], ids=["periods", "solve", "solve-centre", "check-safe", "check-unsafe"])
+def test_closed_form_commands_leave_numpy_out(argv, rc):
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from tricentre.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "print(json.dumps([rc, 'numpy' in sys.modules]))")
+    assert json.loads(out) == [rc, False]
 
 
 def test_state_at_clamps_to_span():
