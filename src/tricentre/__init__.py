@@ -21,7 +21,7 @@ _EXPORTS = {
                "build_alphabet", "build_graph", "count_periodic_chains",
                "entropy_estimate"),
     "dynamics": ("CentreProximity", "EllipticState", "EventRecord",
-                 "PhiCrossing", "PrimaryProximity", "Trajectory", "XiCrossing",
+                 "PhiCrossing", "Trajectory", "XiCrossing",
                  "centre_potential", "integrate", "primary_potential",
                  "regularized_hamiltonian", "trajectory_to_csv",
                  "trajectory_to_json", "vector_field"),

@@ -61,11 +61,6 @@ class CollisionChain:
     def __len__(self):
         return len(self.labels)
 
-    def is_admissible(self, graph: ChainGraph) -> bool:
-        idx = {lb: i for i, lb in enumerate(graph.nodes)}
-        return all(graph.adjacency[idx[a], idx[b]]
-                   for a, b in zip(self.labels, self.labels[1:]))
-
 
 def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
                    tol: float = 1e-12, arc_tol: float = 1e-12,

@@ -92,7 +92,7 @@ def _pair(text, name: str) -> tuple[float, float]:
     parts = str(text).split(",")
     if len(parts) != 2:
         raise DomainError(f"{name} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return _float(parts[0], name), _float(parts[1], name)
 
 
 def _resolve_centre(args):
@@ -335,7 +335,7 @@ def cmd_shadow(args) -> int:
     centre = _resolve_centre(args)
     if args.eps is None:
         raise DomainError("--eps is required (comma-separated values)")
-    eps_list = [float(e) for e in str(args.eps).split(",") if e.strip()]
+    eps_list = [_float(e, "--eps") for e in str(args.eps).split(",") if e.strip()]
     prm, _ = resonant_params(centre, q, beta, a, tol)
     arc = arc_family(prm, tol=min(tol, 1e-12),
                      delta=_float(args.delta, "--delta"))[0]
@@ -494,7 +494,7 @@ def cmd_integrate(args) -> int:
     prm = Params(a=a, beta=beta, a1=a1, q=q, eps=eps, centre=centre)
     if args.state is None:
         raise DomainError("--state xi,phi,xi_prime,phi_prime is required")
-    parts = [float(p) for p in str(args.state).split(",")]
+    parts = [_float(p, "--state") for p in str(args.state).split(",")]
     if len(parts) != 4:
         raise DomainError("--state needs exactly 4 components")
     tau_end = _float(args.tau_end, "--tau-end")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .params import Params
 
 __all__ = [
     "Params", "EllipticState", "Trajectory",
-    "XiCrossing", "PhiCrossing", "CentreProximity", "PrimaryProximity",
+    "XiCrossing", "PhiCrossing", "CentreProximity",
     "EventRecord", "StepStats",
     "primary_potential", "centre_potential",
     "regularized_hamiltonian", "vector_field",
@@ -131,6 +132,10 @@ def _centre_xy(prm: Params) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # event specifications
+#
+# Every spec has g(states, prm), whose sign changes mark its roots, over an
+# (..., 4) state array: the scan passes the whole dense-output grid and the
+# root refinement one state of shape (4,).  accept(y) filters the roots.
 
 @dataclass(frozen=True)
 class XiCrossing:
@@ -140,7 +145,7 @@ class XiCrossing:
     terminal: bool = False
     kind: str = field(default="xi_crossing", init=False)
 
-    def g(self, states: np.ndarray) -> np.ndarray:
+    def g(self, states: np.ndarray, prm: Params):
         return states[..., 0] - self.value
 
     def accept(self, y: np.ndarray) -> bool:
@@ -155,7 +160,7 @@ class PhiCrossing:
     kind: str = field(default="phi_crossing", init=False)
     direction: int = field(default=0, init=False)
 
-    def g(self, states: np.ndarray) -> np.ndarray:
+    def g(self, states: np.ndarray, prm: Params):
         # sin vanishes at value mod pi; the accept() filter keeps mod 2pi
         return np.sin(states[..., 1] - self.value)
 
@@ -171,26 +176,12 @@ class CentreProximity:
     terminal: bool = False
     kind: str = field(default="centre_proximity", init=False)
 
-    def g(self, states: np.ndarray) -> np.ndarray:
-        raise NotImplementedError  # needs the centre; handled by the engine
-
-    def accept(self, y: np.ndarray) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class PrimaryProximity:
-    """Crossing of dist(., primary) = radius for primary 1 (+x) or 2 (-x)."""
-    radius: float
-    primary: int = 1
-    direction: int = -1
-    terminal: bool = False
-    kind: str = field(default="primary_proximity", init=False)
-
-    def g(self, states: np.ndarray) -> np.ndarray:
-        x, y = elliptic_to_xy(states[..., 0], states[..., 1])
-        px = 1.0 if self.primary == 1 else -1.0
-        return (x - px) ** 2 + y ** 2 - self.radius ** 2
+    def g(self, states: np.ndarray, prm: Params):
+        # a single state is mapped through math, as the DOPRI kernel does
+        lib = math if states.ndim == 1 else np
+        cx, cy = _centre_xy(prm)
+        x, y = elliptic_to_xy(states[..., 0], states[..., 1], lib)
+        return (x - cx) ** 2 + (y - cy) ** 2 - self.radius ** 2
 
     def accept(self, y: np.ndarray) -> bool:
         return True
@@ -210,27 +201,28 @@ class EventRecord:
 class Trajectory:
     """Result of one integration: accepted samples plus dense interpolant.
 
-    `stats` reports the steps of the integration that produced it, also
-    for a truncated copy.
+    Step i of the dense output starts at taus[i], has length h[i] and the
+    coefficients dense_q[i] = K_i^T P (4 components x 4 powers); a run
+    without dense output passes empty h and dense_q.  `stats` reports the
+    steps of the integration that produced it, also for a truncated copy.
     """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
-                 stages: np.ndarray, events: Sequence[EventRecord],
-                 energy_drift: float, stats: StepStats):
+                 h: np.ndarray, dense_q: np.ndarray,
+                 events: Sequence[EventRecord], stats: StepStats):
         self.params = prm
         self.taus = taus
         self.states = states
-        self._stages = stages
-        # per-step dense coefficients: Q[i] = K_i^T P  (4 components x 4 powers)
-        if len(stages):
-            self._dense_q = np.einsum("skc,kp->scp", stages, _kernels.DENSE_P)
-            self._h = np.diff(taus)
-        else:
-            self._dense_q = np.zeros((0, 4, 4))
-            self._h = np.zeros(0)
+        self._h = h
+        self._dense_q = dense_q
         self.events = list(events)
-        self.energy_drift = energy_drift
         self.stats = stats
+
+    @cached_property
+    def energy_drift(self) -> float:
+        """Largest |H - H(first sample)| over the samples."""
+        hvals = hamiltonian_values(self.states, self.params)
+        return float(np.max(np.abs(hvals - hvals[0])))
 
     @property
     def tau_final(self) -> float:
@@ -257,37 +249,26 @@ class Trajectory:
     def truncated(self, tau_star: float) -> "Trajectory":
         """Copy of this trajectory cut at tau_star (earlier events kept).
 
-        The final partial interval keeps the parent step's dense
-        coefficients, which remain exact inside that step.
+        A cut within 1e-15*max(1, |tau_star|) after a sample ends at that
+        sample.  The copy keeps the parent's dense steps up to the one that
+        holds the cut, so its dense output is the parent's on its span.
         """
         ascending = self.taus[-1] >= self.taus[0]
         grid = self.taus if ascending else -self.taus
         q = tau_star if ascending else -tau_star
         n = int(np.searchsorted(grid, q, side="right"))
         n = max(1, min(n, len(self.taus)))
-        duplicate = abs(self.taus[n - 1] - tau_star) <= 1e-15 * max(1.0, abs(tau_star))
-        if duplicate:
+        if abs(self.taus[n - 1] - tau_star) <= 1e-15 * max(1.0, abs(tau_star)):
             taus = self.taus[:n].copy()
             states = self.states[:n].copy()
-            n_int = n - 1
         else:
             taus = np.concatenate([self.taus[:n], [tau_star]])
             states = np.vstack([self.states[:n], self.state_at(tau_star)])
-            n_int = n
         events = [e for e in self.events
                   if (e.tau <= tau_star + 1e-15 if ascending
                       else e.tau >= tau_star - 1e-15)]
-        traj = Trajectory.__new__(Trajectory)
-        traj.params = self.params
-        traj.taus = taus
-        traj.states = states
-        traj._stages = self._stages[:n_int].copy()
-        traj._dense_q = self._dense_q[:n_int].copy()
-        traj._h = self._h[:n_int].copy()
-        traj.events = events
-        traj.energy_drift = self.energy_drift
-        traj.stats = self.stats
-        return traj
+        return Trajectory(self.params, taus, states, self._h[:n],
+                          self._dense_q[:n], events, self.stats)
 
     def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """Uniform tau grid with dense-output states, endpoints included."""
@@ -301,12 +282,11 @@ class Trajectory:
 _SCAN_POINTS = 8  # dense samples per accepted step used for sign scanning
 
 
-def _detect_events(traj_T, traj_Y, dense_q, prm, specs):
+def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
     """Locate event roots on the dense output; returns sorted EventRecords."""
     nstep = len(traj_T) - 1
     if nstep < 1 or not specs:
         return []
-    h = np.diff(traj_T)
     theta = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
     powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
     # grid[i, j] = state at traj_T[i] + theta[j]*h[i]
@@ -321,12 +301,7 @@ def _detect_events(traj_T, traj_Y, dense_q, prm, specs):
 
     records = []
     for spec in specs:
-        if isinstance(spec, CentreProximity):
-            cx, cy = _centre_xy(prm)
-            x, y = elliptic_to_xy(grid[..., 0], grid[..., 1])
-            g = (x - cx) ** 2 + (y - cy) ** 2 - spec.radius ** 2
-        else:
-            g = spec.g(grid)
+        g = spec.g(grid, prm)
         sign_flip = (g[:, :-1] * g[:, 1:]) < 0.0
         steps, cells = np.nonzero(sign_flip)
         for i, j in zip(steps, cells):
@@ -337,21 +312,13 @@ def _detect_events(traj_T, traj_Y, dense_q, prm, specs):
                 continue
             tau_star, y_star = _refine_root(
                 lambda tt, ii=i: dense_state(ii, tt),
-                lambda yv: _event_value(spec, yv, prm),
+                lambda yv: spec.g(yv, prm),
                 ta, tb, ga, gb)
             if spec.accept(y_star):
                 records.append(EventRecord(spec.kind, tau_star, y_star, spec))
     ascending = traj_T[-1] >= traj_T[0]
     records.sort(key=lambda r: r.tau if ascending else -r.tau)
     return records
-
-
-def _event_value(spec, y: np.ndarray, prm: Params) -> float:
-    if isinstance(spec, CentreProximity):
-        cx, cy = _centre_xy(prm)
-        x, yy = elliptic_to_xy(y[0], y[1], math)
-        return (x - cx) ** 2 + (yy - cy) ** 2 - spec.radius ** 2
-    return float(spec.g(y[None, :])[0])
 
 
 def _refine_root(state_of, g_of, ta, tb, ga, gb, tol=1e-12, max_iter=80):
@@ -384,27 +351,37 @@ def _refine_root(state_of, g_of, ta, tb, ga, gb, tol=1e-12, max_iter=80):
 # integrate
 
 def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
-              events: Sequence = (), max_step: float = math.inf,
-              first_step: float = 0.0, max_steps: int = 2_000_000,
+              events: Sequence = (), max_steps: int = 2_000_000,
               r_min: Optional[float] = None) -> Trajectory:
     """Integrate the regularized flow from tau = 0 to tau_end.
 
     tol sets both relative and absolute local error targets of the embedded
     5(4) pair.  Event specs are located on the dense output by sign-change
     scanning plus hybrid root refinement; a spec with terminal=True truncates
-    the returned trajectory at its first occurrence.
+    the returned trajectory at its first occurrence.  A terminal root on the
+    accepted steps outranks a later failure of the stepper (step underflow,
+    exhausted budget, exclusion ball), which raises IntegrationError only
+    when no terminal root precedes it.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     y0 = _as_state_array(state0)
+    tau_end = float(tau_end)
     if r_min is None:
         r_min = 0.01 * prm.eps if prm.eps > 0.0 else 0.0
     cx, cy = _centre_xy(prm)
-    h_max = max_step if max_step != math.inf else abs(tau_end) or 1.0
 
     status, n, T, Y, KS, stats = _kernels.dopri5_core(
-        y0, 0.0, float(tau_end), tol, tol, float(first_step), float(h_max),
+        y0, 0.0, tau_end, tol, tol, 0.0, abs(tau_end) or 1.0,
         max_steps, prm.a, prm.energy, prm.eps, cx, cy, float(r_min))
+
+    h = np.diff(T)
+    dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
+    records = _detect_events(T, Y, h, dense_q, prm, list(events))
+    traj = Trajectory(prm, T, Y, h, dense_q, records, stats)
+    for rec in records:
+        if rec.spec.terminal:
+            return traj.truncated(rec.tau)
 
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
@@ -415,18 +392,6 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         raise IntegrationError(
             f"trajectory entered the exclusion ball of radius {r_min:.3g}"
             f" around the perturbing centre at tau={T[n]:.6g}")
-
-    dense_q = (np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
-               if len(KS) else np.zeros((0, 4, 4)))
-    records = _detect_events(T, Y, dense_q, prm, list(events))
-
-    hvals = hamiltonian_values(Y, prm)
-    drift = float(np.max(np.abs(hvals - hvals[0]))) if len(hvals) else 0.0
-
-    traj = Trajectory(prm, T, Y, KS, records, drift, stats)
-    for rec in records:
-        if getattr(rec.spec, "terminal", False):
-            return traj.truncated(rec.tau)
     return traj
 
 

@@ -230,3 +230,15 @@ class TestConfigFile:
         rc, out = run(capsys, argv + ["--delta", "1e-3"])
         assert rc == 0
         assert json.loads(out)["delta"] == 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--centre-xy", "a,b", "--q", "1", "--beta", "0.1"],
+    ["shadow", "--centre-xy", "0,1.5", "--q", "1", "--beta", "0.142857",
+     "--eps", "1e-3,x"],
+    ["integrate", "--beta", "0.2", "--a1", "0.3", "--state", "0,x,1,1",
+     "--tau-end", "1"],
+], ids=["centre-xy", "eps", "state"])
+def test_malformed_number_is_a_domain_error(capsys, argv):
+    assert main(argv) == 2
+    assert "cannot parse" in capsys.readouterr().err

@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tricentre import _kernels
-from tricentre.dynamics import (EllipticState, Params,
-                                PhiCrossing, PrimaryProximity, XiCrossing,
+from tricentre.dynamics import (CentreProximity, EllipticState, Params,
+                                PhiCrossing, XiCrossing,
                                 centre_potential, integrate,
                                 primary_potential, regularized_hamiltonian,
                                 trajectory_to_csv, trajectory_to_json,
                                 vector_field)
 from tricentre.errors import DomainError, IntegrationError, SingularityError
-from tricentre.geometry import CartesianPoint, EllipticPoint
+from tricentre.geometry import CartesianPoint, EllipticPoint, elliptic_to_xy
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1
+from tricentre.shadow import _energy_consistent_state
 from verlet_check import integrate_symplectic
 
 
@@ -197,22 +200,19 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(y0, prm, 5.0, tol=1e-10)
 
-    def test_primary_proximity_events(self):
-        # the orbit seeded at a primary re-enters a small ball around it
-        beta = 0.2
-        from tricentre.periods import solve_resonant_a1
-        sol = solve_resonant_a1(beta, 1)
-        prm = Params(a=1.0, beta=beta, a1=sol.a1_hat, q=Fraction(1))
-        y0 = separated_state(beta, sol.a1_hat, phi=0.0)
-        spec = PrimaryProximity(radius=0.05, primary=1, direction=-1)
-        traj = integrate(y0, prm, 1.2 * sol.t1, tol=1e-11, events=[spec])
-        hits = [e for e in traj.events if e.kind == "primary_proximity"]
-        assert hits, "expected a re-entry into the ball around the primary"
-        # entry precedes the primary passage at t1 (rescaled time slows there)
-        assert 0.9 * sol.t1 < hits[0].tau < sol.t1
-        x = math.cosh(hits[0].state[0]) * math.cos(hits[0].state[1])
-        y = math.sinh(hits[0].state[0]) * math.sin(hits[0].state[1])
-        assert math.hypot(x - 1.0, y) == pytest.approx(0.05, abs=1e-9)
+    def test_centre_proximity_entry_events(self):
+        # eps = 0: the orbit passes straight through the circle around C,
+        # and the direction filter keeps the entry but not the exit
+        prm = Params(a=1.0, beta=1.0 / 7.0, a1=0.2,
+                     centre=CartesianPoint(0.0, 1.5))
+        y0 = _energy_consistent_state(CartesianPoint(0.0, 1.2), (0, 1), prm)
+        spec = CentreProximity(radius=0.1, direction=-1)
+        traj = integrate(y0, prm, 0.3, tol=1e-11, events=[spec])
+        hits = [e for e in traj.events if e.kind == "centre_proximity"]
+        assert len(hits) == 1
+        assert traj.tau_final == 0.3
+        x, y = elliptic_to_xy(hits[0].state[0], hits[0].state[1], math)
+        assert math.hypot(x, y - 1.5) == pytest.approx(0.1, abs=1e-9)
 
     def test_terminal_event_truncates(self):
         beta, a1 = 0.2, 0.3
@@ -224,6 +224,43 @@ class TestIntegrate:
         assert traj.tau_final == pytest.approx(0.5 * t1, rel=1e-8)
         assert abs(traj.states[-1][0]) <= 1e-9
 
+    def test_terminal_event_outranks_exclusion_ball(self):
+        # the run enters the exclusion ball around C at tau ~ 0.0701, after
+        # the terminal entry into the radius-0.1 circle at tau ~ 0.0487
+        prm = Params(a=1.0, beta=1.0 / 7.0, a1=0.2, eps=1e-3,
+                     centre=CartesianPoint(0.0, 1.5))
+        y0 = _energy_consistent_state(CartesianPoint(0.0, 1.2), (0, 1), prm)
+        with pytest.raises(IntegrationError, match="exclusion ball"):
+            integrate(y0, prm, 5.0)
+        spec = CentreProximity(0.1, direction=-1, terminal=True)
+        traj = integrate(y0, prm, 5.0, events=[spec])
+        assert abs(traj.tau_final - 0.04870375481825792) <= 1e-12
+        x, y = elliptic_to_xy(traj.states[-1][0], traj.states[-1][1], math)
+        assert abs(math.hypot(x, y - 1.5) - 0.1) <= 1e-9
+
+    def test_terminal_event_outranks_exhausted_budget(self):
+        beta, a1 = 0.2, 0.3
+        prm = Params(a=1.0, beta=beta, a1=a1)
+        t1 = period_xi(beta, a1)
+        y0 = separated_state(beta, a1)
+        # about 500 steps reach the crossing at t1/2, 3000 the end at 3 t1
+        with pytest.raises(IntegrationError, match="budget"):
+            integrate(y0, prm, 3.0 * t1, tol=1e-12, max_steps=1000)
+        spec = XiCrossing(0.0, direction=-1, terminal=True)
+        traj = integrate(y0, prm, 3.0 * t1, tol=1e-12, events=[spec],
+                         max_steps=1000)
+        assert traj.tau_final == pytest.approx(0.5 * t1, rel=1e-8)
+        assert [e.spec for e in traj.events] == [spec]
+
+    def test_nonterminal_event_then_failure_raises(self):
+        beta, a1 = 0.2, 0.3
+        prm = Params(a=1.0, beta=beta, a1=a1)
+        t1 = period_xi(beta, a1)
+        spec = XiCrossing(0.0, direction=-1)
+        with pytest.raises(IntegrationError, match="budget"):
+            integrate(separated_state(beta, a1), prm, 3.0 * t1, tol=1e-12,
+                      events=[spec], max_steps=1000)
+
     def test_symplectic_cross_check(self):
         beta, a1 = 1.0 / 7.0, 0.3
         prm = Params(a=1.0, beta=beta, a1=a1)
@@ -232,6 +269,56 @@ class TestIntegrate:
         ver = integrate_symplectic(y0, prm, 20.0, dt=1e-4)
         assert ver.energy_drift <= 1e-6
         assert np.max(np.abs(ver.states[-1] - ref.states[-1])) <= 1e-5
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """One forward and one backward run, each with three events."""
+    prm = Params(a=1.0, beta=0.2, a1=0.3)
+    y0 = separated_state(0.2, 0.3)
+    events = [PhiCrossing(1.0), PhiCrossing(2.5), XiCrossing(0.0)]
+    return {end: integrate(y0, prm, end, events=events)
+            for end in (5.0, -5.0)}
+
+
+class TestTruncation:
+    @given(end=st.sampled_from([5.0, -5.0]), where=st.floats(0.0, 1.0),
+           mode=st.sampled_from(["at", "near", "between"]),
+           ulps=st.integers(-8, 8), frac=st.floats(0.0, 1.0),
+           probes=st.lists(st.floats(0.0, 1.0), max_size=8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_cut_keeps_dense_output_and_earlier_events(
+            self, spans, end, where, mode, ulps, frac, probes):
+        traj = spans[end]
+        sign = math.copysign(1.0, end)
+        i = int(where * (len(traj.taus) - 1))
+        t = float(traj.taus[i])
+        if mode == "near":
+            for _ in range(abs(ulps)):
+                t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
+            assume(sign * (t - traj.taus[0]) >= 0.0)
+            assume(sign * (traj.taus[-1] - t) >= 0.0)
+        elif mode == "between":
+            i = min(i, len(traj.taus) - 2)
+            t = float(traj.taus[i])
+            t += frac * (float(traj.taus[i + 1]) - t)
+        cut = traj.truncated(t)
+
+        if cut.tau_final != t:
+            # a cut just after a sample ends at that sample
+            assert cut.tau_final in traj.taus
+            assert 0.0 < sign * (t - cut.tau_final) <= 1e-15 * max(1.0, abs(t))
+        span = cut.tau_final - cut.taus[0]
+        s = np.concatenate([cut.taus, cut.taus[0] + span * np.array(probes)])
+        assert cut.state_at(s).tobytes() == traj.state_at(s).tobytes()
+        assert (cut.state_at(cut.tau_final).tobytes()
+                == traj.state_at(cut.tau_final).tobytes())
+
+        kept = len(cut.events)
+        assert ([e.tau for e in cut.events]
+                == [e.tau for e in traj.events[:kept]])
+        assert all(sign * (e.tau - t) <= 1e-15 for e in cut.events)
+        assert all(sign * (e.tau - t) > 0.0 for e in traj.events[kept:])
 
 
 class TestExport(object):

@@ -10,13 +10,14 @@ import pytest
 import tricentre
 
 # The package's exports before they resolved lazily, less what was deleted
-# since (integrate_symplectic moved to tests/verlet_check.py).
+# since (integrate_symplectic moved to tests/verlet_check.py, and
+# PrimaryProximity, which only tests used, is gone).
 EXPORTS = {
     "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
     "EllipticPoint", "EllipticState", "EventRecord", "IntegrationError",
     "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",
-    "PlacementError", "PrimaryProximity", "QuadratureResult", "RangeError",
+    "PlacementError", "QuadratureResult", "RangeError",
     "ResonanceSolution", "SafetyReport", "ShadowResult", "SingularityError",
     "StructuralError", "Trajectory", "TricentreError", "UnsafeCentreError",
     "XiCrossing", "adaptive_quadrature", "arc_family", "assemble_chain",

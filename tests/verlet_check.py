@@ -12,8 +12,7 @@ import numpy as np
 
 from tricentre import _kernels
 from tricentre._kernels import StepStats
-from tricentre.dynamics import (Params, Trajectory, _as_state_array,
-                                _centre_xy, hamiltonian_values)
+from tricentre.dynamics import Params, Trajectory, _as_state_array, _centre_xy
 from tricentre.errors import DomainError
 
 
@@ -64,6 +63,4 @@ def integrate_symplectic(state0, prm: Params, tau_end: float,
     T, Y, stats = verlet_core(y0, 0.0, float(tau_end), float(dt),
                               int(stride), prm.a, prm.energy, prm.eps,
                               cx, cy)
-    hvals = hamiltonian_values(Y, prm)
-    drift = float(np.max(np.abs(hvals - hvals[0]))) if len(hvals) else 0.0
-    return Trajectory(prm, T, Y, np.zeros((0, 7, 4)), [], drift, stats)
+    return Trajectory(prm, T, Y, np.zeros(0), np.zeros((0, 4, 4)), [], stats)
