@@ -179,8 +179,8 @@ def build_arc(prm: Params, sign: int, direction: int,
 # ---------------------------------------------------------------------------
 # families
 
-def arc_family(prm: Params, tol: float = 1e-12, delta: float = 1e-4,
-               check_safety: bool = True) -> list[CollisionArc]:
+def arc_family(prm: Params, tol: float = 1e-12,
+               delta: float = 1e-4) -> list[CollisionArc]:
     """The four labeled arcs at C for one resonant parameter set.
 
     Ordered [(+,+), (-,-), (+,-), (-,+)]: the first two share one initial
@@ -188,22 +188,20 @@ def arc_family(prm: Params, tol: float = 1e-12, delta: float = 1e-4,
     that fail the primary-collision exclusion test, and cross-checks the
     verdict against the primary distances the built paths actually attain.
     """
-    if check_safety:
-        report = primary_collision_check(prm, delta=delta)
-        if not report.safe:
-            raise UnsafeCentreError(
-                f"centre fails primary-collision exclusion for q={prm.q}:"
-                f" G+={report.g_plus:.9g}, G-={report.g_minus:.9g} is within"
-                f" {report.min_separation:.3g} of ratio {report.nearest}"
-                f" (margin {delta:g})",
-                g_plus=report.g_plus, g_minus=report.g_minus,
-                nearest=report.nearest)
+    report = primary_collision_check(prm, delta=delta)
+    if not report.safe:
+        raise UnsafeCentreError(
+            f"centre fails primary-collision exclusion for q={prm.q}:"
+            f" G+={report.g_plus:.9g}, G-={report.g_minus:.9g} is within"
+            f" {report.min_separation:.3g} of ratio {report.nearest}"
+            f" (margin {delta:g})",
+            g_plus=report.g_plus, g_minus=report.g_minus,
+            nearest=report.nearest)
     family = [build_arc(prm, s, d, tol=tol)
               for (s, d) in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
-    if check_safety:
-        grazing = min(arc.min_primary_distance for arc in family)
-        if grazing <= 1e-6:
-            raise StructuralError(
-                "exclusion test declared the centre safe but a built arc"
-                f" passes within {grazing:.3g} of a primary")
+    grazing = min(arc.min_primary_distance for arc in family)
+    if grazing <= 1e-6:
+        raise StructuralError(
+            "exclusion test declared the centre safe but a built arc"
+            f" passes within {grazing:.3g} of a primary")
     return family

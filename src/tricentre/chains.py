@@ -63,7 +63,7 @@ class CollisionChain:
 
 
 def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
-                   tol: float = 1e-12, arc_tol: float = 1e-12,
+                   tol: float = 1e-12,
                    delta: float = 1e-4) -> list[CollisionArc]:
     """Four arcs per class, all sharing the requested energy.
 
@@ -79,7 +79,7 @@ def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
         sol = solve_beta_for_energy(q, energy, a, tol)
         prm, _ = resonant_params(centre, q, sol.beta, a, tol)
         try:
-            arcs.extend(arc_family(prm, tol=arc_tol, delta=delta))
+            arcs.extend(arc_family(prm, delta=delta))
         except UnsafeCentreError as exc:
             raise UnsafeCentreError(
                 f"class {q} fails the safety test at energy {energy}: {exc}",

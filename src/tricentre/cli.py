@@ -1,6 +1,10 @@
 """Command-line surface: periods, solve, arcs, check, chains, shadow, figs,
 integrate.
 
+Each option is declared once in `_OPTIONS` and each subcommand once in
+`_COMMANDS`; `main` parses every value once against them and refuses
+conflicting input and options the subcommand does not use.
+
 Outputs are deterministic: file names carry a hash of the effective
 parameters, floats are printed with fixed precision and files are written
 atomically (write-then-rename).  Exit codes: 0 success, 2 domain error,
@@ -14,6 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from ._output import write_csv, write_json
 from .errors import (AccuracyError, DomainError, IntegrationError,
@@ -44,8 +49,71 @@ def _param_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:10]
 
 
+# ---------------------------------------------------------------------------
+# options: a parser raises ValueError, which _prepare reports with the flag
+
+def _floats(count: int):
+    """Exactly `count` comma-separated floats, as a list."""
+    def parse(text):
+        parts = text.split(",")
+        if len(parts) != count:
+            raise ValueError(f"needs exactly {count} comma-separated numbers")
+        return [float(p) for p in parts]
+    return parse
+
+
+def _point(kind):
+    pair = _floats(2)
+    return lambda text: kind(*pair(text))
+
+
+def _list(item):
+    """One or more comma-separated items; blank items are skipped."""
+    def parse(text):
+        values = [item(p) for p in text.split(",") if p.strip()]
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+    return parse
+
+
+class _Option(NamedTuple):
+    parse: Callable[[str], object]
+    help: str
+    default: Optional[str] = None
+
+
+# Keyed by argparse dest.  A default fills an option only where the
+# subcommand takes it outside `required` and the groups, so --beta and
+# --energy default only in figs and --q only where --a1 is no alternative.
+_OPTIONS = {
+    "a": _Option(float, "primary intensity (default 1)", "1"),
+    "beta": _Option(float, "energy-ratio parameter in [0, 1)", repr(1.0 / 7.0)),
+    "energy": _Option(float, "total energy E < 0", "-0.5"),
+    "q": _Option(Fraction, "resonance class m/n", "1"),
+    "a1": _Option(float, "separation parameter a1"),
+    "classes": _Option(_list(Fraction), "comma-separated class list"),
+    "centre_xy": _Option(_point(CartesianPoint), "perturbing centre as x,y"),
+    "centre_elliptic": _Option(_point(EllipticPoint),
+                               "perturbing centre as xi,phi"),
+    "eps": _Option(float, "third-centre intensity (list for shadow)", "0"),
+    "tol": _Option(float, "solver/integration tolerance (default 1e-12)",
+                   "1e-12"),
+    "delta": _Option(float, "safety margin in ratio units (default 1e-4)",
+                     "1e-4"),
+    "state": _Option(_floats(4), "initial state xi,phi,xi',phi'"),
+    "tau_end": _Option(float, "integration span in rescaled time"),
+    "out": _Option(str, "output directory"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _load_config(path: str) -> dict:
-    """Flat key = value config document; '#' starts a comment."""
+    """Flat key = value config document; '#' starts a comment.  Keys are
+    option names, with '-' or '_'; returned under their argparse dest."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -53,77 +121,35 @@ def _load_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise DomainError(f"config line without '=': {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in _OPTIONS:
+            raise DomainError(f"config key {key!r} names no option")
+        out[name] = val
     return out
 
 
-# Defaults applied after the config file, so that it can set these too.
-_DEFAULTS = {"a": "1", "tol": "1e-12", "delta": "1e-4"}
+def _centre(args):
+    return args.centre_xy if args.centre_xy is not None else args.centre_elliptic
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config, then from _DEFAULTS; flags win."""
-    if getattr(args, "config", None):
-        for key, val in _load_config(args.config).items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, val)
-    for attr, val in _DEFAULTS.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
-
-
-def _frac(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
-
-
-def _float(text, name: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"cannot parse {name}={text!r}") from exc
-
-
-def _pair(text, name: str) -> tuple[float, float]:
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise DomainError(f"{name} must be two comma-separated numbers, got {text!r}")
-    return _float(parts[0], name), _float(parts[1], name)
-
-
-def _resolve_centre(args):
-    if getattr(args, "centre_elliptic", None) is not None:
-        xi, phi = _pair(args.centre_elliptic, "--centre-elliptic")
-        return EllipticPoint(xi, phi)
-    if getattr(args, "centre_xy", None) is not None:
-        x, y = _pair(args.centre_xy, "--centre-xy")
-        return CartesianPoint(x, y)
-    raise DomainError("a centre is required: pass --centre-xy or --centre-elliptic")
-
-
-def _resolve_beta(args, q: Fraction, a: float, tol: float) -> float:
-    has_beta = getattr(args, "beta", None) is not None
-    has_energy = getattr(args, "energy", None) is not None
-    if has_beta == has_energy:
-        raise DomainError("exactly one of --beta / --energy is required")
-    if has_beta:
-        return _float(args.beta, "--beta")
-    energy = _float(args.energy, "--energy")
-    return solve_beta_for_energy(q, energy, a, tol).beta
+def _resonance(args):
+    """resonant_params at the centre for --q and --beta, or the beta that
+    puts --q on the --energy level."""
+    beta = args.beta
+    if beta is None:
+        beta = solve_beta_for_energy(args.q, args.energy, args.a, args.tol).beta
+    return resonant_params(_centre(args), args.q, beta, args.a, args.tol)
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or "tricentre_out")
+    out = Path(args.out or "tricentre_out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
     else:
         for line in lines:
@@ -134,21 +160,15 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
 # commands
 
 def cmd_periods(args) -> int:
-    a = _float(args.a, "--a")
-    beta = _float(args.beta, "--beta") if args.beta is not None else None
-    if beta is None:
-        raise DomainError("--beta is required for the periods command")
-    tol = _float(args.tol, "--tol")
+    a, beta = args.a, args.beta
     doc: dict = {"command": "periods", "a": a, "beta": beta}
     if args.q is not None:
-        sol = solve_resonant_a1(beta, _frac(args.q), a, tol)
+        sol = solve_resonant_a1(beta, args.q, a, args.tol)
         a1 = sol.a1_hat
         doc.update(q=str(sol.q), a1_hat=a1, residual=sol.residual,
                    clamped=sol.clamped, energy=sol.energy)
-    elif args.a1 is not None:
-        a1 = _float(args.a1, "--a1")
     else:
-        raise DomainError("pass either --a1 or --q")
+        a1 = args.a1
     t1 = period_xi(beta, a1, a)
     t2 = period_phi(beta, a1, a)
     k1sq, k2sq = modulus_squares(beta, a1)
@@ -172,17 +192,11 @@ def cmd_periods(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    if args.q is None:
-        raise DomainError("--q is required for the solve command")
-    q = _frac(args.q)
+    a, q, tol = args.a, args.q, args.tol
     if args.energy is not None:
-        sol = solve_beta_for_energy(q, _float(args.energy, "--energy"), a, tol)
-    elif args.beta is not None:
-        sol = solve_resonant_a1(_float(args.beta, "--beta"), q, a, tol)
+        sol = solve_beta_for_energy(q, args.energy, a, tol)
     else:
-        raise DomainError("pass either --beta or --energy")
+        sol = solve_resonant_a1(args.beta, q, a, tol)
     doc = {"command": "solve", "a": a, "q": str(q), "beta": sol.beta,
            "a1_hat": sol.a1_hat, "t1": sol.t1, "t2": sol.t2,
            "energy": sol.energy, "residual": sol.residual,
@@ -192,12 +206,10 @@ def cmd_solve(args) -> int:
              f"T1 = {_fmt(sol.t1)}", f"T2 = {_fmt(sol.t2)}",
              f"energy = {_fmt(sol.energy)}",
              f"residual = {_fmt(sol.residual)}"]
-    has_centre = (getattr(args, "centre_xy", None) is not None
-                  or getattr(args, "centre_elliptic", None) is not None)
-    if has_centre:
-        centre = _resolve_centre(args)
+    centre = _centre(args)
+    if centre is not None:
         beta_adm = find_admissible_beta(centre, q, a, beta_start=sol.beta,
-                                        delta=_float(args.delta, "--delta"))
+                                        delta=args.delta)
         doc["admissible_beta"] = beta_adm
         lines.append(f"admissible_beta = {_fmt(beta_adm)}")
     _emit(args, doc, lines)
@@ -205,13 +217,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    q = _frac(args.q) if args.q is not None else Fraction(1)
-    beta = _resolve_beta(args, q, a, tol)
-    centre = _resolve_centre(args)
-    prm, _ = resonant_params(centre, q, beta, a, tol)
-    report = primary_collision_check(prm, delta=_float(args.delta, "--delta"))
+    prm, _ = _resonance(args)
+    q, beta = args.q, prm.beta
+    report = primary_collision_check(prm, delta=args.delta)
     s_set = sorted(primary_collision_ratios(q))
     doc = {"command": "check", "q": str(q), "beta": beta,
            "g_plus": report.g_plus, "g_minus": report.g_minus,
@@ -231,13 +239,9 @@ def cmd_check(args) -> int:
 def cmd_arcs(args) -> int:
     from .arcs import arc_family
     from .dynamics import trajectory_to_csv
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    q = _frac(args.q) if args.q is not None else Fraction(1)
-    beta = _resolve_beta(args, q, a, tol)
-    centre = _resolve_centre(args)
-    prm, sol = resonant_params(centre, q, beta, a, tol)
-    family = arc_family(prm, tol=tol, delta=_float(args.delta, "--delta"))
+    prm, sol = _resonance(args)
+    a, q, tol, beta = args.a, args.q, args.tol, prm.beta
+    family = arc_family(prm, tol=tol, delta=args.delta)
     out = _out_dir(args)
     key = _param_hash({"cmd": "arcs", "a": a, "beta": beta, "q": str(q),
                        "centre": str(prm.centre), "tol": tol})
@@ -282,23 +286,12 @@ def cmd_arcs(args) -> int:
 def cmd_chains(args) -> int:
     from .chains import (assemble_chain, build_alphabet, build_graph,
                          count_periodic_chains, entropy_estimate)
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    if args.classes is None:
-        raise DomainError("--classes is required (comma-separated rationals)")
-    classes = [_frac(c) for c in str(args.classes).split(",") if c.strip()]
-    if not classes:
-        raise DomainError("empty class list")
-    centre = _resolve_centre(args)
-    if args.energy is not None:
-        energy = _float(args.energy, "--energy")
-    elif args.beta is not None:
-        sol = solve_resonant_a1(_float(args.beta, "--beta"), classes[0], a, tol)
-        energy = sol.energy
-    else:
-        raise DomainError("pass either --beta or --energy")
-    arcs = build_alphabet(centre, classes, energy, a, tol,
-                          delta=_float(args.delta, "--delta"))
+    a, tol, classes = args.a, args.tol, args.classes
+    centre = _centre(args)
+    energy = args.energy
+    if energy is None:
+        energy = solve_resonant_a1(args.beta, classes[0], a, tol).energy
+    arcs = build_alphabet(centre, classes, energy, a, tol, delta=args.delta)
     graph = build_graph(arcs)
     n_max = 12
     counts = {n: count_periodic_chains(graph, n) for n in range(1, n_max + 1)}
@@ -328,19 +321,11 @@ def cmd_chains(args) -> int:
 def cmd_shadow(args) -> int:
     from .arcs import arc_family
     from .shadow import local_expansion_rate, shoot_segment
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    q = _frac(args.q) if args.q is not None else Fraction(1)
-    beta = _resolve_beta(args, q, a, tol)
-    centre = _resolve_centre(args)
-    if args.eps is None:
-        raise DomainError("--eps is required (comma-separated values)")
-    eps_list = [_float(e, "--eps") for e in str(args.eps).split(",") if e.strip()]
-    prm, _ = resonant_params(centre, q, beta, a, tol)
-    arc = arc_family(prm, tol=min(tol, 1e-12),
-                     delta=_float(args.delta, "--delta"))[0]
+    prm, _ = _resonance(args)
+    a, q, tol, beta = args.a, args.q, args.tol, prm.beta
+    arc = arc_family(prm, tol=min(tol, 1e-12), delta=args.delta)[0]
     rows = []
-    for eps in eps_list:
+    for eps in args.eps:
         res = shoot_segment(arc, eps)
         row = {"eps": eps, "max_deviation": res.max_deviation,
                "min_c_distance": res.min_c_distance,
@@ -353,7 +338,7 @@ def cmd_shadow(args) -> int:
         rows.append(row)
     out = _out_dir(args)
     key = _param_hash({"cmd": "shadow", "a": a, "beta": beta, "q": str(q),
-                       "centre": str(prm.centre), "eps": eps_list})
+                       "centre": str(prm.centre), "eps": args.eps})
     doc = {"command": "shadow", "a": a, "beta": beta, "q": str(q),
            "arc_label": str(arc.label), "arc_duration": arc.duration,
            "rows": rows}
@@ -388,25 +373,24 @@ def _track_columns(track, window=None):
     return [c[keep] for c in cols]
 
 
-def cmd_figs(args) -> int:
-    import numpy as np
+# Figures 1-2 are potential curves at an energy, 3-6 orbits at a beta;
+# figs N takes only the one of --beta / --energy named here.
+_FIGURE_PARAMETER = {n: "energy" if n <= 2 else "beta" for n in range(1, 7)}
 
+
+def cmd_figs(args) -> int:
     from . import figdata
-    which = int(args.which)
+    which, a = args.which, args.a
     out = _out_dir(args)
-    a = _float(args.a, "--a")
     if which in (1, 2):
-        energy = _float(args.energy, "--energy") if args.energy is not None \
-            else -0.5
+        energy = args.energy
         key = _param_hash({"cmd": f"figs{which}", "a": a, "energy": energy})
-        if which == 1:
-            grid, pot, meta = figdata.xi_potential_curve(a, energy)
-            header, col = ["xi", "potential"], grid
-        else:
-            grid, pot, meta = figdata.phi_potential_curve(a, energy)
-            header, col = ["phi", "potential"], grid
+        curve = (figdata.xi_potential_curve if which == 1
+                 else figdata.phi_potential_curve)
+        grid, pot, meta = curve(a, energy)
         csv_path = out / f"fig{which}_{key}.csv"
-        write_csv(csv_path, header, [col, pot])
+        write_csv(csv_path, ["xi" if which == 1 else "phi", "potential"],
+                  [grid, pot])
         meta_doc = {"command": f"figs {which}", "a": a, "energy": energy,
                     **meta, "csv": csv_path.name}
         json_path = out / f"fig{which}_{key}.json"
@@ -414,7 +398,7 @@ def cmd_figs(args) -> int:
         _emit(args, meta_doc, [f"wrote {csv_path}", f"wrote {json_path}"])
         return EXIT_OK
 
-    beta = _float(args.beta, "--beta") if args.beta is not None else 1.0 / 7.0
+    beta = args.beta
     if which == 3:
         key = _param_hash({"cmd": "figs3", "a": a, "beta": beta})
         tracks = figdata.orbit_family_portrait(beta=beta, q=1, a=a)
@@ -430,121 +414,157 @@ def cmd_figs(args) -> int:
         _emit(args, doc, [f"wrote {len(files)} orbit files and {json_path}"])
         return EXIT_OK
 
-    if which in (4, 5, 6):
-        q = Fraction(1) if which == 4 else Fraction(2)
-        key = _param_hash({"cmd": f"figs{which}", "a": a, "beta": beta,
-                           "q": str(q)})
-        tracks = figdata.orbit_bundle_through(q=q, beta=beta, a=a)
-        crossings = []
-        for tr in tracks:
-            crossings.extend(figdata.polyline_self_intersections(tr.x, tr.y))
-        window = None
-        if which == 6:
-            if not crossings:
-                raise StructuralError("no self-intersections found to enlarge")
-            cx = np.array([p[0] for p in crossings])
-            cy = np.array([p[1] for p in crossings])
-            pad = 0.35
-            window = (float(cx.min() - pad), float(cx.max() + pad),
-                      float(cy.min() - pad), float(cy.max() + pad))
-        files = []
-        for tr in tracks:
-            path = out / f"fig{which}_{key}_{tr.name}.csv"
-            write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
-            files.append(path.name)
-        doc = {"command": f"figs {which}", "a": a, "beta": beta, "q": str(q),
-               "orbits": files,
-               "self_intersections": [[p[0], p[1]] for p in sorted(crossings)]}
-        if window is not None:
-            doc["window"] = list(window)
-        json_path = out / f"fig{which}_{key}.json"
-        write_json(json_path, doc)
-        _emit(args, doc,
-              [f"wrote {len(files)} orbit files and {json_path}",
-               f"self-intersections: {len(crossings)}"])
-        return EXIT_OK
-    raise DomainError(f"figure index must be 1..6, got {which}")
+    q = Fraction(1) if which == 4 else Fraction(2)
+    key = _param_hash({"cmd": f"figs{which}", "a": a, "beta": beta,
+                       "q": str(q)})
+    tracks = figdata.orbit_bundle_through(q=q, beta=beta, a=a)
+    crossings = []
+    for tr in tracks:
+        crossings.extend(figdata.polyline_self_intersections(tr.x, tr.y))
+    window = None
+    if which == 6:
+        if not crossings:
+            raise StructuralError("no self-intersections found to enlarge")
+        cx, cy = [p[0] for p in crossings], [p[1] for p in crossings]
+        pad = 0.35
+        window = (float(min(cx) - pad), float(max(cx) + pad),
+                  float(min(cy) - pad), float(max(cy) + pad))
+    files = []
+    for tr in tracks:
+        path = out / f"fig{which}_{key}_{tr.name}.csv"
+        write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
+        files.append(path.name)
+    doc = {"command": f"figs {which}", "a": a, "beta": beta, "q": str(q),
+           "orbits": files,
+           "self_intersections": [[p[0], p[1]] for p in sorted(crossings)]}
+    if window is not None:
+        doc["window"] = list(window)
+    json_path = out / f"fig{which}_{key}.json"
+    write_json(json_path, doc)
+    _emit(args, doc,
+          [f"wrote {len(files)} orbit files and {json_path}",
+           f"self-intersections: {len(crossings)}"])
+    return EXIT_OK
 
 
 def cmd_integrate(args) -> int:
-    import numpy as np
-
     from .dynamics import integrate, trajectory_to_csv, trajectory_to_json
-    a = _float(args.a, "--a")
-    tol = _float(args.tol, "--tol")
-    if args.beta is None:
-        raise DomainError("--beta is required for integrate")
-    beta = _float(args.beta, "--beta")
+    a, beta, tol, eps = args.a, args.beta, args.tol, args.eps
     if args.q is not None:
-        sol = solve_resonant_a1(beta, _frac(args.q), a, tol)
-        a1 = sol.a1_hat
-        q = sol.q
-    elif args.a1 is not None:
-        a1 = _float(args.a1, "--a1")
-        q = Fraction(1)
+        sol = solve_resonant_a1(beta, args.q, a, tol)
+        a1, q = sol.a1_hat, sol.q
     else:
-        raise DomainError("pass either --a1 or --q")
-    eps = _float(args.eps, "--eps") if args.eps is not None else 0.0
-    centre = None
-    if (getattr(args, "centre_xy", None) is not None
-            or getattr(args, "centre_elliptic", None) is not None):
-        centre = _resolve_centre(args)
-        if isinstance(centre, EllipticPoint):
-            centre = elliptic_to_cartesian(centre)
+        a1, q = args.a1, Fraction(1)
+    centre = _centre(args)
+    if isinstance(centre, EllipticPoint):
+        centre = elliptic_to_cartesian(centre)
     prm = Params(a=a, beta=beta, a1=a1, q=q, eps=eps, centre=centre)
-    if args.state is None:
-        raise DomainError("--state xi,phi,xi_prime,phi_prime is required")
-    parts = [_float(p, "--state") for p in str(args.state).split(",")]
-    if len(parts) != 4:
-        raise DomainError("--state needs exactly 4 components")
-    tau_end = _float(args.tau_end, "--tau-end")
-    traj = integrate(np.array(parts), prm, tau_end, tol=tol)
+    traj = integrate(args.state, prm, args.tau_end, tol=tol)
     out = _out_dir(args)
     key = _param_hash({"cmd": "integrate", "a": a, "beta": beta, "a1": a1,
-                       "eps": eps, "state": parts, "tau_end": tau_end,
-                       "tol": tol})
+                       "eps": eps, "centre": str(centre), "state": args.state,
+                       "tau_end": args.tau_end, "tol": tol})
     csv_path = out / f"trajectory_{key}.csv"
     json_path = out / f"trajectory_{key}.json"
     trajectory_to_csv(traj, csv_path)
     trajectory_to_json(traj, json_path)
     doc = {"command": "integrate", "energy_drift": traj.energy_drift,
-           "tau_end": tau_end, "csv": str(csv_path), "json": str(json_path)}
+           "tau_end": args.tau_end, "csv": str(csv_path),
+           "json": str(json_path)}
     _emit(args, doc, [f"wrote {csv_path}", f"wrote {json_path}",
                       f"energy drift = {traj.energy_drift:.3e}"])
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# parser
+# declarations
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "a": dict(default=None, help="primary intensity (default 1)"),
-        "beta": dict(default=None, help="energy-ratio parameter in [0, 1)"),
-        "energy": dict(default=None, help="total energy E < 0"),
-        "q": dict(default=None, help="resonance class m/n"),
-        "a1": dict(default=None, help="separation parameter a1"),
-        "classes": dict(default=None, help="comma-separated class list"),
-        "centre-xy": dict(default=None, dest="centre_xy",
-                          help="perturbing centre as x,y"),
-        "centre-elliptic": dict(default=None, dest="centre_elliptic",
-                                help="perturbing centre as xi,phi"),
-        "eps": dict(default=None, help="third-centre intensity (list for shadow)"),
-        "tol": dict(default=None,
-                    help="solver/integration tolerance (default 1e-12)"),
-        "delta": dict(default=None,
-                      help="safety margin in ratio units (default 1e-4)"),
-        "state": dict(default=None, help="initial state xi,phi,xi',phi'"),
-        "tau-end": dict(default=None, dest="tau_end",
-                        help="integration span in rescaled time"),
-        "out": dict(default=None, help="output directory"),
-        "config": dict(default=None, help="key = value config file"),
-    }
-    for name in names:
-        kw = dict(spec[name])
-        p.add_argument(f"--{name}", **kw)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output on stdout")
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    options: tuple                 # in --help order
+    required: tuple = ()
+    exactly_one: tuple = ()        # groups of options
+    at_most_one: tuple = ()
+    parse: dict = {}               # parsers that replace _OPTIONS' here
+
+
+_BETA_OR_ENERGY = ("beta", "energy")
+_Q_OR_A1 = ("q", "a1")
+_CENTRE = ("centre_xy", "centre_elliptic")
+_RESONANCE = ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "tol", "delta")
+
+_COMMANDS = {
+    "periods": _Command(cmd_periods, "closed-form periods at (beta, a1 | q)",
+                        ("a", "beta", "a1", "q", "tol"), required=("beta",),
+                        exactly_one=(_Q_OR_A1,)),
+    "solve": _Command(cmd_solve, "resonance solve for a1_hat or beta",
+                      _RESONANCE, required=("q",),
+                      exactly_one=(_BETA_OR_ENERGY,), at_most_one=(_CENTRE,)),
+    "check": _Command(cmd_check, "primary-collision exclusion verdict",
+                      _RESONANCE, exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
+    "arcs": _Command(cmd_arcs, "build and export a 4-arc family",
+                     (*_RESONANCE, "out"),
+                     exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
+    "chains": _Command(cmd_chains, "alphabet, graph, counts and entropy",
+                       ("a", *_BETA_OR_ENERGY, "classes", *_CENTRE, "tol",
+                        "delta", "out"), required=("classes",),
+                       exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
+    "shadow": _Command(cmd_shadow, "eps-sweep shadowing experiments",
+                       ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "eps", "tol",
+                        "delta", "out"), required=("eps",),
+                       exactly_one=(_BETA_OR_ENERGY, _CENTRE),
+                       parse={"eps": _list(float)}),
+    "figs": _Command(cmd_figs, "emit the data behind figure N",
+                     ("a", *_BETA_OR_ENERGY, "out")),
+    "integrate": _Command(cmd_integrate, "integrate one trajectory to CSV/JSON",
+                          ("a", "beta", "a1", "q", "eps", *_CENTRE, "state",
+                           "tau_end", "tol", "out"),
+                          required=("beta", "state", "tau_end"),
+                          exactly_one=(_Q_OR_A1,), at_most_one=(_CENTRE,)),
+}
+
+
+def _prepare(args) -> None:
+    """Merge --config into the flags (flags win), enforce the subcommand's
+    declaration, fill the defaults and parse every value once, in place."""
+    cmd, values, label = _COMMANDS[args.command], vars(args), args.command
+    if args.config:
+        for name, text in _load_config(args.config).items():
+            if name in cmd.options and values[name] is None:
+                values[name] = text
+    unused = set()
+    if label == "figs":
+        if args.which not in _FIGURE_PARAMETER:
+            raise DomainError(f"figure index must be 1..6, got {args.which}")
+        label = f"figs {args.which}"
+        unused = set(_BETA_OR_ENERGY) - {_FIGURE_PARAMETER[args.which]}
+    given = {name for name in cmd.options if values[name] is not None}
+    for name in sorted(given & unused):
+        raise DomainError(f"{label} takes no {_flag(name)}")
+    for name in cmd.required:
+        if name not in given:
+            raise DomainError(f"{_flag(name)} is required for {label}")
+    for group in cmd.exactly_one:
+        if len(given.intersection(group)) != 1:
+            raise DomainError(f"{label} takes exactly one of "
+                              + " / ".join(map(_flag, group)))
+    for group in cmd.at_most_one:
+        if len(given.intersection(group)) > 1:
+            raise DomainError(f"{label} takes at most one of "
+                              + " / ".join(map(_flag, group)))
+    fixed = unused.union(cmd.required, *cmd.exactly_one, *cmd.at_most_one)
+    for name in cmd.options:
+        text = values[name]
+        if text is None and name not in fixed:
+            text = _OPTIONS[name].default
+        if text is None:
+            continue
+        try:
+            values[name] = cmd.parse.get(name, _OPTIONS[name].parse)(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(
+                f"cannot parse {_flag(name)}={text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,54 +573,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collision arcs, chain dynamics and shadowing"
                     " experiments for the planar restricted 3-centre problem")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("periods", help="closed-form periods at (beta, a1 | q)")
-    _add_common(p, "a", "beta", "a1", "q", "tol", "config")
-    p.set_defaults(func=cmd_periods)
-
-    p = sub.add_parser("solve", help="resonance solve for a1_hat or beta")
-    _add_common(p, "a", "beta", "energy", "q", "centre-xy",
-                "centre-elliptic", "tol", "delta", "config")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("check", help="primary-collision exclusion verdict")
-    _add_common(p, "a", "beta", "energy", "q", "centre-xy",
-                "centre-elliptic", "tol", "delta", "config")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("arcs", help="build and export a 4-arc family")
-    _add_common(p, "a", "beta", "energy", "q", "centre-xy",
-                "centre-elliptic", "tol", "delta", "out", "config")
-    p.set_defaults(func=cmd_arcs)
-
-    p = sub.add_parser("chains", help="alphabet, graph, counts and entropy")
-    _add_common(p, "a", "beta", "energy", "classes", "centre-xy",
-                "centre-elliptic", "tol", "delta", "out", "config")
-    p.set_defaults(func=cmd_chains)
-
-    p = sub.add_parser("shadow", help="eps-sweep shadowing experiments")
-    _add_common(p, "a", "beta", "energy", "q", "centre-xy",
-                "centre-elliptic", "eps", "tol", "delta", "out", "config")
-    p.set_defaults(func=cmd_shadow)
-
-    p = sub.add_parser("figs", help="emit the data behind figure N")
-    p.add_argument("which", type=int, help="figure index 1..6")
-    _add_common(p, "a", "beta", "energy", "out", "config")
-    p.set_defaults(func=cmd_figs)
-
-    p = sub.add_parser("integrate", help="integrate one trajectory to CSV/JSON")
-    _add_common(p, "a", "beta", "a1", "q", "eps", "centre-xy",
-                "centre-elliptic", "state", "tau-end", "tol", "out", "config")
-    p.set_defaults(func=cmd_integrate)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if name == "figs":
+            p.add_argument("which", type=int, help="figure index 1..6")
+        for option in cmd.options:
+            p.add_argument(_flag(option), help=_OPTIONS[option].help)
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output on stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
-        return args.func(args)
+        _prepare(args)
+        return _COMMANDS[args.command].run(args)
     except UnsafeCentreError as exc:
         print(f"error (unsafe centre): {exc}", file=sys.stderr)
         return EXIT_UNSAFE

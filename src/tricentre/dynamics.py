@@ -302,11 +302,21 @@ def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
     records = []
     for spec in specs:
         g = spec.g(grid, prm)
-        sign_flip = (g[:, :-1] * g[:, 1:]) < 0.0
-        steps, cells = np.nonzero(sign_flip)
-        for i, j in zip(steps, cells):
-            ta, tb = tau_grid[i, j], tau_grid[i, j + 1]
-            ga, gb = g[i, j], g[i, j + 1]
+        steps, cells = np.nonzero((g[:, :-1] * g[:, 1:]) < 0.0)
+        brackets = [(i, tau_grid[i, j], tau_grid[i, j + 1], g[i, j], g[i, j + 1])
+                    for i, j in zip(steps, cells)]
+        # A root exactly on scan points flips no cell: bracket it with zero
+        # width at the last zero of each run whose neighbours differ in sign.
+        flat, taus = g.ravel(), tau_grid.ravel()
+        zeros = np.flatnonzero(flat == 0.0)
+        nonzero = np.flatnonzero(flat) if zeros.size else zeros
+        for k in zeros:
+            pos = np.searchsorted(nonzero, k)
+            if 0 < pos < nonzero.size and nonzero[pos] == k + 1:
+                ga, gb = flat[nonzero[pos - 1]], flat[k + 1]
+                if ga * gb < 0.0:
+                    brackets.append((k // g.shape[1], taus[k], taus[k], ga, gb))
+        for i, ta, tb, ga, gb in brackets:
             direction = 1 if gb > ga else -1
             if spec.direction != 0 and direction != spec.direction:
                 continue

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -126,7 +127,8 @@ class TestFigs:
             assert x0 <= px <= x1 and y0 <= py <= y1
 
     def test_bad_index(self, capsys, tmp_path):
-        assert main(["figs", "7", "--out", str(tmp_path)]) == 2
+        assert main(["figs", "7", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:
@@ -183,6 +185,14 @@ class TestIntegrate:
                           "t_physical", "x", "y"]
         assert doc["energy_drift"] <= 1e-9
 
+    def test_file_names_carry_the_centre(self, capsys, tmp_path):
+        argv = ["integrate", "--beta", "0.142857", "--q", "1", "--eps", "1e-3",
+                "--state", "0,0.3,1.2,1.1", "--tau-end", "1",
+                "--out", str(tmp_path)]
+        for centre in ("0,1.5", "0.5,1.5"):
+            assert main(argv + ["--centre-xy", centre]) == 0
+        assert len(list(tmp_path.iterdir())) == 4
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
@@ -231,6 +241,20 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads(out)["delta"] == 1e-3
 
+    def test_key_of_another_command_is_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("classes = 1,2\ntau-end = 3\nbeta = 0.0\na1 = 0.25\n")
+        rc, out = run(capsys, ["periods", "--config", str(cfg), "--json"])
+        assert rc == 0
+        assert json.loads(out)["t2"] == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+    def test_key_counts_like_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("energy = -0.05\n")
+        assert main(["solve", "--q", "1", "--beta", "0.3",
+                     "--config", str(cfg)]) == 2
+        assert "--energy" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("argv", [
     ["check", "--centre-xy", "a,b", "--q", "1", "--beta", "0.1"],
@@ -242,3 +266,60 @@ class TestConfigFile:
 def test_malformed_number_is_a_domain_error(capsys, argv):
     assert main(argv) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["solve", "--q", "1", "--beta", "0.3", "--energy", "-0.05"],
+     ["--beta", "--energy"]),
+    (["check", "--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857",
+      "--energy", "-0.05"], ["--beta", "--energy"]),
+    (["chains", "--centre-xy", "1.18,0", "--classes", "1,2", "--beta", "0.1",
+      "--energy", "-0.05", "--out", "{out}"], ["--beta", "--energy"]),
+    (["periods", "--beta", "0.2", "--q", "1", "--a1", "0.3"], ["--q", "--a1"]),
+    (["integrate", "--beta", "0.2", "--q", "1", "--a1", "0.3",
+      "--state", "0,0.3,1.2,1.1", "--tau-end", "1", "--out", "{out}"],
+     ["--q", "--a1"]),
+    (["check", "--centre-elliptic", "2.58,0", "--centre-xy", "3,3",
+      "--q", "1", "--beta", "0.142857"], ["--centre-xy", "--centre-elliptic"]),
+    (["solve", "--q", "1", "--beta", "0.3", "--centre-elliptic", "2.58,0",
+      "--centre-xy", "3,3"], ["--centre-xy", "--centre-elliptic"]),
+    (["figs", "1", "--beta", "0.3", "--out", "{out}"], ["--beta"]),
+    (["figs", "1", "--beta", "nonsense", "--out", "{out}"], ["--beta"]),
+    (["figs", "3", "--energy", "-0.5", "--out", "{out}"], ["--energy"]),
+    (["shadow", "--centre-elliptic", "2.58,0", "--q", "1", "--beta",
+      "0.142857", "--eps", ",", "--out", "{out}"], ["--eps"]),
+    (["periods", "--beta", "0.2", "--a1", "0.3", "--config", "{cfg}"],
+     ["'tolerance'"]),
+], ids=["solve-beta-energy", "check-beta-energy", "chains-beta-energy",
+        "periods-q-a1", "integrate-q-a1", "check-two-centres",
+        "solve-two-centres", "figs1-beta", "figs1-bad-beta", "figs3-energy",
+        "shadow-empty-eps", "config-unknown-key"])
+def test_unused_or_conflicting_input_is_refused(capsys, tmp_path, argv, names):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 0\n")
+    out = tmp_path / "out"
+    argv = [a.format(out=out, cfg=cfg) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The command lines of the README's CLI block, without `tricentre`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("tricentre ")]
+    assert commands, "no command lines in the README CLI block"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_runs(capsys, tmp_path, argv):
+    argv = [str(tmp_path) if prev == "--out" else arg
+            for prev, arg in zip([None] + argv, argv)]
+    assert main(argv) == 0

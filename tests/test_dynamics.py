@@ -321,6 +321,34 @@ class TestTruncation:
         assert all(sign * (e.tau - t) > 0.0 for e in traj.events[kept:])
 
 
+class TestRootOnScanPoint:
+    """A root where g is exactly zero on a scan point flips no scan cell."""
+
+    def test_crossing_value_taken_from_a_sample(self, spans):
+        y0, prm = separated_state(0.2, 0.3), Params(beta=0.2, a1=0.3)
+        v = spans[5.0].states[40, 0]
+        taus = [round(e.tau, 12) for e in
+                integrate(y0, prm, 5.0, events=[XiCrossing(v)]).events]
+        assert taus == [1.015872104866, 1.832799704184]
+        rising = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=1)])
+        assert [round(e.tau, 12) for e in rising.events] == [1.015872104866]
+        assert rising.events[0].state[0] == v
+        falling = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=-1)])
+        assert [round(e.tau, 12) for e in falling.events] == [1.832799704184]
+
+    @given(end=st.sampled_from([5.0, -5.0]), where=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_every_sample_crossing_is_reported_once(self, spans, end, where):
+        traj = spans[end]
+        i = 1 + int(where * (len(traj.taus) - 3))
+        assume(abs(traj.states[i, 2]) > 0.1)  # a crossing, not a turning point
+        run = integrate(separated_state(0.2, 0.3), traj.params, end,
+                        events=[XiCrossing(traj.states[i, 0])])
+        near = [e.tau for e in run.events if abs(e.tau - traj.taus[i]) < 1e-6]
+        assert len(near) == 1
+        assert abs(near[0] - traj.taus[i]) <= 1e-11  # refinement tolerance
+
+
 class TestExport(object):
     def test_csv_columns_and_json_events(self, tmp_path):
         beta, a1 = 0.2, 0.3
