@@ -40,8 +40,7 @@ _EXPORTS = {
                 "period_xi", "resonance_residual", "solve_beta_for_energy",
                 "solve_resonant_a1", "turning_point_xi"),
     "shadow": ("ShadowResult", "local_expansion_rate", "shoot_segment"),
-    "special": ("QuadratureResult", "adaptive_quadrature",
-                "complete_elliptic_k"),
+    "special": ("complete_elliptic_k",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

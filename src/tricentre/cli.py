@@ -487,6 +487,7 @@ class _Command(NamedTuple):
     exactly_one: tuple = ()        # groups of options
     at_most_one: tuple = ()
     parse: dict = {}               # parsers that replace _OPTIONS' here
+    needs: dict = {}               # option -> group it is used only with
 
 
 _BETA_OR_ENERGY = ("beta", "energy")
@@ -497,10 +498,11 @@ _RESONANCE = ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "tol", "delta")
 _COMMANDS = {
     "periods": _Command(cmd_periods, "closed-form periods at (beta, a1 | q)",
                         ("a", "beta", "a1", "q", "tol"), required=("beta",),
-                        exactly_one=(_Q_OR_A1,)),
+                        exactly_one=(_Q_OR_A1,), needs={"tol": ("q",)}),
     "solve": _Command(cmd_solve, "resonance solve for a1_hat or beta",
                       _RESONANCE, required=("q",),
-                      exactly_one=(_BETA_OR_ENERGY,), at_most_one=(_CENTRE,)),
+                      exactly_one=(_BETA_OR_ENERGY,), at_most_one=(_CENTRE,),
+                      needs={"delta": _CENTRE}),
     "check": _Command(cmd_check, "primary-collision exclusion verdict",
                       _RESONANCE, exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
     "arcs": _Command(cmd_arcs, "build and export a 4-arc family",
@@ -527,8 +529,10 @@ _COMMANDS = {
 
 def _prepare(args) -> None:
     """Merge --config into the flags (flags win), enforce the subcommand's
-    declaration, fill the defaults and parse every value once, in place."""
+    declaration, fill the defaults and parse every value once, in place.
+    A config key the given inputs leave unused is dropped, a flag refused."""
     cmd, values, label = _COMMANDS[args.command], vars(args), args.command
+    flags = {name for name in cmd.options if values[name] is not None}
     if args.config:
         for name, text in _load_config(args.config).items():
             if name in cmd.options and values[name] is None:
@@ -553,6 +557,12 @@ def _prepare(args) -> None:
         if len(given.intersection(group)) > 1:
             raise DomainError(f"{label} takes at most one of "
                               + " / ".join(map(_flag, group)))
+    for name, group in cmd.needs.items():
+        if name in given and not given.intersection(group):
+            if name in flags:
+                raise DomainError(f"{label} uses {_flag(name)} only with "
+                                  + " / ".join(map(_flag, group)))
+            values[name] = None  # a config key may serve other commands
     fixed = unused.union(cmd.required, *cmd.exactly_one, *cmd.at_most_one)
     for name in cmd.options:
         text = values[name]

@@ -2,7 +2,10 @@
 
 The exclusion test decides from closed forms alone whether the periodic
 orbit through the centre C can hit a primary: the finite ratio set S of
-a class q against the two travel-time ratios G+- of C.  With the
+a class q against the two travel-time ratios G+- of C.  Both travel times
+are incomplete elliptic integrals F (through Carlson's R_F), so a cell
+costs no quadrature and, the resonance solve being memoised, no root
+search after the first cell of its (beta, q).  With the
 finite-difference nondegeneracy certificate and the beta search that
 `solve` runs, it makes up the math-only layer behind the `periods`,
 `solve` and `check` commands; nothing here imports numpy.  `arcs` builds
@@ -20,7 +23,7 @@ from .geometry import EllipticPoint, elliptic_to_cartesian
 from .params import Params
 from .periods import (ResonanceSolution, period_xi, resonance_residual,
                       solve_resonant_a1, turning_point_xi)
-from .special import adaptive_quadrature
+from .special import incomplete_elliptic_f
 
 __all__ = [
     "resonant_params", "SafetyReport", "primary_collision_ratios",
@@ -91,17 +94,16 @@ class SafetyReport:
     min_separation: float   # distance from {G+, G-} to the nearest S element
     nearest: Fraction
     delta: float
-    quad_evaluations: int = 0  # integrand evaluations of the two travel times
 
 
-def primary_collision_check(prm: Params, delta: float = 1e-4,
-                            quad_tol: float = 1e-12) -> SafetyReport:
+def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     """Evaluate the exclusion ratios G+- and compare against the set S.
 
     G+- = (P +- Q) / T1 with P the phi travel time from the primary axis to
     phi0 and Q the xi travel time from the hyperbola axis to xi0, both for
     the resonant parameters carried by prm.  A centre is reported safe when
-    both ratios stay further than delta from every element of S.
+    both ratios stay further than delta from every element of S.  A centre
+    beyond the turning ellipse has no xi travel time (AccuracyError).
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
@@ -109,23 +111,22 @@ def primary_collision_check(prm: Params, delta: float = 1e-4,
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
     ba1 = beta * a1
-
-    def phi_integrand(phi):
-        return 1.0 / math.sqrt(ba1 * math.cos(phi) ** 2 + a1)
-
-    def xi_integrand(xi):
-        ch = math.cosh(xi)
-        r = ch - ba1 * ch ** 2 - a1
-        if r <= 0.0:
-            raise AccuracyError(
-                f"xi travel-time integrand singular at xi={xi:.6g}"
-                " (centre too close to the turning ellipse)")
-        return 1.0 / math.sqrt(r)
-
-    pref = 0.5 / math.sqrt(a)
-    p_quad = adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol)
-    q_quad = adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol)
-    p_val, q_val = pref * p_quad.value, pref * q_quad.value
+    # P = (1/(2 sqrt a)) int_0^phi0 dphi / sqrt(a1 + beta a1 cos^2 phi)
+    p_val = (incomplete_elliptic_f(phi0, beta / (1.0 + beta))
+             / (2.0 * math.sqrt(a * a1 * (1.0 + beta))))
+    # Q = (1/(2 sqrt a)) int_0^xi0 dxi / sqrt(cosh xi - beta a1 cosh^2 xi - a1);
+    # t = tanh(xi/2) makes it int 2 dt / sqrt(c + b t^2 - A t^4), whose
+    # quadratic in u = t^2 has the roots u- < 0 < u+ = tanh^2(xi_plus/2)
+    c, b, big_a = 1.0 - ba1 - a1, 2.0 * a1 * (1.0 - beta), 1.0 + ba1 + a1
+    root = math.sqrt(b * b + 4.0 * big_a * c)
+    u_plus, u_minus = (b + root) / (2.0 * big_a), -2.0 * c / (b + root)
+    ratio = math.tanh(0.5 * abs(xi0)) / math.sqrt(u_plus)
+    if ratio > 1.0:
+        raise AccuracyError(
+            f"centre at xi={xi0:.6g} lies beyond the turning ellipse"
+            f" (tanh(|xi|/2) / tanh(xi_plus/2) = {ratio:.6g}): no xi travel time")
+    q_val = math.copysign(incomplete_elliptic_f(math.asin(ratio), u_plus / u_minus)
+                          / math.sqrt(-u_minus * a * big_a), xi0)
     t1 = period_xi(beta, a1, a)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1
@@ -138,8 +139,7 @@ def primary_collision_check(prm: Params, delta: float = 1e-4,
             if d < best:
                 best, nearest = d, s
     return SafetyReport(g_plus=g_plus, g_minus=g_minus, safe=best > delta,
-                        min_separation=best, nearest=nearest, delta=delta,
-                        quad_evaluations=p_quad.evaluations + q_quad.evaluations)
+                        min_separation=best, nearest=nearest, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,28 @@ def resonance_residual(beta: float, a1: float, q, a: float = 1.0) -> float:
     return _residual_in_a1(beta, q, a)(a1)
 
 
+_SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps
+
+
+def _memoised(solve):
+    """solve behind a bounded LRU cache; `cache_info()` reports its use.
+
+    A hit returns what a fresh solve returns: typed=True keeps int and
+    float arguments apart, and the sign of beta joins the key because
+    -0.0 == 0.0 share a hash.  A call that raises is not cached.
+    """
+    @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE, typed=True)
+    def cached(sign, beta, *args, **kwargs):
+        return solve(beta, *args, **kwargs)
+
+    @functools.wraps(solve)
+    def memoised(beta, *args, **kwargs):
+        return cached(math.copysign(1.0, beta), beta, *args, **kwargs)
+    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+    return memoised
+
+
+@_memoised
 def solve_resonant_a1(beta: float, q, a: float = 1.0,
                       tol: float = 1e-12) -> ResonanceSolution:
     """Unique a1_hat(beta, q) with q*T1 = T2, by bisection + secant.
@@ -141,6 +163,7 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0,
     change bracket is guaranteed in exact arithmetic.  For extreme classes
     the root can sit closer to a boundary than double precision resolves;
     the solution is then clamped to the representable edge and flagged.
+    Solutions are memoised per argument tuple (see _memoised).
     """
     q = Fraction(q)
     if q <= 0:

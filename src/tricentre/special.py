@@ -1,26 +1,18 @@
-"""Complete elliptic integral of the first kind and adaptive quadrature.
+"""Complete and incomplete elliptic integrals of the first kind, math only.
 
 Every closed-form period formula in the library funnels through
-:func:`complete_elliptic_k`; the travel-time integrals used by the
-primary-collision exclusion test go through :func:`adaptive_quadrature`.
+:func:`complete_elliptic_k` (the AGM); the travel times of the
+primary-collision exclusion test go through :func:`incomplete_elliptic_f`,
+which evaluates Carlson's symmetric integral R_F by duplication
+(B. C. Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.1).
 """
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
-__all__ = ["QuadratureResult", "complete_elliptic_k", "adaptive_quadrature"]
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float  # absolute
-    evaluations: int
+__all__ = ["complete_elliptic_k", "incomplete_elliptic_f"]
 
 
 def complete_elliptic_k(m: float) -> float:
@@ -43,86 +35,53 @@ def complete_elliptic_k(m: float) -> float:
     return math.pi / (a + b)
 
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1].
-_XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-)
-_WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_WG = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-)
+# Duplication stops once every normalized difference is below
+# (3 * 2^-53)^(1/8), where the series' first omitted (8th-order) term is
+# under double-precision rounding.
+_RF_SCALE = (3.0 * 2.0 ** -53) ** (-1.0 / 8.0)
 
 
-def _gauss_kronrod(f: Callable[[float], float], lo: float, hi: float):
-    """One G7/K15 panel; returns (kronrod, |kronrod - gauss|)."""
-    centre = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(centre)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for j in range(7):
-        x = half * _XGK[j]
-        fsum = f(centre - x) + f(centre + x)
-        kron += _WGK[j] * fsum
-        if j % 2 == 1:
-            gauss += _WG[(j - 1) // 2] * fsum
-    return half * kron, half * abs(kron - gauss)
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) for x, y, z >= 0 with at most one zero.
 
-
-def adaptive_quadrature(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_intervals: int = 4096,
-) -> QuadratureResult:
-    """Globally adaptive Gauss-Kronrod integration of f over [lo, hi].
-
-    Bisects the panel with the worst error estimate until the summed
-    estimate drops below max(tol, tol * |value|).  Raises AccuracyError
-    (carrying the best estimate) if the interval budget runs out first.
+    Each duplication step quarters the spread of (x, y, z) about their
+    mean; the remainder is the degree-7 series of DLMF 19.36.1.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if lo == hi:
-        return QuadratureResult(0.0, 0.0, 1)
-    sign = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
+    mean0 = (x + y + z) / 3.0
+    dx, dy = mean0 - x, mean0 - y
+    spread = _RF_SCALE * max(abs(dx), abs(dy), abs(mean0 - z))
+    mean, shrink = mean0, 1.0
+    while spread * shrink >= abs(mean):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mean = 0.25 * (mean + lam)
+        shrink *= 0.25
+    dx, dy = dx * shrink / mean, dy * shrink / mean
+    dz = -dx - dy
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1.0 + e3 * (1.0 / 14.0 + 3.0 * e3 / 104.0)
+            + e2 * (-0.1 + e2 / 24.0 - 3.0 * e3 / 44.0 - 5.0 * e2 * e2 / 208.0
+                    + e2 * e3 / 16.0)) / math.sqrt(mean)
 
-    val, err = _gauss_kronrod(f, lo, hi)
-    evals = 15
-    # heap of (-err, lo, hi, val, err); worst panel first
-    heap = [(-err, lo, hi, val, err)]
-    total_val, total_err = val, err
-    while total_err > max(tol, tol * abs(total_val)):
-        if len(heap) >= max_intervals:
-            raise AccuracyError(
-                f"quadrature did not converge within {max_intervals} panels"
-                f" (error estimate {total_err:.3e})",
-                best_estimate=QuadratureResult(sign * total_val, total_err, evals),
-            )
-        _, a, b, v, e = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # interval at float resolution
-            raise AccuracyError(
-                "quadrature interval collapsed before reaching tolerance"
-                f" (error estimate {total_err:.3e})",
-                best_estimate=QuadratureResult(sign * total_val, total_err, evals),
-            )
-        v1, e1 = _gauss_kronrod(f, a, mid)
-        v2, e2 = _gauss_kronrod(f, mid, b)
-        evals += 30
-        total_val += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, a, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, b, v2, e2))
-    return QuadratureResult(sign * total_val, total_err, evals)
+
+def incomplete_elliptic_f(phi: float, m: float) -> float:
+    """F(phi | m) = integral_0^phi dt / sqrt(1 - m sin^2 t), for real phi
+    and every m < 1 (negative m included).
+
+    For |phi| <= pi/2, F = sin(phi) * R_F(cos^2 phi, 1 - m sin^2 phi, 1);
+    any other phi is first reduced by F(phi + n*pi) = F(phi) + 2n*K(m),
+    with K(m) = K(m/(m - 1)) / sqrt(1 - m) for m < 0 (DLMF 19.7.2).
+    """
+    if not (-math.inf < m < 1.0 and math.isfinite(phi)):
+        raise DomainError(f"incomplete_elliptic_f requires finite phi and m < 1,"
+                          f" got phi={phi!r}, m={m!r}")
+    n = round(phi / math.pi)
+    phi -= n * math.pi
+    s, c = math.sin(phi), math.cos(phi)
+    f = s * _carlson_rf(c * c, 1.0 - m * s * s, 1.0)
+    if n:
+        k = (complete_elliptic_k(m) if m >= 0.0
+             else complete_elliptic_k(m / (m - 1.0)) / math.sqrt(1.0 - m))
+        f += 2 * n * k
+    return f

@@ -12,6 +12,13 @@ from tricentre.periods import solve_resonant_a1, turning_point_xi
 BETA_REF = 1.0 / 7.0
 
 
+@pytest.fixture(autouse=True)
+def _fresh_solve_cache():
+    """Every test starts with an empty resonance cache, so that call and
+    cache counts do not depend on which tests ran before."""
+    solve_resonant_a1.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def q1_solution():
     return solve_resonant_a1(BETA_REF, 1)

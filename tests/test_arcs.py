@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BETA_REF, primary_visit_times
+from quadrature_reference import adaptive_quadrature
 from tricentre import exclusion
 from tricentre.arcs import (arc_family, build_arc, find_admissible_beta,
                             initial_velocities, nondegeneracy_certificate,
@@ -17,7 +18,6 @@ from tricentre.errors import (AccuracyError, DomainError, PlacementError,
                              UnsafeCentreError)
 from tricentre.geometry import EllipticPoint, elliptic_to_cartesian
 from tricentre.periods import period_xi, solve_resonant_a1, turning_point_xi
-from tricentre.special import adaptive_quadrature
 
 F = Fraction
 
@@ -304,9 +304,10 @@ EXCLUSION_CLASSES = (F(1), F(2), F(3), F(1, 2), F(3, 2))
 
 
 def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
-    """The exclusion test written out directly: the integrands recompute
-    beta*a1 and cosh(xi), and the scan runs over a freshly built ratio set
-    in its iteration order, converting each element with float(s)."""
+    """The exclusion test written out directly: adaptive quadrature of the
+    two travel-time integrands (how `primary_collision_check` computed them
+    before the closed form), and a scan over a freshly built ratio set in
+    its iteration order, converting each element with float(s)."""
     beta, a1, a = prm.beta, prm.a1, prm.a
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
@@ -332,12 +333,17 @@ def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
             d = abs(g - float(s))
             if d < best:
                 best, nearest = d, s
-    return g_plus.hex(), g_minus.hex(), best > delta, best.hex(), nearest
+    return g_plus, g_minus, best > delta, best, nearest
 
 
-def _report_tuple(report):
-    return (report.g_plus.hex(), report.g_minus.hex(), report.safe,
-            report.min_separation.hex(), report.nearest)
+def _assert_matches_reference(report, prm, tol):
+    """G+- and the separation within tol of the quadrature oracle; the
+    verdict and the nearest element equal to its own."""
+    g_plus, g_minus, safe, best, nearest = _reference_check(prm)
+    assert abs(report.g_plus - g_plus) <= tol
+    assert abs(report.g_minus - g_minus) <= tol
+    assert abs(report.min_separation - best) <= tol
+    assert (report.safe, report.nearest) == (safe, nearest)
 
 
 def _centre_params(q, beta, u, phi0):
@@ -345,6 +351,29 @@ def _centre_params(q, beta, u, phi0):
     xi0 = u * turning_point_xi(beta, sol.a1_hat)
     prm, _ = resonant_params(EllipticPoint(xi0, phi0), q, beta)
     return prm
+
+
+def _mpmath_ratios(prm):
+    """G+- from 40-digit quadrature of the defining integrals and a
+    40-digit T1, at the exact float parameters of prm."""
+    import mpmath
+    with mpmath.workdps(40):
+        beta, a1, a = (mpmath.mpf(v) for v in (prm.beta, prm.a1, prm.a))
+        centre = prm.centre_elliptic
+        xi0, phi0 = mpmath.mpf(centre.xi), mpmath.mpf(centre.phi)
+        p_val = mpmath.quad(
+            lambda p: 1 / mpmath.sqrt(beta * a1 * mpmath.cos(p) ** 2 + a1),
+            mpmath.linspace(0, phi0, 5))
+        q_val = mpmath.quad(
+            lambda x: 1 / mpmath.sqrt(mpmath.cosh(x)
+                                      - beta * a1 * mpmath.cosh(x) ** 2 - a1),
+            [0, xi0])
+        disc = 1 - 4 * beta * a1 * a1
+        k1sq = (a1 * (1 - beta) + mpmath.sqrt(disc)) / (2 * mpmath.sqrt(disc))
+        t1 = 2 * mpmath.sqrt(2 / a) / disc ** mpmath.mpf(0.25) * mpmath.ellipk(k1sq)
+        pref = 1 / (2 * mpmath.sqrt(a))
+        return (float(pref * (p_val + q_val) / t1),
+                float(pref * (p_val - q_val) / t1))
 
 
 class TestExclusionOracle:
@@ -355,8 +384,7 @@ class TestExclusionOracle:
            phi0=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
     def test_matches_reference_scan(self, q, beta, u, phi0):
         prm = _centre_params(q, beta, u, phi0)
-        report = primary_collision_check(prm)
-        assert _report_tuple(report) == _reference_check(prm)
+        _assert_matches_reference(primary_collision_check(prm), prm, 1e-13)
 
     @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)], ids=str)
     def test_axis_tie_keeps_first_minimum(self, q):
@@ -368,20 +396,26 @@ class TestExclusionOracle:
         assert report.nearest != 0 and mirror in primary_collision_ratios(q)
         assert min(abs(report.g_plus - float(mirror)),
                    abs(report.g_minus - float(mirror))) == report.min_separation
-        assert _report_tuple(report) == _reference_check(prm)
+        _assert_matches_reference(report, prm, 1e-13)
 
-    def test_quad_evaluations(self, monkeypatch):
-        results = []
-        inner = exclusion.adaptive_quadrature
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=st.sampled_from(EXCLUSION_CLASSES),
+           beta=st.sampled_from((0.05, BETA_REF, 0.25, 0.6)),
+           u=st.floats(0.02, 0.999),
+           phi0=st.floats(-math.pi, math.pi))
+    def test_closed_form_matches_mpmath(self, q, beta, u, phi0):
+        prm = _centre_params(q, beta, u, phi0)
+        report = primary_collision_check(prm)
+        g_plus, g_minus = _mpmath_ratios(prm)
+        assert abs(report.g_plus - g_plus) <= 5e-15
+        assert abs(report.g_minus - g_minus) <= 5e-15
 
-        def recording(*args, **kwargs):
-            results.append(inner(*args, **kwargs))
-            return results[-1]
-        monkeypatch.setattr(exclusion, "adaptive_quadrature", recording)
-        report = primary_collision_check(_centre_params(F(1), BETA_REF, 0.4, 0.7))
-        assert len(results) == 2
-        assert report.quad_evaluations == sum(r.evaluations for r in results)
-        assert report.quad_evaluations >= 30
+    def test_beyond_turning_ellipse_has_no_travel_time(self):
+        with pytest.raises(AccuracyError, match="beyond the turning ellipse"):
+            primary_collision_check(_centre_params(F(1), BETA_REF, 1.01, 0.7))
+        report = primary_collision_check(
+            _centre_params(F(1), BETA_REF, 1.0 - 1e-9, 0.7))
+        assert math.isfinite(report.g_plus) and math.isfinite(report.g_minus)
 
 
 class TestRatioSetCache:

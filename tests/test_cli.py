@@ -60,6 +60,12 @@ class TestCheck:
         assert rc == 3
         assert "UNSAFE" in out
 
+    def test_centre_beyond_turning_ellipse_exit_four(self, capsys):
+        # xi_plus = 3.873 at (beta, q) = (0.142857, 1)
+        assert main(["check", "--centre-elliptic", "4.5,0.7", "--q", "1",
+                     "--beta", "0.142857"]) == 4
+        assert "beyond the turning ellipse" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_energy_solve(self, capsys):
@@ -248,6 +254,17 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads(out)["t2"] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
+    def test_key_its_inputs_leave_unused_is_ignored(self, capsys, tmp_path):
+        # --delta serves solve only with a centre, --tol periods only with --q
+        cfg = tmp_path / "run.cfg"
+        for key, argv in (("delta", ["solve", "--q", "1", "--beta", "0.3"]),
+                          ("tol", ["periods", "--beta", "0.2", "--a1", "0.3"])):
+            cfg.write_text(f"{key} = nonsense\n")
+            assert run(capsys, argv + ["--config", str(cfg)]) == run(capsys, argv)
+        assert main(["periods", "--beta", "0.2", "--q", "1",
+                     "--config", str(cfg)]) == 2  # here the key is used
+        assert "--tol" in capsys.readouterr().err
+
     def test_key_counts_like_its_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("energy = -0.05\n")
@@ -290,10 +307,13 @@ def test_malformed_number_is_a_domain_error(capsys, argv):
       "0.142857", "--eps", ",", "--out", "{out}"], ["--eps"]),
     (["periods", "--beta", "0.2", "--a1", "0.3", "--config", "{cfg}"],
      ["'tolerance'"]),
+    (["solve", "--q", "1", "--beta", "0.3", "--delta", "5"], ["--delta"]),
+    (["periods", "--beta", "0.2", "--a1", "0.3", "--tol", "5"], ["--tol"]),
 ], ids=["solve-beta-energy", "check-beta-energy", "chains-beta-energy",
         "periods-q-a1", "integrate-q-a1", "check-two-centres",
         "solve-two-centres", "figs1-beta", "figs1-bad-beta", "figs3-energy",
-        "shadow-empty-eps", "config-unknown-key"])
+        "shadow-empty-eps", "config-unknown-key", "solve-delta-no-centre",
+        "periods-tol-no-q"])
 def test_unused_or_conflicting_input_is_refused(capsys, tmp_path, argv, names):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 0\n")

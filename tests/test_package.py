@@ -10,17 +10,18 @@ import pytest
 import tricentre
 
 # The package's exports before they resolved lazily, less what was deleted
-# since (integrate_symplectic moved to tests/verlet_check.py, and
-# PrimaryProximity, which only tests used, is gone).
+# since (integrate_symplectic moved to tests/verlet_check.py,
+# PrimaryProximity, which only tests used, is gone, and adaptive_quadrature
+# with QuadratureResult moved to tests/quadrature_reference.py).
 EXPORTS = {
     "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
     "EllipticPoint", "EllipticState", "EventRecord", "IntegrationError",
     "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",
-    "PlacementError", "QuadratureResult", "RangeError",
+    "PlacementError", "RangeError",
     "ResonanceSolution", "SafetyReport", "ShadowResult", "SingularityError",
     "StructuralError", "Trajectory", "TricentreError", "UnsafeCentreError",
-    "XiCrossing", "adaptive_quadrature", "arc_family", "assemble_chain",
+    "XiCrossing", "arc_family", "assemble_chain",
     "build_alphabet", "build_arc", "build_graph", "cartesian_to_elliptic",
     "centre_potential", "complete_elliptic_k", "count_periodic_chains",
     "elliptic_to_cartesian", "entropy_estimate", "find_admissible_beta",

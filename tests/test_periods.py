@@ -379,3 +379,44 @@ class TestBetaForEnergyOracle:
         assert len(betas) == len(set(betas))
         assert set(betas) == {c[0] for c in ref_calls}
         assert (len(ref_calls) > len(calls)) == repeated
+
+
+class TestSolveCache:
+    @staticmethod
+    def _typed_fields(sol) -> dict:
+        return {f.name: (type(getattr(sol, f.name)), _bits(getattr(sol, f.name)))
+                for f in dataclasses.fields(sol)}
+
+    @pytest.mark.parametrize("q", [1, Fraction(1), 2, Fraction(3, 2)], ids=repr)
+    @pytest.mark.parametrize("beta", [0, 0.0, -0.0, 0.2, 1.0 / 7.0], ids=repr)
+    def test_hit_equals_fresh_solve(self, beta, q):
+        fresh = self._typed_fields(solve_resonant_a1.__wrapped__(beta, q))
+        # fill the cache with every key equal to (beta, q) first: one of
+        # another type or zero sign must not serve this call
+        betas = [b for b in (0, 0.0, -0.0) if b == beta] or [beta]
+        classes = [Fraction(q), int(q)] if Fraction(q).denominator == 1 else [q]
+        for b in betas:
+            for c in classes:
+                solve_resonant_a1(b, c)
+        assert solve_resonant_a1.cache_info().currsize == len(betas) * len(classes)
+        assert self._typed_fields(solve_resonant_a1(beta, q)) == fresh
+        assert solve_resonant_a1.cache_info().hits == 1
+
+    def test_failure_is_not_cached(self):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                solve_resonant_a1(-1, 1)
+        info = solve_resonant_a1.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_map_over_one_resonance_solves_once(self):
+        from tricentre.exclusion import primary_collision_check, resonant_params
+        from tricentre.geometry import EllipticPoint
+        xi_max = 0.9 * turning_point_xi(0.25, solve_resonant_a1.__wrapped__(
+            0.25, Fraction(2)).a1_hat)
+        for i in range(500):
+            centre = EllipticPoint(xi_max * (i + 1) / 500, 0.0123 * i)
+            prm, _ = resonant_params(centre, Fraction(2), 0.25)
+            primary_collision_check(prm)
+        info = solve_resonant_a1.cache_info()
+        assert (info.misses, info.hits) == (1, 499)

@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ellipk, ellipkinc, elliprf
 
+from quadrature_reference import adaptive_quadrature
 from tricentre.errors import AccuracyError, DomainError
-from tricentre.special import adaptive_quadrature, complete_elliptic_k
+from tricentre.special import (_carlson_rf, complete_elliptic_k,
+                               incomplete_elliptic_f)
 
 # Independent oracle value for K(m = 1/2), frozen from the tanh-sinh
 # quadrature of the defining integral (cross-checked against
@@ -119,3 +124,41 @@ class TestAdaptiveQuadrature:
         best = err.value.best_estimate
         assert best is not None
         assert best.value == pytest.approx(2.0, abs=0.2)
+
+
+class TestIncompleteEllipticF:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(phi=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+           m=st.floats(-60.0, 0.5))
+    @example(phi=math.pi / 2.0, m=0.0)
+    @example(phi=-2.0 * math.pi, m=-60.0)
+    @example(phi=1.5 * math.pi, m=0.5)
+    def test_matches_scipy(self, phi, m):
+        # covers the reduction by multiples of pi and negative m
+        ref = float(ellipkinc(phi, m))
+        assert abs(incomplete_elliptic_f(phi, m) - ref) <= 4e-15 * max(1.0, abs(ref))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=st.floats(0.0, 10.0), y=st.floats(1e-3, 100.0),
+           z=st.floats(1e-3, 2.0))
+    def test_carlson_rf_matches_scipy(self, x, y, z):
+        ref = float(elliprf(x, y, z))
+        assert abs(_carlson_rf(x, y, z) - ref) <= 2e-15 * ref
+
+    @pytest.mark.parametrize("m", [-30.0, -1.0, 0.0, 0.3, 0.9])
+    def test_quarter_period_and_oddness(self, m):
+        k = float(ellipk(m))
+        assert incomplete_elliptic_f(math.pi / 2.0, m) == pytest.approx(k, rel=2e-15)
+        for phi in (0.4, 2.0, 5.5):
+            assert (incomplete_elliptic_f(-phi, m)
+                    == -incomplete_elliptic_f(phi, m))
+            assert (incomplete_elliptic_f(phi + math.pi, m)
+                    - incomplete_elliptic_f(phi, m)) == pytest.approx(2.0 * k, rel=1e-14)
+        assert incomplete_elliptic_f(0.0, m) == 0.0
+
+    @pytest.mark.parametrize("phi, m", [(0.3, 1.0), (0.3, 1.5), (0.3, math.nan),
+                                        (0.3, -math.inf), (math.inf, 0.2),
+                                        (math.nan, 0.2)])
+    def test_domain_errors(self, phi, m):
+        with pytest.raises(DomainError):
+            incomplete_elliptic_f(phi, m)
