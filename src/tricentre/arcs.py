@@ -59,7 +59,9 @@ class CollisionArc:
     path: Trajectory
     early_collision: bool
     min_primary_distance: float
-    closure_error: float      # Cartesian distance from the endpoint to C
+    # Cartesian distance from the endpoint to C; an arc derived by time
+    # reversal carries its partner's: it starts within it of C and ends on C
+    closure_error: float
 
     @property
     def v0_cartesian(self) -> np.ndarray:
@@ -176,6 +178,43 @@ def build_arc(prm: Params, sign: int, direction: int,
     )
 
 
+def _reversed_arc(arc: CollisionArc) -> CollisionArc:
+    """The arc at C that runs along arc's path backwards.
+
+    H is even in the momenta, so the reversed path is a solution with the
+    same duration.  It starts at arc's end, which may be the mirrored
+    representation (-xi0, -phi0) of C and carries the winding of phi; both
+    are mapped back to (xi0, phi0).  The label is read off the reversed
+    path's initial velocity.
+    """
+    xi0, phi0 = arc.start.xi, arc.start.phi
+    path = arc.path.reversed()
+    xi, phi = path.states[0, 0], path.states[0, 1]
+
+    def offset(xi, phi):
+        turns = round((phi - phi0) / TWO_PI)
+        return abs(xi - xi0) + abs(phi - phi0 - TWO_PI * turns), turns
+
+    plain, mirrored = offset(xi, phi), offset(-xi, -phi)
+    negate = mirrored[0] < plain[0]
+    path = path.represented(negate, -(mirrored if negate else plain)[1])
+    y0, y_end = path.states[0], path.states[-1]
+    sign, direction = (1 if y0[2] > 0.0 else -1), (1 if y0[3] > 0.0 else -1)
+    return CollisionArc(
+        params=arc.params,
+        label=ArcLabel(arc.label.q, sign, direction),
+        start=arc.start,
+        end=EllipticPoint(float(y_end[0]), float(y_end[1])),
+        v0=(sign * abs(arc.v0[0]), direction * abs(arc.v0[1])),
+        vT=(float(y_end[2]), float(y_end[3])),
+        duration=arc.duration,
+        path=path,
+        early_collision=arc.early_collision,
+        min_primary_distance=arc.min_primary_distance,
+        closure_error=arc.closure_error,
+    )
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -187,6 +226,11 @@ def arc_family(prm: Params, tol: float = 1e-12,
     direction pair at C, the last two the transverse one.  Refuses centres
     that fail the primary-collision exclusion test, and cross-checks the
     verdict against the primary distances the built paths actually attain.
+
+    Only (+,+) and (+,-) are integrated; the other two arcs are their time
+    reversals, with the partner's duration, early_collision,
+    min_primary_distance and closure_error.  A derived arc starts within
+    its partner's closure error of C and ends on C.
     """
     report = primary_collision_check(prm, delta=delta)
     if not report.safe:
@@ -197,7 +241,14 @@ def arc_family(prm: Params, tol: float = 1e-12,
             f" (margin {delta:g})",
             g_plus=report.g_plus, g_minus=report.g_minus,
             nearest=report.nearest)
-    family = [build_arc(prm, s, d, tol=tol)
+    built = [build_arc(prm, 1, d, tol=tol) for d in (1, -1)]
+    by_label = {arc.label: arc
+                for arc in built + [_reversed_arc(arc) for arc in built]}
+    if len(by_label) != 4:
+        raise StructuralError(
+            "time reversal of the (+,+) and (+,-) arcs does not give the"
+            f" other two labels: got {sorted(str(lb) for lb in by_label)}")
+    family = [by_label[ArcLabel(prm.q, s, d)]
               for (s, d) in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
     grazing = min(arc.min_primary_distance for arc in family)
     if grazing <= 1e-6:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricentre.arcs import arc_family, resonant_params
+from tricentre.arcs import arc_family, build_arc, resonant_params
 from tricentre.dynamics import PhiCrossing, Params, integrate
 from tricentre.geometry import EllipticPoint
 from tricentre.periods import solve_resonant_a1, turning_point_xi
@@ -50,6 +50,32 @@ def yaxis_family(q1_solution):
     xi_plus = turning_point_xi(BETA_REF, q1_solution.a1_hat)
     prm, _ = resonant_params(EllipticPoint(0.5 * xi_plus, math.pi / 2.0), 1, BETA_REF)
     return arc_family(prm, tol=1e-12)
+
+
+@pytest.fixture(scope="session")
+def q3_2_family():
+    """Fractional class q = 3/2 at the off-axis centre (0.55 xi+, 0.9)."""
+    sol = solve_resonant_a1(BETA_REF, Fraction(3, 2))
+    xi_plus = turning_point_xi(BETA_REF, sol.a1_hat)
+    prm, _ = resonant_params(EllipticPoint(0.55 * xi_plus, 0.9),
+                             Fraction(3, 2), BETA_REF)
+    return arc_family(prm, tol=1e-12)
+
+
+def direct_arcs(family, tol=1e-12):
+    """Every arc of a family integrated on its own by build_arc, in order."""
+    return [build_arc(arc.params, arc.label.sign, arc.label.direction, tol=tol)
+            for arc in family]
+
+
+@pytest.fixture(scope="session")
+def q1_direct(q1_family):
+    return direct_arcs(q1_family)
+
+
+@pytest.fixture(scope="session")
+def yaxis_direct(yaxis_family):
+    return direct_arcs(yaxis_family)
 
 
 def primary_visit_times(beta, q, a=1.0, tol=1e-12, n_periods=1.5):

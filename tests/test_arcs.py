@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BETA_REF, primary_visit_times
+from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import adaptive_quadrature
 from tricentre import exclusion
 from tricentre.arcs import (arc_family, build_arc, find_admissible_beta,
@@ -70,18 +70,19 @@ class TestBuildArc:
             assert arc.duration == pytest.approx(0.5 * t_full, rel=1e-8)
             assert arc.closure_error <= 1e-8
 
-    def test_early_family_shares_support(self, yaxis_family):
+    def test_early_family_shares_support(self, yaxis_direct):
         # the two xi'-sign choices at fixed rotation sense trace the same
-        # Cartesian point set (autointersecting unique orbit)
-        by_label = {arc.label: arc for arc in yaxis_family}
+        # Cartesian point set (autointersecting unique orbit); each arc is
+        # integrated on its own, not derived from the other by reversal
+        by_label = {arc.label: arc for arc in yaxis_direct}
         a = _support(by_label[(F(1), 1, 1)])
         b = _support(by_label[(F(1), -1, 1)])
         assert _one_sided_hausdorff(a, b) <= 1e-2
 
-    def test_reversal_same_support_transverse_pair_distinct(self, q1_family):
+    def test_reversal_same_support_transverse_pair_distinct(self, q1_direct):
         # full velocity reversal retraces one orbit; the transverse pair is
-        # a genuinely different curve
-        tracks = [_support(arc) for arc in q1_family]
+        # a genuinely different curve.  Every arc is integrated on its own.
+        tracks = [_support(arc) for arc in q1_direct]
         # ordering: (+,+), (-,-), (+,-), (-,+)
         assert _one_sided_hausdorff(tracks[0], tracks[1]) <= 1e-2
         assert _one_sided_hausdorff(tracks[2], tracks[3]) <= 1e-2
@@ -252,17 +253,56 @@ class TestFamilies:
         cross = abs(dirs[0][0] * dirs[2][1] - dirs[0][1] * dirs[2][0])
         assert cross > 1e-3
 
-    def test_reversal_partner_exists(self, q1_family):
-        for arc in q1_family:
+    def test_reversal_partner_exists(self, q1_direct):
+        # on independently integrated arcs, not on a family whose arcs are
+        # reversals of each other by construction
+        for arc in q1_direct:
             v_rev = -arc.vT_cartesian
             matches = [
-                other for other in q1_family
+                other for other in q1_direct
                 if np.allclose(
                     other.v0_cartesian / np.hypot(*other.v0_cartesian),
                     v_rev / np.hypot(*v_rev), atol=1e-9)
             ]
             assert len(matches) == 1
             assert matches[0].duration == pytest.approx(arc.duration, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["q1_family", "q2_family",
+                                      "yaxis_family", "q3_2_family"])
+    def test_derived_arcs_match_direct_integration(self, name, request,
+                                                   monkeypatch):
+        # a family integrates two arcs; the other two, derived by time
+        # reversal, agree with their own direct integration
+        import tricentre.arcs as arcs_mod
+        prm = request.getfixturevalue(name)[0].params
+        real_build = arcs_mod.build_arc
+        calls = []
+
+        def counting(prm, s, d, tol=1e-12):
+            calls.append((s, d))
+            return real_build(prm, s, d, tol=tol)
+
+        monkeypatch.setattr(arcs_mod, "build_arc", counting)
+        family = arc_family(prm, tol=1e-12)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        direct = direct_arcs(family)
+        assert [(arc.label.sign, arc.label.direction) for arc in family] \
+            == [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+
+        def unit(v):
+            return v / np.hypot(*v)
+
+        for arc, ref in zip(family, direct):
+            assert arc.early_collision == ref.early_collision
+            assert abs(arc.duration - ref.duration) <= 1e-10 * ref.duration
+            taus = np.linspace(0.0, min(arc.duration, ref.duration), 2000)
+            assert np.max(np.abs(arc.path.state_at(taus)
+                                 - ref.path.state_at(taus))) <= 1e-8
+            for got, want in ((arc.v0_cartesian, ref.v0_cartesian),
+                              (arc.vT_cartesian, ref.vT_cartesian)):
+                assert np.max(np.abs(unit(got) - unit(want))) <= 1e-9
+            assert arc.closure_error <= 1e-8
 
     def test_admissible_beta_halving(self):
         beta = find_admissible_beta(EllipticPoint(0.6, 0.4), 1,
