@@ -5,6 +5,10 @@ starts and ends at the centre C with no interior passage through it.  For
 a resonant parameter set the four (sign, direction) velocity choices at C
 yield four labeled arcs; when C sits on a self-intersection of the orbit
 the arcs end at the first early return instead of the full period.
+Nothing here integrates: at eps = 0 both separated motions are Jacobi
+elliptic functions of tau, which `SeparatedPath` evaluates through `am`,
+and the first return comes from the exact times at which phi reaches
++-phi0.
 
 A family is built only for a centre that passes the primary-collision
 exclusion test of `exclusion`, whose public names this module re-exports.
@@ -14,21 +18,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import PhiCrossing, Trajectory, integrate
+from ._kernels import StepStats
 from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
 from .exclusion import (NondegeneracyCertificate, SafetyReport,
                         find_admissible_beta, nondegeneracy_certificate,
                         primary_collision_check, primary_collision_ratios,
-                        resonant_params)
+                        resonant_params, _separated_motion)
 from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
                        elliptic_to_xy, transform_matrix, wrap_angle)
 from .params import Params
 from .periods import period_phi, period_xi
+from .special import complete_elliptic_k, incomplete_elliptic_f
 
 __all__ = [
     "ArcLabel", "CollisionArc", "SafetyReport", "NondegeneracyCertificate",
@@ -56,12 +62,10 @@ class CollisionArc:
     v0: tuple[float, float]   # elliptic velocity at departure
     vT: tuple[float, float]   # elliptic velocity at arrival
     duration: float           # tau time of the first return to C
-    path: Trajectory
+    path: SeparatedPath
     early_collision: bool
     min_primary_distance: float
-    # Cartesian distance from the endpoint to C; an arc derived by time
-    # reversal carries its partner's: it starts within it of C and ends on C
-    closure_error: float
+    closure_error: float      # Cartesian distance from the endpoint to C
 
     @property
     def v0_cartesian(self) -> np.ndarray:
@@ -96,15 +100,96 @@ def initial_velocities(centre: EllipticPoint, beta: float, a1_hat: float,
     return xi_speed, phi_speed
 
 
-def build_arc(prm: Params, sign: int, direction: int,
-              tol: float = 1e-12) -> CollisionArc:
-    """Integrate one collision arc from C until its first return to C.
+def am(u, m: float) -> np.ndarray:
+    """Jacobi amplitude am(u | m) over an array u, for 0 <= m < 1.
 
-    The return is detected on crossings of phi = phi0 and phi = -phi0
-    (mod 2pi), matching xi against the corresponding representation; both
-    elliptic representations of C are the same Cartesian point.  Without an
-    early collision the first return lands at the full resonant period
-    m*T1 = n*T2; an earlier match sets the early_collision flag.
+    The descending Landen (AGM) sequence a_n, c_n of (1, sqrt(1 - m),
+    sqrt(m)) runs until c_N <= 2^-26 a_N, where the next correction,
+    c_(N+1)/a ~ (c_N/a)^2 / 4, is below rounding; then phi_N = 2^N a_N u
+    and phi_(n-1) = (phi_n + arcsin(c_n / a_n sin phi_n)) / 2 (Abramowitz
+    and Stegun 16.4; DLMF 22.20).  sn, cn and dn are sin(am), cos(am) and
+    sqrt(1 - m sin^2(am)); am(u | 0) = u.
+    """
+    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
+    ratios = []
+    while c > 2.0 ** -26 * a:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+    phi = 2.0 ** len(ratios) * a * np.asarray(u, dtype=float)
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    return phi
+
+
+class SeparatedPath:
+    """The eps = 0 motion from start with velocity signs (sign, direction),
+    in closed form over [0, duration].
+
+    With the constants of `exclusion._separated_motion`, k2^2 = beta/(1+beta),
+    m = u+/(u+ - u-) and lam = sqrt(a A (u+ - u-)):
+
+        phi = am(F(phi0 | k2^2) + direction*w*tau | k2^2),
+        tanh(xi/2) = sqrt(u+) cn(lam*tau + v0 | m),
+
+    with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
+    sign of `sign` at tau = 0.  It serves what readers of a collision
+    arc's path use: `taus` and `states` (the two ends), `state_at`,
+    `dense_grid`, `params` and `stats`, which counts no step.
+    """
+
+    stats = StepStats(0, 0, 0, 0.0, 0.0)
+
+    def __init__(self, prm: Params, start: EllipticPoint, sign: int,
+                 direction: int, duration: float):
+        u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1,
+                                                         prm.a)
+        self.params = prm
+        self._k2 = prm.beta / (1.0 + prm.beta)
+        self._f0 = incomplete_elliptic_f(start.phi, self._k2)
+        self._rate = direction * w
+        self._m = u_plus / (u_plus - u_minus)
+        self._lam = math.sqrt(prm.a * big_a * (u_plus - u_minus))
+        self._root_u = math.sqrt(u_plus)
+        cn0 = math.tanh(0.5 * start.xi) / self._root_u
+        if not abs(cn0) <= 1.0:
+            raise PlacementError(
+                f"start xi={start.xi:.6g} lies beyond the turning ellipse")
+        self._v0 = -sign * incomplete_elliptic_f(math.acos(cn0), self._m)
+        self.taus = np.array([0.0, float(duration)])
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self.state_at(self.taus)
+
+    def state_at(self, tau) -> np.ndarray:
+        """State(s) (xi, phi, xi', phi') at scalar or array tau."""
+        t = np.asarray(tau, dtype=float)
+        phi = am(self._f0 + self._rate * t, self._k2)
+        theta = am(self._lam * t + self._v0, self._m)
+        sn, cn = np.sin(theta), np.cos(theta)
+        half = self._root_u * cn  # tanh(xi/2)
+        return np.stack([
+            2.0 * np.arctanh(half),
+            phi,
+            -2.0 * self._root_u * self._lam * sn
+            * np.sqrt(1.0 - self._m * sn * sn) / (1.0 - half * half),
+            self._rate * np.sqrt(1.0 - self._k2 * np.sin(phi) ** 2),
+        ], axis=-1)
+
+    def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform tau grid with its states, endpoints included."""
+        t = np.linspace(self.taus[0], self.taus[-1], n)
+        return t, self.state_at(t)
+
+
+def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
+    """One collision arc from C until its first return to C, in closed form.
+
+    The return is the earliest time at which phi = phi0 with xi = xi0, or
+    phi = -phi0 (mod 2pi) with xi = -xi0: both elliptic representations of
+    C are the same Cartesian point.  Without an early collision it lands
+    at the full resonant period m*T1 = n*T2; an earlier match sets the
+    early_collision flag.
     """
     if sign not in (-1, 1) or direction not in (-1, 1):
         raise DomainError("sign and direction must each be +1 or -1")
@@ -118,42 +203,13 @@ def build_arc(prm: Params, sign: int, direction: int,
             f" differs from n*T2={n*t2:.12g}")
 
     centre = prm.centre_elliptic
-    xi0, phi0 = centre.xi, centre.phi
     xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1, prm.a)
-    y0 = np.array([xi0, phi0, sign * xi_speed, direction * phi_speed])
-
-    targets = [(phi0, xi0)]
-    mirrored = wrap_angle(-phi0)
-    if abs(mirrored - phi0) > 1e-12 and abs(abs(mirrored - phi0) - TWO_PI) > 1e-12:
-        targets.append((mirrored, -xi0))
-    events = [PhiCrossing(t) for t, _ in targets]
-
-    # the endpoint error in Cartesian terms is the global integration error
-    # amplified by the map Jacobian (~ sinh|xi0|); integrate a decade tighter
-    # than the requested arc tolerance to keep the closure within it
-    int_tol = max(0.1 * tol, 1e-14)
-    traj = integrate(y0, prm, t_full * (1.0 + 2e-4), tol=int_tol, events=events)
-
-    xi_match = {wrap_angle(t): x for t, x in targets}
-    returns = []
-    for ev in traj.events:
-        if ev.tau <= 1e-6 * t_full:
-            continue
-        target_phi = wrap_angle(ev.spec.value)
-        xi_target = xi_match[target_phi]
-        candidates = (xi_target,) if len(targets) == 2 else (xi0, -xi0)
-        for xt in candidates:
-            if abs(ev.state[0] - xt) < 1e-6:
-                returns.append((ev.tau, ev.state))
-                break
-    if not returns:
-        raise DomainError(
-            f"no return to the centre found within {t_full*(1+2e-4):.6g} tau"
-            " units; parameters are inconsistent")
-    duration, y_end = min(returns, key=lambda r: r[0])
+    duration = _first_return(SeparatedPath(prm, centre, sign, direction, t_full),
+                             centre, t_full)
     early = duration < t_full * (1.0 - 1e-6)
+    path = SeparatedPath(prm, centre, sign, direction, duration)
 
-    path = traj.truncated(duration)
+    y_end = path.states[-1]
     end = EllipticPoint(float(y_end[0]), float(y_end[1]))
     closure = elliptic_to_cartesian(end).distance_to(prm.centre)
 
@@ -168,7 +224,7 @@ def build_arc(prm: Params, sign: int, direction: int,
         label=ArcLabel(prm.q, sign, direction),
         start=centre,
         end=end,
-        v0=(float(y0[2]), float(y0[3])),
+        v0=(sign * xi_speed, direction * phi_speed),
         vT=(float(y_end[2]), float(y_end[3])),
         duration=float(duration),
         path=path,
@@ -178,59 +234,53 @@ def build_arc(prm: Params, sign: int, direction: int,
     )
 
 
-def _reversed_arc(arc: CollisionArc) -> CollisionArc:
-    """The arc at C that runs along arc's path backwards.
+def _first_return(path: SeparatedPath, centre: EllipticPoint,
+                  t_full: float) -> float:
+    """Earliest tau in (1e-6 t_full, (1 + 2e-4) t_full] at which the path is
+    back at C.
 
-    H is even in the momenta, so the reversed path is a solution with the
-    same duration.  It starts at arc's end, which may be the mirrored
-    representation (-xi0, -phi0) of C and carries the winding of phi; both
-    are mapped back to (xi0, phi0).  The label is read off the reversed
-    path's initial velocity.
+    phi = +-phi0 (mod 2pi) exactly when F(phi0) + d*w*tau lies in
+    +-F(phi0) + 4K*Z (K of phi's modulus).  At such a time xi must match
+    +-xi0 to within 1e-6; for phi0 = 0 or pi, where the two angles
+    coincide, either sign of xi0 matches.  The window reaches past m*T1 so
+    that it holds n*T2, the full-period return.
     """
-    xi0, phi0 = arc.start.xi, arc.start.phi
-    path = arc.path.reversed()
-    xi, phi = path.states[0, 0], path.states[0, 1]
-
-    def offset(xi, phi):
-        turns = round((phi - phi0) / TWO_PI)
-        return abs(xi - xi0) + abs(phi - phi0 - TWO_PI * turns), turns
-
-    plain, mirrored = offset(xi, phi), offset(-xi, -phi)
-    negate = mirrored[0] < plain[0]
-    path = path.represented(negate, -(mirrored if negate else plain)[1])
-    y0, y_end = path.states[0], path.states[-1]
-    sign, direction = (1 if y0[2] > 0.0 else -1), (1 if y0[3] > 0.0 else -1)
-    return CollisionArc(
-        params=arc.params,
-        label=ArcLabel(arc.label.q, sign, direction),
-        start=arc.start,
-        end=EllipticPoint(float(y_end[0]), float(y_end[1])),
-        v0=(sign * abs(arc.v0[0]), direction * abs(arc.v0[1])),
-        vT=(float(y_end[2]), float(y_end[3])),
-        duration=arc.duration,
-        path=path,
-        early_collision=arc.early_collision,
-        min_primary_distance=arc.min_primary_distance,
-        closure_error=arc.closure_error,
-    )
+    xi0, phi0 = centre.xi, centre.phi
+    mirrored = wrap_angle(-phi0)
+    one_angle = (abs(mirrored - phi0) <= 1e-12
+                 or abs(abs(mirrored - phi0) - TWO_PI) <= 1e-12)
+    lo, hi = 1e-6 * t_full, (1.0 + 2e-4) * t_full
+    f0, rate = path._f0, path._rate
+    step = 4.0 * complete_elliptic_k(path._k2) / abs(rate)  # phi turns 2pi
+    returns = []
+    for s in (1, -1):
+        # tau = (s*f0 - f0 + 4K*j) / rate for integer j
+        base = (s * f0 - f0) / rate
+        j = np.arange(math.floor((lo - base) / step),
+                      math.ceil((hi - base) / step) + 1)
+        taus = base + j * step
+        taus = taus[(taus > lo) & (taus <= hi)]
+        targets = (xi0, -xi0) if one_angle else (s * xi0,)
+        xi = path.state_at(taus)[:, 0]
+        match = np.any(np.abs(xi[:, None] - np.array(targets)) < 1e-6, axis=1)
+        returns.extend(taus[match].tolist())
+    if not returns:
+        raise DomainError(
+            f"no return to the centre found within {hi:.6g} tau units;"
+            " parameters are inconsistent")
+    return min(returns)
 
 
 # ---------------------------------------------------------------------------
 # families
 
-def arc_family(prm: Params, tol: float = 1e-12,
-               delta: float = 1e-4) -> list[CollisionArc]:
+def arc_family(prm: Params, delta: float = 1e-4) -> list[CollisionArc]:
     """The four labeled arcs at C for one resonant parameter set.
 
     Ordered [(+,+), (-,-), (+,-), (-,+)]: the first two share one initial
     direction pair at C, the last two the transverse one.  Refuses centres
     that fail the primary-collision exclusion test, and cross-checks the
     verdict against the primary distances the built paths actually attain.
-
-    Only (+,+) and (+,-) are integrated; the other two arcs are their time
-    reversals, with the partner's duration, early_collision,
-    min_primary_distance and closure_error.  A derived arc starts within
-    its partner's closure error of C and ends on C.
     """
     report = primary_collision_check(prm, delta=delta)
     if not report.safe:
@@ -241,14 +291,7 @@ def arc_family(prm: Params, tol: float = 1e-12,
             f" (margin {delta:g})",
             g_plus=report.g_plus, g_minus=report.g_minus,
             nearest=report.nearest)
-    built = [build_arc(prm, 1, d, tol=tol) for d in (1, -1)]
-    by_label = {arc.label: arc
-                for arc in built + [_reversed_arc(arc) for arc in built]}
-    if len(by_label) != 4:
-        raise StructuralError(
-            "time reversal of the (+,+) and (+,-) arcs does not give the"
-            f" other two labels: got {sorted(str(lb) for lb in by_label)}")
-    family = [by_label[ArcLabel(prm.q, s, d)]
+    family = [build_arc(prm, s, d)
               for (s, d) in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
     grazing = min(arc.min_primary_distance for arc in family)
     if grazing <= 1e-6:

@@ -32,7 +32,6 @@ class ChainGraph:
 
     nodes: list[ArcLabel]
     adjacency: np.ndarray  # bool, adjacency[i, j]: arc j may follow arc i
-    arc_refs: dict
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -120,8 +119,7 @@ def build_graph(arcs: Sequence[CollisionArc],
             cross = abs(arrivals[i][0] * departures[j][1]
                         - arrivals[i][1] * departures[j][0])
             adj[i, j] = cross > angular_tol
-    return ChainGraph(nodes=labels, adjacency=adj,
-                      arc_refs={arc.label: arc for arc in arcs})
+    return ChainGraph(nodes=labels, adjacency=adj)
 
 
 def count_periodic_chains(graph: ChainGraph, n: int) -> int:

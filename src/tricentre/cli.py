@@ -241,7 +241,7 @@ def cmd_arcs(args) -> int:
     from .dynamics import trajectory_to_csv
     prm, sol = _resonance(args)
     a, q, tol, beta = args.a, args.q, args.tol, prm.beta
-    family = arc_family(prm, tol=tol, delta=args.delta)
+    family = arc_family(prm, delta=args.delta)
     out = _out_dir(args)
     key = _param_hash({"cmd": "arcs", "a": a, "beta": beta, "q": str(q),
                        "centre": str(prm.centre), "tol": tol})
@@ -322,8 +322,8 @@ def cmd_shadow(args) -> int:
     from .arcs import arc_family
     from .shadow import local_expansion_rate, shoot_segment
     prm, _ = _resonance(args)
-    a, q, tol, beta = args.a, args.q, args.tol, prm.beta
-    arc = arc_family(prm, tol=min(tol, 1e-12), delta=args.delta)[0]
+    a, q, beta = args.a, args.q, prm.beta
+    arc = arc_family(prm, delta=args.delta)[0]
     rows = []
     for eps in args.eps:
         res = shoot_segment(arc, eps)

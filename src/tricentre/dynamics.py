@@ -23,7 +23,6 @@ from ._kernels import StepStats
 from ._output import write_csv, write_json
 from .errors import DomainError, IntegrationError, SingularityError
 from .geometry import (
-    TWO_PI,
     CartesianPoint,
     EllipticPoint,
     elliptic_to_cartesian,
@@ -199,18 +198,6 @@ class EventRecord:
 # ---------------------------------------------------------------------------
 # trajectory container with dense output
 
-# S = diag(1, 1, -1, -1): H is even in the momenta, so tau -> -tau with S
-# applied maps solutions to solutions
-_MOMENTUM_FLIP = np.array([1.0, 1.0, -1.0, -1.0])
-
-# c'_k = sum_p c_p M[p, k] re-expands sum_p c_p ((1 - t)^p - 1) in powers
-# t^k, k = 1..4: a dense step read backwards from its end state
-_REVERSE_POWERS = np.array([[-1.0, 0.0, 0.0, 0.0],
-                            [-2.0, 1.0, 0.0, 0.0],
-                            [-3.0, 3.0, -1.0, 0.0],
-                            [-4.0, 6.0, -4.0, 1.0]])
-
-
 class Trajectory:
     """Result of one integration: accepted samples plus dense interpolant.
 
@@ -219,8 +206,8 @@ class Trajectory:
     without dense output passes empty h and dense_q.  A truncated copy
     keeps the full h of the step that holds its cut, so its last h may
     exceed taus[-1] - taus[-2].  `stats` reports the steps of the
-    integration that produced it, also for a truncated, reversed or
-    re-represented copy; only a truncated copy keeps events.
+    integration that produced it, also for a truncated copy, which keeps
+    the events up to its cut.
     """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
@@ -286,42 +273,6 @@ class Trajectory:
                       else e.tau >= tau_star - 1e-15)]
         return Trajectory(self.params, taus, states, self._h[:n],
                           self._dense_q[:n], events, self.stats)
-
-    def reversed(self) -> "Trajectory":
-        """The time-reversed path: state S*y(taus[0] + taus[-1] - tau).
-
-        The result spans the same tau interval and is a solution of the
-        same flow.  Its dense output is this one's, read backwards step by
-        step; a cut last step is first rescaled to its real length.
-        """
-        taus = (self.taus[0] + self.taus[-1]) - self.taus[::-1]
-        states = self.states[::-1] * _MOMENTUM_FLIP
-        n = min(len(self.taus) - 1, len(self._h))
-        h = self._h[:n].copy()
-        q = self._dense_q[:n].copy()
-        if n:
-            # coefficient p of a step cut at theta carries theta^(p-1)
-            theta = (self.taus[n] - self.taus[n - 1]) / h[-1]
-            if theta != 1.0:
-                q[-1] *= theta ** np.arange(4)
-                h[-1] = self.taus[n] - self.taus[n - 1]
-            q = np.einsum("scp,pk->sck", q, _REVERSE_POWERS) \
-                * _MOMENTUM_FLIP[:, None]
-        return Trajectory(self.params, taus, states, h[::-1], q[::-1], [],
-                          self.stats)
-
-    def represented(self, negate: bool = False, turns: int = 0) -> "Trajectory":
-        """The same Cartesian path in another elliptic representation.
-
-        negate maps every state y to -y: (xi, phi) and (-xi, -phi) are one
-        Cartesian point, and the vector field is odd in y for every eps.
-        turns adds 2*pi*turns to phi.  Events are dropped.
-        """
-        sign = -1.0 if negate else 1.0
-        states = sign * self.states
-        states[:, 1] += TWO_PI * turns
-        return Trajectory(self.params, self.taus, states, self._h,
-                          sign * self._dense_q, [], self.stats)
 
     def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """Uniform tau grid with dense-output states, endpoints included."""

@@ -86,6 +86,23 @@ def _ratio_table(q) -> tuple[tuple[float, Fraction], ...]:
     return tuple((float(s), s) for s in primary_collision_ratios(q))
 
 
+def _separated_motion(beta: float, a1: float, a: float):
+    """Constants (u+, u-, A, w, q_scale) of the separated eps = 0 motion.
+
+    phi: phi'^2 = 4a(a1 + beta a1 cos^2 phi), so dF(phi | beta/(1+beta))/dtau
+    = +-w with w = 2 sqrt(a a1 (1 + beta)), and P = F(phi0 | beta/(1+beta))/w.
+    xi: t = tanh(xi/2) obeys t'^2 = a(c + b t^2 - A t^4) = a A (u+ - t^2)
+    (t^2 - u-) with A = 1 + beta a1 + a1, whose roots are u- < 0 < u+ =
+    tanh^2(xi_plus/2); Q = F(theta | u+/u-) / q_scale, q_scale = sqrt(-u- a A).
+    """
+    ba1 = beta * a1
+    c, b, big_a = 1.0 - ba1 - a1, 2.0 * a1 * (1.0 - beta), 1.0 + ba1 + a1
+    root = math.sqrt(b * b + 4.0 * big_a * c)
+    u_plus, u_minus = (b + root) / (2.0 * big_a), -2.0 * c / (b + root)
+    return (u_plus, u_minus, big_a, 2.0 * math.sqrt(a * a1 * (1.0 + beta)),
+            math.sqrt(-u_minus * a * big_a))
+
+
 @dataclass(frozen=True)
 class SafetyReport:
     g_plus: float
@@ -110,23 +127,15 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     beta, a1, a = prm.beta, prm.a1, prm.a
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
-    ba1 = beta * a1
-    # P = (1/(2 sqrt a)) int_0^phi0 dphi / sqrt(a1 + beta a1 cos^2 phi)
-    p_val = (incomplete_elliptic_f(phi0, beta / (1.0 + beta))
-             / (2.0 * math.sqrt(a * a1 * (1.0 + beta))))
-    # Q = (1/(2 sqrt a)) int_0^xi0 dxi / sqrt(cosh xi - beta a1 cosh^2 xi - a1);
-    # t = tanh(xi/2) makes it int 2 dt / sqrt(c + b t^2 - A t^4), whose
-    # quadratic in u = t^2 has the roots u- < 0 < u+ = tanh^2(xi_plus/2)
-    c, b, big_a = 1.0 - ba1 - a1, 2.0 * a1 * (1.0 - beta), 1.0 + ba1 + a1
-    root = math.sqrt(b * b + 4.0 * big_a * c)
-    u_plus, u_minus = (b + root) / (2.0 * big_a), -2.0 * c / (b + root)
+    u_plus, u_minus, _, w, q_scale = _separated_motion(beta, a1, a)
+    p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
     ratio = math.tanh(0.5 * abs(xi0)) / math.sqrt(u_plus)
     if ratio > 1.0:
         raise AccuracyError(
             f"centre at xi={xi0:.6g} lies beyond the turning ellipse"
             f" (tanh(|xi|/2) / tanh(xi_plus/2) = {ratio:.6g}): no xi travel time")
     q_val = math.copysign(incomplete_elliptic_f(math.asin(ratio), u_plus / u_minus)
-                          / math.sqrt(-u_minus * a * big_a), xi0)
+                          / q_scale, xi0)
     t1 = period_xi(beta, a1, a)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1

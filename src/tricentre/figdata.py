@@ -4,7 +4,8 @@ Six canned configurations: the two separated-system potential curves, the
 full q = 1 orbit family portrait with the primary-colliding pair, the
 two-orbit bundles through the reference off-axis centre for q = 1 and
 q = 2, and the enlargement of the q = 2 bundle around its
-self-intersections.
+self-intersections.  Every orbit track is an eps = 0 orbit, sampled from
+its closed form (`arcs.SeparatedPath`).
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arcs import initial_velocities
-from .dynamics import Params, integrate
+from .arcs import SeparatedPath
 from .errors import DomainError
 from .geometry import EllipticPoint, elliptic_to_cartesian, elliptic_to_xy
+from .params import Params
 from .periods import solve_resonant_a1, turning_point_xi
 
 __all__ = ["OrbitTrack", "xi_potential_curve", "phi_potential_curve",
@@ -66,10 +67,11 @@ def phi_potential_curve(a: float = 1.0, energy: float = -0.5, n: int = 1201):
     return phi, pot, meta
 
 
-def _orbit_track(prm: Params, y0, t_span: float, name: str, colliding: bool,
-                 n_samples: int = 2000, tol: float = 1e-11) -> OrbitTrack:
-    traj = integrate(np.asarray(y0, float), prm, t_span, tol=tol)
-    taus, states = traj.dense_grid(n_samples)
+def _orbit_track(prm: Params, start: EllipticPoint, sign: int, t_span: float,
+                 name: str, colliding: bool,
+                 n_samples: int = 2000) -> OrbitTrack:
+    path = SeparatedPath(prm, start, sign, 1, t_span)
+    taus, states = path.dense_grid(n_samples)
     x, y = elliptic_to_xy(states[:, 0], states[:, 1])
     return OrbitTrack(name=name, taus=taus, states=states, x=x, y=y,
                       colliding=colliding)
@@ -90,16 +92,12 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0, q=1, a: float = 1.0,
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
     tracks = []
     for k in range(n_orbits):
-        phi_k = (k + 0.5) * math.pi / n_orbits
-        centre = EllipticPoint(0.0, phi_k)
-        vxi, vphi = initial_velocities(centre, beta, sol.a1_hat, a)
-        y0 = (0.0, phi_k, vxi, vphi)
-        tracks.append(_orbit_track(prm, y0, t_span, f"orbit_{k:02d}", False))
-    prim = EllipticPoint(0.0, 0.0)
-    vxi, vphi = initial_velocities(prim, beta, sol.a1_hat, a)
+        start = EllipticPoint(0.0, (k + 0.5) * math.pi / n_orbits)
+        tracks.append(_orbit_track(prm, start, 1, t_span, f"orbit_{k:02d}",
+                                   False))
     for label, sign in (("colliding_0", 1), ("colliding_1", -1)):
-        y0 = (0.0, 0.0, sign * vxi, vphi)
-        tracks.append(_orbit_track(prm, y0, t_span, label, True))
+        tracks.append(_orbit_track(prm, EllipticPoint(0.0, 0.0), sign, t_span,
+                                   label, True))
     return tracks
 
 
@@ -113,14 +111,10 @@ def orbit_bundle_through(centre_frac: float = 2.0 / 3.0, q=1,
     centre = EllipticPoint(centre_frac * xi_plus, phi0)
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q,
                  centre=elliptic_to_cartesian(centre))
-    vxi, vphi = initial_velocities(centre, beta, sol.a1_hat, a)
     t_span = sol.full_period
-    tracks = []
-    for label, sign in (("orbit_pos", 1), ("orbit_neg", -1)):
-        y0 = (centre.xi, centre.phi, sign * vxi, vphi)
-        tracks.append(_orbit_track(prm, y0, t_span, label, False,
-                                   n_samples=4000))
-    return tracks
+    return [_orbit_track(prm, centre, sign, t_span, label, False,
+                         n_samples=4000)
+            for label, sign in (("orbit_pos", 1), ("orbit_neg", -1))]
 
 
 def polyline_self_intersections(x: np.ndarray, y: np.ndarray,

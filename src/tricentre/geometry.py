@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import SingularityError
 
 __all__ = [
-    "TWO_PI", "PRIMARY_1", "PRIMARY_2",
+    "TWO_PI",
     "EllipticPoint", "CartesianPoint",
     "elliptic_to_xy", "elliptic_to_cartesian", "cartesian_to_elliptic",
     "transform_matrix", "velocity_to_cartesian", "physical_time_of",
@@ -61,14 +61,6 @@ class EllipticPoint:
         d = min(self.phi, TWO_PI - self.phi, abs(self.phi - math.pi))
         return d <= tol
 
-    def same_cartesian(self, other: "EllipticPoint", tol: float = 1e-10) -> bool:
-        """Equality on the quotient: (xi, phi) ~ (-xi, -phi mod 2pi)."""
-        def close(p, q):
-            dphi = abs(p.phi - q.phi)
-            dphi = min(dphi, TWO_PI - dphi)
-            return abs(p.xi - q.xi) <= tol and dphi <= tol
-        return close(self, other) or close(self.conjugate, other)
-
 
 @dataclass(frozen=True)
 class CartesianPoint:
@@ -77,10 +69,6 @@ class CartesianPoint:
 
     def distance_to(self, other: "CartesianPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-PRIMARY_1 = CartesianPoint(1.0, 0.0)
-PRIMARY_2 = CartesianPoint(-1.0, 0.0)
 
 
 def elliptic_to_xy(xi, phi, lib=None):

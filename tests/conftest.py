@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricentre.arcs import arc_family, build_arc, resonant_params
+import arc_reference
+from tricentre.arcs import arc_family, resonant_params
 from tricentre.dynamics import PhiCrossing, Params, integrate
 from tricentre.geometry import EllipticPoint
 from tricentre.periods import solve_resonant_a1, turning_point_xi
@@ -34,14 +35,14 @@ def q1_family(q1_solution):
     """Four arcs through the off-axis reference centre (2/3 xi+, 0)."""
     xi_plus = turning_point_xi(BETA_REF, q1_solution.a1_hat)
     prm, _ = resonant_params(EllipticPoint(2.0 / 3.0 * xi_plus, 0.0), 1, BETA_REF)
-    return arc_family(prm, tol=1e-12)
+    return arc_family(prm)
 
 
 @pytest.fixture(scope="session")
 def q2_family(q2_solution):
     xi_plus = turning_point_xi(BETA_REF, q2_solution.a1_hat)
     prm, _ = resonant_params(EllipticPoint(2.0 / 3.0 * xi_plus, 0.0), 2, BETA_REF)
-    return arc_family(prm, tol=1e-12)
+    return arc_family(prm)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +50,7 @@ def yaxis_family(q1_solution):
     """Early-collision family: centre on the y-axis (phi0 = pi/2)."""
     xi_plus = turning_point_xi(BETA_REF, q1_solution.a1_hat)
     prm, _ = resonant_params(EllipticPoint(0.5 * xi_plus, math.pi / 2.0), 1, BETA_REF)
-    return arc_family(prm, tol=1e-12)
+    return arc_family(prm)
 
 
 @pytest.fixture(scope="session")
@@ -59,12 +60,15 @@ def q3_2_family():
     xi_plus = turning_point_xi(BETA_REF, sol.a1_hat)
     prm, _ = resonant_params(EllipticPoint(0.55 * xi_plus, 0.9),
                              Fraction(3, 2), BETA_REF)
-    return arc_family(prm, tol=1e-12)
+    return arc_family(prm)
 
 
 def direct_arcs(family, tol=1e-12):
-    """Every arc of a family integrated on its own by build_arc, in order."""
-    return [build_arc(arc.params, arc.label.sign, arc.label.direction, tol=tol)
+    """Every arc of a family integrated on its own by the reference
+    `arc_reference.build_arc` (DOPRI5 and a PhiCrossing return search),
+    in order."""
+    return [arc_reference.build_arc(arc.params, arc.label.sign,
+                                    arc.label.direction, tol=tol)
             for arc in family]
 
 

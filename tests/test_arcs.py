@@ -3,19 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arc_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import adaptive_quadrature
 from tricentre import exclusion
-from tricentre.arcs import (arc_family, build_arc, find_admissible_beta,
+from tricentre.arcs import (am, arc_family, build_arc, find_admissible_beta,
                             initial_velocities, nondegeneracy_certificate,
                             primary_collision_check, primary_collision_ratios,
                             resonant_params)
 from tricentre.dynamics import Params, integrate
 from tricentre.errors import (AccuracyError, DomainError, PlacementError,
                              UnsafeCentreError)
+from tricentre.figdata import orbit_family_portrait
 from tricentre.geometry import EllipticPoint, elliptic_to_cartesian
 from tricentre.periods import period_xi, solve_resonant_a1, turning_point_xi
 
@@ -32,6 +34,25 @@ def _one_sided_hausdorff(a, b):
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return float(np.sqrt(max(np.max(np.min(d2, axis=1)),
                              np.max(np.min(d2, axis=0)))))
+
+
+def _unit(v):
+    return v / np.hypot(*v)
+
+
+def _assert_matches_integrated(arc, ref):
+    """A closed-form arc against the DOPRI5 reference arc: the same label
+    and early_collision, duration within 1e-10*T, states on 2,000 points
+    within 1e-8, and unit Cartesian velocities at both ends within 1e-9."""
+    assert arc.label == ref.label
+    assert arc.early_collision == ref.early_collision
+    assert abs(arc.duration - ref.duration) <= 1e-10 * ref.duration
+    taus = np.linspace(0.0, min(arc.duration, ref.duration), 2000)
+    assert np.max(np.abs(arc.path.state_at(taus)
+                         - ref.path.state_at(taus))) <= 1e-8
+    for got, want in ((arc.v0_cartesian, ref.v0_cartesian),
+                      (arc.vT_cartesian, ref.vT_cartesian)):
+        assert np.max(np.abs(_unit(got) - _unit(want))) <= 1e-9
 
 
 class TestInitialVelocities:
@@ -124,7 +145,7 @@ class TestBuildArc:
         sol = solve_resonant_a1(BETA_REF, q)
         xi_p = turning_point_xi(BETA_REF, sol.a1_hat)
         prm, _ = resonant_params(EllipticPoint(0.55 * xi_p, 0.9), q, BETA_REF)
-        arc = build_arc(prm, 1, 1, tol=1e-12)
+        arc = build_arc(prm, 1, 1)
         t_full = sol.full_period
         assert not arc.early_collision
         assert arc.duration == pytest.approx(t_full, rel=1e-8)
@@ -269,40 +290,15 @@ class TestFamilies:
 
     @pytest.mark.parametrize("name", ["q1_family", "q2_family",
                                       "yaxis_family", "q3_2_family"])
-    def test_derived_arcs_match_direct_integration(self, name, request,
-                                                   monkeypatch):
-        # a family integrates two arcs; the other two, derived by time
-        # reversal, agree with their own direct integration
-        import tricentre.arcs as arcs_mod
-        prm = request.getfixturevalue(name)[0].params
-        real_build = arcs_mod.build_arc
-        calls = []
-
-        def counting(prm, s, d, tol=1e-12):
-            calls.append((s, d))
-            return real_build(prm, s, d, tol=tol)
-
-        monkeypatch.setattr(arcs_mod, "build_arc", counting)
-        family = arc_family(prm, tol=1e-12)
-        assert len(calls) == 2
-        monkeypatch.undo()
-        direct = direct_arcs(family)
+    def test_derived_arcs_match_direct_integration(self, name, request):
+        # every arc of a family comes from the closed form; each agrees with
+        # its own DOPRI5 integration by the reference builder
+        family = request.getfixturevalue(name)
         assert [(arc.label.sign, arc.label.direction) for arc in family] \
             == [(1, 1), (-1, -1), (1, -1), (-1, 1)]
-
-        def unit(v):
-            return v / np.hypot(*v)
-
-        for arc, ref in zip(family, direct):
-            assert arc.early_collision == ref.early_collision
-            assert abs(arc.duration - ref.duration) <= 1e-10 * ref.duration
-            taus = np.linspace(0.0, min(arc.duration, ref.duration), 2000)
-            assert np.max(np.abs(arc.path.state_at(taus)
-                                 - ref.path.state_at(taus))) <= 1e-8
-            for got, want in ((arc.v0_cartesian, ref.v0_cartesian),
-                              (arc.vT_cartesian, ref.vT_cartesian)):
-                assert np.max(np.abs(unit(got) - unit(want))) <= 1e-9
-            assert arc.closure_error <= 1e-8
+        for arc, ref in zip(family, direct_arcs(family)):
+            _assert_matches_integrated(arc, ref)
+            assert arc.closure_error <= 1e-9
 
     def test_admissible_beta_halving(self):
         beta = find_admissible_beta(EllipticPoint(0.6, 0.4), 1,
@@ -327,14 +323,105 @@ class TestFamilies:
         prm, _ = resonant_params(EllipticPoint(2.58, 0.0), 1, BETA_REF)
         real_build = arcs_mod.build_arc
 
-        def grazing(prm, s, d, tol=1e-12):
-            arc = real_build(prm, s, d, tol=tol)
+        def grazing(prm, s, d):
+            arc = real_build(prm, s, d)
             arc.min_primary_distance = 1e-9
             return arc
 
         monkeypatch.setattr(arcs_mod, "build_arc", grazing)
         with pytest.raises(StructuralError):
             arc_family(prm)
+
+
+class TestClosedForm:
+    """Closed-form arcs and the Jacobi amplitude behind them."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.02, 0.5),
+           q=st.sampled_from((F(1), F(2), F(1, 2), F(3, 2), F(2, 3))),
+           u=st.floats(0.02, 0.9),
+           phi0=st.one_of(st.sampled_from((0.0, math.pi, math.pi / 2.0)),
+                          st.floats(0.0, 2.0 * math.pi)),
+           sign=st.sampled_from((1, -1)), direction=st.sampled_from((1, -1)))
+    def test_matches_integrated_reference(self, beta, q, u, phi0, sign,
+                                          direction):
+        sol = solve_resonant_a1(beta, q)
+        xi_p = turning_point_xi(beta, sol.a1_hat)
+        prm, _ = resonant_params(EllipticPoint(u * xi_p, phi0), q, beta)
+        assume(primary_collision_check(prm).safe)
+        _assert_matches_integrated(
+            build_arc(prm, sign, direction),
+            arc_reference.build_arc(prm, sign, direction))
+
+    @pytest.mark.parametrize("m", [0.05 * k for k in range(20)]
+                             + [0.99, 1.0 - 1e-6])
+    def test_jacobi_functions_match_scipy(self, m):
+        from scipy.special import ellipj
+        u = np.linspace(-30.0, 30.0, 6001)
+        sn, cn, dn, ph = ellipj(u, m)
+        theta = am(u, m)
+        assert np.max(np.abs(theta - ph)) <= 1e-14
+        assert np.max(np.abs(np.sin(theta) - sn)) <= 2e-13
+        assert np.max(np.abs(np.cos(theta) - cn)) <= 2e-13
+        assert np.max(np.abs(np.sqrt(1.0 - m * np.sin(theta) ** 2) - dn)) \
+            <= 2e-13
+
+    def test_amplitude_of_modulus_zero_is_the_argument(self):
+        u = np.array([-30.0, -1e-300, 0.0, 0.3, 29.5])
+        assert am(u, 0.0).tobytes() == u.tobytes()
+        assert am(0.7, 0.0) == 0.7
+
+
+class TestClosedFormEdges:
+    """Edges of the closed form; the suite turns RuntimeWarnings into
+    errors, and so do these tests on their own."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_colliding_pair_starts_at_the_primary(self):
+        sol = solve_resonant_a1(BETA_REF, 1)
+        vxi, vphi = initial_velocities(EllipticPoint(0.0, 0.0), BETA_REF,
+                                       sol.a1_hat)
+        tracks = [t for t in orbit_family_portrait() if t.colliding]
+        assert [t.name for t in tracks] == ["colliding_0", "colliding_1"]
+        for track, sign in zip(tracks, (1, -1)):
+            assert np.all(np.isfinite(track.states))
+            assert np.allclose(track.states[0], [0.0, 0.0, sign * vxi, vphi],
+                               rtol=0.0, atol=1e-14)
+            assert math.hypot(track.x[0] - 1.0, track.y[0]) <= 1e-14
+
+    def test_centre_next_to_the_turning_ellipse(self):
+        sol = solve_resonant_a1(BETA_REF, 1)
+        xi_p = turning_point_xi(BETA_REF, sol.a1_hat)
+        prm, _ = resonant_params(EllipticPoint(0.999 * xi_p, 0.4), 1, BETA_REF)
+        for sign, direction in ((1, 1), (-1, 1)):
+            arc = build_arc(prm, sign, direction)
+            _assert_matches_integrated(
+                arc, arc_reference.build_arc(prm, sign, direction))
+            assert arc.closure_error <= 1e-9
+            _, states = arc.path.dense_grid(4096)
+            assert np.max(np.abs(states[:, 0])) <= xi_p
+
+    def test_beta_zero(self):
+        # k2^2 = 0: phi turns uniformly.  u+ = 1, so xi passes through
+        # infinity at one instant, which no sample here hits
+        prm, sol = resonant_params(EllipticPoint(0.5, 0.7), 1, 0.0)
+        for arc in arc_family(prm):
+            assert not arc.early_collision
+            assert abs(arc.duration - sol.t1) <= 1e-12 * sol.t1
+            assert arc.closure_error <= 1e-12
+            taus, states = arc.path.dense_grid(257)
+            assert np.all(np.isfinite(states))
+            w = 2.0 * math.sqrt(sol.a1_hat)
+            assert np.max(np.abs(states[:, 1] - arc.start.phi
+                                 - arc.label.direction * w * taus)) <= 1e-12
+        for track in orbit_family_portrait(beta=0.0):
+            assert np.all(np.isfinite(track.states))
 
 
 # ---------------------------------------------------------------------------

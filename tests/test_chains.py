@@ -128,7 +128,7 @@ class TestCounts:
         rng = np.random.default_rng(19)
         adj = (rng.random((6, 6)) < 0.4)
         g = ChainGraph(nodes=[(F(1), 1, k) for k in range(6)],
-                       adjacency=adj, arc_refs={})
+                       adjacency=adj)
         for n in range(1, 8):
             assert count_periodic_chains(g, n) == \
                 brute_force_closed_walks(adj.astype(int).tolist(), n)
@@ -138,7 +138,7 @@ class TestCounts:
         lambda k: hnp.arrays(np.bool_, (k, k))))
     def test_trace_of_matrix_power(self, adj):
         g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
-                       adjacency=adj, arc_refs={})
+                       adjacency=adj)
         a = adj.astype(np.int64)
         for n in range(1, 9):
             assert count_periodic_chains(g, n) == \
@@ -160,7 +160,7 @@ class TestEntropy:
 
     def test_edgeless_graph_warns_zero(self):
         g = ChainGraph(nodes=[(F(1), 1, 1), (F(1), -1, 1)],
-                       adjacency=np.zeros((2, 2), dtype=bool), arc_refs={})
+                       adjacency=np.zeros((2, 2), dtype=bool))
         with pytest.warns(UserWarning):
             assert entropy_estimate(g) == 0.0
 

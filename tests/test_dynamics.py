@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from tricentre import _kernels
 from tricentre.dynamics import (CentreProximity, EllipticState, Params,
                                 PhiCrossing, XiCrossing,
-                                centre_potential, hamiltonian_values,
-                                integrate, primary_potential, regularized_hamiltonian,
+                                centre_potential, integrate,
+                                primary_potential, regularized_hamiltonian,
                                 trajectory_to_csv, trajectory_to_json,
                                 vector_field)
 from tricentre.errors import DomainError, IntegrationError, SingularityError
@@ -319,71 +319,6 @@ class TestTruncation:
                 == [e.tau for e in traj.events[:kept]])
         assert all(sign * (e.tau - t) <= 1e-15 for e in cut.events)
         assert all(sign * (e.tau - t) > 0.0 for e in traj.events[kept:])
-
-
-S = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-class TestReversal:
-    """r = traj.reversed() is S*y(taus[0] + taus[-1] - tau) on the span."""
-
-    @given(beta=st.floats(0.05, 0.3), a1=st.floats(0.15, 0.35),
-           phi=st.floats(0.0, 2.0 * math.pi), s_xi=st.sampled_from([1, -1]),
-           s_phi=st.sampled_from([1, -1]), eps=st.sampled_from([0.0, 1e-2]),
-           end=st.floats(0.5, 3.0), backward=st.booleans(),
-           cut=st.one_of(st.none(), st.floats(0.05, 0.95)),
-           probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_reversal_of_forward_and_cut_runs(
-            self, beta, a1, phi, s_xi, s_phi, eps, end, backward, cut, probes):
-        centre = CartesianPoint(0.3, 2.5) if eps > 0.0 else None
-        prm = Params(a=1.0, beta=beta, a1=a1, eps=eps, centre=centre)
-        y0 = separated_state(beta, a1, phi=phi, s_xi=s_xi, s_phi=s_phi)
-        try:
-            traj = integrate(y0, prm, -end if backward else end, tol=1e-11)
-        except IntegrationError:
-            assume(False)
-        if cut is not None:
-            # a cut inside a step: the last dense step is only partly used
-            i = int(cut * (len(traj.taus) - 2))
-            traj = traj.truncated(0.5 * (traj.taus[i] + traj.taus[i + 1]))
-        r = traj.reversed()
-        span = traj.taus[0] + traj.taus[-1]
-        scale = max(1.0, float(np.max(np.abs(traj.states))))
-
-        t = traj.taus[0] + (traj.taus[-1] - traj.taus[0]) * np.array(probes)
-        # every sample and every step's midpoint, the cut step included
-        t = np.concatenate([t, r.taus, 0.5 * (r.taus[1:] + r.taus[:-1])])
-        err = np.abs(r.state_at(t) - S * traj.state_at(span - t))
-        assert np.max(err) <= 1e-13 * scale
-
-        back = r.reversed()
-        assert np.max(np.abs(back.taus - traj.taus)) \
-            <= 1e-15 * max(1.0, float(np.max(np.abs(traj.taus))))
-        assert np.max(np.abs(back.states - traj.states)) <= 1e-15 * scale
-
-        assert (hamiltonian_values(r.states, prm).tobytes()
-                == hamiltonian_values(traj.states, prm)[::-1].tobytes())
-        assert r.stats == traj.stats and r.events == []
-
-    def test_sample_only_run(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
-        traj = integrate(separated_state(0.2, 0.3), prm, 0.0, tol=1e-12)
-        r = traj.reversed()
-        assert r.states.tobytes() == (S * traj.states).tobytes()
-        assert r.state_at(0.0).tobytes() == r.states[0].tobytes()
-
-    def test_represented_is_the_same_cartesian_path(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
-        traj = integrate(separated_state(0.2, 0.3), prm, 3.0, tol=1e-12)
-        other = traj.represented(negate=True, turns=-2)
-        t = np.linspace(0.0, 3.0, 301)
-        a, b = traj.state_at(t), other.state_at(t)
-        xa, ya = elliptic_to_xy(a[:, 0], a[:, 1])
-        xb, yb = elliptic_to_xy(b[:, 0], b[:, 1])
-        assert np.max(np.hypot(xa - xb, ya - yb)) <= 1e-12
-        assert np.max(np.abs(b[:, 1] + a[:, 1] + 4.0 * math.pi)) <= 1e-12
-        assert np.array_equal(b[:, 2:], -a[:, 2:])
 
 
 class TestRootOnScanPoint:
