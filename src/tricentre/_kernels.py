@@ -102,13 +102,13 @@ def field(a, energy, eps, cx, cy):
     return rhs
 
 
-def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
-                a, energy, eps, cx, cy, r_min):
-    """Adaptive Dormand-Prince 5(4) integration with PI step control.
+def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
+    """Adaptive Dormand-Prince 5(4) integration from tau = 0 to tau1.
 
-    Returns (status, n, T, Y, KS, stats) where T[:n+1] are the accepted
-    times, Y[:n+1] the states, KS[:n] the seven stage derivatives of each
-    accepted step (for quartic dense output) and stats a StepStats.
+    tol is both the relative and the absolute error target of the PI step
+    control.  Returns (status, n, T, Y, KS, stats) where T[:n+1] are the
+    accepted times, Y[:n+1] the states, KS[:n] the seven stage derivatives
+    of each accepted step (for quartic dense output) and stats a StepStats.
 
     For eps > 0 the step size is capped proportionally to the distance from
     the perturbing centre and the integration refuses to enter the ball of
@@ -119,37 +119,34 @@ def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
     Y = np.empty((cap, 4))
     KS = np.empty((cap, 7, 4))
 
-    T[0] = tau0
+    T[0] = 0.0
     Y[0] = y0
 
-    span = abs(tau1 - tau0)
+    span = abs(tau1)
     if span == 0.0:
         return (STATUS_OK, 0, T[:1].copy(), Y[:1].copy(), KS[:0].copy(),
                 StepStats(0, 0, 0, 0.0, 0.0))
 
     rhs = field(a, energy, eps, cx, cy)
-    direction = 1.0 if tau1 >= tau0 else -1.0
+    direction = 1.0 if tau1 >= 0.0 else -1.0
     x0, x1, x2, x3 = (float(v) for v in y0)
     k0 = rhs(x0, x1, x2, x3)
 
-    if h_init > 0.0:
-        h_abs = min(h_init, h_max)
+    d0 = 0.0
+    d1 = 0.0
+    for yi, ki in zip((x0, x1, x2, x3), k0):
+        sc = tol + tol * abs(yi)
+        q0 = abs(yi) / sc
+        q1 = abs(ki) / sc
+        if q0 > d0:
+            d0 = q0
+        if q1 > d1:
+            d1 = q1
+    if d0 > 1e-5 and d1 > 1e-5:
+        h_abs = 0.01 * d0 / d1
     else:
-        d0 = 0.0
-        d1 = 0.0
-        for yi, ki in zip((x0, x1, x2, x3), k0):
-            sc = atol + rtol * abs(yi)
-            q0 = abs(yi) / sc
-            q1 = abs(ki) / sc
-            if q0 > d0:
-                d0 = q0
-            if q1 > d1:
-                d1 = q1
-        if d0 > 1e-5 and d1 > 1e-5:
-            h_abs = 0.01 * d0 / d1
-        else:
-            h_abs = 1e-6
-        h_abs = min(h_abs, h_max, span)
+        h_abs = 1e-6
+    h_abs = min(h_abs, span)
 
     status = STATUS_OK
     errold = 1e-4
@@ -157,7 +154,7 @@ def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
     rejected = 0
     h_lo = math.inf
     h_hi = 0.0
-    tau = tau0
+    tau = 0.0
     nattempt = 0
     end_tol = 4.0 * 2.3e-16
     sqrt, cosh, cos, sinh, sin, hypot = (math.sqrt, math.cosh, math.cos,
@@ -219,13 +216,13 @@ def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
         k6 = g0, g1, g2, g3 = rhs(n0, n1, n2, n3)
 
         q0 = h * (E0 * a0 + E2 * c0 + E3 * d0 + E4 * e0 + E5 * f0 + E6 * g0) \
-            / (atol + rtol * max(abs(x0), abs(n0)))
+            / (tol + tol * max(abs(x0), abs(n0)))
         q1 = h * (E0 * a1 + E2 * c1 + E3 * d1 + E4 * e1 + E5 * f1 + E6 * g1) \
-            / (atol + rtol * max(abs(x1), abs(n1)))
+            / (tol + tol * max(abs(x1), abs(n1)))
         q2 = h * (E0 * a2 + E2 * c2 + E3 * d2 + E4 * e2 + E5 * f2 + E6 * g2) \
-            / (atol + rtol * max(abs(x2), abs(n2)))
+            / (tol + tol * max(abs(x2), abs(n2)))
         q3 = h * (E0 * a3 + E2 * c3 + E3 * d3 + E4 * e3 + E5 * f3 + E6 * g3) \
-            / (atol + rtol * max(abs(x3), abs(n3)))
+            / (tol + tol * max(abs(x3), abs(n3)))
         errn = sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
 
         if errn <= 1.0:
@@ -257,7 +254,7 @@ def dopri5_core(y0, tau0, tau1, rtol, atol, h_init, h_max, max_steps,
             fac = fac11 / errold ** 0.04
             fac = max(0.1, min(5.0, fac / 0.9))
             errold = max(errn, 1e-4)
-            h_abs = min(h_abs / fac, h_max)
+            h_abs = h_abs / fac
         else:
             rejected += 1
             fac11 = errn ** 0.17

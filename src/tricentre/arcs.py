@@ -31,7 +31,7 @@ from .exclusion import (NondegeneracyCertificate, SafetyReport,
                         primary_collision_check, primary_collision_ratios,
                         resonant_params, _separated_motion)
 from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
-                       elliptic_to_xy, transform_matrix, wrap_angle)
+                       elliptic_to_xy, velocity_to_cartesian, wrap_angle)
 from .params import Params
 from .periods import period_phi, period_xi
 from .special import complete_elliptic_k, incomplete_elliptic_f
@@ -69,11 +69,11 @@ class CollisionArc:
 
     @property
     def v0_cartesian(self) -> np.ndarray:
-        return transform_matrix(self.start) @ np.array(self.v0)
+        return velocity_to_cartesian(self.start, self.v0)
 
     @property
     def vT_cartesian(self) -> np.ndarray:
-        return transform_matrix(self.end) @ np.array(self.vT)
+        return velocity_to_cartesian(self.end, self.vT)
 
     @property
     def energy(self) -> float:

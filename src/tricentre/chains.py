@@ -25,6 +25,10 @@ __all__ = [
     "entropy_estimate", "assemble_chain",
 ]
 
+_PARALLEL_TOL = 1e-6       # least |cross product| of non-parallel unit vectors
+_POWER_TOL = 1e-10         # power iteration stop: relative eigenvalue change
+_POWER_MAX_ITER = 100_000
+
 
 @dataclass
 class ChainGraph:
@@ -94,13 +98,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / s
 
 
-def build_graph(arcs: Sequence[CollisionArc],
-                angular_tol: float = 1e-6) -> ChainGraph:
+def build_graph(arcs: Sequence[CollisionArc]) -> ChainGraph:
     """Adjacency by the direction-change predicate.
 
     Edge (k, k') present iff the arrival velocity of k is not parallel (up
     to sign) to the departure velocity of k', tested on normalized Cartesian
-    velocities via the cross-product magnitude.
+    velocities via the cross-product magnitude (parallel below 1e-6).
     """
     if not arcs:
         raise DomainError("cannot build a graph from an empty arc set")
@@ -118,7 +121,7 @@ def build_graph(arcs: Sequence[CollisionArc],
         for j in range(n):
             cross = abs(arrivals[i][0] * departures[j][1]
                         - arrivals[i][1] * departures[j][0])
-            adj[i, j] = cross > angular_tol
+            adj[i, j] = cross > _PARALLEL_TOL
     return ChainGraph(nodes=labels, adjacency=adj)
 
 
@@ -145,8 +148,7 @@ def count_periodic_chains(graph: ChainGraph, n: int) -> int:
     return sum(result[i][i] for i in range(size))
 
 
-def entropy_estimate(graph: ChainGraph, tol: float = 1e-10,
-                     max_iter: int = 100_000) -> float:
+def entropy_estimate(graph: ChainGraph) -> float:
     """log of the adjacency spectral radius, by shifted power iteration.
 
     Iterating on A + I avoids the oscillation of bipartite graphs (the
@@ -160,13 +162,13 @@ def entropy_estimate(graph: ChainGraph, tol: float = 1e-10,
     b = a + np.eye(n)
     x = np.full(n, 1.0 / n)
     lam_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         y = b @ x
         lam = float(np.max(y))
         if lam <= 0.0:
             break
         x = y / lam
-        if abs(lam - lam_old) <= tol * max(lam, 1.0):
+        if abs(lam - lam_old) <= _POWER_TOL * max(lam, 1.0):
             break
         lam_old = lam
     rho = max(lam - 1.0, 0.0)

@@ -401,7 +401,7 @@ def cmd_figs(args) -> int:
     beta = args.beta
     if which == 3:
         key = _param_hash({"cmd": "figs3", "a": a, "beta": beta})
-        tracks = figdata.orbit_family_portrait(beta=beta, q=1, a=a)
+        tracks = figdata.orbit_family_portrait(beta=beta, a=a)
         files = []
         for tr in tracks:
             path = out / f"fig3_{key}_{tr.name}.csv"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ __all__ = [
     "integrate",
     "trajectory_to_csv", "trajectory_to_json",
 ]
+
+MAX_STEPS = 2_000_000         # step attempts of one integration
+EXCLUSION_RADIUS_FRAC = 0.01  # radius of the ball around C refused, over eps
+_CSV_ROWS = 1000              # dense-output rows of a trajectory CSV
 
 
 @dataclass(frozen=True)
@@ -365,14 +369,15 @@ def _refine_root(state_of, g_of, ta, tb, ga, gb, tol=1e-12, max_iter=80):
 # integrate
 
 def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
-              events: Sequence = (), max_steps: int = 2_000_000,
-              r_min: Optional[float] = None) -> Trajectory:
+              events: Sequence = ()) -> Trajectory:
     """Integrate the regularized flow from tau = 0 to tau_end.
 
     tol sets both relative and absolute local error targets of the embedded
-    5(4) pair.  Event specs are located on the dense output by sign-change
-    scanning plus hybrid root refinement; a spec with terminal=True truncates
-    the returned trajectory at its first occurrence.  A terminal root on the
+    5(4) pair.  The stepper makes at most MAX_STEPS attempts and never
+    enters the ball of radius EXCLUSION_RADIUS_FRAC*eps around the centre.
+    Event specs are located on the dense output by sign-change scanning
+    plus hybrid root refinement; a spec with terminal=True truncates the
+    returned trajectory at its first occurrence.  A terminal root on the
     accepted steps outranks a later failure of the stepper (step underflow,
     exhausted budget, exclusion ball), which raises IntegrationError only
     when no terminal root precedes it.
@@ -381,13 +386,11 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         raise DomainError(f"tol must be positive, got {tol}")
     y0 = _as_state_array(state0)
     tau_end = float(tau_end)
-    if r_min is None:
-        r_min = 0.01 * prm.eps if prm.eps > 0.0 else 0.0
-    cx, cy = _centre_xy(prm)
+    r_min = EXCLUSION_RADIUS_FRAC * prm.eps
 
     status, n, T, Y, KS, stats = _kernels.dopri5_core(
-        y0, 0.0, tau_end, tol, tol, 0.0, abs(tau_end) or 1.0,
-        max_steps, prm.a, prm.energy, prm.eps, cx, cy, float(r_min))
+        y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
+        *_centre_xy(prm), r_min)
 
     h = np.diff(T)
     dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
@@ -401,7 +404,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         raise IntegrationError(
             f"step size underflow at tau={T[n]:.6g} (singularity approach?)")
     if status == _kernels.STATUS_MAX_STEPS:
-        raise IntegrationError(f"step budget {max_steps} exhausted at tau={T[n]:.6g}")
+        raise IntegrationError(f"step budget {MAX_STEPS} exhausted at tau={T[n]:.6g}")
     if status == _kernels.STATUS_ENTERED_EXCLUSION_BALL:
         raise IntegrationError(
             f"trajectory entered the exclusion ball of radius {r_min:.3g}"
@@ -412,9 +415,10 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 # export
 
-def trajectory_to_csv(traj: Trajectory, path, n: int = 1000) -> None:
-    """Write tau, elliptic state, physical time and Cartesian position."""
-    taus, states = traj.dense_grid(n) if len(traj.taus) > 1 else (
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write tau, elliptic state, physical time and Cartesian position,
+    on a uniform grid of 1000 dense-output points."""
+    taus, states = traj.dense_grid(_CSV_ROWS) if len(traj.taus) > 1 else (
         traj.taus, traj.states)
     t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
     x, y = elliptic_to_xy(states[:, 0], states[:, 1])

@@ -31,6 +31,11 @@ __all__ = [
     "nondegeneracy_certificate", "find_admissible_beta",
 ]
 
+_FD_STEP = 1e-6         # finite-difference step of the certificate
+_DET_THRESHOLD = 1e-6   # least |normalized determinant| that passes
+_ELLIPSE_MARGIN = 0.01  # admissible beta: relative margin on cosh(xi0)
+_MAX_HALVINGS = 60
+
 
 def resonant_params(centre, q, beta: float, a: float = 1.0,
                     tol: float = 1e-12) -> tuple[Params, ResonanceSolution]:
@@ -165,16 +170,16 @@ class NondegeneracyCertificate:
     passed: bool
 
 
-def nondegeneracy_certificate(beta: float, q, a: float = 1.0,
-                              fd_step: float = 1e-6,
-                              threshold: float = 1e-6) -> NondegeneracyCertificate:
+def nondegeneracy_certificate(beta: float, q,
+                              a: float = 1.0) -> NondegeneracyCertificate:
     """Certify the resonance Jacobian determinant away from zero.
 
     The Jacobian couples the residual derivatives (dF/dbeta, dF/da1) with
     the energy-constraint row (-2*a*a1, -2*a*beta) at the resonant point.
-    Partials use central differences (second-order one-sided in beta at
-    beta = 0); a step-halving disagreement beyond 50% flags the step size
-    as unusable.
+    Partials use central differences of step 1e-6 and its half (second-order
+    one-sided in beta at beta = 0); a step-halving disagreement beyond 50%
+    flags the step size as unusable.  The certificate passes when the
+    row-normalized |det| exceeds 1e-6.
     """
     q = Fraction(q)
     sol = solve_resonant_a1(beta, q, a)
@@ -193,8 +198,8 @@ def nondegeneracy_certificate(beta: float, q, a: float = 1.0,
                - resonance_residual(beta, a1h - h, q, a)) / (2.0 * h)
         return f_b, f_a
 
-    fb1, fa1 = det_at(fd_step)
-    fb2, fa2 = det_at(0.5 * fd_step)
+    fb1, fa1 = det_at(_FD_STEP)
+    fb2, fa2 = det_at(0.5 * _FD_STEP)
     f_b = (4.0 * fb2 - fb1) / 3.0
     f_a = (4.0 * fa2 - fa1) / 3.0
 
@@ -206,7 +211,7 @@ def nondegeneracy_certificate(beta: float, q, a: float = 1.0,
     det = full_det(f_b, f_a)
     if abs(d1 - d2) > 0.5 * max(abs(det), 1e-300):
         raise AccuracyError(
-            f"finite-difference step {fd_step:.3g} is in the nonlinear regime"
+            f"finite-difference step {_FD_STEP:.3g} is in the nonlinear regime"
             f" (step-halving disagreement {abs(d1-d2):.3g})",
             best_estimate=det)
 
@@ -214,26 +219,26 @@ def nondegeneracy_certificate(beta: float, q, a: float = 1.0,
     row2 = max(abs(2.0 * a * a1h), abs(2.0 * a * beta))
     det_norm = det / (row1 * row2) if row1 > 0.0 and row2 > 0.0 else 0.0
     return NondegeneracyCertificate(
-        det_j=det, det_normalized=det_norm, fd_step=fd_step, beta=beta, q=q,
-        threshold=threshold, passed=abs(det_norm) > threshold)
+        det_j=det, det_normalized=det_norm, fd_step=_FD_STEP, beta=beta, q=q,
+        threshold=_DET_THRESHOLD, passed=abs(det_norm) > _DET_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
 # admissible beta
 
 def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
-                         delta: float = 1e-4, margin: float = 0.01,
-                         max_halvings: int = 60) -> float:
-    """Halve beta until the centre is safe and strictly inside the turning
-    ellipse (with the given relative margin on cosh(xi0))."""
+                         delta: float = 1e-4) -> float:
+    """Halve beta (at most 60 times) until the centre is safe and inside the
+    turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus)."""
     q = Fraction(q)
     beta = beta_start
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         try:
             prm, sol = resonant_params(centre, q, beta, a)
             xi_plus = turning_point_xi(beta, sol.a1_hat)
             c_ell = prm.centre_elliptic
-            inside = math.cosh(c_ell.xi) < math.cosh(xi_plus) * (1.0 - margin)
+            inside = (math.cosh(c_ell.xi)
+                      < math.cosh(xi_plus) * (1.0 - _ELLIPSE_MARGIN))
             if inside and primary_collision_check(prm, delta=delta).safe:
                 return beta
         except (DomainError, AccuracyError):
@@ -241,4 +246,4 @@ def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
         beta *= 0.5
     raise RangeError(
         f"no admissible beta found for centre {centre} and q={q}"
-        f" after {max_halvings} halvings from {beta_start}")
+        f" after {_MAX_HALVINGS} halvings from {beta_start}")

@@ -25,6 +25,10 @@ __all__ = ["OrbitTrack", "xi_potential_curve", "phi_potential_curve",
            "orbit_family_portrait", "orbit_bundle_through",
            "polyline_self_intersections"]
 
+_CURVE_POINTS = 1201   # samples of each potential curve
+_PORTRAIT_ORBITS = 18  # distinct orbits of figure 3 besides the colliding pair
+_SKIP_ADJACENT = 2     # segment pairs this close in index never cross
+
 
 @dataclass
 class OrbitTrack:
@@ -36,16 +40,15 @@ class OrbitTrack:
     colliding: bool
 
 
-def xi_potential_curve(a: float = 1.0, energy: float = -0.5,
-                       xi_range: float = 3.0, n: int = 1201):
+def xi_potential_curve(a: float = 1.0, energy: float = -0.5):
     """Effective xi potential -2a cosh(xi) + |E| cosh(xi)^2 and its minima.
 
-    For |E| < a the curve is a double well with minima at cosh(xi) = a/|E|
-    and a local maximum at xi = 0.
+    For |E| < a the curve, sampled on xi in [-3, 3], is a double well with
+    minima at cosh(xi) = a/|E| and a local maximum at xi = 0.
     """
     if energy >= 0.0:
         raise DomainError("the double-well shape requires energy < 0")
-    xi = np.linspace(-xi_range, xi_range, n)
+    xi = np.linspace(-3.0, 3.0, _CURVE_POINTS)
     pot = -2.0 * a * np.cosh(xi) + abs(energy) * np.cosh(xi) ** 2
     meta = {}
     if abs(energy) < a:
@@ -57,11 +60,11 @@ def xi_potential_curve(a: float = 1.0, energy: float = -0.5,
     return xi, pot, meta
 
 
-def phi_potential_curve(a: float = 1.0, energy: float = -0.5, n: int = 1201):
+def phi_potential_curve(a: float = 1.0, energy: float = -0.5):
     """Pendulum-type phi potential -|E| cos(phi)^2 over one revolution."""
     if energy >= 0.0:
         raise DomainError("energy must be negative")
-    phi = np.linspace(0.0, 2.0 * math.pi, n)
+    phi = np.linspace(0.0, 2.0 * math.pi, _CURVE_POINTS)
     pot = -abs(energy) * np.cos(phi) ** 2
     meta = {"minima_phi": [0.0, math.pi], "minimum_value": -abs(energy)}
     return phi, pot, meta
@@ -77,22 +80,22 @@ def _orbit_track(prm: Params, start: EllipticPoint, sign: int, t_span: float,
                       colliding=colliding)
 
 
-def orbit_family_portrait(beta: float = 1.0 / 7.0, q=1, a: float = 1.0,
-                          n_orbits: int = 18) -> list[OrbitTrack]:
-    """n_orbits distinct periodic orbits of one class plus the colliding pair.
+def orbit_family_portrait(beta: float = 1.0 / 7.0,
+                          a: float = 1.0) -> list[OrbitTrack]:
+    """18 distinct periodic orbits of class q = 1 plus the colliding pair.
 
     Orbits are parametrized by the phi phase at an upward xi = 0 crossing;
     phases in (0, pi) give distinct curves (a phase shift by pi retraces
     the same curve).  The two orbits seeded exactly at a primary are the
     colliding pair.
     """
-    q = Fraction(q)
+    q = Fraction(1)
     sol = solve_resonant_a1(beta, q, a)
     t_span = sol.full_period
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
     tracks = []
-    for k in range(n_orbits):
-        start = EllipticPoint(0.0, (k + 0.5) * math.pi / n_orbits)
+    for k in range(_PORTRAIT_ORBITS):
+        start = EllipticPoint(0.0, (k + 0.5) * math.pi / _PORTRAIT_ORBITS)
         tracks.append(_orbit_track(prm, start, 1, t_span, f"orbit_{k:02d}",
                                    False))
     for label, sign in (("colliding_0", 1), ("colliding_1", -1)):
@@ -101,14 +104,13 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0, q=1, a: float = 1.0,
     return tracks
 
 
-def orbit_bundle_through(centre_frac: float = 2.0 / 3.0, q=1,
-                         beta: float = 1.0 / 7.0, a: float = 1.0,
-                         phi0: float = 0.0) -> list[OrbitTrack]:
-    """The two transverse periodic orbits through (centre_frac*xi_plus, phi0)."""
+def orbit_bundle_through(q=1, beta: float = 1.0 / 7.0,
+                         a: float = 1.0) -> list[OrbitTrack]:
+    """The two transverse periodic orbits through (2/3 xi_plus, 0)."""
     q = Fraction(q)
     sol = solve_resonant_a1(beta, q, a)
     xi_plus = turning_point_xi(beta, sol.a1_hat)
-    centre = EllipticPoint(centre_frac * xi_plus, phi0)
+    centre = EllipticPoint(2.0 / 3.0 * xi_plus, 0.0)
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q,
                  centre=elliptic_to_cartesian(centre))
     t_span = sol.full_period
@@ -117,14 +119,14 @@ def orbit_bundle_through(centre_frac: float = 2.0 / 3.0, q=1,
             for label, sign in (("orbit_pos", 1), ("orbit_neg", -1))]
 
 
-def polyline_self_intersections(x: np.ndarray, y: np.ndarray,
-                                skip_adjacent: int = 2) -> list[tuple[float, float]]:
+def polyline_self_intersections(x: np.ndarray,
+                                y: np.ndarray) -> list[tuple[float, float]]:
     """Transverse self-crossings of one polyline (approximate, from samples).
 
-    Solves the 2x2 segment-pair intersection for non-adjacent pairs, in
-    blocks of 32 consecutive segments.  A row block is tested only against
-    the blocks at or after it whose bounding boxes overlap its own.  Each
-    box is padded by 1e-9*max(1, max|p|) over all samples p, so that a
+    Solves the 2x2 segment-pair intersection for pairs more than 2 segments
+    apart, in blocks of 32 consecutive segments.  A row block is tested only
+    against the blocks at or after it whose bounding boxes overlap its own.
+    Each box is padded by 1e-9*max(1, max|p|) over all samples p, so that a
     pair whose computed t and s land in [0, 1] through rounding alone is
     still tested; as long as rounding moves a computed crossing by less
     than the padding, the crossings and their order are those of the test
@@ -165,10 +167,10 @@ def polyline_self_intersections(x: np.ndarray, y: np.ndarray,
             & (s >= 0.0) & (s <= 1.0)
         ii, jj = np.nonzero(hit)
         for a_idx, k, b_idx in zip(ii + i0, jj, cols[jj]):
-            if abs(a_idx - b_idx) <= skip_adjacent or b_idx <= a_idx:
+            if abs(a_idx - b_idx) <= _SKIP_ADJACENT or b_idx <= a_idx:
                 continue
             # endpoints wrap: ignore the trivial closure contact
-            if a_idx == 0 and b_idx >= n - 1 - skip_adjacent:
+            if a_idx == 0 and b_idx >= n - 1 - _SKIP_ADJACENT:
                 continue
             tt = t[a_idx - i0, k]
             found.append((float(px[a_idx, 0] + tt * d[a_idx, 0]),

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _EDGE = 1e-9  # bracket inset from the a1 domain boundary
+_BETA_CAP = 0.95  # largest beta the energy bracket of a class may reach
 
 
 @dataclass(frozen=True)
@@ -223,13 +224,12 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
 
 
 def solve_beta_for_energy(q, energy: float, a: float = 1.0,
-                          tol: float = 1e-12,
-                          beta_cap: float = 0.95) -> ResonanceSolution:
+                          tol: float = 1e-12) -> ResonanceSolution:
     """Find beta with energy(beta, q) = -2*a*beta*a1_hat(beta, q) = energy.
 
     The resonant energy decreases continuously from 0 at beta = 0, so a
     bracket exists whenever |energy| is small enough for the class; a
-    RangeError is raised otherwise.
+    RangeError is raised otherwise (beta is capped at 0.95).
     """
     q = Fraction(q)
     if not (energy < 0.0):
@@ -244,11 +244,11 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0,
         return solve(lo)
     hi = 0.05
     while gap(hi) > 0.0:
-        hi = min(hi * 2.0, beta_cap)
-        if hi >= beta_cap and gap(beta_cap) > 0.0:
+        hi = min(hi * 2.0, _BETA_CAP)
+        if hi >= _BETA_CAP and gap(_BETA_CAP) > 0.0:
             raise RangeError(
                 f"|energy| = {abs(energy):.6g} is out of reach for class {q}"
-                f" with beta <= {beta_cap}")
+                f" with beta <= {_BETA_CAP}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
                               tol * max(1.0, abs(energy)))
     return solve(beta)

@@ -24,7 +24,11 @@ from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
 
 __all__ = ["ShadowResult", "shoot_segment", "local_expansion_rate"]
 
-_ENTRY_RADIUS_FLOOR = 1e-4
+_ENTRY_RADIUS_FLOOR = 1e-4  # entry radius max(10 eps, floor)
+_SHOOT_TOL = 1e-9           # Newton stop on the Cartesian endpoint residual
+_SHOOT_MAX_ITER = 40
+_IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
+_IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
 
 
 @dataclass
@@ -79,8 +83,8 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
     A coarse polyline gives the nearest-sample seed; a golden-section
     refinement on the arc's dense output removes the discretization floor
     (the arc sweeps fast in Cartesian terms far from the primaries, where
-    uniform-tau sampling is sparse).  All points are refined together, one
-    array dense-output query per step; converged points leave the live set.
+    uniform-tau sampling is sparse).  All points are refined together for
+    40 steps, one array dense-output query per step.
     """
     arc_taus, arc_states = arc.path.dense_grid(n_seed)
     poly = _cartesian_track(arc_states)
@@ -101,44 +105,30 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
     b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
     t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
     fa, fb = dist_at(t1, px, py), dist_at(t2, px, py)
-    best = np.empty(len(points))
-    live = np.arange(len(points))
     for _ in range(40):
-        if not len(live):
-            break
         left = fa < fb
         a, b = np.where(left, a, t1), np.where(left, t2, b)
         t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
         f_new = dist_at(t_new, px, py)
         t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
         fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
-        done = np.abs(b - a) < 1e-12 * np.maximum(1.0, np.abs(b))
-        best[live[done]] = np.minimum(fa[done], fb[done])
-        a, b, t1, t2, fa, fb, px, py, live = (
-            v[~done] for v in (a, b, t1, t2, fa, fb, px, py, live))
-    best[live] = np.minimum(fa, fb)
-    return float(best.max(initial=0.0))
+    return float(np.minimum(fa, fb).max(initial=0.0))
 
 
-def shoot_segment(arc: CollisionArc, eps: float,
-                  entry_radius: Optional[float] = None,
-                  tol: float = 1e-9, max_iter: int = 40) -> ShadowResult:
+def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     """Match a perturbed segment to a reference arc between centre circles.
 
-    Starts on the entry circle in the direction of the arc's departure
-    velocity (radial outward motion), with speed fixed by the energy
-    constraint of the perturbed Hamiltonian, and Newton-adjusts the entry
-    angle and the duration until the endpoint hits the exit-circle point
-    where the arc comes back in.  eps = 0 reproduces the arc itself up to
-    the circle-chord offset.
+    Starts on the entry circle of radius max(10 eps, 1e-4) in the direction
+    of the arc's departure velocity (radial outward motion), with speed
+    fixed by the energy constraint of the perturbed Hamiltonian, and
+    Newton-adjusts the entry angle and the duration (at most 40 steps)
+    until the endpoint is within 1e-9 of the exit-circle point where the
+    arc comes back in.  eps = 0 reproduces the arc itself up to the
+    circle-chord offset.
     """
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
-    r_e = entry_radius if entry_radius is not None \
-        else max(10.0 * eps, _ENTRY_RADIUS_FLOOR)
-    if r_e < _ENTRY_RADIUS_FLOOR:
-        raise DomainError(
-            f"entry_radius {r_e:g} below the floor {_ENTRY_RADIUS_FLOOR:g}")
+    r_e = max(10.0 * eps, _ENTRY_RADIUS_FLOOR)
     prm = arc.params.with_eps(eps)
     centre = prm.centre
     c_vec = np.array([centre.x, centre.y])
@@ -155,7 +145,6 @@ def shoot_segment(arc: CollisionArc, eps: float,
     tau_in = r_e / v0_cart_speed
     tau_out = r_e / vt_cart_speed
 
-    int_tol = min(1e-12, 0.01 * tol)
     rhs_evals = 0
 
     def residual(z):
@@ -163,7 +152,7 @@ def shoot_segment(arc: CollisionArc, eps: float,
         direction = _rotate(u0, z[0])
         pos = CartesianPoint(*(c_vec + r_e * direction))
         y0 = _energy_consistent_state(pos, direction, prm)
-        traj = integrate(y0, prm, z[1], tol=int_tol)
+        traj = integrate(y0, prm, z[1], tol=1e-12)
         rhs_evals += traj.stats.rhs_evals
         return traj, _cartesian_track(traj.states[-1:])[0] - target
 
@@ -172,8 +161,8 @@ def shoot_segment(arc: CollisionArc, eps: float,
     rnorm = float(np.hypot(*r))
     history = [rnorm]
     n_it = 0
-    converged = rnorm <= tol
-    while not converged and n_it < max_iter:
+    converged = rnorm <= _SHOOT_TOL
+    while not converged and n_it < _SHOOT_MAX_ITER:
         n_it += 1
         jac = np.empty((2, 2))
         d_alpha = 1e-7
@@ -203,7 +192,7 @@ def shoot_segment(arc: CollisionArc, eps: float,
             lam *= 0.5
         if not improved:
             break
-        converged = rnorm <= tol
+        converged = rnorm <= _SHOOT_TOL
 
     taus, states = traj.dense_grid(1024)
     track = _cartesian_track(states)
@@ -229,16 +218,14 @@ def shoot_segment(arc: CollisionArc, eps: float,
     )
 
 
-def local_expansion_rate(results: Sequence[ShadowResult], eps: float,
-                         base_offset_frac: float = 0.25,
-                         delta_frac: float = 0.05) -> float:
+def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     """Per-passage expansion rate through the centre neighbourhood.
 
     Takes the arrival state of the first converged segment, offsets it
-    across the incoming direction by impact parameters b0 -+ db (energy
-    kept on the zero level), integrates each branch through the
-    near-centre swing until it exits the doubled circle, and returns
-    log |d(theta_out)/d(b)| by central differences.  The sensitivity grows
+    across the incoming direction by impact parameters b0 -+ db = (0.25 -+
+    0.05) entry radii (energy kept on the zero level), integrates each
+    branch through the near-centre swing until it exits the doubled circle,
+    and returns log |d(theta_out)/d(b)| by central differences.  It grows
     as the centre's attraction strengthens relative to the passage
     distance, i.e. as eps decreases at fixed b/entry_radius.
     """
@@ -262,8 +249,8 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float,
     normal = np.array([-v_dir[1], v_dir[0]])
     pos0 = _cartesian_track(y_arr[None, :])[0]
 
-    b0 = base_offset_frac * r_e
-    db = delta_frac * r_e
+    b0 = _IMPACT_OFFSET_FRAC * r_e
+    db = _IMPACT_STEP_FRAC * r_e
 
     def theta_out(b: float) -> float:
         pos = CartesianPoint(*(pos0 + b * normal))

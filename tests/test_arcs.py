@@ -313,7 +313,7 @@ class TestFamilies:
         from tricentre.errors import RangeError
         centre = EllipticPoint(0.0, math.pi - 1e-9)
         with pytest.raises(RangeError):
-            find_admissible_beta(centre, 1, beta_start=0.5, max_halvings=25)
+            find_admissible_beta(centre, 1, beta_start=0.5)
 
     def test_grazing_arc_contradicts_safety_verdict(self, monkeypatch):
         # if a built path grazes a primary despite a safe verdict, the

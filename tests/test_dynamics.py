@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tricentre import _kernels
+from tricentre import _kernels, dynamics
 from tricentre.dynamics import (CentreProximity, EllipticState, Params,
                                 PhiCrossing, XiCrossing,
                                 centre_potential, integrate,
@@ -238,28 +238,29 @@ class TestIntegrate:
         x, y = elliptic_to_xy(traj.states[-1][0], traj.states[-1][1], math)
         assert abs(math.hypot(x, y - 1.5) - 0.1) <= 1e-9
 
-    def test_terminal_event_outranks_exhausted_budget(self):
+    def test_terminal_event_outranks_exhausted_budget(self, monkeypatch):
         beta, a1 = 0.2, 0.3
         prm = Params(a=1.0, beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         y0 = separated_state(beta, a1)
         # about 500 steps reach the crossing at t1/2, 3000 the end at 3 t1
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError, match="budget"):
-            integrate(y0, prm, 3.0 * t1, tol=1e-12, max_steps=1000)
+            integrate(y0, prm, 3.0 * t1, tol=1e-12)
         spec = XiCrossing(0.0, direction=-1, terminal=True)
-        traj = integrate(y0, prm, 3.0 * t1, tol=1e-12, events=[spec],
-                         max_steps=1000)
+        traj = integrate(y0, prm, 3.0 * t1, tol=1e-12, events=[spec])
         assert traj.tau_final == pytest.approx(0.5 * t1, rel=1e-8)
         assert [e.spec for e in traj.events] == [spec]
 
-    def test_nonterminal_event_then_failure_raises(self):
+    def test_nonterminal_event_then_failure_raises(self, monkeypatch):
         beta, a1 = 0.2, 0.3
         prm = Params(a=1.0, beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         spec = XiCrossing(0.0, direction=-1)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
         with pytest.raises(IntegrationError, match="budget"):
             integrate(separated_state(beta, a1), prm, 3.0 * t1, tol=1e-12,
-                      events=[spec], max_steps=1000)
+                      events=[spec])
 
     def test_symplectic_cross_check(self):
         beta, a1 = 1.0 / 7.0, 0.3
@@ -406,22 +407,34 @@ def _centre_dive_args(r_min):
             1.0, -2.0 * 0.2 * 0.3, 1e-2, math.cosh(0.4), 0.0, r_min)
 
 
-def _shooting_span_args(family):
-    """eps = 1e-3 over 90% of the reference arc: runs the step-cap branch."""
+def _shooting_span_args(family, eps=1e-3, span=None):
+    """eps > 0 over 90% of the reference arc, or over the given span:
+    runs the step-cap branch."""
     arc = family[0]
     prm = arc.params
     y0 = arc.path.state_at(0.05 * arc.duration)
-    span = 0.9 * arc.duration
+    span = 0.9 * arc.duration if span is None else span
     return (y0, 0.0, span, 1e-11, 1e-11, 0.0, span, 2_000_000,
-            prm.a, prm.energy, 1e-3, prm.centre.x, prm.centre.y, 1e-5)
+            prm.a, prm.energy, eps, prm.centre.x, prm.centre.y, 0.01 * eps)
+
+
+def _kernel_args(old):
+    """The reference loop's argument tuple without the arguments that
+    dopri5_core fixes: tau0 = 0, atol = rtol, h_init = 0, h_max = span."""
+    y0, tau0, tau1, rtol, atol, h_init, h_max, *rest = old
+    assert tau0 == 0.0 and atol == rtol and h_init == 0.0
+    assert h_max == abs(tau1)
+    return (y0, tau1, rtol, *rest)
 
 
 class TestKernelOracle:
     """The float loop against the earlier numpy-indexed loop, exactly."""
 
     @pytest.mark.parametrize("case", ["bench_orbit", "negative_span",
-                                      "shooting_span", "exclusion_ball",
-                                      "max_steps", "underflow"])
+                                      "shooting_span", "shooting_span_1e-2",
+                                      "shooting_span_1e-4", "short_span",
+                                      "exclusion_ball", "max_steps",
+                                      "underflow"])
     def test_bitwise_equal_to_reference(self, case, q1_family):
         from dopri5_reference import _dopri5_core_py
         args, status = {
@@ -430,6 +443,13 @@ class TestKernelOracle:
                                       _kernels.STATUS_OK),
             "shooting_span": lambda: (_shooting_span_args(q1_family),
                                       _kernels.STATUS_OK),
+            "shooting_span_1e-2": lambda: (
+                _shooting_span_args(q1_family, eps=1e-2), _kernels.STATUS_OK),
+            "shooting_span_1e-4": lambda: (
+                _shooting_span_args(q1_family, eps=1e-4), _kernels.STATUS_OK),
+            # shorter than the steps the controller would take
+            "short_span": lambda: (_shooting_span_args(q1_family, span=1e-3),
+                                   _kernels.STATUS_OK),
             "exclusion_ball": lambda: (_centre_dive_args(1e-4),
                                        _kernels.STATUS_ENTERED_EXCLUSION_BALL),
             "max_steps": lambda: (_bench_orbit_args(max_steps=5),
@@ -437,7 +457,7 @@ class TestKernelOracle:
             "underflow": lambda: (_centre_dive_args(0.0),
                                   _kernels.STATUS_STEP_UNDERFLOW),
         }[case]()
-        got = _kernels.dopri5_core(*args)
+        got = _kernels.dopri5_core(*_kernel_args(args))
         want = _dopri5_core_py(*args)
         assert got[0] == want[0] == status
         assert got[1] == want[1]
@@ -480,15 +500,15 @@ class TestStepStats:
 
 
 class TestIntegrationErrors:
-    def test_step_budget_exhausted(self):
+    def test_step_budget_exhausted(self, monkeypatch):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError, match="step budget 5"):
-            integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12,
-                      max_steps=5)
+            integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
 
-    def test_step_underflow_without_exclusion_ball(self):
+    def test_step_underflow_without_exclusion_ball(self, monkeypatch):
         centre = CartesianPoint(math.cosh(0.4), 0.0)
         prm = Params(a=1.0, beta=0.2, a1=0.3, eps=1e-2, centre=centre)
+        monkeypatch.setattr(dynamics, "EXCLUSION_RADIUS_FRAC", 0.0)
         with pytest.raises(IntegrationError, match="underflow"):
-            integrate(np.array([0.0, 0.0, 1.2, 0.0]), prm, 5.0, tol=1e-10,
-                      r_min=0.0)
+            integrate(np.array([0.0, 0.0, 1.2, 0.0]), prm, 5.0, tol=1e-10)

@@ -43,10 +43,6 @@ class TestShootSegment:
         h = hamiltonian_values(traj.states, prm)
         assert np.max(np.abs(h)) <= 1e-8
 
-    def test_entry_radius_floor(self, q1_family):
-        with pytest.raises(DomainError):
-            shoot_segment(q1_family[0], 1e-3, entry_radius=1e-6)
-
     def test_negative_eps_rejected(self, q1_family):
         with pytest.raises(DomainError):
             shoot_segment(q1_family[0], -1e-3)
