@@ -20,9 +20,8 @@ _EXPORTS = {
     "chains": ("ChainGraph", "CollisionChain", "assemble_chain",
                "build_alphabet", "build_graph", "count_periodic_chains",
                "entropy_estimate"),
-    "dynamics": ("CentreProximity", "EllipticState", "EventRecord",
-                 "PhiCrossing", "Trajectory", "XiCrossing",
-                 "centre_potential", "integrate", "primary_potential",
+    "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
+                 "Trajectory", "XiCrossing", "integrate",
                  "regularized_hamiltonian", "trajectory_to_csv",
                  "trajectory_to_json", "vector_field"),
     "errors": ("AccuracyError", "DomainError", "IntegrationError",

@@ -1,9 +1,10 @@
 """Hot numerical kernels: the regularized vector field and the DOPRI5 stepper.
 
-The stepping loops work on plain Python floats and 4-tuples; numpy only
-holds the accepted samples.  The Dormand-Prince stage sums are unrolled
-with the tableau entries as module floats, summed left to right, and the
-two entries that are exactly zero (a71 and e2) are left out.
+The stepping loops work on plain Python floats and 4-tuples; the accepted
+samples grow in flat array('d') buffers, which become numpy arrays once,
+at return.  The Dormand-Prince stage sums are unrolled with the tableau
+entries as module floats, summed left to right, and the two entries that
+are exactly zero (a71 and e2) are left out.
 
 State layout everywhere: y = (xi, phi, xi', phi') with primes denoting
 derivatives in the regularized time tau.
@@ -11,6 +12,7 @@ derivatives in the regularized time tau.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -114,22 +116,18 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     the perturbing centre and the integration refuses to enter the ball of
     radius r_min around it (status 2).
     """
-    cap = 512
-    T = np.empty(cap)
-    Y = np.empty((cap, 4))
-    KS = np.empty((cap, 7, 4))
-
-    T[0] = 0.0
-    Y[0] = y0
+    x0, x1, x2, x3 = (float(v) for v in y0)
+    T = array("d", (0.0,))
+    Y = array("d", (x0, x1, x2, x3))
+    KS = array("d")
 
     span = abs(tau1)
     if span == 0.0:
-        return (STATUS_OK, 0, T[:1].copy(), Y[:1].copy(), KS[:0].copy(),
+        return (STATUS_OK, 0, *_as_numpy(T, Y, KS),
                 StepStats(0, 0, 0, 0.0, 0.0))
 
     rhs = field(a, energy, eps, cx, cy)
     direction = 1.0 if tau1 >= 0.0 else -1.0
-    x0, x1, x2, x3 = (float(v) for v in y0)
     k0 = rhs(x0, x1, x2, x3)
 
     d0 = 0.0
@@ -159,6 +157,7 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     end_tol = 4.0 * 2.3e-16
     sqrt, cosh, cos, sinh, sin, hypot = (math.sqrt, math.cosh, math.cos,
                                          math.sinh, math.sin, math.hypot)
+    t_append, y_fromlist, ks_fromlist = T.append, Y.fromlist, KS.fromlist
     while True:
         rem = abs(tau1 - tau)
         if rem <= end_tol * max(abs(tau), abs(tau1)):
@@ -228,19 +227,9 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
         if errn <= 1.0:
             tau += h
             x0, x1, x2, x3 = n0, n1, n2, n3
-            if n + 2 > cap:
-                newcap = cap * 2
-                T2 = np.empty(newcap)
-                Y2 = np.empty((newcap, 4))
-                K2 = np.empty((newcap, 7, 4))
-                T2[:cap] = T
-                Y2[:cap] = Y
-                K2[:cap] = KS
-                T, Y, KS = T2, Y2, K2
-                cap = newcap
-            T[n + 1] = tau
-            Y[n + 1] = (n0, n1, n2, n3)
-            KS[n] = (k0, k1, k2, k3, k4, k5, k6)
+            t_append(tau)
+            y_fromlist([n0, n1, n2, n3])
+            ks_fromlist([*k0, *k1, *k2, *k3, *k4, *k5, *k6])
             n += 1
             if h_abs < h_lo:
                 h_lo = h_abs
@@ -262,5 +251,11 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
 
     stats = StepStats(n, rejected, 1 + 6 * (n + rejected),
                       h_lo if n else 0.0, h_hi)
-    return status, n, T[:n + 1].copy(), Y[:n + 1].copy(), KS[:n].copy(), stats
+    return (status, n, *_as_numpy(T, Y, KS), stats)
+
+
+def _as_numpy(T, Y, KS):
+    """The sample buffers as (n+1,), (n+1, 4) and (n, 7, 4) float arrays."""
+    return (np.frombuffer(T), np.frombuffer(Y).reshape(-1, 4),
+            np.frombuffer(KS).reshape(-1, 7, 4))
 

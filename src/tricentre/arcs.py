@@ -11,7 +11,8 @@ and the first return comes from the exact times at which phi reaches
 +-phi0.
 
 A family is built only for a centre that passes the primary-collision
-exclusion test of `exclusion`, whose public names this module re-exports.
+exclusion test of `exclusion`.  At beta = 0 the xi motion has no turning
+point and the orbit passes through infinity, so no path is built there.
 """
 from __future__ import annotations
 
@@ -26,21 +27,16 @@ import numpy as np
 from ._kernels import StepStats
 from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
-from .exclusion import (NondegeneracyCertificate, SafetyReport,
-                        find_admissible_beta, nondegeneracy_certificate,
-                        primary_collision_check, primary_collision_ratios,
-                        resonant_params, _separated_motion)
+from .exclusion import _separated_motion, primary_collision_check
 from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
                        elliptic_to_xy, velocity_to_cartesian, wrap_angle)
 from .params import Params
-from .periods import period_phi, period_xi
+from .periods import period_phi, period_xi, turning_point_xi
 from .special import complete_elliptic_k, incomplete_elliptic_f
 
 __all__ = [
-    "ArcLabel", "CollisionArc", "SafetyReport", "NondegeneracyCertificate",
-    "initial_velocities", "resonant_params", "build_arc", "arc_family",
-    "primary_collision_ratios", "primary_collision_check",
-    "nondegeneracy_certificate", "find_admissible_beta",
+    "ArcLabel", "CollisionArc", "initial_velocities", "build_arc",
+    "arc_family",
 ]
 
 
@@ -134,13 +130,15 @@ class SeparatedPath:
     with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
     sign of `sign` at tau = 0.  It serves what readers of a collision
     arc's path use: `taus` and `states` (the two ends), `state_at`,
-    `dense_grid`, `params` and `stats`, which counts no step.
+    `dense_grid`, `params` and `stats`, which counts no step.  beta = 0
+    raises DomainError, as `turning_point_xi` does.
     """
 
     stats = StepStats(0, 0, 0, 0.0, 0.0)
 
     def __init__(self, prm: Params, start: EllipticPoint, sign: int,
                  direction: int, duration: float):
+        turning_point_xi(prm.beta, prm.a1)  # refuses beta = 0
         u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1,
                                                          prm.a)
         self.params = prm

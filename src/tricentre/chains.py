@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arcs import ArcLabel, CollisionArc, arc_family, resonant_params
+from .arcs import ArcLabel, CollisionArc, arc_family
 from .errors import DomainError, StructuralError, UnsafeCentreError
+from .exclusion import resonant_params
 from .periods import solve_beta_for_energy
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Potentials, regularized Hamiltonian and the trajectory integrator.
+"""Regularized Hamiltonian, vector field and the trajectory integrator.
 
 The regularized system evolves y = (xi, phi, xi', phi') in the rescaled
 time tau, with Hamiltonian
@@ -23,7 +23,6 @@ from ._kernels import StepStats
 from ._output import write_csv, write_json
 from .errors import DomainError, IntegrationError, SingularityError
 from .geometry import (
-    CartesianPoint,
     EllipticPoint,
     elliptic_to_cartesian,
     elliptic_to_xy,
@@ -32,10 +31,9 @@ from .geometry import (
 from .params import Params
 
 __all__ = [
-    "Params", "EllipticState", "Trajectory",
+    "Params", "Trajectory",
     "XiCrossing", "PhiCrossing", "CentreProximity",
     "EventRecord", "StepStats",
-    "primary_potential", "centre_potential",
     "regularized_hamiltonian", "vector_field",
     "integrate",
     "trajectory_to_csv", "trajectory_to_json",
@@ -46,25 +44,7 @@ EXCLUSION_RADIUS_FRAC = 0.01  # radius of the ball around C refused, over eps
 _CSV_ROWS = 1000              # dense-output rows of a trajectory CSV
 
 
-@dataclass(frozen=True)
-class EllipticState:
-    point: EllipticPoint
-    xi_prime: float
-    phi_prime: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.point.xi, self.point.phi,
-                         self.xi_prime, self.phi_prime])
-
-    @staticmethod
-    def from_array(y) -> "EllipticState":
-        return EllipticState(EllipticPoint(float(y[0]), float(y[1])),
-                             float(y[2]), float(y[3]))
-
-
 def _as_state_array(state) -> np.ndarray:
-    if isinstance(state, EllipticState):
-        return state.as_array()
     y = np.asarray(state, dtype=float)
     if y.shape != (4,):
         raise DomainError(f"state must have 4 components, got shape {y.shape}")
@@ -72,24 +52,7 @@ def _as_state_array(state) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# potentials and Hamiltonian
-
-def primary_potential(p: CartesianPoint, a: float) -> float:
-    """Gravitational potential of the two primaries at (+1, 0) and (-1, 0)."""
-    d1 = math.hypot(p.x - 1.0, p.y)
-    d2 = math.hypot(p.x + 1.0, p.y)
-    if d1 < 1e-13 or d2 < 1e-13:
-        raise SingularityError(f"potential singular at primary: ({p.x}, {p.y})")
-    return -a / d2 - a / d1
-
-
-def centre_potential(p: CartesianPoint, centre: CartesianPoint) -> float:
-    """Unit-intensity potential of the perturbing centre."""
-    d = p.distance_to(centre)
-    if d < 1e-13:
-        raise SingularityError("potential singular at the perturbing centre")
-    return -1.0 / d
-
+# Hamiltonian and vector field
 
 def regularized_hamiltonian(state, prm: Params) -> float:
     """Value of the regularized Hamiltonian; 0 on orbits of energy prm.energy."""
@@ -288,6 +251,8 @@ class Trajectory:
 # event engine
 
 _SCAN_POINTS = 8  # dense samples per accepted step used for sign scanning
+_ROOT_TOL = 1e-12  # relative tau width at which a root bracket stops
+_ROOT_MAX_ITER = 80
 
 
 def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
@@ -339,10 +304,10 @@ def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
     return records
 
 
-def _refine_root(state_of, g_of, ta, tb, ga, gb, tol=1e-12, max_iter=80):
+def _refine_root(state_of, g_of, ta, tb, ga, gb):
     """Bisection/secant hybrid root refinement to ~1e-12 in tau."""
-    for _ in range(max_iter):
-        if abs(tb - ta) <= tol * max(1.0, abs(ta), abs(tb)):
+    for _ in range(_ROOT_MAX_ITER):
+        if abs(tb - ta) <= _ROOT_TOL * max(1.0, abs(ta), abs(tb)):
             break
         # secant candidate, safeguarded to the interior
         denom = gb - ga

@@ -9,7 +9,7 @@ search after the first cell of its (beta, q).  With the
 finite-difference nondegeneracy certificate and the beta search that
 `solve` runs, it makes up the math-only layer behind the `periods`,
 `solve` and `check` commands; nothing here imports numpy.  `arcs` builds
-on it and re-exports its names.
+on it.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AccuracyError, DomainError, RangeError
+from .errors import AccuracyError, DomainError, PlacementError, RangeError
 from .geometry import EllipticPoint, elliptic_to_cartesian
 from .params import Params
 from .periods import (ResonanceSolution, period_xi, resonance_residual,
@@ -125,7 +125,7 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     phi0 and Q the xi travel time from the hyperbola axis to xi0, both for
     the resonant parameters carried by prm.  A centre is reported safe when
     both ratios stay further than delta from every element of S.  A centre
-    beyond the turning ellipse has no xi travel time (AccuracyError).
+    beyond the turning ellipse has no xi travel time (PlacementError).
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
@@ -136,7 +136,7 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
     ratio = math.tanh(0.5 * abs(xi0)) / math.sqrt(u_plus)
     if ratio > 1.0:
-        raise AccuracyError(
+        raise PlacementError(
             f"centre at xi={xi0:.6g} lies beyond the turning ellipse"
             f" (tanh(|xi|/2) / tanh(xi_plus/2) = {ratio:.6g}): no xi travel time")
     q_val = math.copysign(incomplete_elliptic_f(math.asin(ratio), u_plus / u_minus)
@@ -241,7 +241,7 @@ def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
                       < math.cosh(xi_plus) * (1.0 - _ELLIPSE_MARGIN))
             if inside and primary_collision_check(prm, delta=delta).safe:
                 return beta
-        except (DomainError, AccuracyError):
+        except DomainError:
             pass
         beta *= 0.5
     raise RangeError(

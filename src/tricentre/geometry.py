@@ -55,11 +55,12 @@ class EllipticPoint:
         """The other elliptic representation of the same Cartesian point."""
         return EllipticPoint(-self.xi, -self.phi)
 
-    def is_primary(self, tol: float = _PRIMARY_TOL) -> bool:
-        if abs(self.xi) > tol:
+    def is_primary(self) -> bool:
+        """Within 1e-13 in xi and in phi of (0, 0) or (0, pi)."""
+        if abs(self.xi) > _PRIMARY_TOL:
             return False
         d = min(self.phi, TWO_PI - self.phi, abs(self.phi - math.pi))
-        return d <= tol
+        return d <= _PRIMARY_TOL
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arcs import CollisionArc
-from .dynamics import CentreProximity, Params, integrate
+from .dynamics import CentreProximity, Params, hamiltonian_values, integrate
 from .errors import DomainError, IntegrationError
 from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
                        elliptic_to_xy, transform_matrix, velocity_to_cartesian)
@@ -29,6 +29,7 @@ _SHOOT_TOL = 1e-9           # Newton stop on the Cartesian endpoint residual
 _SHOOT_MAX_ITER = 40
 _IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
 _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
+_SEED_POINTS = 4096         # polyline samples of the arc that seed the search
 
 
 @dataclass
@@ -56,11 +57,12 @@ def _energy_consistent_state(pos: CartesianPoint, direction_cart: np.ndarray,
     u = transform_matrix(ell)
     rho = math.cosh(ell.xi) ** 2 - math.cos(ell.phi) ** 2
     d_ell = u.T @ direction_cart / rho  # inverse of the conformal map
-    v_cent = -1.0 / pos.distance_to(prm.centre) if prm.eps != 0.0 else 0.0
-    rhs = 2.0 * prm.a * math.cosh(ell.xi) + (prm.energy - prm.eps * v_cent) * rho
-    if rhs <= 0.0:
+    # H = 0 fixes the kinetic term (xi'^2 + phi'^2)/2 to -H at rest
+    kinetic = -float(hamiltonian_values(
+        np.array([[ell.xi, ell.phi, 0.0, 0.0]]), prm)[0])
+    if kinetic <= 0.0:
         raise DomainError("no admissible speed: state outside the Hill region")
-    speed = math.sqrt(2.0 * rhs) / math.hypot(d_ell[0], d_ell[1])
+    speed = math.sqrt(2.0 * kinetic) / math.hypot(d_ell[0], d_ell[1])
     return np.array([ell.xi, ell.phi, speed * d_ell[0], speed * d_ell[1]])
 
 
@@ -76,8 +78,7 @@ def _cartesian_track(states: np.ndarray) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
-                      n_seed: int = 4096) -> float:
+def _deviation_to_arc(points: np.ndarray, arc: CollisionArc) -> float:
     """Max over points of the distance to the continuous reference arc.
 
     A coarse polyline gives the nearest-sample seed; a golden-section
@@ -86,7 +87,7 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
     uniform-tau sampling is sparse).  All points are refined together for
     40 steps, one array dense-output query per step.
     """
-    arc_taus, arc_states = arc.path.dense_grid(n_seed)
+    arc_taus, arc_states = arc.path.dense_grid(_SEED_POINTS)
     poly = _cartesian_track(arc_states)
     px, py = points[:, 0], points[:, 1]
     nearest = np.empty(len(points), dtype=np.intp)
@@ -260,11 +261,10 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
         tau_max = 80.0 * r_e / speed_cart
         exit_ev = CentreProximity(radius=2.0 * r_e, direction=+1, terminal=True)
         traj = integrate(y0, prm, tau_max, tol=1e-12, events=[exit_ev])
-        hits = [e for e in traj.events if e.kind == "centre_proximity"]
-        if not hits:
+        if not traj.events:
             raise IntegrationError(
                 "near-centre passage did not exit the measurement circle")
-        y_exit = hits[0].state
+        y_exit = traj.events[0].state
         v_exit = velocity_to_cartesian(EllipticPoint(y_exit[0], y_exit[1]),
                                        y_exit[2:])
         return math.atan2(v_exit[1], v_exit[0])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import arc_reference
-from tricentre.arcs import arc_family, resonant_params
+from tricentre.arcs import arc_family
+from tricentre.exclusion import resonant_params
 from tricentre.dynamics import PhiCrossing, Params, integrate
 from tricentre.geometry import EllipticPoint
 from tricentre.periods import solve_resonant_a1, turning_point_xi

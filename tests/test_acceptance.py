@@ -12,9 +12,9 @@ import pytest
 
 from conftest import BETA_REF, primary_visit_times
 from test_special import elliptic_k_tanh_sinh
-from tricentre.arcs import (nondegeneracy_certificate,
-                            primary_collision_check,
-                            primary_collision_ratios, resonant_params)
+from tricentre.exclusion import (nondegeneracy_certificate,
+                                 primary_collision_check,
+                                 primary_collision_ratios, resonant_params)
 from tricentre.chains import build_graph, count_periodic_chains, entropy_estimate
 from tricentre.cli import main as cli_main
 from tricentre.dynamics import Params, PhiCrossing, XiCrossing, integrate

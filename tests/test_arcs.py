@@ -10,10 +10,11 @@ import arc_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import adaptive_quadrature
 from tricentre import exclusion
-from tricentre.arcs import (am, arc_family, build_arc, find_admissible_beta,
-                            initial_velocities, nondegeneracy_certificate,
-                            primary_collision_check, primary_collision_ratios,
-                            resonant_params)
+from tricentre.arcs import am, arc_family, build_arc, initial_velocities
+from tricentre.exclusion import (find_admissible_beta,
+                                 nondegeneracy_certificate,
+                                 primary_collision_check,
+                                 primary_collision_ratios, resonant_params)
 from tricentre.dynamics import Params, integrate
 from tricentre.errors import (AccuracyError, DomainError, PlacementError,
                              UnsafeCentreError)
@@ -408,20 +409,18 @@ class TestClosedFormEdges:
             assert np.max(np.abs(states[:, 0])) <= xi_p
 
     def test_beta_zero(self):
-        # k2^2 = 0: phi turns uniformly.  u+ = 1, so xi passes through
-        # infinity at one instant, which no sample here hits
-        prm, sol = resonant_params(EllipticPoint(0.5, 0.7), 1, 0.0)
-        for arc in arc_family(prm):
-            assert not arc.early_collision
-            assert abs(arc.duration - sol.t1) <= 1e-12 * sol.t1
-            assert arc.closure_error <= 1e-12
-            taus, states = arc.path.dense_grid(257)
-            assert np.all(np.isfinite(states))
-            w = 2.0 * math.sqrt(sol.a1_hat)
-            assert np.max(np.abs(states[:, 1] - arc.start.phi
-                                 - arc.label.direction * w * taus)) <= 1e-12
-        for track in orbit_family_portrait(beta=0.0):
-            assert np.all(np.isfinite(track.states))
+        # u+ = 1: the xi motion has no turning point and the eps = 0 orbit
+        # passes through infinity, so no path is built at beta = 0
+        prm, _ = resonant_params(EllipticPoint(0.5, 0.7), 1, 0.0)
+        # the closed-form check runs and passes, so arc_family gets to a path
+        assert primary_collision_check(prm).safe
+        message = "no finite turning point"
+        with pytest.raises(DomainError, match=message):
+            build_arc(prm, 1, 1)
+        with pytest.raises(DomainError, match=message):
+            arc_family(prm)
+        with pytest.raises(DomainError, match=message):
+            orbit_family_portrait(beta=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +537,7 @@ class TestExclusionOracle:
         assert abs(report.g_minus - g_minus) <= 5e-15
 
     def test_beyond_turning_ellipse_has_no_travel_time(self):
-        with pytest.raises(AccuracyError, match="beyond the turning ellipse"):
+        with pytest.raises(PlacementError, match="beyond the turning ellipse"):
             primary_collision_check(_centre_params(F(1), BETA_REF, 1.01, 0.7))
         report = primary_collision_check(
             _centre_params(F(1), BETA_REF, 1.0 - 1e-9, 0.7))

@@ -60,10 +60,10 @@ class TestCheck:
         assert rc == 3
         assert "UNSAFE" in out
 
-    def test_centre_beyond_turning_ellipse_exit_four(self, capsys):
-        # xi_plus = 3.873 at (beta, q) = (0.142857, 1)
+    def test_centre_beyond_turning_ellipse_exit_two(self, capsys):
+        # xi_plus = 3.873 at (beta, q) = (0.142857, 1): a placement error
         assert main(["check", "--centre-elliptic", "4.5,0.7", "--q", "1",
-                     "--beta", "0.142857"]) == 4
+                     "--beta", "0.142857"]) == 2
         assert "beyond the turning ellipse" in capsys.readouterr().err
 
 

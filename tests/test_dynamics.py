@@ -7,14 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricentre import _kernels, dynamics
-from tricentre.dynamics import (CentreProximity, EllipticState, Params,
-                                PhiCrossing, XiCrossing,
-                                centre_potential, integrate,
-                                primary_potential, regularized_hamiltonian,
-                                trajectory_to_csv, trajectory_to_json,
-                                vector_field)
+from tricentre.dynamics import (CentreProximity, Params, PhiCrossing,
+                                XiCrossing, integrate,
+                                regularized_hamiltonian, trajectory_to_csv,
+                                trajectory_to_json, vector_field)
 from tricentre.errors import DomainError, IntegrationError, SingularityError
-from tricentre.geometry import CartesianPoint, EllipticPoint, elliptic_to_xy
+from tricentre.geometry import CartesianPoint, elliptic_to_xy
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1
 from tricentre.shadow import _energy_consistent_state
 from verlet_check import integrate_symplectic
@@ -29,28 +27,6 @@ def separated_state(beta, a1, a=1.0, xi=0.0, phi=0.3, s_xi=1, s_phi=1):
         s_xi * 2.0 * math.sqrt(a * r),
         s_phi * 2.0 * math.sqrt(a * (beta * a1 * math.cos(phi) ** 2 + a1)),
     ])
-
-
-class TestPotentials:
-    def test_midpoint(self):
-        assert primary_potential(CartesianPoint(0.0, 0.0), 1.0) == -2.0
-
-    def test_decay_at_infinity(self):
-        vals = [primary_potential(CartesianPoint(0.0, y), 1.0)
-                for y in (10.0, 100.0, 1000.0)]
-        assert all(v < 0.0 for v in vals)
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_singular_at_primary(self):
-        with pytest.raises(SingularityError):
-            primary_potential(CartesianPoint(1.0, 0.0), 1.0)
-
-    def test_centre_potential_distances(self):
-        c = CartesianPoint(0.25, 0.5)
-        assert centre_potential(CartesianPoint(1.25, 0.5), c) == pytest.approx(-1.0)
-        assert centre_potential(CartesianPoint(2.25, 0.5), c) == pytest.approx(-0.5)
-        with pytest.raises(SingularityError):
-            centre_potential(c, c)
 
 
 class TestHamiltonian:
@@ -369,12 +345,6 @@ class TestExport(object):
         assert doc["energy_drift"] <= 1e-9
 
 
-def test_state_roundtrip():
-    s = EllipticState(EllipticPoint(0.3, 1.2), -0.5, 0.8)
-    assert np.allclose(EllipticState.from_array(s.as_array()).as_array(),
-                       s.as_array())
-
-
 def test_params_validation():
     with pytest.raises(DomainError):
         Params(a=-1.0)
@@ -433,8 +403,8 @@ class TestKernelOracle:
     @pytest.mark.parametrize("case", ["bench_orbit", "negative_span",
                                       "shooting_span", "shooting_span_1e-2",
                                       "shooting_span_1e-4", "short_span",
-                                      "exclusion_ball", "max_steps",
-                                      "underflow"])
+                                      "zero_span", "exclusion_ball",
+                                      "max_steps", "underflow"])
     def test_bitwise_equal_to_reference(self, case, q1_family):
         from dopri5_reference import _dopri5_core_py
         args, status = {
@@ -450,6 +420,8 @@ class TestKernelOracle:
             # shorter than the steps the controller would take
             "short_span": lambda: (_shooting_span_args(q1_family, span=1e-3),
                                    _kernels.STATUS_OK),
+            "zero_span": lambda: (_shooting_span_args(q1_family, span=0.0),
+                                  _kernels.STATUS_OK),
             "exclusion_ball": lambda: (_centre_dive_args(1e-4),
                                        _kernels.STATUS_ENTERED_EXCLUSION_BALL),
             "max_steps": lambda: (_bench_orbit_args(max_steps=5),
@@ -463,6 +435,7 @@ class TestKernelOracle:
         assert got[1] == want[1]
         for g, w in zip(got[2:5], want[2:5]):
             assert g.shape == w.shape
+            assert g.dtype == np.float64 and g.flags.c_contiguous
             assert np.array_equal(g, w)
 
     def test_endpoint_against_scipy_dop853(self):

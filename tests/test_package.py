@@ -11,24 +11,26 @@ import tricentre
 
 # The package's exports before they resolved lazily, less what was deleted
 # since (integrate_symplectic moved to tests/verlet_check.py,
-# PrimaryProximity, which only tests used, is gone, and adaptive_quadrature
-# with QuadratureResult moved to tests/quadrature_reference.py).
+# PrimaryProximity, which only tests used, is gone, adaptive_quadrature
+# with QuadratureResult moved to tests/quadrature_reference.py, and
+# EllipticState, primary_potential and centre_potential, which only tests
+# used, are gone).
 EXPORTS = {
     "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
-    "EllipticPoint", "EllipticState", "EventRecord", "IntegrationError",
+    "EllipticPoint", "EventRecord", "IntegrationError",
     "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",
     "PlacementError", "RangeError",
     "ResonanceSolution", "SafetyReport", "ShadowResult", "SingularityError",
     "StructuralError", "Trajectory", "TricentreError", "UnsafeCentreError",
     "XiCrossing", "arc_family", "assemble_chain",
     "build_alphabet", "build_arc", "build_graph", "cartesian_to_elliptic",
-    "centre_potential", "complete_elliptic_k", "count_periodic_chains",
+    "complete_elliptic_k", "count_periodic_chains",
     "elliptic_to_cartesian", "entropy_estimate", "find_admissible_beta",
     "initial_velocities", "integrate", "local_expansion_rate",
     "modulus_squares", "nondegeneracy_certificate", "period_phi",
     "period_xi", "physical_time_of", "primary_collision_check",
-    "primary_collision_ratios", "primary_potential", "regularized_hamiltonian",
+    "primary_collision_ratios", "regularized_hamiltonian",
     "resonance_residual", "resonant_params", "shoot_segment",
     "solve_beta_for_energy", "solve_resonant_a1", "trajectory_to_csv",
     "trajectory_to_json", "transform_matrix", "turning_point_xi",

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deviation_reference import _deviation_to_arc as reference_deviation
 from tricentre import shadow
-from tricentre.dynamics import integrate
+from tricentre.dynamics import Params, integrate
 from tricentre.errors import DomainError
-from tricentre.geometry import elliptic_to_xy
-from tricentre.shadow import _deviation_to_arc, local_expansion_rate, shoot_segment
+from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
+                                velocity_to_cartesian)
+from tricentre.shadow import (_deviation_to_arc, _energy_consistent_state,
+                              local_expansion_rate, shoot_segment)
 
 
 class TestShootSegment:
@@ -76,6 +80,43 @@ def _points_near_arc(arc, n, max_offset, seed):
     r = max_offset * np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.column_stack([x + r * np.cos(theta), y + r * np.sin(theta)])
+
+
+class TestEnergyConsistentState:
+    """The start state against the Cartesian energy identity
+
+        |v|^2/2 - a/|z-1| - a/|z+1| - eps/|z-C| = E,  v = d(x, y)/dtau / rho,
+
+    which shares no code with the regularized Hamiltonian."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+           angle=st.floats(-math.pi, math.pi), a=st.floats(0.5, 2.0),
+           beta=st.floats(0.01, 0.9), a1_frac=st.floats(0.05, 0.95),
+           eps=st.one_of(st.just(0.0), st.floats(1e-6, 0.1)),
+           cx=st.floats(-2.0, 2.0), cy=st.floats(-2.0, 2.0))
+    def test_cartesian_energy_identity(self, x, y, angle, a, beta, a1_frac,
+                                       eps, cx, cy):
+        z, c = complex(x, y), complex(cx, cy)
+        assume(min(abs(z - 1.0), abs(z + 1.0), abs(z - c),
+                   abs(c - 1.0), abs(c + 1.0)) >= 1e-3)
+        prm = Params(a=a, beta=beta, a1=a1_frac / (1.0 + beta), eps=eps,
+                     centre=CartesianPoint(cx, cy))
+        terms = (a / abs(z - 1.0), a / abs(z + 1.0), eps / abs(z - c))
+        scale = max(1.0, abs(prm.energy), *terms)
+        assume(prm.energy + sum(terms) > 1e-9 * scale)  # inside the Hill region
+
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        y0 = _energy_consistent_state(CartesianPoint(x, y), direction, prm)
+        rho = math.cosh(y0[0]) ** 2 - math.cos(y0[1]) ** 2
+        v = velocity_to_cartesian(EllipticPoint(y0[0], y0[1]), y0[2:]) / rho
+        kinetic = 0.5 * float(v @ v)
+        assert abs(kinetic - sum(terms) - prm.energy) \
+            <= 1e-10 * max(scale, kinetic)
+        assert elliptic_to_xy(y0[0], y0[1], math) == pytest.approx(
+            (x, y), rel=1e-12, abs=1e-12)
+        assert float(v @ direction) == pytest.approx(
+            math.sqrt(2.0 * kinetic), rel=1e-9)
 
 
 class TestDeviationMetric:
