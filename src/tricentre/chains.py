@@ -2,8 +2,9 @@
 
 Chains of arcs are admissible when consecutive velocities at C are not
 parallel (up to sign); the admissibility graph is a topological Markov
-chain whose periodic-path counts trace(A^n) and spectral radius give the
-number of periodic chains and the topological entropy.
+chain.  Its periodic-path counts trace(A^n), an exact integer matrix power,
+and its spectral radius, from np.linalg.eigvals, give the number of
+periodic chains and the topological entropy.
 """
 from __future__ import annotations
 
@@ -27,8 +28,6 @@ __all__ = [
 ]
 
 _PARALLEL_TOL = 1e-6       # least |cross product| of non-parallel unit vectors
-_POWER_TOL = 1e-10         # power iteration stop: relative eigenvalue change
-_POWER_MAX_ITER = 100_000
 
 
 @dataclass
@@ -126,61 +125,34 @@ def build_graph(arcs: Sequence[CollisionArc]) -> ChainGraph:
     return ChainGraph(nodes=labels, adjacency=adj)
 
 
+def _adjacency_power(graph: ChainGraph, n: int) -> np.ndarray:
+    """A^n over Python ints (object dtype): exact, no overflow."""
+    return np.linalg.matrix_power(graph.adjacency.astype(int).astype(object), n)
+
+
 def count_periodic_chains(graph: ChainGraph, n: int) -> int:
     """Number of periodic chains of period n: trace(A^n), exact integers."""
     if n < 1:
         raise DomainError(f"period must be >= 1, got {n}")
-    size = graph.n_nodes
-    a = [[int(graph.adjacency[i, j]) for j in range(size)] for i in range(size)]
-
-    def matmul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(size))
-                 for j in range(size)] for i in range(size)]
-
-    # exponentiation by squaring over Python ints (no overflow)
-    result = None
-    base = a
-    e = n
-    while e:
-        if e & 1:
-            result = base if result is None else matmul(result, base)
-        base = matmul(base, base)
-        e >>= 1
-    return sum(result[i][i] for i in range(size))
+    return int(np.trace(_adjacency_power(graph, n)))
 
 
 def entropy_estimate(graph: ChainGraph) -> float:
-    """log of the adjacency spectral radius, by shifted power iteration.
+    """log of the adjacency spectral radius, from np.linalg.eigvals.
 
-    Iterating on A + I avoids the oscillation of bipartite graphs (the
-    shift maps rho -> rho + 1 for nonnegative matrices).  A nilpotent
-    adjacency (no cycles at all) yields entropy 0 with a warning.
+    A nilpotent adjacency (A^N = 0 for N nodes: no cycles at all) yields
+    entropy 0 with a warning.  Otherwise the graph has a cycle, so the
+    spectral radius is at least 1 and is clamped there against rounding.
     """
     n = graph.n_nodes
     if n == 0:
         raise DomainError("empty graph")
-    a = graph.adjacency.astype(float)
-    b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    lam_old = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        y = b @ x
-        lam = float(np.max(y))
-        if lam <= 0.0:
-            break
-        x = y / lam
-        if abs(lam - lam_old) <= _POWER_TOL * max(lam, 1.0):
-            break
-        lam_old = lam
-    rho = max(lam - 1.0, 0.0)
-    if rho < 1e-9:
-        power = np.linalg.matrix_power(graph.adjacency.astype(np.int64),
-                                       max(n, 1))
-        if not power.any():
-            warnings.warn("adjacency is nilpotent: no periodic chains exist",
-                          stacklevel=2)
+    if not _adjacency_power(graph, n).any():
+        warnings.warn("adjacency is nilpotent: no periodic chains exist",
+                      stacklevel=2)
         return 0.0
-    return math.log(rho)
+    rho = float(np.max(np.abs(np.linalg.eigvals(graph.adjacency.astype(float)))))
+    return math.log(max(rho, 1.0))
 
 
 def assemble_chain(graph: ChainGraph, word: Sequence, length: int) -> CollisionChain:

@@ -345,12 +345,16 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     returned trajectory at its first occurrence.  A terminal root on the
     accepted steps outranks a later failure of the stepper (step underflow,
     exhausted budget, exclusion ball), which raises IntegrationError only
-    when no terminal root precedes it.
+    when no terminal root precedes it.  A tol, tau_end or state that is
+    not finite raises DomainError.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     y0 = _as_state_array(state0)
     tau_end = float(tau_end)
+    if not (math.isfinite(tau_end) and np.all(np.isfinite(y0))):
+        raise DomainError(f"tau_end and state must be finite, got {tau_end}"
+                          f" and {y0.tolist()}")
     r_min = EXCLUSION_RADIUS_FRAC * prm.eps
 
     status, n, T, Y, KS, stats = _kernels.dopri5_core(

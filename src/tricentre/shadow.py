@@ -165,13 +165,12 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     converged = rnorm <= _SHOOT_TOL
     while not converged and n_it < _SHOOT_MAX_ITER:
         n_it += 1
-        jac = np.empty((2, 2))
         d_alpha = 1e-7
-        d_t = 1e-7 * max(1.0, abs(z[1]))
         _, r_a = residual(z + np.array([d_alpha, 0.0]))
-        _, r_t = residual(z + np.array([0.0, d_t]))
-        jac[:, 0] = (r_a - r) / d_alpha
-        jac[:, 1] = (r_t - r) / d_t
+        # d(endpoint)/dT is the Cartesian velocity at the endpoint
+        end = traj.states[-1]
+        jac = np.column_stack([(r_a - r) / d_alpha, velocity_to_cartesian(
+            EllipticPoint(end[0], end[1]), end[2:])])
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:

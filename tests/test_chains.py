@@ -1,6 +1,10 @@
+import functools
+import itertools
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +50,75 @@ def brute_force_closed_walks(adj, n):
     for s in range(size):
         walk(s, s, 1)
     return count
+
+
+def charpoly(adj):
+    """Exact characteristic polynomial det(x I - A), highest degree first.
+
+    Faddeev-LeVerrier over Python ints: M_k = A M_{k-1} + c_{k-1} I and
+    c_k = -trace(A M_k) / k, each division exact for an integer matrix.
+    """
+    size = len(adj)
+    m = [[0] * size for _ in range(size)]
+    coeffs = [1]
+    for k in range(1, size + 1):
+        m = [[sum(adj[i][l] * m[l][j] for l in range(size))
+              + (coeffs[-1] if i == j else 0) for j in range(size)]
+             for i in range(size)]
+        trace = sum(adj[i][l] * m[l][i] for i in range(size)
+                    for l in range(size))
+        coeffs.append(-trace // k)
+    return coeffs
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b, coefficients highest first."""
+    q, r = [], list(a)
+    while len(r) >= len(b):
+        f = r[0] / b[0]
+        q.append(f)
+        r = [x - f * y for x, y in zip(r, b + [0] * (len(r) - len(b)))][1:]
+    while r and r[0] == 0:
+        r = r[1:]
+    return q, r
+
+
+def squarefree(p):
+    """p / gcd(p, p') over the rationals: the roots of p, each simple."""
+    p = [Fraction(c) for c in p]
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    return _poly_divmod(p, g)[0]
+
+
+def oracle_entropy(adj):
+    """log max(rho, 1) from the exact characteristic polynomial, or None
+    when the graph is nilpotent (characteristic polynomial x^N)."""
+    return _entropy_of_charpoly(tuple(charpoly(adj)))
+
+
+@functools.lru_cache(maxsize=None)
+def _entropy_of_charpoly(p):
+    if not any(p[1:]):
+        return None
+    with mpmath.workdps(30):
+        q = [mpmath.mpf(c.numerator) / c.denominator for c in squarefree(p)]
+        roots = mpmath.polyroots(q, maxsteps=200, extraprec=60)
+        return float(mpmath.log(max(max(abs(r) for r in roots), 1)))
+
+
+def check_entropy_against_oracle(adj, tol):
+    g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
+                   adjacency=adj)
+    want = oracle_entropy(adj.astype(int).tolist())
+    if want is None:
+        with pytest.warns(UserWarning, match="nilpotent"):
+            assert entropy_estimate(g) == 0.0
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(entropy_estimate(g) - want) <= tol
 
 
 class TestAlphabet:
@@ -144,6 +217,11 @@ class TestCounts:
             assert count_periodic_chains(g, n) == \
                 int(np.trace(np.linalg.matrix_power(a, n)))
 
+    def test_count_beyond_int64_is_exact(self):
+        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(12)],
+                       adjacency=np.ones((12, 12), dtype=bool))
+        assert count_periodic_chains(g, 40) == 12 ** 40
+
     def test_bad_period(self, q1_family):
         with pytest.raises(DomainError):
             count_periodic_chains(build_graph(q1_family), 0)
@@ -166,6 +244,39 @@ class TestEntropy:
 
     def test_lower_bound_for_safe_alphabet(self, q2_family):
         assert entropy_estimate(build_graph(q2_family)) >= math.log(2.0) - 1e-9
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_every_small_graph_against_oracle(self, size):
+        for bits in itertools.product((False, True), repeat=size * size):
+            check_entropy_against_oracle(
+                np.array(bits, dtype=bool).reshape(size, size), 1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(adj=st.integers(4, 12).flatmap(
+        lambda k: hnp.arrays(np.bool_, (k, k))))
+    def test_random_graph_against_oracle(self, adj):
+        # a defective spectral radius costs eigvals about the square root
+        # of the machine epsilon: 4.5e-9 on charpoly (x^2 - x - 1)^2 (x - 1)
+        check_entropy_against_oracle(adj, 1e-8)
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    @pytest.mark.parametrize("block", [
+        np.ones((2, 2), dtype=bool),
+        np.block([[np.zeros((2, 2)), np.ones((2, 2))],
+                  [np.ones((2, 2)), np.zeros((2, 2))]]).astype(bool),
+    ])
+    def test_chained_log_two_blocks(self, block, copies):
+        # block-triangular: one edge from each copy into the next, so the
+        # spectral radius 2 is a defective eigenvalue of multiplicity copies
+        m = len(block)
+        adj = np.zeros((copies * m, copies * m), dtype=bool)
+        for i in range(copies):
+            adj[i * m:(i + 1) * m, i * m:(i + 1) * m] = block
+            if i + 1 < copies:
+                adj[i * m, (i + 1) * m] = True
+        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
+                       adjacency=adj)
+        assert entropy_estimate(g) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 class TestChainAssembly:

@@ -199,6 +199,20 @@ class TestIntegrate:
             assert main(argv + ["--centre-xy", centre]) == 0
         assert len(list(tmp_path.iterdir())) == 4
 
+    @pytest.mark.parametrize("bad", [
+        ["--state", "0,0.3,1.2,1.1", "--tau-end", "nan"],
+        ["--state", "0,0.3,1.2,1.1", "--tau-end", "inf"],
+        ["--state", "0,0.3,1.2,1.1", "--tau-end", "2", "--tol", "nan"],
+        ["--state", "nan,0.3,1.2,1.1", "--tau-end", "2"],
+        ["--state", "0,0.3,inf,1.1", "--tau-end", "2"],
+    ])
+    def test_non_finite_input_exits_two(self, capsys, tmp_path, bad):
+        argv = ["integrate", "--beta", "0.2", "--a1", "0.3",
+                "--out", str(tmp_path)]
+        assert main(argv + bad) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):

@@ -124,6 +124,19 @@ class TestIntegrate:
         assert len(traj.taus) == 1
         assert traj.events == []
 
+    @pytest.mark.parametrize("bad", [
+        {"tau_end": math.nan}, {"tau_end": math.inf}, {"tau_end": -math.inf},
+        {"tol": math.nan}, {"tol": math.inf},
+        {"state0": [math.nan, 0.3, 1.2, 1.1]},
+        {"state0": [0.0, 0.3, math.inf, 1.1]},
+    ])
+    def test_non_finite_input_is_a_domain_error(self, bad):
+        args = {"state0": separated_state(0.2, 0.3),
+                "prm": Params(a=1.0, beta=0.2, a1=0.3),
+                "tau_end": 1.0, "tol": 1e-10}
+        with pytest.raises(DomainError):
+            integrate(**{**args, **bad})
+
     def test_separated_subsystem_energies_conserved(self):
         beta, a1 = 0.15, 0.45
         prm = Params(a=1.0, beta=beta, a1=a1)
