@@ -22,8 +22,7 @@ _EXPORTS = {
                "entropy_estimate"),
     "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
                  "Trajectory", "XiCrossing", "integrate",
-                 "regularized_hamiltonian", "trajectory_to_csv",
-                 "trajectory_to_json", "vector_field"),
+                 "trajectory_to_csv", "trajectory_to_json"),
     "errors": ("AccuracyError", "DomainError", "IntegrationError",
                "PlacementError", "RangeError", "SingularityError",
                "StructuralError", "TricentreError", "UnsafeCentreError"),

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import StepStats
 from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
 from .exclusion import _separated_motion, primary_collision_check
@@ -129,19 +128,15 @@ class SeparatedPath:
 
     with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
     sign of `sign` at tau = 0.  It serves what readers of a collision
-    arc's path use: `taus` and `states` (the two ends), `state_at`,
-    `dense_grid`, `params` and `stats`, which counts no step.  beta = 0
-    raises DomainError, as `turning_point_xi` does.
+    arc's path use: `taus` and `states` (the two ends), `state_at` and
+    `dense_grid`.  beta = 0 raises DomainError, as `turning_point_xi` does.
     """
-
-    stats = StepStats(0, 0, 0, 0.0, 0.0)
 
     def __init__(self, prm: Params, start: EllipticPoint, sign: int,
                  direction: int, duration: float):
         turning_point_xi(prm.beta, prm.a1)  # refuses beta = 0
         u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1,
                                                          prm.a)
-        self.params = prm
         self._k2 = prm.beta / (1.0 + prm.beta)
         self._f0 = incomplete_elliptic_f(start.phi, self._k2)
         self._rate = direction * w

@@ -140,18 +140,20 @@ def count_periodic_chains(graph: ChainGraph, n: int) -> int:
 def entropy_estimate(graph: ChainGraph) -> float:
     """log of the adjacency spectral radius, from np.linalg.eigvals.
 
-    A nilpotent adjacency (A^N = 0 for N nodes: no cycles at all) yields
-    entropy 0 with a warning.  Otherwise the graph has a cycle, so the
-    spectral radius is at least 1 and is clamped there against rounding.
+    A graph with a cycle has spectral radius at least 1, so a computed
+    radius below 1 is either a nilpotent adjacency (A^N = 0 for N nodes: no
+    cycles at all), which yields entropy 0 with a warning, or rounding of a
+    defective root at 1; the exact integer test A^N = 0 tells them apart,
+    and the radius is clamped at 1.
     """
     n = graph.n_nodes
     if n == 0:
         raise DomainError("empty graph")
-    if not _adjacency_power(graph, n).any():
+    rho = float(np.max(np.abs(np.linalg.eigvals(graph.adjacency.astype(float)))))
+    if rho < 1.0 and not _adjacency_power(graph, n).any():
         warnings.warn("adjacency is nilpotent: no periodic chains exist",
                       stacklevel=2)
         return 0.0
-    rho = float(np.max(np.abs(np.linalg.eigvals(graph.adjacency.astype(float)))))
     return math.log(max(rho, 1.0))
 
 

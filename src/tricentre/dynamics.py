@@ -1,4 +1,4 @@
-"""Regularized Hamiltonian, vector field and the trajectory integrator.
+"""Regularized Hamiltonian and the trajectory integrator.
 
 The regularized system evolves y = (xi, phi, xi', phi') in the rescaled
 time tau, with Hamiltonian
@@ -21,20 +21,14 @@ import numpy as np
 from . import _kernels
 from ._kernels import StepStats
 from ._output import write_csv, write_json
-from .errors import DomainError, IntegrationError, SingularityError
-from .geometry import (
-    EllipticPoint,
-    elliptic_to_cartesian,
-    elliptic_to_xy,
-    physical_time_of,
-)
+from .errors import DomainError, IntegrationError
+from .geometry import elliptic_to_xy, physical_time_of
 from .params import Params
 
 __all__ = [
     "Params", "Trajectory",
     "XiCrossing", "PhiCrossing", "CentreProximity",
     "EventRecord", "StepStats",
-    "regularized_hamiltonian", "vector_field",
     "integrate",
     "trajectory_to_csv", "trajectory_to_json",
 ]
@@ -52,18 +46,11 @@ def _as_state_array(state) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and vector field
-
-def regularized_hamiltonian(state, prm: Params) -> float:
-    """Value of the regularized Hamiltonian; 0 on orbits of energy prm.energy."""
-    y = _as_state_array(state)
-    if prm.eps > 0.0:
-        _check_off_centre(y, prm, "state at the perturbing centre with eps > 0")
-    return float(hamiltonian_values(y[None, :], prm)[0])
-
+# Hamiltonian
 
 def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
-    """Vectorized Hamiltonian over an (n, 4) state array."""
+    """Regularized Hamiltonian over an (n, 4) state array; 0 on orbits of
+    energy prm.energy."""
     xi, phi = states[:, 0], states[:, 1]
     ch, cp = np.cosh(xi), np.cos(phi)
     rho = ch * ch - cp * cp
@@ -76,21 +63,6 @@ def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
     return val
 
 
-def vector_field(state, prm: Params) -> np.ndarray:
-    """d(state)/dtau from Hamilton's equations of the regularized system."""
-    y = _as_state_array(state)
-    if prm.eps > 0.0:
-        _check_off_centre(y, prm, "vector field singular at the perturbing centre")
-    rhs = _kernels.field(prm.a, prm.energy, prm.eps, *_centre_xy(prm))
-    return np.array(rhs(*(float(v) for v in y)))
-
-
-def _check_off_centre(y: np.ndarray, prm: Params, message: str) -> None:
-    pos = elliptic_to_cartesian(EllipticPoint(y[0], y[1]))
-    if pos.distance_to(prm.centre) < 1e-13:
-        raise SingularityError(message)
-
-
 def _centre_xy(prm: Params) -> tuple[float, float]:
     if prm.centre is None:
         return 0.0, 0.0
@@ -100,39 +72,32 @@ def _centre_xy(prm: Params) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # event specifications
 #
-# Every spec has g(states, prm), whose sign changes mark its roots, over an
-# (..., 4) state array: the scan passes the whole dense-output grid and the
-# root refinement one state of shape (4,).  accept(y) filters the roots.
+# Every spec has g(states, prm), whose sign changes in `direction` (+1, -1
+# or 0 = any) mark its roots, over an (..., 4) state array: the scan passes
+# the whole dense-output grid and the root refinement one state of shape
+# (4,).  Each root becomes an EventRecord of the spec's `kind`.
 
 @dataclass(frozen=True)
 class XiCrossing:
     """Crossing of the confocal ellipse xi = value; direction +1/-1/0=any."""
     value: float
     direction: int = 0
-    terminal: bool = False
     kind: str = field(default="xi_crossing", init=False)
 
     def g(self, states: np.ndarray, prm: Params):
         return states[..., 0] - self.value
-
-    def accept(self, y: np.ndarray) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
 class PhiCrossing:
     """Crossing of phi = value (mod 2pi), any rotation direction."""
     value: float
-    terminal: bool = False
     kind: str = field(default="phi_crossing", init=False)
     direction: int = field(default=0, init=False)
 
     def g(self, states: np.ndarray, prm: Params):
-        # sin vanishes at value mod pi; the accept() filter keeps mod 2pi
-        return np.sin(states[..., 1] - self.value)
-
-    def accept(self, y: np.ndarray) -> bool:
-        return math.cos(y[1] - self.value) > 0.0
+        # the half angle vanishes, with a sign change, only at value mod 2pi
+        return np.sin(0.5 * (states[..., 1] - self.value))
 
 
 @dataclass(frozen=True)
@@ -140,7 +105,6 @@ class CentreProximity:
     """Crossing of the circle dist(., centre) = radius; -1 means entering."""
     radius: float
     direction: int = -1
-    terminal: bool = False
     kind: str = field(default="centre_proximity", init=False)
 
     def g(self, states: np.ndarray, prm: Params):
@@ -149,9 +113,6 @@ class CentreProximity:
         cx, cy = _centre_xy(prm)
         x, y = elliptic_to_xy(states[..., 0], states[..., 1], lib)
         return (x - cx) ** 2 + (y - cy) ** 2 - self.radius ** 2
-
-    def accept(self, y: np.ndarray) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -170,11 +131,8 @@ class Trajectory:
 
     Step i of the dense output starts at taus[i], has length h[i] and the
     coefficients dense_q[i] = K_i^T P (4 components x 4 powers); a run
-    without dense output passes empty h and dense_q.  A truncated copy
-    keeps the full h of the step that holds its cut, so its last h may
-    exceed taus[-1] - taus[-2].  `stats` reports the steps of the
-    integration that produced it, also for a truncated copy, which keeps
-    the events up to its cut.
+    without dense output passes empty h and dense_q.  `stats` reports the
+    steps of the integration that produced it.
     """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
@@ -215,31 +173,6 @@ class Trajectory:
         corr = np.einsum("ncp,np->nc", self._dense_q[idx], powers)
         out = self.states[idx] + self._h[idx][:, None] * corr
         return out[0] if scalar else out
-
-    def truncated(self, tau_star: float) -> "Trajectory":
-        """Copy of this trajectory cut at tau_star (earlier events kept).
-
-        A cut within 1e-15*max(1, |tau_star|) after a sample ends at that
-        sample.  The copy keeps the parent's dense steps up to the one that
-        holds the cut, with that step's full h, so its dense output is the
-        parent's on its span.  It keeps the parent's stats.
-        """
-        ascending = self.taus[-1] >= self.taus[0]
-        grid = self.taus if ascending else -self.taus
-        q = tau_star if ascending else -tau_star
-        n = int(np.searchsorted(grid, q, side="right"))
-        n = max(1, min(n, len(self.taus)))
-        if abs(self.taus[n - 1] - tau_star) <= 1e-15 * max(1.0, abs(tau_star)):
-            taus = self.taus[:n].copy()
-            states = self.states[:n].copy()
-        else:
-            taus = np.concatenate([self.taus[:n], [tau_star]])
-            states = np.vstack([self.states[:n], self.state_at(tau_star)])
-        events = [e for e in self.events
-                  if (e.tau <= tau_star + 1e-15 if ascending
-                      else e.tau >= tau_star - 1e-15)]
-        return Trajectory(self.params, taus, states, self._h[:n],
-                          self._dense_q[:n], events, self.stats)
 
     def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """Uniform tau grid with dense-output states, endpoints included."""
@@ -297,8 +230,7 @@ def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
                 lambda tt, ii=i: dense_state(ii, tt),
                 lambda yv: spec.g(yv, prm),
                 ta, tb, ga, gb)
-            if spec.accept(y_star):
-                records.append(EventRecord(spec.kind, tau_star, y_star, spec))
+            records.append(EventRecord(spec.kind, tau_star, y_star, spec))
     ascending = traj_T[-1] >= traj_T[0]
     records.sort(key=lambda r: r.tau if ascending else -r.tau)
     return records
@@ -340,13 +272,11 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     tol sets both relative and absolute local error targets of the embedded
     5(4) pair.  The stepper makes at most MAX_STEPS attempts and never
     enters the ball of radius EXCLUSION_RADIUS_FRAC*eps around the centre.
-    Event specs are located on the dense output by sign-change scanning
-    plus hybrid root refinement; a spec with terminal=True truncates the
-    returned trajectory at its first occurrence.  A terminal root on the
-    accepted steps outranks a later failure of the stepper (step underflow,
-    exhausted budget, exclusion ball), which raises IntegrationError only
-    when no terminal root precedes it.  A tol, tau_end or state that is
-    not finite raises DomainError.
+    A failure of the stepper (step underflow, exhausted budget, exclusion
+    ball) raises IntegrationError.  Event specs are located on the dense
+    output by sign-change scanning plus hybrid root refinement and reported
+    on the returned trajectory; they never change the run.  A tol, tau_end
+    or state that is not finite raises DomainError.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -361,14 +291,6 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
         *_centre_xy(prm), r_min)
 
-    h = np.diff(T)
-    dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
-    records = _detect_events(T, Y, h, dense_q, prm, list(events))
-    traj = Trajectory(prm, T, Y, h, dense_q, records, stats)
-    for rec in records:
-        if rec.spec.terminal:
-            return traj.truncated(rec.tau)
-
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
             f"step size underflow at tau={T[n]:.6g} (singularity approach?)")
@@ -378,7 +300,11 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
         raise IntegrationError(
             f"trajectory entered the exclusion ball of radius {r_min:.3g}"
             f" around the perturbing centre at tau={T[n]:.6g}")
-    return traj
+
+    h = np.diff(T)
+    dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
+    records = _detect_events(T, Y, h, dense_q, prm, list(events))
+    return Trajectory(prm, T, Y, h, dense_q, records, stats)
 
 
 # ---------------------------------------------------------------------------

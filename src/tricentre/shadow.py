@@ -224,8 +224,8 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     Takes the arrival state of the first converged segment, offsets it
     across the incoming direction by impact parameters b0 -+ db = (0.25 -+
     0.05) entry radii (energy kept on the zero level), integrates each
-    branch through the near-centre swing until it exits the doubled circle,
-    and returns log |d(theta_out)/d(b)| by central differences.  It grows
+    branch through the near-centre swing, reads its first exit from the
+    doubled circle, and returns log |d(theta_out)/d(b)| by central differences.  It grows
     as the centre's attraction strengthens relative to the passage
     distance, i.e. as eps decreases at fixed b/entry_radius.
     """
@@ -258,7 +258,7 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
         speed_cart = float(np.hypot(*velocity_to_cartesian(
             EllipticPoint(y0[0], y0[1]), y0[2:])))
         tau_max = 80.0 * r_e / speed_cart
-        exit_ev = CentreProximity(radius=2.0 * r_e, direction=+1, terminal=True)
+        exit_ev = CentreProximity(radius=2.0 * r_e, direction=+1)
         traj = integrate(y0, prm, tau_max, tol=1e-12, events=[exit_ev])
         if not traj.events:
             raise IntegrationError(

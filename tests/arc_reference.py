@@ -1,10 +1,11 @@
 """Reference collision arcs for the closed-form oracle tests.
 
-This is the earlier implementation of ``tricentre.arcs.build_arc`` kept
-verbatim: it integrates the arc with DOPRI5 (a decade tighter than the
-requested tolerance) and finds the first return to C as the earliest
-``PhiCrossing`` event of phi = phi0 or phi = -phi0 (mod 2pi) whose xi
-matches.  Its ``path`` is the integrated ``Trajectory``.  The closed-form
+This is the earlier implementation of ``tricentre.arcs.build_arc``: it
+integrates the arc with DOPRI5 (a decade tighter than the requested
+tolerance) and finds the first return to C as the earliest ``PhiCrossing``
+event of phi = phi0 or phi = -phi0 (mod 2pi) whose xi matches.  Its
+``path`` is a second integration from the same start that ends at that
+return.  The closed-form
 arcs must agree with it within the tolerances the tests state.
 """
 from __future__ import annotations
@@ -77,7 +78,7 @@ def build_arc(prm: Params, sign: int, direction: int,
     duration, y_end = min(returns, key=lambda r: r[0])
     early = duration < t_full * (1.0 - 1e-6)
 
-    path = traj.truncated(duration)
+    path = integrate(y0, prm, duration, tol=int_tol)
     end = EllipticPoint(float(y_end[0]), float(y_end[1]))
     closure = elliptic_to_cartesian(end).distance_to(prm.centre)
 

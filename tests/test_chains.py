@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tricentre import chains
 from tricentre.chains import (ChainGraph, CollisionChain, assemble_chain,
                               build_alphabet, build_graph,
                               count_periodic_chains, entropy_estimate)
@@ -241,6 +242,18 @@ class TestEntropy:
                        adjacency=np.zeros((2, 2), dtype=bool))
         with pytest.warns(UserWarning):
             assert entropy_estimate(g) == 0.0
+
+    def test_graph_with_a_cycle_skips_the_nilpotency_power(self, monkeypatch):
+        # its spectral radius is >= 1, so only eigvals is needed
+        calls = []
+        power = chains._adjacency_power
+        monkeypatch.setattr(chains, "_adjacency_power",
+                            lambda g, n: calls.append(n) or power(g, n))
+        adj = np.triu(np.ones((32, 32), dtype=bool), k=1)
+        adj[31, 0] = True  # closes a 32-cycle through every node
+        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(32)], adjacency=adj)
+        assert entropy_estimate(g) > 0.0
+        assert calls == []
 
     def test_lower_bound_for_safe_alphabet(self, q2_family):
         assert entropy_estimate(build_graph(q2_family)) >= math.log(2.0) - 1e-9

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from tricentre import _kernels, dynamics
 from tricentre.dynamics import (CentreProximity, Params, PhiCrossing,
-                                XiCrossing, integrate,
-                                regularized_hamiltonian, trajectory_to_csv,
-                                trajectory_to_json, vector_field)
-from tricentre.errors import DomainError, IntegrationError, SingularityError
+                                XiCrossing, hamiltonian_values, integrate,
+                                trajectory_to_csv, trajectory_to_json)
+from tricentre.errors import DomainError, IntegrationError
 from tricentre.geometry import CartesianPoint, elliptic_to_xy
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1
 from tricentre.shadow import _energy_consistent_state
+from tricentre.special import incomplete_elliptic_f
 from verlet_check import integrate_symplectic
 
 
@@ -29,6 +29,17 @@ def separated_state(beta, a1, a=1.0, xi=0.0, phi=0.3, s_xi=1, s_phi=1):
     ])
 
 
+def hamiltonian(y, prm):
+    """The one Hamiltonian, hamiltonian_values, at a single state."""
+    return float(hamiltonian_values(np.asarray(y, dtype=float)[None, :], prm)[0])
+
+
+def field(y, prm):
+    """The one vector field, _kernels.field, at a single state."""
+    rhs = _kernels.field(prm.a, prm.energy, prm.eps, *dynamics._centre_xy(prm))
+    return np.array(rhs(*(float(v) for v in y)))
+
+
 class TestHamiltonian:
     def test_zero_on_separated_solutions(self):
         rng = np.random.default_rng(3)
@@ -38,7 +49,7 @@ class TestHamiltonian:
             phi = rng.uniform(0.0, 2.0 * math.pi)
             y = separated_state(beta, a1, phi=phi)
             prm = Params(a=1.0, beta=beta, a1=a1)
-            assert abs(regularized_hamiltonian(y, prm)) <= 1e-12
+            assert abs(hamiltonian(y, prm)) <= 1e-12
 
     def test_zero_at_turning_point(self):
         beta, a1, a = 0.2, 0.4, 1.0
@@ -47,7 +58,7 @@ class TestHamiltonian:
         phi = 1.1
         phi_speed = 2.0 * math.sqrt(a * (beta * a1 * math.cos(phi) ** 2 + a1))
         prm = Params(a=a, beta=beta, a1=a1)
-        val = regularized_hamiltonian([xi_plus, phi, 0.0, phi_speed], prm)
+        val = hamiltonian([xi_plus, phi, 0.0, phi_speed], prm)
         assert abs(val) <= 1e-11
 
     def test_boundary_a1_rejected(self):
@@ -56,18 +67,12 @@ class TestHamiltonian:
         with pytest.raises(DomainError):
             Params(a=1.0, beta=0.0, a1=0.0)
 
-    def test_state_at_centre_singular_when_perturbed(self):
-        centre = CartesianPoint(math.cosh(0.5), 0.0)
-        prm = Params(a=1.0, beta=0.1, a1=0.3, eps=1e-3, centre=centre)
-        with pytest.raises(SingularityError):
-            regularized_hamiltonian([0.5, 0.0, 1.0, 1.0], prm)
-
 
 class TestVectorField:
     def test_axis_accelerations_vanish(self):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
         for phi in (0.0, math.pi / 2.0):
-            out = vector_field([0.0, phi, 0.7, 0.9], prm)
+            out = field([0.0, phi, 0.7, 0.9], prm)
             assert out[2] == pytest.approx(0.0, abs=1e-15)  # sinh(0) = 0
             assert out[3] == pytest.approx(0.0, abs=1e-15)  # sin(2 phi) = 0
 
@@ -80,14 +85,14 @@ class TestVectorField:
         worst = 0.0
         for _ in range(1000):
             y = rng.uniform([-2.0, 0.0, -2.0, -2.0], [2.0, 2.0 * math.pi, 2.0, 2.0])
-            f = vector_field(y, prm)
+            f = field(y, prm)
             grad = np.empty(4)
             for i in range(4):
                 yp, ym = y.copy(), y.copy()
                 yp[i] += h
                 ym[i] -= h
-                grad[i] = (regularized_hamiltonian(yp, prm)
-                           - regularized_hamiltonian(ym, prm)) / (2.0 * h)
+                grad[i] = (hamiltonian(yp, prm)
+                           - hamiltonian(ym, prm)) / (2.0 * h)
             expect = np.array([grad[2], grad[3], -grad[0], -grad[1]])
             worst = max(worst, float(np.max(np.abs(f - expect)
                                             / (1.0 + np.abs(expect)))))
@@ -203,44 +208,6 @@ class TestIntegrate:
         x, y = elliptic_to_xy(hits[0].state[0], hits[0].state[1], math)
         assert math.hypot(x, y - 1.5) == pytest.approx(0.1, abs=1e-9)
 
-    def test_terminal_event_truncates(self):
-        beta, a1 = 0.2, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
-        t1 = period_xi(beta, a1)
-        spec = XiCrossing(0.0, direction=-1, terminal=True)
-        traj = integrate(separated_state(beta, a1), prm, 3.0 * t1, tol=1e-12,
-                         events=[spec])
-        assert traj.tau_final == pytest.approx(0.5 * t1, rel=1e-8)
-        assert abs(traj.states[-1][0]) <= 1e-9
-
-    def test_terminal_event_outranks_exclusion_ball(self):
-        # the run enters the exclusion ball around C at tau ~ 0.0701, after
-        # the terminal entry into the radius-0.1 circle at tau ~ 0.0487
-        prm = Params(a=1.0, beta=1.0 / 7.0, a1=0.2, eps=1e-3,
-                     centre=CartesianPoint(0.0, 1.5))
-        y0 = _energy_consistent_state(CartesianPoint(0.0, 1.2), (0, 1), prm)
-        with pytest.raises(IntegrationError, match="exclusion ball"):
-            integrate(y0, prm, 5.0)
-        spec = CentreProximity(0.1, direction=-1, terminal=True)
-        traj = integrate(y0, prm, 5.0, events=[spec])
-        assert abs(traj.tau_final - 0.04870375481825792) <= 1e-12
-        x, y = elliptic_to_xy(traj.states[-1][0], traj.states[-1][1], math)
-        assert abs(math.hypot(x, y - 1.5) - 0.1) <= 1e-9
-
-    def test_terminal_event_outranks_exhausted_budget(self, monkeypatch):
-        beta, a1 = 0.2, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
-        t1 = period_xi(beta, a1)
-        y0 = separated_state(beta, a1)
-        # about 500 steps reach the crossing at t1/2, 3000 the end at 3 t1
-        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
-        with pytest.raises(IntegrationError, match="budget"):
-            integrate(y0, prm, 3.0 * t1, tol=1e-12)
-        spec = XiCrossing(0.0, direction=-1, terminal=True)
-        traj = integrate(y0, prm, 3.0 * t1, tol=1e-12, events=[spec])
-        assert traj.tau_final == pytest.approx(0.5 * t1, rel=1e-8)
-        assert [e.spec for e in traj.events] == [spec]
-
     def test_nonterminal_event_then_failure_raises(self, monkeypatch):
         beta, a1 = 0.2, 0.3
         prm = Params(a=1.0, beta=beta, a1=a1)
@@ -261,6 +228,40 @@ class TestIntegrate:
         assert np.max(np.abs(ver.states[-1] - ref.states[-1])) <= 1e-5
 
 
+class TestPhiCrossingHalfAngle:
+    """At eps = 0 phi is monotone, F(phi | k2^2) = F(phi0 | k2^2) +- w tau,
+    so phi reaches value + 2 pi k at a closed-form time."""
+
+    @given(beta=st.floats(0.05, 0.6), a1_frac=st.floats(0.1, 0.9),
+           phi0=st.floats(0.0, 2.0 * math.pi),
+           value=st.floats(-2.0 * math.pi, 4.0 * math.pi),
+           s_phi=st.sampled_from([1, -1]))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_crossings_at_value_mod_two_pi_only(self, beta, a1_frac, phi0,
+                                                value, s_phi):
+        a1 = a1_frac / (1.0 + beta)
+        prm = Params(a=1.0, beta=beta, a1=a1)
+        k2 = beta / (1.0 + beta)
+        w = 2.0 * math.sqrt(a1 * (1.0 + beta))
+        tau_end = 2.5 * period_phi(beta, a1)
+        f0 = incomplete_elliptic_f(phi0, k2)
+        want = []
+        for k in range(-4, 6):
+            tau = (incomplete_elliptic_f(value + 2.0 * math.pi * k, k2) - f0) \
+                / (s_phi * w)
+            assume(abs(tau) > 1e-6 and abs(tau - tau_end) > 1e-6)
+            if 0.0 < tau < tau_end:
+                want.append(tau)
+        y0 = separated_state(beta, a1, phi=phi0, s_phi=s_phi)
+        traj = integrate(y0, prm, tau_end, tol=1e-12,
+                         events=[PhiCrossing(value)])
+        got = [e.tau for e in traj.events]
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.array(got) - sorted(want)), initial=0.0) <= 1e-9
+        for e in traj.events:  # never at value + pi
+            assert math.cos(e.state[1] - value) > 0.999
+
+
 @pytest.fixture(scope="module")
 def spans():
     """One forward and one backward run, each with three events."""
@@ -269,46 +270,6 @@ def spans():
     events = [PhiCrossing(1.0), PhiCrossing(2.5), XiCrossing(0.0)]
     return {end: integrate(y0, prm, end, events=events)
             for end in (5.0, -5.0)}
-
-
-class TestTruncation:
-    @given(end=st.sampled_from([5.0, -5.0]), where=st.floats(0.0, 1.0),
-           mode=st.sampled_from(["at", "near", "between"]),
-           ulps=st.integers(-8, 8), frac=st.floats(0.0, 1.0),
-           probes=st.lists(st.floats(0.0, 1.0), max_size=8))
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_cut_keeps_dense_output_and_earlier_events(
-            self, spans, end, where, mode, ulps, frac, probes):
-        traj = spans[end]
-        sign = math.copysign(1.0, end)
-        i = int(where * (len(traj.taus) - 1))
-        t = float(traj.taus[i])
-        if mode == "near":
-            for _ in range(abs(ulps)):
-                t = float(np.nextafter(t, math.copysign(math.inf, ulps)))
-            assume(sign * (t - traj.taus[0]) >= 0.0)
-            assume(sign * (traj.taus[-1] - t) >= 0.0)
-        elif mode == "between":
-            i = min(i, len(traj.taus) - 2)
-            t = float(traj.taus[i])
-            t += frac * (float(traj.taus[i + 1]) - t)
-        cut = traj.truncated(t)
-
-        if cut.tau_final != t:
-            # a cut just after a sample ends at that sample
-            assert cut.tau_final in traj.taus
-            assert 0.0 < sign * (t - cut.tau_final) <= 1e-15 * max(1.0, abs(t))
-        span = cut.tau_final - cut.taus[0]
-        s = np.concatenate([cut.taus, cut.taus[0] + span * np.array(probes)])
-        assert cut.state_at(s).tobytes() == traj.state_at(s).tobytes()
-        assert (cut.state_at(cut.tau_final).tobytes()
-                == traj.state_at(cut.tau_final).tobytes())
-
-        kept = len(cut.events)
-        assert ([e.tau for e in cut.events]
-                == [e.tau for e in traj.events[:kept]])
-        assert all(sign * (e.tau - t) <= 1e-15 for e in cut.events)
-        assert all(sign * (e.tau - t) > 0.0 for e in traj.events[kept:])
 
 
 class TestRootOnScanPoint:
@@ -457,7 +418,7 @@ class TestKernelOracle:
         prm = Params(a=1.0, beta=1.0 / 7.0,
                      a1=solve_resonant_a1(1.0 / 7.0, 1).a1_hat)
         traj = integrate(y0, prm, span, tol=1e-12)
-        ref = solve_ivp(lambda t, y: vector_field(y, prm), (0.0, span), y0,
+        ref = solve_ivp(lambda t, y: field(y, prm), (0.0, span), y0,
                         method="DOP853", rtol=1e-13, atol=1e-13)
         assert ref.success
         assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 2e-9
@@ -473,11 +434,6 @@ class TestStepStats:
         h = np.abs(np.diff(traj.taus))
         assert st.h_min == pytest.approx(h.min(), rel=1e-12)
         assert st.h_max == pytest.approx(h.max(), rel=1e-12)
-
-    def test_truncated_keeps_stats(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
-        traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
-        assert traj.truncated(2.0).stats == traj.stats
 
     def test_zero_length_run_has_no_steps(self):
         prm = Params(a=1.0, beta=0.2, a1=0.3)

@@ -13,8 +13,9 @@ import tricentre
 # since (integrate_symplectic moved to tests/verlet_check.py,
 # PrimaryProximity, which only tests used, is gone, adaptive_quadrature
 # with QuadratureResult moved to tests/quadrature_reference.py, and
-# EllipticState, primary_potential and centre_potential, which only tests
-# used, are gone).
+# EllipticState, primary_potential, centre_potential,
+# regularized_hamiltonian and vector_field, which only tests used, are
+# gone).
 EXPORTS = {
     "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
@@ -30,11 +31,10 @@ EXPORTS = {
     "initial_velocities", "integrate", "local_expansion_rate",
     "modulus_squares", "nondegeneracy_certificate", "period_phi",
     "period_xi", "physical_time_of", "primary_collision_check",
-    "primary_collision_ratios", "regularized_hamiltonian",
-    "resonance_residual", "resonant_params", "shoot_segment",
+    "primary_collision_ratios", "resonance_residual", "resonant_params", "shoot_segment",
     "solve_beta_for_energy", "solve_resonant_a1", "trajectory_to_csv",
     "trajectory_to_json", "transform_matrix", "turning_point_xi",
-    "vector_field", "velocity_to_cartesian",
+    "velocity_to_cartesian",
 }
 
 
