@@ -3,8 +3,8 @@
 Chains of arcs are admissible when consecutive velocities at C are not
 parallel (up to sign); the admissibility graph is a topological Markov
 chain.  Its periodic-path counts trace(A^n), an exact integer matrix power,
-and its spectral radius, from np.linalg.eigvals, give the number of
-periodic chains and the topological entropy.
+and its spectral radius, from np.linalg.eigvals on each strongly connected
+component, give the number of periodic chains and the topological entropy.
 """
 from __future__ import annotations
 
@@ -137,19 +137,41 @@ def count_periodic_chains(graph: ChainGraph, n: int) -> int:
     return int(np.trace(_adjacency_power(graph, n)))
 
 
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Node indices of each strongly connected component of adj.
+
+    Nodes i and j share a component when each reaches the other.  The
+    reachability matrix is I + A raised to a power of two at least N by
+    boolean squaring (numpy's bool matmul is OR over AND).
+    """
+    reach = adj.astype(bool) | np.eye(len(adj), dtype=bool)
+    for _ in range(len(adj).bit_length()):
+        reach = reach @ reach
+    mutual = reach & reach.T
+    # row i marks the component of i; keep it once, at its first node
+    return [np.flatnonzero(row) for i, row in enumerate(mutual)
+            if row.argmax() == i]
+
+
 def entropy_estimate(graph: ChainGraph) -> float:
     """log of the adjacency spectral radius, from np.linalg.eigvals.
 
-    A graph with a cycle has spectral radius at least 1, so a computed
-    radius below 1 is either a nilpotent adjacency (A^N = 0 for N nodes: no
-    cycles at all), which yields entropy 0 with a warning, or rounding of a
-    defective root at 1; the exact integer test A^N = 0 tells them apart,
-    and the radius is clamped at 1.
+    The spectrum of A is the union of the spectra of its strongly connected
+    components, and each component's spectral radius is a simple
+    (Perron) eigenvalue, which eigvals resolves to rounding; a root that
+    is defective in A as a whole would cost it about the square root of
+    the machine epsilon.  A graph with a cycle has spectral radius at
+    least 1, so a computed radius below 1 is either a nilpotent adjacency
+    (A^N = 0 for N nodes: no cycles at all), which yields entropy 0 with a
+    warning, or rounding of a root at 1; the exact integer test A^N = 0
+    tells them apart, and the radius is clamped at 1.
     """
     n = graph.n_nodes
     if n == 0:
         raise DomainError("empty graph")
-    rho = float(np.max(np.abs(np.linalg.eigvals(graph.adjacency.astype(float)))))
+    adj = graph.adjacency.astype(float)
+    rho = max(float(np.max(np.abs(np.linalg.eigvals(adj[np.ix_(c, c)]))))
+              for c in _components(graph.adjacency))
     if rho < 1.0 and not _adjacency_power(graph, n).any():
         warnings.warn("adjacency is nilpotent: no periodic chains exist",
                       stacklevel=2)

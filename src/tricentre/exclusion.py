@@ -4,8 +4,9 @@ The exclusion test decides from closed forms alone whether the periodic
 orbit through the centre C can hit a primary: the finite ratio set S of
 a class q against the two travel-time ratios G+- of C.  Both travel times
 are incomplete elliptic integrals F (through Carlson's R_F), so a cell
-costs no quadrature and, the resonance solve being memoised, no root
-search after the first cell of its (beta, q).  With the
+costs no quadrature and, the resonance solve and its constants being
+memoised, no root search or period after the first cell of its (beta, q);
+G+- are placed in S by bisection.  With the
 finite-difference nondegeneracy certificate and the beta search that
 `solve` runs, it makes up the math-only layer behind the `periods`,
 `solve` and `check` commands; nothing here imports numpy.  `arcs` builds
@@ -13,6 +14,7 @@ on it.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ def resonant_params(centre, q, beta: float, a: float = 1.0,
         c_cart = elliptic_to_cartesian(centre)
     else:
         c_cart = centre
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=Fraction(q), eps=0.0,
+    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
                  centre=c_cart)
     return prm, sol
 
@@ -86,9 +88,40 @@ def primary_collision_ratios(q) -> frozenset:
 
 
 @functools.lru_cache
-def _ratio_table(q) -> tuple[tuple[float, Fraction], ...]:
-    """(float(s), s) for s in S, in the iteration order of the set itself."""
-    return tuple((float(s), s) for s in primary_collision_ratios(q))
+def _ratio_table(m: int, n: int) -> tuple[list[float], list[tuple[int, Fraction]]]:
+    """S of class m/n sorted by float(s): the floats, and beside each its
+    (index in the iteration order of the set, s).  Keyed by the two ints,
+    so a lookup hashes no Fraction."""
+    ranked = sorted((float(s), i, s)
+                    for i, s in enumerate(primary_collision_ratios(Fraction(m, n))))
+    return [v for v, _, _ in ranked], [(i, s) for _, i, s in ranked]
+
+
+def _nearest_ratio(g_plus: float, g_minus: float,
+                   q: Fraction) -> tuple[float, Fraction]:
+    """The least |g - s| over g in (G+, G-) and s in S, with its s: the
+    first minimum of a scan over s in set order, G+ before G- for each s.
+
+    Rounded, |g - s| does not decrease away from the bisect point of g on
+    either side, where it is g - s below and s - g above (the same floats
+    as abs(g - s)).  So the minimisers for one g form one run around that
+    point, in practice one of its two neighbours; min takes the lowest set
+    index of the run, and then G+ before G-.
+    """
+    values, entries = _ratio_table(q.numerator, q.denominator)
+    n, found = len(values), []
+    for g in (g_plus, g_minus):
+        k = bisect.bisect_left(values, g)
+        best = min(g - values[k - 1] if k else math.inf,
+                   values[k] - g if k < n else math.inf)
+        lo = hi = k
+        while lo and g - values[lo - 1] == best:
+            lo -= 1
+        while hi < n and values[hi] - g == best:
+            hi += 1
+        found.append((best, *min(entries[lo:hi])))
+    best, _, nearest = min(found)
+    return best, nearest
 
 
 def _separated_motion(beta: float, a1: float, a: float):
@@ -106,6 +139,23 @@ def _separated_motion(beta: float, a1: float, a: float):
     u_plus, u_minus = (b + root) / (2.0 * big_a), -2.0 * c / (b + root)
     return (u_plus, u_minus, big_a, 2.0 * math.sqrt(a * a1 * (1.0 + beta)),
             math.sqrt(-u_minus * a * big_a))
+
+
+_CONSTANTS_CACHE_SIZE = 256  # resonances _resonance_constants keeps
+
+
+@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+def _resonance_constants(beta: float, a1: float, a: float):
+    """(sqrt(u+), u+/u-, w, q_scale, T1) of the exclusion test, computed
+    once per resonance.  beta = -0.0 and 0.0 share an entry: every constant
+    is the same at both.  An a1 a few ulps below 1/(1+beta), where k1^2 or
+    u- rounds to the separatrix value, has no xi travel time: DomainError.
+    """
+    t1 = period_xi(beta, a1, a)
+    u_plus, u_minus, _, w, q_scale = _separated_motion(beta, a1, a)
+    if u_minus == 0.0:
+        raise DomainError("xi motion on the separatrix: u- rounds to 0")
+    return math.sqrt(u_plus), u_plus / u_minus, w, q_scale, t1
 
 
 @dataclass(frozen=True)
@@ -132,26 +182,19 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     beta, a1, a = prm.beta, prm.a1, prm.a
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
-    u_plus, u_minus, _, w, q_scale = _separated_motion(beta, a1, a)
+    root_u_plus, m_xi, w, q_scale, t1 = _resonance_constants(beta, a1, a)
     p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
-    ratio = math.tanh(0.5 * abs(xi0)) / math.sqrt(u_plus)
+    ratio = math.tanh(0.5 * abs(xi0)) / root_u_plus
     if ratio > 1.0:
         raise PlacementError(
             f"centre at xi={xi0:.6g} lies beyond the turning ellipse"
             f" (tanh(|xi|/2) / tanh(xi_plus/2) = {ratio:.6g}): no xi travel time")
-    q_val = math.copysign(incomplete_elliptic_f(math.asin(ratio), u_plus / u_minus)
+    q_val = math.copysign(incomplete_elliptic_f(math.asin(ratio), m_xi)
                           / q_scale, xi0)
-    t1 = period_xi(beta, a1, a)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1
 
-    best = math.inf
-    nearest = Fraction(0)
-    for s_float, s in _ratio_table(prm.q):
-        for g in (g_plus, g_minus):
-            d = abs(g - s_float)
-            if d < best:
-                best, nearest = d, s
+    best, nearest = _nearest_ratio(g_plus, g_minus, prm.q)
     return SafetyReport(g_plus=g_plus, g_minus=g_minus, safe=best > delta,
                         min_separation=best, nearest=nearest, delta=delta)
 

@@ -96,9 +96,14 @@ def cartesian_to_elliptic(p: CartesianPoint) -> tuple[EllipticPoint, EllipticPoi
     near the ramification points, where it reduces to the square-root
     expansion sqrt(2(z - 1)).
     """
-    zeta = cmath.acosh(complex(p.x, p.y))
-    first = EllipticPoint(zeta.real, zeta.imag)
+    first = _principal_preimage(p)
     return first, first.conjugate
+
+
+def _principal_preimage(p: CartesianPoint) -> EllipticPoint:
+    """The first preimage of cartesian_to_elliptic, alone."""
+    zeta = cmath.acosh(complex(p.x, p.y))
+    return EllipticPoint(zeta.real, zeta.imag)
 
 
 def transform_matrix(p: EllipticPoint) -> np.ndarray:

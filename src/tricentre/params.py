@@ -7,12 +7,13 @@ without importing numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .geometry import CartesianPoint, EllipticPoint, cartesian_to_elliptic
+from .geometry import CartesianPoint, EllipticPoint, _principal_preimage
 from .periods import _check_domain
 
 __all__ = ["Params"]
@@ -51,8 +52,11 @@ class Params:
             if self.eps > 0.0:
                 raise DomainError("a perturbing centre position is required when eps > 0")
         else:
-            if (self.centre.distance_to(CartesianPoint(1.0, 0.0)) < 1e-12
-                    or self.centre.distance_to(CartesianPoint(-1.0, 0.0)) < 1e-12):
+            x, y = self.centre.x, self.centre.y
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DomainError(
+                    f"the perturbing centre must be finite, got {self.centre}")
+            if math.hypot(x - 1.0, y) < 1e-12 or math.hypot(x + 1.0, y) < 1e-12:
                 raise DomainError("the perturbing centre may not coincide with a primary")
 
     @property
@@ -63,7 +67,7 @@ class Params:
     def centre_elliptic(self) -> EllipticPoint:
         if self.centre is None:
             raise DomainError("no perturbing centre configured")
-        return cartesian_to_elliptic(self.centre)[0]
+        return _principal_preimage(self.centre)
 
     def with_eps(self, eps: float) -> "Params":
         return replace(self, eps=eps)

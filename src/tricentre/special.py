@@ -8,6 +8,7 @@ which evaluates Carlson's symmetric integral R_F by duplication
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import DomainError
@@ -81,7 +82,19 @@ def incomplete_elliptic_f(phi: float, m: float) -> float:
     s, c = math.sin(phi), math.cos(phi)
     f = s * _carlson_rf(c * c, 1.0 - m * s * s, 1.0)
     if n:
-        k = (complete_elliptic_k(m) if m >= 0.0
-             else complete_elliptic_k(m / (m - 1.0)) / math.sqrt(1.0 - m))
-        f += 2 * n * k
+        f += 2 * n * _quarter_period(m)
     return f
+
+
+_QUARTER_PERIOD_CACHE_SIZE = 256  # moduli _quarter_period keeps
+
+
+@functools.lru_cache(maxsize=_QUARTER_PERIOD_CACHE_SIZE)
+def _quarter_period(m: float) -> float:
+    """K(m) for m < 1, through K(m/(m - 1)) / sqrt(1 - m) when m < 0.
+
+    Memoised: the travel times of one resonance share their modulus
+    (-0.0 and 0.0 share an entry, and K is the same at both).
+    """
+    return (complete_elliptic_k(m) if m >= 0.0
+            else complete_elliptic_k(m / (m - 1.0)) / math.sqrt(1.0 - m))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import arc_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import adaptive_quadrature
-from tricentre import exclusion
+from tricentre import exclusion, special
 from tricentre.arcs import am, arc_family, build_arc, initial_velocities
 from tricentre.exclusion import (find_admissible_beta,
                                  nondegeneracy_certificate,
@@ -536,6 +536,18 @@ class TestExclusionOracle:
         assert abs(report.g_plus - g_plus) <= 5e-15
         assert abs(report.g_minus - g_minus) <= 5e-15
 
+    # a1 within two ulps of 1/(1+beta): u- rounds to 0 on both, and k1^2
+    # to 1 on the first, so there is no xi travel time
+    @pytest.mark.parametrize("beta, a1", [
+        (0.2548139567136823, 0.7969308873635483),
+        (0.6168350679456506, 0.6184922753256454)])
+    @pytest.mark.parametrize("xi0", [0.3, 9.0], ids=["inside", "beyond"])
+    def test_separatrix_by_rounding_is_a_domain_error(self, beta, a1, xi0):
+        prm = Params(beta=beta, a1=a1,
+                     centre=elliptic_to_cartesian(EllipticPoint(xi0, 0.7)))
+        with pytest.raises(DomainError, match="separatrix"):
+            primary_collision_check(prm)
+
     def test_beyond_turning_ellipse_has_no_travel_time(self):
         with pytest.raises(PlacementError, match="beyond the turning ellipse"):
             primary_collision_check(_centre_params(F(1), BETA_REF, 1.01, 0.7))
@@ -562,10 +574,72 @@ class TestRatioSetCache:
     def test_cached_set_keeps_build_order(self, q):
         fresh = primary_collision_ratios.__wrapped__(q)
         assert list(primary_collision_ratios(q)) == list(fresh)
-        assert [s for _, s in exclusion._ratio_table(q)] == list(fresh)
+        values, entries = exclusion._ratio_table(q.numerator, q.denominator)
+        assert values == sorted(values) == [float(s) for _, s in entries]
+        assert [s for _, s in sorted(entries)] == list(fresh)
 
     def test_validates_on_every_call(self):
         for bad in (0, F(-1, 2), -3):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     primary_collision_ratios(bad)
+
+
+def _scan_nearest(g_plus, g_minus, q):
+    """The first minimum of |g - float(s)| over s in set order, G+ before
+    G- for each s: the scan the sorted-table bisect replaces."""
+    best, nearest = math.inf, F(0)
+    for s in primary_collision_ratios(q):
+        for g in (g_plus, g_minus):
+            d = abs(g - float(s))
+            if d < best:
+                best, nearest = d, s
+    return best, nearest
+
+
+@st.composite
+def _ratio_probes(draw):
+    """A class and (G+, G-) at elements of S, at midpoints of neighbouring
+    elements, beyond either end or anywhere between; G- may mirror G+
+    about 0 or equal it."""
+    q = draw(st.sampled_from(EXCLUSION_CLASSES + (F(7, 3), F(1, 64))))
+    values = sorted(float(s) for s in primary_collision_ratios(q))
+    span = values[-1] - values[0]
+
+    def point():
+        k = draw(st.integers(0, len(values) - 1))
+        return draw(st.sampled_from((
+            values[k],
+            0.5 * (values[k] + values[min(k + 1, len(values) - 1)]),
+            values[0] - draw(st.floats(0.0, span)),
+            values[-1] + draw(st.floats(0.0, span)),
+            draw(st.floats(values[0], values[-1])),
+        )))
+
+    g_plus = point()
+    g_minus = draw(st.sampled_from((-g_plus, g_plus, point())))
+    return q, g_plus, g_minus
+
+
+class TestNearestRatio:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(probe=_ratio_probes())
+    def test_bisect_equals_first_minimum_scan(self, probe):
+        q, g_plus, g_minus = probe
+        best, nearest = exclusion._nearest_ratio(g_plus, g_minus, q)
+        want_best, want_nearest = _scan_nearest(g_plus, g_minus, q)
+        assert repr(best) == repr(want_best)
+        assert nearest == want_nearest
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(q=st.sampled_from(EXCLUSION_CLASSES),
+           beta=st.sampled_from((0.05, BETA_REF, 0.25)),
+           u=st.floats(0.02, 0.99),
+           phi0=st.sampled_from((0.0, math.pi, 2.0)) | st.floats(-7.0, 7.0))
+    def test_cold_caches_give_the_warm_report(self, q, beta, u, phi0):
+        prm = _centre_params(q, beta, u, phi0)
+        warm = primary_collision_check(prm)
+        for cached in (exclusion._resonance_constants, exclusion._ratio_table,
+                       special._quarter_period):
+            cached.cache_clear()
+        assert repr(primary_collision_check(prm)) == repr(warm)

@@ -268,9 +268,24 @@ class TestEntropy:
     @given(adj=st.integers(4, 12).flatmap(
         lambda k: hnp.arrays(np.bool_, (k, k))))
     def test_random_graph_against_oracle(self, adj):
-        # a defective spectral radius costs eigvals about the square root
-        # of the machine epsilon: 4.5e-9 on charpoly (x^2 - x - 1)^2 (x - 1)
-        check_entropy_against_oracle(adj, 1e-8)
+        check_entropy_against_oracle(adj, 1e-12)
+
+    @pytest.mark.parametrize("adj", [
+        [[1, 1, 1, 0, 0], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 1, 0, 1, 0],
+         [0, 1, 0, 0, 0]],
+        [[1, 0, 0, 1, 0], [0, 0, 1, 0, 1], [0, 1, 1, 0, 1], [1, 0, 0, 0, 0],
+         [1, 0, 0, 0, 1]],
+    ])
+    def test_defective_spectral_radius(self, adj):
+        # charpoly (x^2 - x - 1)^2 (x - 1): two components share the root
+        # phi^2, and eigvals of the whole matrix misses it by 2e-8 and 4e-9
+        assert charpoly(adj) == [1, -3, 1, 3, -1, -1]
+        check_entropy_against_oracle(np.array(adj, dtype=bool), 1e-12)
+
+    def test_alphabet_graphs_against_oracle(self, q1_family, yaxis_family,
+                                            q2_family):
+        for family in (q1_family, yaxis_family, q2_family):
+            check_entropy_against_oracle(build_graph(family).adjacency, 1e-12)
 
     @pytest.mark.parametrize("copies", [2, 3])
     @pytest.mark.parametrize("block", [

@@ -66,6 +66,13 @@ class TestCheck:
                      "--beta", "0.142857"]) == 2
         assert "beyond the turning ellipse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("centre", [["--centre-xy=nan,0"],
+                                        ["--centre-xy", "0.3,inf"],
+                                        ["--centre-elliptic", "inf,0.7"]])
+    def test_non_finite_centre_exit_two(self, capsys, centre):
+        assert main(["check", *centre, "--q", "1", "--beta", "0.142857"]) == 2
+        assert "perturbing centre must be finite" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_energy_solve(self, capsys):
@@ -98,6 +105,25 @@ class TestSolverCountersStayOut:
             "command", "q", "beta", "g_plus", "g_minus", "safe",
             "min_separation", "nearest", "delta", "ratio_set"}
         assert "evaluations" not in out
+
+
+class TestChains:
+    @pytest.mark.parametrize("args", [
+        ["--centre-xy", "1.18,0", "--classes", "1,2", "--energy", "-0.05"],
+        ["--centre-elliptic", "0.6,0", "--classes", "1", "--energy", "-0.05"],
+        ["--centre-xy", "0.3,0.9", "--classes", "1", "--energy", "-0.05"],
+    ], ids=["readme", "q1-axis", "q1-off-axis"])
+    def test_sample_chain_closes(self, capsys, tmp_path, args):
+        # a periodic chain also needs the wrap-around edge from its last
+        # arc back to its first
+        rc, out = run(capsys, ["chains", *args, "--out", str(tmp_path),
+                               "--json"])
+        assert rc == 0
+        doc = json.loads(out)
+        edges, chain = doc["graph"]["edges"], doc["sample_chain"]
+        assert len(chain) >= 4
+        for a, b in zip(chain, chain[1:] + chain[:1]):
+            assert b in edges[a], (a, b)
 
 
 class TestFigs:

@@ -334,6 +334,13 @@ def test_params_validation():
     assert prm.energy == pytest.approx(-2.0 * 0.5 * 0.5)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.3, math.nan),
+                                  (math.inf, 0.0), (0.3, -math.inf)])
+def test_params_refuses_a_non_finite_centre(x, y):
+    with pytest.raises(DomainError, match="perturbing centre must be finite"):
+        Params(beta=0.2, a1=0.3, centre=CartesianPoint(x, y))
+
+
 def _bench_orbit_args(tau_end_factor=1.0, max_steps=10_000_000):
     """Kernel arguments for the plain q = 1 resonant orbit over 5 periods."""
     beta, phi0 = 1.0 / 7.0, 0.3
