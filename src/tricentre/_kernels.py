@@ -104,13 +104,22 @@ def field(a, energy, eps, cx, cy):
     return rhs
 
 
-def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
+def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
+                twin=None):
     """Adaptive Dormand-Prince 5(4) integration from tau = 0 to tau1.
 
     tol is both the relative and the absolute error target of the PI step
-    control.  Returns (status, n, T, Y, KS, stats) where T[:n+1] are the
-    accepted times, Y[:n+1] the states, KS[:n] the seven stage derivatives
-    of each accepted step (for quartic dense output) and stats a StepStats.
+    control.  Returns (status, n, T, Y, KS, stats, twin_end) where T[:n+1]
+    are the accepted times, Y[:n+1] the states, KS[:n] the seven stage
+    derivatives of each accepted step (for quartic dense output) and stats
+    a StepStats.
+
+    A twin start state, if given, is advanced by the same formula with the
+    run's accepted step sizes; only the run's own error controls the steps.
+    twin_end is its state at the last accepted time (None without a twin),
+    so a difference quotient of the two runs differentiates one discrete
+    map (internal numerical differentiation).  stats.rhs_evals counts the
+    twin's field calls too.
 
     For eps > 0 the step size is capped proportionally to the distance from
     the perturbing centre and the integration refuses to enter the ball of
@@ -121,14 +130,21 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     Y = array("d", (x0, x1, x2, x3))
     KS = array("d")
 
+    has_twin = twin is not None
+    if has_twin:
+        w0, w1, w2, w3 = (float(v) for v in twin)
+
     span = abs(tau1)
     if span == 0.0:
         return (STATUS_OK, 0, *_as_numpy(T, Y, KS),
-                StepStats(0, 0, 0, 0.0, 0.0))
+                StepStats(0, 0, 0, 0.0, 0.0),
+                (w0, w1, w2, w3) if has_twin else None)
 
     rhs = field(a, energy, eps, cx, cy)
     direction = 1.0 if tau1 >= 0.0 else -1.0
     k0 = rhs(x0, x1, x2, x3)
+    if has_twin:
+        wk = rhs(w0, w1, w2, w3)
 
     d0 = 0.0
     d1 = 0.0
@@ -187,32 +203,14 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
             h_abs = rem
         h = direction * h_abs
 
+        n0, n1, n2, n3, k1, k2, k3, k4, k5, k6 = _stages(
+            rhs, x0, x1, x2, x3, k0, h)
         a0, a1, a2, a3 = k0
-        k1 = b0, b1, b2, b3 = rhs(x0 + h * (A10 * a0), x1 + h * (A10 * a1),
-                                  x2 + h * (A10 * a2), x3 + h * (A10 * a3))
-        k2 = c0, c1, c2, c3 = rhs(x0 + h * (A20 * a0 + A21 * b0),
-                                  x1 + h * (A20 * a1 + A21 * b1),
-                                  x2 + h * (A20 * a2 + A21 * b2),
-                                  x3 + h * (A20 * a3 + A21 * b3))
-        k3 = d0, d1, d2, d3 = rhs(x0 + h * (A30 * a0 + A31 * b0 + A32 * c0),
-                                  x1 + h * (A30 * a1 + A31 * b1 + A32 * c1),
-                                  x2 + h * (A30 * a2 + A31 * b2 + A32 * c2),
-                                  x3 + h * (A30 * a3 + A31 * b3 + A32 * c3))
-        k4 = e0, e1, e2, e3 = rhs(
-            x0 + h * (A40 * a0 + A41 * b0 + A42 * c0 + A43 * d0),
-            x1 + h * (A40 * a1 + A41 * b1 + A42 * c1 + A43 * d1),
-            x2 + h * (A40 * a2 + A41 * b2 + A42 * c2 + A43 * d2),
-            x3 + h * (A40 * a3 + A41 * b3 + A42 * c3 + A43 * d3))
-        k5 = f0, f1, f2, f3 = rhs(
-            x0 + h * (A50 * a0 + A51 * b0 + A52 * c0 + A53 * d0 + A54 * e0),
-            x1 + h * (A50 * a1 + A51 * b1 + A52 * c1 + A53 * d1 + A54 * e1),
-            x2 + h * (A50 * a2 + A51 * b2 + A52 * c2 + A53 * d2 + A54 * e2),
-            x3 + h * (A50 * a3 + A51 * b3 + A52 * c3 + A53 * d3 + A54 * e3))
-        n0 = x0 + h * (A60 * a0 + A62 * c0 + A63 * d0 + A64 * e0 + A65 * f0)
-        n1 = x1 + h * (A60 * a1 + A62 * c1 + A63 * d1 + A64 * e1 + A65 * f1)
-        n2 = x2 + h * (A60 * a2 + A62 * c2 + A63 * d2 + A64 * e2 + A65 * f2)
-        n3 = x3 + h * (A60 * a3 + A62 * c3 + A63 * d3 + A64 * e3 + A65 * f3)
-        k6 = g0, g1, g2, g3 = rhs(n0, n1, n2, n3)
+        c0, c1, c2, c3 = k2
+        d0, d1, d2, d3 = k3
+        e0, e1, e2, e3 = k4
+        f0, f1, f2, f3 = k5
+        g0, g1, g2, g3 = k6
 
         q0 = h * (E0 * a0 + E2 * c0 + E3 * d0 + E4 * e0 + E5 * f0 + E6 * g0) \
             / (tol + tol * max(abs(x0), abs(n0)))
@@ -236,6 +234,9 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
             if h_abs > h_hi:
                 h_hi = h_abs
             k0 = k6
+            if has_twin:
+                w0, w1, w2, w3, _, _, _, _, _, wk = _stages(
+                    rhs, w0, w1, w2, w3, wk, h)
             if errn > 0.0:
                 fac11 = errn ** 0.17
             else:
@@ -249,9 +250,45 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
             fac11 = errn ** 0.17
             h_abs = h_abs / min(5.0, fac11 / 0.9)
 
-    stats = StepStats(n, rejected, 1 + 6 * (n + rejected),
+    stats = StepStats(n, rejected,
+                      1 + 6 * (n + rejected) + (1 + 6 * n if has_twin else 0),
                       h_lo if n else 0.0, h_hi)
-    return (status, n, *_as_numpy(T, Y, KS), stats)
+    return (status, n, *_as_numpy(T, Y, KS), stats,
+            (w0, w1, w2, w3) if has_twin else None)
+
+
+def _stages(rhs, x0, x1, x2, x3, k0, h):
+    """One Dormand-Prince step of size h from x with k0 = rhs(x).
+
+    Returns the fifth-order state n0..n3 and the stage derivatives k1..k6
+    (k6 = rhs(n), the next step's k0).
+    """
+    a0, a1, a2, a3 = k0
+    k1 = b0, b1, b2, b3 = rhs(x0 + h * (A10 * a0), x1 + h * (A10 * a1),
+                              x2 + h * (A10 * a2), x3 + h * (A10 * a3))
+    k2 = c0, c1, c2, c3 = rhs(x0 + h * (A20 * a0 + A21 * b0),
+                              x1 + h * (A20 * a1 + A21 * b1),
+                              x2 + h * (A20 * a2 + A21 * b2),
+                              x3 + h * (A20 * a3 + A21 * b3))
+    k3 = d0, d1, d2, d3 = rhs(x0 + h * (A30 * a0 + A31 * b0 + A32 * c0),
+                              x1 + h * (A30 * a1 + A31 * b1 + A32 * c1),
+                              x2 + h * (A30 * a2 + A31 * b2 + A32 * c2),
+                              x3 + h * (A30 * a3 + A31 * b3 + A32 * c3))
+    k4 = e0, e1, e2, e3 = rhs(
+        x0 + h * (A40 * a0 + A41 * b0 + A42 * c0 + A43 * d0),
+        x1 + h * (A40 * a1 + A41 * b1 + A42 * c1 + A43 * d1),
+        x2 + h * (A40 * a2 + A41 * b2 + A42 * c2 + A43 * d2),
+        x3 + h * (A40 * a3 + A41 * b3 + A42 * c3 + A43 * d3))
+    k5 = f0, f1, f2, f3 = rhs(
+        x0 + h * (A50 * a0 + A51 * b0 + A52 * c0 + A53 * d0 + A54 * e0),
+        x1 + h * (A50 * a1 + A51 * b1 + A52 * c1 + A53 * d1 + A54 * e1),
+        x2 + h * (A50 * a2 + A51 * b2 + A52 * c2 + A53 * d2 + A54 * e2),
+        x3 + h * (A50 * a3 + A51 * b3 + A52 * c3 + A53 * d3 + A54 * e3))
+    n0 = x0 + h * (A60 * a0 + A62 * c0 + A63 * d0 + A64 * e0 + A65 * f0)
+    n1 = x1 + h * (A60 * a1 + A62 * c1 + A63 * d1 + A64 * e1 + A65 * f1)
+    n2 = x2 + h * (A60 * a2 + A62 * c2 + A63 * d2 + A64 * e2 + A65 * f2)
+    n3 = x3 + h * (A60 * a3 + A62 * c3 + A63 * d3 + A64 * e3 + A65 * f3)
+    return n0, n1, n2, n3, k1, k2, k3, k4, k5, rhs(n0, n1, n2, n3)
 
 
 def _as_numpy(T, Y, KS):

@@ -278,6 +278,16 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     on the returned trajectory; they never change the run.  A tol, tau_end
     or state that is not finite raises DomainError.
     """
+    return _integrate(state0, prm, tau_end, tol, events)[0]
+
+
+def _integrate(state0, prm: Params, tau_end: float, tol: float,
+               events: Sequence = (), twin=None):
+    """integrate, returning (trajectory, twin end state).
+
+    A twin start state rides along on the run's accepted steps (see
+    `_kernels.dopri5_core`); without one the twin end state is None.
+    """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     y0 = _as_state_array(state0)
@@ -287,9 +297,9 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
                           f" and {y0.tolist()}")
     r_min = EXCLUSION_RADIUS_FRAC * prm.eps
 
-    status, n, T, Y, KS, stats = _kernels.dopri5_core(
+    status, n, T, Y, KS, stats, twin_end = _kernels.dopri5_core(
         y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
-        *_centre_xy(prm), r_min)
+        *_centre_xy(prm), r_min, twin)
 
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
@@ -304,7 +314,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     h = np.diff(T)
     dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
     records = _detect_events(T, Y, h, dense_q, prm, list(events))
-    return Trajectory(prm, T, Y, h, dense_q, records, stats)
+    return Trajectory(prm, T, Y, h, dense_q, records, stats), twin_end
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import AccuracyError, DomainError, PlacementError, RangeError
 from .geometry import EllipticPoint, elliptic_to_cartesian
-from .params import Params
+from .params import Params, _check_finite_centre
 from .periods import (ResonanceSolution, period_xi, resonance_residual,
                       solve_resonant_a1, turning_point_xi)
 from .special import incomplete_elliptic_f
@@ -46,13 +46,15 @@ def resonant_params(centre, q, beta: float, a: float = 1.0,
     centre may be an EllipticPoint or CartesianPoint.
     """
     sol = solve_resonant_a1(beta, q, a, tol)
-    if isinstance(centre, EllipticPoint):
-        c_cart = elliptic_to_cartesian(centre)
-    else:
-        c_cart = centre
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
-                 centre=c_cart)
+                 centre=_as_cartesian(centre))
     return prm, sol
+
+
+def _as_cartesian(centre):
+    if isinstance(centre, EllipticPoint):
+        return elliptic_to_cartesian(centre)
+    return centre
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +274,11 @@ def nondegeneracy_certificate(beta: float, q,
 def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
                          delta: float = 1e-4) -> float:
     """Halve beta (at most 60 times) until the centre is safe and inside the
-    turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus)."""
+    turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus).  A centre that is
+    not finite, which no beta can admit, raises Params' DomainError before
+    the first halving."""
     q = Fraction(q)
+    _check_finite_centre(_as_cartesian(centre))
     beta = beta_start
     for _ in range(_MAX_HALVINGS):
         try:

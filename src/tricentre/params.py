@@ -52,10 +52,8 @@ class Params:
             if self.eps > 0.0:
                 raise DomainError("a perturbing centre position is required when eps > 0")
         else:
+            _check_finite_centre(self.centre)
             x, y = self.centre.x, self.centre.y
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DomainError(
-                    f"the perturbing centre must be finite, got {self.centre}")
             if math.hypot(x - 1.0, y) < 1e-12 or math.hypot(x + 1.0, y) < 1e-12:
                 raise DomainError("the perturbing centre may not coincide with a primary")
 
@@ -71,3 +69,8 @@ class Params:
 
     def with_eps(self, eps: float) -> "Params":
         return replace(self, eps=eps)
+
+
+def _check_finite_centre(centre: CartesianPoint) -> None:
+    if not (math.isfinite(centre.x) and math.isfinite(centre.y)):
+        raise DomainError(f"the perturbing centre must be finite, got {centre}")

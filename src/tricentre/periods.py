@@ -139,17 +139,24 @@ _SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps
 def _memoised(solve):
     """solve behind a bounded LRU cache; `cache_info()` reports its use.
 
-    A hit returns what a fresh solve returns: typed=True keeps int and
-    float arguments apart, and the sign of beta joins the key because
-    -0.0 == 0.0 share a hash.  A call that raises is not cached.
+    The key holds the class q as its integer pair (m, n), so 1, Fraction(1)
+    and Fraction(2, 2) share an entry, each solving as Fraction(q) does,
+    and a hit hashes no Fraction.  A hit returns what a fresh solve
+    returns: typed=True keeps int and float arguments apart, and the sign
+    of beta joins the key because -0.0 == 0.0 share a hash.  A call that
+    raises is not cached.
     """
     @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE, typed=True)
-    def cached(sign, beta, *args, **kwargs):
-        return solve(beta, *args, **kwargs)
+    def cached(sign, beta, m, n, *args, **kwargs):
+        return solve(beta, Fraction(m, n), *args, **kwargs)
 
     @functools.wraps(solve)
-    def memoised(beta, *args, **kwargs):
-        return cached(math.copysign(1.0, beta), beta, *args, **kwargs)
+    def memoised(beta, q, *args, **kwargs):
+        try:
+            m, n = q.as_integer_ratio()
+        except AttributeError:  # a string, say, which Fraction parses
+            m, n = Fraction(q).as_integer_ratio()
+        return cached(math.copysign(1.0, beta), beta, m, n, *args, **kwargs)
     memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
     return memoised
 

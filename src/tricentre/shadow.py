@@ -3,10 +3,14 @@
 A perturbed trajectory segment is matched to a reference collision arc by
 two-point shooting between small circles around the perturbing centre: the
 unknowns are the angular position on the entry circle and the tau duration,
-the speed being eliminated by the fixed-energy constraint.  Deviation
-metrics quantify how closely the segment tracks the arc as eps shrinks;
-a finite-difference pass through the centre's neighbourhood estimates the
-local expansion rate of the return map.
+the speed being eliminated by the fixed-energy constraint.  Each Newton
+step costs one integration: the entry-angle column of the Jacobian comes
+from a twin start state advanced on the same accepted steps (internal
+numerical differentiation), the duration column is the endpoint velocity,
+and the steps run at a loose tolerance until the residual is small.
+Deviation metrics quantify how closely the segment tracks the arc as eps
+shrinks; a central-difference pass through the centre's neighbourhood
+estimates the local expansion rate of the return map.
 """
 from __future__ import annotations
 
@@ -17,7 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arcs import CollisionArc
-from .dynamics import CentreProximity, Params, hamiltonian_values, integrate
+from .dynamics import (CentreProximity, Params, _integrate, hamiltonian_values,
+                       integrate)
 from .errors import DomainError, IntegrationError
 from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
                        elliptic_to_xy, transform_matrix, velocity_to_cartesian)
@@ -26,7 +31,11 @@ __all__ = ["ShadowResult", "shoot_segment", "local_expansion_rate"]
 
 _ENTRY_RADIUS_FLOOR = 1e-4  # entry radius max(10 eps, floor)
 _SHOOT_TOL = 1e-9           # Newton stop on the Cartesian endpoint residual
-_SHOOT_MAX_ITER = 40
+_SHOOT_MAX_ITER = 40        # Newton steps over both tolerances
+_TIGHT_TOL = 1e-12          # integration tol of the residual that converges
+_LOOSE_TOL = 1e-9           # integration tol while the residual is large
+_SWITCH_RESIDUAL = 1e-6     # loose residual at which Newton turns tight
+_ALPHA_STEP = 1e-7          # entry-angle offset of the twin start state
 _IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
 _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
 _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
@@ -46,8 +55,11 @@ class ShadowResult:
     duration: float
     arrival_state: Optional[np.ndarray]  # elliptic state at the exit circle
     params: Optional[Params] = None
-    residual_history: tuple[float, ...] = ()  # residual, then after each step
-    rhs_evals: int = 0        # over every integration of the solve
+    # residual after each step, and at each tolerance's first run
+    residual_history: tuple[float, ...] = ()
+    rhs_evals: int = 0        # over every integration of the solve, twins too
+    loose_integrations: int = 0  # runs at _LOOSE_TOL
+    tight_integrations: int = 0  # runs at _TIGHT_TOL
 
 
 def _energy_consistent_state(pos: CartesianPoint, direction_cart: np.ndarray,
@@ -124,8 +136,15 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     fixed by the energy constraint of the perturbed Hamiltonian, and
     Newton-adjusts the entry angle and the duration (at most 40 steps)
     until the endpoint is within 1e-9 of the exit-circle point where the
-    arc comes back in.  eps = 0 reproduces the arc itself up to the
-    circle-chord offset.
+    arc comes back in.  Every trial is one integration: a twin start state
+    1e-7 further round the circle rides on its accepted steps, and the
+    difference of the two ends is the angle column of the Jacobian; the
+    duration column is the endpoint velocity.  Trials run at tol 1e-9 until
+    the residual is at most 1e-6, then at tol 1e-12; only a tol-1e-12
+    residual counts as converged.  A loose line search that stalls above
+    1e-6 hands over to tol 1e-12 at the first guess again, since the loose
+    map may have led away from the root.  eps = 0 reproduces the arc
+    itself up to the circle-chord offset.
     """
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
@@ -147,52 +166,67 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     tau_out = r_e / vt_cart_speed
 
     rhs_evals = 0
+    runs = {_LOOSE_TOL: 0, _TIGHT_TOL: 0}
 
-    def residual(z):
+    def residual(z, tol):
+        """Trajectory, endpoint residual and its alpha derivative at z."""
         nonlocal rhs_evals
-        direction = _rotate(u0, z[0])
-        pos = CartesianPoint(*(c_vec + r_e * direction))
-        y0 = _energy_consistent_state(pos, direction, prm)
-        traj = integrate(y0, prm, z[1], tol=1e-12)
+        starts = []
+        for alpha in (z[0], z[0] + _ALPHA_STEP):
+            direction = _rotate(u0, alpha)
+            pos = CartesianPoint(*(c_vec + r_e * direction))
+            starts.append(_energy_consistent_state(pos, direction, prm))
+        traj, twin_end = _integrate(starts[0], prm, z[1], tol, twin=starts[1])
         rhs_evals += traj.stats.rhs_evals
-        return traj, _cartesian_track(traj.states[-1:])[0] - target
+        runs[tol] += 1
+        ends = _cartesian_track(np.array([traj.states[-1], twin_end]))
+        return traj, ends[0] - target, (ends[1] - ends[0]) / _ALPHA_STEP
 
-    z = np.array([0.0, arc.duration - tau_in - tau_out])
-    traj, r = residual(z)
+    z = z_guess = np.array([0.0, arc.duration - tau_in - tau_out])
+    tol = _LOOSE_TOL
+    traj, r, r_alpha = residual(z, tol)
     rnorm = float(np.hypot(*r))
     history = [rnorm]
     n_it = 0
-    converged = rnorm <= _SHOOT_TOL
-    while not converged and n_it < _SHOOT_MAX_ITER:
+    stalled = False
+    while True:
+        goal = _SHOOT_TOL if tol == _TIGHT_TOL else _SWITCH_RESIDUAL
+        if rnorm <= goal or stalled or n_it >= _SHOOT_MAX_ITER:
+            if tol == _TIGHT_TOL:
+                break
+            # the loose map only brings z near the root: finish tight, from
+            # the first guess again if the loose steps stalled far from it
+            if stalled and rnorm > _SWITCH_RESIDUAL:
+                z = z_guess
+            tol, stalled = _TIGHT_TOL, False
+            traj, r, r_alpha = residual(z, tol)
+            rnorm = float(np.hypot(*r))
+            history.append(rnorm)
+            continue
         n_it += 1
-        d_alpha = 1e-7
-        _, r_a = residual(z + np.array([d_alpha, 0.0]))
         # d(endpoint)/dT is the Cartesian velocity at the endpoint
         end = traj.states[-1]
-        jac = np.column_stack([(r_a - r) / d_alpha, velocity_to_cartesian(
+        jac = np.column_stack([r_alpha, velocity_to_cartesian(
             EllipticPoint(end[0], end[1]), end[2:])])
+        stalled = True
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            break
+            continue
         lam = 1.0
-        improved = False
         for _ in range(10):
             z_new = z + lam * step
-            if z_new[1] <= 0.0:
-                lam *= 0.5
-                continue
-            traj_new, r_new = residual(z_new)
-            rn = float(np.hypot(*r_new))
-            if rn < rnorm:
-                z, traj, r, rnorm = z_new, traj_new, r_new, rn
-                history.append(rn)
-                improved = True
-                break
             lam *= 0.5
-        if not improved:
-            break
-        converged = rnorm <= _SHOOT_TOL
+            if z_new[1] <= 0.0:
+                continue
+            trial = residual(z_new, tol)
+            rn = float(np.hypot(*trial[1]))
+            if rn < rnorm:
+                z, (traj, r, r_alpha), rnorm = z_new, trial, rn
+                history.append(rn)
+                stalled = False
+                break
+    converged = rnorm <= _SHOOT_TOL
 
     taus, states = traj.dense_grid(1024)
     track = _cartesian_track(states)
@@ -215,6 +249,8 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         params=prm,
         residual_history=tuple(history),
         rhs_evals=rhs_evals,
+        loose_integrations=runs[_LOOSE_TOL],
+        tight_integrations=runs[_TIGHT_TOL],
     )
 
 

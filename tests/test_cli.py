@@ -85,6 +85,23 @@ class TestSolve:
     def test_range_error_exit(self, capsys):
         assert main(["solve", "--q", "2", "--energy", "-5.0"]) == 2
 
+    @pytest.mark.parametrize("centre", [["--centre-xy", "nan,0"],
+                                        ["--centre-elliptic", "inf,0.7"]])
+    def test_non_finite_centre_refused_before_halving(self, capsys,
+                                                      monkeypatch, centre):
+        import tricentre.exclusion as exclusion
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        real = exclusion.resonant_params
+        monkeypatch.setattr(exclusion, "resonant_params", counting)
+        assert main(["solve", "--q", "1", "--beta", "0.142857", *centre]) == 2
+        err = capsys.readouterr().err
+        assert "perturbing centre must be finite" in err
+        assert "halvings" not in err and calls == []
+
 
 class TestSolverCountersStayOut:
     """Evaluation counters live on the returned objects, not in the output."""

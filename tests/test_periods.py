@@ -391,16 +391,27 @@ class TestSolveCache:
     @pytest.mark.parametrize("beta", [0, 0.0, -0.0, 0.2, 1.0 / 7.0], ids=repr)
     def test_hit_equals_fresh_solve(self, beta, q):
         fresh = self._typed_fields(solve_resonant_a1.__wrapped__(beta, q))
-        # fill the cache with every key equal to (beta, q) first: one of
-        # another type or zero sign must not serve this call
+        # fill the cache with every key equal to (beta, q) first: a beta of
+        # another type or zero sign must not serve this call; the class is
+        # keyed by its integer pair, so q and Fraction(q) share an entry
         betas = [b for b in (0, 0.0, -0.0) if b == beta] or [beta]
         classes = [Fraction(q), int(q)] if Fraction(q).denominator == 1 else [q]
         for b in betas:
             for c in classes:
                 solve_resonant_a1(b, c)
-        assert solve_resonant_a1.cache_info().currsize == len(betas) * len(classes)
+        info = solve_resonant_a1.cache_info()
+        assert info.currsize == len(betas)
         assert self._typed_fields(solve_resonant_a1(beta, q)) == fresh
-        assert solve_resonant_a1.cache_info().hits == 1
+        assert solve_resonant_a1.cache_info().hits == info.hits + 1
+
+    def test_equal_classes_share_one_entry(self):
+        classes = (1, Fraction(1), Fraction(2, 2))
+        results = [solve_resonant_a1(1.0 / 7.0, q) for q in classes]
+        info = solve_resonant_a1.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        solve_resonant_a1.cache_clear()
+        fresh = self._typed_fields(solve_resonant_a1(1.0 / 7.0, 1))
+        assert all(self._typed_fields(r) == fresh for r in results)
 
     def test_failure_is_not_cached(self):
         for _ in range(3):

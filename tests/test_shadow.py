@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from deviation_reference import _deviation_to_arc as reference_deviation
 from tricentre import shadow
-from tricentre.dynamics import Params, integrate
+from tricentre.dynamics import Params, _integrate, integrate
 from tricentre.errors import DomainError
 from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
                                 velocity_to_cartesian)
 from tricentre.shadow import (_deviation_to_arc, _energy_consistent_state,
-                              local_expansion_rate, shoot_segment)
+                              _rotate, local_expansion_rate, shoot_segment)
 
 
 class TestShootSegment:
@@ -52,24 +52,95 @@ class TestShootSegment:
             shoot_segment(q1_family[0], -1e-3)
 
     def test_newton_history_and_rhs_evals(self, q1_family, monkeypatch):
-        counted = []
+        runs = []  # (tol, rhs_evals, twin given) of every integration
 
         def counting_integrate(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            counted.append(traj.stats.rhs_evals)
-            return traj
+            traj, twin_end = _integrate(*args, **kwargs)
+            runs.append((args[3], traj.stats.rhs_evals,
+                         kwargs.get("twin") is not None))
+            return traj, twin_end
 
-        monkeypatch.setattr(shadow, "integrate", counting_integrate)
+        monkeypatch.setattr(shadow, "_integrate", counting_integrate)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         assert res.converged and res.n_iterations >= 2
-        assert len(hist) == res.n_iterations + 1
-        assert all(a > b for a, b in zip(hist, hist[1:]))
-        assert hist[-1] == res.residual
-        # one trial integration plus the finite-difference alpha column per
-        # step; the duration column is the endpoint velocity, no integration
-        assert len(counted) >= 1 + 2 * res.n_iterations
-        assert res.rhs_evals == sum(counted)
+        assert res.rhs_evals == sum(r[1] for r in runs)
+        # every run carries the twin that gives the next step's alpha column
+        assert all(r[2] for r in runs)
+        tols = [r[0] for r in runs]
+        n_loose = res.loose_integrations
+        assert tols == [shadow._LOOSE_TOL] * n_loose \
+            + [shadow._TIGHT_TOL] * res.tight_integrations
+        # one integration per Newton step (every full step is taken on this
+        # segment), plus the first loose run and the tight run at the switch
+        assert len(runs) == res.n_iterations + 2
+        assert n_loose >= 2 and res.tight_integrations >= 1
+        # one residual per run; each tolerance's residuals strictly decrease
+        assert len(hist) == len(runs)
+        for phase in (hist[:n_loose], hist[n_loose:]):
+            assert all(a > b for a, b in zip(phase, phase[1:]))
+        assert hist[n_loose - 1] <= shadow._SWITCH_RESIDUAL < hist[n_loose - 2]
+        assert hist[-1] == res.residual <= shadow._SHOOT_TOL
+
+    def test_loose_stall_restarts_tight_from_the_guess(self, q1_family,
+                                                       monkeypatch):
+        # a loose map frozen after its first full step never improves
+        # again, so the second loose line search stalls away from the
+        # first guess; the solve then starts over from that guess, tight
+        loose = []
+
+        def frozen_integrate(state0, prm, tau_end, tol, twin=None):
+            if tol == shadow._LOOSE_TOL:
+                loose.append((state0, tau_end))
+                state0, tau_end = loose[min(len(loose), 2) - 1]
+            return _integrate(state0, prm, tau_end, tol, twin=twin)
+
+        ref = shoot_segment(q1_family[0], 1e-3)
+        monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
+        res = shoot_segment(q1_family[0], 1e-3)
+        hist = res.residual_history
+        # the guess, the full step, its 10 failed trials
+        assert res.loose_integrations == 12
+        assert hist[1] < 0.1 * hist[0]
+        # the first tight residual is the guess's again, not the step's
+        assert hist[2] == pytest.approx(hist[0], rel=1e-4)
+        assert res.converged
+        assert res.alpha == pytest.approx(ref.alpha, abs=1e-8)
+        assert res.duration == pytest.approx(ref.duration, abs=1e-8)
+
+    # The twin quotient (end(alpha + d) - end(alpha))/d, on one step
+    # sequence, is a second-order derivative at the midpoint alpha + d/2.
+    # Reference: a central difference about that midpoint from two
+    # independent tol-1e-14 runs.  Measured: 1.1e-6 and 7.7e-6 relative at
+    # tol 1e-12, 5e-7 and 1.4e-4 at tol 1e-9; the bounds keep a 7x margin.
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    @pytest.mark.parametrize("tol, bound", [(1e-12, 1e-4), (1e-9, 1e-3)])
+    def test_twin_alpha_column_against_central_difference(
+            self, q1_family, eps, tol, bound):
+        arc = q1_family[0]
+        res = shoot_segment(arc, eps)
+        prm = arc.params.with_eps(eps)
+        c_vec = np.array([prm.centre.x, prm.centre.y])
+        u0 = arc.v0_cartesian / np.hypot(*arc.v0_cartesian)
+
+        def start(alpha):
+            direction = _rotate(u0, alpha)
+            pos = CartesianPoint(*(c_vec + res.entry_radius * direction))
+            return _energy_consistent_state(pos, direction, prm)
+
+        def end_xy(state):
+            return np.array(elliptic_to_xy(state[0], state[1], math))
+
+        d = shadow._ALPHA_STEP
+        traj, twin_end = _integrate(start(res.alpha), prm, res.duration, tol,
+                                    twin=start(res.alpha + d))
+        column = (end_xy(twin_end) - end_xy(traj.states[-1])) / d
+        h = 1e-7
+        ends = [end_xy(integrate(start(res.alpha + 0.5 * d + s * h), prm,
+                                 res.duration, tol=1e-14).states[-1])
+                for s in (1.0, -1.0)]
+        reference = (ends[0] - ends[1]) / (2.0 * h)
+        assert np.hypot(*(column - reference)) <= bound * np.hypot(*reference)
 
 
 def _points_near_arc(arc, n, max_offset, seed):
