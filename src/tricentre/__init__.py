@@ -21,7 +21,7 @@ _EXPORTS = {
                "build_alphabet", "build_graph", "count_periodic_chains",
                "entropy_estimate"),
     "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
-                 "Trajectory", "XiCrossing", "integrate",
+                 "Trajectory", "integrate",
                  "trajectory_to_csv", "trajectory_to_json"),
     "errors": ("AccuracyError", "DomainError", "IntegrationError",
                "PlacementError", "RangeError", "SingularityError",

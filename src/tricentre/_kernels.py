@@ -2,9 +2,10 @@
 
 The stepping loops work on plain Python floats and 4-tuples; the accepted
 samples grow in flat array('d') buffers, which become numpy arrays once,
-at return.  The Dormand-Prince stage sums are unrolled with the tableau
-entries as module floats, summed left to right, and the two entries that
-are exactly zero (a71 and e2) are left out.
+at return; a run that cannot reach its end raises IntegrationError.  The
+Dormand-Prince stage sums are unrolled with the tableau entries as module
+floats, summed left to right, and the two entries that are exactly zero
+(a71 and e2) are left out.
 
 State layout everywhere: y = (xi, phi, xi', phi') with primes denoting
 derivatives in the regularized time tau.
@@ -16,6 +17,8 @@ from array import array
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import IntegrationError
 
 # Dormand-Prince 5(4) tableau (row s holds the coefficients of stage s).
 A10 = 1.0 / 5.0
@@ -48,13 +51,6 @@ DENSE_P = np.array([
     [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
      69997945.0 / 29380423.0],
 ])
-
-# Integration status codes.
-STATUS_OK = 0
-STATUS_STEP_UNDERFLOW = 1
-STATUS_ENTERED_EXCLUSION_BALL = 2
-STATUS_MAX_STEPS = 3
-
 
 class StepStats(NamedTuple):
     """What one integration cost; h_min and h_max are 0 with no step taken."""
@@ -109,10 +105,10 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
     """Adaptive Dormand-Prince 5(4) integration from tau = 0 to tau1.
 
     tol is both the relative and the absolute error target of the PI step
-    control.  Returns (status, n, T, Y, KS, stats, twin_end) where T[:n+1]
-    are the accepted times, Y[:n+1] the states, KS[:n] the seven stage
-    derivatives of each accepted step (for quartic dense output) and stats
-    a StepStats.
+    control.  Returns (T, Y, KS, stats, twin_end): with n = stats.accepted
+    steps, T[:n+1] are the accepted times, Y[:n+1] the states and KS[:n]
+    the seven stage derivatives of each accepted step (for quartic dense
+    output).
 
     A twin start state, if given, is advanced by the same formula with the
     run's accepted step sizes; only the run's own error controls the steps.
@@ -122,8 +118,10 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
     twin's field calls too.
 
     For eps > 0 the step size is capped proportionally to the distance from
-    the perturbing centre and the integration refuses to enter the ball of
-    radius r_min around it (status 2).
+    the perturbing centre.  IntegrationError, naming the tau of the last
+    accepted step, is raised when the run would enter the ball of radius
+    r_min around the centre, when the step size underflows and when
+    max_steps step attempts have not reached tau1.
     """
     x0, x1, x2, x3 = (float(v) for v in y0)
     T = array("d", (0.0,))
@@ -136,8 +134,7 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
 
     span = abs(tau1)
     if span == 0.0:
-        return (STATUS_OK, 0, *_as_numpy(T, Y, KS),
-                StepStats(0, 0, 0, 0.0, 0.0),
+        return (*_as_numpy(T, Y, KS), StepStats(0, 0, 0, 0.0, 0.0),
                 (w0, w1, w2, w3) if has_twin else None)
 
     rhs = field(a, energy, eps, cx, cy)
@@ -162,7 +159,6 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
         h_abs = 1e-6
     h_abs = min(h_abs, span)
 
-    status = STATUS_OK
     errold = 1e-4
     n = 0
     rejected = 0
@@ -179,8 +175,8 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
         if rem <= end_tol * max(abs(tau), abs(tau1)):
             break
         if nattempt >= max_steps:
-            status = STATUS_MAX_STEPS
-            break
+            raise IntegrationError(
+                f"step budget {max_steps} exhausted at tau={tau:.6g}")
         nattempt += 1
 
         if eps != 0.0:
@@ -188,8 +184,10 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
             cp = cos(x1)
             d = hypot(ch * cp - cx, sinh(x0) * sin(x1) - cy)
             if d < r_min:
-                status = STATUS_ENTERED_EXCLUSION_BALL
-                break
+                raise IntegrationError(
+                    f"trajectory entered the exclusion ball of radius"
+                    f" {r_min:.3g} around the perturbing centre at"
+                    f" tau={tau:.6g}")
             rho = ch * ch - cp * cp
             speed = sqrt(rho * (x2 * x2 + x3 * x3))
             hcap = 0.5 * d / (speed + 1e-300)
@@ -197,8 +195,8 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
                 h_abs = hcap
 
         if h_abs < 1e-14 * max(1.0, abs(tau)):
-            status = STATUS_STEP_UNDERFLOW
-            break
+            raise IntegrationError(f"step size underflow at tau={tau:.6g}"
+                                   " (singularity approach?)")
         if h_abs > rem:
             h_abs = rem
         h = direction * h_abs
@@ -253,7 +251,7 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
     stats = StepStats(n, rejected,
                       1 + 6 * (n + rejected) + (1 + 6 * n if has_twin else 0),
                       h_lo if n else 0.0, h_hi)
-    return (status, n, *_as_numpy(T, Y, KS), stats,
+    return (*_as_numpy(T, Y, KS), stats,
             (w0, w1, w2, w3) if has_twin else None)
 
 

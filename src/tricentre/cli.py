@@ -385,9 +385,8 @@ def cmd_figs(args) -> int:
     if which in (1, 2):
         energy = args.energy
         key = _param_hash({"cmd": f"figs{which}", "a": a, "energy": energy})
-        curve = (figdata.xi_potential_curve if which == 1
-                 else figdata.phi_potential_curve)
-        grid, pot, meta = curve(a, energy)
+        grid, pot, meta = (figdata.xi_potential_curve(a, energy) if which == 1
+                           else figdata.phi_potential_curve(energy))
         csv_path = out / f"fig{which}_{key}.csv"
         write_csv(csv_path, ["xi" if which == 1 else "phi", "potential"],
                   [grid, pot])

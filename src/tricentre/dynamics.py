@@ -21,13 +21,13 @@ import numpy as np
 from . import _kernels
 from ._kernels import StepStats
 from ._output import write_csv, write_json
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 from .geometry import elliptic_to_xy, physical_time_of
 from .params import Params
 
 __all__ = [
     "Params", "Trajectory",
-    "XiCrossing", "PhiCrossing", "CentreProximity",
+    "PhiCrossing", "CentreProximity",
     "EventRecord", "StepStats",
     "integrate",
     "trajectory_to_csv", "trajectory_to_json",
@@ -76,17 +76,6 @@ def _centre_xy(prm: Params) -> tuple[float, float]:
 # or 0 = any) mark its roots, over an (..., 4) state array: the scan passes
 # the whole dense-output grid and the root refinement one state of shape
 # (4,).  Each root becomes an EventRecord of the spec's `kind`.
-
-@dataclass(frozen=True)
-class XiCrossing:
-    """Crossing of the confocal ellipse xi = value; direction +1/-1/0=any."""
-    value: float
-    direction: int = 0
-    kind: str = field(default="xi_crossing", init=False)
-
-    def g(self, states: np.ndarray, prm: Params):
-        return states[..., 0] - self.value
-
 
 @dataclass(frozen=True)
 class PhiCrossing:
@@ -295,22 +284,9 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
     if not (math.isfinite(tau_end) and np.all(np.isfinite(y0))):
         raise DomainError(f"tau_end and state must be finite, got {tau_end}"
                           f" and {y0.tolist()}")
-    r_min = EXCLUSION_RADIUS_FRAC * prm.eps
-
-    status, n, T, Y, KS, stats, twin_end = _kernels.dopri5_core(
+    T, Y, KS, stats, twin_end = _kernels.dopri5_core(
         y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
-        *_centre_xy(prm), r_min, twin)
-
-    if status == _kernels.STATUS_STEP_UNDERFLOW:
-        raise IntegrationError(
-            f"step size underflow at tau={T[n]:.6g} (singularity approach?)")
-    if status == _kernels.STATUS_MAX_STEPS:
-        raise IntegrationError(f"step budget {MAX_STEPS} exhausted at tau={T[n]:.6g}")
-    if status == _kernels.STATUS_ENTERED_EXCLUSION_BALL:
-        raise IntegrationError(
-            f"trajectory entered the exclusion ball of radius {r_min:.3g}"
-            f" around the perturbing centre at tau={T[n]:.6g}")
-
+        *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps, twin)
     h = np.diff(T)
     dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
     records = _detect_events(T, Y, h, dense_q, prm, list(events))

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import AccuracyError, DomainError, PlacementError, RangeError
 from .geometry import EllipticPoint, elliptic_to_cartesian
-from .params import Params, _check_finite_centre
+from .params import Params, _check_centre
 from .periods import (ResonanceSolution, period_xi, resonance_residual,
                       solve_resonant_a1, turning_point_xi)
 from .special import incomplete_elliptic_f
@@ -274,11 +274,11 @@ def nondegeneracy_certificate(beta: float, q,
 def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
                          delta: float = 1e-4) -> float:
     """Halve beta (at most 60 times) until the centre is safe and inside the
-    turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus).  A centre that is
-    not finite, which no beta can admit, raises Params' DomainError before
-    the first halving."""
+    turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus).  A centre that no
+    beta can admit, one not finite or on a primary, raises Params'
+    DomainError before the first halving."""
     q = Fraction(q)
-    _check_finite_centre(_as_cartesian(centre))
+    _check_centre(_as_cartesian(centre))
     beta = beta_start
     for _ in range(_MAX_HALVINGS):
         try:

@@ -60,7 +60,7 @@ def xi_potential_curve(a: float = 1.0, energy: float = -0.5):
     return xi, pot, meta
 
 
-def phi_potential_curve(a: float = 1.0, energy: float = -0.5):
+def phi_potential_curve(energy: float = -0.5):
     """Pendulum-type phi potential -|E| cos(phi)^2 over one revolution."""
     if energy >= 0.0:
         raise DomainError("energy must be negative")
@@ -130,8 +130,8 @@ def polyline_self_intersections(x: np.ndarray,
     pair whose computed t and s land in [0, 1] through rounding alone is
     still tested; as long as rounding moves a computed crossing by less
     than the padding, the crossings and their order are those of the test
-    on every pair.  Crossing points closer than the local sample spacing
-    are merged, the first one kept.
+    on every pair.  A crossing point within 1e-3 of one kept before it is
+    dropped.
     """
     px = np.column_stack([x[:-1], y[:-1]])
     d = np.column_stack([np.diff(x), np.diff(y)])
@@ -179,31 +179,9 @@ def polyline_self_intersections(x: np.ndarray,
 
 
 def _merge_near_duplicates(points):
-    """Keep each point in order unless a kept point lies within 1e-3.
-
-    Kept points are hashed into square cells of side 2e-3, so a kept point
-    within 1e-3 of p sits in the 3x3 block of cells around p's cell even
-    after the cell indices round, which holds while every |coordinate| is
-    below 1e12.  Beyond that, and for non-finite coordinates (where a NaN
-    distance rejects a point), every kept point is scanned.
-    """
-    radius = 1e-3
-
-    def far(p, kept):
-        return all(math.hypot(p[0] - m[0], p[1] - m[1]) > radius for m in kept)
-
+    """Keep each point in order unless a kept point lies within 1e-3."""
     merged: list[tuple[float, float]] = []
-    if not all(abs(v) < 1e12 for p in points for v in p):  # False for NaN
-        for p in points:
-            if far(p, merged):
-                merged.append(p)
-        return merged
-    side = 2.0 * radius
-    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for p in points:
-        i, j = math.floor(p[0] / side), math.floor(p[1] / side)
-        if all(far(p, cells.get((i + di, j + dj), ()))
-               for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+        if all(math.hypot(p[0] - m[0], p[1] - m[1]) > 1e-3 for m in merged):
             merged.append(p)
-            cells.setdefault((i, j), []).append(p)
     return merged

@@ -52,10 +52,7 @@ class Params:
             if self.eps > 0.0:
                 raise DomainError("a perturbing centre position is required when eps > 0")
         else:
-            _check_finite_centre(self.centre)
-            x, y = self.centre.x, self.centre.y
-            if math.hypot(x - 1.0, y) < 1e-12 or math.hypot(x + 1.0, y) < 1e-12:
-                raise DomainError("the perturbing centre may not coincide with a primary")
+            _check_centre(self.centre)
 
     @property
     def energy(self) -> float:
@@ -71,6 +68,10 @@ class Params:
         return replace(self, eps=eps)
 
 
-def _check_finite_centre(centre: CartesianPoint) -> None:
-    if not (math.isfinite(centre.x) and math.isfinite(centre.y)):
+def _check_centre(centre: CartesianPoint) -> None:
+    """Refuse a centre that no parameters admit: not finite, or on a primary."""
+    x, y = centre.x, centre.y
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"the perturbing centre must be finite, got {centre}")
+    if math.hypot(x - 1.0, y) < 1e-12 or math.hypot(x + 1.0, y) < 1e-12:
+        raise DomainError("the perturbing centre may not coincide with a primary")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,8 +53,8 @@ class ShadowResult:
     n_iterations: int
     alpha: float              # converged entry-circle angle offset
     duration: float
-    arrival_state: Optional[np.ndarray]  # elliptic state at the exit circle
-    params: Optional[Params] = None
+    arrival_state: np.ndarray  # elliptic state at the exit circle
+    params: Params
     # residual after each step, and at each tolerance's first run
     residual_history: tuple[float, ...] = ()
     rhs_evals: int = 0        # over every integration of the solve, twins too
@@ -141,10 +141,12 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     difference of the two ends is the angle column of the Jacobian; the
     duration column is the endpoint velocity.  Trials run at tol 1e-9 until
     the residual is at most 1e-6, then at tol 1e-12; only a tol-1e-12
-    residual counts as converged.  A loose line search that stalls above
-    1e-6 hands over to tol 1e-12 at the first guess again, since the loose
-    map may have led away from the root.  eps = 0 reproduces the arc
-    itself up to the circle-chord offset.
+    residual counts as converged.  A pass stalls on a singular Jacobian or
+    when none of its 10 halved trials lowers the residual; a stalled loose
+    pass hands over to tol 1e-12 at the first guess again, since the loose
+    map may have led away from the root, and a stalled tight pass ends the
+    solve.  eps = 0 reproduces the arc itself up to the circle-chord
+    offset.
     """
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
@@ -183,48 +185,37 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         return traj, ends[0] - target, (ends[1] - ends[0]) / _ALPHA_STEP
 
     z = z_guess = np.array([0.0, arc.duration - tau_in - tau_out])
-    tol = _LOOSE_TOL
-    traj, r, r_alpha = residual(z, tol)
-    rnorm = float(np.hypot(*r))
-    history = [rnorm]
+    history = []
     n_it = 0
-    stalled = False
-    while True:
-        goal = _SHOOT_TOL if tol == _TIGHT_TOL else _SWITCH_RESIDUAL
-        if rnorm <= goal or stalled or n_it >= _SHOOT_MAX_ITER:
-            if tol == _TIGHT_TOL:
-                break
-            # the loose map only brings z near the root: finish tight, from
-            # the first guess again if the loose steps stalled far from it
-            if stalled and rnorm > _SWITCH_RESIDUAL:
-                z = z_guess
-            tol, stalled = _TIGHT_TOL, False
-            traj, r, r_alpha = residual(z, tol)
-            rnorm = float(np.hypot(*r))
-            history.append(rnorm)
-            continue
-        n_it += 1
-        # d(endpoint)/dT is the Cartesian velocity at the endpoint
-        end = traj.states[-1]
-        jac = np.column_stack([r_alpha, velocity_to_cartesian(
-            EllipticPoint(end[0], end[1]), end[2:])])
-        stalled = True
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            continue
-        lam = 1.0
-        for _ in range(10):
-            z_new = z + lam * step
-            lam *= 0.5
-            if z_new[1] <= 0.0:
-                continue
-            trial = residual(z_new, tol)
-            rn = float(np.hypot(*trial[1]))
-            if rn < rnorm:
-                z, (traj, r, r_alpha), rnorm = z_new, trial, rn
-                history.append(rn)
-                stalled = False
+    for tol, goal in ((_LOOSE_TOL, _SWITCH_RESIDUAL), (_TIGHT_TOL, _SHOOT_TOL)):
+        traj, r, r_alpha = residual(z, tol)
+        rnorm = float(np.hypot(*r))
+        history.append(rnorm)
+        while rnorm > goal and n_it < _SHOOT_MAX_ITER:
+            n_it += 1
+            # d(endpoint)/dT is the Cartesian velocity at the endpoint
+            end = traj.states[-1]
+            jac = np.column_stack([r_alpha, velocity_to_cartesian(
+                EllipticPoint(end[0], end[1]), end[2:])])
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                trials = []
+            else:
+                trials = [z + 0.5 ** k * step for k in range(10)]
+            for z_new in trials:
+                if z_new[1] <= 0.0:  # no segment to integrate
+                    continue
+                trial = residual(z_new, tol)
+                rn = float(np.hypot(*trial[1]))
+                if rn < rnorm:
+                    z, (traj, r, r_alpha), rnorm = z_new, trial, rn
+                    history.append(rn)
+                    break
+            else:  # stalled: the Jacobian is singular or no trial is better
+                if tol == _LOOSE_TOL:
+                    # the loose map may have led away from the root
+                    z = z_guess
                 break
     converged = rnorm <= _SHOOT_TOL
 
@@ -270,8 +261,6 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     if not all(r.converged for r in results[:2]):
         raise DomainError("expansion rate requires converged segments")
     seg = results[0]
-    if seg.params is None or seg.arrival_state is None:
-        raise DomainError("segment carries no arrival data")
     prm = seg.params
     if prm.eps != eps:
         prm = prm.with_eps(eps)

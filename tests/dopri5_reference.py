@@ -3,7 +3,8 @@
 This is the earlier numpy-indexed implementation of
 ``tricentre._kernels.dopri5_core``, kept verbatim (tableau, status codes
 and loop).  The production loop on Python floats must reproduce its
-(status, n, T, Y, KS) exactly.
+(T, Y, KS) exactly, and raise IntegrationError at the last accepted tau
+wherever this loop returns a failure status.
 """
 from __future__ import annotations
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import BETA_REF, primary_visit_times
+from event_specs import XiCrossing
 from test_special import elliptic_k_tanh_sinh
 from tricentre.exclusion import (nondegeneracy_certificate,
                                  primary_collision_check,
                                  primary_collision_ratios, resonant_params)
 from tricentre.chains import build_graph, count_periodic_chains, entropy_estimate
 from tricentre.cli import main as cli_main
-from tricentre.dynamics import Params, PhiCrossing, XiCrossing, integrate
+from tricentre.dynamics import Params, PhiCrossing, integrate
 from tricentre.geometry import EllipticPoint
 from tricentre.periods import (period_phi, period_xi, solve_resonant_a1,
                                turning_point_xi)

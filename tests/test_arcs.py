@@ -308,13 +308,27 @@ class TestFamilies:
         prm, sol = resonant_params(EllipticPoint(0.6, 0.4), 1, beta)
         assert primary_collision_check(prm).safe
 
-    def test_no_admissible_beta_for_segment_limit_point(self):
+    def test_no_admissible_beta_for_segment_limit_point(self, monkeypatch):
         # phi0 nearly at the far primary keeps the angular ratio pinned to
-        # 1/2 for every beta, so halving can never succeed
+        # 1/2 for every beta, so halving can never succeed: every one of
+        # the 60 halvings reaches the exclusion test and comes back unsafe.
+        # (At pi - 1e-9 the centre rounds onto the primary (-1, 0), which
+        # is refused before any halving.)
+        import tricentre.exclusion as exclusion
         from tricentre.errors import RangeError
-        centre = EllipticPoint(0.0, math.pi - 1e-9)
+        verdicts = []
+        check = exclusion.primary_collision_check
+
+        def recording(prm, **kwargs):
+            report = check(prm, **kwargs)
+            verdicts.append(report.safe)
+            return report
+
+        monkeypatch.setattr(exclusion, "primary_collision_check", recording)
+        centre = EllipticPoint(0.0, math.pi - 1e-5)
         with pytest.raises(RangeError):
             find_admissible_beta(centre, 1, beta_start=0.5)
+        assert verdicts == [False] * 60
 
     def test_grazing_arc_contradicts_safety_verdict(self, monkeypatch):
         # if a built path grazes a primary despite a safe verdict, the

@@ -85,10 +85,10 @@ class TestSolve:
     def test_range_error_exit(self, capsys):
         assert main(["solve", "--q", "2", "--energy", "-5.0"]) == 2
 
-    @pytest.mark.parametrize("centre", [["--centre-xy", "nan,0"],
-                                        ["--centre-elliptic", "inf,0.7"]])
-    def test_non_finite_centre_refused_before_halving(self, capsys,
-                                                      monkeypatch, centre):
+    @staticmethod
+    def _refused_solve(capsys, monkeypatch, centre):
+        """solve's exit code, stderr and resonant_params calls for a centre
+        that no beta admits."""
         import tricentre.exclusion as exclusion
         calls = []
 
@@ -97,9 +97,24 @@ class TestSolve:
             return real(*args, **kwargs)
         real = exclusion.resonant_params
         monkeypatch.setattr(exclusion, "resonant_params", counting)
-        assert main(["solve", "--q", "1", "--beta", "0.142857", *centre]) == 2
-        err = capsys.readouterr().err
-        assert "perturbing centre must be finite" in err
+        rc = main(["solve", "--q", "1", "--beta", "0.142857", *centre])
+        return rc, capsys.readouterr().err, calls
+
+    @pytest.mark.parametrize("centre", [["--centre-xy", "nan,0"],
+                                        ["--centre-elliptic", "inf,0.7"]])
+    def test_non_finite_centre_refused_before_halving(self, capsys,
+                                                      monkeypatch, centre):
+        rc, err, calls = self._refused_solve(capsys, monkeypatch, centre)
+        assert rc == 2 and "perturbing centre must be finite" in err
+        assert "halvings" not in err and calls == []
+
+    @pytest.mark.parametrize("centre", [["--centre-xy", "1,0"],
+                                        ["--centre-xy=-1,0"],
+                                        ["--centre-elliptic", "0,0"]])
+    def test_primary_centre_refused_before_halving(self, capsys, monkeypatch,
+                                                   centre):
+        rc, err, calls = self._refused_solve(capsys, monkeypatch, centre)
+        assert rc == 2 and "may not coincide with a primary" in err
         assert "halvings" not in err and calls == []
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricentre import _kernels, dynamics
+from event_specs import XiCrossing
 from tricentre.dynamics import (CentreProximity, Params, PhiCrossing,
-                                XiCrossing, hamiltonian_values, integrate,
+                                hamiltonian_values, integrate,
                                 trajectory_to_csv, trajectory_to_json)
 from tricentre.errors import DomainError, IntegrationError
 from tricentre.geometry import CartesianPoint, elliptic_to_xy
@@ -384,40 +386,50 @@ class TestKernelOracle:
     @pytest.mark.parametrize("case", ["bench_orbit", "negative_span",
                                       "shooting_span", "shooting_span_1e-2",
                                       "shooting_span_1e-4", "short_span",
-                                      "zero_span", "exclusion_ball",
-                                      "max_steps", "underflow"])
+                                      "zero_span"])
     def test_bitwise_equal_to_reference(self, case, q1_family):
-        from dopri5_reference import _dopri5_core_py
-        args, status = {
-            "bench_orbit": lambda: (_bench_orbit_args(), _kernels.STATUS_OK),
-            "negative_span": lambda: (_bench_orbit_args(tau_end_factor=-1.0),
-                                      _kernels.STATUS_OK),
-            "shooting_span": lambda: (_shooting_span_args(q1_family),
-                                      _kernels.STATUS_OK),
-            "shooting_span_1e-2": lambda: (
-                _shooting_span_args(q1_family, eps=1e-2), _kernels.STATUS_OK),
-            "shooting_span_1e-4": lambda: (
-                _shooting_span_args(q1_family, eps=1e-4), _kernels.STATUS_OK),
+        from dopri5_reference import STATUS_OK, _dopri5_core_py
+        args = {
+            "bench_orbit": lambda: _bench_orbit_args(),
+            "negative_span": lambda: _bench_orbit_args(tau_end_factor=-1.0),
+            "shooting_span": lambda: _shooting_span_args(q1_family),
+            "shooting_span_1e-2": lambda: _shooting_span_args(q1_family,
+                                                              eps=1e-2),
+            "shooting_span_1e-4": lambda: _shooting_span_args(q1_family,
+                                                              eps=1e-4),
             # shorter than the steps the controller would take
-            "short_span": lambda: (_shooting_span_args(q1_family, span=1e-3),
-                                   _kernels.STATUS_OK),
-            "zero_span": lambda: (_shooting_span_args(q1_family, span=0.0),
-                                  _kernels.STATUS_OK),
-            "exclusion_ball": lambda: (_centre_dive_args(1e-4),
-                                       _kernels.STATUS_ENTERED_EXCLUSION_BALL),
-            "max_steps": lambda: (_bench_orbit_args(max_steps=5),
-                                  _kernels.STATUS_MAX_STEPS),
-            "underflow": lambda: (_centre_dive_args(0.0),
-                                  _kernels.STATUS_STEP_UNDERFLOW),
+            "short_span": lambda: _shooting_span_args(q1_family, span=1e-3),
+            "zero_span": lambda: _shooting_span_args(q1_family, span=0.0),
         }[case]()
-        got = _kernels.dopri5_core(*_kernel_args(args))
-        want = _dopri5_core_py(*args)
-        assert got[0] == want[0] == status
-        assert got[1] == want[1]
-        for g, w in zip(got[2:5], want[2:5]):
+        *got, stats, _ = _kernels.dopri5_core(*_kernel_args(args))
+        status, n, *want = _dopri5_core_py(*args)
+        assert status == STATUS_OK
+        assert stats.accepted == n
+        for g, w in zip(got, want):
             assert g.shape == w.shape
             assert g.dtype == np.float64 and g.flags.c_contiguous
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("case", ["exclusion_ball", "max_steps",
+                                      "underflow"])
+    def test_fails_where_the_reference_fails(self, case):
+        import dopri5_reference as ref
+        args, status, message = {
+            "exclusion_ball": (_centre_dive_args(1e-4),
+                               ref.STATUS_ENTERED_EXCLUSION_BALL,
+                               "exclusion ball of radius 0.0001"),
+            "max_steps": (_bench_orbit_args(max_steps=5),
+                          ref.STATUS_MAX_STEPS, "step budget 5 exhausted"),
+            "underflow": (_centre_dive_args(0.0), ref.STATUS_STEP_UNDERFLOW,
+                          "step size underflow"),
+        }[case]
+        want_status, n, T, _, _ = ref._dopri5_core_py(*args)
+        assert want_status == status
+        # the message names the tau of the reference's last accepted step
+        tau = re.escape(f"{T[n]:.6g}")
+        with pytest.raises(IntegrationError,
+                           match=f"{message}.* at tau={tau}(?![0-9])"):
+            _kernels.dopri5_core(*_kernel_args(args))
 
     def test_endpoint_against_scipy_dop853(self):
         from scipy.integrate import solve_ivp

@@ -110,24 +110,31 @@ class TestSelfIntersectionOracle:
         assert _bits(got) == _bits(reference_intersections(x, y))
 
 
-def _plain_merge(points):
-    """The reference's merge: keep p unless a kept point is within 1e-3."""
-    merged = []
-    for p in points:
-        if all(math.hypot(p[0] - m[0], p[1] - m[1]) > 1e-3 for m in merged):
-            merged.append(p)
-    return merged
-
-
 class TestNearDuplicateMerge:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
                               st.floats(-1.5e-3, 1.5e-3),
                               st.floats(-1.5e-3, 1.5e-3)), max_size=300))
     def test_clustered_points_keep_the_plain_scan(self, offsets):
-        # points crowd the cell boundaries at multiples of 1e-3
+        # points crowd the lattice of multiples of 1e-3
         pts = [(k * 1e-3 + dx, m * 1e-3 + dy) for k, m, dx, dy in offsets]
-        assert _bits(_merge_near_duplicates(pts)) == _bits(_plain_merge(pts))
+        merged = _merge_near_duplicates(pts)
+
+        def dist(p, m):
+            return math.hypot(p[0] - m[0], p[1] - m[1])
+
+        # the kept points are pairwise more than 1e-3 apart ...
+        assert all(dist(p, m) > 1e-3
+                   for i, p in enumerate(merged) for m in merged[:i])
+        # ... and come in input order, and every other point lies within
+        # 1e-3 of a point kept before it
+        j = 0
+        for p in pts:
+            if j < len(merged) and p is merged[j]:
+                j += 1
+            else:
+                assert any(dist(p, m) <= 1e-3 for m in merged[:j])
+        assert j == len(merged)
 
     def test_exactly_radius_apart_merges(self):
         assert _merge_near_duplicates([(0.0, 0.0), (1e-3, 0.0)]) == \
@@ -137,7 +144,13 @@ class TestNearDuplicateMerge:
     def test_non_finite_or_huge_coordinate(self, bad):
         pts = [(0.0, 0.0), (bad, 0.0), (5e-4, 0.0), (0.0, bad), (2e-3, 1e-4),
                (bad, bad), (3e-3, 0.0)]
-        assert _bits(_merge_near_duplicates(pts)) == _bits(_plain_merge(pts))
+        # a NaN distance is not above the radius, so a point with a NaN
+        # coordinate is dropped once a point is kept; an infinite one is
+        if math.isnan(bad):
+            want = [pts[0], pts[4], pts[6]]
+        else:
+            want = [p for i, p in enumerate(pts) if i != 2]
+        assert _bits(_merge_near_duplicates(pts)) == _bits(want)
 
 
 class TestOrbitBundle:

@@ -12,10 +12,10 @@ import tricentre
 # The package's exports before they resolved lazily, less what was deleted
 # since (integrate_symplectic moved to tests/verlet_check.py,
 # PrimaryProximity, which only tests used, is gone, adaptive_quadrature
-# with QuadratureResult moved to tests/quadrature_reference.py, and
-# EllipticState, primary_potential, centre_potential,
-# regularized_hamiltonian and vector_field, which only tests used, are
-# gone).
+# with QuadratureResult moved to tests/quadrature_reference.py,
+# XiCrossing moved to tests/event_specs.py, and EllipticState,
+# primary_potential, centre_potential, regularized_hamiltonian and
+# vector_field, which only tests used, are gone).
 EXPORTS = {
     "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
@@ -24,7 +24,7 @@ EXPORTS = {
     "PlacementError", "RangeError",
     "ResonanceSolution", "SafetyReport", "ShadowResult", "SingularityError",
     "StructuralError", "Trajectory", "TricentreError", "UnsafeCentreError",
-    "XiCrossing", "arc_family", "assemble_chain",
+    "arc_family", "assemble_chain",
     "build_alphabet", "build_arc", "build_graph", "cartesian_to_elliptic",
     "complete_elliptic_k", "count_periodic_chains",
     "elliptic_to_cartesian", "entropy_estimate", "find_admissible_beta",

@@ -168,7 +168,8 @@ class TestBetaForEnergy:
 
 class TestPeriodsVsOde:
     def test_five_by_five_grid(self):
-        from tricentre.dynamics import Params, PhiCrossing, XiCrossing, integrate
+        from event_specs import XiCrossing
+        from tricentre.dynamics import Params, PhiCrossing, integrate
         worst = 0.0
         phi0 = 0.3
         for beta in (0.05, 0.1, 1.0 / 7.0, 0.3, 0.5):

@@ -108,6 +108,96 @@ class TestShootSegment:
         assert res.alpha == pytest.approx(ref.alpha, abs=1e-8)
         assert res.duration == pytest.approx(ref.duration, abs=1e-8)
 
+    @staticmethod
+    def _recording(monkeypatch):
+        """Replace shadow's integrator by one that records (tol, tau_end,
+        start state) of every run."""
+        runs = []
+
+        def recording_integrate(state0, prm, tau_end, tol, twin=None):
+            runs.append((tol, tau_end, state0.copy()))
+            return _integrate(state0, prm, tau_end, tol, twin=twin)
+
+        monkeypatch.setattr(shadow, "_integrate", recording_integrate)
+        return runs
+
+    def test_singular_loose_jacobian_restarts_tight_from_the_guess(
+            self, q1_family, monkeypatch):
+        runs = self._recording(monkeypatch)
+        solve = np.linalg.solve
+
+        def singular_once(a, b):
+            if len(runs) == 1:  # the first step, from the first loose run
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        res = shoot_segment(q1_family[0], 1e-3)
+        # no trial is run; the tight pass starts at the first guess
+        assert res.loose_integrations == 1
+        assert runs[1][0] == shadow._TIGHT_TOL
+        assert runs[1][1] == runs[0][1]
+        assert np.array_equal(runs[1][2], runs[0][2])
+        assert res.converged
+
+    def test_loose_budget_out_hands_its_point_to_the_tight_pass(
+            self, q1_family, monkeypatch):
+        runs = self._recording(monkeypatch)
+        monkeypatch.setattr(shadow, "_SHOOT_MAX_ITER", 1)
+        res = shoot_segment(q1_family[0], 1e-3)
+        hist = res.residual_history
+        assert (res.n_iterations, res.loose_integrations,
+                res.tight_integrations) == (1, 2, 1)
+        # the one loose step is taken but leaves the residual above 1e-6
+        assert shadow._SWITCH_RESIDUAL < hist[1] < hist[0]
+        # the tight run starts where the loose step ended, not at the guess
+        assert runs[2][0] == shadow._TIGHT_TOL
+        assert runs[2][1] == runs[1][1] != runs[0][1]
+        assert np.array_equal(runs[2][2], runs[1][2])
+        assert not res.converged
+        assert res.residual == hist[-1] > shadow._SHOOT_TOL
+
+    def test_trial_of_no_duration_runs_no_integration(self, q1_family,
+                                                      monkeypatch):
+        runs = self._recording(monkeypatch)
+        solve = np.linalg.solve
+
+        def shrinking_once(a, b):
+            # full, half and quarter steps end at durations -3T, -T and 0
+            if len(runs) == 1:
+                return np.array([0.0, -4.0 * runs[0][1]])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", shrinking_once)
+        res = shoot_segment(q1_family[0], 1e-3)
+        assert all(tau_end > 0.0 for _, tau_end, _ in runs)
+        # the first run and the 7 trials of positive duration, none better
+        assert res.loose_integrations == 1 + 7
+        assert res.converged
+
+    def test_tight_stall_returns_the_tight_residual(self, q1_family,
+                                                    monkeypatch):
+        # a tight map frozen at its first run never improves, so the first
+        # tight line search stalls and ends the solve
+        tight = []
+
+        def frozen_integrate(state0, prm, tau_end, tol, twin=None):
+            if tol == shadow._TIGHT_TOL:
+                tight.append((state0, tau_end, twin))
+                state0, tau_end, twin = tight[0]
+            return _integrate(state0, prm, tau_end, tol, twin=twin)
+
+        monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
+        res = shoot_segment(q1_family[0], 1e-3)
+        hist = res.residual_history
+        n_loose = res.loose_integrations
+        # the switch run and its 10 failed trials
+        assert res.tight_integrations == 11
+        assert len(hist) == n_loose + 1
+        assert not res.converged
+        assert res.residual == hist[-1] > shadow._SHOOT_TOL
+        assert res.n_iterations == n_loose
+
     # The twin quotient (end(alpha + d) - end(alpha))/d, on one step
     # sequence, is a second-order derivative at the midpoint alpha + d/2.
     # Reference: a central difference about that midpoint from two
