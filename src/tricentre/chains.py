@@ -66,7 +66,6 @@ class CollisionChain:
 
 
 def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
-                   tol: float = 1e-12,
                    delta: float = 1e-4) -> list[CollisionArc]:
     """Four arcs per class, all sharing the requested energy.
 
@@ -79,8 +78,8 @@ def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
     arcs: list[CollisionArc] = []
     for q in classes:
         q = Fraction(q)
-        sol = solve_beta_for_energy(q, energy, a, tol)
-        prm, _ = resonant_params(centre, q, sol.beta, a, tol)
+        sol = solve_beta_for_energy(q, energy, a)
+        prm, _ = resonant_params(centre, q, sol.beta, a)
         try:
             arcs.extend(arc_family(prm, delta=delta))
         except UnsafeCentreError as exc:

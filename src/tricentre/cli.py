@@ -3,7 +3,7 @@ integrate.
 
 Each option is declared once in `_OPTIONS` and each subcommand once in
 `_COMMANDS`; `main` parses every value once against them and refuses
-conflicting input and options the subcommand does not use.
+conflicting or repeated input and options the subcommand does not use.
 
 Outputs are deterministic: file names carry a hash of the effective
 parameters, floats are printed with fixed precision and files are written
@@ -23,11 +23,12 @@ from typing import Callable, NamedTuple, Optional
 from ._output import write_csv, write_json
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      StructuralError, TricentreError, UnsafeCentreError)
-from .exclusion import (find_admissible_beta, primary_collision_check,
-                        primary_collision_ratios, resonant_params)
-from .geometry import CartesianPoint, EllipticPoint, elliptic_to_cartesian
+from .exclusion import (_as_cartesian, find_admissible_beta,
+                        primary_collision_check, primary_collision_ratios,
+                        resonant_params)
+from .geometry import CartesianPoint, EllipticPoint
 from .params import Params
-from .periods import (modulus_squares, period_phi, period_xi,
+from .periods import (_RESONANCE_TOL, modulus_squares, period_phi, period_xi,
                       solve_beta_for_energy, solve_resonant_a1,
                       turning_point_xi)
 
@@ -97,8 +98,7 @@ _OPTIONS = {
     "centre_elliptic": _Option(_point(EllipticPoint),
                                "perturbing centre as xi,phi"),
     "eps": _Option(float, "third-centre intensity (list for shadow)", "0"),
-    "tol": _Option(float, "solver/integration tolerance (default 1e-12)",
-                   "1e-12"),
+    "tol": _Option(float, "integration tolerance (default 1e-12)", "1e-12"),
     "delta": _Option(float, "safety margin in ratio units (default 1e-4)",
                      "1e-4"),
     "state": _Option(_floats(4), "initial state xi,phi,xi',phi'"),
@@ -125,6 +125,8 @@ def _load_config(path: str) -> dict:
         name = key.replace("-", "_")
         if name not in _OPTIONS:
             raise DomainError(f"config key {key!r} names no option")
+        if name in out:
+            raise DomainError(f"config names {_flag(name)} more than once")
         out[name] = val
     return out
 
@@ -138,8 +140,8 @@ def _resonance(args):
     puts --q on the --energy level."""
     beta = args.beta
     if beta is None:
-        beta = solve_beta_for_energy(args.q, args.energy, args.a, args.tol).beta
-    return resonant_params(_centre(args), args.q, beta, args.a, args.tol)
+        beta = solve_beta_for_energy(args.q, args.energy, args.a).beta
+    return resonant_params(_centre(args), args.q, beta, args.a)
 
 
 def _out_dir(args) -> Path:
@@ -163,7 +165,7 @@ def cmd_periods(args) -> int:
     a, beta = args.a, args.beta
     doc: dict = {"command": "periods", "a": a, "beta": beta}
     if args.q is not None:
-        sol = solve_resonant_a1(beta, args.q, a, args.tol)
+        sol = solve_resonant_a1(beta, args.q, a)
         a1 = sol.a1_hat
         doc.update(q=str(sol.q), a1_hat=a1, residual=sol.residual,
                    clamped=sol.clamped, energy=sol.energy)
@@ -192,11 +194,11 @@ def cmd_periods(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    a, q, tol = args.a, args.q, args.tol
+    a, q = args.a, args.q
     if args.energy is not None:
-        sol = solve_beta_for_energy(q, args.energy, a, tol)
+        sol = solve_beta_for_energy(q, args.energy, a)
     else:
-        sol = solve_resonant_a1(args.beta, q, a, tol)
+        sol = solve_resonant_a1(args.beta, q, a)
     doc = {"command": "solve", "a": a, "q": str(q), "beta": sol.beta,
            "a1_hat": sol.a1_hat, "t1": sol.t1, "t2": sol.t2,
            "energy": sol.energy, "residual": sol.residual,
@@ -240,11 +242,11 @@ def cmd_arcs(args) -> int:
     from .arcs import arc_family
     from .dynamics import trajectory_to_csv
     prm, sol = _resonance(args)
-    a, q, tol, beta = args.a, args.q, args.tol, prm.beta
+    a, q, beta = args.a, args.q, prm.beta
     family = arc_family(prm, delta=args.delta)
     out = _out_dir(args)
     key = _param_hash({"cmd": "arcs", "a": a, "beta": beta, "q": str(q),
-                       "centre": str(prm.centre), "tol": tol})
+                       "centre": str(prm.centre), "tol": _RESONANCE_TOL})
     records = []
     for arc in family:
         stem = (f"arc_{key}_s{'p' if arc.label.sign > 0 else 'm'}"
@@ -286,12 +288,12 @@ def cmd_arcs(args) -> int:
 def cmd_chains(args) -> int:
     from .chains import (assemble_chain, build_alphabet, build_graph,
                          count_periodic_chains, entropy_estimate)
-    a, tol, classes = args.a, args.tol, args.classes
+    a, classes = args.a, args.classes
     centre = _centre(args)
     energy = args.energy
     if energy is None:
-        energy = solve_resonant_a1(args.beta, classes[0], a, tol).energy
-    arcs = build_alphabet(centre, classes, energy, a, tol, delta=args.delta)
+        energy = solve_resonant_a1(args.beta, classes[0], a).energy
+    arcs = build_alphabet(centre, classes, energy, a, delta=args.delta)
     graph = build_graph(arcs)
     n_max = 12
     counts = {n: count_periodic_chains(graph, n) for n in range(1, n_max + 1)}
@@ -450,13 +452,11 @@ def cmd_integrate(args) -> int:
     from .dynamics import integrate, trajectory_to_csv, trajectory_to_json
     a, beta, tol, eps = args.a, args.beta, args.tol, args.eps
     if args.q is not None:
-        sol = solve_resonant_a1(beta, args.q, a, tol)
+        sol = solve_resonant_a1(beta, args.q, a)
         a1, q = sol.a1_hat, sol.q
     else:
         a1, q = args.a1, Fraction(1)
-    centre = _centre(args)
-    if isinstance(centre, EllipticPoint):
-        centre = elliptic_to_cartesian(centre)
+    centre = _as_cartesian(_centre(args))
     prm = Params(a=a, beta=beta, a1=a1, q=q, eps=eps, centre=centre)
     traj = integrate(args.state, prm, args.tau_end, tol=tol)
     out = _out_dir(args)
@@ -492,12 +492,12 @@ class _Command(NamedTuple):
 _BETA_OR_ENERGY = ("beta", "energy")
 _Q_OR_A1 = ("q", "a1")
 _CENTRE = ("centre_xy", "centre_elliptic")
-_RESONANCE = ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "tol", "delta")
+_RESONANCE = ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "delta")
 
 _COMMANDS = {
     "periods": _Command(cmd_periods, "closed-form periods at (beta, a1 | q)",
-                        ("a", "beta", "a1", "q", "tol"), required=("beta",),
-                        exactly_one=(_Q_OR_A1,), needs={"tol": ("q",)}),
+                        ("a", "beta", "a1", "q"), required=("beta",),
+                        exactly_one=(_Q_OR_A1,)),
     "solve": _Command(cmd_solve, "resonance solve for a1_hat or beta",
                       _RESONANCE, required=("q",),
                       exactly_one=(_BETA_OR_ENERGY,), at_most_one=(_CENTRE,),
@@ -508,12 +508,12 @@ _COMMANDS = {
                      (*_RESONANCE, "out"),
                      exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
     "chains": _Command(cmd_chains, "alphabet, graph, counts and entropy",
-                       ("a", *_BETA_OR_ENERGY, "classes", *_CENTRE, "tol",
-                        "delta", "out"), required=("classes",),
+                       ("a", *_BETA_OR_ENERGY, "classes", *_CENTRE, "delta",
+                        "out"), required=("classes",),
                        exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
     "shadow": _Command(cmd_shadow, "eps-sweep shadowing experiments",
-                       ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "eps", "tol",
-                        "delta", "out"), required=("eps",),
+                       ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "eps", "delta",
+                        "out"), required=("eps",),
                        exactly_one=(_BETA_OR_ENERGY, _CENTRE),
                        parse={"eps": _list(float)}),
     "figs": _Command(cmd_figs, "emit the data behind figure N",
@@ -576,8 +576,20 @@ def _prepare(args) -> None:
                 f"cannot parse {_flag(name)}={text!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a domain error
+        raise DomainError(f"{self.prog}: {message}")
+
+
+class _Once(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:  # a repeated option
+            raise DomainError(f"{_flag(self.dest)} is given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tricentre",
         description="Collision arcs, chain dynamics and shadowing"
                     " experiments for the planar restricted 3-centre problem")
@@ -587,16 +599,18 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "figs":
             p.add_argument("which", type=int, help="figure index 1..6")
         for option in cmd.options:
-            p.add_argument(_flag(option), help=_OPTIONS[option].help)
-        p.add_argument("--config", help="key = value config file")
+            p.add_argument(_flag(option), action=_Once,
+                           help=_OPTIONS[option].help)
+        p.add_argument("--config", action=_Once,
+                       help="key = value config file")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output on stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _prepare(args)
         return _COMMANDS[args.command].run(args)
     except UnsafeCentreError as exc:

@@ -1,16 +1,16 @@
 """The primary-collision exclusion test and the resonance certificate.
 
 The exclusion test decides from closed forms alone whether the periodic
-orbit through the centre C can hit a primary: the finite ratio set S of
-a class q against the two travel-time ratios G+- of C.  Both travel times
+orbit through the centre C can hit a primary: the finite ratio set S of a
+class q against the two travel-time ratios G+- of C.  Both travel times
 are incomplete elliptic integrals F (through Carlson's R_F), so a cell
 costs no quadrature and, the resonance solve and its constants being
 memoised, no root search or period after the first cell of its (beta, q);
-G+- are placed in S by bisection.  With the
-finite-difference nondegeneracy certificate and the beta search that
-`solve` runs, it makes up the math-only layer behind the `periods`,
-`solve` and `check` commands; nothing here imports numpy.  `arcs` builds
-on it.
+G+- are placed in the sorted S by bisection, and of two elements at the
+same distance the smaller is reported nearest.  With the finite-difference
+nondegeneracy certificate and the beta search that `solve` runs, it makes
+up the math-only layer behind the `periods`, `solve` and `check`
+commands; nothing here imports numpy.  `arcs` builds on it.
 """
 from __future__ import annotations
 
@@ -39,13 +39,13 @@ _ELLIPSE_MARGIN = 0.01  # admissible beta: relative margin on cosh(xi0)
 _MAX_HALVINGS = 60
 
 
-def resonant_params(centre, q, beta: float, a: float = 1.0,
-                    tol: float = 1e-12) -> tuple[Params, ResonanceSolution]:
+def resonant_params(centre, q, beta: float,
+                    a: float = 1.0) -> tuple[Params, ResonanceSolution]:
     """Params carrying the resonant a1_hat(beta, q) for a centre position.
 
     centre may be an EllipticPoint or CartesianPoint.
     """
-    sol = solve_resonant_a1(beta, q, a, tol)
+    sol = solve_resonant_a1(beta, q, a)
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
                  centre=_as_cartesian(centre))
     return prm, sol
@@ -90,40 +90,28 @@ def primary_collision_ratios(q) -> frozenset:
 
 
 @functools.lru_cache
-def _ratio_table(m: int, n: int) -> tuple[list[float], list[tuple[int, Fraction]]]:
-    """S of class m/n sorted by float(s): the floats, and beside each its
-    (index in the iteration order of the set, s).  Keyed by the two ints,
-    so a lookup hashes no Fraction."""
-    ranked = sorted((float(s), i, s)
-                    for i, s in enumerate(primary_collision_ratios(Fraction(m, n))))
-    return [v for v, _, _ in ranked], [(i, s) for _, i, s in ranked]
+def _ratio_table(m: int, n: int) -> tuple[list[float], list[Fraction]]:
+    """S of class m/n in increasing order: the float of each element, and
+    the elements.  Keyed by the two ints, so a lookup hashes no Fraction."""
+    ratios = sorted(primary_collision_ratios(Fraction(m, n)))
+    return [float(s) for s in ratios], ratios
 
 
 def _nearest_ratio(g_plus: float, g_minus: float,
                    q: Fraction) -> tuple[float, Fraction]:
-    """The least |g - s| over g in (G+, G-) and s in S, with its s: the
-    first minimum of a scan over s in set order, G+ before G- for each s.
+    """The least (|g - s|, s) over g in (G+, G-) and s in S: the smallest
+    distance, and at a tie the smaller s.
 
     Rounded, |g - s| does not decrease away from the bisect point of g on
-    either side, where it is g - s below and s - g above (the same floats
-    as abs(g - s)).  So the minimisers for one g form one run around that
-    point, in practice one of its two neighbours; min takes the lowest set
-    index of the run, and then G+ before G-.
+    either side, so only the two neighbours of that point are compared.
     """
-    values, entries = _ratio_table(q.numerator, q.denominator)
-    n, found = len(values), []
+    values, ratios = _ratio_table(q.numerator, q.denominator)
+    found = []
     for g in (g_plus, g_minus):
         k = bisect.bisect_left(values, g)
-        best = min(g - values[k - 1] if k else math.inf,
-                   values[k] - g if k < n else math.inf)
-        lo = hi = k
-        while lo and g - values[lo - 1] == best:
-            lo -= 1
-        while hi < n and values[hi] - g == best:
-            hi += 1
-        found.append((best, *min(entries[lo:hi])))
-    best, _, nearest = min(found)
-    return best, nearest
+        found += [(abs(g - values[i]), ratios[i])
+                  for i in (k - 1, k) if 0 <= i < len(values)]
+    return min(found)
 
 
 def _separated_motion(beta: float, a1: float, a: float):

@@ -4,7 +4,8 @@ For admissible (beta, a1) the xi motion is a double-well oscillation of
 period T1 and the phi motion a rotating pendulum of period T2, both given
 in closed form through the complete elliptic integral.  A resonance class
 q = m/n selects the unique a1_hat(beta, q) with q*T1 = T2, producing a
-periodic orbit of energy E = -2*a*beta*a1_hat.
+periodic orbit of energy E = -2*a*beta*a1_hat.  Every resonance solve
+runs at one tolerance, |q*T1 - T2| <= 1e-12.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ __all__ = [
 
 _EDGE = 1e-9  # bracket inset from the a1 domain boundary
 _BETA_CAP = 0.95  # largest beta the energy bracket of a class may reach
+_RESONANCE_TOL = 1e-12  # |q*T1 - T2| at which a resonance solve stops
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,7 @@ def _memoised(solve):
 
 
 @_memoised
-def solve_resonant_a1(beta: float, q, a: float = 1.0,
-                      tol: float = 1e-12) -> ResonanceSolution:
+def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
     """Unique a1_hat(beta, q) with q*T1 = T2, by bisection + secant.
 
     The residual runs from -inf (a1 -> 0, T2 diverges) to +inf
@@ -176,8 +177,6 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0,
     q = Fraction(q)
     if q <= 0:
         raise DomainError(f"class q must be positive, got {q}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     _check_beta(beta)  # before 1/(1+beta); every a1 tried lies in [lo, hi]
     hi_edge = 1.0 / (1.0 + beta)
     lo, hi = _EDGE * hi_edge, hi_edge * (1.0 - _EDGE)
@@ -194,7 +193,7 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0,
     elif f_hi <= 0.0:
         a1, res, clamped = hi, f_hi, True
     else:
-        a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, tol)
+        a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, _RESONANCE_TOL)
     return ResonanceSolution(
         beta=beta, q=q, a=a, a1_hat=a1,
         t1=period_xi(beta, a1, a), t2=period_phi(beta, a1, a),
@@ -230,18 +229,18 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
     return best, res
 
 
-def solve_beta_for_energy(q, energy: float, a: float = 1.0,
-                          tol: float = 1e-12) -> ResonanceSolution:
+def solve_beta_for_energy(q, energy: float, a: float = 1.0) -> ResonanceSolution:
     """Find beta with energy(beta, q) = -2*a*beta*a1_hat(beta, q) = energy.
 
     The resonant energy decreases continuously from 0 at beta = 0, so a
     bracket exists whenever |energy| is small enough for the class; a
-    RangeError is raised otherwise (beta is capped at 0.95).
+    RangeError is raised otherwise (beta is capped at 0.95).  The beta
+    search stops at an energy gap of 1e-12 * max(1, |energy|).
     """
     q = Fraction(q)
     if not (energy < 0.0):
         raise DomainError(f"energy must be negative, got {energy}")
-    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q, a, tol))
+    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q, a))
 
     def gap(beta: float) -> float:
         return solve(beta).energy - energy
@@ -257,7 +256,7 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0,
                 f"|energy| = {abs(energy):.6g} is out of reach for class {q}"
                 f" with beta <= {_BETA_CAP}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
-                              tol * max(1.0, abs(energy)))
+                              _RESONANCE_TOL * max(1.0, abs(energy)))
     return solve(beta)
 
 

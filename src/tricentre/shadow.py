@@ -265,7 +265,6 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     if prm.eps != eps:
         prm = prm.with_eps(eps)
     r_e = seg.entry_radius
-    c_vec = np.array([prm.centre.x, prm.centre.y])
 
     y_arr = seg.arrival_state
     p_arr = EllipticPoint(y_arr[0], y_arr[1])

@@ -83,14 +83,14 @@ def yaxis_direct(yaxis_family):
     return direct_arcs(yaxis_family)
 
 
-def primary_visit_times(beta, q, a=1.0, tol=1e-12, n_periods=1.5):
+def primary_visit_times(beta, q, a=1.0, n_periods=1.5):
     """Times and angles of primary passages for the orbit seeded at (0, 0).
 
     Returns (times, phis, full_period): event times where the orbit sits at
     a primary (|xi| below tolerance at a phi = 0 or pi crossing).
     """
     q = Fraction(q)
-    sol = solve_resonant_a1(beta, q, a, tol)
+    sol = solve_resonant_a1(beta, q, a)
     t_full = sol.q.numerator * sol.t1
     prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
     xi_speed = 2.0 * math.sqrt(a * (1.0 - beta * sol.a1_hat - sol.a1_hat))

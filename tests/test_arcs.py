@@ -446,8 +446,8 @@ EXCLUSION_CLASSES = (F(1), F(2), F(3), F(1, 2), F(3, 2))
 def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
     """The exclusion test written out directly: adaptive quadrature of the
     two travel-time integrands (how `primary_collision_check` computed them
-    before the closed form), and a scan over a freshly built ratio set in
-    its iteration order, converting each element with float(s)."""
+    before the closed form), and the least (|g - float(s)|, s) over a
+    freshly built ratio set: the smaller s at a tie."""
     beta, a1, a = prm.beta, prm.a1, prm.a
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
@@ -467,12 +467,9 @@ def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
     t1 = period_xi(beta, a1, a)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1
-    best, nearest = math.inf, F(0)
-    for s in primary_collision_ratios.__wrapped__(prm.q):  # uncached build
-        for g in (g_plus, g_minus):
-            d = abs(g - float(s))
-            if d < best:
-                best, nearest = d, s
+    best, nearest = min((abs(g - float(s)), s)  # uncached build of S
+                        for s in primary_collision_ratios.__wrapped__(prm.q)
+                        for g in (g_plus, g_minus))
     return g_plus, g_minus, best > delta, best, nearest
 
 
@@ -526,14 +523,15 @@ class TestExclusionOracle:
         prm = _centre_params(q, beta, u, phi0)
         _assert_matches_reference(primary_collision_check(prm), prm, 1e-13)
 
-    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)], ids=str)
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2), F(1, 3)], ids=str)
     def test_axis_tie_keeps_first_minimum(self, q):
-        # phi0 = 0: G- = -G+, so s and -s lie at exactly the same distance
+        # phi0 = 0: G- = -G+, so s and -s lie at exactly the same distance,
+        # and the first minimum in sorted S is the negative one
         prm = _centre_params(q, BETA_REF, 0.5, 0.0)
         report = primary_collision_check(prm)
         assert report.g_minus == -report.g_plus
         mirror = -report.nearest
-        assert report.nearest != 0 and mirror in primary_collision_ratios(q)
+        assert report.nearest < 0 and mirror in primary_collision_ratios(q)
         assert min(abs(report.g_plus - float(mirror)),
                    abs(report.g_minus - float(mirror))) == report.min_separation
         _assert_matches_reference(report, prm, 1e-13)
@@ -588,9 +586,10 @@ class TestRatioSetCache:
     def test_cached_set_keeps_build_order(self, q):
         fresh = primary_collision_ratios.__wrapped__(q)
         assert list(primary_collision_ratios(q)) == list(fresh)
-        values, entries = exclusion._ratio_table(q.numerator, q.denominator)
-        assert values == sorted(values) == [float(s) for _, s in entries]
-        assert [s for _, s in sorted(entries)] == list(fresh)
+        # the exclusion test's table is S in increasing order, with floats
+        values, ratios = exclusion._ratio_table(q.numerator, q.denominator)
+        assert ratios == sorted(fresh)
+        assert values == [float(s) for s in ratios] == sorted(values)
 
     def test_validates_on_every_call(self):
         for bad in (0, F(-1, 2), -3):
@@ -600,15 +599,10 @@ class TestRatioSetCache:
 
 
 def _scan_nearest(g_plus, g_minus, q):
-    """The first minimum of |g - float(s)| over s in set order, G+ before
-    G- for each s: the scan the sorted-table bisect replaces."""
-    best, nearest = math.inf, F(0)
-    for s in primary_collision_ratios(q):
-        for g in (g_plus, g_minus):
-            d = abs(g - float(s))
-            if d < best:
-                best, nearest = d, s
-    return best, nearest
+    """The first minimum of |g - float(s)| over s in increasing order, by
+    brute force: the least (|g - float(s)|, s) over all of S and both g."""
+    return min((abs(g - float(s)), s) for s in primary_collision_ratios(q)
+               for g in (g_plus, g_minus))
 
 
 @st.composite

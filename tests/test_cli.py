@@ -9,6 +9,7 @@ import pytest
 
 import tricentre._output
 from tricentre.cli import main
+from tricentre.periods import solve_resonant_a1
 
 
 def run(capsys, argv):
@@ -65,6 +66,16 @@ class TestCheck:
         assert main(["check", "--centre-elliptic", "4.5,0.7", "--q", "1",
                      "--beta", "0.142857"]) == 2
         assert "beyond the turning ellipse" in capsys.readouterr().err
+
+    def test_tie_reports_the_smaller_ratio(self, capsys):
+        # phi0 = 0: G- = -G+, so 1/6 and -1/6 lie at exactly the same distance
+        rc, out = run(capsys, ["check", "--centre-elliptic", "0.5,0",
+                               "--q", "1/3", "--beta", "0.05", "--json"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["g_minus"] == -doc["g_plus"]
+        assert doc["nearest"] == "-1/6"
+        assert doc["min_separation"] == abs(doc["g_plus"] - 1 / 6)
 
     @pytest.mark.parametrize("centre", [["--centre-xy=nan,0"],
                                         ["--centre-xy", "0.3,inf"],
@@ -257,6 +268,21 @@ class TestIntegrate:
             assert main(argv + ["--centre-xy", centre]) == 0
         assert len(list(tmp_path.iterdir())) == 4
 
+    def test_resonance_ignores_tol(self, capsys, tmp_path):
+        # --tol sets the integration tolerance only; a1 is solved at 1e-12
+        argv = ["integrate", "--beta", "0.142857", "--q", "1",
+                "--state", "0,0.3,1.2,1.1", "--tau-end", "5",
+                "--out", str(tmp_path), "--json"]
+        docs = []
+        for tol in ("1e-9", "1e-12"):
+            rc, out = run(capsys, argv + ["--tol", tol])
+            assert rc == 0
+            docs.append(json.loads(Path(json.loads(out)["json"]).read_text()))
+        loose, tight = docs
+        assert loose["energy"] == tight["energy"] == solve_resonant_a1(
+            0.142857, 1).energy
+        assert loose["n_samples"] < tight["n_samples"]
+
     @pytest.mark.parametrize("bad", [
         ["--state", "0,0.3,1.2,1.1", "--tau-end", "nan"],
         ["--state", "0,0.3,1.2,1.1", "--tau-end", "inf"],
@@ -302,9 +328,11 @@ class TestConfigFile:
     def test_config_sets_tol(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("tol = 0\n")
-        argv = ["periods", "--beta", "0.142857", "--q", "1",
-                "--config", str(cfg)]
-        assert main(argv) == 2  # tol = 0 reaches the solver and is refused
+        argv = ["integrate", "--beta", "0.2", "--a1", "0.3",
+                "--state", "0,0.3,1.2,1.1", "--tau-end", "1",
+                "--out", str(tmp_path / "out"), "--config", str(cfg)]
+        assert main(argv) == 2  # tol = 0 reaches the integrator and is refused
+        assert "tol must be positive" in capsys.readouterr().err
         assert main(argv + ["--tol", "1e-12"]) == 0
 
     def test_config_sets_delta(self, capsys, tmp_path):
@@ -327,15 +355,31 @@ class TestConfigFile:
         assert json.loads(out)["t2"] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_key_its_inputs_leave_unused_is_ignored(self, capsys, tmp_path):
-        # --delta serves solve only with a centre, --tol periods only with --q
+        # --delta serves solve only with a centre
         cfg = tmp_path / "run.cfg"
-        for key, argv in (("delta", ["solve", "--q", "1", "--beta", "0.3"]),
-                          ("tol", ["periods", "--beta", "0.2", "--a1", "0.3"])):
-            cfg.write_text(f"{key} = nonsense\n")
-            assert run(capsys, argv + ["--config", str(cfg)]) == run(capsys, argv)
-        assert main(["periods", "--beta", "0.2", "--q", "1",
-                     "--config", str(cfg)]) == 2  # here the key is used
+        cfg.write_text("delta = nonsense\n")
+        argv = ["solve", "--q", "1", "--beta", "0.3"]
+        assert run(capsys, argv + ["--config", str(cfg)]) == run(capsys, argv)
+        assert main(argv + ["--centre-xy", "1.18,0",
+                            "--config", str(cfg)]) == 2  # here the key is used
+        assert "--delta" in capsys.readouterr().err
+        # integrate always uses --tol
+        cfg.write_text("tol = nonsense\n")
+        assert main(["integrate", "--beta", "0.2", "--a1", "0.3",
+                     "--state", "0,0.3,1.2,1.1", "--tau-end", "1",
+                     "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
         assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, name", [
+        ("beta = 0.1\nbeta = 0\na1 = 0.25\n", "--beta"),
+        ("tau-end = 1\ntau_end = 2\nbeta = 0\na1 = 0.25\n", "--tau-end"),
+    ], ids=["beta", "tau-end"])
+    def test_repeated_key_is_refused(self, capsys, tmp_path, text, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["periods", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "more than once" in err and name in err
 
     def test_key_counts_like_its_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -355,6 +399,20 @@ class TestConfigFile:
 def test_malformed_number_is_a_domain_error(capsys, argv):
     assert main(argv) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+# the commands without an integration, each with a complete input
+_TOL_FREE = {
+    "periods": ["--beta", "0.142857", "--q", "1"],
+    "solve": ["--q", "1", "--beta", "0.142857"],
+    "check": ["--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857"],
+    "arcs": ["--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857",
+             "--out", "{out}"],
+    "chains": ["--centre-xy", "1.18,0", "--classes", "1", "--beta", "0.142857",
+               "--out", "{out}"],
+    "shadow": ["--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857",
+               "--eps", "1e-2", "--out", "{out}"],
+}
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -381,11 +439,21 @@ def test_malformed_number_is_a_domain_error(capsys, argv):
      ["'tolerance'"]),
     (["solve", "--q", "1", "--beta", "0.3", "--delta", "5"], ["--delta"]),
     (["periods", "--beta", "0.2", "--a1", "0.3", "--tol", "5"], ["--tol"]),
-], ids=["solve-beta-energy", "check-beta-energy", "chains-beta-energy",
-        "periods-q-a1", "integrate-q-a1", "check-two-centres",
-        "solve-two-centres", "figs1-beta", "figs1-bad-beta", "figs3-energy",
-        "shadow-empty-eps", "config-unknown-key", "solve-delta-no-centre",
-        "periods-tol-no-q"])
+    (["periods", "--beta", "0.1", "--beta", "0", "--a1", "0.25"], ["--beta"]),
+    (["periods", "--beta=0.1", "--a1", "0.25", "--beta=0"], ["--beta"]),
+    (["check", "--centre-elliptic", "2.58,0", "--q", "1", "--q", "2",
+      "--beta", "0.142857"], ["--q"]),
+    (["periods", "--beta", "0", "--a1", "0.25", "--config", "{cfg}",
+      "--config", "{cfg}"], ["--config"]),
+] + [([command, *args, "--tol", "1e-9"], ["--tol"])
+     for command, args in _TOL_FREE.items()],
+    ids=["solve-beta-energy", "check-beta-energy", "chains-beta-energy",
+         "periods-q-a1", "integrate-q-a1", "check-two-centres",
+         "solve-two-centres", "figs1-beta", "figs1-bad-beta", "figs3-energy",
+         "shadow-empty-eps", "config-unknown-key", "solve-delta-no-centre",
+         "periods-tol-no-q", "periods-beta-twice", "periods-beta-equals-twice",
+         "check-q-twice", "config-twice"]
+    + [f"{command}-tol" for command in _TOL_FREE])
 def test_unused_or_conflicting_input_is_refused(capsys, tmp_path, argv, names):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tolerance = 0\n")
@@ -395,6 +463,18 @@ def test_unused_or_conflicting_input_is_refused(capsys, tmp_path, argv, names):
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_TOL_FREE))
+def test_tol_key_is_ignored_without_integration(capsys, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = nonsense\n")
+    argv = [command] + [a.format(out=tmp_path / "out")
+                        for a in _TOL_FREE[command]]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    with_key = capsys.readouterr()
+    assert with_key.err == ""
+    assert run(capsys, argv) == (0, with_key.out)
 
 
 def _readme_commands():
