@@ -24,6 +24,7 @@ from ._output import write_csv, write_json
 from .errors import DomainError
 from .geometry import elliptic_to_xy, physical_time_of
 from .params import Params
+from .periods import _bracketed_root
 
 __all__ = [
     "Params", "Trajectory",
@@ -174,7 +175,6 @@ class Trajectory:
 
 _SCAN_POINTS = 8  # dense samples per accepted step used for sign scanning
 _ROOT_TOL = 1e-12  # relative tau width at which a root bracket stops
-_ROOT_MAX_ITER = 80
 
 
 def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
@@ -215,40 +215,16 @@ def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
             direction = 1 if gb > ga else -1
             if spec.direction != 0 and direction != spec.direction:
                 continue
-            tau_star, y_star = _refine_root(
-                lambda tt, ii=i: dense_state(ii, tt),
-                lambda yv: spec.g(yv, prm),
-                ta, tb, ga, gb)
-            records.append(EventRecord(spec.kind, tau_star, y_star, spec))
+            if ta > tb:  # a backward integration scans tau downwards
+                ta, tb, ga, gb = tb, ta, gb, ga
+            tau_star, _ = _bracketed_root(
+                lambda tt, ii=i: spec.g(dense_state(ii, tt), prm),
+                ta, tb, ga, gb, 0.0, _ROOT_TOL)
+            records.append(EventRecord(spec.kind, tau_star,
+                                       dense_state(i, tau_star), spec))
     ascending = traj_T[-1] >= traj_T[0]
     records.sort(key=lambda r: r.tau if ascending else -r.tau)
     return records
-
-
-def _refine_root(state_of, g_of, ta, tb, ga, gb):
-    """Bisection/secant hybrid root refinement to ~1e-12 in tau."""
-    for _ in range(_ROOT_MAX_ITER):
-        if abs(tb - ta) <= _ROOT_TOL * max(1.0, abs(ta), abs(tb)):
-            break
-        # secant candidate, safeguarded to the interior
-        denom = gb - ga
-        if denom != 0.0:
-            tc = tb - gb * (tb - ta) / denom
-        else:
-            tc = 0.5 * (ta + tb)
-        lo, hi = (ta, tb) if ta < tb else (tb, ta)
-        if not (lo + 0.1 * (hi - lo) <= tc <= hi - 0.1 * (hi - lo)):
-            tc = 0.5 * (ta + tb)
-        yc = state_of(tc)
-        gc = g_of(yc)
-        if gc == 0.0:
-            return tc, yc
-        if (ga < 0) != (gc < 0):
-            tb, gb = tc, gc
-        else:
-            ta, ga = tc, gc
-    t_star = 0.5 * (ta + tb)
-    return t_star, state_of(t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +239,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     enters the ball of radius EXCLUSION_RADIUS_FRAC*eps around the centre.
     A failure of the stepper (step underflow, exhausted budget, exclusion
     ball) raises IntegrationError.  Event specs are located on the dense
-    output by sign-change scanning plus hybrid root refinement and reported
+    output by sign-change scanning plus Illinois root refinement and reported
     on the returned trajectory; they never change the run.  A tol, tau_end
     or state that is not finite raises DomainError.
     """

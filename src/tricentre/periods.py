@@ -5,7 +5,9 @@ period T1 and the phi motion a rotating pendulum of period T2, both given
 in closed form through the complete elliptic integral.  A resonance class
 q = m/n selects the unique a1_hat(beta, q) with q*T1 = T2, producing a
 periodic orbit of energy E = -2*a*beta*a1_hat.  Every resonance solve
-runs at one tolerance, |q*T1 - T2| <= 1e-12.
+runs at one tolerance, |q*T1 - T2| <= 1e-12, and one bracketed root
+finder (_bracketed_root) serves the solves and the event roots of
+`dynamics`.
 """
 from __future__ import annotations
 
@@ -34,9 +36,12 @@ class ResonanceSolution:
     """Parameters of a q*T1 = T2 resonance at fixed beta.
 
     residual is the remaining q*T1 - T2 at the returned a1_hat; clamped is
-    True when the mathematical root lies closer to the a1 domain boundary
-    than float resolution allows (extreme classes), in which case a1_hat is
-    the best representable value and residual may exceed the tolerance.
+    True when float resolution stopped the solve above the tolerance: the
+    root lies closer to the a1 domain boundary than floats resolve (extreme
+    classes; a1_hat is then the inset domain edge), or the last bracket
+    holds no float strictly inside and neither end meets the tolerance
+    (small classes near the separatrix).  a1_hat is then the best
+    representable value and residual may exceed the tolerance.
     """
 
     beta: float
@@ -143,36 +148,39 @@ def _memoised(solve):
 
     The key holds the class q as its integer pair (m, n), so 1, Fraction(1)
     and Fraction(2, 2) share an entry, each solving as Fraction(q) does,
-    and a hit hashes no Fraction.  A hit returns what a fresh solve
-    returns: typed=True keeps int and float arguments apart, and the sign
-    of beta joins the key because -0.0 == 0.0 share a hash.  A call that
-    raises is not cached.
+    and a hit hashes no Fraction; the intensity a joins the key whether it
+    is passed or defaulted, by position or by name.  A hit returns what a
+    fresh solve returns: typed=True keeps int and float arguments apart,
+    and the sign of beta joins the key because -0.0 == 0.0 share a hash.
+    A call that raises is not cached.
     """
     @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE, typed=True)
-    def cached(sign, beta, m, n, *args, **kwargs):
-        return solve(beta, Fraction(m, n), *args, **kwargs)
+    def cached(sign, beta, m, n, a):
+        return solve(beta, Fraction(m, n), a)
 
     @functools.wraps(solve)
-    def memoised(beta, q, *args, **kwargs):
+    def memoised(beta, q, a=1.0):
         try:
             m, n = q.as_integer_ratio()
         except AttributeError:  # a string, say, which Fraction parses
             m, n = Fraction(q).as_integer_ratio()
-        return cached(math.copysign(1.0, beta), beta, m, n, *args, **kwargs)
+        return cached(math.copysign(1.0, beta), beta, m, n, a)
     memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
     return memoised
 
 
 @_memoised
 def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
-    """Unique a1_hat(beta, q) with q*T1 = T2, by bisection + secant.
+    """Unique a1_hat(beta, q) with q*T1 = T2, by Illinois false position
+    (see _bracketed_root).
 
     The residual runs from -inf (a1 -> 0, T2 diverges) to +inf
     (a1 -> 1/(1+beta), T1 diverges), and is strictly increasing, so a sign
     change bracket is guaranteed in exact arithmetic.  For extreme classes
-    the root can sit closer to a boundary than double precision resolves;
-    the solution is then clamped to the representable edge and flagged.
-    Solutions are memoised per argument tuple (see _memoised).
+    the root can sit closer to a boundary than double precision resolves,
+    or between two adjacent floats neither of which meets the tolerance;
+    the solution is then flagged clamped (see ResonanceSolution).
+    Solutions are memoised per (beta, q, a) (see _memoised).
     """
     q = Fraction(q)
     if q <= 0:
@@ -187,45 +195,54 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
         return residual(a1)
 
     f_lo, f_hi = f(lo), f(hi)
-    clamped = False
     if f_lo >= 0.0:
         a1, res, clamped = lo, f_lo, True
     elif f_hi <= 0.0:
         a1, res, clamped = hi, f_hi, True
-    else:
-        a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, _RESONANCE_TOL)
+    else:  # with xtol = 0 the search stops above tolerance only on collapse
+        a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, _RESONANCE_TOL, 0.0)
+        clamped = abs(res) > _RESONANCE_TOL
     return ResonanceSolution(
         beta=beta, q=q, a=a, a1_hat=a1,
         t1=period_xi(beta, a1, a), t2=period_phi(beta, a1, a),
         residual=res, clamped=clamped, evaluations=len(calls))
 
 
-def _bracketed_root(f, lo, hi, f_lo, f_hi, tol):
-    """Safeguarded secant within a sign-change bracket; |f| <= tol on exit
-    unless the bracket collapses to float resolution first.  Every third
-    iteration bisects outright, so the bracket shrinks geometrically even
-    when secant steps stall near an endpoint."""
+def _bracketed_root(f, lo, hi, f_lo, f_hi, ftol, xtol):
+    """Root of f on the sign-change bracket lo < hi, by Illinois false
+    position (Dowell and Jarratt, BIT 11, 1971): the value kept at an end
+    that survives two steps in a row is halved, so both ends close in.
+
+    Stops at a trial point with |f| <= ftol, at a bracket no wider than
+    xtol*max(1, |lo|, |hi|), or when no float lies strictly inside the
+    bracket; a secant point that rounds onto an end is replaced by the
+    midpoint.  Returns the point of least |f| seen, the latest of equals,
+    and f there.
+    """
     best, res = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
-    for it in range(200):
-        mid = 0.5 * (lo + hi)
-        denom = f_hi - f_lo
-        if it % 3 == 2 or denom == 0.0:
-            cand = mid
-        else:
-            cand = hi - f_hi * (hi - lo) / denom
-            width = hi - lo
-            if not (lo + 0.01 * width <= cand <= hi - 0.01 * width):
-                cand = mid
-        if cand <= lo or cand >= hi:
+    lo_negative = f_lo < 0.0
+    kept = 0  # the end the last step kept: +1 lo, -1 hi
+    while hi - lo > xtol * max(1.0, abs(lo), abs(hi)):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if abs(fx) <= abs(res):
+            best, res = x, fx
+        if abs(fx) <= ftol:
             break
-        f_cand = f(cand)
-        if abs(f_cand) <= tol:
-            return cand, f_cand
-        if (f_cand < 0.0) == (f_lo < 0.0):
-            lo, f_lo = cand, f_cand
+        if (fx < 0.0) == lo_negative:
+            lo, f_lo = x, fx
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
         else:
-            hi, f_hi = cand, f_cand
-        best, res = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+            hi, f_hi = x, fx
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
     return best, res
 
 
@@ -256,7 +273,7 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0) -> ResonanceSolution
                 f"|energy| = {abs(energy):.6g} is out of reach for class {q}"
                 f" with beta <= {_BETA_CAP}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
-                              _RESONANCE_TOL * max(1.0, abs(energy)))
+                              _RESONANCE_TOL * max(1.0, abs(energy)), 0.0)
     return solve(beta)
 
 

@@ -1,11 +1,15 @@
-"""Reference resonance solves for the bitwise oracle tests.
+"""Reference resonance solves for the oracle tests.
 
 This is the earlier implementation of ``tricentre.periods`` kept verbatim:
 the period formulas, ``resonance_residual`` (which rebuilds float(q) and
 K(k2^2) and runs the domain checks on every call), the
-``solve_resonant_a1`` driver and ``solve_beta_for_energy`` (which repeats
-some of its nested solves).  The production code must reproduce every
-``ResonanceSolution`` field apart from ``evaluations`` exactly.
+``solve_resonant_a1`` solver (a secant with a bisection every third step)
+and ``solve_beta_for_energy`` (which repeats some of its nested solves).
+The production formulas must reproduce these bitwise: the periods, the
+moduli and the residual, also at the production root.  The production
+root finder iterates differently, so its roots need only agree with the
+reference roots to within what the two residuals allow, and its energy
+searches to within the search tolerance.
 """
 from __future__ import annotations
 

@@ -302,6 +302,24 @@ class TestRootOnScanPoint:
         assert abs(near[0] - traj.taus[i]) <= 1e-11  # refinement tolerance
 
 
+def test_refinement_cost_on_the_reference_orbit(q1_solution):
+    """At most 8 scalar g evaluations per refined event on the 5-period
+    q = 1 orbit through phi = 0.3 with PhiCrossing(+-0.3)."""
+    calls = []
+
+    class CountedCrossing(PhiCrossing):
+        def g(self, states, prm):
+            calls.append(states.ndim)
+            return super().g(states, prm)
+    beta, a1, phi0 = q1_solution.beta, q1_solution.a1_hat, 0.3
+    prm = Params(beta=beta, a1=a1, q=Fraction(1))
+    traj = integrate(separated_state(beta, a1, phi=phi0), prm,
+                     5.0 * q1_solution.t1, tol=1e-12,
+                     events=[CountedCrossing(phi0), CountedCrossing(-phi0)])
+    assert len(traj.events) >= 10
+    assert calls.count(1) <= 8 * len(traj.events)
+
+
 class TestExport(object):
     def test_csv_columns_and_json_events(self, tmp_path):
         beta, a1 = 0.2, 0.3

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -238,6 +239,71 @@ def _fields(sol) -> dict:
             for f in dataclasses.fields(sol) if f.name != "evaluations"}
 
 
+def _count_residual_calls(monkeypatch) -> list:
+    """Wrap the residual every solve builds; returns the a1 it is called at."""
+    calls = []
+    build = periods._residual_in_a1
+
+    def counting_build(*args):
+        residual = build(*args)
+
+        def counted(a1):
+            calls.append(a1)
+            return residual(a1)
+        return counted
+    monkeypatch.setattr(periods, "_residual_in_a1", counting_build)
+    return calls
+
+
+def _collapsed(sol) -> bool:
+    """No float meets the tolerance: stepping one float at a time from
+    a1_hat towards the root, the residual changes sign within 8 steps and
+    misses the tolerance at every float up to and across the change."""
+    toward = math.inf if sol.residual < 0.0 else -math.inf
+    a1, r = sol.a1_hat, sol.residual
+    for _ in range(8):
+        if abs(r) <= periods._RESONANCE_TOL:
+            return False
+        if (r < 0.0) != (sol.residual < 0.0):
+            return True
+        a1 = math.nextafter(a1, toward)
+        r = resonance_residual(sol.beta, a1, sol.q, sol.a)
+    return False
+
+
+def _assert_same_root(sol, other):
+    """The two roots agree to within what their residuals allow on a
+    residual of slope `slope`, plus one float spacing: where the residual
+    rounds to zero on two adjacent floats, either is a root."""
+    if sol.a1_hat == other.a1_hat:
+        return
+    beta, q, a, a1 = sol.beta, sol.q, sol.a, sol.a1_hat
+    h = min(1e-6 * a1, 0.5 * (1.0 / (1.0 + beta) - a1))
+    slope = (ref.resonance_residual(beta, a1 + h, q, a)
+             - ref.resonance_residual(beta, a1 - h, q, a)) / (2 * h)
+    allowed = 1.001 * (abs(sol.residual) + abs(other.residual)) + 1e-14
+    assert abs(a1 - other.a1_hat) <= allowed / slope + math.ulp(a1)
+
+
+def _assert_like_reference(monkeypatch, beta, q, a=1.0):
+    """The solve against the reference solver: the same root within the
+    residuals' allowance, the reference formulas at the new root bitwise,
+    the same clamped flag unless the collapse rule sets it, and one
+    evaluation per residual call."""
+    calls = _count_residual_calls(monkeypatch)
+    sol = solve_resonant_a1(beta, q, a)
+    assert sol.evaluations == len(calls)
+    expect = ref.solve_resonant_a1(beta, q, a, periods._RESONANCE_TOL)
+    _assert_same_root(sol, expect)
+    a1 = sol.a1_hat
+    assert _bits(sol.t1) == _bits(ref.period_xi(beta, a1, a))
+    assert _bits(sol.t2) == _bits(ref.period_phi(beta, a1, a))
+    assert _bits(sol.residual) == _bits(ref.resonance_residual(beta, a1, q, a))
+    assert sol.clamped == (expect.clamped or _collapsed(sol))
+    assert sol.clamped or abs(sol.residual) <= periods._RESONANCE_TOL
+    return sol
+
+
 def _record_calls(monkeypatch, module, name) -> list:
     """Replace module.name by a wrapper that records its positional args."""
     calls = []
@@ -254,12 +320,9 @@ class TestResonanceOracle:
     @pytest.mark.parametrize("q", ORACLE_CLASSES, ids=str)
     @pytest.mark.parametrize("beta", ORACLE_BETAS)
     def test_solve_bitwise_equal_to_reference(self, monkeypatch, beta, q):
-        calls = _record_calls(monkeypatch, ref, "resonance_residual")
-        expect = ref.solve_resonant_a1(beta, q)
-        sol = solve_resonant_a1(beta, q)
-        assert _fields(sol) == _fields(expect)
-        # the reference calls resonance_residual once per evaluation
-        assert sol.evaluations == len(calls)
+        # the formulas at the root are bitwise the reference's; the root
+        # agrees within tolerance, since the iteration is not the reference's
+        _assert_like_reference(monkeypatch, beta, q)
 
     # tol is the reference's: the solve runs at the one resonance tolerance
     @pytest.mark.parametrize("a, tol", [(0.5, 1e-12), (2.5, 1e-10),
@@ -267,18 +330,11 @@ class TestResonanceOracle:
     @pytest.mark.parametrize("beta, q", [(0.0, Fraction(2, 3)),
                                          (0.2, Fraction(5)),
                                          (0.9, Fraction(1, 3))])
-    def test_other_intensity_and_tolerance(self, beta, q, a, tol):
-        sol = solve_resonant_a1(beta, q, a)
-        assert _fields(sol) == _fields(
-            ref.solve_resonant_a1(beta, q, a, periods._RESONANCE_TOL))
-        # at another tolerance the reference finds the same root, to within
-        # what the two residuals allow on a residual of slope `slope`
-        other = ref.solve_resonant_a1(beta, q, a, tol)
-        h = 1e-6 * sol.a1_hat
-        slope = (ref.resonance_residual(beta, sol.a1_hat + h, q, a)
-                 - ref.resonance_residual(beta, sol.a1_hat - h, q, a)) / (2 * h)
-        assert (abs(sol.a1_hat - other.a1_hat) * slope
-                <= 1.001 * (abs(sol.residual) + abs(other.residual)) + 1e-14)
+    def test_other_intensity_and_tolerance(self, monkeypatch, beta, q, a,
+                                           tol):
+        sol = _assert_like_reference(monkeypatch, beta, q, a)
+        # at another tolerance the reference finds the same root too
+        _assert_same_root(sol, ref.solve_resonant_a1(beta, q, a, tol))
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, math.nan])
     def test_bad_beta_raises_like_reference(self, beta):
@@ -307,7 +363,35 @@ class TestResonanceOracle:
         assert sol.evaluations == 2  # the two bracket ends, no iteration
 
     def test_evaluations_reference_orbit(self):
-        assert solve_resonant_a1(1.0 / 7.0, 1).evaluations == 36
+        assert solve_resonant_a1(1.0 / 7.0, 1).evaluations == 25
+
+    # unclamped classes of the oracle grid
+    @pytest.mark.parametrize("beta, q", [
+        (0.0, Fraction(3)), (0.05, Fraction(1, 2)), (1.0 / 7.0, Fraction(1)),
+        (1.0 / 7.0, Fraction(3)), (0.6, Fraction(1, 9)), (0.6, Fraction(1)),
+        (0.99, Fraction(1, 9)), (0.99, Fraction(1, 2))])
+    def test_root_against_mpmath(self, beta, q):
+        """An mpmath root of q*T1 - T2 at 30 digits lies within
+        (|residual| + c)/slope of a1_hat; c = 1e-13 allows for the rounding
+        of the double residual, whose periods are of size 1 to 100."""
+        sol = solve_resonant_a1(beta, q)
+        assert not sol.clamped
+        with mpmath.workdps(30):
+            b = mpmath.mpf(beta)
+            qm = mpmath.mpf(q.numerator) / q.denominator
+            k_phi = mpmath.ellipk(b / (1 + b))
+
+            def residual(a1):
+                root = mpmath.sqrt(1 - 4 * b * a1 * a1)
+                k1sq = (a1 * (1 - b) + root) / (2 * root)
+                t1 = (2 * mpmath.sqrt(2) / mpmath.sqrt(root)
+                      * mpmath.ellipk(k1sq))
+                return qm * t1 - 2 / mpmath.sqrt(a1 * (1 + b)) * k_phi
+            start = mpmath.mpf(sol.a1_hat)  # secant from two nearby points
+            root = mpmath.findroot(residual, (start, start * (1 + 1e-12)))
+            assert abs(residual(root)) < mpmath.mpf(10) ** -25
+            gap = abs(root - sol.a1_hat) * mpmath.diff(residual, root)
+        assert gap <= abs(sol.residual) + 1e-13
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(beta=st.floats(0.0, 1.2), u=st.floats(0.0, 1.2), q=CLASSES,
@@ -349,9 +433,15 @@ class TestResonanceProperties:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(beta=st.floats(0.0, 0.95), q=CLASSES, a=st.floats(0.5, 3.0))
+    # adjacent floats straddle the root, and neither meets the tolerance
+    @example(beta=0.5052337143141371, q=Fraction(1, 15), a=1.0)
+    @example(beta=0.03510188396706286, q=Fraction(1, 7), a=1.0)
     def test_solve_meets_tolerance_or_is_clamped(self, beta, q, a):
         sol = solve_resonant_a1(beta, q, a)
         assert sol.clamped or abs(sol.residual) <= periods._RESONANCE_TOL
+        if abs(sol.residual) > periods._RESONANCE_TOL:
+            assert _collapsed(sol)
+        assert sol.evaluations <= 32
         assert 0.0 < sol.a1_hat < 1.0 / (1.0 + beta)
         assert _bits(sol.residual) == _bits(
             resonance_residual(beta, sol.a1_hat, q, a))
@@ -362,8 +452,22 @@ class TestBetaForEnergyOracle:
         (1, -0.05), (2, -0.05), (3, -0.05), (Fraction(1, 2), -0.05),
         (1, -1e-6), (2, -0.1), (1, -0.3), (1, -1e-30)])
     def test_bitwise_equal_to_reference(self, q, energy):
-        assert (_fields(solve_beta_for_energy(q, energy))
-                == _fields(ref.solve_beta_for_energy(q, energy)))
+        """The energy meets the search tolerance, beta agrees with the
+        reference's to within that tolerance over |dE/dbeta|, and the result
+        is the plain resonance at its beta, bitwise.  (The two energy gaps
+        alone do not bound the beta gap: each energy carries the a1 error
+        of its own resonance solve.)"""
+        sol = solve_beta_for_energy(q, energy)
+        expect = ref.solve_beta_for_energy(q, energy)
+        tol = periods._RESONANCE_TOL * max(1.0, abs(energy))
+        assert abs(sol.energy - energy) <= tol
+        if sol.beta != expect.beta:
+            h = 1e-6 * sol.beta
+            slope = (solve_resonant_a1(sol.beta + h, q).energy
+                     - solve_resonant_a1(sol.beta - h, q).energy) / (2 * h)
+            assert abs(sol.beta - expect.beta) * abs(slope) <= tol
+        fresh = solve_resonant_a1.__wrapped__(sol.beta, q)
+        assert _fields(sol) == _fields(fresh)
 
     def test_out_of_range_like_reference(self):
         with pytest.raises(RangeError):
@@ -371,22 +475,26 @@ class TestBetaForEnergyOracle:
         with pytest.raises(RangeError):
             solve_beta_for_energy(2, -5.0)
 
-    @pytest.mark.parametrize("q, energy, repeated", [
+    @pytest.mark.parametrize("q, energy, in_reach", [
         (2, -0.05, True), (1, -0.3, True), (1, -1e-30, True),
-        (2, -5.0, False)])  # the out-of-range path repeats no solve
+        (2, -5.0, False)])
     def test_each_nested_solve_made_once(self, monkeypatch, q, energy,
-                                         repeated):
+                                         in_reach):
         calls = _record_calls(monkeypatch, periods, "solve_resonant_a1")
-        ref_calls = _record_calls(monkeypatch, ref, "solve_resonant_a1")
-        for solve in (solve_beta_for_energy, ref.solve_beta_for_energy):
-            try:
-                solve(q, energy)
-            except RangeError:
-                pass
+        try:
+            solve_beta_for_energy(q, energy)
+        except RangeError:
+            assert not in_reach
+        else:
+            assert in_reach
         betas = [c[0] for c in calls]
         assert len(betas) == len(set(betas))
-        assert set(betas) == {c[0] for c in ref_calls}
-        assert (len(ref_calls) > len(calls)) == repeated
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_nested_solves_at_the_reference_energy(self, q):
+        solve_resonant_a1.cache_clear()
+        solve_beta_for_energy(q, -0.05)
+        assert solve_resonant_a1.cache_info().misses <= 12
 
 
 class TestSolveCache:
@@ -420,6 +528,18 @@ class TestSolveCache:
         solve_resonant_a1.cache_clear()
         fresh = self._typed_fields(solve_resonant_a1(1.0 / 7.0, 1))
         assert all(self._typed_fields(r) == fresh for r in results)
+
+    def test_intensity_joins_the_key_however_passed(self):
+        from tricentre.exclusion import resonant_params
+        from tricentre.geometry import EllipticPoint
+        solve_resonant_a1(0.2, 1)
+        solve_resonant_a1(0.2, 1, 1.0)
+        solve_resonant_a1(0.2, 1, a=1.0)
+        info = solve_resonant_a1.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # resonant_params passes a by position, after a bare solve
+        resonant_params(EllipticPoint(0.1, 0.2), 1, 0.2)
+        assert solve_resonant_a1.cache_info().hits == 3
 
     def test_failure_is_not_cached(self):
         for _ in range(3):
