@@ -1,8 +1,11 @@
-"""Hot numerical kernels: the regularized vector field and the DOPRI5 stepper.
+"""Hot numerical kernels: the regularized vector field, the DOPRI5 stepper
+and the replay of its steps.
 
 The stepping loops work on plain Python floats and 4-tuples; the accepted
 samples grow in flat array('d') buffers, which become numpy arrays once,
-at return; a run that cannot reach its end raises IntegrationError.  The
+at return; a run that cannot reach its end raises IntegrationError.  A run
+also returns its accepted step sizes exactly as taken, so that a second
+start state can be replayed on them later, only when it is needed.  The
 Dormand-Prince stage sums are unrolled with the tableau entries as module
 floats, summed left to right, and the two entries that are exactly zero
 (a71 and e2) are left out.
@@ -100,22 +103,16 @@ def field(a, energy, eps, cx, cy):
     return rhs
 
 
-def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
-                twin=None):
+def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     """Adaptive Dormand-Prince 5(4) integration from tau = 0 to tau1.
 
     tol is both the relative and the absolute error target of the PI step
-    control.  Returns (T, Y, KS, stats, twin_end): with n = stats.accepted
-    steps, T[:n+1] are the accepted times, Y[:n+1] the states and KS[:n]
-    the seven stage derivatives of each accepted step (for quartic dense
-    output).
-
-    A twin start state, if given, is advanced by the same formula with the
-    run's accepted step sizes; only the run's own error controls the steps.
-    twin_end is its state at the last accepted time (None without a twin),
-    so a difference quotient of the two runs differentiates one discrete
-    map (internal numerical differentiation).  stats.rhs_evals counts the
-    twin's field calls too.
+    control.  Returns (T, Y, KS, stats, steps): with n = stats.accepted
+    steps, T[:n+1] are the accepted times, Y[:n+1] the states, KS[:n] the
+    seven stage derivatives of each accepted step (for quartic dense
+    output) and steps the n signed step sizes exactly as taken, an
+    array('d'); T[i+1] - T[i] may differ from steps[i] by rounding.
+    dopri5_replay pushes another start state through those steps.
 
     For eps > 0 the step size is capped proportionally to the distance from
     the perturbing centre.  IntegrationError, naming the tau of the last
@@ -127,21 +124,15 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
     T = array("d", (0.0,))
     Y = array("d", (x0, x1, x2, x3))
     KS = array("d")
-
-    has_twin = twin is not None
-    if has_twin:
-        w0, w1, w2, w3 = (float(v) for v in twin)
+    steps = array("d")
 
     span = abs(tau1)
     if span == 0.0:
-        return (*_as_numpy(T, Y, KS), StepStats(0, 0, 0, 0.0, 0.0),
-                (w0, w1, w2, w3) if has_twin else None)
+        return (*_as_numpy(T, Y, KS), StepStats(0, 0, 0, 0.0, 0.0), steps)
 
     rhs = field(a, energy, eps, cx, cy)
     direction = 1.0 if tau1 >= 0.0 else -1.0
     k0 = rhs(x0, x1, x2, x3)
-    if has_twin:
-        wk = rhs(w0, w1, w2, w3)
 
     d0 = 0.0
     d1 = 0.0
@@ -170,6 +161,7 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
     sqrt, cosh, cos, sinh, sin, hypot = (math.sqrt, math.cosh, math.cos,
                                          math.sinh, math.sin, math.hypot)
     t_append, y_fromlist, ks_fromlist = T.append, Y.fromlist, KS.fromlist
+    h_append = steps.append
     while True:
         rem = abs(tau1 - tau)
         if rem <= end_tol * max(abs(tau), abs(tau1)):
@@ -224,6 +216,7 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
             tau += h
             x0, x1, x2, x3 = n0, n1, n2, n3
             t_append(tau)
+            h_append(h)
             y_fromlist([n0, n1, n2, n3])
             ks_fromlist([*k0, *k1, *k2, *k3, *k4, *k5, *k6])
             n += 1
@@ -232,9 +225,6 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
             if h_abs > h_hi:
                 h_hi = h_abs
             k0 = k6
-            if has_twin:
-                w0, w1, w2, w3, _, _, _, _, _, wk = _stages(
-                    rhs, w0, w1, w2, w3, wk, h)
             if errn > 0.0:
                 fac11 = errn ** 0.17
             else:
@@ -248,11 +238,27 @@ def dopri5_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min,
             fac11 = errn ** 0.17
             h_abs = h_abs / min(5.0, fac11 / 0.9)
 
-    stats = StepStats(n, rejected,
-                      1 + 6 * (n + rejected) + (1 + 6 * n if has_twin else 0),
+    stats = StepStats(n, rejected, 1 + 6 * (n + rejected),
                       h_lo if n else 0.0, h_hi)
-    return (*_as_numpy(T, Y, KS), stats,
-            (w0, w1, w2, w3) if has_twin else None)
+    return (*_as_numpy(T, Y, KS), stats, steps)
+
+
+def dopri5_replay(y0, steps, a, energy, eps, cx, cy):
+    """State reached from y0 through the given Dormand-Prince steps.
+
+    Takes the steps of a dopri5_core run with the same parameters, and
+    advances y0 by the same formula (_stages) with no error control, so a
+    replay of the run's own start state ends on its last state, bitwise.
+    Differencing the ends of two start states then differentiates one
+    discrete map (internal numerical differentiation).  Costs
+    1 + 6*len(steps) field calls.
+    """
+    x0, x1, x2, x3 = (float(v) for v in y0)
+    rhs = field(a, energy, eps, cx, cy)
+    k0 = rhs(x0, x1, x2, x3)
+    for h in steps:
+        x0, x1, x2, x3, _, _, _, _, _, k0 = _stages(rhs, x0, x1, x2, x3, k0, h)
+    return x0, x1, x2, x3
 
 
 def _stages(rhs, x0, x1, x2, x3, k0, h):

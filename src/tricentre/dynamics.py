@@ -247,12 +247,9 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
 
 
 def _integrate(state0, prm: Params, tau_end: float, tol: float,
-               events: Sequence = (), twin=None):
-    """integrate, returning (trajectory, twin end state).
-
-    A twin start state rides along on the run's accepted steps (see
-    `_kernels.dopri5_core`); without one the twin end state is None.
-    """
+               events: Sequence = ()):
+    """integrate, returning (trajectory, steps): the run's accepted step
+    sizes exactly as taken (see `_kernels.dopri5_core`), for `_replay`."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     y0 = _as_state_array(state0)
@@ -260,13 +257,20 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
     if not (math.isfinite(tau_end) and np.all(np.isfinite(y0))):
         raise DomainError(f"tau_end and state must be finite, got {tau_end}"
                           f" and {y0.tolist()}")
-    T, Y, KS, stats, twin_end = _kernels.dopri5_core(
+    T, Y, KS, stats, steps = _kernels.dopri5_core(
         y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
-        *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps, twin)
+        *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps)
     h = np.diff(T)
     dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
     records = _detect_events(T, Y, h, dense_q, prm, list(events))
-    return Trajectory(prm, T, Y, h, dense_q, records, stats), twin_end
+    return Trajectory(prm, T, Y, h, dense_q, records, stats), steps
+
+
+def _replay(state0, prm: Params, steps) -> tuple[float, ...]:
+    """End state of state0 pushed through the steps of an `_integrate` run
+    under prm; 1 + 6*len(steps) field calls (see `_kernels.dopri5_replay`)."""
+    return _kernels.dopri5_replay(state0, steps, prm.a, prm.energy, prm.eps,
+                                  *_centre_xy(prm))
 
 
 # ---------------------------------------------------------------------------

@@ -215,17 +215,24 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, ftol, xtol):
 
     Stops at a trial point with |f| <= ftol, at a bracket no wider than
     xtol*max(1, |lo|, |hi|), or when no float lies strictly inside the
-    bracket; a secant point that rounds onto an end is replaced by the
-    midpoint.  Returns the point of least |f| seen, the latest of equals,
-    and f there.
+    bracket.  The first secant point that rounds onto an end is replaced by
+    the float next to that end, inside the bracket, which ends the search
+    when the root lies that close to the end; later ones, by the midpoint,
+    so a badly predicted secant cannot crawl in one float at a time.
+    Returns the point of least |f| seen, the latest of equals, and f there.
     """
     best, res = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
     lo_negative = f_lo < 0.0
     kept = 0  # the end the last step kept: +1 lo, -1 hi
+    probed = False  # whether a float next to an end has been tried
     while hi - lo > xtol * max(1.0, abs(lo), abs(hi)):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            if probed:
+                x = 0.5 * (lo + hi)
+            else:
+                x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
+                probed = True
             if not lo < x < hi:
                 break
         fx = f(x)

@@ -5,9 +5,10 @@ two-point shooting between small circles around the perturbing centre: the
 unknowns are the angular position on the entry circle and the tau duration,
 the speed being eliminated by the fixed-energy constraint.  Each Newton
 step costs one integration: the entry-angle column of the Jacobian comes
-from a twin start state advanced on the same accepted steps (internal
-numerical differentiation), the duration column is the endpoint velocity,
-and the steps run at a loose tolerance until the residual is small.
+from a twin start state replayed on the accepted steps of the run it
+differentiates (internal numerical differentiation), only when a Newton
+step reads it; the duration column is the endpoint velocity, and the steps
+run at a loose tolerance until the residual is small.
 Deviation metrics quantify how closely the segment tracks the arc as eps
 shrinks; a central-difference pass through the centre's neighbourhood
 estimates the local expansion rate of the return map.
@@ -21,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .arcs import CollisionArc
-from .dynamics import (CentreProximity, Params, _integrate, hamiltonian_values,
-                       integrate)
+from .dynamics import (CentreProximity, Params, _integrate, _replay,
+                       hamiltonian_values, integrate)
 from .errors import DomainError, IntegrationError
 from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
                        elliptic_to_xy, transform_matrix, velocity_to_cartesian)
@@ -39,6 +40,7 @@ _ALPHA_STEP = 1e-7          # entry-angle offset of the twin start state
 _IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
 _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
 _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
+_SEED_BLOCK = 32            # points per block of the seed search (1 MB)
 
 
 @dataclass
@@ -57,7 +59,7 @@ class ShadowResult:
     params: Params
     # residual after each step, and at each tolerance's first run
     residual_history: tuple[float, ...] = ()
-    rhs_evals: int = 0        # over every integration of the solve, twins too
+    rhs_evals: int = 0        # over every run and twin replay of the solve
     loose_integrations: int = 0  # runs at _LOOSE_TOL
     tight_integrations: int = 0  # runs at _TIGHT_TOL
 
@@ -93,21 +95,26 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def _deviation_to_arc(points: np.ndarray, arc: CollisionArc) -> float:
     """Max over points of the distance to the continuous reference arc.
 
-    A coarse polyline gives the nearest-sample seed; a golden-section
-    refinement on the arc's dense output removes the discretization floor
-    (the arc sweeps fast in Cartesian terms far from the primaries, where
-    uniform-tau sampling is sparse).  All points are refined together for
-    40 steps, one array dense-output query per step.
+    A coarse polyline gives the nearest-sample seed, searched in blocks of
+    _SEED_BLOCK points whose squared distances reuse two preallocated
+    buffers; a golden-section refinement on the arc's dense output removes
+    the discretization floor (the arc sweeps fast in Cartesian terms far
+    from the primaries, where uniform-tau sampling is sparse).  All points
+    are refined together for 40 steps, one array dense-output query per
+    step.
     """
     arc_taus, arc_states = arc.path.dense_grid(_SEED_POINTS)
     poly = _cartesian_track(arc_states)
     px, py = points[:, 0], points[:, 1]
     nearest = np.empty(len(points), dtype=np.intp)
-    chunk = 256
-    for s in range(0, len(points), chunk):
-        d2 = ((px[s:s + chunk, None] - poly[:, 0]) ** 2
-              + (py[s:s + chunk, None] - poly[:, 1]) ** 2)
-        nearest[s:s + chunk] = np.argmin(d2, axis=1)
+    dx2 = np.empty((min(_SEED_BLOCK, len(points)), len(poly)))
+    dy2 = np.empty_like(dx2)
+    for s in range(0, len(points), _SEED_BLOCK):
+        e = min(s + _SEED_BLOCK, len(points))
+        bx, by = dx2[:e - s], dy2[:e - s]
+        np.square(np.subtract(px[s:e, None], poly[:, 0], out=bx), out=bx)
+        np.square(np.subtract(py[s:e, None], poly[:, 1], out=by), out=by)
+        nearest[s:e] = np.argmin(np.add(bx, by, out=bx), axis=1)
 
     def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         y = arc.path.state_at(tau)
@@ -136,17 +143,18 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     fixed by the energy constraint of the perturbed Hamiltonian, and
     Newton-adjusts the entry angle and the duration (at most 40 steps)
     until the endpoint is within 1e-9 of the exit-circle point where the
-    arc comes back in.  Every trial is one integration: a twin start state
-    1e-7 further round the circle rides on its accepted steps, and the
-    difference of the two ends is the angle column of the Jacobian; the
-    duration column is the endpoint velocity.  Trials run at tol 1e-9 until
-    the residual is at most 1e-6, then at tol 1e-12; only a tol-1e-12
-    residual counts as converged.  A pass stalls on a singular Jacobian or
-    when none of its 10 halved trials lowers the residual; a stalled loose
-    pass hands over to tol 1e-12 at the first guess again, since the loose
-    map may have led away from the root, and a stalled tight pass ends the
-    solve.  eps = 0 reproduces the arc itself up to the circle-chord
-    offset.
+    arc comes back in.  Every trial is one integration.  Each Newton step
+    replays a twin start state, 1e-7 further round the circle, on the
+    accepted steps of the run it starts from, and the difference of the
+    two ends is the angle column of the Jacobian; rejected trials and the
+    run that ends a tolerance replay nothing.  The duration column is the
+    endpoint velocity.  Trials run at tol 1e-9 until the residual is at
+    most 1e-6, then at tol 1e-12; only a tol-1e-12 residual counts as
+    converged.  A pass stalls on a singular Jacobian or when none of its 10
+    halved trials lowers the residual; a stalled loose pass hands over to
+    tol 1e-12 at the first guess again, since the loose map may have led
+    away from the root, and a stalled tight pass ends the solve.  eps = 0
+    reproduces the arc itself up to the circle-chord offset.
     """
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
@@ -170,33 +178,42 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     rhs_evals = 0
     runs = {_LOOSE_TOL: 0, _TIGHT_TOL: 0}
 
+    def start(alpha):
+        direction = _rotate(u0, alpha)
+        pos = CartesianPoint(*(c_vec + r_e * direction))
+        return _energy_consistent_state(pos, direction, prm)
+
     def residual(z, tol):
-        """Trajectory, endpoint residual and its alpha derivative at z."""
+        """Trajectory, its accepted steps and the endpoint residual at z."""
         nonlocal rhs_evals
-        starts = []
-        for alpha in (z[0], z[0] + _ALPHA_STEP):
-            direction = _rotate(u0, alpha)
-            pos = CartesianPoint(*(c_vec + r_e * direction))
-            starts.append(_energy_consistent_state(pos, direction, prm))
-        traj, twin_end = _integrate(starts[0], prm, z[1], tol, twin=starts[1])
+        traj, steps = _integrate(start(z[0]), prm, z[1], tol)
         rhs_evals += traj.stats.rhs_evals
         runs[tol] += 1
+        return traj, steps, _cartesian_track(traj.states[-1:])[0] - target
+
+    def alpha_column(z, traj, steps):
+        """d(endpoint)/d(alpha) of the run at z, from the twin start
+        _ALPHA_STEP further round the circle replayed on its steps."""
+        nonlocal rhs_evals
+        twin_end = _replay(start(z[0] + _ALPHA_STEP), prm, steps)
+        rhs_evals += 1 + 6 * len(steps)
         ends = _cartesian_track(np.array([traj.states[-1], twin_end]))
-        return traj, ends[0] - target, (ends[1] - ends[0]) / _ALPHA_STEP
+        return (ends[1] - ends[0]) / _ALPHA_STEP
 
     z = z_guess = np.array([0.0, arc.duration - tau_in - tau_out])
     history = []
     n_it = 0
     for tol, goal in ((_LOOSE_TOL, _SWITCH_RESIDUAL), (_TIGHT_TOL, _SHOOT_TOL)):
-        traj, r, r_alpha = residual(z, tol)
+        traj, steps, r = residual(z, tol)
         rnorm = float(np.hypot(*r))
         history.append(rnorm)
         while rnorm > goal and n_it < _SHOOT_MAX_ITER:
             n_it += 1
             # d(endpoint)/dT is the Cartesian velocity at the endpoint
             end = traj.states[-1]
-            jac = np.column_stack([r_alpha, velocity_to_cartesian(
-                EllipticPoint(end[0], end[1]), end[2:])])
+            v_end = velocity_to_cartesian(EllipticPoint(end[0], end[1]),
+                                          end[2:])
+            jac = np.column_stack([alpha_column(z, traj, steps), v_end])
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
@@ -207,9 +224,9 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
                 if z_new[1] <= 0.0:  # no segment to integrate
                     continue
                 trial = residual(z_new, tol)
-                rn = float(np.hypot(*trial[1]))
+                rn = float(np.hypot(*trial[2]))
                 if rn < rnorm:
-                    z, (traj, r, r_alpha), rnorm = z_new, trial, rn
+                    z, (traj, steps, r), rnorm = z_new, trial, rn
                     history.append(rn)
                     break
             else:  # stalled: the Jacobian is singular or no trial is better

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import arc_reference
+from tricentre import _kernels
 from tricentre.arcs import arc_family
 from tricentre.exclusion import resonant_params
 from tricentre.dynamics import PhiCrossing, Params, integrate
@@ -19,6 +20,24 @@ def _fresh_solve_cache():
     """Every test starts with an empty resonance cache, so that call and
     cache counts do not depend on which tests ran before."""
     solve_resonant_a1.cache_clear()
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """A list that grows by one on every call of a `_kernels.field` rhs."""
+    calls = []
+    real_field = _kernels.field
+
+    def counting_field(*args):
+        rhs = real_field(*args)
+
+        def counted(*y):
+            calls.append(1)
+            return rhs(*y)
+        return counted
+
+    monkeypatch.setattr(_kernels, "field", counting_field)
+    return calls
 
 
 @pytest.fixture(scope="session")

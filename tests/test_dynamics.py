@@ -478,59 +478,54 @@ class TestStepStats:
         assert traj.stats == (0, 0, 0, 0.0, 0.0)
 
 
-class TestTwin:
-    """A twin start state rides on the run's accepted steps."""
+class TestReplay:
+    """A second start state replayed on a run's accepted steps."""
 
     @staticmethod
     def _cases(q1_family):
+        """(start, params, span, tol): the four runs, forward and backward."""
         arc = q1_family[0]
-        y0 = arc.path.state_at(0.05 * arc.duration)
         prm = Params(a=1.0, beta=0.2, a1=0.3)
-        return [(separated_state(0.2, 0.3), prm, 5.0, 1e-12),
-                (separated_state(0.2, 0.3), prm, -5.0, 1e-9),
-                (y0, arc.params.with_eps(1e-3), 0.9 * arc.duration, 1e-12),
-                (y0, arc.params.with_eps(1e-4), 0.9 * arc.duration, 1e-9)]
+        cases = []
+        for sign in (1.0, -1.0):
+            # the arc leaves the centre at tau = 0 and comes back at its end
+            y0 = arc.path.state_at((0.5 - 0.45 * sign) * arc.duration)
+            cases += [(separated_state(0.2, 0.3), prm, sign * 5.0, 1e-12),
+                      (separated_state(0.2, 0.3), prm, -sign * 5.0, 1e-9),
+                      (y0, arc.params.with_eps(1e-3),
+                       sign * 0.9 * arc.duration, 1e-12),
+                      (y0, arc.params.with_eps(1e-4),
+                       sign * 0.9 * arc.duration, 1e-9)]
+        return cases
 
-    def test_twin_at_the_start_state_ends_on_the_run(self, q1_family):
+    def test_replay_of_the_start_state_ends_on_the_run(self, q1_family):
         for y0, prm, span, tol in self._cases(q1_family):
-            traj, twin_end = dynamics._integrate(y0, prm, span, tol,
-                                                 twin=y0.copy())
-            assert np.array_equal(np.array(twin_end), traj.states[-1])
-            # the twin never steers the run
-            alone = integrate(y0, prm, span, tol=tol)
-            assert np.array_equal(traj.taus, alone.taus)
-            assert np.array_equal(traj.states, alone.states)
-            assert traj.stats[:2] == alone.stats[:2]
+            traj, steps = dynamics._integrate(y0, prm, span, tol)
+            # the steps as taken: summed in order, they give the run's taus
+            assert len(steps) == traj.stats.accepted
+            assert np.array_equal(np.cumsum(steps), traj.taus[1:])
+            end = dynamics._replay(y0, prm, steps)
+            assert np.array_equal(np.array(end), traj.states[-1])
 
-    def test_rhs_evals_count_the_twin(self, q1_family, monkeypatch):
-        calls = []
-        real_field = _kernels.field
-
-        def counting_field(*args):
-            rhs = real_field(*args)
-
-            def counted(*y):
-                calls.append(1)
-                return rhs(*y)
-            return counted
-
-        monkeypatch.setattr(_kernels, "field", counting_field)
+    def test_replay_costs_one_field_call_per_stage(self, q1_family,
+                                                   field_calls):
         for y0, prm, span, tol in self._cases(q1_family):
-            for twin in (None, y0 + np.array([0.0, 1e-6, 0.0, 0.0])):
-                calls.clear()
-                traj, _ = dynamics._integrate(y0, prm, span, tol, twin=twin)
-                st = traj.stats
-                extra = 0 if twin is None else 1 + 6 * st.accepted
-                assert st.rhs_evals == len(calls) \
-                    == 1 + 6 * (st.accepted + st.rejected) + extra
+            field_calls.clear()
+            traj, steps = dynamics._integrate(y0, prm, span, tol)
+            st = traj.stats
+            assert st.rhs_evals == len(field_calls) \
+                == 1 + 6 * (st.accepted + st.rejected)
+            field_calls.clear()
+            dynamics._replay(y0 + np.array([0.0, 1e-6, 0.0, 0.0]), prm, steps)
+            assert len(field_calls) == 1 + 6 * st.accepted
 
-    def test_zero_span_returns_the_twin(self):
+    def test_zero_span_replays_nothing(self):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
         y0 = separated_state(0.2, 0.3)
-        traj, twin_end = dynamics._integrate(y0, prm, 0.0, 1e-12,
-                                             twin=2.0 * y0)
-        assert twin_end == tuple(2.0 * y0)
+        traj, steps = dynamics._integrate(y0, prm, 0.0, 1e-12)
+        assert len(steps) == 0
         assert traj.stats.rhs_evals == 0
+        assert dynamics._replay(2.0 * y0, prm, steps) == tuple(2.0 * y0)
 
 
 class TestIntegrationErrors:

@@ -436,6 +436,10 @@ class TestResonanceProperties:
     # adjacent floats straddle the root, and neither meets the tolerance
     @example(beta=0.5052337143141371, q=Fraction(1, 15), a=1.0)
     @example(beta=0.03510188396706286, q=Fraction(1, 7), a=1.0)
+    # the root lies within a float of a bracket end (36 and 35 evaluations
+    # when every secant point there fell back to the midpoint)
+    @example(beta=0.5737620629202244, q=Fraction(1, 10), a=1.0)
+    @example(beta=0.9007342774397756, q=Fraction(1, 15), a=1.0)
     def test_solve_meets_tolerance_or_is_clamped(self, beta, q, a):
         sol = solve_resonant_a1(beta, q, a)
         assert sol.clamped or abs(sol.residual) <= periods._RESONANCE_TOL

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deviation_reference import _deviation_to_arc as reference_deviation
 from tricentre import shadow
-from tricentre.dynamics import Params, _integrate, integrate
+from tricentre.dynamics import Params, _integrate, _replay, integrate
 from tricentre.errors import DomainError
 from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
                                 velocity_to_cartesian)
@@ -51,22 +51,30 @@ class TestShootSegment:
         with pytest.raises(DomainError):
             shoot_segment(q1_family[0], -1e-3)
 
-    def test_newton_history_and_rhs_evals(self, q1_family, monkeypatch):
-        runs = []  # (tol, rhs_evals, twin given) of every integration
+    def test_newton_history_and_rhs_evals(self, q1_family, monkeypatch,
+                                          field_calls):
+        runs = []  # (tol, rhs_evals, steps) of every integration
+        replays = []  # the steps of every twin replay
 
-        def counting_integrate(*args, **kwargs):
-            traj, twin_end = _integrate(*args, **kwargs)
-            runs.append((args[3], traj.stats.rhs_evals,
-                         kwargs.get("twin") is not None))
-            return traj, twin_end
+        def counting_integrate(*args):
+            traj, steps = _integrate(*args)
+            runs.append((args[3], traj.stats.rhs_evals, steps))
+            return traj, steps
+
+        def counting_replay(state0, prm, steps):
+            replays.append(steps)
+            return _replay(state0, prm, steps)
 
         monkeypatch.setattr(shadow, "_integrate", counting_integrate)
+        monkeypatch.setattr(shadow, "_replay", counting_replay)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         assert res.converged and res.n_iterations >= 2
-        assert res.rhs_evals == sum(r[1] for r in runs)
-        # every run carries the twin that gives the next step's alpha column
-        assert all(r[2] for r in runs)
+        # one twin replay per Newton step, on the steps of a run of the solve
+        assert len(replays) == res.n_iterations
+        assert all(any(steps is r[2] for r in runs) for steps in replays)
+        assert res.rhs_evals == len(field_calls) == sum(r[1] for r in runs) \
+            + sum(1 + 6 * len(steps) for steps in replays)
         tols = [r[0] for r in runs]
         n_loose = res.loose_integrations
         assert tols == [shadow._LOOSE_TOL] * n_loose \
@@ -89,11 +97,11 @@ class TestShootSegment:
         # first guess; the solve then starts over from that guess, tight
         loose = []
 
-        def frozen_integrate(state0, prm, tau_end, tol, twin=None):
+        def frozen_integrate(state0, prm, tau_end, tol):
             if tol == shadow._LOOSE_TOL:
                 loose.append((state0, tau_end))
                 state0, tau_end = loose[min(len(loose), 2) - 1]
-            return _integrate(state0, prm, tau_end, tol, twin=twin)
+            return _integrate(state0, prm, tau_end, tol)
 
         ref = shoot_segment(q1_family[0], 1e-3)
         monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
@@ -114,9 +122,9 @@ class TestShootSegment:
         start state) of every run."""
         runs = []
 
-        def recording_integrate(state0, prm, tau_end, tol, twin=None):
+        def recording_integrate(state0, prm, tau_end, tol):
             runs.append((tol, tau_end, state0.copy()))
-            return _integrate(state0, prm, tau_end, tol, twin=twin)
+            return _integrate(state0, prm, tau_end, tol)
 
         monkeypatch.setattr(shadow, "_integrate", recording_integrate)
         return runs
@@ -181,11 +189,11 @@ class TestShootSegment:
         # tight line search stalls and ends the solve
         tight = []
 
-        def frozen_integrate(state0, prm, tau_end, tol, twin=None):
+        def frozen_integrate(state0, prm, tau_end, tol):
             if tol == shadow._TIGHT_TOL:
-                tight.append((state0, tau_end, twin))
-                state0, tau_end, twin = tight[0]
-            return _integrate(state0, prm, tau_end, tol, twin=twin)
+                tight.append((state0, tau_end))
+                state0, tau_end = tight[0]
+            return _integrate(state0, prm, tau_end, tol)
 
         monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
         res = shoot_segment(q1_family[0], 1e-3)
@@ -198,8 +206,9 @@ class TestShootSegment:
         assert res.residual == hist[-1] > shadow._SHOOT_TOL
         assert res.n_iterations == n_loose
 
-    # The twin quotient (end(alpha + d) - end(alpha))/d, on one step
-    # sequence, is a second-order derivative at the midpoint alpha + d/2.
+    # The twin quotient (end(alpha + d) - end(alpha))/d, the twin replayed
+    # on the run's steps, is a second-order derivative at the midpoint
+    # alpha + d/2.
     # Reference: a central difference about that midpoint from two
     # independent tol-1e-14 runs.  Measured: 1.1e-6 and 7.7e-6 relative at
     # tol 1e-12, 5e-7 and 1.4e-4 at tol 1e-9; the bounds keep a 7x margin.
@@ -222,8 +231,8 @@ class TestShootSegment:
             return np.array(elliptic_to_xy(state[0], state[1], math))
 
         d = shadow._ALPHA_STEP
-        traj, twin_end = _integrate(start(res.alpha), prm, res.duration, tol,
-                                    twin=start(res.alpha + d))
+        traj, steps = _integrate(start(res.alpha), prm, res.duration, tol)
+        twin_end = _replay(start(res.alpha + d), prm, steps)
         column = (end_xy(twin_end) - end_xy(traj.states[-1])) / d
         h = 1e-7
         ends = [end_xy(integrate(start(res.alpha + 0.5 * d + s * h), prm,
@@ -290,6 +299,9 @@ class TestDeviationMetric:
     @given(n=st.integers(1, 1100), max_offset=st.floats(0.0, 0.5),
            seed=st.integers(0, 2**32 - 1))
     @example(n=1, max_offset=0.5, seed=1)
+    @example(n=31, max_offset=0.2, seed=7)
+    @example(n=32, max_offset=0.05, seed=8)
+    @example(n=33, max_offset=1e-3, seed=9)
     @example(n=255, max_offset=0.1, seed=2)
     @example(n=256, max_offset=0.01, seed=3)
     @example(n=257, max_offset=1e-4, seed=4)
