@@ -8,7 +8,9 @@ step costs one integration: the entry-angle column of the Jacobian comes
 from a twin start state replayed on the accepted steps of the run it
 differentiates (internal numerical differentiation), only when a Newton
 step reads it; the duration column is the endpoint velocity, and the steps
-run at a loose tolerance until the residual is small.
+run at a loose tolerance until the residual is small.  The first tight
+step tries the last loose column first (a chord step), which saves its
+replay when the full step converges.
 Deviation metrics quantify how closely the segment tracks the arc as eps
 shrinks; a central-difference pass through the centre's neighbourhood
 estimates the local expansion rate of the return map.
@@ -39,6 +41,8 @@ _SWITCH_RESIDUAL = 1e-6     # loose residual at which Newton turns tight
 _ALPHA_STEP = 1e-7          # entry-angle offset of the twin start state
 _IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
 _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
+_EXIT_SPAN = 4.0            # tau span of a branch, in entry radii over speed
+_EXIT_SPAN_MAX = 80.0       # the span again when the first finds no exit
 _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
 _SEED_BLOCK = 32            # points per block of the seed search (1 MB)
 
@@ -150,11 +154,16 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     run that ends a tolerance replay nothing.  The duration column is the
     endpoint velocity.  Trials run at tol 1e-9 until the residual is at
     most 1e-6, then at tol 1e-12; only a tol-1e-12 residual counts as
-    converged.  A pass stalls on a singular Jacobian or when none of its 10
-    halved trials lowers the residual; a stalled loose pass hands over to
-    tol 1e-12 at the first guess again, since the loose map may have led
-    away from the root, and a stalled tight pass ends the solve.  eps = 0
-    reproduces the arc itself up to the circle-chord offset.
+    converged.  The first tol-1e-12 step is first tried as a chord step:
+    the angle column of the last loose step with the new endpoint
+    velocity, and one full trial, kept only if its residual is at most
+    1e-9; otherwise the step replays and searches as any other, and the
+    chord trial has cost one integration.  A pass stalls on a singular
+    Jacobian or when none of its 10 halved trials lowers the residual; a
+    stalled loose pass hands over to tol 1e-12 at the first guess again,
+    with no chord step, since the loose map may have led away from the
+    root, and a stalled tight pass ends the solve.  eps = 0 reproduces the
+    arc itself up to the circle-chord offset.
     """
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps}")
@@ -200,29 +209,47 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         ends = _cartesian_track(np.array([traj.states[-1], twin_end]))
         return (ends[1] - ends[0]) / _ALPHA_STEP
 
+    def newton_trials(z, column, v_end, r, n):
+        """The full Newton step from z on the Jacobian [column, v_end] and
+        its first n - 1 halvings, less those of no duration; none when the
+        Jacobian is singular."""
+        try:
+            step = np.linalg.solve(np.column_stack([column, v_end]), -r)
+        except np.linalg.LinAlgError:
+            return []
+        trials = (z + 0.5 ** k * step for k in range(n))
+        return [z_new for z_new in trials if z_new[1] > 0.0]
+
     z = z_guess = np.array([0.0, arc.duration - tau_in - tau_out])
     history = []
     n_it = 0
+    column = None  # the alpha column of the latest Newton step
     for tol, goal in ((_LOOSE_TOL, _SWITCH_RESIDUAL), (_TIGHT_TOL, _SHOOT_TOL)):
         traj, steps, r = residual(z, tol)
         rnorm = float(np.hypot(*r))
         history.append(rnorm)
+        # a chord step: the tight pass's first step tries the loose pass's
+        # last column (None in the loose pass and after a loose stall) with
+        # one full trial, kept only if it converges
+        chord = column
         while rnorm > goal and n_it < _SHOOT_MAX_ITER:
             n_it += 1
             # d(endpoint)/dT is the Cartesian velocity at the endpoint
             end = traj.states[-1]
             v_end = velocity_to_cartesian(EllipticPoint(end[0], end[1]),
                                           end[2:])
-            jac = np.column_stack([alpha_column(z, traj, steps), v_end])
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                trials = []
-            else:
-                trials = [z + 0.5 ** k * step for k in range(10)]
-            for z_new in trials:
-                if z_new[1] <= 0.0:  # no segment to integrate
-                    continue
+            if chord is not None:
+                for z_new in newton_trials(z, chord, v_end, r, 1):
+                    trial = residual(z_new, tol)
+                    rn = float(np.hypot(*trial[2]))
+                    if rn <= goal:
+                        z, (traj, steps, r), rnorm = z_new, trial, rn
+                        history.append(rn)
+                chord = None
+                if rnorm <= goal:
+                    break
+            column = alpha_column(z, traj, steps)
+            for z_new in newton_trials(z, column, v_end, r, 10):
                 trial = residual(z_new, tol)
                 rn = float(np.hypot(*trial[2]))
                 if rn < rnorm:
@@ -231,8 +258,9 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
                     break
             else:  # stalled: the Jacobian is singular or no trial is better
                 if tol == _LOOSE_TOL:
-                    # the loose map may have led away from the root
-                    z = z_guess
+                    # the loose map may have led away from the root, and
+                    # its column with it
+                    z, column = z_guess, None
                 break
     converged = rnorm <= _SHOOT_TOL
 
@@ -269,9 +297,13 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     across the incoming direction by impact parameters b0 -+ db = (0.25 -+
     0.05) entry radii (energy kept on the zero level), integrates each
     branch through the near-centre swing, reads its first exit from the
-    doubled circle, and returns log |d(theta_out)/d(b)| by central differences.  It grows
-    as the centre's attraction strengthens relative to the passage
-    distance, i.e. as eps decreases at fixed b/entry_radius.
+    doubled circle, and returns log |d(theta_out)/d(b)| by central
+    differences.  A branch runs for 4 entry radii over its speed (the exit
+    comes near 2.9), and for 80 only when that run finds no exit; a run's
+    steps do not depend on its end until one would pass it, so the exit is
+    that of the longer run.  The rate grows as the centre's attraction
+    strengthens relative to the passage distance, i.e. as eps decreases at
+    fixed b/entry_radius.
     """
     if len(results) < 2:
         raise DomainError("need at least 2 consecutive segments")
@@ -298,10 +330,13 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
         y0 = _energy_consistent_state(pos, v_dir, prm)
         speed_cart = float(np.hypot(*velocity_to_cartesian(
             EllipticPoint(y0[0], y0[1]), y0[2:])))
-        tau_max = 80.0 * r_e / speed_cart
         exit_ev = CentreProximity(radius=2.0 * r_e, direction=+1)
-        traj = integrate(y0, prm, tau_max, tol=1e-12, events=[exit_ev])
-        if not traj.events:
+        for span in (_EXIT_SPAN, _EXIT_SPAN_MAX):
+            traj = integrate(y0, prm, span * r_e / speed_cart, tol=1e-12,
+                             events=[exit_ev])
+            if traj.events:
+                break
+        else:
             raise IntegrationError(
                 "near-centre passage did not exit the measurement circle")
         y_exit = traj.events[0].state

@@ -11,8 +11,9 @@ from tricentre.dynamics import Params, _integrate, _replay, integrate
 from tricentre.errors import DomainError
 from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
                                 velocity_to_cartesian)
-from tricentre.shadow import (_deviation_to_arc, _energy_consistent_state,
-                              _rotate, local_expansion_rate, shoot_segment)
+from tricentre.shadow import (ShadowResult, _deviation_to_arc,
+                              _energy_consistent_state, _rotate,
+                              local_expansion_rate, shoot_segment)
 
 
 class TestShootSegment:
@@ -70,9 +71,12 @@ class TestShootSegment:
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         assert res.converged and res.n_iterations >= 2
-        # one twin replay per Newton step, on the steps of a run of the solve
-        assert len(replays) == res.n_iterations
-        assert all(any(steps is r[2] for r in runs) for steps in replays)
+        # one twin replay per loose Newton step, on the steps of a loose run
+        # of the solve; the one tight step is a chord step on the last
+        # loose column, so it replays nothing
+        assert len(replays) == res.n_iterations - 1
+        assert all(any(steps is r[2] for r in runs
+                       if r[0] == shadow._LOOSE_TOL) for steps in replays)
         assert res.rhs_evals == len(field_calls) == sum(r[1] for r in runs) \
             + sum(1 + 6 * len(steps) for steps in replays)
         tols = [r[0] for r in runs]
@@ -82,7 +86,7 @@ class TestShootSegment:
         # one integration per Newton step (every full step is taken on this
         # segment), plus the first loose run and the tight run at the switch
         assert len(runs) == res.n_iterations + 2
-        assert n_loose >= 2 and res.tight_integrations >= 1
+        assert n_loose >= 2 and res.tight_integrations == 2
         # one residual per run; each tolerance's residuals strictly decrease
         assert len(hist) == len(runs)
         for phase in (hist[:n_loose], hist[n_loose:]):
@@ -101,14 +105,19 @@ class TestShootSegment:
             if tol == shadow._LOOSE_TOL:
                 loose.append((state0, tau_end))
                 state0, tau_end = loose[min(len(loose), 2) - 1]
+            log.append(tol)
             return _integrate(state0, prm, tau_end, tol)
 
         ref = shoot_segment(q1_family[0], 1e-3)
         monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
+        log = self._logging_replays(monkeypatch)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         # the guess, the full step, its 10 failed trials
         assert res.loose_integrations == 12
+        # the stalled pass's column is not reused: no chord trial comes
+        # before the first tight step's replay
+        assert log[log.index(shadow._TIGHT_TOL) + 1] == "replay"
         assert hist[1] < 0.1 * hist[0]
         # the first tight residual is the guess's again, not the step's
         assert hist[2] == pytest.approx(hist[0], rel=1e-4)
@@ -117,13 +126,28 @@ class TestShootSegment:
         assert res.duration == pytest.approx(ref.duration, abs=1e-8)
 
     @staticmethod
-    def _recording(monkeypatch):
+    def _logging_replays(monkeypatch):
+        """A list to which shadow's twin replay appends "replay" on every
+        call (an integrator may append its runs to it too)."""
+        log = []
+
+        def logging_replay(state0, prm, steps):
+            log.append("replay")
+            return _replay(state0, prm, steps)
+
+        monkeypatch.setattr(shadow, "_replay", logging_replay)
+        return log
+
+    @staticmethod
+    def _recording(monkeypatch, log=None):
         """Replace shadow's integrator by one that records (tol, tau_end,
-        start state) of every run."""
+        start state) of every run, and appends its tol to log."""
         runs = []
 
         def recording_integrate(state0, prm, tau_end, tol):
             runs.append((tol, tau_end, state0.copy()))
+            if log is not None:
+                log.append(tol)
             return _integrate(state0, prm, tau_end, tol)
 
         monkeypatch.setattr(shadow, "_integrate", recording_integrate)
@@ -131,7 +155,8 @@ class TestShootSegment:
 
     def test_singular_loose_jacobian_restarts_tight_from_the_guess(
             self, q1_family, monkeypatch):
-        runs = self._recording(monkeypatch)
+        log = self._logging_replays(monkeypatch)
+        runs = self._recording(monkeypatch, log)
         solve = np.linalg.solve
 
         def singular_once(a, b):
@@ -146,6 +171,9 @@ class TestShootSegment:
         assert runs[1][0] == shadow._TIGHT_TOL
         assert runs[1][1] == runs[0][1]
         assert np.array_equal(runs[1][2], runs[0][2])
+        # a loose pass that took no step leaves no column for a chord step
+        assert log[:4] == [shadow._LOOSE_TOL, "replay", shadow._TIGHT_TOL,
+                           "replay"]
         assert res.converged
 
     def test_loose_budget_out_hands_its_point_to_the_tight_pass(
@@ -199,12 +227,56 @@ class TestShootSegment:
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         n_loose = res.loose_integrations
-        # the switch run and its 10 failed trials
-        assert res.tight_integrations == 11
+        # the switch run, the chord trial and the 10 failed line-search
+        # trials
+        assert res.tight_integrations == 12
         assert len(hist) == n_loose + 1
         assert not res.converged
         assert res.residual == hist[-1] > shadow._SHOOT_TOL
         assert res.n_iterations == n_loose
+
+    def test_chord_miss_follows_the_newton_path(self, q2_family,
+                                                monkeypatch):
+        # q = 2, arc s-1:d-1, eps = 1e-3: the chord step's trial stays
+        # above 1e-9, so the solve goes on as if it had not been tried
+        tight = []  # the tight runs of the solve under way
+        solves = []  # whether each Newton solve of it raised
+        solve = np.linalg.solve
+
+        def recording_integrate(state0, prm, tau_end, tol):
+            traj, steps = _integrate(state0, prm, tau_end, tol)
+            if tol == shadow._TIGHT_TOL:
+                tight.append(traj)
+            return traj, steps
+
+        def counting_solve(a, b):
+            # the first solve after the switch run is the chord step's
+            solves.append(skip_chord and len(tight) == 1
+                          and True not in solves)
+            if solves[-1]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(shadow, "_integrate", recording_integrate)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        skip_chord = False
+        res = shoot_segment(q2_family[1], 1e-3)
+        chord_trial = tight[1]
+        # one solve per Newton step, and one for the chord step
+        assert len(solves) == res.n_iterations + 1
+        tight.clear()
+        solves.clear()
+        skip_chord = True
+        ref = shoot_segment(q2_family[1], 1e-3)
+        assert solves.count(True) == 1 and res.converged
+        # the miss costs exactly its one tight run
+        assert res.tight_integrations == ref.tight_integrations + 1
+        assert res.rhs_evals == ref.rhs_evals + chord_trial.stats.rhs_evals
+        for name in ShadowResult.__dataclass_fields__:
+            if name not in ("rhs_evals", "tight_integrations"):
+                a, b = getattr(res, name), getattr(ref, name)
+                assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                        else a == b), name
 
     # The twin quotient (end(alpha + d) - end(alpha))/d, the twin replayed
     # on the run's steps, is a second-order derivative at the midpoint
@@ -339,3 +411,28 @@ class TestExpansionRate:
         bad.converged = False
         with pytest.raises(DomainError):
             local_expansion_rate([bad, res], 1e-3)
+
+    # A branch runs to 4 entry radii over its speed, past its exit near
+    # 2.9, and to 80 only when that finds no exit.  A run's steps do not
+    # depend on where it ends until one would pass the end, so the rate is
+    # bitwise that of one run to 80 (the span it had before), whether the
+    # short run is skipped or too short.
+    @pytest.mark.parametrize("span, runs_per_branch", [
+        (1e-6, 2),  # no exit in the first run: the long one follows
+        (shadow._EXIT_SPAN_MAX, 1),
+    ])
+    def test_short_branch_gives_the_long_branch_rate(
+            self, q1_family, monkeypatch, span, runs_per_branch):
+        res = shoot_segment(q1_family[0], 1e-3)
+        rate = local_expansion_rate([res, res], 1e-3)
+        runs = []
+
+        def counting_integrate(*args, **kwargs):
+            runs.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(shadow, "integrate", counting_integrate)
+        monkeypatch.setattr(shadow, "_EXIT_SPAN", span)
+        assert local_expansion_rate([res, res], 1e-3) == rate
+        assert len(runs) == 2 * runs_per_branch
+
