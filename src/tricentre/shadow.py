@@ -12,8 +12,10 @@ run at a loose tolerance until the residual is small.  The first tight
 step tries the last loose column first (a chord step), which saves its
 replay when the full step converges.
 Deviation metrics quantify how closely the segment tracks the arc as eps
-shrinks; a central-difference pass through the centre's neighbourhood
-estimates the local expansion rate of the return map.
+shrinks; the maximum distance to the arc computes exact distances only
+where bounds leave room for the maximum, with the value of the exhaustive
+search bit for bit.  A central-difference pass through the centre's
+neighbourhood estimates the local expansion rate of the return map.
 """
 from __future__ import annotations
 
@@ -44,7 +46,12 @@ _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
 _EXIT_SPAN = 4.0            # tau span of a branch, in entry radii over speed
 _EXIT_SPAN_MAX = 80.0       # the span again when the first finds no exit
 _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
-_SEED_BLOCK = 32            # points per block of the seed search (1 MB)
+_SEED_BOX = 64              # consecutive samples per box of the seed search
+_SEED_BLOCK = 32            # track points per block of the seed search
+_SEED_NEAR = 3              # boxes of least gap that bound a block's distances
+_GOLDEN_STEPS = 40          # golden-section steps of each refined point
+_SCREEN_STEPS = 5           # of them, the steps taken on every point
+_FINISH_FIRST = 32          # points of largest bound, finished first
 
 
 @dataclass
@@ -66,6 +73,7 @@ class ShadowResult:
     rhs_evals: int = 0        # over every run and twin replay of the solve
     loose_integrations: int = 0  # runs at _LOOSE_TOL
     tight_integrations: int = 0  # runs at _TIGHT_TOL
+    chord_accepted: bool = False  # the tight pass's chord trial was kept
 
 
 def _energy_consistent_state(pos: CartesianPoint, direction_cart: np.ndarray,
@@ -96,47 +104,110 @@ def _cartesian_track(states: np.ndarray) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _nearest_samples(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest polyline sample: the first index of the
+    least (px - x)^2 + (py - y)^2 over all samples.
+
+    The samples are cut into boxes of _SEED_BOX.  For a block of
+    _SEED_BLOCK points, the squared gap between its bounding box and a
+    sample box bounds every squared distance between them from below; as
+    rounding is monotone, the float gap bounds the float distances too.
+    The exact distances to the _SEED_NEAR boxes of least gap bound each
+    point's least distance from above, so a box whose gap exceeds the
+    largest of these holds no point's nearest sample.  The exact distances
+    to the boxes left are taken in sample order, which keeps argmin's
+    first-index rule on ties.
+    """
+    xs = poly[:, 0].reshape(-1, _SEED_BOX)
+    ys = poly[:, 1].reshape(-1, _SEED_BOX)
+    starts = np.arange(0, len(points), _SEED_BLOCK)
+
+    def gap(boxes, c):
+        """Gap along axis c between each block's and each box's extent."""
+        block_lo = np.minimum.reduceat(points[:, c], starts)[:, None]
+        block_hi = np.maximum.reduceat(points[:, c], starts)[:, None]
+        return np.maximum(np.maximum(boxes.min(axis=1) - block_hi,
+                                     block_lo - boxes.max(axis=1)), 0.0)
+
+    lower = np.square(gap(xs, 0)) + np.square(gap(ys, 1))
+    near = np.argpartition(lower, _SEED_NEAR - 1, axis=1)[:, :_SEED_NEAR]
+
+    def squared_distances(s, boxes):
+        d2 = np.subtract(points[s:s + _SEED_BLOCK, :1], xs[boxes].ravel())
+        dy = np.subtract(points[s:s + _SEED_BLOCK, 1:], ys[boxes].ravel())
+        np.square(d2, out=d2)
+        return np.add(d2, np.square(dy, out=dy), out=d2)
+
+    nearest = np.empty(len(points), dtype=np.intp)
+    for k, s in enumerate(starts):
+        upper = squared_distances(s, near[k]).min(axis=1).max()
+        keep = np.flatnonzero(lower[k] <= upper)
+        j = np.argmin(squared_distances(s, keep), axis=1)
+        nearest[s:s + _SEED_BLOCK] = keep[j // _SEED_BOX] * _SEED_BOX \
+            + j % _SEED_BOX
+    return nearest
+
+
 def _deviation_to_arc(points: np.ndarray, arc: CollisionArc) -> float:
     """Max over points of the distance to the continuous reference arc.
 
-    A coarse polyline gives the nearest-sample seed, searched in blocks of
-    _SEED_BLOCK points whose squared distances reuse two preallocated
-    buffers; a golden-section refinement on the arc's dense output removes
-    the discretization floor (the arc sweeps fast in Cartesian terms far
-    from the primaries, where uniform-tau sampling is sparse).  All points
-    are refined together for 40 steps, one array dense-output query per
-    step.
+    A coarse polyline gives each point's nearest-sample seed
+    (`_nearest_samples`); a golden-section refinement on the arc's dense
+    output removes the discretization floor (the arc sweeps fast in
+    Cartesian terms far from the primaries, where uniform-tau sampling is
+    sparse).  Every point that can hold the maximum runs 40 steps, one
+    array dense-output query per step for the points refined together.
+    A step never raises a point's min(fa, fb), so after _SCREEN_STEPS
+    steps on all points each point's value bounds its final one from
+    above.  The _FINISH_FIRST points of largest bound are finished first;
+    their largest final value bounds the maximum from below, and only the
+    points whose bound reaches it are finished after them.  Every
+    operation is elementwise, so each value is that of all points refined
+    in lockstep, bit for bit, as long as numpy's functions give an element
+    the same value in a subset as in the whole array (the oracle test in
+    tests/test_shadow.py checks that they do).
     """
+    if len(points) == 0:
+        return 0.0
     arc_taus, arc_states = arc.path.dense_grid(_SEED_POINTS)
-    poly = _cartesian_track(arc_states)
+    nearest = _nearest_samples(points, _cartesian_track(arc_states))
     px, py = points[:, 0], points[:, 1]
-    nearest = np.empty(len(points), dtype=np.intp)
-    dx2 = np.empty((min(_SEED_BLOCK, len(points)), len(poly)))
-    dy2 = np.empty_like(dx2)
-    for s in range(0, len(points), _SEED_BLOCK):
-        e = min(s + _SEED_BLOCK, len(points))
-        bx, by = dx2[:e - s], dy2[:e - s]
-        np.square(np.subtract(px[s:e, None], poly[:, 0], out=bx), out=bx)
-        np.square(np.subtract(py[s:e, None], poly[:, 1], out=by), out=by)
-        nearest[s:e] = np.argmin(np.add(bx, by, out=bx), axis=1)
 
     def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         y = arc.path.state_at(tau)
         x, yy = elliptic_to_xy(y[:, 0], y[:, 1])
         return np.hypot(x - qx, yy - qy)
 
+    def golden(bracket, qx, qy, steps):
+        a, b, t1, t2, fa, fb = bracket
+        for _ in range(steps):
+            left = fa < fb
+            a, b = np.where(left, a, t1), np.where(left, t2, b)
+            t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
+            f_new = dist_at(t_new, qx, qy)
+            t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
+            fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
+        return a, b, t1, t2, fa, fb
+
+    def finished(idx: np.ndarray) -> float:
+        """The largest final value over the points idx."""
+        fa, fb = golden([v[idx] for v in screened], px[idx], py[idx],
+                        _GOLDEN_STEPS - _SCREEN_STEPS)[4:]
+        return float(np.minimum(fa, fb).max())
+
     a = arc_taus[np.maximum(nearest - 1, 0)]
     b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
     t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
-    fa, fb = dist_at(t1, px, py), dist_at(t2, px, py)
-    for _ in range(40):
-        left = fa < fb
-        a, b = np.where(left, a, t1), np.where(left, t2, b)
-        t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
-        f_new = dist_at(t_new, px, py)
-        t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
-        fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
-    return float(np.minimum(fa, fb).max(initial=0.0))
+    screened = golden((a, b, t1, t2, dist_at(t1, px, py), dist_at(t2, px, py)),
+                      px, py, _SCREEN_STEPS)
+    bound = np.minimum(screened[4], screened[5])
+    first = np.argsort(bound)[-_FINISH_FIRST:]
+    worst = finished(first)
+    rest = bound >= worst
+    rest[first] = False
+    if rest.any():
+        worst = max(worst, finished(np.flatnonzero(rest)))
+    return worst
 
 
 def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
@@ -224,6 +295,7 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     history = []
     n_it = 0
     column = None  # the alpha column of the latest Newton step
+    chord_accepted = False
     for tol, goal in ((_LOOSE_TOL, _SWITCH_RESIDUAL), (_TIGHT_TOL, _SHOOT_TOL)):
         traj, steps, r = residual(z, tol)
         rnorm = float(np.hypot(*r))
@@ -245,6 +317,7 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
                     if rn <= goal:
                         z, (traj, steps, r), rnorm = z_new, trial, rn
                         history.append(rn)
+                        chord_accepted = True
                 chord = None
                 if rnorm <= goal:
                     break
@@ -287,6 +360,7 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         rhs_evals=rhs_evals,
         loose_integrations=runs[_LOOSE_TOL],
         tight_integrations=runs[_TIGHT_TOL],
+        chord_accepted=chord_accepted,
     )
 
 

@@ -1,10 +1,17 @@
-"""Reference shadowing deviation metric for the lockstep oracle test.
+"""Reference shadowing deviation metrics for the oracle tests.
 
-This is the earlier per-point implementation of
-``tricentre.shadow._deviation_to_arc``, kept verbatim: a scalar
-golden-section search on the arc's dense output for each point in turn.
-The production version refines all points together and must agree with it
-to rounding.
+Two earlier implementations of ``tricentre.shadow._deviation_to_arc``,
+kept verbatim:
+
+- ``_deviation_to_arc`` refines one point at a time, a scalar
+  golden-section search on the arc's dense output with math's functions.
+  The production version must agree with it to rounding.
+- ``exhaustive_deviation_to_arc`` computes every squared distance from
+  every point to every one of the 4,096 polyline samples
+  (``exhaustive_nearest``), and refines every point together for 40
+  steps, the same numpy operations as the production version.  The
+  production version computes only the distances and refinements that can
+  set the maximum, and must agree with it bit for bit.
 """
 from __future__ import annotations
 
@@ -67,3 +74,46 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
                     break
             worst = max(worst, min(fa, fb))
     return worst
+
+
+def exhaustive_nearest(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Index of the nearest polyline sample to each point, by argmin over
+    every sample in blocks of 32 points."""
+    px, py = points[:, 0], points[:, 1]
+    nearest = np.empty(len(points), dtype=np.intp)
+    dx2 = np.empty((min(32, len(points)), len(poly)))
+    dy2 = np.empty_like(dx2)
+    for s in range(0, len(points), 32):
+        e = min(s + 32, len(points))
+        bx, by = dx2[:e - s], dy2[:e - s]
+        np.square(np.subtract(px[s:e, None], poly[:, 0], out=bx), out=bx)
+        np.square(np.subtract(py[s:e, None], poly[:, 1], out=by), out=by)
+        nearest[s:e] = np.argmin(np.add(bx, by, out=bx), axis=1)
+    return nearest
+
+
+def exhaustive_deviation_to_arc(points: np.ndarray,
+                                arc: CollisionArc) -> float:
+    """Max over points of the distance to the continuous reference arc,
+    with every point seeded exhaustively and refined in lockstep."""
+    arc_taus, arc_states = arc.path.dense_grid(4096)
+    nearest = exhaustive_nearest(points, _cartesian_track(arc_states))
+    px, py = points[:, 0], points[:, 1]
+
+    def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+        y = arc.path.state_at(tau)
+        x, yy = elliptic_to_xy(y[:, 0], y[:, 1])
+        return np.hypot(x - qx, yy - qy)
+
+    a = arc_taus[np.maximum(nearest - 1, 0)]
+    b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
+    t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
+    fa, fb = dist_at(t1, px, py), dist_at(t2, px, py)
+    for _ in range(40):
+        left = fa < fb
+        a, b = np.where(left, a, t1), np.where(left, t2, b)
+        t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
+        f_new = dist_at(t_new, px, py)
+        t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
+        fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
+    return float(np.minimum(fa, fb).max(initial=0.0))

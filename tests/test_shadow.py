@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deviation_reference import _deviation_to_arc as reference_deviation
+from deviation_reference import (exhaustive_deviation_to_arc,
+                                 exhaustive_nearest)
 from tricentre import shadow
 from tricentre.dynamics import Params, _integrate, _replay, integrate
 from tricentre.errors import DomainError
@@ -93,6 +95,17 @@ class TestShootSegment:
             assert all(a > b for a, b in zip(phase, phase[1:]))
         assert hist[n_loose - 1] <= shadow._SWITCH_RESIDUAL < hist[n_loose - 2]
         assert hist[-1] == res.residual <= shadow._SHOOT_TOL
+        assert res.chord_accepted
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_chord_step_is_kept_on_the_reference_segments(
+            self, q1_family, monkeypatch, eps):
+        # the segments of acceptance test 10: the kept chord step is the
+        # one Newton step that replays no twin
+        log = self._logging_replays(monkeypatch)
+        res = shoot_segment(q1_family[0], eps)
+        assert res.converged and res.chord_accepted
+        assert len(log) == res.n_iterations - 1
 
     def test_loose_stall_restarts_tight_from_the_guess(self, q1_family,
                                                        monkeypatch):
@@ -269,6 +282,7 @@ class TestShootSegment:
         skip_chord = True
         ref = shoot_segment(q2_family[1], 1e-3)
         assert solves.count(True) == 1 and res.converged
+        assert not res.chord_accepted
         # the miss costs exactly its one tight run
         assert res.tight_integrations == ref.tight_integrations + 1
         assert res.rhs_evals == ref.rhs_evals + chord_trial.stats.rhs_evals
@@ -323,6 +337,25 @@ def _points_near_arc(arc, n, max_offset, seed):
     r = max_offset * np.sqrt(rng.uniform(0.0, 1.0, n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     return np.column_stack([x + r * np.cos(theta), y + r * np.sin(theta)])
+
+
+def _equidistant_point(arc):
+    """The midpoint of two consecutive polyline samples that are both its
+    nearest, at exactly equal squared distance, across a box edge where
+    there is such a pair."""
+    _, states = arc.path.dense_grid(shadow._SEED_POINTS)
+    poly = shadow._cartesian_track(states)
+    mid = 0.5 * (poly[:-1] + poly[1:])
+    d2 = [np.square(mid[:, 0] - poly[k:len(mid) + k, 0])
+          + np.square(mid[:, 1] - poly[k:len(mid) + k, 1]) for k in (0, 1)]
+    ties = np.flatnonzero(d2[0] == d2[1])
+    edge = (ties + 1) % shadow._SEED_BOX == 0
+    for j in np.concatenate([ties[edge], ties[~edge]]):
+        dist = np.square(mid[j, 0] - poly[:, 0]) \
+            + np.square(mid[j, 1] - poly[:, 1])
+        if dist.min() == dist[j]:
+            return mid[j]
+    raise AssertionError("no equidistant midpoint on the polyline")
 
 
 class TestEnergyConsistentState:
@@ -383,6 +416,48 @@ class TestDeviationMetric:
         pts = _points_near_arc(arc, n, max_offset, seed)
         assert _deviation_to_arc(pts, arc) == pytest.approx(
             reference_deviation(pts, arc), rel=1e-12, abs=1e-14)
+
+    # The exhaustive oracle takes every squared distance to every sample and
+    # refines every point for 40 steps, with the same numpy operations; the
+    # pruned search must give the same seeds and the same maximum, bit for
+    # bit.  q = 2 arcs cross themselves, so far parts of an arc come near.
+    # On points on the arc the final values are rounding noise, unrelated
+    # to the bounds, so most points are finished in the second pass.
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(q=st.sampled_from([1, 2]), n=st.integers(0, 1100),
+           max_offset=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
+           extra=st.sampled_from(["none", "duplicated", "equidistant"]))
+    @example(q=1, n=0, max_offset=0.1, seed=0, extra="none")
+    @example(q=1, n=1, max_offset=0.5, seed=1, extra="none")
+    @example(q=2, n=2, max_offset=0.3, seed=2, extra="none")
+    @example(q=1, n=3, max_offset=1e-3, seed=3, extra="none")
+    @example(q=2, n=4, max_offset=0.05, seed=4, extra="none")
+    @example(q=1, n=31, max_offset=0.2, seed=7, extra="none")
+    @example(q=2, n=32, max_offset=0.05, seed=8, extra="none")
+    @example(q=1, n=33, max_offset=1e-3, seed=9, extra="none")
+    @example(q=1, n=40, max_offset=0.01, seed=10, extra="duplicated")
+    @example(q=2, n=1100, max_offset=0.5, seed=11, extra="duplicated")
+    @example(q=1, n=1100, max_offset=0.0, seed=15, extra="none")
+    @example(q=2, n=600, max_offset=0.0, seed=16, extra="duplicated")
+    @example(q=1, n=0, max_offset=0.0, seed=12, extra="equidistant")
+    @example(q=2, n=0, max_offset=0.0, seed=13, extra="equidistant")
+    @example(q=1, n=33, max_offset=1e-4, seed=14, extra="equidistant")
+    def test_matches_exhaustive_lockstep_bitwise(self, q1_family, q2_family,
+                                                 q, n, max_offset, seed,
+                                                 extra):
+        arc = (q1_family if q == 1 else q2_family)[0]
+        pts = _points_near_arc(arc, n, max_offset, seed)
+        if extra == "duplicated":
+            pts = np.repeat(pts, 2, axis=0)
+        elif extra == "equidistant":
+            pts = np.vstack([pts, _equidistant_point(arc)])
+        if len(pts):
+            _, states = arc.path.dense_grid(shadow._SEED_POINTS)
+            poly = shadow._cartesian_track(states)
+            assert np.array_equal(shadow._nearest_samples(pts, poly),
+                                  exhaustive_nearest(pts, poly))
+        assert _deviation_to_arc(pts, arc) \
+            == exhaustive_deviation_to_arc(pts, arc)
 
     def test_points_on_the_arc(self, q1_family):
         arc = q1_family[0]
