@@ -21,8 +21,7 @@ _EXPORTS = {
                "build_alphabet", "build_graph", "count_periodic_chains",
                "entropy_estimate"),
     "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
-                 "Trajectory", "integrate",
-                 "trajectory_to_csv", "trajectory_to_json"),
+                 "Trajectory", "integrate", "trajectory_to_json"),
     "errors": ("AccuracyError", "DomainError", "IntegrationError",
                "PlacementError", "RangeError", "SingularityError",
                "StructuralError", "TricentreError", "UnsafeCentreError"),
@@ -39,6 +38,7 @@ _EXPORTS = {
                 "solve_resonant_a1", "turning_point_xi"),
     "shadow": ("ShadowResult", "local_expansion_rate", "shoot_segment"),
     "special": ("complete_elliptic_k",),
+    "_output": ("trajectory_to_csv",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -1,4 +1,5 @@
-"""Output files: CSV text, JSON documents and the write-then-rename path.
+"""Output files: CSV text, JSON documents, trajectory tables and the
+write-then-rename path.
 
 Every file the package writes goes through write_atomic, so a reader never
 sees a half-written file, and is written without newline translation, so
@@ -10,6 +11,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+
+from .geometry import elliptic_to_xy, physical_time_of
+
+_CSV_ROWS = 1000  # dense-output rows of a trajectory CSV
 
 
 def csv_text(header, columns) -> str:
@@ -37,3 +42,20 @@ def write_csv(path, header, columns) -> None:
 def write_json(path, doc) -> None:
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True,
                                   default=str) + "\n")
+
+
+def trajectory_to_csv(traj, path) -> None:
+    """Write tau, elliptic state, physical time and Cartesian position,
+    on a uniform grid of 1000 dense-output points.
+
+    traj is a `dynamics.Trajectory` or an `arcs.SeparatedPath`: anything
+    with `taus`, `states` and `dense_grid`.  Nothing here integrates, so
+    the eps = 0 commands write their arcs without loading the integrator.
+    """
+    taus, states = traj.dense_grid(_CSV_ROWS) if len(traj.taus) > 1 else (
+        traj.taus, traj.states)
+    t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
+    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
+    write_csv(path, ["tau", "xi", "phi", "xi_prime", "phi_prime",
+                     "t_physical", "x", "y"],
+              [taus, *states.T, t_phys, x, y])

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from ._output import write_csv, write_json
+from ._output import trajectory_to_csv, write_csv, write_json
 from .errors import (AccuracyError, DomainError, IntegrationError,
                      StructuralError, TricentreError, UnsafeCentreError)
 from .exclusion import (_as_cartesian, find_admissible_beta,
@@ -240,7 +240,6 @@ def cmd_check(args) -> int:
 
 def cmd_arcs(args) -> int:
     from .arcs import arc_family
-    from .dynamics import trajectory_to_csv
     prm, sol = _resonance(args)
     a, q, beta = args.a, args.q, prm.beta
     family = arc_family(prm, delta=args.delta)
@@ -449,7 +448,7 @@ def cmd_figs(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    from .dynamics import integrate, trajectory_to_csv, trajectory_to_json
+    from .dynamics import integrate, trajectory_to_json
     a, beta, tol, eps = args.a, args.beta, args.tol, args.eps
     if args.q is not None:
         sol = solve_resonant_a1(beta, args.q, a)

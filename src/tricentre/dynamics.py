@@ -20,9 +20,9 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import StepStats
-from ._output import write_csv, write_json
+from ._output import write_json
 from .errors import DomainError
-from .geometry import elliptic_to_xy, physical_time_of
+from .geometry import elliptic_to_xy
 from .params import Params
 from .periods import _bracketed_root
 
@@ -30,13 +30,11 @@ __all__ = [
     "Params", "Trajectory",
     "PhiCrossing", "CentreProximity",
     "EventRecord", "StepStats",
-    "integrate",
-    "trajectory_to_csv", "trajectory_to_json",
+    "integrate", "trajectory_to_json",
 ]
 
 MAX_STEPS = 2_000_000         # step attempts of one integration
 EXCLUSION_RADIUS_FRAC = 0.01  # radius of the ball around C refused, over eps
-_CSV_ROWS = 1000              # dense-output rows of a trajectory CSV
 
 
 def _as_state_array(state) -> np.ndarray:
@@ -98,7 +96,7 @@ class CentreProximity:
     kind: str = field(default="centre_proximity", init=False)
 
     def g(self, states: np.ndarray, prm: Params):
-        # a single state is mapped through math, as the DOPRI kernel does
+        # a single state is mapped through math, as the stepping kernel does
         lib = math if states.ndim == 1 else np
         cx, cy = _centre_xy(prm)
         x, y = elliptic_to_xy(states[..., 0], states[..., 1], lib)
@@ -119,22 +117,46 @@ class EventRecord:
 class Trajectory:
     """Result of one integration: accepted samples plus dense interpolant.
 
-    Step i of the dense output starts at taus[i], has length h[i] and the
-    coefficients dense_q[i] = K_i^T P (4 components x 4 powers); a run
-    without dense output passes empty h and dense_q.  `stats` reports the
-    steps of the integration that produced it.
+    Step i runs from taus[i] to taus[i+1], as the signed step steps[i] of
+    the kernel, with the stage derivatives stages[i] (see
+    `_kernels.dop853_core`).  Its seventh-order dense output needs three
+    more field calls per step; they are made for every step on the first
+    query between samples (`state_at`, `dense_grid`, the event scan) and
+    then counted in `stats`, which reports the steps of the integration
+    that produced the trajectory.  A run without dense output passes empty
+    steps and stages.
     """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
-                 h: np.ndarray, dense_q: np.ndarray,
-                 events: Sequence[EventRecord], stats: StepStats):
+                 steps, stages: np.ndarray, stats: StepStats):
         self.params = prm
         self.taus = taus
         self.states = states
-        self._h = h
-        self._dense_q = dense_q
-        self.events = list(events)
+        self._h = np.diff(taus)
+        self._steps = steps
+        self._stages = stages
+        self.events: list[EventRecord] = []
         self.stats = stats
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        """The (n, 7, 4) dense coefficients of `_kernels.dop853_dense`."""
+        prm = self.params
+        coeffs, calls = _kernels.dop853_dense(
+            self.states, self._stages, self._steps, prm.a, prm.energy,
+            prm.eps, *_centre_xy(prm))
+        self.stats = self.stats._replace(
+            rhs_evals=self.stats.rhs_evals + calls)
+        return coeffs
+
+    def _dense_states(self, idx, th) -> np.ndarray:
+        """States at the fractions th of the steps idx (broadcast together)."""
+        f = self._dense[idx]
+        th = np.asarray(th)[..., None]
+        acc = f[..., 6, :]
+        for j in range(5, -1, -1):
+            acc = f[..., j, :] + (th if j % 2 else 1.0 - th) * acc
+        return self.states[idx] + th * acc
 
     @cached_property
     def energy_drift(self) -> float:
@@ -158,10 +180,7 @@ class Trajectory:
         q = t if ascending else -t
         idx = np.clip(np.searchsorted(grid, q, side="right") - 1, 0,
                       len(self._h) - 1)
-        th = (t - self.taus[idx]) / self._h[idx]
-        powers = np.stack([th, th**2, th**3, th**4], axis=-1)
-        corr = np.einsum("ncp,np->nc", self._dense_q[idx], powers)
-        out = self.states[idx] + self._h[idx][:, None] * corr
+        out = self._dense_states(idx, (t - self.taus[idx]) / self._h[idx])
         return out[0] if scalar else out
 
     def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
@@ -177,22 +196,19 @@ _SCAN_POINTS = 8  # dense samples per accepted step used for sign scanning
 _ROOT_TOL = 1e-12  # relative tau width at which a root bracket stops
 
 
-def _detect_events(traj_T, traj_Y, h, dense_q, prm, specs):
+def _detect_events(traj: Trajectory, specs):
     """Locate event roots on the dense output; returns sorted EventRecords."""
+    traj_T, h, prm = traj.taus, traj._h, traj.params
     nstep = len(traj_T) - 1
     if nstep < 1 or not specs:
         return []
     theta = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
-    powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
     # grid[i, j] = state at traj_T[i] + theta[j]*h[i]
-    corr = np.einsum("scp,gp->sgc", dense_q, powers)
-    grid = traj_Y[:-1, None, :] + h[:, None, None] * corr
+    grid = traj._dense_states(np.arange(nstep)[:, None], theta[None, :])
     tau_grid = traj_T[:-1, None] + h[:, None] * theta[None, :]
 
     def dense_state(i, tau):
-        th = (tau - traj_T[i]) / h[i]
-        p = np.array([th, th**2, th**3, th**4])
-        return traj_Y[i] + h[i] * (dense_q[i] @ p)
+        return traj._dense_states(i, (tau - traj_T[i]) / h[i])
 
     records = []
     for spec in specs:
@@ -234,14 +250,15 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
               events: Sequence = ()) -> Trajectory:
     """Integrate the regularized flow from tau = 0 to tau_end.
 
-    tol sets both relative and absolute local error targets of the embedded
-    5(4) pair.  The stepper makes at most MAX_STEPS attempts and never
-    enters the ball of radius EXCLUSION_RADIUS_FRAC*eps around the centre.
-    A failure of the stepper (step underflow, exhausted budget, exclusion
-    ball) raises IntegrationError.  Event specs are located on the dense
-    output by sign-change scanning plus Illinois root refinement and reported
-    on the returned trajectory; they never change the run.  A tol, tau_end
-    or state that is not finite raises DomainError.
+    tol sets both relative and absolute local error targets of the DOP853
+    pair (order 8, error estimators of orders 5 and 3).  The stepper makes
+    at most MAX_STEPS attempts and never enters the ball of radius
+    EXCLUSION_RADIUS_FRAC*eps around the centre.  A failure of the stepper
+    (step underflow, exhausted budget, exclusion ball) raises
+    IntegrationError.  Event specs are located on the dense output by
+    sign-change scanning plus Illinois root refinement and reported on the
+    returned trajectory; they never change the run.  A tol, tau_end or
+    state that is not finite raises DomainError.
     """
     return _integrate(state0, prm, tau_end, tol, events)[0]
 
@@ -249,7 +266,7 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
 def _integrate(state0, prm: Params, tau_end: float, tol: float,
                events: Sequence = ()):
     """integrate, returning (trajectory, steps): the run's accepted step
-    sizes exactly as taken (see `_kernels.dopri5_core`), for `_replay`."""
+    sizes exactly as taken (see `_kernels.dop853_core`), for `_replay`."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     y0 = _as_state_array(state0)
@@ -257,36 +274,23 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
     if not (math.isfinite(tau_end) and np.all(np.isfinite(y0))):
         raise DomainError(f"tau_end and state must be finite, got {tau_end}"
                           f" and {y0.tolist()}")
-    T, Y, KS, stats, steps = _kernels.dopri5_core(
+    T, Y, KS, stats, steps = _kernels.dop853_core(
         y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
         *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps)
-    h = np.diff(T)
-    dense_q = np.einsum("skc,kp->scp", KS, _kernels.DENSE_P)
-    records = _detect_events(T, Y, h, dense_q, prm, list(events))
-    return Trajectory(prm, T, Y, h, dense_q, records, stats), steps
+    traj = Trajectory(prm, T, Y, steps, KS, stats)
+    traj.events = _detect_events(traj, list(events))
+    return traj, steps
 
 
-def _replay(state0, prm: Params, steps) -> tuple[float, ...]:
+def _replay(state0, prm: Params, steps) -> tuple[tuple[float, ...], int]:
     """End state of state0 pushed through the steps of an `_integrate` run
-    under prm; 1 + 6*len(steps) field calls (see `_kernels.dopri5_replay`)."""
-    return _kernels.dopri5_replay(state0, steps, prm.a, prm.energy, prm.eps,
+    under prm, and the field calls made (see `_kernels.dop853_replay`)."""
+    return _kernels.dop853_replay(state0, steps, prm.a, prm.energy, prm.eps,
                                   *_centre_xy(prm))
 
 
 # ---------------------------------------------------------------------------
 # export
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write tau, elliptic state, physical time and Cartesian position,
-    on a uniform grid of 1000 dense-output points."""
-    taus, states = traj.dense_grid(_CSV_ROWS) if len(traj.taus) > 1 else (
-        traj.taus, traj.states)
-    t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
-    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
-    write_csv(path, ["tau", "xi", "phi", "xi_prime", "phi_prime",
-                     "t_physical", "x", "y"],
-              [taus, *states.T, t_phys, x, y])
-
 
 def trajectory_to_json(traj: Trajectory, path) -> None:
     """Write integration metadata and event records."""

@@ -70,7 +70,7 @@ class ShadowResult:
     params: Params
     # residual after each step, and at each tolerance's first run
     residual_history: tuple[float, ...] = ()
-    rhs_evals: int = 0        # over every run and twin replay of the solve
+    rhs_evals: int = 0        # every run, twin replay and dense output
     loose_integrations: int = 0  # runs at _LOOSE_TOL
     tight_integrations: int = 0  # runs at _TIGHT_TOL
     chord_accepted: bool = False  # the tight pass's chord trial was kept
@@ -275,8 +275,8 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         """d(endpoint)/d(alpha) of the run at z, from the twin start
         _ALPHA_STEP further round the circle replayed on its steps."""
         nonlocal rhs_evals
-        twin_end = _replay(start(z[0] + _ALPHA_STEP), prm, steps)
-        rhs_evals += 1 + 6 * len(steps)
+        twin_end, calls = _replay(start(z[0] + _ALPHA_STEP), prm, steps)
+        rhs_evals += calls
         ends = _cartesian_track(np.array([traj.states[-1], twin_end]))
         return (ends[1] - ends[0]) / _ALPHA_STEP
 
@@ -337,7 +337,9 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
                 break
     converged = rnorm <= _SHOOT_TOL
 
+    evals_before = traj.stats.rhs_evals
     taus, states = traj.dense_grid(1024)
+    rhs_evals += traj.stats.rhs_evals - evals_before  # its dense output
     track = _cartesian_track(states)
     min_c = float(np.min(np.hypot(track[:, 0] - centre.x,
                                   track[:, 1] - centre.y)))

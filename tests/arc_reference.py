@@ -1,7 +1,7 @@
 """Reference collision arcs for the closed-form oracle tests.
 
 This is the earlier implementation of ``tricentre.arcs.build_arc``: it
-integrates the arc with DOPRI5 (a decade tighter than the requested
+integrates the arc with `integrate` (a decade tighter than the requested
 tolerance) and finds the first return to C as the earliest ``PhiCrossing``
 event of phi = phi0 or phi = -phi0 (mod 2pi) whose xi matches.  Its
 ``path`` is a second integration from the same start that ends at that

@@ -85,7 +85,7 @@ def q3_2_family():
 
 def direct_arcs(family, tol=1e-12):
     """Every arc of a family integrated on its own by the reference
-    `arc_reference.build_arc` (DOPRI5 and a PhiCrossing return search),
+    `arc_reference.build_arc` (DOP853 and a PhiCrossing return search),
     in order."""
     return [arc_reference.build_arc(arc.params, arc.label.sign,
                                     arc.label.direction, tol=tol)

@@ -42,7 +42,7 @@ def _unit(v):
 
 
 def _assert_matches_integrated(arc, ref):
-    """A closed-form arc against the DOPRI5 reference arc: the same label
+    """A closed-form arc against the DOP853 reference arc: the same label
     and early_collision, duration within 1e-10*T, states on 2,000 points
     within 1e-8, and unit Cartesian velocities at both ends within 1e-9."""
     assert arc.label == ref.label
@@ -293,7 +293,7 @@ class TestFamilies:
                                       "yaxis_family", "q3_2_family"])
     def test_derived_arcs_match_direct_integration(self, name, request):
         # every arc of a family comes from the closed form; each agrees with
-        # its own DOPRI5 integration by the reference builder
+        # its own DOP853 integration by the reference builder
         family = request.getfixturevalue(name)
         assert [(arc.label.sign, arc.label.direction) for arc in family] \
             == [(1, 1), (-1, -1), (1, -1), (-1, 1)]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tricentre import _kernels, dynamics
+from tricentre import _kernels, dynamics, trajectory_to_csv
 from event_specs import XiCrossing
 from tricentre.dynamics import (CentreProximity, Params, PhiCrossing,
                                 hamiltonian_values, integrate,
-                                trajectory_to_csv, trajectory_to_json)
+                                trajectory_to_json)
 from tricentre.errors import DomainError, IntegrationError
 from tricentre.geometry import CartesianPoint, elliptic_to_xy
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1
@@ -215,7 +215,7 @@ class TestIntegrate:
         prm = Params(a=1.0, beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         spec = XiCrossing(0.0, direction=-1)
-        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 300)
         with pytest.raises(IntegrationError, match="budget"):
             integrate(separated_state(beta, a1), prm, 3.0 * t1, tol=1e-12,
                       events=[spec])
@@ -279,15 +279,15 @@ class TestRootOnScanPoint:
 
     def test_crossing_value_taken_from_a_sample(self, spans):
         y0, prm = separated_state(0.2, 0.3), Params(beta=0.2, a1=0.3)
-        v = spans[5.0].states[40, 0]
+        v = spans[5.0].states[11, 0]  # xi rising at sample 11
         taus = [round(e.tau, 12) for e in
                 integrate(y0, prm, 5.0, events=[XiCrossing(v)]).events]
-        assert taus == [1.015872104866, 1.832799704184]
+        assert taus == [1.015704761246, 1.832967047845]
         rising = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=1)])
-        assert [round(e.tau, 12) for e in rising.events] == [1.015872104866]
+        assert [round(e.tau, 12) for e in rising.events] == [1.015704761246]
         assert rising.events[0].state[0] == v
         falling = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=-1)])
-        assert [round(e.tau, 12) for e in falling.events] == [1.832799704184]
+        assert [round(e.tau, 12) for e in falling.events] == [1.832967047845]
 
     @given(end=st.sampled_from([5.0, -5.0]), where=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -302,9 +302,16 @@ class TestRootOnScanPoint:
         assert abs(near[0] - traj.taus[i]) <= 1e-11  # refinement tolerance
 
 
+# The q = 1 orbit through phi = 0.3 with PhiCrossing(+-0.3) over 5.25
+# periods.  Over exactly 5, the last crossing of phi = 0.3 (at 5 T2) lies
+# 4e-15 inside the span (5 T1 is one ulp of T1 longer), well below the
+# 1e-13 error of the integrated phi, so whether it counts is a coin flip.
+_REFERENCE_PERIODS = 5.25
+
+
 def test_refinement_cost_on_the_reference_orbit(q1_solution):
-    """At most 8 scalar g evaluations per refined event on the 5-period
-    q = 1 orbit through phi = 0.3 with PhiCrossing(+-0.3)."""
+    """At most 8 scalar g evaluations per refined event on the reference
+    orbit."""
     calls = []
 
     class CountedCrossing(PhiCrossing):
@@ -314,10 +321,56 @@ def test_refinement_cost_on_the_reference_orbit(q1_solution):
     beta, a1, phi0 = q1_solution.beta, q1_solution.a1_hat, 0.3
     prm = Params(beta=beta, a1=a1, q=Fraction(1))
     traj = integrate(separated_state(beta, a1, phi=phi0), prm,
-                     5.0 * q1_solution.t1, tol=1e-12,
+                     _REFERENCE_PERIODS * q1_solution.t1, tol=1e-12,
                      events=[CountedCrossing(phi0), CountedCrossing(-phi0)])
     assert len(traj.events) >= 10
     assert calls.count(1) <= 8 * len(traj.events)
+
+
+def test_reference_orbit_crossings_in_closed_form(q1_solution):
+    """Every crossing of phi = +-0.3 on the reference orbit is found once,
+    at the closed-form time: phi is monotone at eps = 0, with
+    F(phi | k2^2) = F(0.3 | k2^2) + w tau.  The steps are about 5 times
+    those of a fifth-order pair, and the scan still takes 8 points each."""
+    beta, a1, phi0 = q1_solution.beta, q1_solution.a1_hat, 0.3
+    prm = Params(beta=beta, a1=a1, q=Fraction(1))
+    span = _REFERENCE_PERIODS * q1_solution.t1
+    k2 = beta / (1.0 + beta)
+    w = 2.0 * math.sqrt(a1 * (1.0 + beta))
+    f0 = incomplete_elliptic_f(phi0, k2)
+    want = sorted(tau for value in (phi0, -phi0) for k in range(7)
+                  if 0.0 < (tau := (incomplete_elliptic_f(
+                      value + 2.0 * math.pi * k, k2) - f0) / w) < span)
+    traj = integrate(separated_state(beta, a1, phi=phi0), prm, span,
+                     tol=1e-12, events=[PhiCrossing(phi0), PhiCrossing(-phi0)])
+    assert len(want) == 10
+    assert len(traj.events) == len(want)
+    assert np.max(np.abs([e.tau for e in traj.events] - np.array(want))) \
+        <= 1e-9
+    assert traj.stats.accepted < 200 * _REFERENCE_PERIODS
+
+
+class TestDenseOutputInClosedForm:
+    """At eps = 0 the dense output at each step's midpoint, where it is
+    farthest from the samples, adds at most 10 tol to the larger error of
+    the step's two samples against the closed-form path, for each arc of
+    the q = 1 family and tol 1e-9 and 1e-12.  The samples' own (global)
+    error reaches 100-400 tol over an arc, with this pair and with the
+    fifth-order one before it."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_step_midpoints(self, q1_family, tol):
+        for arc in q1_family:
+            path = arc.path
+            traj = integrate(path.states[0], arc.params, arc.duration,
+                             tol=tol)
+            at_samples = np.abs(traj.states - path.state_at(traj.taus))
+            ends = np.maximum(at_samples[:-1], at_samples[1:])
+            mid = 0.5 * (traj.taus[:-1] + traj.taus[1:])
+            exact = path.state_at(mid)
+            err = np.abs(traj.state_at(mid) - exact)
+            assert np.all(err <= ends + 10.0 * tol * (1.0 + np.abs(exact))), \
+                (arc.label, (err - ends).max())
 
 
 class TestExport(object):
@@ -367,15 +420,15 @@ def _bench_orbit_args(tau_end_factor=1.0, max_steps=10_000_000):
     sol = solve_resonant_a1(beta, 1)
     y0 = separated_state(beta, sol.a1_hat, phi=phi0)
     span = 5.0 * sol.t1
-    return (y0, 0.0, tau_end_factor * span, 1e-12, 1e-12, 0.0, span,
-            max_steps, 1.0, -2.0 * beta * sol.a1_hat, 0.0, 0.0, 0.0, 0.0)
+    return (y0, tau_end_factor * span, 1e-12, max_steps, 1.0,
+            -2.0 * beta * sol.a1_hat, 0.0, 0.0, 0.0, 0.0)
 
 
 def _centre_dive_args(r_min):
     """Straight fall along the x-axis into a centre at (cosh 0.4, 0)."""
     y0 = np.array([0.0, 0.0, 1.2, 0.0])
-    return (y0, 0.0, 5.0, 1e-10, 1e-10, 0.0, 5.0, 2_000_000,
-            1.0, -2.0 * 0.2 * 0.3, 1e-2, math.cosh(0.4), 0.0, r_min)
+    return (y0, 5.0, 1e-10, 2_000_000, 1.0, -2.0 * 0.2 * 0.3, 1e-2,
+            math.cosh(0.4), 0.0, r_min)
 
 
 def _shooting_span_args(family, eps=1e-3, span=None):
@@ -385,28 +438,20 @@ def _shooting_span_args(family, eps=1e-3, span=None):
     prm = arc.params
     y0 = arc.path.state_at(0.05 * arc.duration)
     span = 0.9 * arc.duration if span is None else span
-    return (y0, 0.0, span, 1e-11, 1e-11, 0.0, span, 2_000_000,
-            prm.a, prm.energy, eps, prm.centre.x, prm.centre.y, 0.01 * eps)
-
-
-def _kernel_args(old):
-    """The reference loop's argument tuple without the arguments that
-    dopri5_core fixes: tau0 = 0, atol = rtol, h_init = 0, h_max = span."""
-    y0, tau0, tau1, rtol, atol, h_init, h_max, *rest = old
-    assert tau0 == 0.0 and atol == rtol and h_init == 0.0
-    assert h_max == abs(tau1)
-    return (y0, tau1, rtol, *rest)
+    return (y0, span, 1e-11, 2_000_000, prm.a, prm.energy, eps,
+            prm.centre.x, prm.centre.y, 0.01 * eps)
 
 
 class TestKernelOracle:
-    """The float loop against the earlier numpy-indexed loop, exactly."""
+    """The float loop against the numpy-indexed reference loop, exactly."""
 
     @pytest.mark.parametrize("case", ["bench_orbit", "negative_span",
                                       "shooting_span", "shooting_span_1e-2",
                                       "shooting_span_1e-4", "short_span",
                                       "zero_span"])
     def test_bitwise_equal_to_reference(self, case, q1_family):
-        from dopri5_reference import STATUS_OK, _dopri5_core_py
+        from dop853_reference import (DENSE_STAGES, STATUS_OK,
+                                      dense_reference, dop853_reference)
         args = {
             "bench_orbit": lambda: _bench_orbit_args(),
             "negative_span": lambda: _bench_orbit_args(tau_end_factor=-1.0),
@@ -419,19 +464,34 @@ class TestKernelOracle:
             "short_span": lambda: _shooting_span_args(q1_family, span=1e-3),
             "zero_span": lambda: _shooting_span_args(q1_family, span=0.0),
         }[case]()
-        *got, stats, _ = _kernels.dopri5_core(*_kernel_args(args))
-        status, n, *want = _dopri5_core_py(*args)
+        T, Y, KS, stats, steps = _kernels.dop853_core(*args)
+        status, n, want_T, want_Y, K, want_steps = dop853_reference(*args)
         assert status == STATUS_OK
         assert stats.accepted == n
+        got = [T, Y, KS, np.frombuffer(steps)]
+        want = [want_T, want_Y, K[:, DENSE_STAGES], want_steps]
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert g.dtype == np.float64 and g.flags.c_contiguous
             assert np.array_equal(g, w)
+        # the dense coefficients sum in another order, so the step
+        # midpoints agree to rounding
+        a, energy, eps, cx, cy = args[4:9]
+        dense, calls = _kernels.dop853_dense(Y, KS, steps, a, energy, eps,
+                                             cx, cy)
+        ref = dense_reference(Y, K, steps,
+                              _kernels.field(a, energy, eps, cx, cy))
+        assert calls == _kernels.DENSE_CALLS * n
+        mid = [Y[:-1] + 0.5 * (f[:, 0] + 0.5 * (f[:, 1] + 0.5 * (f[:, 2]
+               + 0.5 * (f[:, 3] + 0.5 * (f[:, 4] + 0.5 * (f[:, 5]
+                                                     + 0.5 * f[:, 6]))))))
+               for f in (dense, ref)]
+        assert np.all(np.abs(mid[0] - mid[1]) <= 1e-14 * (1.0 + np.abs(Y[1:])))
 
     @pytest.mark.parametrize("case", ["exclusion_ball", "max_steps",
                                       "underflow"])
     def test_fails_where_the_reference_fails(self, case):
-        import dopri5_reference as ref
+        import dop853_reference as ref
         args, status, message = {
             "exclusion_ball": (_centre_dive_args(1e-4),
                                ref.STATUS_ENTERED_EXCLUSION_BALL,
@@ -441,17 +501,17 @@ class TestKernelOracle:
             "underflow": (_centre_dive_args(0.0), ref.STATUS_STEP_UNDERFLOW,
                           "step size underflow"),
         }[case]
-        want_status, n, T, _, _ = ref._dopri5_core_py(*args)
+        want_status, n, T, *_ = ref.dop853_reference(*args)
         assert want_status == status
         # the message names the tau of the reference's last accepted step
         tau = re.escape(f"{T[n]:.6g}")
         with pytest.raises(IntegrationError,
                            match=f"{message}.* at tau={tau}(?![0-9])"):
-            _kernels.dopri5_core(*_kernel_args(args))
+            _kernels.dop853_core(*args)
 
     def test_endpoint_against_scipy_dop853(self):
         from scipy.integrate import solve_ivp
-        y0, _, span = _bench_orbit_args()[:3]
+        y0, span = _bench_orbit_args()[:2]
         prm = Params(a=1.0, beta=1.0 / 7.0,
                      a1=solve_resonant_a1(1.0 / 7.0, 1).a1_hat)
         traj = integrate(y0, prm, span, tol=1e-12)
@@ -462,15 +522,29 @@ class TestKernelOracle:
 
 
 class TestStepStats:
-    def test_counts_match_samples(self):
+    def test_counts_match_samples(self, field_calls):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
         st = traj.stats
         assert st.accepted == len(traj.taus) - 1
-        assert st.rhs_evals == 1 + 6 * (st.accepted + st.rejected)
+        assert st.rejected > 0
+        # 12 field calls per accepted step, 11 per rejected one
+        assert st.rhs_evals == len(field_calls) \
+            == 1 + 12 * st.accepted + 11 * st.rejected
         h = np.abs(np.diff(traj.taus))
         assert st.h_min == pytest.approx(h.min(), rel=1e-12)
         assert st.h_max == pytest.approx(h.max(), rel=1e-12)
+
+    def test_dense_output_is_counted_once(self, field_calls):
+        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
+        run_calls = len(field_calls)
+        assert traj.stats.rhs_evals == run_calls
+        traj.state_at(2.5)
+        traj.dense_grid(100)
+        # three extra stages per step, on the first query only
+        assert len(field_calls) == run_calls + 3 * traj.stats.accepted
+        assert traj.stats.rhs_evals == len(field_calls)
 
     def test_zero_length_run_has_no_steps(self):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
@@ -504,7 +578,7 @@ class TestReplay:
             # the steps as taken: summed in order, they give the run's taus
             assert len(steps) == traj.stats.accepted
             assert np.array_equal(np.cumsum(steps), traj.taus[1:])
-            end = dynamics._replay(y0, prm, steps)
+            end, _ = dynamics._replay(y0, prm, steps)
             assert np.array_equal(np.array(end), traj.states[-1])
 
     def test_replay_costs_one_field_call_per_stage(self, q1_family,
@@ -514,10 +588,11 @@ class TestReplay:
             traj, steps = dynamics._integrate(y0, prm, span, tol)
             st = traj.stats
             assert st.rhs_evals == len(field_calls) \
-                == 1 + 6 * (st.accepted + st.rejected)
+                == 1 + 12 * st.accepted + 11 * st.rejected
             field_calls.clear()
-            dynamics._replay(y0 + np.array([0.0, 1e-6, 0.0, 0.0]), prm, steps)
-            assert len(field_calls) == 1 + 6 * st.accepted
+            _, calls = dynamics._replay(
+                y0 + np.array([0.0, 1e-6, 0.0, 0.0]), prm, steps)
+            assert calls == len(field_calls) == 1 + 12 * st.accepted
 
     def test_zero_span_replays_nothing(self):
         prm = Params(a=1.0, beta=0.2, a1=0.3)
@@ -525,7 +600,7 @@ class TestReplay:
         traj, steps = dynamics._integrate(y0, prm, 0.0, 1e-12)
         assert len(steps) == 0
         assert traj.stats.rhs_evals == 0
-        assert dynamics._replay(2.0 * y0, prm, steps) == tuple(2.0 * y0)
+        assert dynamics._replay(2.0 * y0, prm, steps) == (tuple(2.0 * y0), 1)
 
 
 class TestIntegrationErrors:

@@ -107,6 +107,19 @@ def test_closed_form_commands_leave_numpy_out(argv, rc):
     assert json.loads(out) == [rc, False]
 
 
+def test_arcs_command_loads_no_integrator(tmp_path):
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "from tricentre.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['arcs', '--centre-elliptic', '2.58,0', '--q', '1',"
+        f" '--beta', '0.142857', '--out', {str(tmp_path)!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in ('tricentre.dynamics',"
+        " 'tricentre._kernels') if m in sys.modules)]))")
+    assert json.loads(out) == [0, []]
+    assert len(list(tmp_path.glob("arc_*.csv"))) == 4
+
+
 def test_state_at_clamps_to_span():
     from tricentre.dynamics import Params, integrate
     prm = Params(a=1.0, beta=0.2, a1=0.3)

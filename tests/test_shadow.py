@@ -56,17 +56,18 @@ class TestShootSegment:
 
     def test_newton_history_and_rhs_evals(self, q1_family, monkeypatch,
                                           field_calls):
-        runs = []  # (tol, rhs_evals, steps) of every integration
-        replays = []  # the steps of every twin replay
+        runs = []  # (tol, rhs_evals, steps, trajectory) of every run
+        replays = []  # (steps, field calls) of every twin replay
 
         def counting_integrate(*args):
             traj, steps = _integrate(*args)
-            runs.append((args[3], traj.stats.rhs_evals, steps))
+            runs.append((args[3], traj.stats.rhs_evals, steps, traj))
             return traj, steps
 
         def counting_replay(state0, prm, steps):
-            replays.append(steps)
-            return _replay(state0, prm, steps)
+            end, calls = _replay(state0, prm, steps)
+            replays.append((steps, calls))
+            return end, calls
 
         monkeypatch.setattr(shadow, "_integrate", counting_integrate)
         monkeypatch.setattr(shadow, "_replay", counting_replay)
@@ -78,9 +79,14 @@ class TestShootSegment:
         # loose column, so it replays nothing
         assert len(replays) == res.n_iterations - 1
         assert all(any(steps is r[2] for r in runs
-                       if r[0] == shadow._LOOSE_TOL) for steps in replays)
+                       if r[0] == shadow._LOOSE_TOL) for steps, _ in replays)
+        # the dense output of the returned run, 3 calls per step, is the
+        # only one computed
+        dense = [r[3].stats.rhs_evals - r[1] for r in runs]
+        assert dense[-1] == 3 * runs[-1][3].stats.accepted
+        assert not any(dense[:-1])
         assert res.rhs_evals == len(field_calls) == sum(r[1] for r in runs) \
-            + sum(1 + 6 * len(steps) for steps in replays)
+            + sum(calls for _, calls in replays) + dense[-1]
         tols = [r[0] for r in runs]
         n_loose = res.loose_integrations
         assert tols == [shadow._LOOSE_TOL] * n_loose \
@@ -250,7 +256,7 @@ class TestShootSegment:
 
     def test_chord_miss_follows_the_newton_path(self, q2_family,
                                                 monkeypatch):
-        # q = 2, arc s-1:d-1, eps = 1e-3: the chord step's trial stays
+        # q = 2, arc s+1:d+1, eps = 1e-3: the chord step's trial stays
         # above 1e-9, so the solve goes on as if it had not been tried
         tight = []  # the tight runs of the solve under way
         solves = []  # whether each Newton solve of it raised
@@ -273,14 +279,14 @@ class TestShootSegment:
         monkeypatch.setattr(shadow, "_integrate", recording_integrate)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         skip_chord = False
-        res = shoot_segment(q2_family[1], 1e-3)
+        res = shoot_segment(q2_family[0], 1e-3)
         chord_trial = tight[1]
         # one solve per Newton step, and one for the chord step
         assert len(solves) == res.n_iterations + 1
         tight.clear()
         solves.clear()
         skip_chord = True
-        ref = shoot_segment(q2_family[1], 1e-3)
+        ref = shoot_segment(q2_family[0], 1e-3)
         assert solves.count(True) == 1 and res.converged
         assert not res.chord_accepted
         # the miss costs exactly its one tight run
@@ -296,8 +302,10 @@ class TestShootSegment:
     # on the run's steps, is a second-order derivative at the midpoint
     # alpha + d/2.
     # Reference: a central difference about that midpoint from two
-    # independent tol-1e-14 runs.  Measured: 1.1e-6 and 7.7e-6 relative at
-    # tol 1e-12, 5e-7 and 1.4e-4 at tol 1e-9; the bounds keep a 7x margin.
+    # independent tol-1e-14 runs.  Measured at eps = 1e-2 and 1e-4: 1.5e-7
+    # and 1.8e-5 relative at tol 1e-12, 6.3e-7 and 5.1e-5 at tol 1e-9
+    # (1.1e-6, 7.7e-6, 5e-7 and 1.4e-4 with the earlier fifth-order pair);
+    # the bounds keep a 5x margin.
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
     @pytest.mark.parametrize("tol, bound", [(1e-12, 1e-4), (1e-9, 1e-3)])
     def test_twin_alpha_column_against_central_difference(
@@ -318,7 +326,7 @@ class TestShootSegment:
 
         d = shadow._ALPHA_STEP
         traj, steps = _integrate(start(res.alpha), prm, res.duration, tol)
-        twin_end = _replay(start(res.alpha + d), prm, steps)
+        twin_end, _ = _replay(start(res.alpha + d), prm, steps)
         column = (end_xy(twin_end) - end_xy(traj.states[-1])) / d
         h = 1e-7
         ends = [end_xy(integrate(start(res.alpha + 0.5 * d + s * h), prm,

@@ -2,7 +2,7 @@
 
 The regularized Hamiltonian is separable (kinetic + position-only
 potential), so the scheme is symplectic for it.  Only the cross-check in
-``test_dynamics.py`` uses it, against the adaptive DOPRI5 integrator.
+``test_dynamics.py`` uses it, against the adaptive DOP853 integrator.
 """
 from __future__ import annotations
 
@@ -63,4 +63,4 @@ def integrate_symplectic(state0, prm: Params, tau_end: float,
     T, Y, stats = verlet_core(y0, 0.0, float(tau_end), float(dt),
                               int(stride), prm.a, prm.energy, prm.eps,
                               cx, cy)
-    return Trajectory(prm, T, Y, np.zeros(0), np.zeros((0, 4, 4)), [], stats)
+    return Trajectory(prm, T, Y, np.zeros(0), np.zeros((0, 9, 4)), stats)
