@@ -146,13 +146,12 @@ class StepStats(NamedTuple):
     h_max: float
 
 
-def field(a, energy, eps, cx, cy):
+def field(energy, eps, cx, cy):
     """Hamilton's equations of the regularized system, d(state)/dtau.
 
     Returns rhs(xi, phi, xi', phi') -> 4-tuple for the given parameters and
     perturbing centre (cx, cy); the centre is ignored when eps == 0.
     """
-    two_a = 2.0 * a
     two_e = 2.0 * energy
     m2eps = -2.0 * eps
     sinh, cosh, sin, cos, sqrt = math.sinh, math.cosh, math.sin, math.cos, math.sqrt
@@ -162,7 +161,7 @@ def field(a, energy, eps, cx, cy):
         ch = cosh(xi)
         sp = sin(phi)
         cp = cos(phi)
-        dpxi = two_a * sh + two_e * ch * sh
+        dpxi = 2.0 * sh + two_e * ch * sh
         dpphi = two_e * cp * sp
         if eps != 0.0:
             dx = ch * cp - cx
@@ -185,7 +184,7 @@ def field(a, energy, eps, cx, cy):
     return rhs
 
 
-def dop853_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
+def dop853_core(y0, tau1, tol, max_steps, energy, eps, cx, cy, r_min):
     """Adaptive DOP853 integration from tau = 0 to tau1.
 
     tol is both the relative and the absolute error target.  The error
@@ -221,7 +220,7 @@ def dop853_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     if span == 0.0:
         return (*_as_numpy(T, Y, KS), StepStats(0, 0, 0, 0.0, 0.0), steps)
 
-    rhs = field(a, energy, eps, cx, cy)
+    rhs = field(energy, eps, cx, cy)
     direction = 1.0 if tau1 >= 0.0 else -1.0
     k0 = rhs(x0, x1, x2, x3)
 
@@ -355,7 +354,7 @@ def dop853_core(y0, tau1, tol, max_steps, a, energy, eps, cx, cy, r_min):
     return (*_as_numpy(T, Y, KS), stats, steps)
 
 
-def dop853_replay(y0, steps, a, energy, eps, cx, cy):
+def dop853_replay(y0, steps, energy, eps, cx, cy):
     """State reached from y0 through the given DOP853 steps, and the field
     calls that took.
 
@@ -367,7 +366,7 @@ def dop853_replay(y0, steps, a, energy, eps, cx, cy):
     ((xi, phi, xi', phi'), calls) with calls = 1 + STEP_CALLS*len(steps).
     """
     x0, x1, x2, x3 = (float(v) for v in y0)
-    rhs = field(a, energy, eps, cx, cy)
+    rhs = field(energy, eps, cx, cy)
     k0 = rhs(x0, x1, x2, x3)
     for h in steps:
         x0, x1, x2, x3 = _stages(rhs, x0, x1, x2, x3, k0, h)[:4]
@@ -375,7 +374,7 @@ def dop853_replay(y0, steps, a, energy, eps, cx, cy):
     return (x0, x1, x2, x3), 1 + STEP_CALLS * len(steps)
 
 
-def dop853_dense(Y, KS, steps, a, energy, eps, cx, cy):
+def dop853_dense(Y, KS, steps, energy, eps, cx, cy):
     """Seventh-order dense output of the steps of a dop853_core run.
 
     Computes the three extra stages of every step (DENSE_CALLS field calls
@@ -386,7 +385,7 @@ def dop853_dense(Y, KS, steps, a, energy, eps, cx, cy):
     n = len(KS)
     if n == 0:
         return np.empty((0, 7, 4)), 0
-    rhs = field(a, energy, eps, cx, cy)
+    rhs = field(energy, eps, cx, cy)
     h = np.asarray(steps)[:, None]
     K = np.empty((n, 12, 4))
     K[:, :9] = KS

@@ -75,8 +75,8 @@ class CollisionArc:
         return self.params.energy
 
 
-def initial_velocities(centre: EllipticPoint, beta: float, a1_hat: float,
-                       a: float = 1.0) -> tuple[float, float]:
+def initial_velocities(centre: EllipticPoint, beta: float,
+                       a1_hat: float) -> tuple[float, float]:
     """Speeds |xi'|, |phi'| of the separated flow at the centre.
 
     Requires the centre strictly inside the turning ellipse (|xi0| < xi+),
@@ -90,8 +90,8 @@ def initial_velocities(centre: EllipticPoint, beta: float, a1_hat: float,
         raise PlacementError(
             f"centre xi0={xi0:.6g} lies at/beyond the turning point of the xi"
             " oscillation (outside the bounding ellipse)")
-    xi_speed = 2.0 * math.sqrt(a * r)
-    phi_speed = 2.0 * math.sqrt(a * (beta * a1_hat * math.cos(phi0) ** 2 + a1_hat))
+    xi_speed = 2.0 * math.sqrt(r)
+    phi_speed = 2.0 * math.sqrt(beta * a1_hat * math.cos(phi0) ** 2 + a1_hat)
     return xi_speed, phi_speed
 
 
@@ -121,7 +121,7 @@ class SeparatedPath:
     in closed form over [0, duration].
 
     With the constants of `exclusion._separated_motion`, k2^2 = beta/(1+beta),
-    m = u+/(u+ - u-) and lam = sqrt(a A (u+ - u-)):
+    m = u+/(u+ - u-) and lam = sqrt(A (u+ - u-)):
 
         phi = am(F(phi0 | k2^2) + direction*w*tau | k2^2),
         tanh(xi/2) = sqrt(u+) cn(lam*tau + v0 | m),
@@ -135,13 +135,12 @@ class SeparatedPath:
     def __init__(self, prm: Params, start: EllipticPoint, sign: int,
                  direction: int, duration: float):
         turning_point_xi(prm.beta, prm.a1)  # refuses beta = 0
-        u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1,
-                                                         prm.a)
+        u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1)
         self._k2 = prm.beta / (1.0 + prm.beta)
         self._f0 = incomplete_elliptic_f(start.phi, self._k2)
         self._rate = direction * w
         self._m = u_plus / (u_plus - u_minus)
-        self._lam = math.sqrt(prm.a * big_a * (u_plus - u_minus))
+        self._lam = math.sqrt(big_a * (u_plus - u_minus))
         self._root_u = math.sqrt(u_plus)
         cn0 = math.tanh(0.5 * start.xi) / self._root_u
         if not abs(cn0) <= 1.0:
@@ -187,8 +186,8 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
     if sign not in (-1, 1) or direction not in (-1, 1):
         raise DomainError("sign and direction must each be +1 or -1")
     m, n = prm.q.numerator, prm.q.denominator
-    t1 = period_xi(prm.beta, prm.a1, prm.a)
-    t2 = period_phi(prm.beta, prm.a1, prm.a)
+    t1 = period_xi(prm.beta, prm.a1)
+    t2 = period_phi(prm.beta, prm.a1)
     t_full = m * t1
     if abs(m * t1 - n * t2) > 1e-6 * t_full:
         raise DomainError(
@@ -196,7 +195,7 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
             f" differs from n*T2={n*t2:.12g}")
 
     centre = prm.centre_elliptic
-    xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1, prm.a)
+    xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1)
     duration = _first_return(SeparatedPath(prm, centre, sign, direction, t_full),
                              centre, t_full)
     early = duration < t_full * (1.0 - 1e-6)

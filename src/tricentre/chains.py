@@ -65,7 +65,7 @@ class CollisionChain:
         return len(self.labels)
 
 
-def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
+def build_alphabet(centre, classes: Sequence, energy: float,
                    delta: float = 1e-4) -> list[CollisionArc]:
     """Four arcs per class, all sharing the requested energy.
 
@@ -78,8 +78,8 @@ def build_alphabet(centre, classes: Sequence, energy: float, a: float = 1.0,
     arcs: list[CollisionArc] = []
     for q in classes:
         q = Fraction(q)
-        sol = solve_beta_for_energy(q, energy, a)
-        prm, _ = resonant_params(centre, q, sol.beta, a)
+        sol = solve_beta_for_energy(q, energy)
+        prm, _ = resonant_params(centre, q, sol.beta)
         try:
             arcs.extend(arc_family(prm, delta=delta))
         except UnsafeCentreError as exc:

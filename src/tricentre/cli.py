@@ -88,7 +88,6 @@ class _Option(NamedTuple):
 # subcommand takes it outside `required` and the groups, so --beta and
 # --energy default only in figs and --q only where --a1 is no alternative.
 _OPTIONS = {
-    "a": _Option(float, "primary intensity (default 1)", "1"),
     "beta": _Option(float, "energy-ratio parameter in [0, 1)", repr(1.0 / 7.0)),
     "energy": _Option(float, "total energy E < 0", "-0.5"),
     "q": _Option(Fraction, "resonance class m/n", "1"),
@@ -114,8 +113,12 @@ def _flag(name: str) -> str:
 def _load_config(path: str) -> dict:
     """Flat key = value config document; '#' starts a comment.  Keys are
     option names, with '-' or '_'; returned under their argparse dest."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"--config {path!r}: {exc}") from exc
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -140,13 +143,16 @@ def _resonance(args):
     puts --q on the --energy level."""
     beta = args.beta
     if beta is None:
-        beta = solve_beta_for_energy(args.q, args.energy, args.a).beta
-    return resonant_params(_centre(args), args.q, beta, args.a)
+        beta = solve_beta_for_energy(args.q, args.energy).beta
+    return resonant_params(_centre(args), args.q, beta)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out or "tricentre_out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"--out {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -162,17 +168,17 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
 # commands
 
 def cmd_periods(args) -> int:
-    a, beta = args.a, args.beta
-    doc: dict = {"command": "periods", "a": a, "beta": beta}
+    beta = args.beta
+    doc: dict = {"command": "periods", "beta": beta}
     if args.q is not None:
-        sol = solve_resonant_a1(beta, args.q, a)
+        sol = solve_resonant_a1(beta, args.q)
         a1 = sol.a1_hat
         doc.update(q=str(sol.q), a1_hat=a1, residual=sol.residual,
                    clamped=sol.clamped, energy=sol.energy)
     else:
         a1 = args.a1
-    t1 = period_xi(beta, a1, a)
-    t2 = period_phi(beta, a1, a)
+    t1 = period_xi(beta, a1)
+    t2 = period_phi(beta, a1)
     k1sq, k2sq = modulus_squares(beta, a1)
     xi_plus = turning_point_xi(beta, a1) if beta > 0.0 else None
     doc.update(a1=a1, t1=t1, t2=t2, kappa1_sq=k1sq, kappa2_sq=k2sq,
@@ -194,12 +200,12 @@ def cmd_periods(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    a, q = args.a, args.q
+    q = args.q
     if args.energy is not None:
-        sol = solve_beta_for_energy(q, args.energy, a)
+        sol = solve_beta_for_energy(q, args.energy)
     else:
-        sol = solve_resonant_a1(args.beta, q, a)
-    doc = {"command": "solve", "a": a, "q": str(q), "beta": sol.beta,
+        sol = solve_resonant_a1(args.beta, q)
+    doc = {"command": "solve", "q": str(q), "beta": sol.beta,
            "a1_hat": sol.a1_hat, "t1": sol.t1, "t2": sol.t2,
            "energy": sol.energy, "residual": sol.residual,
            "clamped": sol.clamped}
@@ -210,7 +216,7 @@ def cmd_solve(args) -> int:
              f"residual = {_fmt(sol.residual)}"]
     centre = _centre(args)
     if centre is not None:
-        beta_adm = find_admissible_beta(centre, q, a, beta_start=sol.beta,
+        beta_adm = find_admissible_beta(centre, q, beta_start=sol.beta,
                                         delta=args.delta)
         doc["admissible_beta"] = beta_adm
         lines.append(f"admissible_beta = {_fmt(beta_adm)}")
@@ -241,10 +247,10 @@ def cmd_check(args) -> int:
 def cmd_arcs(args) -> int:
     from .arcs import arc_family
     prm, sol = _resonance(args)
-    a, q, beta = args.a, args.q, prm.beta
+    q, beta = args.q, prm.beta
     family = arc_family(prm, delta=args.delta)
     out = _out_dir(args)
-    key = _param_hash({"cmd": "arcs", "a": a, "beta": beta, "q": str(q),
+    key = _param_hash({"cmd": "arcs", "beta": beta, "q": str(q),
                        "centre": str(prm.centre), "tol": _RESONANCE_TOL})
     records = []
     for arc in family:
@@ -254,12 +260,9 @@ def cmd_arcs(args) -> int:
         trajectory_to_csv(arc.path, csv_path)
         records.append({
             "label": str(arc.label),
-            "params": {
-                "a": arc.params.a, "beta": arc.params.beta,
-                "a1": arc.params.a1, "q": str(arc.params.q),
-                "eps": arc.params.eps,
-                "centre": [arc.params.centre.x, arc.params.centre.y],
-            },
+            "params": {"beta": arc.params.beta, "a1": arc.params.a1,
+                       "q": str(arc.params.q), "eps": arc.params.eps,
+                       "centre": [arc.params.centre.x, arc.params.centre.y]},
             "sign": arc.label.sign,
             "direction": arc.label.direction,
             "duration": arc.duration,
@@ -272,7 +275,7 @@ def cmd_arcs(args) -> int:
             "path_csv": csv_path.name,
         })
     manifest = out / f"arcs_{key}.json"
-    doc = {"command": "arcs", "a": a, "beta": beta, "q": str(q),
+    doc = {"command": "arcs", "beta": beta, "q": str(q),
            "a1_hat": sol.a1_hat, "energy": sol.energy,
            "t1": sol.t1, "t2": sol.t2, "arcs": records}
     write_json(manifest, doc)
@@ -287,22 +290,22 @@ def cmd_arcs(args) -> int:
 def cmd_chains(args) -> int:
     from .chains import (assemble_chain, build_alphabet, build_graph,
                          count_periodic_chains, entropy_estimate)
-    a, classes = args.a, args.classes
+    classes = args.classes
     centre = _centre(args)
     energy = args.energy
     if energy is None:
-        energy = solve_resonant_a1(args.beta, classes[0], a).energy
-    arcs = build_alphabet(centre, classes, energy, a, delta=args.delta)
+        energy = solve_resonant_a1(args.beta, classes[0]).energy
+    arcs = build_alphabet(centre, classes, energy, delta=args.delta)
     graph = build_graph(arcs)
     n_max = 12
     counts = {n: count_periodic_chains(graph, n) for n in range(1, n_max + 1)}
     entropy = entropy_estimate(graph)
     sample = assemble_chain(graph, classes, 2 * max(2, len(classes)))
     out = _out_dir(args)
-    key = _param_hash({"cmd": "chains", "a": a, "energy": energy,
+    key = _param_hash({"cmd": "chains", "energy": energy,
                        "classes": [str(c) for c in classes],
                        "centre": str(centre)})
-    doc = {"command": "chains", "a": a, "energy": energy,
+    doc = {"command": "chains", "energy": energy,
            "classes": [str(c) for c in classes],
            "graph": graph.to_json_dict(),
            "periodic_counts": {str(n): c for n, c in counts.items()},
@@ -323,7 +326,7 @@ def cmd_shadow(args) -> int:
     from .arcs import arc_family
     from .shadow import local_expansion_rate, shoot_segment
     prm, _ = _resonance(args)
-    a, q, beta = args.a, args.q, prm.beta
+    q, beta = args.q, prm.beta
     arc = arc_family(prm, delta=args.delta)[0]
     rows = []
     for eps in args.eps:
@@ -338,9 +341,9 @@ def cmd_shadow(args) -> int:
             row["expansion_rate"] = local_expansion_rate([res, res], eps)
         rows.append(row)
     out = _out_dir(args)
-    key = _param_hash({"cmd": "shadow", "a": a, "beta": beta, "q": str(q),
+    key = _param_hash({"cmd": "shadow", "beta": beta, "q": str(q),
                        "centre": str(prm.centre), "eps": args.eps})
-    doc = {"command": "shadow", "a": a, "beta": beta, "q": str(q),
+    doc = {"command": "shadow", "beta": beta, "q": str(q),
            "arc_label": str(arc.label), "arc_duration": arc.duration,
            "rows": rows}
     path = out / f"shadow_{key}.json"
@@ -381,17 +384,17 @@ _FIGURE_PARAMETER = {n: "energy" if n <= 2 else "beta" for n in range(1, 7)}
 
 def cmd_figs(args) -> int:
     from . import figdata
-    which, a = args.which, args.a
+    which = args.which
     out = _out_dir(args)
     if which in (1, 2):
         energy = args.energy
-        key = _param_hash({"cmd": f"figs{which}", "a": a, "energy": energy})
-        grid, pot, meta = (figdata.xi_potential_curve(a, energy) if which == 1
+        key = _param_hash({"cmd": f"figs{which}", "energy": energy})
+        grid, pot, meta = (figdata.xi_potential_curve(energy) if which == 1
                            else figdata.phi_potential_curve(energy))
         csv_path = out / f"fig{which}_{key}.csv"
         write_csv(csv_path, ["xi" if which == 1 else "phi", "potential"],
                   [grid, pot])
-        meta_doc = {"command": f"figs {which}", "a": a, "energy": energy,
+        meta_doc = {"command": f"figs {which}", "energy": energy,
                     **meta, "csv": csv_path.name}
         json_path = out / f"fig{which}_{key}.json"
         write_json(json_path, meta_doc)
@@ -400,14 +403,14 @@ def cmd_figs(args) -> int:
 
     beta = args.beta
     if which == 3:
-        key = _param_hash({"cmd": "figs3", "a": a, "beta": beta})
-        tracks = figdata.orbit_family_portrait(beta=beta, a=a)
+        key = _param_hash({"cmd": "figs3", "beta": beta})
+        tracks = figdata.orbit_family_portrait(beta=beta)
         files = []
         for tr in tracks:
             path = out / f"fig3_{key}_{tr.name}.csv"
             write_csv(path, _TRACK_HEADER, _track_columns(tr))
             files.append(path.name)
-        doc = {"command": "figs 3", "a": a, "beta": beta, "q": "1",
+        doc = {"command": "figs 3", "beta": beta, "q": "1",
                "orbits": files}
         json_path = out / f"fig3_{key}.json"
         write_json(json_path, doc)
@@ -415,9 +418,8 @@ def cmd_figs(args) -> int:
         return EXIT_OK
 
     q = Fraction(1) if which == 4 else Fraction(2)
-    key = _param_hash({"cmd": f"figs{which}", "a": a, "beta": beta,
-                       "q": str(q)})
-    tracks = figdata.orbit_bundle_through(q=q, beta=beta, a=a)
+    key = _param_hash({"cmd": f"figs{which}", "beta": beta, "q": str(q)})
+    tracks = figdata.orbit_bundle_through(q=q, beta=beta)
     crossings = []
     for tr in tracks:
         crossings.extend(figdata.polyline_self_intersections(tr.x, tr.y))
@@ -434,7 +436,7 @@ def cmd_figs(args) -> int:
         path = out / f"fig{which}_{key}_{tr.name}.csv"
         write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
         files.append(path.name)
-    doc = {"command": f"figs {which}", "a": a, "beta": beta, "q": str(q),
+    doc = {"command": f"figs {which}", "beta": beta, "q": str(q),
            "orbits": files,
            "self_intersections": [[p[0], p[1]] for p in sorted(crossings)]}
     if window is not None:
@@ -449,17 +451,17 @@ def cmd_figs(args) -> int:
 
 def cmd_integrate(args) -> int:
     from .dynamics import integrate, trajectory_to_json
-    a, beta, tol, eps = args.a, args.beta, args.tol, args.eps
+    beta, tol, eps = args.beta, args.tol, args.eps
     if args.q is not None:
-        sol = solve_resonant_a1(beta, args.q, a)
+        sol = solve_resonant_a1(beta, args.q)
         a1, q = sol.a1_hat, sol.q
     else:
         a1, q = args.a1, Fraction(1)
     centre = _as_cartesian(_centre(args))
-    prm = Params(a=a, beta=beta, a1=a1, q=q, eps=eps, centre=centre)
+    prm = Params(beta=beta, a1=a1, q=q, eps=eps, centre=centre)
     traj = integrate(args.state, prm, args.tau_end, tol=tol)
     out = _out_dir(args)
-    key = _param_hash({"cmd": "integrate", "a": a, "beta": beta, "a1": a1,
+    key = _param_hash({"cmd": "integrate", "beta": beta, "a1": a1,
                        "eps": eps, "centre": str(centre), "state": args.state,
                        "tau_end": args.tau_end, "tol": tol})
     csv_path = out / f"trajectory_{key}.csv"
@@ -491,11 +493,11 @@ class _Command(NamedTuple):
 _BETA_OR_ENERGY = ("beta", "energy")
 _Q_OR_A1 = ("q", "a1")
 _CENTRE = ("centre_xy", "centre_elliptic")
-_RESONANCE = ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "delta")
+_RESONANCE = (*_BETA_OR_ENERGY, "q", *_CENTRE, "delta")
 
 _COMMANDS = {
     "periods": _Command(cmd_periods, "closed-form periods at (beta, a1 | q)",
-                        ("a", "beta", "a1", "q"), required=("beta",),
+                        ("beta", "a1", "q"), required=("beta",),
                         exactly_one=(_Q_OR_A1,)),
     "solve": _Command(cmd_solve, "resonance solve for a1_hat or beta",
                       _RESONANCE, required=("q",),
@@ -507,18 +509,17 @@ _COMMANDS = {
                      (*_RESONANCE, "out"),
                      exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
     "chains": _Command(cmd_chains, "alphabet, graph, counts and entropy",
-                       ("a", *_BETA_OR_ENERGY, "classes", *_CENTRE, "delta",
+                       (*_BETA_OR_ENERGY, "classes", *_CENTRE, "delta",
                         "out"), required=("classes",),
                        exactly_one=(_BETA_OR_ENERGY, _CENTRE)),
     "shadow": _Command(cmd_shadow, "eps-sweep shadowing experiments",
-                       ("a", *_BETA_OR_ENERGY, "q", *_CENTRE, "eps", "delta",
-                        "out"), required=("eps",),
+                       (*_RESONANCE, "eps", "out"), required=("eps",),
                        exactly_one=(_BETA_OR_ENERGY, _CENTRE),
                        parse={"eps": _list(float)}),
     "figs": _Command(cmd_figs, "emit the data behind figure N",
-                     ("a", *_BETA_OR_ENERGY, "out")),
+                     (*_BETA_OR_ENERGY, "out")),
     "integrate": _Command(cmd_integrate, "integrate one trajectory to CSV/JSON",
-                          ("a", "beta", "a1", "q", "eps", *_CENTRE, "state",
+                          ("beta", "a1", "q", "eps", *_CENTRE, "state",
                            "tau_end", "tol", "out"),
                           required=("beta", "state", "tau_end"),
                           exactly_one=(_Q_OR_A1,), at_most_one=(_CENTRE,)),
@@ -594,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " experiments for the planar restricted 3-centre problem")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
+        p = sub.add_parser(name, help=cmd.help, allow_abbrev=False)
         if name == "figs":
             p.add_argument("which", type=int, help="figure index 1..6")
         for option in cmd.options:

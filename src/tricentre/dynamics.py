@@ -3,7 +3,7 @@
 The regularized system evolves y = (xi, phi, xi', phi') in the rescaled
 time tau, with Hamiltonian
 
-    H = (xi'^2 + phi'^2)/2 - 2 a cosh(xi) - [E - eps*V](cosh^2 xi - cos^2 phi)
+    H = (xi'^2 + phi'^2)/2 - 2 cosh(xi) - [E - eps*V](cosh^2 xi - cos^2 phi)
 
 whose zero level carries the fixed-energy orbits of the physical problem.
 For eps = 0 the flow separates into a double-well oscillation in xi and a
@@ -53,7 +53,7 @@ def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
     xi, phi = states[:, 0], states[:, 1]
     ch, cp = np.cosh(xi), np.cos(phi)
     rho = ch * ch - cp * cp
-    val = 0.5 * (states[:, 2] ** 2 + states[:, 3] ** 2) - 2.0 * prm.a * ch \
+    val = 0.5 * (states[:, 2] ** 2 + states[:, 3] ** 2) - 2.0 * ch \
         - prm.energy * rho
     if prm.eps != 0.0:
         x, yy = elliptic_to_xy(xi, phi)
@@ -143,8 +143,8 @@ class Trajectory:
         """The (n, 7, 4) dense coefficients of `_kernels.dop853_dense`."""
         prm = self.params
         coeffs, calls = _kernels.dop853_dense(
-            self.states, self._stages, self._steps, prm.a, prm.energy,
-            prm.eps, *_centre_xy(prm))
+            self.states, self._stages, self._steps, prm.energy, prm.eps,
+            *_centre_xy(prm))
         self.stats = self.stats._replace(
             rhs_evals=self.stats.rhs_evals + calls)
         return coeffs
@@ -275,7 +275,7 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
         raise DomainError(f"tau_end and state must be finite, got {tau_end}"
                           f" and {y0.tolist()}")
     T, Y, KS, stats, steps = _kernels.dop853_core(
-        y0, tau_end, tol, MAX_STEPS, prm.a, prm.energy, prm.eps,
+        y0, tau_end, tol, MAX_STEPS, prm.energy, prm.eps,
         *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps)
     traj = Trajectory(prm, T, Y, steps, KS, stats)
     traj.events = _detect_events(traj, list(events))
@@ -285,7 +285,7 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
 def _replay(state0, prm: Params, steps) -> tuple[tuple[float, ...], int]:
     """End state of state0 pushed through the steps of an `_integrate` run
     under prm, and the field calls made (see `_kernels.dop853_replay`)."""
-    return _kernels.dop853_replay(state0, steps, prm.a, prm.energy, prm.eps,
+    return _kernels.dop853_replay(state0, steps, prm.energy, prm.eps,
                                   *_centre_xy(prm))
 
 

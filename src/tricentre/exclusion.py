@@ -39,14 +39,13 @@ _ELLIPSE_MARGIN = 0.01  # admissible beta: relative margin on cosh(xi0)
 _MAX_HALVINGS = 60
 
 
-def resonant_params(centre, q, beta: float,
-                    a: float = 1.0) -> tuple[Params, ResonanceSolution]:
+def resonant_params(centre, q, beta: float) -> tuple[Params, ResonanceSolution]:
     """Params carrying the resonant a1_hat(beta, q) for a centre position.
 
     centre may be an EllipticPoint or CartesianPoint.
     """
-    sol = solve_resonant_a1(beta, q, a)
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
+    sol = solve_resonant_a1(beta, q)
+    prm = Params(beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
                  centre=_as_cartesian(centre))
     return prm, sol
 
@@ -114,35 +113,35 @@ def _nearest_ratio(g_plus: float, g_minus: float,
     return min(found)
 
 
-def _separated_motion(beta: float, a1: float, a: float):
+def _separated_motion(beta: float, a1: float):
     """Constants (u+, u-, A, w, q_scale) of the separated eps = 0 motion.
 
-    phi: phi'^2 = 4a(a1 + beta a1 cos^2 phi), so dF(phi | beta/(1+beta))/dtau
-    = +-w with w = 2 sqrt(a a1 (1 + beta)), and P = F(phi0 | beta/(1+beta))/w.
-    xi: t = tanh(xi/2) obeys t'^2 = a(c + b t^2 - A t^4) = a A (u+ - t^2)
+    phi: phi'^2 = 4(a1 + beta a1 cos^2 phi), so dF(phi | beta/(1+beta))/dtau
+    = +-w with w = 2 sqrt(a1 (1 + beta)), and P = F(phi0 | beta/(1+beta))/w.
+    xi: t = tanh(xi/2) obeys t'^2 = c + b t^2 - A t^4 = A (u+ - t^2)
     (t^2 - u-) with A = 1 + beta a1 + a1, whose roots are u- < 0 < u+ =
-    tanh^2(xi_plus/2); Q = F(theta | u+/u-) / q_scale, q_scale = sqrt(-u- a A).
+    tanh^2(xi_plus/2); Q = F(theta | u+/u-) / q_scale, q_scale = sqrt(-u- A).
     """
     ba1 = beta * a1
     c, b, big_a = 1.0 - ba1 - a1, 2.0 * a1 * (1.0 - beta), 1.0 + ba1 + a1
     root = math.sqrt(b * b + 4.0 * big_a * c)
     u_plus, u_minus = (b + root) / (2.0 * big_a), -2.0 * c / (b + root)
-    return (u_plus, u_minus, big_a, 2.0 * math.sqrt(a * a1 * (1.0 + beta)),
-            math.sqrt(-u_minus * a * big_a))
+    return (u_plus, u_minus, big_a, 2.0 * math.sqrt(a1 * (1.0 + beta)),
+            math.sqrt(-u_minus * big_a))
 
 
 _CONSTANTS_CACHE_SIZE = 256  # resonances _resonance_constants keeps
 
 
 @functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
-def _resonance_constants(beta: float, a1: float, a: float):
+def _resonance_constants(beta: float, a1: float):
     """(sqrt(u+), u+/u-, w, q_scale, T1) of the exclusion test, computed
     once per resonance.  beta = -0.0 and 0.0 share an entry: every constant
     is the same at both.  An a1 a few ulps below 1/(1+beta), where k1^2 or
     u- rounds to the separatrix value, has no xi travel time: DomainError.
     """
-    t1 = period_xi(beta, a1, a)
-    u_plus, u_minus, _, w, q_scale = _separated_motion(beta, a1, a)
+    t1 = period_xi(beta, a1)
+    u_plus, u_minus, _, w, q_scale = _separated_motion(beta, a1)
     if u_minus == 0.0:
         raise DomainError("xi motion on the separatrix: u- rounds to 0")
     return math.sqrt(u_plus), u_plus / u_minus, w, q_scale, t1
@@ -158,6 +157,11 @@ class SafetyReport:
     delta: float
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
+
+
 def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     """Evaluate the exclusion ratios G+- and compare against the set S.
 
@@ -167,12 +171,11 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     both ratios stay further than delta from every element of S.  A centre
     beyond the turning ellipse has no xi travel time (PlacementError).
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    beta, a1, a = prm.beta, prm.a1, prm.a
+    _check_delta(delta)
+    beta, a1 = prm.beta, prm.a1
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
-    root_u_plus, m_xi, w, q_scale, t1 = _resonance_constants(beta, a1, a)
+    root_u_plus, m_xi, w, q_scale, t1 = _resonance_constants(beta, a1)
     p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
     ratio = math.tanh(0.5 * abs(xi0)) / root_u_plus
     if ratio > 1.0:
@@ -203,32 +206,31 @@ class NondegeneracyCertificate:
     passed: bool
 
 
-def nondegeneracy_certificate(beta: float, q,
-                              a: float = 1.0) -> NondegeneracyCertificate:
+def nondegeneracy_certificate(beta: float, q) -> NondegeneracyCertificate:
     """Certify the resonance Jacobian determinant away from zero.
 
     The Jacobian couples the residual derivatives (dF/dbeta, dF/da1) with
-    the energy-constraint row (-2*a*a1, -2*a*beta) at the resonant point.
+    the energy-constraint row (-2*a1, -2*beta) at the resonant point.
     Partials use central differences of step 1e-6 and its half (second-order
     one-sided in beta at beta = 0); a step-halving disagreement beyond 50%
     flags the step size as unusable.  The certificate passes when the
     row-normalized |det| exceeds 1e-6.
     """
     q = Fraction(q)
-    sol = solve_resonant_a1(beta, q, a)
+    sol = solve_resonant_a1(beta, q)
     a1h = sol.a1_hat
 
     def det_at(h: float) -> tuple[float, float]:
         if beta >= h:
-            f_b = (resonance_residual(beta + h, a1h, q, a)
-                   - resonance_residual(beta - h, a1h, q, a)) / (2.0 * h)
+            f_b = (resonance_residual(beta + h, a1h, q)
+                   - resonance_residual(beta - h, a1h, q)) / (2.0 * h)
         else:
-            f0 = resonance_residual(beta, a1h, q, a)
-            f1 = resonance_residual(beta + h, a1h, q, a)
-            f2 = resonance_residual(beta + 2.0 * h, a1h, q, a)
+            f0 = resonance_residual(beta, a1h, q)
+            f1 = resonance_residual(beta + h, a1h, q)
+            f2 = resonance_residual(beta + 2.0 * h, a1h, q)
             f_b = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        f_a = (resonance_residual(beta, a1h + h, q, a)
-               - resonance_residual(beta, a1h - h, q, a)) / (2.0 * h)
+        f_a = (resonance_residual(beta, a1h + h, q)
+               - resonance_residual(beta, a1h - h, q)) / (2.0 * h)
         return f_b, f_a
 
     fb1, fa1 = det_at(_FD_STEP)
@@ -237,7 +239,7 @@ def nondegeneracy_certificate(beta: float, q,
     f_a = (4.0 * fa2 - fa1) / 3.0
 
     def full_det(fb, fa):
-        return fb * (-2.0 * a * beta) - fa * (-2.0 * a * a1h)
+        return fb * (-2.0 * beta) - fa * (-2.0 * a1h)
 
     d1 = full_det(fb1, fa1)
     d2 = full_det(fb2, fa2)
@@ -249,7 +251,7 @@ def nondegeneracy_certificate(beta: float, q,
             best_estimate=det)
 
     row1 = max(abs(f_b), abs(f_a))
-    row2 = max(abs(2.0 * a * a1h), abs(2.0 * a * beta))
+    row2 = max(abs(2.0 * a1h), abs(2.0 * beta))
     det_norm = det / (row1 * row2) if row1 > 0.0 and row2 > 0.0 else 0.0
     return NondegeneracyCertificate(
         det_j=det, det_normalized=det_norm, fd_step=_FD_STEP, beta=beta, q=q,
@@ -259,18 +261,19 @@ def nondegeneracy_certificate(beta: float, q,
 # ---------------------------------------------------------------------------
 # admissible beta
 
-def find_admissible_beta(centre, q, a: float = 1.0, beta_start: float = 0.5,
+def find_admissible_beta(centre, q, beta_start: float = 0.5,
                          delta: float = 1e-4) -> float:
     """Halve beta (at most 60 times) until the centre is safe and inside the
     turning ellipse with cosh(xi0) < 0.99 cosh(xi_plus).  A centre that no
-    beta can admit, one not finite or on a primary, raises Params'
-    DomainError before the first halving."""
+    beta can admit, one not finite or on a primary, and a margin delta not
+    in (0, inf) raise DomainError before the first halving."""
     q = Fraction(q)
     _check_centre(_as_cartesian(centre))
+    _check_delta(delta)
     beta = beta_start
     for _ in range(_MAX_HALVINGS):
         try:
-            prm, sol = resonant_params(centre, q, beta, a)
+            prm, sol = resonant_params(centre, q, beta)
             xi_plus = turning_point_xi(beta, sol.a1_hat)
             c_ell = prm.centre_elliptic
             inside = (math.cosh(c_ell.xi)

@@ -40,23 +40,22 @@ class OrbitTrack:
     colliding: bool
 
 
-def xi_potential_curve(a: float = 1.0, energy: float = -0.5):
-    """Effective xi potential -2a cosh(xi) + |E| cosh(xi)^2 and its minima.
+def xi_potential_curve(energy: float = -0.5):
+    """Effective xi potential -2 cosh(xi) + |E| cosh(xi)^2 and its minima.
 
-    For |E| < a the curve, sampled on xi in [-3, 3], is a double well with
-    minima at cosh(xi) = a/|E| and a local maximum at xi = 0.
+    For |E| < 1 the curve, sampled on xi in [-3, 3], is a double well with
+    minima at cosh(xi) = 1/|E| and a local maximum at xi = 0.
     """
     if energy >= 0.0:
         raise DomainError("the double-well shape requires energy < 0")
     xi = np.linspace(-3.0, 3.0, _CURVE_POINTS)
-    pot = -2.0 * a * np.cosh(xi) + abs(energy) * np.cosh(xi) ** 2
+    pot = -2.0 * np.cosh(xi) + abs(energy) * np.cosh(xi) ** 2
     meta = {}
-    if abs(energy) < a:
-        xi_m = math.acosh(a / abs(energy))
-        meta["minima_xi"] = [-xi_m, xi_m]
-        meta["cosh_minima"] = a / abs(energy)
-        meta["value_at_minima"] = -a * a / abs(energy)
-        meta["local_max_value"] = abs(energy) - 2.0 * a
+    if abs(energy) < 1.0:
+        c = 1.0 / abs(energy)  # cosh(xi) at the minima
+        meta = {"minima_xi": [-math.acosh(c), math.acosh(c)],
+                "cosh_minima": c, "value_at_minima": -c,
+                "local_max_value": abs(energy) - 2.0}
     return xi, pot, meta
 
 
@@ -80,8 +79,7 @@ def _orbit_track(prm: Params, start: EllipticPoint, sign: int, t_span: float,
                       colliding=colliding)
 
 
-def orbit_family_portrait(beta: float = 1.0 / 7.0,
-                          a: float = 1.0) -> list[OrbitTrack]:
+def orbit_family_portrait(beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     """18 distinct periodic orbits of class q = 1 plus the colliding pair.
 
     Orbits are parametrized by the phi phase at an upward xi = 0 crossing;
@@ -90,9 +88,9 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0,
     colliding pair.
     """
     q = Fraction(1)
-    sol = solve_resonant_a1(beta, q, a)
+    sol = solve_resonant_a1(beta, q)
     t_span = sol.full_period
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
+    prm = Params(beta=beta, a1=sol.a1_hat, q=q)
     tracks = []
     for k in range(_PORTRAIT_ORBITS):
         start = EllipticPoint(0.0, (k + 0.5) * math.pi / _PORTRAIT_ORBITS)
@@ -104,14 +102,13 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0,
     return tracks
 
 
-def orbit_bundle_through(q=1, beta: float = 1.0 / 7.0,
-                         a: float = 1.0) -> list[OrbitTrack]:
+def orbit_bundle_through(q=1, beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     """The two transverse periodic orbits through (2/3 xi_plus, 0)."""
     q = Fraction(q)
-    sol = solve_resonant_a1(beta, q, a)
+    sol = solve_resonant_a1(beta, q)
     xi_plus = turning_point_xi(beta, sol.a1_hat)
     centre = EllipticPoint(2.0 / 3.0 * xi_plus, 0.0)
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q,
+    prm = Params(beta=beta, a1=sol.a1_hat, q=q,
                  centre=elliptic_to_cartesian(centre))
     t_span = sol.full_period
     return [_orbit_track(prm, centre, sign, t_span, label, False,

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .geometry import CartesianPoint, EllipticPoint, _principal_preimage
-from .periods import _check_domain
+from .periods import _check_domain, _check_unit_intensity
 
 __all__ = ["Params"]
 
@@ -23,10 +23,10 @@ __all__ = ["Params"]
 class Params:
     """Physical and regime parameters of one problem instance.
 
-    beta = |E|/E1 and a1 = E1/(2a) are the scaled energy parameters of the
+    beta = |E|/E1 and a1 = E1/2 are the scaled energy parameters of the
     separated system; the admissibility constraints are beta in [0, 1),
     0 < a1 < 1/(1+beta) (which also forces 2*beta*a1 < 1).  The total
-    energy E = -2*a*beta*a1 is derived, never stored independently.
+    energy E = -2*beta*a1 is derived, never stored; a is 1.0 (`periods`).
     """
 
     a: float = 1.0
@@ -37,13 +37,12 @@ class Params:
     centre: Optional[CartesianPoint] = None
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise DomainError(f"primary intensity a must be > 0, got {self.a}")
+        _check_unit_intensity(self.a)
         _check_domain(self.beta, self.a1)
         if 2.0 * self.beta * self.a1 >= 1.0:
             raise DomainError("admissibility requires 2*beta*a1 < 1")
-        if not (self.eps >= 0.0):
-            raise DomainError(f"eps must be >= 0, got {self.eps}")
+        if not 0.0 <= self.eps < math.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
         if isinstance(self.q, int):
             object.__setattr__(self, "q", Fraction(self.q))
         if self.q <= 0:
@@ -56,7 +55,7 @@ class Params:
 
     @property
     def energy(self) -> float:
-        return -2.0 * self.a * self.beta * self.a1
+        return -2.0 * self.beta * self.a1
 
     @property
     def centre_elliptic(self) -> EllipticPoint:

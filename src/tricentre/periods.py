@@ -4,10 +4,13 @@ For admissible (beta, a1) the xi motion is a double-well oscillation of
 period T1 and the phi motion a rotating pendulum of period T2, both given
 in closed form through the complete elliptic integral.  A resonance class
 q = m/n selects the unique a1_hat(beta, q) with q*T1 = T2, producing a
-periodic orbit of energy E = -2*a*beta*a1_hat.  Every resonance solve
+periodic orbit of energy E = -2*beta*a1_hat.  Every resonance solve
 runs at one tolerance, |q*T1 - T2| <= 1e-12, and one bracketed root
 finder (_bracketed_root) serves the solves and the event roots of
 `dynamics`.
+
+The primaries' intensity is 1: with tau rescaled by sqrt(a), intensity a
+at energy E is intensity 1 at E/a.  `period_xi`'s a takes 1.0 alone.
 """
 from __future__ import annotations
 
@@ -46,7 +49,6 @@ class ResonanceSolution:
 
     beta: float
     q: Fraction
-    a: float
     a1_hat: float
     t1: float
     t2: float
@@ -56,7 +58,7 @@ class ResonanceSolution:
 
     @property
     def energy(self) -> float:
-        return -2.0 * self.a * self.beta * self.a1_hat
+        return -2.0 * self.beta * self.a1_hat
 
     @property
     def full_period(self) -> float:
@@ -67,6 +69,11 @@ class ResonanceSolution:
 def _check_beta(beta: float):
     if not (0.0 <= beta < 1.0):
         raise DomainError(f"beta must lie in [0, 1), got {beta}")
+
+
+def _check_unit_intensity(a: float):
+    if a != 1.0:
+        raise DomainError(f"the primaries' intensity is fixed at 1, got {a}")
 
 
 def _check_domain(beta: float, a1: float):
@@ -96,48 +103,45 @@ def modulus_squares(beta: float, a1: float) -> tuple[float, float]:
     return k1sq, beta / (1.0 + beta)
 
 
-def _period_xi_in_a1(beta: float, a: float):
-    """a1 -> T1 at fixed (beta, a), for a1 inside the domain."""
-    scale = 2.0 * math.sqrt(2.0 / a)
-
-    def t1(a1: float) -> float:
-        disc, k1sq = _xi_modulus(beta, a1)
-        if k1sq >= 1.0:
-            raise DomainError("xi motion on the separatrix: period diverges")
-        return scale / disc ** 0.25 * complete_elliptic_k(k1sq)
-    return t1
+def _period_xi(beta: float, a1: float) -> float:
+    """T1 at (beta, a1), for a1 inside the domain."""
+    disc, k1sq = _xi_modulus(beta, a1)
+    if k1sq >= 1.0:
+        raise DomainError("xi motion on the separatrix: period diverges")
+    return 2.0 * math.sqrt(2.0) / disc ** 0.25 * complete_elliptic_k(k1sq)
 
 
-def _period_phi_in_a1(beta: float, a: float):
-    """a1 -> T2 at fixed (beta, a), for a1 inside the domain."""
+def _period_phi_in_a1(beta: float):
+    """a1 -> T2 at fixed beta, for a1 inside the domain."""
     k_phi = complete_elliptic_k(beta / (1.0 + beta))
-    return lambda a1: 2.0 / math.sqrt(a * a1 * (1.0 + beta)) * k_phi
+    return lambda a1: 2.0 / math.sqrt(a1 * (1.0 + beta)) * k_phi
 
 
 def period_xi(beta: float, a1: float, a: float = 1.0) -> float:
     """Period T1 of the xi oscillation (strictly increasing in a1)."""
+    _check_unit_intensity(a)
     _check_domain(beta, a1)
-    return _period_xi_in_a1(beta, a)(a1)
+    return _period_xi(beta, a1)
 
 
-def period_phi(beta: float, a1: float, a: float = 1.0) -> float:
+def period_phi(beta: float, a1: float) -> float:
     """Period T2 of the phi rotation (strictly decreasing in a1)."""
     modulus_squares(beta, a1)  # domain and discriminant checks
-    return _period_phi_in_a1(beta, a)(a1)
+    return _period_phi_in_a1(beta)(a1)
 
 
-def _residual_in_a1(beta: float, q: Fraction, a: float):
-    """a1 -> q*T1 - T2 at fixed (beta, q, a), for a1 inside the domain;
-    float(q), 2*sqrt(2/a) and K(k2^2) are computed once, not per a1."""
-    qf, t1, t2 = float(q), _period_xi_in_a1(beta, a), _period_phi_in_a1(beta, a)
-    return lambda a1: qf * t1(a1) - t2(a1)
+def _residual_in_a1(beta: float, q: Fraction):
+    """a1 -> q*T1 - T2 at fixed (beta, q), for a1 inside the domain;
+    float(q) and K(k2^2) are computed once, not per a1."""
+    qf, t2 = float(q), _period_phi_in_a1(beta)
+    return lambda a1: qf * _period_xi(beta, a1) - t2(a1)
 
 
-def resonance_residual(beta: float, a1: float, q, a: float = 1.0) -> float:
+def resonance_residual(beta: float, a1: float, q) -> float:
     """q*T1 - T2; strictly increasing in a1, with a sign change on (0, 1/(1+beta))."""
     q = Fraction(q)
     _check_domain(beta, a1)
-    return _residual_in_a1(beta, q, a)(a1)
+    return _residual_in_a1(beta, q)(a1)
 
 
 _SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps
@@ -148,29 +152,28 @@ def _memoised(solve):
 
     The key holds the class q as its integer pair (m, n), so 1, Fraction(1)
     and Fraction(2, 2) share an entry, each solving as Fraction(q) does,
-    and a hit hashes no Fraction; the intensity a joins the key whether it
-    is passed or defaulted, by position or by name.  A hit returns what a
-    fresh solve returns: typed=True keeps int and float arguments apart,
-    and the sign of beta joins the key because -0.0 == 0.0 share a hash.
+    and a hit hashes no Fraction.  A hit returns what a fresh solve
+    returns: typed=True keeps int and float arguments apart, and the sign
+    of beta joins the key because -0.0 == 0.0 share a hash.
     A call that raises is not cached.
     """
     @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE, typed=True)
-    def cached(sign, beta, m, n, a):
-        return solve(beta, Fraction(m, n), a)
+    def cached(sign, beta, m, n):
+        return solve(beta, Fraction(m, n))
 
     @functools.wraps(solve)
-    def memoised(beta, q, a=1.0):
+    def memoised(beta, q):
         try:
             m, n = q.as_integer_ratio()
         except AttributeError:  # a string, say, which Fraction parses
             m, n = Fraction(q).as_integer_ratio()
-        return cached(math.copysign(1.0, beta), beta, m, n, a)
+        return cached(math.copysign(1.0, beta), beta, m, n)
     memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
     return memoised
 
 
 @_memoised
-def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
+def solve_resonant_a1(beta: float, q) -> ResonanceSolution:
     """Unique a1_hat(beta, q) with q*T1 = T2, by Illinois false position
     (see _bracketed_root).
 
@@ -180,7 +183,7 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
     the root can sit closer to a boundary than double precision resolves,
     or between two adjacent floats neither of which meets the tolerance;
     the solution is then flagged clamped (see ResonanceSolution).
-    Solutions are memoised per (beta, q, a) (see _memoised).
+    Solutions are memoised per (beta, q) (see _memoised).
     """
     q = Fraction(q)
     if q <= 0:
@@ -188,7 +191,7 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
     _check_beta(beta)  # before 1/(1+beta); every a1 tried lies in [lo, hi]
     hi_edge = 1.0 / (1.0 + beta)
     lo, hi = _EDGE * hi_edge, hi_edge * (1.0 - _EDGE)
-    residual, calls = _residual_in_a1(beta, q, a), []
+    residual, calls = _residual_in_a1(beta, q), []
 
     def f(a1: float) -> float:
         calls.append(a1)
@@ -203,8 +206,8 @@ def solve_resonant_a1(beta: float, q, a: float = 1.0) -> ResonanceSolution:
         a1, res = _bracketed_root(f, lo, hi, f_lo, f_hi, _RESONANCE_TOL, 0.0)
         clamped = abs(res) > _RESONANCE_TOL
     return ResonanceSolution(
-        beta=beta, q=q, a=a, a1_hat=a1,
-        t1=period_xi(beta, a1, a), t2=period_phi(beta, a1, a),
+        beta=beta, q=q, a1_hat=a1,
+        t1=period_xi(beta, a1), t2=period_phi(beta, a1),
         residual=res, clamped=clamped, evaluations=len(calls))
 
 
@@ -253,8 +256,8 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, ftol, xtol):
     return best, res
 
 
-def solve_beta_for_energy(q, energy: float, a: float = 1.0) -> ResonanceSolution:
-    """Find beta with energy(beta, q) = -2*a*beta*a1_hat(beta, q) = energy.
+def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
+    """Find beta with energy(beta, q) = -2*beta*a1_hat(beta, q) = energy.
 
     The resonant energy decreases continuously from 0 at beta = 0, so a
     bracket exists whenever |energy| is small enough for the class; a
@@ -264,7 +267,7 @@ def solve_beta_for_energy(q, energy: float, a: float = 1.0) -> ResonanceSolution
     q = Fraction(q)
     if not (energy < 0.0):
         raise DomainError(f"energy must be negative, got {energy}")
-    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q, a))
+    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q))
 
     def gap(beta: float) -> float:
         return solve(beta).energy - energy

@@ -236,10 +236,8 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     root, and a stalled tight pass ends the solve.  eps = 0 reproduces the
     arc itself up to the circle-chord offset.
     """
-    if eps < 0.0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    prm = arc.params.with_eps(eps)  # refuses an eps outside [0, inf)
     r_e = max(10.0 * eps, _ENTRY_RADIUS_FLOOR)
-    prm = arc.params.with_eps(eps)
     centre = prm.centre
     c_vec = np.array([centre.x, centre.y])
 

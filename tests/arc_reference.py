@@ -34,8 +34,8 @@ def build_arc(prm: Params, sign: int, direction: int,
     if sign not in (-1, 1) or direction not in (-1, 1):
         raise DomainError("sign and direction must each be +1 or -1")
     m, n = prm.q.numerator, prm.q.denominator
-    t1 = period_xi(prm.beta, prm.a1, prm.a)
-    t2 = period_phi(prm.beta, prm.a1, prm.a)
+    t1 = period_xi(prm.beta, prm.a1)
+    t2 = period_phi(prm.beta, prm.a1)
     t_full = m * t1
     if abs(m * t1 - n * t2) > 1e-6 * t_full:
         raise DomainError(
@@ -44,7 +44,7 @@ def build_arc(prm: Params, sign: int, direction: int,
 
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
-    xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1, prm.a)
+    xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1)
     y0 = np.array([xi0, phi0, sign * xi_speed, direction * phi_speed])
 
     targets = [(phi0, xi0)]

@@ -102,18 +102,18 @@ def yaxis_direct(yaxis_family):
     return direct_arcs(yaxis_family)
 
 
-def primary_visit_times(beta, q, a=1.0, n_periods=1.5):
+def primary_visit_times(beta, q, n_periods=1.5):
     """Times and angles of primary passages for the orbit seeded at (0, 0).
 
     Returns (times, phis, full_period): event times where the orbit sits at
     a primary (|xi| below tolerance at a phi = 0 or pi crossing).
     """
     q = Fraction(q)
-    sol = solve_resonant_a1(beta, q, a)
+    sol = solve_resonant_a1(beta, q)
     t_full = sol.q.numerator * sol.t1
-    prm = Params(a=a, beta=beta, a1=sol.a1_hat, q=q)
-    xi_speed = 2.0 * math.sqrt(a * (1.0 - beta * sol.a1_hat - sol.a1_hat))
-    phi_speed = 2.0 * math.sqrt(a * (beta * sol.a1_hat + sol.a1_hat))
+    prm = Params(beta=beta, a1=sol.a1_hat, q=q)
+    xi_speed = 2.0 * math.sqrt(1.0 - beta * sol.a1_hat - sol.a1_hat)
+    phi_speed = 2.0 * math.sqrt(beta * sol.a1_hat + sol.a1_hat)
     y0 = np.array([0.0, 0.0, xi_speed, phi_speed])
     events = [PhiCrossing(0.0), PhiCrossing(math.pi)]
     traj = integrate(y0, prm, n_periods * t_full, tol=1e-12, events=events)

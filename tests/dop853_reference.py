@@ -29,8 +29,7 @@ STATUS_ENTERED_EXCLUSION_BALL = 2
 STATUS_MAX_STEPS = 3
 
 
-def dop853_reference(y0, tau1, tol, max_steps, a, energy, eps, cx, cy,
-                     r_min):
+def dop853_reference(y0, tau1, tol, max_steps, energy, eps, cx, cy, r_min):
     """Adaptive DOP853 integration from tau = 0 to tau1.
 
     Returns (status, n, T, Y, K, steps) where T[:n+1] are the accepted
@@ -47,7 +46,7 @@ def dop853_reference(y0, tau1, tol, max_steps, a, energy, eps, cx, cy,
         cp = math.cos(phi)
         out[0] = y[2]
         out[1] = y[3]
-        dpxi = 2.0 * a * sh + 2.0 * energy * ch * sh
+        dpxi = 2.0 * sh + 2.0 * energy * ch * sh
         dpphi = 2.0 * energy * cp * sp
         if eps != 0.0:
             x = ch * cp

@@ -10,17 +10,39 @@ moduli and the residual, also at the production root.  The production
 root finder iterates differently, so its roots need only agree with the
 reference roots to within what the two residuals allow, and its energy
 searches to within the search tolerance.
+
+The reference keeps the primaries' intensity a, which the production code
+fixes at 1, so that the scaling law (a, E) -> (1, E/a) can be tested
+against it.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from tricentre.errors import DomainError, RangeError
-from tricentre.periods import ResonanceSolution
 from tricentre.special import complete_elliptic_k
 
 _EDGE = 1e-9  # bracket inset from the a1 domain boundary
+
+
+@dataclass(frozen=True)
+class ResonanceSolution:
+    """A reference resonance at intensity a; E = -2*a*beta*a1_hat."""
+
+    beta: float
+    q: Fraction
+    a: float
+    a1_hat: float
+    t1: float
+    t2: float
+    residual: float
+    clamped: bool = False
+
+    @property
+    def energy(self) -> float:
+        return -2.0 * self.a * self.beta * self.a1_hat
 
 
 def _check_domain(beta: float, a1: float):

@@ -49,13 +49,13 @@ def test_01_elliptic_agm_vs_quadrature():
 
 def test_02_period_formulas_vs_ode():
     # warm the compiled integrator outside the timed budget
-    warm = Params(a=1.0, beta=0.1, a1=0.1)
+    warm = Params(beta=0.1, a1=0.1)
     integrate(np.array([0.0, 0.3, 1.0, 1.0]), warm, 0.1, tol=1e-10)
     t0 = time.perf_counter()
     worst = 0.0
     for beta in (0.05, 0.1, BETA_REF, 0.3, 0.5):
         for a1 in (0.1, 0.3, 0.5):
-            prm = Params(a=1.0, beta=beta, a1=a1)
+            prm = Params(beta=beta, a1=a1)
             t1 = period_xi(beta, a1)
             t2 = period_phi(beta, a1)
             phi0 = 0.3
@@ -81,7 +81,7 @@ def test_02_period_formulas_vs_ode():
 
 def test_03_beta_zero_closed_forms():
     for a1 in (1.0 / 9.0, 0.25):
-        assert abs(period_phi(0.0, a1, 1.0)
+        assert abs(period_phi(0.0, a1)
                    - math.pi / math.sqrt(a1)) <= 1e-12
     limit = 4.0 / math.sqrt(2.0) * complete_elliptic_k(0.5)
     assert abs(period_xi(0.0, 1e-8, 1.0) - limit) <= 1e-6
@@ -147,7 +147,7 @@ def test_07_ratio_set_and_safety():
     assert primary_collision_check(prm).safe
     # positive control: sample the orbit seeded at a primary
     solr = solve_resonant_a1(BETA_REF, 1)
-    prm0 = Params(a=1.0, beta=BETA_REF, a1=solr.a1_hat, q=F(1))
+    prm0 = Params(beta=BETA_REF, a1=solr.a1_hat, q=F(1))
     vxi = 2.0 * math.sqrt(1.0 - BETA_REF * solr.a1_hat - solr.a1_hat)
     vphi = 2.0 * math.sqrt(BETA_REF * solr.a1_hat + solr.a1_hat)
     traj = integrate(np.array([0.0, 0.0, vxi, vphi]), prm0, 0.8 * solr.t1,
@@ -220,10 +220,10 @@ def test_11_figure_data(tmp_path, capsys):
     doc = json.loads(out)
     # locate the minimum as the bisected root of the potential slope
     # (value-based minimization cannot beat sqrt(eps) on a flat minimum)
-    a, energy = doc["a"], doc["energy"]
+    energy = doc["energy"]
 
-    def slope(xi):
-        return 2.0 * math.sinh(xi) * (abs(energy) * math.cosh(xi) - a)
+    def slope(xi):  # unit primary intensity
+        return 2.0 * math.sinh(xi) * (abs(energy) * math.cosh(xi) - 1.0)
 
     lo, hi = 0.5, 2.5
     assert slope(lo) < 0.0 < slope(hi)

@@ -59,21 +59,21 @@ def _assert_matches_integrated(arc, ref):
 class TestInitialVelocities:
     def test_on_axis_between_primaries(self):
         beta, a1 = 0.2, 0.3
-        vxi, _ = initial_velocities(EllipticPoint(0.0, 1.0), beta, a1, 1.0)
+        vxi, _ = initial_velocities(EllipticPoint(0.0, 1.0), beta, a1)
         assert vxi == pytest.approx(2.0 * math.sqrt(1.0 - a1 * (1.0 + beta)),
                                     rel=1e-14)
 
     def test_on_y_axis(self):
         beta, a1 = 0.2, 0.3
         _, vphi = initial_velocities(EllipticPoint(0.7, math.pi / 2.0),
-                                     beta, a1, 1.0)
+                                     beta, a1)
         assert vphi == pytest.approx(2.0 * math.sqrt(a1), rel=1e-14)
 
     def test_turning_point_rejected(self):
         beta, a1 = 0.2, 0.3
         xi_p = turning_point_xi(beta, a1)
         with pytest.raises(PlacementError):
-            initial_velocities(EllipticPoint(xi_p, 0.5), beta, a1, 1.0)
+            initial_velocities(EllipticPoint(xi_p, 0.5), beta, a1)
 
 
 class TestBuildArc:
@@ -135,7 +135,7 @@ class TestBuildArc:
         assert np.max(np.abs(y1 - y0)) <= 1e-8
 
     def test_nonresonant_params_rejected(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3, q=F(1),
+        prm = Params(beta=0.2, a1=0.3, q=F(1),
                      centre=elliptic_to_cartesian(EllipticPoint(0.5, 0.0)))
         with pytest.raises(DomainError):
             build_arc(prm, 1, 1)
@@ -194,7 +194,7 @@ class TestPrimaryCollisionCheck:
         # points sampled from the orbit seeded at a primary must land in S
         beta = BETA_REF
         sol = solve_resonant_a1(beta, 1)
-        prm0 = Params(a=1.0, beta=beta, a1=sol.a1_hat, q=F(1))
+        prm0 = Params(beta=beta, a1=sol.a1_hat, q=F(1))
         vxi = 2.0 * math.sqrt(1.0 - beta * sol.a1_hat - sol.a1_hat)
         vphi = 2.0 * math.sqrt(beta * sol.a1_hat + sol.a1_hat)
         traj = integrate(np.array([0.0, 0.0, vxi, vphi]), prm0,
@@ -210,7 +210,7 @@ class TestPrimaryCollisionCheck:
     def test_unsafe_centre_refused_by_family(self):
         beta = BETA_REF
         sol = solve_resonant_a1(beta, 1)
-        prm0 = Params(a=1.0, beta=beta, a1=sol.a1_hat, q=F(1))
+        prm0 = Params(beta=beta, a1=sol.a1_hat, q=F(1))
         vxi = 2.0 * math.sqrt(1.0 - beta * sol.a1_hat - sol.a1_hat)
         vphi = 2.0 * math.sqrt(beta * sol.a1_hat + sol.a1_hat)
         traj = integrate(np.array([0.0, 0.0, vxi, vphi]), prm0,
@@ -220,6 +220,21 @@ class TestPrimaryCollisionCheck:
                                  1, beta)
         with pytest.raises(UnsafeCentreError):
             arc_family(prm)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_margin_outside_zero_to_inf_refused(self, monkeypatch, delta):
+        centre = EllipticPoint(0.0, 2.0)
+        prm, _ = resonant_params(centre, 1, 1e-3)
+        with pytest.raises(DomainError, match="delta must be positive and finite"):
+            primary_collision_check(prm, delta=delta)
+        # the beta search refuses it before its first halving, not with a
+        # RangeError after 60 of them
+        calls = []
+        monkeypatch.setattr(exclusion, "resonant_params",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="delta must be positive and finite"):
+            find_admissible_beta(centre, 1, delta=delta)
+        assert calls == []
 
 
 class TestParity:
@@ -448,7 +463,7 @@ def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
     two travel-time integrands (how `primary_collision_check` computed them
     before the closed form), and the least (|g - float(s)|, s) over a
     freshly built ratio set: the smaller s at a tie."""
-    beta, a1, a = prm.beta, prm.a1, prm.a
+    beta, a1 = prm.beta, prm.a1
     centre = prm.centre_elliptic
     xi0, phi0 = centre.xi, centre.phi
 
@@ -461,10 +476,10 @@ def _reference_check(prm, delta=1e-4, quad_tol=1e-12):
             raise AccuracyError("singular")
         return 1.0 / math.sqrt(r)
 
-    pref = 0.5 / math.sqrt(a)
+    pref = 0.5
     p_val = pref * adaptive_quadrature(phi_integrand, 0.0, phi0, quad_tol).value
     q_val = pref * adaptive_quadrature(xi_integrand, 0.0, xi0, quad_tol).value
-    t1 = period_xi(beta, a1, a)
+    t1 = period_xi(beta, a1)
     g_plus = (p_val + q_val) / t1
     g_minus = (p_val - q_val) / t1
     best, nearest = min((abs(g - float(s)), s)  # uncached build of S
@@ -495,7 +510,7 @@ def _mpmath_ratios(prm):
     40-digit T1, at the exact float parameters of prm."""
     import mpmath
     with mpmath.workdps(40):
-        beta, a1, a = (mpmath.mpf(v) for v in (prm.beta, prm.a1, prm.a))
+        beta, a1 = mpmath.mpf(prm.beta), mpmath.mpf(prm.a1)
         centre = prm.centre_elliptic
         xi0, phi0 = mpmath.mpf(centre.xi), mpmath.mpf(centre.phi)
         p_val = mpmath.quad(
@@ -507,10 +522,9 @@ def _mpmath_ratios(prm):
             [0, xi0])
         disc = 1 - 4 * beta * a1 * a1
         k1sq = (a1 * (1 - beta) + mpmath.sqrt(disc)) / (2 * mpmath.sqrt(disc))
-        t1 = 2 * mpmath.sqrt(2 / a) / disc ** mpmath.mpf(0.25) * mpmath.ellipk(k1sq)
-        pref = 1 / (2 * mpmath.sqrt(a))
-        return (float(pref * (p_val + q_val) / t1),
-                float(pref * (p_val - q_val) / t1))
+        t1 = 2 * mpmath.sqrt(2) / disc ** mpmath.mpf(0.25) * mpmath.ellipk(k1sq)
+        return (float((p_val + q_val) / (2 * t1)),
+                float((p_val - q_val) / (2 * t1)))
 
 
 class TestExclusionOracle:

@@ -20,8 +20,7 @@ def run(capsys, argv):
 
 class TestPeriods:
     def test_closed_form_line(self, capsys):
-        rc, out = run(capsys, ["periods", "--beta", "0", "--a1", "0.25",
-                               "--a", "1"])
+        rc, out = run(capsys, ["periods", "--beta", "0", "--a1", "0.25"])
         assert rc == 0
         assert "T2 = 6.2831853071795862" in out
 
@@ -136,7 +135,7 @@ class TestSolverCountersStayOut:
         rc, out = run(capsys, ["solve", "--q", "2", "--beta", "0.2", "--json"])
         assert rc == 0
         assert set(json.loads(out)) == {
-            "command", "a", "q", "beta", "a1_hat", "t1", "t2", "energy",
+            "command", "q", "beta", "a1_hat", "t1", "t2", "energy",
             "residual", "clamped"}
         assert "evaluations" not in out
 
@@ -301,7 +300,7 @@ class TestIntegrate:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta = 0.0\na1 = 0.25\n# comment line\na = 1\n")
+        cfg.write_text("beta = 0.0\na1 = 0.25\n# comment line\n")
         rc, out = run(capsys, ["periods", "--config", str(cfg), "--json"])
         assert rc == 0
         assert json.loads(out)["t2"] == pytest.approx(2.0 * math.pi, rel=1e-12)
@@ -311,19 +310,14 @@ class TestConfigFile:
         # flag overrides the config value: T2 = pi / sqrt(1/16) = 4 pi
         assert json.loads(out)["t2"] == pytest.approx(4.0 * math.pi, rel=1e-12)
 
-    # --a, --tol and --delta have defaults; the config must still set them
-
-    def test_config_sets_a(self, capsys, tmp_path):
+    def test_config_key_a_names_no_option(self, capsys, tmp_path):
+        # the primaries' intensity is fixed at 1: no flag or key sets it
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("a = 4\nbeta = 0.0\na1 = 0.25\n")
-        rc, out = run(capsys, ["periods", "--config", str(cfg), "--json"])
-        assert rc == 0
-        doc = json.loads(out)
-        assert doc["a"] == 4.0
-        assert doc["t2"] == pytest.approx(math.pi, rel=1e-12)
-        rc, out = run(capsys, ["periods", "--config", str(cfg), "--a", "1",
-                               "--json"])
-        assert json.loads(out)["a"] == 1.0
+        cfg.write_text("a = 1\nbeta = 0.0\na1 = 0.25\n")
+        assert main(["periods", "--config", str(cfg)]) == 2
+        assert "config key 'a' names no option" in capsys.readouterr().err
+
+    # --tol and --delta have defaults; the config must still set them
 
     def test_config_sets_tol(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -381,12 +375,33 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "more than once" in err and name in err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_a_domain_error(self, capsys, tmp_path,
+                                                 case):
+        cfg = tmp_path / "run.cfg"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(b"beta = 0.2\n# \xff\xfe\na1 = 0.3\n")
+        assert main(["periods", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"--config {str(cfg)!r}: " in err
+
     def test_key_counts_like_its_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("energy = -0.05\n")
         assert main(["solve", "--q", "1", "--beta", "0.3",
                      "--config", str(cfg)]) == 2
         assert "--energy" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_is_a_domain_error(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["figs", "1", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {str(taken)!r}: " in err and "File exists" in err
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -413,6 +428,52 @@ _TOL_FREE = {
     "shadow": ["--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857",
                "--eps", "1e-2", "--out", "{out}"],
 }
+
+
+# every command, each with a complete input
+_EVERY_COMMAND = {
+    **_TOL_FREE,
+    "figs": ["1", "--out", "{out}"],
+    "integrate": ["--beta", "0.2", "--a1", "0.3", "--state", "0,0.3,1.2,1.1",
+                  "--tau-end", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_intensity_flag_is_refused(capsys, tmp_path, command):
+    # the primaries' intensity is fixed at 1, and no prefix of another
+    # flag (--a1) stands in for --a
+    out = tmp_path / "out"
+    argv = [command] + [a.format(out=out) for a in _EVERY_COMMAND[command]]
+    assert main(argv + ["--a", "1"]) == 2
+    assert "unrecognized arguments: --a 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["check", "solve", "arcs", "chains",
+                                     "shadow"])
+def test_margin_outside_zero_to_inf_exits_two(capsys, tmp_path, command,
+                                              value):
+    argv = [command] + [a.format(out=tmp_path / "out")
+                        for a in _TOL_FREE[command]]
+    if command == "solve":
+        argv += ["--centre-elliptic", "2.58,0"]
+    assert main(argv + [f"--delta={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "delta must be positive and finite" in err and "halvings" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--centre-elliptic", "2.58,0", "--q", "1", "--beta", "0.142857"],
+    ["integrate", "--beta", "0.2", "--a1", "0.3", "--state", "0,0.3,1.2,1.1",
+     "--tau-end", "1", "--centre-xy", "0.5,0.5"],
+], ids=["shadow", "integrate"])
+def test_eps_outside_zero_to_inf_exits_two(capsys, tmp_path, argv, value):
+    argv = argv + ["--out", str(tmp_path / "out"), f"--eps={value}"]
+    assert main(argv) == 2
+    assert "eps must be finite and >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, names", [

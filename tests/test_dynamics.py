@@ -20,14 +20,14 @@ from tricentre.special import incomplete_elliptic_f
 from verlet_check import integrate_symplectic
 
 
-def separated_state(beta, a1, a=1.0, xi=0.0, phi=0.3, s_xi=1, s_phi=1):
+def separated_state(beta, a1, xi=0.0, phi=0.3, s_xi=1, s_phi=1):
     """State on the separated-system solution (zero Hamiltonian level)."""
     r = math.cosh(xi) - beta * a1 * math.cosh(xi) ** 2 - a1
     assert r > 0.0
     return np.array([
         xi, phi,
-        s_xi * 2.0 * math.sqrt(a * r),
-        s_phi * 2.0 * math.sqrt(a * (beta * a1 * math.cos(phi) ** 2 + a1)),
+        s_xi * 2.0 * math.sqrt(r),
+        s_phi * 2.0 * math.sqrt(beta * a1 * math.cos(phi) ** 2 + a1),
     ])
 
 
@@ -38,7 +38,7 @@ def hamiltonian(y, prm):
 
 def field(y, prm):
     """The one vector field, _kernels.field, at a single state."""
-    rhs = _kernels.field(prm.a, prm.energy, prm.eps, *dynamics._centre_xy(prm))
+    rhs = _kernels.field(prm.energy, prm.eps, *dynamics._centre_xy(prm))
     return np.array(rhs(*(float(v) for v in y)))
 
 
@@ -50,16 +50,16 @@ class TestHamiltonian:
             a1 = rng.uniform(0.05, 0.95 / (1.0 + beta))
             phi = rng.uniform(0.0, 2.0 * math.pi)
             y = separated_state(beta, a1, phi=phi)
-            prm = Params(a=1.0, beta=beta, a1=a1)
+            prm = Params(beta=beta, a1=a1)
             assert abs(hamiltonian(y, prm)) <= 1e-12
 
     def test_zero_at_turning_point(self):
-        beta, a1, a = 0.2, 0.4, 1.0
+        beta, a1 = 0.2, 0.4
         cosh_xi = (1.0 + math.sqrt(1.0 - 4.0 * beta * a1 * a1)) / (2.0 * beta * a1)
         xi_plus = math.acosh(cosh_xi)
         phi = 1.1
-        phi_speed = 2.0 * math.sqrt(a * (beta * a1 * math.cos(phi) ** 2 + a1))
-        prm = Params(a=a, beta=beta, a1=a1)
+        phi_speed = 2.0 * math.sqrt(beta * a1 * math.cos(phi) ** 2 + a1)
+        prm = Params(beta=beta, a1=a1)
         val = hamiltonian([xi_plus, phi, 0.0, phi_speed], prm)
         assert abs(val) <= 1e-11
 
@@ -67,12 +67,12 @@ class TestHamiltonian:
         # a1 = 0 would need xi'^2/4 = 1 - a1*(1+beta) -> 1, but sits on the
         # domain boundary and is refused
         with pytest.raises(DomainError):
-            Params(a=1.0, beta=0.0, a1=0.0)
+            Params(beta=0.0, a1=0.0)
 
 
 class TestVectorField:
     def test_axis_accelerations_vanish(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         for phi in (0.0, math.pi / 2.0):
             out = field([0.0, phi, 0.7, 0.9], prm)
             assert out[2] == pytest.approx(0.0, abs=1e-15)  # sinh(0) = 0
@@ -82,7 +82,7 @@ class TestVectorField:
     def test_gradient_check_against_hamiltonian(self, eps):
         rng = np.random.default_rng(5)
         centre = CartesianPoint(0.37, 0.21)
-        prm = Params(a=1.0, beta=0.2, a1=0.4, eps=eps, centre=centre)
+        prm = Params(beta=0.2, a1=0.4, eps=eps, centre=centre)
         h = 1e-6
         worst = 0.0
         for _ in range(1000):
@@ -104,19 +104,19 @@ class TestVectorField:
 class TestIntegrate:
     def test_energy_conserved_over_ten_periods(self):
         beta, a1 = 1.0 / 7.0, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         traj = integrate(separated_state(beta, a1), prm, 10.0 * t1, tol=1e-13)
         assert traj.energy_drift <= 1e-10
 
     def test_energy_drift_long_span(self):
-        prm = Params(a=1.0, beta=0.25, a1=0.35)
+        prm = Params(beta=0.25, a1=0.35)
         traj = integrate(separated_state(0.25, 0.35), prm, 100.0, tol=1e-12)
         assert traj.energy_drift <= 1e-9
 
     def test_angular_period_cross_check(self):
         beta, a1 = 0.2, 0.4
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         t2 = period_phi(beta, a1)
         y0 = separated_state(beta, a1, phi=0.0)
         traj = integrate(y0, prm, 2.2 * t2, tol=1e-12, events=[PhiCrossing(0.0)])
@@ -126,7 +126,7 @@ class TestIntegrate:
         assert times[1] - times[0] == pytest.approx(t2, rel=1e-8)
 
     def test_zero_length(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 0.0, tol=1e-12)
         assert len(traj.taus) == 1
         assert traj.events == []
@@ -139,14 +139,14 @@ class TestIntegrate:
     ])
     def test_non_finite_input_is_a_domain_error(self, bad):
         args = {"state0": separated_state(0.2, 0.3),
-                "prm": Params(a=1.0, beta=0.2, a1=0.3),
+                "prm": Params(beta=0.2, a1=0.3),
                 "tau_end": 1.0, "tol": 1e-10}
         with pytest.raises(DomainError):
             integrate(**{**args, **bad})
 
     def test_separated_subsystem_energies_conserved(self):
         beta, a1 = 0.15, 0.45
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         rng = np.random.default_rng(17)
         y0 = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0, 6.28),
                        rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)])
@@ -159,7 +159,7 @@ class TestIntegrate:
 
     def test_reversibility(self):
         beta, a1 = 1.0 / 7.0, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         tol = 1e-12
         y0 = separated_state(beta, a1)
         fw = integrate(y0, prm, 1.0, tol=tol)
@@ -171,7 +171,7 @@ class TestIntegrate:
         assert np.max(np.abs(yr - y0)) <= 10.0 * tol
 
     def test_dense_output_matches_samples(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
         mid = len(traj.taus) // 2
         assert np.allclose(traj.state_at(traj.taus[mid]), traj.states[mid],
@@ -179,7 +179,7 @@ class TestIntegrate:
 
     def test_xi_crossing_direction_filter(self):
         beta, a1 = 0.2, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         y0 = separated_state(beta, a1)  # starts at xi = 0 moving up
         traj = integrate(y0, prm, 2.1 * t1, tol=1e-12,
@@ -191,7 +191,7 @@ class TestIntegrate:
     def test_exclusion_ball_refusal(self):
         # aim straight at the perturbing centre: the integration must refuse
         centre = CartesianPoint(math.cosh(0.4), 0.0)
-        prm = Params(a=1.0, beta=0.2, a1=0.3, eps=1e-2, centre=centre)
+        prm = Params(beta=0.2, a1=0.3, eps=1e-2, centre=centre)
         y0 = np.array([0.0, 0.0, 1.2, 0.0])  # moves along the x-axis into C
         with pytest.raises(IntegrationError):
             integrate(y0, prm, 5.0, tol=1e-10)
@@ -199,7 +199,7 @@ class TestIntegrate:
     def test_centre_proximity_entry_events(self):
         # eps = 0: the orbit passes straight through the circle around C,
         # and the direction filter keeps the entry but not the exit
-        prm = Params(a=1.0, beta=1.0 / 7.0, a1=0.2,
+        prm = Params(beta=1.0 / 7.0, a1=0.2,
                      centre=CartesianPoint(0.0, 1.5))
         y0 = _energy_consistent_state(CartesianPoint(0.0, 1.2), (0, 1), prm)
         spec = CentreProximity(radius=0.1, direction=-1)
@@ -212,7 +212,7 @@ class TestIntegrate:
 
     def test_nonterminal_event_then_failure_raises(self, monkeypatch):
         beta, a1 = 0.2, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         t1 = period_xi(beta, a1)
         spec = XiCrossing(0.0, direction=-1)
         monkeypatch.setattr(dynamics, "MAX_STEPS", 300)
@@ -222,7 +222,7 @@ class TestIntegrate:
 
     def test_symplectic_cross_check(self):
         beta, a1 = 1.0 / 7.0, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         y0 = separated_state(beta, a1)
         ref = integrate(y0, prm, 20.0, tol=1e-12)
         ver = integrate_symplectic(y0, prm, 20.0, dt=1e-4)
@@ -242,7 +242,7 @@ class TestPhiCrossingHalfAngle:
     def test_crossings_at_value_mod_two_pi_only(self, beta, a1_frac, phi0,
                                                 value, s_phi):
         a1 = a1_frac / (1.0 + beta)
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         k2 = beta / (1.0 + beta)
         w = 2.0 * math.sqrt(a1 * (1.0 + beta))
         tau_end = 2.5 * period_phi(beta, a1)
@@ -267,7 +267,7 @@ class TestPhiCrossingHalfAngle:
 @pytest.fixture(scope="module")
 def spans():
     """One forward and one backward run, each with three events."""
-    prm = Params(a=1.0, beta=0.2, a1=0.3)
+    prm = Params(beta=0.2, a1=0.3)
     y0 = separated_state(0.2, 0.3)
     events = [PhiCrossing(1.0), PhiCrossing(2.5), XiCrossing(0.0)]
     return {end: integrate(y0, prm, end, events=events)
@@ -376,7 +376,7 @@ class TestDenseOutputInClosedForm:
 class TestExport(object):
     def test_csv_columns_and_json_events(self, tmp_path):
         beta, a1 = 0.2, 0.3
-        prm = Params(a=1.0, beta=beta, a1=a1)
+        prm = Params(beta=beta, a1=a1)
         traj = integrate(separated_state(beta, a1), prm, 4.0, tol=1e-11,
                          events=[PhiCrossing(1.0)])
         csv_path = tmp_path / "traj.csv"
@@ -407,6 +407,27 @@ def test_params_validation():
     assert prm.energy == pytest.approx(-2.0 * 0.5 * 0.5)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_params_refuses_eps_outside_zero_to_inf(eps):
+    centre = CartesianPoint(0.5, 0.5)
+    with pytest.raises(DomainError, match="eps must be finite and >= 0"):
+        Params(beta=0.2, a1=0.3, eps=eps, centre=centre)
+    assert Params(beta=0.2, a1=0.3, centre=centre).with_eps(0.0).eps == 0.0
+
+
+@pytest.mark.parametrize("a", [2.0, 0.5, 0.0, -1.0, math.nan, math.inf])
+def test_intensity_slots_take_only_one(a):
+    """Params.a and period_xi's third parameter stay for callers that pass
+    them; the primaries' intensity is fixed at 1."""
+    prm = Params(a=1.0, beta=0.2, a1=0.3)
+    assert prm.a == 1.0 and prm == Params(beta=0.2, a1=0.3)
+    assert period_xi(0.2, 0.3, 1.0) == period_xi(0.2, 0.3)
+    with pytest.raises(DomainError, match="intensity is fixed at 1"):
+        Params(a=a, beta=0.2, a1=0.3)
+    with pytest.raises(DomainError, match="intensity is fixed at 1"):
+        period_xi(0.2, 0.3, a)
+
+
 @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.3, math.nan),
                                   (math.inf, 0.0), (0.3, -math.inf)])
 def test_params_refuses_a_non_finite_centre(x, y):
@@ -420,14 +441,14 @@ def _bench_orbit_args(tau_end_factor=1.0, max_steps=10_000_000):
     sol = solve_resonant_a1(beta, 1)
     y0 = separated_state(beta, sol.a1_hat, phi=phi0)
     span = 5.0 * sol.t1
-    return (y0, tau_end_factor * span, 1e-12, max_steps, 1.0,
+    return (y0, tau_end_factor * span, 1e-12, max_steps,
             -2.0 * beta * sol.a1_hat, 0.0, 0.0, 0.0, 0.0)
 
 
 def _centre_dive_args(r_min):
     """Straight fall along the x-axis into a centre at (cosh 0.4, 0)."""
     y0 = np.array([0.0, 0.0, 1.2, 0.0])
-    return (y0, 5.0, 1e-10, 2_000_000, 1.0, -2.0 * 0.2 * 0.3, 1e-2,
+    return (y0, 5.0, 1e-10, 2_000_000, -2.0 * 0.2 * 0.3, 1e-2,
             math.cosh(0.4), 0.0, r_min)
 
 
@@ -438,7 +459,7 @@ def _shooting_span_args(family, eps=1e-3, span=None):
     prm = arc.params
     y0 = arc.path.state_at(0.05 * arc.duration)
     span = 0.9 * arc.duration if span is None else span
-    return (y0, span, 1e-11, 2_000_000, prm.a, prm.energy, eps,
+    return (y0, span, 1e-11, 2_000_000, prm.energy, eps,
             prm.centre.x, prm.centre.y, 0.01 * eps)
 
 
@@ -476,11 +497,9 @@ class TestKernelOracle:
             assert np.array_equal(g, w)
         # the dense coefficients sum in another order, so the step
         # midpoints agree to rounding
-        a, energy, eps, cx, cy = args[4:9]
-        dense, calls = _kernels.dop853_dense(Y, KS, steps, a, energy, eps,
-                                             cx, cy)
-        ref = dense_reference(Y, K, steps,
-                              _kernels.field(a, energy, eps, cx, cy))
+        energy, eps, cx, cy = args[4:8]
+        dense, calls = _kernels.dop853_dense(Y, KS, steps, energy, eps, cx, cy)
+        ref = dense_reference(Y, K, steps, _kernels.field(energy, eps, cx, cy))
         assert calls == _kernels.DENSE_CALLS * n
         mid = [Y[:-1] + 0.5 * (f[:, 0] + 0.5 * (f[:, 1] + 0.5 * (f[:, 2]
                + 0.5 * (f[:, 3] + 0.5 * (f[:, 4] + 0.5 * (f[:, 5]
@@ -512,7 +531,7 @@ class TestKernelOracle:
     def test_endpoint_against_scipy_dop853(self):
         from scipy.integrate import solve_ivp
         y0, span = _bench_orbit_args()[:2]
-        prm = Params(a=1.0, beta=1.0 / 7.0,
+        prm = Params(beta=1.0 / 7.0,
                      a1=solve_resonant_a1(1.0 / 7.0, 1).a1_hat)
         traj = integrate(y0, prm, span, tol=1e-12)
         ref = solve_ivp(lambda t, y: field(y, prm), (0.0, span), y0,
@@ -523,7 +542,7 @@ class TestKernelOracle:
 
 class TestStepStats:
     def test_counts_match_samples(self, field_calls):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
         st = traj.stats
         assert st.accepted == len(traj.taus) - 1
@@ -536,7 +555,7 @@ class TestStepStats:
         assert st.h_max == pytest.approx(h.max(), rel=1e-12)
 
     def test_dense_output_is_counted_once(self, field_calls):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
         run_calls = len(field_calls)
         assert traj.stats.rhs_evals == run_calls
@@ -547,7 +566,7 @@ class TestStepStats:
         assert traj.stats.rhs_evals == len(field_calls)
 
     def test_zero_length_run_has_no_steps(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         traj = integrate(separated_state(0.2, 0.3), prm, 0.0, tol=1e-12)
         assert traj.stats == (0, 0, 0, 0.0, 0.0)
 
@@ -559,7 +578,7 @@ class TestReplay:
     def _cases(q1_family):
         """(start, params, span, tol): the four runs, forward and backward."""
         arc = q1_family[0]
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         cases = []
         for sign in (1.0, -1.0):
             # the arc leaves the centre at tau = 0 and comes back at its end
@@ -595,7 +614,7 @@ class TestReplay:
             assert calls == len(field_calls) == 1 + 12 * st.accepted
 
     def test_zero_span_replays_nothing(self):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         y0 = separated_state(0.2, 0.3)
         traj, steps = dynamics._integrate(y0, prm, 0.0, 1e-12)
         assert len(steps) == 0
@@ -605,14 +624,14 @@ class TestReplay:
 
 class TestIntegrationErrors:
     def test_step_budget_exhausted(self, monkeypatch):
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
         with pytest.raises(IntegrationError, match="step budget 5"):
             integrate(separated_state(0.2, 0.3), prm, 5.0, tol=1e-12)
 
     def test_step_underflow_without_exclusion_ball(self, monkeypatch):
         centre = CartesianPoint(math.cosh(0.4), 0.0)
-        prm = Params(a=1.0, beta=0.2, a1=0.3, eps=1e-2, centre=centre)
+        prm = Params(beta=0.2, a1=0.3, eps=1e-2, centre=centre)
         monkeypatch.setattr(dynamics, "EXCLUSION_RADIUS_FRAC", 0.0)
         with pytest.raises(IntegrationError, match="underflow"):
             integrate(np.array([0.0, 0.0, 1.2, 0.0]), prm, 5.0, tol=1e-10)

@@ -117,7 +117,7 @@ class TestPhysicalTime:
         # d(x, y)/dt from finite differences of the sampled path matches the
         # transformed elliptic velocity divided by the time-map factor
         from tricentre.dynamics import Params, integrate
-        prm = Params(a=1.0, beta=0.2, a1=0.3)
+        prm = Params(beta=0.2, a1=0.3)
         y0 = np.array([0.1, 0.4, 1.1, 1.3])
         traj = integrate(y0, prm, 2.0, tol=1e-12)
         taus, states = traj.dense_grid(4001)

@@ -50,6 +50,18 @@ def _fresh_python(code: str) -> str:
     return done.stdout
 
 
+def test_no_public_function_takes_an_intensity():
+    """The primaries' intensity is fixed at 1; only period_xi keeps a
+    parameter for it, which takes 1.0 alone."""
+    import inspect
+    import tricentre.figdata as figdata
+    with_a = sorted(f"{module.__name__}.{name}"
+                    for module in (tricentre, figdata) for name in module.__all__
+                    if inspect.isfunction(f := getattr(module, name))
+                    and "a" in inspect.signature(f).parameters)
+    assert with_a == ["tricentre.period_xi"]
+
+
 def test_top_level_api_exports():
     for name in ("Params", "integrate", "arc_family", "build_graph",
                  "entropy_estimate", "shoot_segment", "complete_elliptic_k",
@@ -122,7 +134,7 @@ def test_arcs_command_loads_no_integrator(tmp_path):
 
 def test_state_at_clamps_to_span():
     from tricentre.dynamics import Params, integrate
-    prm = Params(a=1.0, beta=0.2, a1=0.3)
+    prm = Params(beta=0.2, a1=0.3)
     traj = integrate(np.array([0.0, 0.3, 1.2, 1.1]), prm, 1.0, tol=1e-10)
     inside = traj.state_at(0.999999)
     end = traj.state_at(traj.tau_final)

@@ -20,6 +20,7 @@ from tricentre.special import complete_elliptic_k
 # frozen from an independent plain-bisection oracle on the beta = 0 residual
 # (4/sqrt(2)) K((a1+1)/2) = pi/sqrt(a1), run to the float resolution limit
 A1_HAT_0_1 = 0.3051189659361163
+CLASSES = st.builds(Fraction, st.integers(1, 16), st.integers(1, 16))
 
 
 class TestModuli:
@@ -50,18 +51,44 @@ class TestModuli:
 class TestPeriods:
     def test_angular_closed_form_beta_zero(self):
         for a1 in (1.0 / 9.0, 0.25):
-            assert period_phi(0.0, a1, 1.0) == pytest.approx(
+            assert period_phi(0.0, a1) == pytest.approx(
                 math.pi / math.sqrt(a1), abs=1e-12)
 
     def test_xi_period_small_a1_limit(self):
         limit = 4.0 / math.sqrt(2.0) * complete_elliptic_k(0.5)
-        assert period_xi(0.0, 1e-8, 1.0) == pytest.approx(limit, abs=1e-6)
+        assert period_xi(0.0, 1e-8) == pytest.approx(limit, abs=1e-6)
 
-    def test_intensity_scaling(self):
-        # both periods carry 1/sqrt(a)
-        for f in (period_xi, period_phi):
-            assert f(0.0, 0.25, 4.0) == pytest.approx(
-                0.5 * f(0.0, 0.25, 1.0), rel=1e-14)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.0, 0.95), u=st.floats(1e-6, 1.0 - 1e-6),
+           q=CLASSES, a=st.floats(0.5, 3.0))
+    def test_intensity_scaling(self, beta, u, q, a):
+        """The law that fixes the primaries' intensity at 1: with tau
+        rescaled by sqrt(a), intensity a at energy E is intensity 1 at E/a.
+        The reference, which keeps a, must give periods sqrt(a) times
+        shorter, a resonant a1_hat that solves the intensity-1 resonance,
+        and an energy a times larger."""
+        a1 = u / (1.0 + beta)
+        # the two sides differ by at most 9.5 roundings of 2^-53 relative
+        # (6 in the reference with its sqrt(a) factor, 3.5 here): 2-5 ulp
+        bound = 10 * 2.0 ** -53
+        for mine, theirs in ((period_xi, ref.period_xi),
+                             (period_phi, ref.period_phi)):
+            try:
+                want = mine(beta, a1)
+            except DomainError:
+                continue  # on the separatrix: k1^2 rounds to 1
+            assert abs(theirs(beta, a1, a) * math.sqrt(a) - want) \
+                <= bound * want
+        sol = solve_resonant_a1(beta, q)
+        other = ref.solve_resonant_a1(beta, q, a, periods._RESONANCE_TOL)
+        # the reference residual is sqrt(a) times smaller, to the rounding
+        # of q*T1 and T2
+        assert abs(resonance_residual(beta, other.a1_hat, q)) <= (
+            math.sqrt(a) * abs(other.residual)
+            + bound * (float(q) * other.t1 + other.t2) * math.sqrt(a))
+        assert abs(other.energy / a - sol.energy) <= (
+            2.0 * beta * abs(other.a1_hat - sol.a1_hat)
+            + 4 * math.ulp(sol.energy))  # four roundings, subnormals too
 
     def test_monotonicity_in_a1(self):
         beta = 0.3
@@ -173,7 +200,7 @@ class TestPeriodsVsOde:
         phi0 = 0.3
         for beta in (0.05, 0.1, 1.0 / 7.0, 0.3, 0.5):
             for a1 in (0.05, 0.1, 0.2, 0.35, 0.5):
-                prm = Params(a=1.0, beta=beta, a1=a1)
+                prm = Params(beta=beta, a1=a1)
                 t1 = period_xi(beta, a1)
                 t2 = period_phi(beta, a1)
                 y0 = np.array([
@@ -226,7 +253,6 @@ def test_solution_metadata():
 ORACLE_BETAS = (0.0, 1e-12, 0.05, 1.0 / 7.0, 0.3, 0.6, 0.99)
 ORACLE_CLASSES = (Fraction(1, 64), Fraction(1, 9), Fraction(1, 2), Fraction(1),
                   Fraction(2), Fraction(3), Fraction(7, 2), Fraction(64))
-CLASSES = st.builds(Fraction, st.integers(1, 16), st.integers(1, 16))
 
 
 def _bits(x):
@@ -267,38 +293,40 @@ def _collapsed(sol) -> bool:
         if (r < 0.0) != (sol.residual < 0.0):
             return True
         a1 = math.nextafter(a1, toward)
-        r = resonance_residual(sol.beta, a1, sol.q, sol.a)
+        r = resonance_residual(sol.beta, a1, sol.q)
     return False
 
 
-def _assert_same_root(sol, other):
+def _assert_same_root(sol, other, a=1.0):
     """The two roots agree to within what their residuals allow on a
     residual of slope `slope`, plus one float spacing: where the residual
-    rounds to zero on two adjacent floats, either is a root."""
+    rounds to zero on two adjacent floats, either is a root.  other may
+    solve at intensity a, where the residual carries a factor 1/sqrt(a)."""
     if sol.a1_hat == other.a1_hat:
         return
-    beta, q, a, a1 = sol.beta, sol.q, sol.a, sol.a1_hat
+    beta, q, a1 = sol.beta, sol.q, sol.a1_hat
     h = min(1e-6 * a1, 0.5 * (1.0 / (1.0 + beta) - a1))
-    slope = (ref.resonance_residual(beta, a1 + h, q, a)
-             - ref.resonance_residual(beta, a1 - h, q, a)) / (2 * h)
-    allowed = 1.001 * (abs(sol.residual) + abs(other.residual)) + 1e-14
+    slope = (ref.resonance_residual(beta, a1 + h, q)
+             - ref.resonance_residual(beta, a1 - h, q)) / (2 * h)
+    allowed = 1.001 * (abs(sol.residual)
+                       + abs(other.residual) * math.sqrt(a)) + 1e-14
     assert abs(a1 - other.a1_hat) <= allowed / slope + math.ulp(a1)
 
 
-def _assert_like_reference(monkeypatch, beta, q, a=1.0):
+def _assert_like_reference(monkeypatch, beta, q):
     """The solve against the reference solver: the same root within the
     residuals' allowance, the reference formulas at the new root bitwise,
     the same clamped flag unless the collapse rule sets it, and one
     evaluation per residual call."""
     calls = _count_residual_calls(monkeypatch)
-    sol = solve_resonant_a1(beta, q, a)
+    sol = solve_resonant_a1(beta, q)
     assert sol.evaluations == len(calls)
-    expect = ref.solve_resonant_a1(beta, q, a, periods._RESONANCE_TOL)
+    expect = ref.solve_resonant_a1(beta, q, 1.0, periods._RESONANCE_TOL)
     _assert_same_root(sol, expect)
     a1 = sol.a1_hat
-    assert _bits(sol.t1) == _bits(ref.period_xi(beta, a1, a))
-    assert _bits(sol.t2) == _bits(ref.period_phi(beta, a1, a))
-    assert _bits(sol.residual) == _bits(ref.resonance_residual(beta, a1, q, a))
+    assert _bits(sol.t1) == _bits(ref.period_xi(beta, a1))
+    assert _bits(sol.t2) == _bits(ref.period_phi(beta, a1))
+    assert _bits(sol.residual) == _bits(ref.resonance_residual(beta, a1, q))
     assert sol.clamped == (expect.clamped or _collapsed(sol))
     assert sol.clamped or abs(sol.residual) <= periods._RESONANCE_TOL
     return sol
@@ -324,7 +352,8 @@ class TestResonanceOracle:
         # agrees within tolerance, since the iteration is not the reference's
         _assert_like_reference(monkeypatch, beta, q)
 
-    # tol is the reference's: the solve runs at the one resonance tolerance
+    # a and tol are the reference's: the solve runs at intensity 1 and the
+    # one resonance tolerance
     @pytest.mark.parametrize("a, tol", [(0.5, 1e-12), (2.5, 1e-10),
                                         (1.0, 1e-14), (3.0, 1e-8)])
     @pytest.mark.parametrize("beta, q", [(0.0, Fraction(2, 3)),
@@ -332,9 +361,10 @@ class TestResonanceOracle:
                                          (0.9, Fraction(1, 3))])
     def test_other_intensity_and_tolerance(self, monkeypatch, beta, q, a,
                                            tol):
-        sol = _assert_like_reference(monkeypatch, beta, q, a)
-        # at another tolerance the reference finds the same root too
-        _assert_same_root(sol, ref.solve_resonant_a1(beta, q, a, tol))
+        sol = _assert_like_reference(monkeypatch, beta, q)
+        # at another intensity and tolerance the reference finds the same
+        # root too: a1_hat does not depend on a
+        _assert_same_root(sol, ref.solve_resonant_a1(beta, q, a, tol), a)
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, math.nan])
     def test_bad_beta_raises_like_reference(self, beta):
@@ -394,61 +424,59 @@ class TestResonanceOracle:
         assert gap <= abs(sol.residual) + 1e-13
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(beta=st.floats(0.0, 1.2), u=st.floats(0.0, 1.2), q=CLASSES,
-           a=st.floats(0.5, 3.0))
-    @example(beta=0.99, u=1.0 - 1e-15, q=Fraction(1), a=1.0)
-    @example(beta=0.99, u=1.0, q=Fraction(1), a=1.0)
-    @example(beta=1.0, u=0.5, q=Fraction(1), a=1.0)
-    @example(beta=0.0, u=0.0, q=Fraction(1), a=1.0)
-    @example(beta=1e-12, u=1e-12, q=Fraction(1, 64), a=0.5)
-    def test_residual_bitwise_equal_to_reference(self, beta, u, q, a):
+    @given(beta=st.floats(0.0, 1.2), u=st.floats(0.0, 1.2), q=CLASSES)
+    @example(beta=0.99, u=1.0 - 1e-15, q=Fraction(1))
+    @example(beta=0.99, u=1.0, q=Fraction(1))
+    @example(beta=1.0, u=0.5, q=Fraction(1))
+    @example(beta=0.0, u=0.0, q=Fraction(1))
+    @example(beta=1e-12, u=1e-12, q=Fraction(1, 64))
+    def test_residual_bitwise_equal_to_reference(self, beta, u, q):
         # a1 = u/(1+beta): u >= 1 lies at or beyond the domain edge
         a1 = u / (1.0 + beta)
         try:
-            expect = ref.resonance_residual(beta, a1, q, a)
+            expect = ref.resonance_residual(beta, a1, q)
         except DomainError:
             with pytest.raises(DomainError):
-                resonance_residual(beta, a1, q, a)
+                resonance_residual(beta, a1, q)
             return
-        assert _bits(resonance_residual(beta, a1, q, a)) == _bits(expect)
+        assert _bits(resonance_residual(beta, a1, q)) == _bits(expect)
 
     @pytest.mark.parametrize("beta, a1", [(0.2, 0.3), (0.99, 0.5), (0.0, 0.9)])
     def test_periods_bitwise_equal_to_reference(self, beta, a1):
-        for a in (0.5, 1.0, 2.5):
-            assert _bits(period_xi(beta, a1, a)) == _bits(ref.period_xi(beta, a1, a))
-            assert _bits(period_phi(beta, a1, a)) == _bits(ref.period_phi(beta, a1, a))
+        assert _bits(period_xi(beta, a1)) == _bits(ref.period_xi(beta, a1))
+        assert _bits(period_phi(beta, a1)) == _bits(ref.period_phi(beta, a1))
         assert modulus_squares(beta, a1) == ref.modulus_squares(beta, a1)
 
 
 class TestResonanceProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(beta=st.floats(0.0, 0.99), u=st.floats(1e-6, 1.0 - 1e-6),
-           v=st.floats(1e-6, 1.0 - 1e-6), q=CLASSES, a=st.floats(0.5, 3.0))
-    def test_residual_strictly_increasing(self, beta, u, v, q, a):
+           v=st.floats(1e-6, 1.0 - 1e-6), q=CLASSES)
+    def test_residual_strictly_increasing(self, beta, u, v, q):
         lo, hi = sorted((u, v))
         assume(hi - lo >= 1e-7)
         edge = 1.0 / (1.0 + beta)
-        assert (resonance_residual(beta, lo * edge, q, a)
-                < resonance_residual(beta, hi * edge, q, a))
+        assert (resonance_residual(beta, lo * edge, q)
+                < resonance_residual(beta, hi * edge, q))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(beta=st.floats(0.0, 0.95), q=CLASSES, a=st.floats(0.5, 3.0))
+    @given(beta=st.floats(0.0, 0.95), q=CLASSES)
     # adjacent floats straddle the root, and neither meets the tolerance
-    @example(beta=0.5052337143141371, q=Fraction(1, 15), a=1.0)
-    @example(beta=0.03510188396706286, q=Fraction(1, 7), a=1.0)
+    @example(beta=0.5052337143141371, q=Fraction(1, 15))
+    @example(beta=0.03510188396706286, q=Fraction(1, 7))
     # the root lies within a float of a bracket end (36 and 35 evaluations
     # when every secant point there fell back to the midpoint)
-    @example(beta=0.5737620629202244, q=Fraction(1, 10), a=1.0)
-    @example(beta=0.9007342774397756, q=Fraction(1, 15), a=1.0)
-    def test_solve_meets_tolerance_or_is_clamped(self, beta, q, a):
-        sol = solve_resonant_a1(beta, q, a)
+    @example(beta=0.5737620629202244, q=Fraction(1, 10))
+    @example(beta=0.9007342774397756, q=Fraction(1, 15))
+    def test_solve_meets_tolerance_or_is_clamped(self, beta, q):
+        sol = solve_resonant_a1(beta, q)
         assert sol.clamped or abs(sol.residual) <= periods._RESONANCE_TOL
         if abs(sol.residual) > periods._RESONANCE_TOL:
             assert _collapsed(sol)
         assert sol.evaluations <= 32
         assert 0.0 < sol.a1_hat < 1.0 / (1.0 + beta)
         assert _bits(sol.residual) == _bits(
-            resonance_residual(beta, sol.a1_hat, q, a))
+            resonance_residual(beta, sol.a1_hat, q))
 
 
 class TestBetaForEnergyOracle:
@@ -532,18 +560,6 @@ class TestSolveCache:
         solve_resonant_a1.cache_clear()
         fresh = self._typed_fields(solve_resonant_a1(1.0 / 7.0, 1))
         assert all(self._typed_fields(r) == fresh for r in results)
-
-    def test_intensity_joins_the_key_however_passed(self):
-        from tricentre.exclusion import resonant_params
-        from tricentre.geometry import EllipticPoint
-        solve_resonant_a1(0.2, 1)
-        solve_resonant_a1(0.2, 1, 1.0)
-        solve_resonant_a1(0.2, 1, a=1.0)
-        info = solve_resonant_a1.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        # resonant_params passes a by position, after a bare solve
-        resonant_params(EllipticPoint(0.1, 0.2), 1, 0.2)
-        assert solve_resonant_a1.cache_info().hits == 3
 
     def test_failure_is_not_cached(self):
         for _ in range(3):

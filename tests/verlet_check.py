@@ -16,13 +16,13 @@ from tricentre.dynamics import Params, Trajectory, _as_state_array, _centre_xy
 from tricentre.errors import DomainError
 
 
-def verlet_core(y0, tau0, tau1, dt, stride, a, energy, eps, cx, cy):
+def verlet_core(y0, tau0, tau1, dt, stride, energy, eps, cx, cy):
     """Velocity-Verlet steps of size about dt from tau0 to tau1.
 
     Samples every `stride` steps plus the final state.  Returns
     (T, Y, stats).
     """
-    rhs = _kernels.field(a, energy, eps, cx, cy)
+    rhs = _kernels.field(energy, eps, cx, cy)
     span = tau1 - tau0
     nsteps = int(math.ceil(abs(span) / dt))
     if nsteps < 1:
@@ -61,6 +61,5 @@ def integrate_symplectic(state0, prm: Params, tau_end: float,
     y0 = _as_state_array(state0)
     cx, cy = _centre_xy(prm)
     T, Y, stats = verlet_core(y0, 0.0, float(tau_end), float(dt),
-                              int(stride), prm.a, prm.energy, prm.eps,
-                              cx, cy)
+                              int(stride), prm.energy, prm.eps, cx, cy)
     return Trajectory(prm, T, Y, np.zeros(0), np.zeros((0, 9, 4)), stats)
