@@ -6,8 +6,10 @@ class q against the two travel-time ratios G+- of C.  Both travel times
 are incomplete elliptic integrals F (through Carlson's R_F), so a cell
 costs no quadrature and, the resonance solve and its constants being
 memoised, no root search or period after the first cell of its (beta, q);
-G+- are placed in the sorted S by bisection, and of two elements at the
-same distance the smaller is reported nearest.  With the finite-difference
+each of G+- is bisected into a cached float table of S sorted by value,
+and only its two neighbours there are compared, as floats.  Of two
+elements at the same distance the smaller (the one of lower index) is
+reported nearest, and no Fraction is compared.  With the finite-difference
 nondegeneracy certificate and the beta search that `solve` runs, it makes
 up the math-only layer behind the `periods`, `solve` and `check`
 commands; nothing here imports numpy.  `arcs` builds on it.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AccuracyError, DomainError, PlacementError, RangeError
-from .geometry import EllipticPoint, elliptic_to_cartesian
+from .geometry import EllipticPoint, _principal_angles, elliptic_to_cartesian
 from .params import Params, _check_centre
 from .periods import (ResonanceSolution, period_xi, resonance_residual,
                       solve_resonant_a1, turning_point_xi)
@@ -102,15 +104,19 @@ def _nearest_ratio(g_plus: float, g_minus: float,
     distance, and at a tie the smaller s.
 
     Rounded, |g - s| does not decrease away from the bisect point of g on
-    either side, so only the two neighbours of that point are compared.
+    either side, so only the two neighbours of that point are compared (S
+    holds 0 and 1/2, so a point clamped to [1, len - 1] has both).  The
+    table is sorted: at a tie the smaller index is the smaller s.
     """
-    values, ratios = _ratio_table(q.numerator, q.denominator)
-    found = []
+    values, ratios = _ratio_table(*q.as_integer_ratio())
+    best, nearest = math.inf, 0
     for g in (g_plus, g_minus):
-        k = bisect.bisect_left(values, g)
-        found += [(abs(g - values[i]), ratios[i])
-                  for i in (k - 1, k) if 0 <= i < len(values)]
-    return min(found)
+        k = bisect.bisect_left(values, g, 1, len(values) - 1)
+        for i in (k - 1, k):
+            d = abs(g - values[i])
+            if d < best or d == best and i < nearest:
+                best, nearest = d, i
+    return best, ratios[nearest]
 
 
 def _separated_motion(beta: float, a1: float):
@@ -172,9 +178,10 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     beyond the turning ellipse has no xi travel time (PlacementError).
     """
     _check_delta(delta)
+    if prm.centre is None:
+        raise DomainError("no perturbing centre configured")
     beta, a1 = prm.beta, prm.a1
-    centre = prm.centre_elliptic
-    xi0, phi0 = centre.xi, centre.phi
+    xi0, phi0 = _principal_angles(prm.centre)
     root_u_plus, m_xi, w, q_scale, t1 = _resonance_constants(beta, a1)
     p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
     ratio = math.tanh(0.5 * abs(xi0)) / root_u_plus
@@ -268,15 +275,16 @@ def find_admissible_beta(centre, q, beta_start: float = 0.5,
     beta can admit, one not finite or on a primary, and a margin delta not
     in (0, inf) raise DomainError before the first halving."""
     q = Fraction(q)
-    _check_centre(_as_cartesian(centre))
+    point = _as_cartesian(centre)
+    _check_centre(point)
     _check_delta(delta)
     beta = beta_start
     for _ in range(_MAX_HALVINGS):
         try:
-            prm, sol = resonant_params(centre, q, beta)
+            prm, sol = resonant_params(point, q, beta)
             xi_plus = turning_point_xi(beta, sol.a1_hat)
-            c_ell = prm.centre_elliptic
-            inside = (math.cosh(c_ell.xi)
+            xi0, _ = _principal_angles(prm.centre)
+            inside = (math.cosh(xi0)
                       < math.cosh(xi_plus) * (1.0 - _ELLIPSE_MARGIN))
             if inside and primary_collision_check(prm, delta=delta).safe:
                 return beta

@@ -84,8 +84,9 @@ def elliptic_to_xy(xi, phi, lib=None):
 
 
 def elliptic_to_cartesian(p: EllipticPoint) -> CartesianPoint:
-    """The Cartesian point of p; see elliptic_to_xy."""
-    return CartesianPoint(*elliptic_to_xy(p.xi, p.phi, math))
+    """The Cartesian point of p: elliptic_to_xy on floats, written out."""
+    return CartesianPoint(math.cosh(p.xi) * math.cos(p.phi),
+                          math.sinh(p.xi) * math.sin(p.phi))
 
 
 def cartesian_to_elliptic(p: CartesianPoint) -> tuple[EllipticPoint, EllipticPoint]:
@@ -96,14 +97,14 @@ def cartesian_to_elliptic(p: CartesianPoint) -> tuple[EllipticPoint, EllipticPoi
     near the ramification points, where it reduces to the square-root
     expansion sqrt(2(z - 1)).
     """
-    first = _principal_preimage(p)
+    first = EllipticPoint(*_principal_angles(p))
     return first, first.conjugate
 
 
-def _principal_preimage(p: CartesianPoint) -> EllipticPoint:
-    """The first preimage of cartesian_to_elliptic, alone."""
+def _principal_angles(p: CartesianPoint) -> tuple[float, float]:
+    """(xi, phi) of p's principal preimage (see cartesian_to_elliptic)."""
     zeta = cmath.acosh(complex(p.x, p.y))
-    return EllipticPoint(zeta.real, zeta.imag)
+    return zeta.real, wrap_angle(zeta.imag)
 
 
 def transform_matrix(p: EllipticPoint) -> np.ndarray:

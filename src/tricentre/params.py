@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .geometry import CartesianPoint, EllipticPoint, _principal_preimage
+from .geometry import CartesianPoint, EllipticPoint, _principal_angles
 from .periods import _check_domain, _check_unit_intensity
 
 __all__ = ["Params"]
@@ -45,8 +45,9 @@ class Params:
             raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
         if isinstance(self.q, int):
             object.__setattr__(self, "q", Fraction(self.q))
-        if self.q <= 0:
-            raise DomainError(f"resonance class q must be positive, got {self.q}")
+        if not isinstance(self.q, Fraction) or self.q.numerator <= 0:
+            raise DomainError("resonance class q must be a positive int or"
+                              f" Fraction, got {self.q!r}")
         if self.centre is None:
             if self.eps > 0.0:
                 raise DomainError("a perturbing centre position is required when eps > 0")
@@ -61,7 +62,7 @@ class Params:
     def centre_elliptic(self) -> EllipticPoint:
         if self.centre is None:
             raise DomainError("no perturbing centre configured")
-        return _principal_preimage(self.centre)
+        return EllipticPoint(*_principal_angles(self.centre))
 
     def with_eps(self, eps: float) -> "Params":
         return replace(self, eps=eps)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arc_reference
+import exclusion_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import adaptive_quadrature
 from tricentre import exclusion, special
@@ -19,7 +21,8 @@ from tricentre.dynamics import Params, integrate
 from tricentre.errors import (AccuracyError, DomainError, PlacementError,
                              UnsafeCentreError)
 from tricentre.figdata import orbit_family_portrait
-from tricentre.geometry import EllipticPoint, elliptic_to_cartesian
+from tricentre.geometry import (CartesianPoint, EllipticPoint,
+                                elliptic_to_cartesian)
 from tricentre.periods import period_xi, solve_resonant_a1, turning_point_xi
 
 F = Fraction
@@ -174,6 +177,18 @@ class TestRatioSet:
             assert len(primary_collision_ratios(q)) <= bound
 
 
+def _primary_orbit(periods):
+    """The q = 1 orbit at beta = 1/7 seeded at the primary (1, 0), over
+    the given number of xi periods T1: every point of it is an unsafe
+    centre for that resonance."""
+    sol = solve_resonant_a1(BETA_REF, 1)
+    prm0 = Params(beta=BETA_REF, a1=sol.a1_hat, q=F(1))
+    vxi = 2.0 * math.sqrt(1.0 - BETA_REF * sol.a1_hat - sol.a1_hat)
+    vphi = 2.0 * math.sqrt(BETA_REF * sol.a1_hat + sol.a1_hat)
+    return integrate(np.array([0.0, 0.0, vxi, vphi]), prm0, periods * sol.t1,
+                     tol=1e-12)
+
+
 class TestPrimaryCollisionCheck:
     def test_axis_centre_between_primaries_safe(self):
         beta = 1e-3
@@ -192,32 +207,20 @@ class TestPrimaryCollisionCheck:
 
     def test_positive_control_on_colliding_orbit(self):
         # points sampled from the orbit seeded at a primary must land in S
-        beta = BETA_REF
-        sol = solve_resonant_a1(beta, 1)
-        prm0 = Params(beta=beta, a1=sol.a1_hat, q=F(1))
-        vxi = 2.0 * math.sqrt(1.0 - beta * sol.a1_hat - sol.a1_hat)
-        vphi = 2.0 * math.sqrt(beta * sol.a1_hat + sol.a1_hat)
-        traj = integrate(np.array([0.0, 0.0, vxi, vphi]), prm0,
-                         0.8 * sol.t1, tol=1e-12)
+        traj = _primary_orbit(0.8)
         for frac in (0.23, 0.41, 0.57):
-            y = traj.state_at(frac * 0.8 * sol.t1)
+            y = traj.state_at(frac * traj.tau_final)
             centre = EllipticPoint(float(y[0]), float(y[1]))
-            prm, _ = resonant_params(centre, 1, beta)
+            prm, _ = resonant_params(centre, 1, BETA_REF)
             report = primary_collision_check(prm)
             assert not report.safe
             assert report.min_separation <= 1e-9
 
     def test_unsafe_centre_refused_by_family(self):
-        beta = BETA_REF
-        sol = solve_resonant_a1(beta, 1)
-        prm0 = Params(beta=beta, a1=sol.a1_hat, q=F(1))
-        vxi = 2.0 * math.sqrt(1.0 - beta * sol.a1_hat - sol.a1_hat)
-        vphi = 2.0 * math.sqrt(beta * sol.a1_hat + sol.a1_hat)
-        traj = integrate(np.array([0.0, 0.0, vxi, vphi]), prm0,
-                         0.5 * sol.t1, tol=1e-12)
-        y = traj.state_at(0.31 * 0.5 * sol.t1)
+        traj = _primary_orbit(0.5)
+        y = traj.state_at(0.31 * traj.tau_final)
         prm, _ = resonant_params(EllipticPoint(float(y[0]), float(y[1])),
-                                 1, beta)
+                                 1, BETA_REF)
         with pytest.raises(UnsafeCentreError):
             arc_family(prm)
 
@@ -665,3 +668,86 @@ class TestNearestRatio:
                        special._quarter_period):
             cached.cache_clear()
         assert repr(primary_collision_check(prm)) == repr(warm)
+
+
+# ---------------------------------------------------------------------------
+# the exclusion cell against the earlier one, bit for bit
+
+CELL_CLASSES = (F(1), F(2), F(3), F(1, 2))  # the safety_map workload's
+CELL_BETAS = (0.05, BETA_REF, 0.25)
+
+
+def _primary_orbit_centres(n):
+    """n points of _primary_orbit: unsafe centres at beta = 1/7, q = 1,
+    some of them beyond other turning ellipses."""
+    traj = _primary_orbit(0.8)
+    states = (traj.state_at((k + 0.5) / n * traj.tau_final) for k in range(n))
+    return [EllipticPoint(float(y[0]), float(y[1])) for y in states]
+
+
+def _cell_centres():
+    """Seeded centres inside and beyond the turning ellipses, both signs of
+    xi0, phi0 on the axis (0 and pi), points of the orbit through a
+    primary, and Cartesian points: on the segment between the primaries,
+    on a primary, not finite, and none at all."""
+    rng = random.Random(26)
+    xi_max = min(turning_point_xi(b, solve_resonant_a1(b, q).a1_hat)
+                 for b in CELL_BETAS for q in CELL_CLASSES)
+    centres = [EllipticPoint(rng.uniform(-1.1, 1.1) * xi_max,
+                             rng.uniform(-math.pi, math.pi)) for _ in range(48)]
+    centres += [EllipticPoint(sign * rng.uniform(0.02, 0.9) * xi_max, phi0)
+                for phi0 in (0.0, math.pi) for sign in (1, -1)
+                for _ in range(3)]
+    centres += _primary_orbit_centres(8)
+    centres += [CartesianPoint(0.25, 0.0), CartesianPoint(0.0, 0.1),
+                CartesianPoint(-1.0, 0.0), CartesianPoint(math.nan, 0.0),
+                None]
+    return centres
+
+
+def _outcome(function, *args):
+    """repr of what function returns, or the error class it raises."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def _cell(module, centre, q, beta, delta):
+    prm, _ = module.resonant_params(centre, q, beta)
+    return prm, module.primary_collision_check(prm, delta)
+
+
+class TestCellMatchesReference:
+    """The cell of `resonant_params` and `primary_collision_check` returns
+    the earlier cell's Params and SafetyReport bit for bit (repr), or
+    raises the same error class; so does `find_admissible_beta`."""
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.05])
+    def test_every_cell_bitwise(self, delta):
+        outcomes = {}
+        for centre in _cell_centres():
+            for beta in CELL_BETAS:
+                for q in CELL_CLASSES:
+                    ours = _outcome(_cell, exclusion, centre, q, beta,
+                                    delta)
+                    assert ours == _outcome(_cell, exclusion_reference, centre,
+                                            q, beta, delta), (centre, q, beta)
+                    outcomes[repr(centre), q, beta] = ours
+        # the draw reaches safe reports, every point of the primary orbit
+        # is unsafe at its own resonance, and both error paths are taken
+        assert any("safe=True" in o for o in outcomes.values()
+                   if isinstance(o, str))
+        for centre in _primary_orbit_centres(8):
+            assert "safe=False" in outcomes[repr(centre), F(1), BETA_REF]
+        assert {PlacementError, DomainError} <= set(outcomes.values())
+
+    def test_admissible_beta_bitwise(self):
+        betas = set()
+        for centre in _cell_centres():
+            for q in (F(1), F(2), F(1, 2)):
+                ours = _outcome(find_admissible_beta, centre, q)
+                assert ours == _outcome(exclusion_reference.find_admissible_beta,
+                                        centre, q), (centre, q)
+                betas.add(ours)
+        assert {"0.5", "0.25", "0.125"} <= betas  # some centres need halving

@@ -405,6 +405,7 @@ def test_params_validation():
         Params(eps=1e-3, centre=CartesianPoint(1.0, 0.0))  # centre at primary
     prm = Params(beta=0.5, a1=0.5, q=Fraction(3, 2))
     assert prm.energy == pytest.approx(-2.0 * 0.5 * 0.5)
+    assert type(Params(q=3).q) is Fraction and Params(q=3).q == 3
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
@@ -413,6 +414,15 @@ def test_params_refuses_eps_outside_zero_to_inf(eps):
     with pytest.raises(DomainError, match="eps must be finite and >= 0"):
         Params(beta=0.2, a1=0.3, eps=eps, centre=centre)
     assert Params(beta=0.2, a1=0.3, centre=centre).with_eps(0.0).eps == 0.0
+
+
+@pytest.mark.parametrize("q", [1.5, "3/2", 1.0, None, 0, -2, Fraction(-1, 2)],
+                         ids=repr)
+def test_params_refuses_q_not_a_positive_int_or_fraction(q):
+    # a float was stored as given, and the exclusion test then failed on
+    # it with AttributeError; a string failed the comparison with TypeError
+    with pytest.raises(DomainError, match="positive int or Fraction"):
+        Params(beta=0.2, a1=0.3, q=q)
 
 
 @pytest.mark.parametrize("a", [2.0, 0.5, 0.0, -1.0, math.nan, math.inf])
