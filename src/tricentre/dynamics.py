@@ -98,9 +98,11 @@ class CentreProximity:
     def g(self, states: np.ndarray, prm: Params):
         # a single state is mapped through math, as the stepping kernel does
         lib = math if states.ndim == 1 else np
-        cx, cy = _centre_xy(prm)
+        c = prm.centre
+        if c is None:
+            raise DomainError("CentreProximity needs a perturbing centre")
         x, y = elliptic_to_xy(states[..., 0], states[..., 1], lib)
-        return (x - cx) ** 2 + (y - cy) ** 2 - self.radius ** 2
+        return (x - c.x) ** 2 + (y - c.y) ** 2 - self.radius ** 2
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,8 @@ class Trajectory:
     query between samples (`state_at`, `dense_grid`, the event scan) and
     then counted in `stats`, which reports the steps of the integration
     that produced the trajectory.  A run without dense output passes empty
-    steps and stages.
+    steps and stages.  `replay` pushes another start state through the same
+    steps (`_kernels.dop853_replay`), the twin of shooting's Jacobian.
     """
 
     def __init__(self, prm: Params, taus: np.ndarray, states: np.ndarray,
@@ -148,6 +151,14 @@ class Trajectory:
         self.stats = self.stats._replace(
             rhs_evals=self.stats.rhs_evals + calls)
         return coeffs
+
+    def replay(self, state0) -> tuple[tuple[float, ...], int]:
+        """End state of state0 pushed through this run's accepted steps
+        under its params, and the field calls made; the run's own start
+        state ends on its last state, bitwise."""
+        prm = self.params
+        return _kernels.dop853_replay(state0, self._steps, prm.energy,
+                                      prm.eps, *_centre_xy(prm))
 
     def _dense_states(self, idx, th) -> np.ndarray:
         """States at the fractions th of the steps idx (broadcast together)."""
@@ -260,13 +271,6 @@ def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
     returned trajectory; they never change the run.  A tol, tau_end or
     state that is not finite raises DomainError.
     """
-    return _integrate(state0, prm, tau_end, tol, events)[0]
-
-
-def _integrate(state0, prm: Params, tau_end: float, tol: float,
-               events: Sequence = ()):
-    """integrate, returning (trajectory, steps): the run's accepted step
-    sizes exactly as taken (see `_kernels.dop853_core`), for `_replay`."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     y0 = _as_state_array(state0)
@@ -279,14 +283,7 @@ def _integrate(state0, prm: Params, tau_end: float, tol: float,
         *_centre_xy(prm), EXCLUSION_RADIUS_FRAC * prm.eps)
     traj = Trajectory(prm, T, Y, steps, KS, stats)
     traj.events = _detect_events(traj, list(events))
-    return traj, steps
-
-
-def _replay(state0, prm: Params, steps) -> tuple[tuple[float, ...], int]:
-    """End state of state0 pushed through the steps of an `_integrate` run
-    under prm, and the field calls made (see `_kernels.dop853_replay`)."""
-    return _kernels.dop853_replay(state0, steps, prm.energy, prm.eps,
-                                  *_centre_xy(prm))
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,10 @@ class Params:
 
 
 def _check_centre(centre: CartesianPoint) -> None:
-    """Refuse a centre that no parameters admit: not finite, or on a primary."""
+    """Refuse a centre that no parameters admit: none, not finite, or on a
+    primary."""
+    if centre is None:
+        raise DomainError("no perturbing centre given")
     x, y = centre.x, centre.y
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"the perturbing centre must be finite, got {centre}")

@@ -267,14 +267,13 @@ def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
     q = Fraction(q)
     if not (energy < 0.0):
         raise DomainError(f"energy must be negative, got {energy}")
-    solve = functools.cache(lambda beta: solve_resonant_a1(beta, q))
 
     def gap(beta: float) -> float:
-        return solve(beta).energy - energy
+        return solve_resonant_a1(beta, q).energy - energy
 
     lo = 1e-12
     if gap(lo) <= 0.0:  # |energy| below resolution
-        return solve(lo)
+        return solve_resonant_a1(lo, q)
     hi = 0.05
     while gap(hi) > 0.0:
         hi = min(hi * 2.0, _BETA_CAP)
@@ -284,7 +283,7 @@ def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
                 f" with beta <= {_BETA_CAP}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
                               _RESONANCE_TOL * max(1.0, abs(energy)), 0.0)
-    return solve(beta)
+    return solve_resonant_a1(beta, q)
 
 
 def turning_point_xi(beta: float, a1: float) -> float:

@@ -5,12 +5,13 @@ two-point shooting between small circles around the perturbing centre: the
 unknowns are the angular position on the entry circle and the tau duration,
 the speed being eliminated by the fixed-energy constraint.  Each Newton
 step costs one integration: the entry-angle column of the Jacobian comes
-from a twin start state replayed on the accepted steps of the run it
-differentiates (internal numerical differentiation), only when a Newton
-step reads it; the duration column is the endpoint velocity, and the steps
-run at a loose tolerance until the residual is small.  The first tight
-step tries the last loose column first (a chord step), which saves its
-replay when the full step converges.
+from a twin start state that `Trajectory.replay` pushes through the steps
+of the run it differentiates (internal numerical differentiation), only
+when a Newton step reads it; the duration column is the endpoint velocity,
+and the steps run at a loose tolerance until the residual is small.  One
+trial routine serves both the chord step, which tries the last loose
+column once at the first tight step and so saves its replay if that
+converges, and every line search, on a fresh column.
 Deviation metrics quantify how closely the segment tracks the arc as eps
 shrinks; the maximum distance to the arc computes exact distances only
 where bounds leave room for the maximum, with the value of the exhaustive
@@ -26,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .arcs import CollisionArc
-from .dynamics import (CentreProximity, Params, _integrate, _replay,
-                       hamiltonian_values, integrate)
+from .dynamics import (CentreProximity, Params, hamiltonian_values,
+                       integrate)
 from .errors import DomainError, IntegrationError
 from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
                        elliptic_to_xy, transform_matrix, velocity_to_cartesian)
@@ -219,22 +220,22 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     Newton-adjusts the entry angle and the duration (at most 40 steps)
     until the endpoint is within 1e-9 of the exit-circle point where the
     arc comes back in.  Every trial is one integration.  Each Newton step
-    replays a twin start state, 1e-7 further round the circle, on the
-    accepted steps of the run it starts from, and the difference of the
-    two ends is the angle column of the Jacobian; rejected trials and the
-    run that ends a tolerance replay nothing.  The duration column is the
-    endpoint velocity.  Trials run at tol 1e-9 until the residual is at
-    most 1e-6, then at tol 1e-12; only a tol-1e-12 residual counts as
-    converged.  The first tol-1e-12 step is first tried as a chord step:
-    the angle column of the last loose step with the new endpoint
-    velocity, and one full trial, kept only if its residual is at most
-    1e-9; otherwise the step replays and searches as any other, and the
-    chord trial has cost one integration.  A pass stalls on a singular
-    Jacobian or when none of its 10 halved trials lowers the residual; a
-    stalled loose pass hands over to tol 1e-12 at the first guess again,
-    with no chord step, since the loose map may have led away from the
-    root, and a stalled tight pass ends the solve.  eps = 0 reproduces the
-    arc itself up to the circle-chord offset.
+    pushes a twin start state, 1e-7 further round the circle, through the
+    accepted steps of the run it starts from (`Trajectory.replay`), and
+    the difference of the two ends is the angle column of the Jacobian;
+    rejected trials and the run that ends a tolerance replay nothing.  The
+    duration column is the endpoint velocity.  Trials run at tol 1e-9
+    until the residual is at most 1e-6, then at tol 1e-12; only a
+    tol-1e-12 residual counts as converged.  The first tol-1e-12 step is
+    first tried as a chord step: the angle column of the last loose step
+    with the new endpoint velocity, and one full trial, kept only if its
+    residual is at most 1e-9; otherwise the step replays and searches as
+    any other, and the chord trial has cost one integration.  A pass
+    stalls on a singular Jacobian or when none of its 10 halved trials
+    lowers the residual; a stalled loose pass hands over to tol 1e-12 at
+    the first guess again, with no chord step, since the loose map may
+    have led away from the root, and a stalled tight pass ends the solve.
+    eps = 0 reproduces the arc itself up to the circle-chord offset.
     """
     prm = arc.params.with_eps(eps)  # refuses an eps outside [0, inf)
     r_e = max(10.0 * eps, _ENTRY_RADIUS_FLOOR)
@@ -262,32 +263,42 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         return _energy_consistent_state(pos, direction, prm)
 
     def residual(z, tol):
-        """Trajectory, its accepted steps and the endpoint residual at z."""
+        """Trajectory and endpoint residual at z."""
         nonlocal rhs_evals
-        traj, steps = _integrate(start(z[0]), prm, z[1], tol)
+        traj = integrate(start(z[0]), prm, z[1], tol)
         rhs_evals += traj.stats.rhs_evals
         runs[tol] += 1
-        return traj, steps, _cartesian_track(traj.states[-1:])[0] - target
+        return traj, _cartesian_track(traj.states[-1:])[0] - target
 
-    def alpha_column(z, traj, steps):
-        """d(endpoint)/d(alpha) of the run at z, from the twin start
+    def alpha_column(z, traj):
+        """d(endpoint)/d(alpha) of the run traj at z, from the twin start
         _ALPHA_STEP further round the circle replayed on its steps."""
         nonlocal rhs_evals
-        twin_end, calls = _replay(start(z[0] + _ALPHA_STEP), prm, steps)
+        twin_end, calls = traj.replay(start(z[0] + _ALPHA_STEP))
         rhs_evals += calls
         ends = _cartesian_track(np.array([traj.states[-1], twin_end]))
         return (ends[1] - ends[0]) / _ALPHA_STEP
 
-    def newton_trials(z, column, v_end, r, n):
-        """The full Newton step from z on the Jacobian [column, v_end] and
-        its first n - 1 halvings, less those of no duration; none when the
-        Jacobian is singular."""
+    def newton_step(column, n, accept):
+        """Trials at tol from (z, traj, r): the full Newton step on the
+        Jacobian [column, endpoint velocity], then its halvings, n in all,
+        less those of no duration.  The first (z, traj, r, norm) whose norm
+        passes accept, or None if none does or the Jacobian is singular."""
+        end = traj.states[-1]
+        # d(endpoint)/dT is the Cartesian velocity at the endpoint
+        v_end = velocity_to_cartesian(EllipticPoint(end[0], end[1]), end[2:])
         try:
             step = np.linalg.solve(np.column_stack([column, v_end]), -r)
         except np.linalg.LinAlgError:
-            return []
-        trials = (z + 0.5 ** k * step for k in range(n))
-        return [z_new for z_new in trials if z_new[1] > 0.0]
+            return None
+        for k in range(n):
+            z_new = z + 0.5 ** k * step
+            if z_new[1] > 0.0:
+                trial = residual(z_new, tol)
+                rn = float(np.hypot(*trial[1]))
+                if accept(rn):
+                    return z_new, *trial, rn
+        return None
 
     z = z_guess = np.array([0.0, arc.duration - tau_in - tau_out])
     history = []
@@ -295,7 +306,7 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     column = None  # the alpha column of the latest Newton step
     chord_accepted = False
     for tol, goal in ((_LOOSE_TOL, _SWITCH_RESIDUAL), (_TIGHT_TOL, _SHOOT_TOL)):
-        traj, steps, r = residual(z, tol)
+        traj, r = residual(z, tol)
         rnorm = float(np.hypot(*r))
         history.append(rnorm)
         # a chord step: the tight pass's first step tries the loose pass's
@@ -304,35 +315,21 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
         chord = column
         while rnorm > goal and n_it < _SHOOT_MAX_ITER:
             n_it += 1
-            # d(endpoint)/dT is the Cartesian velocity at the endpoint
-            end = traj.states[-1]
-            v_end = velocity_to_cartesian(EllipticPoint(end[0], end[1]),
-                                          end[2:])
+            taken = None
             if chord is not None:
-                for z_new in newton_trials(z, chord, v_end, r, 1):
-                    trial = residual(z_new, tol)
-                    rn = float(np.hypot(*trial[2]))
-                    if rn <= goal:
-                        z, (traj, steps, r), rnorm = z_new, trial, rn
-                        history.append(rn)
-                        chord_accepted = True
-                chord = None
-                if rnorm <= goal:
-                    break
-            column = alpha_column(z, traj, steps)
-            for z_new in newton_trials(z, column, v_end, r, 10):
-                trial = residual(z_new, tol)
-                rn = float(np.hypot(*trial[2]))
-                if rn < rnorm:
-                    z, (traj, steps, r), rnorm = z_new, trial, rn
-                    history.append(rn)
-                    break
-            else:  # stalled: the Jacobian is singular or no trial is better
+                taken = newton_step(chord, 1, lambda rn: rn <= goal)
+                chord, chord_accepted = None, taken is not None
+            if taken is None:
+                column = alpha_column(z, traj)
+                taken = newton_step(column, 10, lambda rn: rn < rnorm)
+            if taken is None:  # stalled: singular Jacobian, no better trial
                 if tol == _LOOSE_TOL:
                     # the loose map may have led away from the root, and
                     # its column with it
                     z, column = z_guess, None
                 break
+            z, traj, r, rnorm = taken
+            history.append(rnorm)
     converged = rnorm <= _SHOOT_TOL
 
     evals_before = traj.stats.rhs_evals

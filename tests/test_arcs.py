@@ -239,6 +239,14 @@ class TestPrimaryCollisionCheck:
             find_admissible_beta(centre, 1, delta=delta)
         assert calls == []
 
+    def test_no_centre_refused_before_the_first_halving(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exclusion, "resonant_params",
+                            lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="no perturbing centre"):
+            find_admissible_beta(None, 1)
+        assert calls == []
+
 
 class TestParity:
     def test_class_one_visits_both_primaries(self):
@@ -721,7 +729,8 @@ def _cell(module, centre, q, beta, delta):
 class TestCellMatchesReference:
     """The cell of `resonant_params` and `primary_collision_check` returns
     the earlier cell's Params and SafetyReport bit for bit (repr), or
-    raises the same error class; so does `find_admissible_beta`."""
+    raises the same error class; so does `find_admissible_beta`, but for
+    no centre at all, which it refuses with DomainError."""
 
     @pytest.mark.parametrize("delta", [1e-4, 0.05])
     def test_every_cell_bitwise(self, delta):
@@ -747,6 +756,9 @@ class TestCellMatchesReference:
         for centre in _cell_centres():
             for q in (F(1), F(2), F(1, 2)):
                 ours = _outcome(find_admissible_beta, centre, q)
+                if centre is None:  # the earlier search raised AttributeError
+                    assert ours is DomainError
+                    continue
                 assert ours == _outcome(exclusion_reference.find_admissible_beta,
                                         centre, q), (centre, q)
                 betas.add(ours)

@@ -210,6 +210,15 @@ class TestIntegrate:
         x, y = elliptic_to_xy(hits[0].state[0], hits[0].state[1], math)
         assert math.hypot(x, y - 1.5) == pytest.approx(0.1, abs=1e-9)
 
+    def test_centre_proximity_without_a_centre_refused(self):
+        # with no centre to measure from, the origin would stand in for it
+        # and this run would report 3 crossings of |z| = 1
+        prm = Params(beta=0.2, a1=0.3)
+        spec = CentreProximity(1.0, direction=0)
+        with pytest.raises(DomainError, match="perturbing centre"):
+            integrate([0.0, 0.3, 1.2, 1.1], prm, 5.0, tol=1e-10,
+                      events=[spec])
+
     def test_nonterminal_event_then_failure_raises(self, monkeypatch):
         beta, a1 = 0.2, 0.3
         prm = Params(beta=beta, a1=a1)
@@ -603,33 +612,34 @@ class TestReplay:
 
     def test_replay_of_the_start_state_ends_on_the_run(self, q1_family):
         for y0, prm, span, tol in self._cases(q1_family):
-            traj, steps = dynamics._integrate(y0, prm, span, tol)
+            traj = integrate(y0, prm, span, tol)
+            steps = traj._steps
             # the steps as taken: summed in order, they give the run's taus
             assert len(steps) == traj.stats.accepted
             assert np.array_equal(np.cumsum(steps), traj.taus[1:])
-            end, _ = dynamics._replay(y0, prm, steps)
+            end, _ = traj.replay(y0)
             assert np.array_equal(np.array(end), traj.states[-1])
 
     def test_replay_costs_one_field_call_per_stage(self, q1_family,
                                                    field_calls):
         for y0, prm, span, tol in self._cases(q1_family):
             field_calls.clear()
-            traj, steps = dynamics._integrate(y0, prm, span, tol)
+            traj = integrate(y0, prm, span, tol)
             st = traj.stats
             assert st.rhs_evals == len(field_calls) \
                 == 1 + 12 * st.accepted + 11 * st.rejected
             field_calls.clear()
-            _, calls = dynamics._replay(
-                y0 + np.array([0.0, 1e-6, 0.0, 0.0]), prm, steps)
+            _, calls = traj.replay(y0 + np.array([0.0, 1e-6, 0.0, 0.0]))
             assert calls == len(field_calls) == 1 + 12 * st.accepted
 
     def test_zero_span_replays_nothing(self):
         prm = Params(beta=0.2, a1=0.3)
         y0 = separated_state(0.2, 0.3)
-        traj, steps = dynamics._integrate(y0, prm, 0.0, 1e-12)
+        traj = integrate(y0, prm, 0.0, 1e-12)
+        steps = traj._steps
         assert len(steps) == 0
         assert traj.stats.rhs_evals == 0
-        assert dynamics._replay(2.0 * y0, prm, steps) == (tuple(2.0 * y0), 1)
+        assert traj.replay(2.0 * y0) == (tuple(2.0 * y0), 1)
 
 
 class TestIntegrationErrors:

@@ -9,7 +9,7 @@ from deviation_reference import _deviation_to_arc as reference_deviation
 from deviation_reference import (exhaustive_deviation_to_arc,
                                  exhaustive_nearest)
 from tricentre import shadow
-from tricentre.dynamics import Params, _integrate, _replay, integrate
+from tricentre.dynamics import Params, Trajectory, integrate
 from tricentre.errors import DomainError
 from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
                                 velocity_to_cartesian)
@@ -60,17 +60,19 @@ class TestShootSegment:
         replays = []  # (steps, field calls) of every twin replay
 
         def counting_integrate(*args):
-            traj, steps = _integrate(*args)
-            runs.append((args[3], traj.stats.rhs_evals, steps, traj))
-            return traj, steps
+            traj = integrate(*args)
+            runs.append((args[3], traj.stats.rhs_evals, traj._steps, traj))
+            return traj
 
-        def counting_replay(state0, prm, steps):
-            end, calls = _replay(state0, prm, steps)
-            replays.append((steps, calls))
+        replay = Trajectory.replay
+
+        def counting_replay(traj, state0):
+            end, calls = replay(traj, state0)
+            replays.append((traj._steps, calls))
             return end, calls
 
-        monkeypatch.setattr(shadow, "_integrate", counting_integrate)
-        monkeypatch.setattr(shadow, "_replay", counting_replay)
+        monkeypatch.setattr(shadow, "integrate", counting_integrate)
+        monkeypatch.setattr(Trajectory, "replay", counting_replay)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         assert res.converged and res.n_iterations >= 2
@@ -113,6 +115,20 @@ class TestShootSegment:
         assert res.converged and res.chord_accepted
         assert len(log) == res.n_iterations - 1
 
+    # The segments of acceptance test 10: (n_iterations, rhs_evals,
+    # loose_integrations, tight_integrations, chord_accepted), exactly.
+    # Any change to the Newton path or to the integrator's steps moves them.
+    @pytest.mark.parametrize("eps, path", [
+        (1e-2, (6, 19088, 6, 2, True)),
+        (1e-3, (5, 19212, 5, 2, True)),
+        (1e-4, (4, 18031, 4, 2, True)),
+    ])
+    def test_newton_path_of_the_reference_segments(self, q1_family, eps,
+                                                   path):
+        res = shoot_segment(q1_family[0], eps)
+        assert (res.n_iterations, res.rhs_evals, res.loose_integrations,
+                res.tight_integrations, res.chord_accepted) == path
+
     def test_loose_stall_restarts_tight_from_the_guess(self, q1_family,
                                                        monkeypatch):
         # a loose map frozen after its first full step never improves
@@ -125,10 +141,10 @@ class TestShootSegment:
                 loose.append((state0, tau_end))
                 state0, tau_end = loose[min(len(loose), 2) - 1]
             log.append(tol)
-            return _integrate(state0, prm, tau_end, tol)
+            return integrate(state0, prm, tau_end, tol)
 
         ref = shoot_segment(q1_family[0], 1e-3)
-        monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
+        monkeypatch.setattr(shadow, "integrate", frozen_integrate)
         log = self._logging_replays(monkeypatch)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
@@ -149,12 +165,13 @@ class TestShootSegment:
         """A list to which shadow's twin replay appends "replay" on every
         call (an integrator may append its runs to it too)."""
         log = []
+        replay = Trajectory.replay
 
-        def logging_replay(state0, prm, steps):
+        def logging_replay(traj, state0):
             log.append("replay")
-            return _replay(state0, prm, steps)
+            return replay(traj, state0)
 
-        monkeypatch.setattr(shadow, "_replay", logging_replay)
+        monkeypatch.setattr(Trajectory, "replay", logging_replay)
         return log
 
     @staticmethod
@@ -167,9 +184,9 @@ class TestShootSegment:
             runs.append((tol, tau_end, state0.copy()))
             if log is not None:
                 log.append(tol)
-            return _integrate(state0, prm, tau_end, tol)
+            return integrate(state0, prm, tau_end, tol)
 
-        monkeypatch.setattr(shadow, "_integrate", recording_integrate)
+        monkeypatch.setattr(shadow, "integrate", recording_integrate)
         return runs
 
     def test_singular_loose_jacobian_restarts_tight_from_the_guess(
@@ -240,9 +257,9 @@ class TestShootSegment:
             if tol == shadow._TIGHT_TOL:
                 tight.append((state0, tau_end))
                 state0, tau_end = tight[0]
-            return _integrate(state0, prm, tau_end, tol)
+            return integrate(state0, prm, tau_end, tol)
 
-        monkeypatch.setattr(shadow, "_integrate", frozen_integrate)
+        monkeypatch.setattr(shadow, "integrate", frozen_integrate)
         res = shoot_segment(q1_family[0], 1e-3)
         hist = res.residual_history
         n_loose = res.loose_integrations
@@ -263,10 +280,10 @@ class TestShootSegment:
         solve = np.linalg.solve
 
         def recording_integrate(state0, prm, tau_end, tol):
-            traj, steps = _integrate(state0, prm, tau_end, tol)
+            traj = integrate(state0, prm, tau_end, tol)
             if tol == shadow._TIGHT_TOL:
                 tight.append(traj)
-            return traj, steps
+            return traj
 
         def counting_solve(a, b):
             # the first solve after the switch run is the chord step's
@@ -276,7 +293,7 @@ class TestShootSegment:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        monkeypatch.setattr(shadow, "_integrate", recording_integrate)
+        monkeypatch.setattr(shadow, "integrate", recording_integrate)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         skip_chord = False
         res = shoot_segment(q2_family[0], 1e-3)
@@ -325,8 +342,8 @@ class TestShootSegment:
             return np.array(elliptic_to_xy(state[0], state[1], math))
 
         d = shadow._ALPHA_STEP
-        traj, steps = _integrate(start(res.alpha), prm, res.duration, tol)
-        twin_end, _ = _replay(start(res.alpha + d), prm, steps)
+        traj = integrate(start(res.alpha), prm, res.duration, tol)
+        twin_end, _ = traj.replay(start(res.alpha + d))
         column = (end_xy(twin_end) - end_xy(traj.states[-1])) / d
         h = 1e-7
         ends = [end_xy(integrate(start(res.alpha + 0.5 * d + s * h), prm,
