@@ -22,9 +22,9 @@ _EXPORTS = {
                "entropy_estimate"),
     "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
                  "Trajectory", "integrate", "trajectory_to_json"),
-    "errors": ("AccuracyError", "DomainError", "IntegrationError",
-               "PlacementError", "RangeError", "SingularityError",
-               "StructuralError", "TricentreError", "UnsafeCentreError"),
+    "errors": ("DomainError", "IntegrationError", "PlacementError",
+               "RangeError", "SingularityError", "StructuralError",
+               "TricentreError", "UnsafeCentreError"),
     "exclusion": ("NondegeneracyCertificate", "SafetyReport",
                   "find_admissible_beta", "nondegeneracy_certificate",
                   "primary_collision_check", "primary_collision_ratios",
@@ -34,8 +34,8 @@ _EXPORTS = {
                  "transform_matrix", "velocity_to_cartesian"),
     "params": ("Params",),
     "periods": ("ResonanceSolution", "modulus_squares", "period_phi",
-                "period_xi", "resonance_residual", "solve_beta_for_energy",
-                "solve_resonant_a1", "turning_point_xi"),
+                "period_xi", "solve_beta_for_energy", "solve_resonant_a1",
+                "turning_point_xi"),
     "shadow": ("ShadowResult", "local_expansion_rate", "shoot_segment"),
     "special": ("complete_elliptic_k",),
     "_output": ("trajectory_to_csv",),

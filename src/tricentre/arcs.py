@@ -129,13 +129,17 @@ class SeparatedPath:
     with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
     sign of `sign` at tau = 0.  It serves what readers of a collision
     arc's path use: `taus` and `states` (the two ends), `state_at` and
-    `dense_grid`.  beta = 0 raises DomainError, as `turning_point_xi` does.
+    `dense_grid`.  beta = 0 raises DomainError, as `turning_point_xi` does,
+    and so does a beta so small that u+ rounds to 1.
     """
 
     def __init__(self, prm: Params, start: EllipticPoint, sign: int,
                  direction: int, duration: float):
         turning_point_xi(prm.beta, prm.a1)  # refuses beta = 0
         u_plus, u_minus, big_a, w, _ = _separated_motion(prm.beta, prm.a1)
+        if u_plus >= 1.0:
+            raise DomainError(f"beta = {prm.beta!r} is too small:"
+                              " tanh^2(xi_plus/2) rounds to 1")
         self._k2 = prm.beta / (1.0 + prm.beta)
         self._f0 = incomplete_elliptic_f(start.phi, self._k2)
         self._rate = direction * w

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from ._output import trajectory_to_csv, write_csv, write_json
-from .errors import (AccuracyError, DomainError, IntegrationError,
-                     StructuralError, TricentreError, UnsafeCentreError)
+from .errors import (DomainError, IntegrationError, StructuralError,
+                     TricentreError, UnsafeCentreError)
 from .exclusion import (_as_cartesian, find_admissible_beta,
                         primary_collision_check, primary_collision_ratios,
                         resonant_params)
@@ -616,7 +616,7 @@ def main(argv=None) -> int:
     except UnsafeCentreError as exc:
         print(f"error (unsafe centre): {exc}", file=sys.stderr)
         return EXIT_UNSAFE
-    except (AccuracyError, IntegrationError, StructuralError) as exc:
+    except (IntegrationError, StructuralError) as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DomainError as exc:

@@ -35,14 +35,6 @@ class UnsafeCentreError(TricentreError):
         self.nearest = nearest
 
 
-class AccuracyError(TricentreError):
-    """Requested accuracy not reached; carries the best estimate found."""
-
-    def __init__(self, message, best_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-
-
 class IntegrationError(TricentreError):
     """Trajectory integration aborted (step underflow, exclusion ball, ...)."""
 

@@ -9,10 +9,11 @@ memoised, no root search or period after the first cell of its (beta, q);
 each of G+- is bisected into a cached float table of S sorted by value,
 and only its two neighbours there are compared, as floats.  Of two
 elements at the same distance the smaller (the one of lower index) is
-reported nearest, and no Fraction is compared.  With the finite-difference
-nondegeneracy certificate and the beta search that `solve` runs, it makes
-up the math-only layer behind the `periods`, `solve` and `check`
-commands; nothing here imports numpy.  `arcs` builds on it.
+reported nearest, and no Fraction is compared.  With the nondegeneracy
+certificate, whose Jacobian takes the exact partials of q*T1 - T2 through
+K and dK/dm, and the beta search that `solve` runs, it makes up the
+math-only layer behind the `periods`, `solve` and `check` commands;
+nothing here imports numpy.  `arcs` builds on it.
 """
 from __future__ import annotations
 
@@ -22,12 +23,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AccuracyError, DomainError, PlacementError, RangeError
+from .errors import DomainError, PlacementError, RangeError
 from .geometry import EllipticPoint, _principal_angles, elliptic_to_cartesian
 from .params import Params, _check_centre
-from .periods import (ResonanceSolution, period_xi, resonance_residual,
+from .periods import (ResonanceSolution, _xi_modulus, period_xi,
                       solve_resonant_a1, turning_point_xi)
-from .special import incomplete_elliptic_f
+from .special import _elliptic_k_and_slope, incomplete_elliptic_f
 
 __all__ = [
     "resonant_params", "SafetyReport", "primary_collision_ratios",
@@ -35,7 +36,6 @@ __all__ = [
     "nondegeneracy_certificate", "find_admissible_beta",
 ]
 
-_FD_STEP = 1e-6         # finite-difference step of the certificate
 _DET_THRESHOLD = 1e-6   # least |normalized determinant| that passes
 _ELLIPSE_MARGIN = 0.01  # admissible beta: relative margin on cosh(xi0)
 _MAX_HALVINGS = 60
@@ -204,9 +204,8 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
 
 @dataclass(frozen=True)
 class NondegeneracyCertificate:
-    det_j: float            # Richardson-extrapolated raw determinant
+    det_j: float            # determinant of the exact Jacobian
     det_normalized: float   # after scaling each row to unit max-entry
-    fd_step: float
     beta: float
     q: Fraction
     threshold: float
@@ -216,52 +215,35 @@ class NondegeneracyCertificate:
 def nondegeneracy_certificate(beta: float, q) -> NondegeneracyCertificate:
     """Certify the resonance Jacobian determinant away from zero.
 
-    The Jacobian couples the residual derivatives (dF/dbeta, dF/da1) with
-    the energy-constraint row (-2*a1, -2*beta) at the resonant point.
-    Partials use central differences of step 1e-6 and its half (second-order
-    one-sided in beta at beta = 0); a step-halving disagreement beyond 50%
-    flags the step size as unusable.  The certificate passes when the
-    row-normalized |det| exceeds 1e-6.
+    The Jacobian couples the partials (dF/dbeta, dF/da1) of the residual
+    F = q*T1 - T2 with the energy-constraint row (-2*a1, -2*beta) at the
+    resonant point.  The partials are exact: T1 = 2 sqrt(2) disc^(-1/4)
+    K(k1^2) with disc = 1 - 4 beta a1^2 and k1^2 = (a1 (1-beta) +
+    sqrt(disc))/(2 sqrt(disc)), and T2 = 2 K(k2^2)/sqrt(a1 (1+beta)) with
+    k2^2 = beta/(1+beta), differentiated through dK/dm.  The certificate
+    passes when the row-normalized |det| exceeds 1e-6.
     """
     q = Fraction(q)
-    sol = solve_resonant_a1(beta, q)
-    a1h = sol.a1_hat
-
-    def det_at(h: float) -> tuple[float, float]:
-        if beta >= h:
-            f_b = (resonance_residual(beta + h, a1h, q)
-                   - resonance_residual(beta - h, a1h, q)) / (2.0 * h)
-        else:
-            f0 = resonance_residual(beta, a1h, q)
-            f1 = resonance_residual(beta + h, a1h, q)
-            f2 = resonance_residual(beta + 2.0 * h, a1h, q)
-            f_b = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        f_a = (resonance_residual(beta, a1h + h, q)
-               - resonance_residual(beta, a1h - h, q)) / (2.0 * h)
-        return f_b, f_a
-
-    fb1, fa1 = det_at(_FD_STEP)
-    fb2, fa2 = det_at(0.5 * _FD_STEP)
-    f_b = (4.0 * fb2 - fb1) / 3.0
-    f_a = (4.0 * fa2 - fa1) / 3.0
-
-    def full_det(fb, fa):
-        return fb * (-2.0 * beta) - fa * (-2.0 * a1h)
-
-    d1 = full_det(fb1, fa1)
-    d2 = full_det(fb2, fa2)
-    det = full_det(f_b, f_a)
-    if abs(d1 - d2) > 0.5 * max(abs(det), 1e-300):
-        raise AccuracyError(
-            f"finite-difference step {_FD_STEP:.3g} is in the nonlinear regime"
-            f" (step-halving disagreement {abs(d1-d2):.3g})",
-            best_estimate=det)
-
+    a1 = solve_resonant_a1(beta, q).a1_hat
+    disc, k1sq = _xi_modulus(beta, a1)
+    root = math.sqrt(disc)
+    k1, dk1 = _elliptic_k_and_slope(k1sq)
+    k2, dk2 = _elliptic_k_and_slope(beta / (1.0 + beta))
+    qt1 = float(q) * 2.0 * math.sqrt(2.0) / disc ** 0.25  # q*T1 / K(k1^2)
+    t2 = 2.0 / math.sqrt(a1 * (1.0 + beta))               # T2 / K(k2^2)
+    # dk1^2/dbeta and dk1^2/da1; d(disc^(-1/4)) / disc^(-1/4) is
+    # a1^2/disc dbeta + 2 beta a1/disc da1
+    m_b = (1.0 - beta) * a1 ** 3 / root ** 3 - 0.5 * a1 / root
+    m_a = 0.5 * (1.0 - beta) / root ** 3
+    f_b = (qt1 * (dk1 * m_b + k1 * a1 * a1 / disc)
+           - t2 * (dk2 / (1.0 + beta) - 0.5 * k2) / (1.0 + beta))
+    f_a = qt1 * (dk1 * m_a + 2.0 * k1 * beta * a1 / disc) + 0.5 * t2 * k2 / a1
+    det = 2.0 * (a1 * f_a - beta * f_b)
     row1 = max(abs(f_b), abs(f_a))
-    row2 = max(abs(2.0 * a1h), abs(2.0 * beta))
+    row2 = max(abs(2.0 * a1), abs(2.0 * beta))
     det_norm = det / (row1 * row2) if row1 > 0.0 and row2 > 0.0 else 0.0
     return NondegeneracyCertificate(
-        det_j=det, det_normalized=det_norm, fd_step=_FD_STEP, beta=beta, q=q,
+        det_j=det, det_normalized=det_norm, beta=beta, q=q,
         threshold=_DET_THRESHOLD, passed=abs(det_norm) > _DET_THRESHOLD)
 
 

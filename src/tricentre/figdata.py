@@ -40,7 +40,7 @@ class OrbitTrack:
     colliding: bool
 
 
-def xi_potential_curve(energy: float = -0.5):
+def xi_potential_curve(energy: float):
     """Effective xi potential -2 cosh(xi) + |E| cosh(xi)^2 and its minima.
 
     For |E| < 1 the curve, sampled on xi in [-3, 3], is a double well with
@@ -59,7 +59,7 @@ def xi_potential_curve(energy: float = -0.5):
     return xi, pot, meta
 
 
-def phi_potential_curve(energy: float = -0.5):
+def phi_potential_curve(energy: float):
     """Pendulum-type phi potential -|E| cos(phi)^2 over one revolution."""
     if energy >= 0.0:
         raise DomainError("energy must be negative")
@@ -102,7 +102,7 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     return tracks
 
 
-def orbit_bundle_through(q=1, beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
+def orbit_bundle_through(q, beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     """The two transverse periodic orbits through (2/3 xi_plus, 0)."""
     q = Fraction(q)
     sol = solve_resonant_a1(beta, q)

@@ -25,7 +25,7 @@ from .special import complete_elliptic_k
 __all__ = [
     "ResonanceSolution",
     "modulus_squares", "period_xi", "period_phi",
-    "resonance_residual", "solve_resonant_a1", "solve_beta_for_energy",
+    "solve_resonant_a1", "solve_beta_for_energy",
     "turning_point_xi",
 ]
 
@@ -135,13 +135,6 @@ def _residual_in_a1(beta: float, q: Fraction):
     float(q) and K(k2^2) are computed once, not per a1."""
     qf, t2 = float(q), _period_phi_in_a1(beta)
     return lambda a1: qf * _period_xi(beta, a1) - t2(a1)
-
-
-def resonance_residual(beta: float, a1: float, q) -> float:
-    """q*T1 - T2; strictly increasing in a1, with a sign change on (0, 1/(1+beta))."""
-    q = Fraction(q)
-    _check_domain(beta, a1)
-    return _residual_in_a1(beta, q)(a1)
 
 
 _SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps

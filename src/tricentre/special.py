@@ -1,7 +1,8 @@
 """Complete and incomplete elliptic integrals of the first kind, math only.
 
 Every closed-form period formula in the library funnels through
-:func:`complete_elliptic_k` (the AGM); the travel times of the
+:func:`complete_elliptic_k` (the AGM), and the nondegeneracy certificate
+takes K with dK/dm from one run of the same AGM; the travel times of the
 primary-collision exclusion test go through :func:`incomplete_elliptic_f`,
 which evaluates Carlson's symmetric integral R_F by duplication
 (B. C. Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.1).
@@ -34,6 +35,29 @@ def complete_elliptic_k(m: float) -> float:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return math.pi / (a + b)
+
+
+def _elliptic_k_and_slope(m: float) -> tuple[float, float]:
+    """K(m) and dK/dm for 0 <= m < 1, from one AGM run.
+
+    complete_elliptic_k's loop and stop rule, so K is bitwise its value.
+    With c_n = (a_(n-1) - b_(n-1))/2, E = K (1 - m/2 - sum_(n>=1)
+    2^(n-1) c_n^2) (DLMF 19.8.6), and dK/dm = (E - (1-m) K)/(2m(1-m))
+    (DLMF 19.4.1) = K (1/2 - sum/m)/(2(1-m)), which is pi/8 at m = 0.
+    """
+    a, b = 1.0, math.sqrt(1.0 - m)
+    tail, weight = 0.0, 1.0
+    for _ in range(40):
+        if abs(a - b) <= 4e-16 * a:
+            break
+        c = 0.5 * (a - b)
+        tail += weight * c * c
+        weight *= 2.0
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    k = math.pi / (a + b)
+    if m == 0.0:
+        return k, math.pi / 8.0
+    return k, k * (0.5 - tail / m) / (2.0 * (1.0 - m))
 
 
 # Duplication stops once every normalized difference is below

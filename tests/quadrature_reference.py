@@ -11,7 +11,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from tricentre.errors import AccuracyError, DomainError
+from tricentre.errors import DomainError
+
+
+class AccuracyError(Exception):
+    """Requested accuracy not reached; carries the best estimate found."""
+
+    def __init__(self, message, best_estimate=None):
+        super().__init__(message)
+        self.best_estimate = best_estimate
 
 
 @dataclass(frozen=True)

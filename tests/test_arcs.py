@@ -2,15 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import arc_reference
 import exclusion_reference
+import nondegeneracy_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
-from quadrature_reference import adaptive_quadrature
+from quadrature_reference import AccuracyError, adaptive_quadrature
 from tricentre import exclusion, special
 from tricentre.arcs import am, arc_family, build_arc, initial_velocities
 from tricentre.exclusion import (find_admissible_beta,
@@ -18,14 +20,15 @@ from tricentre.exclusion import (find_admissible_beta,
                                  primary_collision_check,
                                  primary_collision_ratios, resonant_params)
 from tricentre.dynamics import Params, integrate
-from tricentre.errors import (AccuracyError, DomainError, PlacementError,
-                             UnsafeCentreError)
+from tricentre.errors import DomainError, PlacementError, UnsafeCentreError
 from tricentre.figdata import orbit_family_portrait
 from tricentre.geometry import (CartesianPoint, EllipticPoint,
                                 elliptic_to_cartesian)
-from tricentre.periods import period_xi, solve_resonant_a1, turning_point_xi
+from tricentre.periods import (modulus_squares, period_xi, solve_resonant_a1,
+                               turning_point_xi)
 
 F = Fraction
+CLASSES = st.builds(F, st.integers(1, 16), st.integers(1, 16))
 
 
 def _support(arc, n=800):
@@ -287,6 +290,55 @@ class TestNondegeneracy:
         for beta in (0.0, 1.0 / 14.0, BETA_REF):
             for q in (1, 2):
                 assert nondegeneracy_certificate(beta, q).passed
+
+    # Near the separatrix the determinant is ill-conditioned in a1: with
+    # d = 1 - k1^2 its relative condition number is about 1/d, so any
+    # double evaluation at a1 misses the exact value by some eps/d.  The
+    # 1e-12 bound holds for d >= 1e-2, and 64 eps/d nearer (at most 16 eps/d
+    # measured).
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(beta=st.floats(0.0, 0.95), q=CLASSES)
+    @example(beta=0.0, q=F(1))
+    @example(beta=0.1956881382396182, q=F(1, 15))  # clamped, d ~ 1e-9
+    def test_determinant_against_mpmath(self, beta, q):
+        a1 = solve_resonant_a1(beta, q).a1_hat
+        want = _mpmath_determinant(beta, q, a1)
+        d = 1.0 - modulus_squares(beta, a1)[0]
+        bound = 1e-12 if d >= 1e-2 else 64.0 * 2.0 ** -52 / d
+        got = nondegeneracy_certificate(beta, q).det_j
+        assert abs(got - want) <= bound * abs(want)
+
+    # the finite-difference oracle's error is rounding, about eps*|F|/h ~
+    # 1e-9 relative (at most 2.1e-9 measured), where d >= 1e-2; nearer the
+    # separatrix its steps leave the domain or its truncation error grows
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.floats(0.0, 0.95), st.floats(0.0, 1e-5)),
+           q=CLASSES)
+    def test_determinant_against_finite_differences(self, beta, q):
+        a1 = solve_resonant_a1(beta, q).a1_hat
+        assume(1.0 - modulus_squares(beta, a1)[0] >= 1e-2)
+        want = nondegeneracy_reference.nondegeneracy_certificate(beta, q)
+        got = nondegeneracy_certificate(beta, q)
+        assert abs(got.det_j - want.det_j) <= 1e-7 * abs(want.det_j)
+        assert got.passed == want.passed
+
+
+def _mpmath_determinant(beta: float, q: Fraction, a1: float) -> float:
+    """det [[dF/dbeta, dF/da1], [-2 a1, -2 beta]] of F = q*T1 - T2 at 40
+    digits, the partials by mpmath.diff of the closed forms."""
+    with mpmath.workdps(40):
+        b0, a0 = mpmath.mpf(beta), mpmath.mpf(a1)
+        qm = mpmath.mpf(q.numerator) / q.denominator
+
+        def residual(b, a):
+            root = mpmath.sqrt(1 - 4 * b * a * a)
+            t1 = (2 * mpmath.sqrt(2) / mpmath.sqrt(root)
+                  * mpmath.ellipk((a * (1 - b) + root) / (2 * root)))
+            t2 = 2 / mpmath.sqrt(a * (1 + b)) * mpmath.ellipk(b / (1 + b))
+            return qm * t1 - t2
+        f_b = mpmath.diff(residual, (b0, a0), (1, 0))
+        f_a = mpmath.diff(residual, (b0, a0), (0, 1))
+        return float(2 * (a0 * f_a - b0 * f_b))
 
 
 class TestFamilies:

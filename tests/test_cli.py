@@ -200,6 +200,13 @@ class TestFigs:
         for px, py in doc["self_intersections"]:
             assert x0 <= px <= x1 and y0 <= py <= y1
 
+    def test_tiny_beta_exit_two(self, capsys, tmp_path):
+        # tanh^2(xi_plus/2) rounds to 1: refused, and no file written
+        assert main(["figs", "5", "--beta", "1e-300",
+                     "--out", str(tmp_path)]) == 2
+        assert "beta = 1e-300" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_index(self, capsys, tmp_path):
         assert main(["figs", "7", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

@@ -10,6 +10,7 @@ import tricentre.figdata
 import tricentre.periods
 from intersections_reference import \
     polyline_self_intersections as reference_intersections
+from tricentre.errors import DomainError
 from tricentre.figdata import (_merge_near_duplicates, orbit_bundle_through,
                                polyline_self_intersections)
 
@@ -167,3 +168,9 @@ class TestOrbitBundle:
             monkeypatch.setattr(module, "solve_resonant_a1", counted)
         orbit_bundle_through(q=1, beta=1.0 / 7.0)
         assert len(calls) == 1
+
+    def test_tiny_beta_is_a_domain_error(self):
+        # u+ = tanh^2(xi_plus/2) rounds to 1, so no xi near xi_plus has a
+        # finite tanh^-1: refused, not sampled as inf and nan
+        with pytest.raises(DomainError, match="beta = 1e-300"):
+            orbit_bundle_through(q=2, beta=1e-300)

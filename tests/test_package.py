@@ -13,11 +13,13 @@ import tricentre
 # since (integrate_symplectic moved to tests/verlet_check.py,
 # PrimaryProximity, which only tests used, is gone, adaptive_quadrature
 # with QuadratureResult moved to tests/quadrature_reference.py,
-# XiCrossing moved to tests/event_specs.py, and EllipticState,
+# XiCrossing moved to tests/event_specs.py, EllipticState,
 # primary_potential, centre_potential, regularized_hamiltonian and
-# vector_field, which only tests used, are gone).
+# vector_field, which only tests used, are gone, and AccuracyError moved
+# to tests/quadrature_reference.py and resonance_residual left with the
+# finite-difference certificate, tests/nondegeneracy_reference.py).
 EXPORTS = {
-    "AccuracyError", "ArcLabel", "CartesianPoint", "CentreProximity",
+    "ArcLabel", "CartesianPoint", "CentreProximity",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
     "EllipticPoint", "EventRecord", "IntegrationError",
     "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",
@@ -31,7 +33,7 @@ EXPORTS = {
     "initial_velocities", "integrate", "local_expansion_rate",
     "modulus_squares", "nondegeneracy_certificate", "period_phi",
     "period_xi", "physical_time_of", "primary_collision_check",
-    "primary_collision_ratios", "resonance_residual", "resonant_params", "shoot_segment",
+    "primary_collision_ratios", "resonant_params", "shoot_segment",
     "solve_beta_for_energy", "solve_resonant_a1", "trajectory_to_csv",
     "trajectory_to_json", "transform_matrix", "turning_point_xi",
     "velocity_to_cartesian",

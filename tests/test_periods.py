@@ -12,15 +12,20 @@ import resonance_reference as ref
 from tricentre import periods
 from tricentre.errors import DomainError, RangeError
 from tricentre.periods import (ResonanceSolution, modulus_squares, period_phi,
-                               period_xi, resonance_residual,
-                               solve_beta_for_energy, solve_resonant_a1,
-                               turning_point_xi)
+                               period_xi, solve_beta_for_energy,
+                               solve_resonant_a1, turning_point_xi)
 from tricentre.special import complete_elliptic_k
 
 # frozen from an independent plain-bisection oracle on the beta = 0 residual
 # (4/sqrt(2)) K((a1+1)/2) = pi/sqrt(a1), run to the float resolution limit
 A1_HAT_0_1 = 0.3051189659361163
 CLASSES = st.builds(Fraction, st.integers(1, 16), st.integers(1, 16))
+
+
+def resonance_residual(beta: float, a1: float, q) -> float:
+    """q*T1 - T2 as the resonance solve evaluates it, domain checked."""
+    periods._check_domain(beta, a1)
+    return periods._residual_in_a1(beta, Fraction(q))(a1)
 
 
 class TestModuli:

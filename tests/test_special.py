@@ -3,12 +3,12 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ellipk, ellipkinc, elliprf
+from scipy.special import ellipk, ellipkinc, elliprd, elliprf
 
-from quadrature_reference import adaptive_quadrature
-from tricentre.errors import AccuracyError, DomainError
-from tricentre.special import (_carlson_rf, complete_elliptic_k,
-                               incomplete_elliptic_f)
+from quadrature_reference import AccuracyError, adaptive_quadrature
+from tricentre.errors import DomainError
+from tricentre.special import (_carlson_rf, _elliptic_k_and_slope,
+                               complete_elliptic_k, incomplete_elliptic_f)
 
 # Independent oracle value for K(m = 1/2), frozen from the tanh-sinh
 # quadrature of the defining integral (cross-checked against
@@ -83,6 +83,31 @@ class TestCompleteEllipticK:
         grid = [i / 32.0 for i in range(32)]
         vals = [complete_elliptic_k(m) for m in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestEllipticKAndSlope:
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(m=st.floats(0.0, 1.0, exclude_max=True))
+    @example(m=0.0)
+    @example(m=5e-324)
+    @example(m=1.0 - 2.0 ** -53)
+    def test_k_bitwise_complete_elliptic_k(self, m):
+        assert _elliptic_k_and_slope(m)[0].hex() == complete_elliptic_k(m).hex()
+
+    # scipy's (E - (1-m) K)/(2m(1-m)) with E - (1-m) K written as m (K - D),
+    # D = (K - E)/m = R_D(0, 1-m, 1)/3 (DLMF 19.25.1): E - (1-m) K itself
+    # loses eps/m to cancellation at small m
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(m=st.floats(0.0, 0.99, exclude_min=True))
+    @example(m=5e-324)
+    @example(m=1e-8)
+    @example(m=0.99)
+    def test_slope_against_scipy(self, m):
+        want = (ellipk(m) - elliprd(0.0, 1.0 - m, 1.0) / 3.0) / (2.0 * (1.0 - m))
+        assert abs(_elliptic_k_and_slope(m)[1] - want) <= 1e-12 * want
+
+    def test_slope_at_zero(self):
+        assert _elliptic_k_and_slope(0.0) == (math.pi / 2.0, math.pi / 8.0)
 
 
 class TestAdaptiveQuadrature:
