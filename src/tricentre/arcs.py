@@ -267,6 +267,36 @@ def _first_return(path: SeparatedPath, centre: EllipticPoint,
     return min(returns)
 
 
+def _self_crossings(path: SeparatedPath, q: Fraction) -> np.ndarray:
+    """The m(2n - 1) time pairs (tau1, tau2), reduced to [0, m T1), at which
+    the periodic path of class q = m/n is twice at one Cartesian point.
+
+    With T1 = 4K(m_xi)/lam, T2 = 4K(k2^2)/w and m T1 = n T2 one period, the
+    two times meet either at one elliptic point or at its conjugate
+    (-xi, -phi).  At one point, tau2 = tau1 + j T2 (1 <= j <= n/2) and, as
+    cn(-u) = cn(u), tau1 = k T1/2 - j T2/2 - v0/lam.  At the conjugate, as
+    am is odd and cn(u + 2K) = -cn(u), tau1 + tau2 = -2 F(phi0)/w' + j T2
+    (w' the signed phi rate) and tau2 - tau1 = (l + 1/2) T1 (0 <= l < m/2).
+    The k range when 2j = n, and the j range when 2l + 1 = m, are halved,
+    since each pair would otherwise come twice.
+    """
+    m, n = q.numerator, q.denominator
+    t1 = 4.0 * complete_elliptic_k(path._m) / path._lam
+    t2 = 4.0 * complete_elliptic_k(path._k2) / abs(path._rate)
+    pairs = []
+    for j in range(1, n // 2 + 1):
+        k = np.arange(m if 2 * j == n else 2 * m)
+        tau1 = 0.5 * (k * t1 - j * t2) - path._v0 / path._lam
+        pairs.append(np.column_stack([tau1, tau1 + j * t2]))
+    for l in range((m + 1) // 2):
+        total = np.arange(n if 2 * l + 1 == m else 2 * n) * t2 \
+            - 2.0 * path._f0 / path._rate
+        half_gap = 0.5 * (l + 0.5) * t1
+        pairs.append(np.column_stack([0.5 * total - half_gap,
+                                      0.5 * total + half_gap]))
+    return np.mod(np.concatenate(pairs), m * t1)
+
+
 # ---------------------------------------------------------------------------
 # families
 

@@ -107,7 +107,7 @@ def build_graph(arcs: Sequence[CollisionArc]) -> ChainGraph:
     if not arcs:
         raise DomainError("cannot build a graph from an empty arc set")
     energies = [arc.energy for arc in arcs]
-    if max(energies) - min(energies) > 1e-8 * max(1.0, abs(energies[0])):
+    if max(energies) - min(energies) > 1e-8 * abs(energies[0]):
         raise DomainError("arcs do not share a common energy")
     labels = [arc.label for arc in arcs]
     if len(set(labels)) != len(labels):

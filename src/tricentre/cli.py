@@ -420,13 +420,9 @@ def cmd_figs(args) -> int:
     q = Fraction(1) if which == 4 else Fraction(2)
     key = _param_hash({"cmd": f"figs{which}", "beta": beta, "q": str(q)})
     tracks = figdata.orbit_bundle_through(q=q, beta=beta)
-    crossings = []
-    for tr in tracks:
-        crossings.extend(figdata.polyline_self_intersections(tr.x, tr.y))
+    crossings = [p for tr in tracks for p in tr.crossings]
     window = None
     if which == 6:
-        if not crossings:
-            raise StructuralError("no self-intersections found to enlarge")
         cx, cy = [p[0] for p in crossings], [p[1] for p in crossings]
         pad = 0.35
         window = (float(min(cx) - pad), float(max(cx) + pad),

@@ -253,9 +253,10 @@ def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
     """Find beta with energy(beta, q) = -2*beta*a1_hat(beta, q) = energy.
 
     The resonant energy decreases continuously from 0 at beta = 0, so a
-    bracket exists whenever |energy| is small enough for the class; a
-    RangeError is raised otherwise (beta is capped at 0.95).  The beta
-    search stops at an energy gap of 1e-12 * max(1, |energy|).
+    bracket exists for each |energy| between the class's values at
+    beta = 1e-12 (about 6.1e-13 for q = 1) and at beta = 0.95, the cap; a
+    RangeError is raised outside it.  The beta search stops at an energy
+    gap of 1e-12 * |energy|.
     """
     q = Fraction(q)
     if not (energy < 0.0):
@@ -265,8 +266,11 @@ def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
         return solve_resonant_a1(beta, q).energy - energy
 
     lo = 1e-12
-    if gap(lo) <= 0.0:  # |energy| below resolution
-        return solve_resonant_a1(lo, q)
+    if gap(lo) < 0.0:
+        raise RangeError(
+            f"|energy| = {abs(energy):.6g} is below the reach of class {q}:"
+            f" beta >= {lo:g} gives |energy| >= "
+            f"{abs(solve_resonant_a1(lo, q).energy):.6g}")
     hi = 0.05
     while gap(hi) > 0.0:
         hi = min(hi * 2.0, _BETA_CAP)
@@ -275,7 +279,7 @@ def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
                 f"|energy| = {abs(energy):.6g} is out of reach for class {q}"
                 f" with beta <= {_BETA_CAP}")
     beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
-                              _RESONANCE_TOL * max(1.0, abs(energy)), 0.0)
+                              _RESONANCE_TOL * abs(energy), 0.0)
     return solve_resonant_a1(beta, q)
 
 

@@ -16,7 +16,7 @@ from tricentre.chains import (ChainGraph, CollisionChain, assemble_chain,
                               build_alphabet, build_graph,
                               count_periodic_chains, entropy_estimate)
 from tricentre.errors import DomainError, RangeError, StructuralError
-from tricentre.geometry import EllipticPoint
+from tricentre.geometry import CartesianPoint, EllipticPoint
 
 F = Fraction
 
@@ -178,6 +178,16 @@ class TestGraph:
     def test_mixed_energy_rejected(self, q1_family, q2_family):
         with pytest.raises(DomainError):
             build_graph([q1_family[0], q2_family[0]])
+
+    def test_tiny_energy_compared_relatively(self):
+        centre = CartesianPoint(0.3, 0.5)
+        arcs = build_alphabet(centre, [1, 2], -1e-11)
+        assert all(abs(a.energy + 1e-11) <= 1e-23 for a in arcs)
+        build_graph(arcs)
+        # 1e-5 apart relatively, though only 1e-16 in absolute terms
+        other = build_alphabet(centre, [2], -1.00001e-11)
+        with pytest.raises(DomainError, match="common energy"):
+            build_graph(arcs[:4] + other)
 
 
 class TestCounts:

@@ -95,6 +95,11 @@ class TestSolve:
     def test_range_error_exit(self, capsys):
         assert main(["solve", "--q", "2", "--energy", "-5.0"]) == 2
 
+    def test_energy_below_reach_exit_two(self, capsys):
+        # refused, not answered with the beta = 1e-12 resonance
+        assert main(["solve", "--q", "1", "--energy=-1e-300"]) == 2
+        assert "|energy| >= 6.10238e-13" in capsys.readouterr().err
+
     @staticmethod
     def _refused_solve(capsys, monkeypatch, centre):
         """solve's exit code, stderr and resonant_params calls for a centre
@@ -150,6 +155,14 @@ class TestSolverCountersStayOut:
 
 
 class TestChains:
+    def test_energy_below_reach_exit_two(self, capsys, tmp_path):
+        # beta = 1e-300 sets an energy of about -6e-301, below every
+        # class-1 resonance from beta = 1e-12 on
+        assert main(["chains", "--beta", "1e-300", "--classes", "1",
+                     "--centre-xy", "1e-3,0", "--out", str(tmp_path)]) == 2
+        assert "|energy| >= 6.10238e-13" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [
         ["--centre-xy", "1.18,0", "--classes", "1,2", "--energy", "-0.05"],
         ["--centre-elliptic", "0.6,0", "--classes", "1", "--energy", "-0.05"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -487,7 +488,7 @@ class TestResonanceProperties:
 class TestBetaForEnergyOracle:
     @pytest.mark.parametrize("q, energy", [
         (1, -0.05), (2, -0.05), (3, -0.05), (Fraction(1, 2), -0.05),
-        (1, -1e-6), (2, -0.1), (1, -0.3), (1, -1e-30)])
+        (1, -1e-6), (2, -0.1), (1, -0.3)])
     def test_bitwise_equal_to_reference(self, q, energy):
         """The energy meets the search tolerance, beta agrees with the
         reference's to within that tolerance over |dE/dbeta|, and the result
@@ -512,8 +513,23 @@ class TestBetaForEnergyOracle:
         with pytest.raises(RangeError):
             solve_beta_for_energy(2, -5.0)
 
+    @pytest.mark.parametrize("q, floor", [(1, "6.10238e-13"),
+                                          (2, "1.72251e-13")])
+    def test_below_reach_refused(self, q, floor):
+        # the reference answers with the beta = 1e-12 resonance instead
+        assert ref.solve_beta_for_energy(q, -1e-30).beta == 1e-12
+        with pytest.raises(RangeError,
+                           match=re.escape(f"gives |energy| >= {floor}")):
+            solve_beta_for_energy(q, -1e-30)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("energy", [-1e-11, -1e-9])
+    def test_gap_relative_to_a_small_energy(self, q, energy):
+        assert abs(solve_beta_for_energy(q, energy).energy - energy) \
+            <= periods._RESONANCE_TOL * abs(energy)
+
     @pytest.mark.parametrize("q, energy, in_reach", [
-        (2, -0.05, True), (1, -0.3, True), (1, -1e-30, True),
+        (2, -0.05, True), (1, -0.3, True), (1, -1e-30, False),
         (2, -5.0, False)])
     def test_each_nested_solve_made_once(self, monkeypatch, q, energy,
                                          in_reach):
