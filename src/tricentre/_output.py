@@ -8,7 +8,6 @@ digits, which round-trip every float64.
 """
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -40,6 +39,7 @@ def write_csv(path, header, columns) -> None:
 
 
 def write_json(path, doc) -> None:
+    import json
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True,
                                   default=str) + "\n")
 

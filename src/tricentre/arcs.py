@@ -17,7 +17,6 @@ point and the orbit passes through infinity, so no path is built there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -48,8 +47,7 @@ class ArcLabel(NamedTuple):
         return f"q={self.q}:s{self.sign:+d}:d{self.direction:+d}"
 
 
-@dataclass
-class CollisionArc:
+class CollisionArc(NamedTuple):
     params: Params
     label: ArcLabel
     start: EllipticPoint

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,17 +29,19 @@ __all__ = [
 _PARALLEL_TOL = 1e-6       # least |cross product| of non-parallel unit vectors
 
 
-@dataclass
-class ChainGraph:
-    """Direction-change admissibility graph over a set of labeled arcs."""
+class ChainGraph(NamedTuple("ChainGraph", [("nodes", list[ArcLabel]),
+                                           ("adjacency", np.ndarray)])):
+    """Direction-change admissibility graph over a set of labeled arcs;
+    adjacency[i, j], a bool, says whether arc j may follow arc i."""
 
-    nodes: list[ArcLabel]
-    adjacency: np.ndarray  # bool, adjacency[i, j]: arc j may follow arc i
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.nodes)
-        if self.adjacency.shape != (n, n):
+    def __new__(cls, nodes: list[ArcLabel], adjacency: np.ndarray):
+        if adjacency.shape != (len(nodes), len(nodes)):
             raise StructuralError("adjacency shape does not match node count")
+        return tuple.__new__(cls, (nodes, adjacency))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too
 
     @property
     def n_nodes(self) -> int:
@@ -55,14 +56,15 @@ class ChainGraph:
         }
 
 
-@dataclass(frozen=True)
-class CollisionChain:
+class CollisionChain(tuple):
     """A finite admissible word in the graph (periodic when closed)."""
 
-    labels: tuple
+    __slots__ = ()
 
-    def __len__(self):
-        return len(self.labels)
+    labels = property(tuple)  # its arc labels, as a plain tuple
+
+    def __repr__(self):
+        return f"CollisionChain(labels={self.labels!r})"
 
 
 def build_alphabet(centre, classes: Sequence, energy: float,

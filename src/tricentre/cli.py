@@ -13,8 +13,6 @@ atomically (write-then-rename).  Exit codes: 0 success, 2 domain error,
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +31,8 @@ from .periods import (_RESONANCE_TOL, modulus_squares, period_phi, period_xi,
                       turning_point_xi)
 
 # periods, solve and check run on the math-only modules above; the other
-# commands import numpy and the integrating layers inside their bodies.
+# commands import numpy and the integrating layers inside their bodies, and
+# json and hashlib are imported where a document is written or hashed.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -46,6 +45,8 @@ def _fmt(x: float) -> str:
 
 
 def _param_hash(payload: dict) -> str:
+    import hashlib
+    import json
     text = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(text.encode()).hexdigest()[:10]
 
@@ -158,6 +159,7 @@ def _out_dir(args) -> Path:
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.json:
+        import json
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
     else:
         for line in lines:
@@ -377,6 +379,16 @@ def _track_columns(track, window=None):
     return [c[keep] for c in cols]
 
 
+def _mirror_sorted(crossings):
+    """Crossings in (x, y) order, each with the lesser x of itself and its
+    mate, the crossing nearest (x, -y): mates, on tracks that mirror each
+    other in the x-axis, agree in x only to rounding."""
+    def key(p):
+        mate = min(crossings, key=lambda c: (c[0] - p[0]) ** 2 + (c[1] + p[1]) ** 2)
+        return min(p[0], mate[0]), p[1]
+    return sorted(crossings, key=key)
+
+
 # Figures 1-2 are potential curves at an energy, 3-6 orbits at a beta;
 # figs N takes only the one of --beta / --energy named here.
 _FIGURE_PARAMETER = {n: "energy" if n <= 2 else "beta" for n in range(1, 7)}
@@ -434,7 +446,7 @@ def cmd_figs(args) -> int:
         files.append(path.name)
     doc = {"command": f"figs {which}", "beta": beta, "q": str(q),
            "orbits": files,
-           "self_intersections": [[p[0], p[1]] for p in sorted(crossings)]}
+           "self_intersections": [list(p) for p in _mirror_sorted(crossings)]}
     if window is not None:
         doc["window"] = list(window)
     json_path = out / f"fig{which}_{key}.json"

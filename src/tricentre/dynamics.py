@@ -12,9 +12,8 @@ rotating-pendulum motion in phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,9 +62,7 @@ def hamiltonian_values(states: np.ndarray, prm: Params) -> np.ndarray:
 
 
 def _centre_xy(prm: Params) -> tuple[float, float]:
-    if prm.centre is None:
-        return 0.0, 0.0
-    return prm.centre.x, prm.centre.y
+    return prm.centre or (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +73,30 @@ def _centre_xy(prm: Params) -> tuple[float, float]:
 # the whole dense-output grid and the root refinement one state of shape
 # (4,).  Each root becomes an EventRecord of the spec's `kind`.
 
-@dataclass(frozen=True)
-class PhiCrossing:
+class PhiCrossing(NamedTuple("PhiCrossing", [("value", float), ("kind", str),
+                                             ("direction", int)])):
     """Crossing of phi = value (mod 2pi), any rotation direction."""
-    value: float
-    kind: str = field(default="phi_crossing", init=False)
-    direction: int = field(default=0, init=False)
+
+    __slots__ = ()
+    __getnewargs__ = lambda self: self[:1]  # for copy and pickle
+
+    def __new__(cls, value: float):
+        return tuple.__new__(cls, (value, "phi_crossing", 0))
 
     def g(self, states: np.ndarray, prm: Params):
         # the half angle vanishes, with a sign change, only at value mod 2pi
         return np.sin(0.5 * (states[..., 1] - self.value))
 
 
-@dataclass(frozen=True)
-class CentreProximity:
+class CentreProximity(NamedTuple("CentreProximity", [
+        ("radius", float), ("direction", int), ("kind", str)])):
     """Crossing of the circle dist(., centre) = radius; -1 means entering."""
-    radius: float
-    direction: int = -1
-    kind: str = field(default="centre_proximity", init=False)
+
+    __slots__ = ()
+    __getnewargs__ = lambda self: self[:2]  # for copy and pickle
+
+    def __new__(cls, radius: float, direction: int = -1):
+        return tuple.__new__(cls, (radius, direction, "centre_proximity"))
 
     def g(self, states: np.ndarray, prm: Params):
         # a single state is mapped through math, as the stepping kernel does
@@ -105,8 +108,7 @@ class CentreProximity:
         return (x - c.x) ** 2 + (y - c.y) ** 2 - self.radius ** 2
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     kind: str
     tau: float
     state: np.ndarray

@@ -20,11 +20,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PlacementError, RangeError
-from .geometry import EllipticPoint, _principal_angles, elliptic_to_cartesian
+from .geometry import EllipticPoint, _principal_point, elliptic_to_cartesian
 from .params import Params, _check_centre
 from .periods import (ResonanceSolution, _xi_modulus, period_xi,
                       solve_resonant_a1, turning_point_xi)
@@ -47,15 +47,13 @@ def resonant_params(centre, q, beta: float) -> tuple[Params, ResonanceSolution]:
     centre may be an EllipticPoint or CartesianPoint.
     """
     sol = solve_resonant_a1(beta, q)
-    prm = Params(beta=beta, a1=sol.a1_hat, q=sol.q, eps=0.0,
-                 centre=_as_cartesian(centre))
-    return prm, sol
+    return Params(beta=beta, a1=sol.a1_hat, q=sol.q,
+                  centre=_as_cartesian(centre)), sol
 
 
 def _as_cartesian(centre):
-    if isinstance(centre, EllipticPoint):
-        return elliptic_to_cartesian(centre)
-    return centre
+    return (elliptic_to_cartesian(centre) if isinstance(centre, EllipticPoint)
+            else centre)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +151,7 @@ def _resonance_constants(beta: float, a1: float):
     return math.sqrt(u_plus), u_plus / u_minus, w, q_scale, t1
 
 
-@dataclass(frozen=True)
-class SafetyReport:
+class SafetyReport(NamedTuple):
     g_plus: float
     g_minus: float
     safe: bool
@@ -181,7 +178,7 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
     if prm.centre is None:
         raise DomainError("no perturbing centre configured")
     beta, a1 = prm.beta, prm.a1
-    xi0, phi0 = _principal_angles(prm.centre)
+    xi0, phi0 = _principal_point(prm.centre)
     root_u_plus, m_xi, w, q_scale, t1 = _resonance_constants(beta, a1)
     p_val = incomplete_elliptic_f(phi0, beta / (1.0 + beta)) / w
     ratio = math.tanh(0.5 * abs(xi0)) / root_u_plus
@@ -202,8 +199,7 @@ def primary_collision_check(prm: Params, delta: float = 1e-4) -> SafetyReport:
 # ---------------------------------------------------------------------------
 # nondegeneracy
 
-@dataclass(frozen=True)
-class NondegeneracyCertificate:
+class NondegeneracyCertificate(NamedTuple):
     det_j: float            # determinant of the exact Jacobian
     det_normalized: float   # after scaling each row to unit max-entry
     beta: float
@@ -265,7 +261,7 @@ def find_admissible_beta(centre, q, beta_start: float = 0.5,
         try:
             prm, sol = resonant_params(point, q, beta)
             xi_plus = turning_point_xi(beta, sol.a1_hat)
-            xi0, _ = _principal_angles(prm.centre)
+            xi0, _ = _principal_point(prm.centre)
             inside = (math.cosh(xi0)
                       < math.cosh(xi_plus) * (1.0 - _ELLIPSE_MARGIN))
             if inside and primary_collision_check(prm, delta=delta).safe:

@@ -11,8 +11,8 @@ self-crossings, m(2n - 1) for q = m/n (`arcs._self_crossings`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ _CURVE_POINTS = 1201   # samples of each potential curve
 _PORTRAIT_ORBITS = 18  # distinct orbits of figure 3 besides the colliding pair
 
 
-@dataclass
-class OrbitTrack:
+class OrbitTrack(NamedTuple):
     name: str
     taus: np.ndarray
     states: np.ndarray  # (n, 4) elliptic

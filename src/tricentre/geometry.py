@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SingularityError
 
@@ -32,23 +32,18 @@ TWO_PI = 2.0 * math.pi
 _PRIMARY_TOL = 1e-13
 
 
-def wrap_angle(phi: float) -> float:
-    """Reduce an angle to [0, 2pi)."""
-    phi = math.fmod(phi, TWO_PI)
-    if phi < 0.0:
-        phi += TWO_PI
-    return 0.0 if phi == TWO_PI else phi
-
-
-@dataclass(frozen=True)
-class EllipticPoint:
+class EllipticPoint(NamedTuple("EllipticPoint", [("xi", float), ("phi", float)])):
     """Point (xi, phi) on the cylinder; phi stored normalized to [0, 2pi)."""
 
-    xi: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+    def __new__(cls, xi: float, phi: float):
+        phi = math.fmod(phi, TWO_PI)
+        if phi < 0.0:
+            phi += TWO_PI
+        return tuple.__new__(cls, (xi, 0.0 if phi == TWO_PI else phi))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too
 
     @property
     def conjugate(self) -> "EllipticPoint":
@@ -63,8 +58,12 @@ class EllipticPoint:
         return d <= _PRIMARY_TOL
 
 
-@dataclass(frozen=True)
-class CartesianPoint:
+def wrap_angle(phi: float) -> float:
+    """Reduce an angle to [0, 2pi), as EllipticPoint stores phi."""
+    return EllipticPoint(0.0, phi).phi
+
+
+class CartesianPoint(NamedTuple):
     x: float
     y: float
 
@@ -97,14 +96,14 @@ def cartesian_to_elliptic(p: CartesianPoint) -> tuple[EllipticPoint, EllipticPoi
     near the ramification points, where it reduces to the square-root
     expansion sqrt(2(z - 1)).
     """
-    first = EllipticPoint(*_principal_angles(p))
+    first = _principal_point(p)
     return first, first.conjugate
 
 
-def _principal_angles(p: CartesianPoint) -> tuple[float, float]:
-    """(xi, phi) of p's principal preimage (see cartesian_to_elliptic)."""
+def _principal_point(p: CartesianPoint) -> EllipticPoint:
+    """p's principal preimage (see cartesian_to_elliptic)."""
     zeta = cmath.acosh(complex(p.x, p.y))
-    return zeta.real, wrap_angle(zeta.imag)
+    return EllipticPoint(zeta.real, zeta.imag)
 
 
 def transform_matrix(p: EllipticPoint) -> np.ndarray:

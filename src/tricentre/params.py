@@ -8,19 +8,19 @@ without importing numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .geometry import CartesianPoint, EllipticPoint, _principal_angles
+from .geometry import CartesianPoint, EllipticPoint, _principal_point
 from .periods import _check_domain, _check_unit_intensity
 
 __all__ = ["Params"]
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple("Params", [
+        ("a", float), ("beta", float), ("a1", float), ("q", Fraction),
+        ("eps", float), ("centre", Optional[CartesianPoint])])):
     """Physical and regime parameters of one problem instance.
 
     beta = |E|/E1 and a1 = E1/2 are the scaled energy parameters of the
@@ -29,30 +29,34 @@ class Params:
     energy E = -2*beta*a1 is derived, never stored; a is 1.0 (`periods`).
     """
 
-    a: float = 1.0
-    beta: float = 0.0
-    a1: float = 0.25
-    q: Fraction = Fraction(1)
-    eps: float = 0.0
-    centre: Optional[CartesianPoint] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_unit_intensity(self.a)
-        _check_domain(self.beta, self.a1)
-        if 2.0 * self.beta * self.a1 >= 1.0:
+    def __new__(cls, a: float = 1.0, beta: float = 0.0, a1: float = 0.25,
+                q: Fraction = Fraction(1), eps: float = 0.0,
+                centre: Optional[CartesianPoint] = None):
+        # valid input passes one test; where that fails, the checks of
+        # `periods` and `_check_centre` decide, with their own messages
+        if not (a == 1.0 and 0.0 <= beta < 1.0
+                and 0.0 < a1 < 1.0 / (1.0 + beta)):
+            _check_unit_intensity(a)
+            _check_domain(beta, a1)
+        if 2.0 * beta * a1 >= 1.0:
             raise DomainError("admissibility requires 2*beta*a1 < 1")
-        if not 0.0 <= self.eps < math.inf:
-            raise DomainError(f"eps must be finite and >= 0, got {self.eps}")
-        if isinstance(self.q, int):
-            object.__setattr__(self, "q", Fraction(self.q))
-        if not isinstance(self.q, Fraction) or self.q.numerator <= 0:
+        if not 0.0 <= eps < math.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {eps}")
+        if isinstance(q, int):
+            q = Fraction(q)
+        if not isinstance(q, Fraction) or q.numerator <= 0:
             raise DomainError("resonance class q must be a positive int or"
-                              f" Fraction, got {self.q!r}")
-        if self.centre is None:
-            if self.eps > 0.0:
+                              f" Fraction, got {q!r}")
+        if centre is None:
+            if eps > 0.0:
                 raise DomainError("a perturbing centre position is required when eps > 0")
-        else:
-            _check_centre(self.centre)
+        elif not 1e-12 <= math.hypot(abs(centre.x) - 1.0, centre.y) < math.inf:
+            _check_centre(centre)  # raises on a primary or if not finite
+        return tuple.__new__(cls, (a, beta, a1, q, eps, centre))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too
 
     @property
     def energy(self) -> float:
@@ -62,10 +66,10 @@ class Params:
     def centre_elliptic(self) -> EllipticPoint:
         if self.centre is None:
             raise DomainError("no perturbing centre configured")
-        return EllipticPoint(*_principal_angles(self.centre))
+        return _principal_point(self.centre)
 
     def with_eps(self, eps: float) -> "Params":
-        return replace(self, eps=eps)
+        return self._replace(eps=eps)
 
 
 def _check_centre(centre: CartesianPoint) -> None:

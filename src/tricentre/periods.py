@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError
 from .special import complete_elliptic_k
@@ -34,8 +34,7 @@ _BETA_CAP = 0.95  # largest beta the energy bracket of a class may reach
 _RESONANCE_TOL = 1e-12  # |q*T1 - T2| at which a resonance solve stops
 
 
-@dataclass(frozen=True)
-class ResonanceSolution:
+class ResonanceSolution(NamedTuple):
     """Parameters of a q*T1 = T2 resonance at fixed beta.
 
     residual is the remaining q*T1 - T2 at the returned a1_hat; clamped is

@@ -21,8 +21,7 @@ neighbourhood estimates the local expansion rate of the return map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +54,7 @@ _SCREEN_STEPS = 5           # of them, the steps taken on every point
 _FINISH_FIRST = 32          # points of largest bound, finished first
 
 
-@dataclass
-class ShadowResult:
+class ShadowResult(NamedTuple):
     eps: float
     max_deviation: float      # sup over the segment of distance to the arc
     min_c_distance: float
@@ -242,17 +240,11 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     centre = prm.centre
     c_vec = np.array([centre.x, centre.y])
 
-    u0 = arc.v0_cartesian
-    u0 = u0 / np.hypot(*u0)
-    u_t = arc.vT_cartesian
-    u_t = u_t / np.hypot(*u_t)
+    v0, v_t = arc.v0_cartesian, arc.vT_cartesian
+    u0, u_t = v0 / np.hypot(*v0), v_t / np.hypot(*v_t)
     target = c_vec - r_e * u_t
-
     # tau spent inside the circles along the unperturbed arc, for the guess
-    v0_cart_speed = float(np.hypot(*arc.v0_cartesian))
-    vt_cart_speed = float(np.hypot(*arc.vT_cartesian))
-    tau_in = r_e / v0_cart_speed
-    tau_out = r_e / vt_cart_speed
+    tau_in, tau_out = r_e / float(np.hypot(*v0)), r_e / float(np.hypot(*v_t))
 
     rhs_evals = 0
     runs = {_LOOSE_TOL: 0, _TIGHT_TOL: 0}
@@ -381,14 +373,11 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     if not all(r.converged for r in results[:2]):
         raise DomainError("expansion rate requires converged segments")
     seg = results[0]
-    prm = seg.params
-    if prm.eps != eps:
-        prm = prm.with_eps(eps)
+    prm = seg.params.with_eps(eps)
     r_e = seg.entry_radius
 
     y_arr = seg.arrival_state
-    p_arr = EllipticPoint(y_arr[0], y_arr[1])
-    v_cart = velocity_to_cartesian(p_arr, y_arr[2:])
+    v_cart = velocity_to_cartesian(EllipticPoint(*y_arr[:2]), y_arr[2:])
     v_dir = v_cart / np.hypot(*v_cart)
     normal = np.array([-v_dir[1], v_dir[0]])
     pos0 = _cartesian_track(y_arr[None, :])[0]

@@ -417,9 +417,7 @@ class TestFamilies:
         real_build = arcs_mod.build_arc
 
         def grazing(prm, s, d):
-            arc = real_build(prm, s, d)
-            arc.min_primary_distance = 1e-9
-            return arc
+            return real_build(prm, s, d)._replace(min_primary_distance=1e-9)
 
         monkeypatch.setattr(arcs_mod, "build_arc", grazing)
         with pytest.raises(StructuralError):

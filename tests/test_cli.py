@@ -6,6 +6,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricentre._output
 from tricentre.cli import main
@@ -212,6 +214,54 @@ class TestFigs:
         x0, x1, y0, y1 = doc["window"]
         for px, py in doc["self_intersections"]:
             assert x0 <= px <= x1 and y0 <= py <= y1
+
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    def test_crossing_order_ignores_last_bit_of_x(self, capsys, tmp_path,
+                                                  monkeypatch, direction):
+        # fig 4's mirror pair (x, +-y) agrees in x only to rounding: with
+        # the second track's x one ulp to either side of the first's, the
+        # document is the one written from the computed crossings
+        from tricentre import figdata
+        rc, out = run(capsys, ["figs", "4", "--out", str(tmp_path), "--json"])
+        want = json.loads(out)
+        bundle = figdata.orbit_bundle_through
+        moved = []
+
+        def nudged(q, beta):
+            pos, neg = bundle(q=q, beta=beta)
+            [(x, _)], [(_, y)] = pos.crossings, neg.crossings
+            moved.append([math.nextafter(x, direction), y])
+            return [pos, neg._replace(crossings=[tuple(moved[0])])]
+
+        monkeypatch.setattr(figdata, "orbit_bundle_through", nudged)
+        rc, out = run(capsys, ["figs", "4", "--out", str(tmp_path), "--json"])
+        doc = json.loads(out)
+        assert rc == 0
+        assert doc == {**want, "self_intersections": [
+            moved[0] if p[1] < 0.0 else p for p in want["self_intersections"]]}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(xs=st.lists(st.integers(-50, 50), min_size=1, max_size=4,
+                       unique=True),
+           ys=st.lists(st.floats(0.01, 2.0), min_size=4, max_size=4),
+           ulps=st.lists(st.integers(-8, 8), min_size=4, max_size=4))
+    def test_mirror_order_is_that_of_exact_pairs(self, xs, ys, ulps):
+        # pairs (x, y), (x', -y) with x' some ulps from x sort as the exact
+        # pairs (x, +-y) do
+        from tricentre.cli import _mirror_sorted
+
+        def shifted(x, n):
+            for _ in range(abs(n)):
+                x = math.nextafter(x, math.copysign(math.inf, n))
+            return x
+
+        exact, noisy = [], []
+        for x, y, n in zip((0.1 * x for x in xs), ys, ulps):
+            exact += [(x, y), (x, -y)]
+            noisy += [(x, y), (shifted(x, n), -y)]
+        assert ([p[1] for p in _mirror_sorted(noisy)]
+                == [p[1] for p in _mirror_sorted(exact)]
+                == [p[1] for p in sorted(exact)])
 
     def test_tiny_beta_exit_two(self, capsys, tmp_path):
         # tanh^2(xi_plus/2) rounds to 1: refused, and no file written

@@ -112,13 +112,16 @@ class TestLazyNamespace:
       "--beta", "0.01"], 3),
 ], ids=["periods", "solve", "solve-centre", "check-safe", "check-unsafe"])
 def test_closed_form_commands_leave_numpy_out(argv, rc):
+    # nor the modules that records and hashing once pulled in; json is left
+    # out, as this child imports it to report
     out = _fresh_python(
         "import contextlib, io, json, sys\n"
         "from tricentre.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = main({argv!r})\n"
-        "print(json.dumps([rc, 'numpy' in sys.modules]))")
-    assert json.loads(out) == [rc, False]
+        "print(json.dumps([rc, sorted(m for m in ('numpy', 'dataclasses',"
+        " 'inspect', 'hashlib') if m in sys.modules)]))")
+    assert json.loads(out) == [rc, []]
 
 
 def test_arcs_command_loads_no_integrator(tmp_path):
@@ -129,7 +132,7 @@ def test_arcs_command_loads_no_integrator(tmp_path):
         "    rc = main(['arcs', '--centre-elliptic', '2.58,0', '--q', '1',"
         f" '--beta', '0.142857', '--out', {str(tmp_path)!r}])\n"
         "print(json.dumps([rc, sorted(m for m in ('tricentre.dynamics',"
-        " 'tricentre._kernels') if m in sys.modules)]))")
+        " 'tricentre._kernels', 'dataclasses') if m in sys.modules)]))")
     assert json.loads(out) == [0, []]
     assert len(list(tmp_path.glob("arc_*.csv"))) == 4
 

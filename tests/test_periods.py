@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -267,8 +266,8 @@ def _bits(x):
 
 
 def _fields(sol) -> dict:
-    return {f.name: _bits(getattr(sol, f.name))
-            for f in dataclasses.fields(sol) if f.name != "evaluations"}
+    return {name: _bits(getattr(sol, name))
+            for name in sol._fields if name != "evaluations"}
 
 
 def _count_residual_calls(monkeypatch) -> list:
@@ -555,8 +554,8 @@ class TestBetaForEnergyOracle:
 class TestSolveCache:
     @staticmethod
     def _typed_fields(sol) -> dict:
-        return {f.name: (type(getattr(sol, f.name)), _bits(getattr(sol, f.name)))
-                for f in dataclasses.fields(sol)}
+        return {name: (type(getattr(sol, name)), _bits(getattr(sol, name)))
+                for name in sol._fields}
 
     @pytest.mark.parametrize("q", [1, Fraction(1), 2, Fraction(3, 2)], ids=repr)
     @pytest.mark.parametrize("beta", [0, 0.0, -0.0, 0.2, 1.0 / 7.0], ids=repr)

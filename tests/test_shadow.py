@@ -309,7 +309,7 @@ class TestShootSegment:
         # the miss costs exactly its one tight run
         assert res.tight_integrations == ref.tight_integrations + 1
         assert res.rhs_evals == ref.rhs_evals + chord_trial.stats.rhs_evals
-        for name in ShadowResult.__dataclass_fields__:
+        for name in ShadowResult._fields:
             if name not in ("rhs_evals", "tight_integrations"):
                 a, b = getattr(res, name), getattr(ref, name)
                 assert (np.array_equal(a, b) if isinstance(a, np.ndarray)
@@ -507,8 +507,7 @@ class TestExpansionRate:
         res = shoot_segment(q1_family[0], 1e-3)
         with pytest.raises(DomainError):
             local_expansion_rate([res], 1e-3)
-        bad = shoot_segment(q1_family[0], 1e-3)
-        bad.converged = False
+        bad = shoot_segment(q1_family[0], 1e-3)._replace(converged=False)
         with pytest.raises(DomainError):
             local_expansion_rate([bad, res], 1e-3)
 
