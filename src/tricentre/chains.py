@@ -2,14 +2,17 @@
 
 Chains of arcs are admissible when consecutive velocities at C are not
 parallel (up to sign); the admissibility graph is a topological Markov
-chain.  Its periodic-path counts trace(A^n), an exact integer matrix power,
-and its spectral radius, from np.linalg.eigvals on each strongly connected
-component, give the number of periodic chains and the topological entropy.
+chain.  The two arcs of a pair (q, sign*direction) depart along one line,
+and every arrival is parallel to exactly one pair, which it may not
+precede: the adjacency is J - M, where M maps each pair p to the pair
+pi(p) that its arrivals forbid, and pi is a permutation (`ChainGraph`
+checks this law).  The periodic-chain counts trace(A^n) are then
+(N-2)^n + (-2)^n (#fix(pi^n) - 1) over Python ints, and the rows all sum
+to N-2, so the spectral radius is N-2 and the entropy log(N-2).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -29,16 +32,44 @@ __all__ = [
 _PARALLEL_TOL = 1e-6       # least |cross product| of non-parallel unit vectors
 
 
+def _pair_map(nodes: Sequence[ArcLabel], adjacency: np.ndarray) -> dict:
+    """pi: for each pair (q, sign*direction), the pair whose two arcs its
+    arcs may not precede.
+
+    Raises StructuralError unless the law holds: the nodes are whole
+    families (the four labels (q, +-1, +-1) of each class), each row's
+    zeros are exactly the two arcs of one pair, both arcs of a pair forbid
+    the same pair, and pi is a permutation.
+    """
+    pairs = [(q, sign * direction) for q, sign, direction in nodes]
+    classes = {q for q, _ in pairs}
+    if not nodes or len(nodes) != 4 * len(classes) or set(nodes) != {
+            (q, s, d) for q in classes for s in (1, -1) for d in (1, -1)}:
+        raise StructuralError("the nodes are not whole arc families")
+    pi: dict = {}
+    for pair, row in zip(pairs, adjacency.tolist()):
+        forbidden = [pairs[j] for j, edge in enumerate(row) if not edge]
+        if (len(forbidden) != 2 or forbidden[0] != forbidden[1]
+                or pi.setdefault(pair, forbidden[0]) != forbidden[0]):
+            raise StructuralError(
+                f"the arcs of pair {pair} do not forbid exactly one pair")
+    if len(set(pi.values())) != len(pi):
+        raise StructuralError("the forbidden pairs are not a permutation")
+    return pi
+
+
 class ChainGraph(NamedTuple("ChainGraph", [("nodes", list[ArcLabel]),
                                            ("adjacency", np.ndarray)])):
-    """Direction-change admissibility graph over a set of labeled arcs;
-    adjacency[i, j], a bool, says whether arc j may follow arc i."""
+    """Direction-change admissibility graph over whole arc families;
+    adjacency[i, j], a bool, says whether arc j may follow arc i.  Every
+    construction path checks the pair law of `_pair_map`."""
 
     __slots__ = ()
 
     def __new__(cls, nodes: list[ArcLabel], adjacency: np.ndarray):
         if adjacency.shape != (len(nodes), len(nodes)):
             raise StructuralError("adjacency shape does not match node count")
+        _pair_map(nodes, adjacency)
         return tuple.__new__(cls, (nodes, adjacency))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too
@@ -126,95 +157,46 @@ def build_graph(arcs: Sequence[CollisionArc]) -> ChainGraph:
     return ChainGraph(nodes=labels, adjacency=adj)
 
 
-def _adjacency_power(graph: ChainGraph, n: int) -> np.ndarray:
-    """A^n over Python ints (object dtype): exact, no overflow."""
-    return np.linalg.matrix_power(graph.adjacency.astype(int).astype(object), n)
-
-
 def count_periodic_chains(graph: ChainGraph, n: int) -> int:
-    """Number of periodic chains of period n: trace(A^n), exact integers."""
+    """Number of periodic chains of period n, trace(A^n) for A = J - M:
+    J and M commute, so it is (N-2)^n + (-2)^n (#fix(pi^n) - 1), exact."""
     if n < 1:
         raise DomainError(f"period must be >= 1, got {n}")
-    return int(np.trace(_adjacency_power(graph, n)))
-
-
-def _components(adj: np.ndarray) -> list[np.ndarray]:
-    """Node indices of each strongly connected component of adj.
-
-    Nodes i and j share a component when each reaches the other.  The
-    reachability matrix is I + A raised to a power of two at least N by
-    boolean squaring (numpy's bool matmul is OR over AND).
-    """
-    reach = adj.astype(bool) | np.eye(len(adj), dtype=bool)
-    for _ in range(len(adj).bit_length()):
-        reach = reach @ reach
-    mutual = reach & reach.T
-    # row i marks the component of i; keep it once, at its first node
-    return [np.flatnonzero(row) for i, row in enumerate(mutual)
-            if row.argmax() == i]
+    pi = _pair_map(*graph)
+    power = pi
+    for _ in range(n - 1):
+        power = {pair: pi[image] for pair, image in power.items()}
+    fixed = sum(pair == image for pair, image in power.items())  # of pi^n
+    return (graph.n_nodes - 2) ** n + (-2) ** n * (fixed - 1)
 
 
 def entropy_estimate(graph: ChainGraph) -> float:
-    """log of the adjacency spectral radius, from np.linalg.eigvals.
-
-    The spectrum of A is the union of the spectra of its strongly connected
-    components, and each component's spectral radius is a simple
-    (Perron) eigenvalue, which eigvals resolves to rounding; a root that
-    is defective in A as a whole would cost it about the square root of
-    the machine epsilon.  A graph with a cycle has spectral radius at
-    least 1, so a computed radius below 1 is either a nilpotent adjacency
-    (A^N = 0 for N nodes: no cycles at all), which yields entropy 0 with a
-    warning, or rounding of a root at 1; the exact integer test A^N = 0
-    tells them apart, and the radius is clamped at 1.
-    """
-    n = graph.n_nodes
-    if n == 0:
-        raise DomainError("empty graph")
-    adj = graph.adjacency.astype(float)
-    rho = max(float(np.max(np.abs(np.linalg.eigvals(adj[np.ix_(c, c)]))))
-              for c in _components(graph.adjacency))
-    if rho < 1.0 and not _adjacency_power(graph, n).any():
-        warnings.warn("adjacency is nilpotent: no periodic chains exist",
-                      stacklevel=2)
-        return 0.0
-    return math.log(max(rho, 1.0))
+    """log of the adjacency spectral radius: every row sums to N - 2, and a
+    nonnegative matrix with constant row sums has that sum as its spectral
+    radius, so log(N - 2), at least log 2."""
+    return math.log(graph.n_nodes - 2)
 
 
 def assemble_chain(graph: ChainGraph, word: Sequence, length: int) -> CollisionChain:
     """A chain of the given length whose classes follow the word cyclically.
 
-    Depth-first search over arcs of the prescribed class at each position;
-    raises StructuralError when no admissible assignment exists.
+    Each position takes the first arc of its class that may follow the
+    previous one; one always may, since an arc forbids only the two arcs
+    of one pair and every class has four.
     """
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
     if not word:
         raise DomainError("word must be nonempty")
     word = [Fraction(w) for w in word]
-    classes = [word[i % len(word)] for i in range(length)]
     by_class: dict = {}
     for i, lb in enumerate(graph.nodes):
         by_class.setdefault(lb.q, []).append(i)
-    for q in classes:
+    for q in word[:length]:
         if q not in by_class:
             raise DomainError(f"no arcs of class {q} in the graph")
-
-    idx_path: list[int] = []
-
-    def extend(pos: int) -> bool:
-        if pos == length:
-            return True
-        for j in by_class[classes[pos]]:
-            if idx_path and not graph.adjacency[idx_path[-1], j]:
-                continue
-            idx_path.append(j)
-            if extend(pos + 1):
-                return True
-            idx_path.pop()
-        return False
-
-    if not extend(0):
-        raise StructuralError(
-            f"no admissible chain of length {length} realizes the word"
-            f" {[str(w) for w in word]}")
-    return CollisionChain(tuple(graph.nodes[j] for j in idx_path))
+    path: list[int] = []
+    for pos in range(length):
+        path.append(next(j for j in by_class[word[pos % len(word)]]
+                         if not path or graph.adjacency[path[-1], j]))
+    return CollisionChain(tuple(graph.nodes[j] for j in path))

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import StepStats
 from ._output import write_json
-from .errors import DomainError
+from .errors import DomainError, IntegrationError
 from .geometry import elliptic_to_xy
 from .params import Params
 from .periods import _bracketed_root
@@ -157,10 +157,19 @@ class Trajectory:
     def replay(self, state0) -> tuple[tuple[float, ...], int]:
         """End state of state0 pushed through this run's accepted steps
         under its params, and the field calls made; the run's own start
-        state ends on its last state, bitwise."""
+        state ends on its last state, bitwise.  The steps are not error
+        controlled for state0, so a twin that leaves the run's path can
+        overflow: IntegrationError, as for a non-finite end state."""
         prm = self.params
-        return _kernels.dop853_replay(state0, self._steps, prm.energy,
-                                      prm.eps, *_centre_xy(prm))
+        try:
+            end, calls = _kernels.dop853_replay(
+                state0, self._steps, prm.energy, prm.eps, *_centre_xy(prm))
+        except OverflowError as exc:
+            raise IntegrationError(f"the replayed twin overflowed: {exc}") \
+                from exc
+        if not all(map(math.isfinite, end)):
+            raise IntegrationError("the replayed twin ended non-finite")
+        return end, calls
 
     def _dense_states(self, idx, th) -> np.ndarray:
         """States at the fractions th of the steps idx (broadcast together)."""

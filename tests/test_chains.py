@@ -1,7 +1,7 @@
 import functools
 import itertools
 import math
-import warnings
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,18 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from tricentre import chains
+from tricentre.arcs import ArcLabel
 from tricentre.chains import (ChainGraph, CollisionChain, assemble_chain,
                               build_alphabet, build_graph,
                               count_periodic_chains, entropy_estimate)
-from tricentre.errors import DomainError, RangeError, StructuralError
+from tricentre.errors import (DomainError, RangeError, StructuralError,
+                              UnsafeCentreError)
 from tricentre.geometry import CartesianPoint, EllipticPoint
 
 F = Fraction
 
+# one family in pairs: sign*direction +1 (arcs 0, 1), then -1 (arcs 2, 3)
 CASE_I_ORDER = [(F(1), 1, 1), (F(1), -1, -1), (F(1), 1, -1), (F(1), -1, 1)]
+CLASS_POOL = [F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)]
+AXES = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi]  # on-axis: early returns
 
 
 def reordered_adjacency(graph, order):
@@ -37,6 +40,7 @@ def admissible(graph, labels):
 def brute_force_closed_walks(adj, n):
     """Independent oracle: DFS enumeration of closed walks of length n."""
     size = len(adj)
+    successors = [[j for j in range(size) if adj[i][j]] for i in range(size)]
     count = 0
 
     def walk(start, node, depth):
@@ -44,13 +48,23 @@ def brute_force_closed_walks(adj, n):
         if depth == n:
             count += int(bool(adj[node][start]))
             return
-        for nxt in range(size):
-            if adj[node][nxt]:
-                walk(start, nxt, depth + 1)
+        for nxt in successors[node]:
+            walk(start, nxt, depth + 1)
 
     for s in range(size):
         walk(s, s, 1)
     return count
+
+
+def int_power_trace(adj, n):
+    """trace(A^n) over Python ints, by n - 1 row-times-column products."""
+    a = np.asarray(adj).astype(int).tolist()
+    columns = list(zip(*a))
+    power = a
+    for _ in range(n - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in columns]
+                 for row in power]
+    return sum(power[i][i] for i in range(len(power)))
 
 
 def charpoly(adj):
@@ -94,32 +108,83 @@ def squarefree(p):
 
 
 def oracle_entropy(adj):
-    """log max(rho, 1) from the exact characteristic polynomial, or None
-    when the graph is nilpotent (characteristic polynomial x^N)."""
+    """log of the spectral radius, from the roots of the exact
+    characteristic polynomial."""
     return _entropy_of_charpoly(tuple(charpoly(adj)))
 
 
 @functools.lru_cache(maxsize=None)
 def _entropy_of_charpoly(p):
-    if not any(p[1:]):
-        return None
     with mpmath.workdps(30):
         q = [mpmath.mpf(c.numerator) / c.denominator for c in squarefree(p)]
         roots = mpmath.polyroots(q, maxsteps=200, extraprec=60)
-        return float(mpmath.log(max(max(abs(r) for r in roots), 1)))
+        return float(mpmath.log(max(abs(r) for r in roots)))
 
 
-def check_entropy_against_oracle(adj, tol):
-    g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
-                   adjacency=adj)
-    want = oracle_entropy(adj.astype(int).tolist())
-    if want is None:
-        with pytest.warns(UserWarning, match="nilpotent"):
-            assert entropy_estimate(g) == 0.0
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert abs(entropy_estimate(g) - want) <= tol
+def check_entropy_against_oracle(graph, tol):
+    entropy = entropy_estimate(graph)
+    assert entropy == math.log(graph.n_nodes - 2)
+    assert abs(entropy - oracle_entropy(graph.adjacency.astype(int).tolist())) \
+        <= tol
+
+
+def pair_map(graph):
+    """The pair whose two arcs the arcs of each pair (q, sign*direction)
+    may not precede, read from the zeros of the rows."""
+    pairs = [(lb.q, lb.sign * lb.direction) for lb in graph.nodes]
+    pi = {}
+    for pair, row in zip(pairs, graph.adjacency):
+        zeros = [pairs[j] for j in np.flatnonzero(~row)]
+        assert len(zeros) == 2 and zeros[0] == zeros[1]
+        assert pi.setdefault(pair, zeros[0]) == zeros[0]
+    return pi
+
+
+def law_graph(classes, perm):
+    """The graph over whole families of the classes in which the arcs of
+    pair k may not precede those of pair perm[k]; each class lists its
+    arcs in CASE_I_ORDER, so pairs 2c and 2c + 1 belong to class c."""
+    nodes = [ArcLabel(F(q), s, d) for q in classes
+             for _, s, d in CASE_I_ORDER]
+    adj = np.ones((len(nodes), len(nodes)), dtype=bool)
+    for i in range(len(nodes)):
+        adj[i, 2 * perm[i // 2]:2 * perm[i // 2] + 2] = False
+    return ChainGraph(nodes, adj)
+
+
+def alphabet_graph(xi, phi, classes, energy=-0.05):
+    """The graph of the alphabet at the centre (xi, phi), or None when
+    there is none: an unsafe centre or an unreachable energy."""
+    try:
+        arcs = build_alphabet(EllipticPoint(xi, phi), classes, energy)
+    except (DomainError, UnsafeCentreError):
+        return None
+    return build_graph(arcs)
+
+
+@pytest.fixture(scope="module")
+def seeded_graphs():
+    """30 alphabets of one to three classes at E = -0.05, half of the
+    centres on a symmetry axis."""
+    rng = random.Random(3)
+    graphs = []
+    while len(graphs) < 30:
+        classes = rng.sample(CLASS_POOL, rng.randint(1, 3))
+        phi = (rng.choice(AXES) if rng.random() < 0.5
+               else rng.uniform(0.0, 2.0 * math.pi))
+        graph = alphabet_graph(rng.uniform(0.05, 1.2), phi, classes)
+        if graph is not None:
+            graphs.append(graph)
+    return graphs
+
+
+DRAWN_GRAPHS = st.builds(
+    alphabet_graph, xi=st.floats(0.05, 1.2),
+    phi=st.one_of(st.sampled_from(AXES), st.floats(0.0, 2.0 * math.pi)),
+    classes=st.lists(st.sampled_from(CLASS_POOL), min_size=1, max_size=3,
+                     unique=True),
+    energy=st.sampled_from([-0.05, -0.02, -0.2]),
+).filter(lambda graph: graph is not None)
 
 
 class TestAlphabet:
@@ -189,6 +254,57 @@ class TestGraph:
         with pytest.raises(DomainError, match="common energy"):
             build_graph(arcs[:4] + other)
 
+    @pytest.mark.parametrize("nodes, forbidden", [
+        (CASE_I_ORDER, []),
+        (CASE_I_ORDER, [(0, 0), (0, 2), (1, 0), (1, 1), (2, 2), (2, 3),
+                        (3, 2), (3, 3)]),
+        (CASE_I_ORDER, [(0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (2, 3),
+                        (3, 2), (3, 3)]),
+        (CASE_I_ORDER, [(i, j) for i in range(4) for j in (0, 1)]),
+        ([(F(1), 1, k) for k in range(4)],
+         [(i, j) for i in range(4) for j in range(4) if i // 2 == j // 2]),
+        (CASE_I_ORDER[:3] + CASE_I_ORDER[:1],
+         [(i, j) for i in range(4) for j in range(4) if i // 2 == j // 2]),
+    ], ids=["no-edge-missing", "two-pairs-in-a-row", "pair-arcs-disagree",
+            "not-a-permutation", "not-a-family", "repeated-label"])
+    def test_hand_built_graph_off_the_pair_law_refused(self, nodes,
+                                                        forbidden):
+        adj = np.ones((4, 4), dtype=bool)
+        for i, j in forbidden:
+            adj[i, j] = False
+        with pytest.raises(StructuralError):
+            ChainGraph([ArcLabel(*lb) for lb in nodes], adj)
+
+
+class TestPairLaw:
+    """Every arc forbids exactly the two arcs of one pair, the same for both
+    arcs of a pair, and the forbidden pairs are a permutation: A = J - M."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graph=DRAWN_GRAPHS)
+    def test_rows_sum_to_n_minus_two(self, graph):
+        n = graph.n_nodes
+        assert n % 4 == 0
+        assert np.all(graph.adjacency.sum(axis=1) == n - 2)
+        pi = pair_map(graph)
+        assert len(pi) == n // 2 and sorted(pi.values()) == sorted(pi)
+
+    def test_seeded_draws_cover_early_returns(self, seeded_graphs):
+        moved = [g for g in seeded_graphs
+                 if any(a != b for a, b in pair_map(g).items())]
+        assert len(moved) >= 6
+        assert {g.n_nodes for g in moved} == {4, 8, 12}
+        assert {g.n_nodes for g in seeded_graphs} == {4, 8, 12}
+
+    def test_greedy_chain_on_every_word(self, seeded_graphs):
+        for g in seeded_graphs:
+            classes = sorted({lb.q for lb in g.nodes})
+            for word in itertools.permutations(classes):
+                chain = assemble_chain(g, word, 3 * len(word) + 1)
+                assert [lb.q for lb in chain.labels] == \
+                    [word[i % len(word)] for i in range(len(chain))]
+                assert admissible(g, chain.labels)
+
 
 class TestCounts:
     def test_case_i_exact(self, q1_family):
@@ -208,30 +324,44 @@ class TestCounts:
         for n in range(1, 9):
             assert count_periodic_chains(g, n) == brute_force_closed_walks(adj, n)
 
-    def test_brute_force_on_random_graph(self):
-        rng = np.random.default_rng(19)
-        adj = (rng.random((6, 6)) < 0.4)
-        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(6)],
-                       adjacency=adj)
-        for n in range(1, 8):
-            assert count_periodic_chains(g, n) == \
-                brute_force_closed_walks(adj.astype(int).tolist(), n)
+    def test_brute_force_on_random_graph(self, seeded_graphs):
+        # up to n = 8, or while the walks enumerated stay below 150,000:
+        # n <= 6 for two classes and n <= 5 for three
+        for g in seeded_graphs:
+            size = g.n_nodes
+            adj = g.adjacency.astype(int).tolist()
+            for n in range(1, 9):
+                if size * (size - 2) ** (n - 1) > 150_000:
+                    break
+                assert count_periodic_chains(g, n) == \
+                    brute_force_closed_walks(adj, n)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(adj=st.integers(1, 12).flatmap(
-        lambda k: hnp.arrays(np.bool_, (k, k))))
-    def test_trace_of_matrix_power(self, adj):
-        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
-                       adjacency=adj)
-        a = adj.astype(np.int64)
-        for n in range(1, 9):
-            assert count_periodic_chains(g, n) == \
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graph=DRAWN_GRAPHS)
+    def test_trace_of_matrix_power(self, graph):
+        a = graph.adjacency.astype(np.int64)
+        for n in range(1, 13):
+            assert count_periodic_chains(graph, n) == \
                 int(np.trace(np.linalg.matrix_power(a, n)))
 
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_every_small_law_graph_against_matrix_power(self, size):
+        # alphabets show only fixed pairs and swaps; these pair maps have
+        # cycles of every length up to 2 * size
+        for perm in itertools.permutations(range(2 * size)):
+            g = law_graph(CLASS_POOL[:size], perm)
+            a = g.adjacency.astype(np.int64)
+            for n in range(1, 13):
+                assert count_periodic_chains(g, n) == \
+                    int(np.trace(np.linalg.matrix_power(a, n)))
+
     def test_count_beyond_int64_is_exact(self):
-        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(12)],
-                       adjacency=np.ones((12, 12), dtype=bool))
-        assert count_periodic_chains(g, 40) == 12 ** 40
+        # three classes on the y-axis; classes 1 and 3 return early
+        g = alphabet_graph(1.08, math.pi / 2.0, [1, 2, 3])
+        assert sum(a != b for a, b in pair_map(g).items()) == 4
+        count = count_periodic_chains(g, 40)
+        assert count > 2 ** 63
+        assert count == int_power_trace(g.adjacency, 40)
 
     def test_bad_period(self, q1_family):
         with pytest.raises(DomainError):
@@ -240,81 +370,31 @@ class TestCounts:
 
 class TestEntropy:
     def test_case_i_log_two(self, q1_family):
-        assert entropy_estimate(build_graph(q1_family)) == pytest.approx(
-            math.log(2.0), abs=1e-9)
+        assert entropy_estimate(build_graph(q1_family)) == math.log(2.0)
 
     def test_case_ii_log_two(self, yaxis_family):
-        assert entropy_estimate(build_graph(yaxis_family)) == pytest.approx(
-            math.log(2.0), abs=1e-9)
-
-    def test_edgeless_graph_warns_zero(self):
-        g = ChainGraph(nodes=[(F(1), 1, 1), (F(1), -1, 1)],
-                       adjacency=np.zeros((2, 2), dtype=bool))
-        with pytest.warns(UserWarning):
-            assert entropy_estimate(g) == 0.0
-
-    def test_graph_with_a_cycle_skips_the_nilpotency_power(self, monkeypatch):
-        # its spectral radius is >= 1, so only eigvals is needed
-        calls = []
-        power = chains._adjacency_power
-        monkeypatch.setattr(chains, "_adjacency_power",
-                            lambda g, n: calls.append(n) or power(g, n))
-        adj = np.triu(np.ones((32, 32), dtype=bool), k=1)
-        adj[31, 0] = True  # closes a 32-cycle through every node
-        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(32)], adjacency=adj)
-        assert entropy_estimate(g) > 0.0
-        assert calls == []
+        assert entropy_estimate(build_graph(yaxis_family)) == math.log(2.0)
 
     def test_lower_bound_for_safe_alphabet(self, q2_family):
-        assert entropy_estimate(build_graph(q2_family)) >= math.log(2.0) - 1e-9
+        assert entropy_estimate(build_graph(q2_family)) >= math.log(2.0)
 
     @pytest.mark.parametrize("size", [2, 3])
     def test_every_small_graph_against_oracle(self, size):
-        for bits in itertools.product((False, True), repeat=size * size):
+        # every graph the pair law admits over size classes: one per
+        # permutation of the 2 * size pairs
+        for perm in itertools.permutations(range(2 * size)):
             check_entropy_against_oracle(
-                np.array(bits, dtype=bool).reshape(size, size), 1e-12)
+                law_graph(CLASS_POOL[:size], perm), 1e-12)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(adj=st.integers(4, 12).flatmap(
-        lambda k: hnp.arrays(np.bool_, (k, k))))
-    def test_random_graph_against_oracle(self, adj):
-        check_entropy_against_oracle(adj, 1e-12)
-
-    @pytest.mark.parametrize("adj", [
-        [[1, 1, 1, 0, 0], [0, 1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 1, 0, 1, 0],
-         [0, 1, 0, 0, 0]],
-        [[1, 0, 0, 1, 0], [0, 0, 1, 0, 1], [0, 1, 1, 0, 1], [1, 0, 0, 0, 0],
-         [1, 0, 0, 0, 1]],
-    ])
-    def test_defective_spectral_radius(self, adj):
-        # charpoly (x^2 - x - 1)^2 (x - 1): two components share the root
-        # phi^2, and eigvals of the whole matrix misses it by 2e-8 and 4e-9
-        assert charpoly(adj) == [1, -3, 1, 3, -1, -1]
-        check_entropy_against_oracle(np.array(adj, dtype=bool), 1e-12)
+    @given(graph=DRAWN_GRAPHS)
+    def test_random_graph_against_oracle(self, graph):
+        check_entropy_against_oracle(graph, 1e-12)
 
     def test_alphabet_graphs_against_oracle(self, q1_family, yaxis_family,
                                             q2_family):
         for family in (q1_family, yaxis_family, q2_family):
-            check_entropy_against_oracle(build_graph(family).adjacency, 1e-12)
-
-    @pytest.mark.parametrize("copies", [2, 3])
-    @pytest.mark.parametrize("block", [
-        np.ones((2, 2), dtype=bool),
-        np.block([[np.zeros((2, 2)), np.ones((2, 2))],
-                  [np.ones((2, 2)), np.zeros((2, 2))]]).astype(bool),
-    ])
-    def test_chained_log_two_blocks(self, block, copies):
-        # block-triangular: one edge from each copy into the next, so the
-        # spectral radius 2 is a defective eigenvalue of multiplicity copies
-        m = len(block)
-        adj = np.zeros((copies * m, copies * m), dtype=bool)
-        for i in range(copies):
-            adj[i * m:(i + 1) * m, i * m:(i + 1) * m] = block
-            if i + 1 < copies:
-                adj[i * m, (i + 1) * m] = True
-        g = ChainGraph(nodes=[(F(1), 1, k) for k in range(len(adj))],
-                       adjacency=adj)
-        assert entropy_estimate(g) == pytest.approx(math.log(2.0), abs=1e-12)
+            check_entropy_against_oracle(build_graph(family), 1e-12)
 
 
 class TestChainAssembly:
@@ -341,12 +421,12 @@ class TestChainAssembly:
         assert len(chain) == 1
 
     def test_impossible_word_raises(self, q1_family):
-        # restricting to one parallel pair leaves no admissible transition
+        # one parallel pair alone would leave no admissible transition; a
+        # half family breaks the pair law, so its graph is refused
         sub = [arc for arc in q1_family
                if (arc.label.sign, arc.label.direction) in ((1, 1), (-1, -1))]
-        g = build_graph(sub)
-        with pytest.raises(StructuralError):
-            assemble_chain(g, [1], 2)
+        with pytest.raises(StructuralError, match="whole arc families"):
+            assemble_chain(build_graph(sub), [1], 2)
 
     def test_unknown_class_rejected(self, q1_family):
         g = build_graph(q1_family)

@@ -183,6 +183,20 @@ class TestChains:
             assert b in edges[a], (a, b)
 
 
+class TestShadow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_twin_replay_exits_four(self, capsys, tmp_path):
+        # test 10's centre (2/3 xi+, 0) at beta = 1e-4: the twin start of
+        # the alpha column leaves the run's path, and its replay through the
+        # run's uncontrolled steps overflows sinh(xi)
+        rc = main(["shadow", "--centre-elliptic", "7.393717557890962,0",
+                   "--q", "1", "--beta", "1e-4", "--eps", "1e-2",
+                   "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error (numerical): the replayed twin overflowed")
+
+
 class TestFigs:
     def test_fig1_minima(self, capsys, tmp_path):
         rc, out = run(capsys, ["figs", "1", "--out", str(tmp_path), "--json"])

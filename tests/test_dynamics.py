@@ -641,6 +641,17 @@ class TestReplay:
         assert traj.stats.rhs_evals == 0
         assert traj.replay(2.0 * y0) == (tuple(2.0 * y0), 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("xi, match", [(800.0, "overflowed"),
+                                           (math.nan, "ended non-finite")])
+    def test_runaway_twin_is_an_integration_error(self, xi, match):
+        # sinh(800) overflows a float; a NaN start runs through to the end
+        prm = Params(beta=0.2, a1=0.3)
+        y0 = separated_state(0.2, 0.3)
+        traj = integrate(y0, prm, 1.0, 1e-9)
+        with pytest.raises(IntegrationError, match=match):
+            traj.replay((xi, *y0[1:]))
+
 
 class TestIntegrationErrors:
     def test_step_budget_exhausted(self, monkeypatch):

@@ -35,6 +35,12 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ANY_FLOAT = st.floats()
 CLASSES = st.builds(F, st.integers(1, 12), st.integers(1, 12))
 LABEL = ArcLabel(F(1), 1, -1)
+# one whole family, in pairs (sign*direction +1, then -1), whose arcs may
+# not precede their own pair: the graph of a family with no early return
+FAMILY = [ArcLabel(F(1), 1, 1), ArcLabel(F(1), -1, -1), LABEL,
+          ArcLabel(F(1), -1, 1)]
+OWN_PAIR_FORBIDDEN = np.kron(np.array([[False, True], [True, False]]),
+                             np.ones((2, 2), dtype=bool))
 
 
 def _fields(record) -> tuple:
@@ -55,9 +61,7 @@ def records():
     """One instance of every record of the package."""
     prm, _ = resonant_params(EllipticPoint(0.4, 0.7), 1, 1.0 / 7.0)
     arc = build_arc(prm, 1, 1)
-    adjacency = np.array([[False, True], [True, False]])
-    graph = ChainGraph(nodes=[LABEL, ArcLabel(F(2), -1, 1)],
-                       adjacency=adjacency)
+    graph = ChainGraph(nodes=FAMILY, adjacency=OWN_PAIR_FORBIDDEN)
     xs = np.linspace(0.0, 1.0, 3)
     return [
         CartesianPoint(0.25, -0.5), EllipticPoint(0.4, 7.0), prm,
@@ -239,10 +243,14 @@ class TestEllipticPhi:
 
 
 def test_graph_shape_checked_on_every_path():
-    nodes = [LABEL, ArcLabel(F(1), -1, 1)]
-    graph = ChainGraph(nodes, np.zeros((2, 2), dtype=bool))
-    for build in (lambda: ChainGraph(nodes, np.zeros((3, 3), dtype=bool)),
-                  lambda: graph._replace(nodes=nodes[:1])):
+    # the shape first, then the pair law: whole families, each arc
+    # forbidding exactly the two arcs of one pair
+    graph = ChainGraph(FAMILY, OWN_PAIR_FORBIDDEN)
+    ones = np.ones((4, 4), dtype=bool)
+    for build in (lambda: ChainGraph(FAMILY, ones[:3, :3]),
+                  lambda: graph._replace(nodes=FAMILY[:1]),
+                  lambda: graph._replace(adjacency=ones),
+                  lambda: ChainGraph._make((FAMILY[:2], ones[:2, :2]))):
         with pytest.raises(StructuralError):
             build()
 
