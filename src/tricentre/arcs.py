@@ -8,11 +8,14 @@ the arcs end at the first early return instead of the full period.
 Nothing here integrates: at eps = 0 both separated motions are Jacobi
 elliptic functions of tau, which `SeparatedPath` evaluates through `am`,
 and the first return comes from the exact times at which phi reaches
-+-phi0.
++-phi0.  An arc's closest approach to a primary is exact too: Newton
+searches on the distance's tau-derivative start from the closed-form
+times at which xi = 0 or phi = 0 (mod pi), and from the arc's ends.
 
 A family is built only for a centre that passes the primary-collision
-exclusion test of `exclusion`.  At beta = 0 the xi motion has no turning
-point and the orbit passes through infinity, so no path is built there.
+exclusion test of `exclusion`, and only if no arc of it passes within
+1e-6 of a primary.  At beta = 0 the xi motion has no turning point and
+the orbit passes through infinity, so no path is built there.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
 from .exclusion import _separated_motion, primary_collision_check
 from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
-                       elliptic_to_xy, velocity_to_cartesian, wrap_angle)
+                       velocity_to_cartesian, wrap_angle)
 from .params import Params
 from .periods import period_phi, period_xi, turning_point_xi
 from .special import complete_elliptic_k, incomplete_elliptic_f
@@ -183,7 +186,8 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
     phi = -phi0 (mod 2pi) with xi = -xi0: both elliptic representations of
     C are the same Cartesian point.  Without an early collision it lands
     at the full resonant period m*T1 = n*T2; an earlier match sets the
-    early_collision flag.
+    early_collision flag.  min_primary_distance is the exact least
+    distance to a primary (`_closest_primary_approach`).
     """
     if sign not in (-1, 1) or direction not in (-1, 1):
         raise DomainError("sign and direction must each be +1 or -1")
@@ -198,20 +202,14 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
 
     centre = prm.centre_elliptic
     xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1)
-    duration = _first_return(SeparatedPath(prm, centre, sign, direction, t_full),
-                             centre, t_full)
+    path = SeparatedPath(prm, centre, sign, direction, t_full)
+    duration = _first_return(path, centre, t_full)
     early = duration < t_full * (1.0 - 1e-6)
-    path = SeparatedPath(prm, centre, sign, direction, duration)
+    path.taus[-1] = duration  # before `states` is first read
 
     y_end = path.states[-1]
     end = EllipticPoint(float(y_end[0]), float(y_end[1]))
     closure = elliptic_to_cartesian(end).distance_to(prm.centre)
-
-    _, states = path.dense_grid(4096)
-    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
-    d1 = np.hypot(x - 1.0, y)
-    d2 = np.hypot(x + 1.0, y)
-    min_primary = float(min(d1.min(), d2.min()))
 
     return CollisionArc(
         params=prm,
@@ -223,7 +221,7 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
         duration=float(duration),
         path=path,
         early_collision=bool(early),
-        min_primary_distance=min_primary,
+        min_primary_distance=_closest_primary_approach(path),
         closure_error=float(closure),
     )
 
@@ -263,6 +261,62 @@ def _first_return(path: SeparatedPath, centre: EllipticPoint,
             f"no return to the centre found within {hi:.6g} tau units;"
             " parameters are inconsistent")
     return min(returns)
+
+
+_APPROACH_TOL = 1e-10      # Newton step, over the duration, that ends a search
+_APPROACH_MAX_STEPS = 60   # trial steps after which a search is abandoned
+
+
+def _closest_primary_approach(path: SeparatedPath) -> float:
+    """Least distance over [0, duration] from the path to a primary.
+
+    |z -+ 1| = cosh xi -+ cos phi, so with psi = phi less the nearest
+    multiple of pi the distance to the nearer primary is, without
+    cancellation, d = 2 sinh^2(xi/2) + 2 sin^2(psi/2).  A passage near a
+    primary has xi and psi near 0 at once, so the searches start at the
+    times at which xi = 0, lam tau + v0 = (2k + 1) K(m), or psi = 0,
+    F(phi0) + w' tau = 2j K(k2^2), and at both ends.  Each is a Newton
+    search on d' that runs downhill: its step -d'/|d''|, kept inside
+    [0, duration], is taken if it lowers d and halved if not, until it is
+    below _APPROACH_TOL of the duration.  d'' takes xi'' = 2 sinh xi
+    (1 - 2 beta a1 cosh xi) and phi'' = -4 beta a1 sin phi cos phi from
+    the separated equations of motion, with beta a1 = w'^2 k2^2 / 4.
+    Returns the least d found; a search still moving after
+    _APPROACH_MAX_STEPS trials raises StructuralError.
+    """
+    duration = float(path.taus[-1])
+    starts = {0.0, duration}
+    k_xi, k_phi = complete_elliptic_k(path._m), complete_elliptic_k(path._k2)
+    # first + rate*tau = j*spacing: xi = 0, then psi = 0
+    for first, rate, spacing in ((path._v0 - k_xi, path._lam, 2.0 * k_xi),
+                                 (path._f0, path._rate, 2.0 * k_phi)):
+        lo, hi = sorted((first / spacing, (first + rate * duration) / spacing))
+        starts.update(min(max((j * spacing - first) / rate, 0.0), duration)
+                      for j in range(math.ceil(lo), math.floor(hi) + 1))
+    tau = trial = np.array(sorted(starts))
+    step, dist = np.zeros_like(trial), np.full(trial.size, math.inf)
+    beta_a1 = 0.25 * path._rate ** 2 * path._k2
+    best = math.inf
+    for _ in range(_APPROACH_MAX_STEPS):
+        xi, phi, dxi, dphi = path.state_at(trial).T
+        psi = phi - math.pi * np.round(phi / math.pi)
+        sh, sp, ch, cp = np.sinh(xi), np.sin(psi), np.cosh(xi), np.cos(psi)
+        slope = sh * dxi + sp * dphi
+        curvature = (ch * dxi ** 2 + 2.0 * sh * sh * (1.0 - 2.0 * beta_a1 * ch)
+                     + cp * (dphi ** 2 - 4.0 * beta_a1 * sp * sp))
+        newton = np.clip(trial - slope / np.abs(curvature), 0.0, duration)
+        d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * psi) ** 2)
+        lower = d < dist
+        tau, dist = np.where(lower, trial, tau), np.minimum(d, dist)
+        step = np.where(lower, newton - trial, 0.5 * step)
+        best = min(best, float(dist.min()))
+        moving = np.abs(step) > _APPROACH_TOL * duration
+        if not moving.any():
+            return best
+        tau, dist, step = tau[moving], dist[moving], step[moving]
+        trial = tau + step
+    raise StructuralError("the closest primary approach did not converge"
+                          f" in {_APPROACH_MAX_STEPS} trial steps")
 
 
 def _self_crossings(path: SeparatedPath, q: Fraction) -> np.ndarray:

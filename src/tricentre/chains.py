@@ -32,9 +32,11 @@ __all__ = [
 _PARALLEL_TOL = 1e-6       # least |cross product| of non-parallel unit vectors
 
 
-def _pair_map(nodes: Sequence[ArcLabel], adjacency: np.ndarray) -> dict:
-    """pi: for each pair (q, sign*direction), the pair whose two arcs its
-    arcs may not precede.
+def _pair_cycles(nodes: Sequence[ArcLabel],
+                 adjacency: np.ndarray) -> tuple[int, ...]:
+    """The cycle lengths, in increasing order, of pi: the map taking each
+    pair (q, sign*direction) to the pair whose two arcs its arcs may not
+    precede.
 
     Raises StructuralError unless the law holds: the nodes are whole
     families (the four labels (q, +-1, +-1) of each class), each row's
@@ -55,24 +57,34 @@ def _pair_map(nodes: Sequence[ArcLabel], adjacency: np.ndarray) -> dict:
                 f"the arcs of pair {pair} do not forbid exactly one pair")
     if len(set(pi.values())) != len(pi):
         raise StructuralError("the forbidden pairs are not a permutation")
-    return pi
+    lengths = []
+    while pi:
+        pair, length = next(iter(pi)), 0
+        while pair in pi:
+            pair, length = pi.pop(pair), length + 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 class ChainGraph(NamedTuple("ChainGraph", [("nodes", list[ArcLabel]),
-                                           ("adjacency", np.ndarray)])):
+                                           ("adjacency", np.ndarray),
+                                           ("pair_cycles", tuple[int, ...])])):
     """Direction-change admissibility graph over whole arc families;
     adjacency[i, j], a bool, says whether arc j may follow arc i.  Every
-    construction path checks the pair law of `_pair_map`."""
+    construction path checks the pair law of `_pair_cycles` and derives
+    pair_cycles, the cycle lengths of pi, from it; it is never passed."""
 
     __slots__ = ()
+    __getnewargs__ = lambda self: self[:2]  # for copy and pickle
 
     def __new__(cls, nodes: list[ArcLabel], adjacency: np.ndarray):
         if adjacency.shape != (len(nodes), len(nodes)):
             raise StructuralError("adjacency shape does not match node count")
-        _pair_map(nodes, adjacency)
-        return tuple.__new__(cls, (nodes, adjacency))
+        return tuple.__new__(cls, (nodes, adjacency,
+                                   _pair_cycles(nodes, adjacency)))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace too
+    # _replace too; a replaced pair_cycles is derived again
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
 
     @property
     def n_nodes(self) -> int:
@@ -159,14 +171,11 @@ def build_graph(arcs: Sequence[CollisionArc]) -> ChainGraph:
 
 def count_periodic_chains(graph: ChainGraph, n: int) -> int:
     """Number of periodic chains of period n, trace(A^n) for A = J - M:
-    J and M commute, so it is (N-2)^n + (-2)^n (#fix(pi^n) - 1), exact."""
+    J and M commute, so it is (N-2)^n + (-2)^n (#fix(pi^n) - 1), exact.
+    A cycle of pi of length L gives pi^n L fixed pairs if L divides n."""
     if n < 1:
         raise DomainError(f"period must be >= 1, got {n}")
-    pi = _pair_map(*graph)
-    power = pi
-    for _ in range(n - 1):
-        power = {pair: pi[image] for pair, image in power.items()}
-    fixed = sum(pair == image for pair, image in power.items())  # of pi^n
+    fixed = sum(length for length in graph.pair_cycles if n % length == 0)
     return (graph.n_nodes - 2) ** n + (-2) ** n * (fixed - 1)
 
 

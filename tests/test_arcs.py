@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import approach_reference
 import arc_reference
 import exclusion_reference
 import nondegeneracy_reference
@@ -20,11 +21,13 @@ from tricentre.exclusion import (find_admissible_beta,
                                  primary_collision_check,
                                  primary_collision_ratios, resonant_params)
 from tricentre.dynamics import Params, integrate
-from tricentre.errors import DomainError, PlacementError, UnsafeCentreError
+from tricentre.errors import (DomainError, PlacementError, StructuralError,
+                             UnsafeCentreError)
 from tricentre.figdata import orbit_family_portrait
 from tricentre.geometry import (CartesianPoint, EllipticPoint,
                                 elliptic_to_cartesian)
-from tricentre.periods import (modulus_squares, period_xi, solve_resonant_a1,
+from tricentre.periods import (modulus_squares, period_xi,
+                               solve_beta_for_energy, solve_resonant_a1,
                                turning_point_xi)
 
 F = Fraction
@@ -461,6 +464,81 @@ class TestClosedForm:
         u = np.array([-30.0, -1e-300, 0.0, 0.3, 29.5])
         assert am(u, 0.0).tobytes() == u.tobytes()
         assert am(0.7, 0.0) == 0.7
+
+
+class TestClosestApproach:
+    """`min_primary_distance` against the dense sampled search of
+    `approach_reference`, refined by golden section: within 1e-9
+    relative, and never above the 4,096-sample value of the grid it
+    replaced (beyond 1e-12 relative, rounding)."""
+
+    @staticmethod
+    def _assert_matches_oracle(arc):
+        got = arc.min_primary_distance
+        want = approach_reference.refined_approach(arc.path)
+        assert abs(got - want) <= 1e-9 * want
+        assert got <= (1.0 + 1e-12) * approach_reference.sampled_approach(
+            arc.path, 4096)
+
+    @pytest.mark.parametrize("name", ["q1_family", "q2_family",
+                                      "yaxis_family", "q3_2_family"])
+    def test_fixture_families(self, name, request):
+        for arc in request.getfixturevalue(name):
+            self._assert_matches_oracle(arc)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.floats(0.02, 0.5), st.floats(1e-12, 1e-6)),
+           q=st.sampled_from((F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3),
+                              F(5, 3), F(1, 3))),
+           u=st.floats(0.02, 0.95),
+           phi0=st.one_of(st.sampled_from((0.0, math.pi, math.pi / 2.0)),
+                          st.floats(0.0, 2.0 * math.pi)),
+           sign=st.sampled_from((1, -1)), direction=st.sampled_from((1, -1)))
+    @example(beta=BETA_REF, q=F(1), u=0.5, phi0=math.pi / 2.0, sign=1,
+             direction=1)  # an early return
+    @example(beta=1e-9, q=F(2), u=0.3, phi0=0.0, sign=-1, direction=1)
+    # next to the segment between the primaries, where undamped steps from
+    # the start cycle through 3.26, 1.46 and 0 without end
+    @example(beta=0.5490272469335536, q=F(1, 3), u=0.006723550905130544,
+             phi0=1.815150979788275, sign=1, direction=1)
+    def test_drawn_arcs(self, beta, q, u, phi0, sign, direction):
+        sol = solve_resonant_a1(beta, q)
+        xi_p = turning_point_xi(beta, sol.a1_hat)
+        prm, _ = resonant_params(EllipticPoint(u * xi_p, phi0), q, beta)
+        assume(primary_collision_check(prm).safe)
+        self._assert_matches_oracle(build_arc(prm, sign, direction))
+
+    # safe at delta = 1e-4, yet an arc misses a primary by less than 1e-6;
+    # 4,096 samples of the last overstate its miss beyond the 1e-6 cutoff,
+    # so that family was built while the samples judged it
+    @pytest.mark.parametrize("centre, q, energy, miss, sampled", [
+        (CartesianPoint(1e-3, 1e-3), F(2), -1e-11, 2.1945e-7, 2.211e-7),
+        (CartesianPoint(1.1945, -0.7314), F(3, 2), -0.05, 2.6194e-7,
+         9.476e-7),
+        (CartesianPoint(-2.0140, -0.0259), F(1, 3), -0.05, 6.8439e-8,
+         4.365e-7),
+        (CartesianPoint(1.1941, -0.7314), F(3, 2), -0.05, 1.6931e-7,
+         1.167e-6),
+    ])
+    def test_grazing_arcs_refused(self, centre, q, energy, miss, sampled):
+        prm, _ = resonant_params(centre, q,
+                                 solve_beta_for_energy(q, energy).beta)
+        assert primary_collision_check(prm).safe
+        arcs = [build_arc(prm, s, d)
+                for s, d in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+        closest = min(arcs, key=lambda arc: arc.min_primary_distance)
+        assert closest.min_primary_distance == pytest.approx(miss, rel=5e-5)
+        assert approach_reference.sampled_approach(closest.path, 4096) == \
+            pytest.approx(sampled, rel=5e-4)
+        self._assert_matches_oracle(closest)
+        with pytest.raises(StructuralError, match="passes within"):
+            arc_family(prm)
+
+    def test_unconverged_search_raises(self, monkeypatch, q1_family):
+        import tricentre.arcs as arcs_mod
+        monkeypatch.setattr(arcs_mod, "_APPROACH_MAX_STEPS", 1)
+        with pytest.raises(StructuralError, match="did not converge"):
+            arcs_mod._closest_primary_approach(q1_family[0].path)
 
 
 class TestClosedFormEdges:

@@ -165,6 +165,16 @@ class TestChains:
         assert "|energy| >= 6.10238e-13" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_grazing_arc_the_samples_missed_exits_four(self, capsys,
+                                                       tmp_path):
+        # safe at delta = 1e-4; an arc misses a primary by 1.69e-7, where
+        # 4,096 samples of it read 1.17e-6, above the 1e-6 cutoff
+        assert main(["chains", "--centre-xy", "1.1941,-0.7314", "--classes",
+                     "3/2", "--energy=-0.05", "--out", str(tmp_path)]) == 4
+        assert "passes within 1.69e-07 of a primary" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [
         ["--centre-xy", "1.18,0", "--classes", "1,2", "--energy", "-0.05"],
         ["--centre-elliptic", "0.6,0", "--classes", "1", "--energy", "-0.05"],

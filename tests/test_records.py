@@ -255,6 +255,21 @@ def test_graph_shape_checked_on_every_path():
             build()
 
 
+def test_graph_pair_cycles_derived_on_every_path():
+    # each pair forbids itself: pi is the identity on the family's two
+    # pairs; with the other pair forbidden, pi swaps them
+    graph = ChainGraph(FAMILY, OWN_PAIR_FORBIDDEN)
+    assert graph.pair_cycles == (1, 1)
+    swapped = ~OWN_PAIR_FORBIDDEN
+    for build in (lambda: ChainGraph(FAMILY, swapped),
+                  lambda: graph._replace(adjacency=swapped),
+                  lambda: ChainGraph._make((FAMILY, swapped, (1, 1)))):
+        assert build().pair_cycles == (2,)
+    assert graph._replace(pair_cycles=(2,)).pair_cycles == (1, 1)
+    for twin in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert twin.pair_cycles == (1, 1)
+
+
 def test_chain_is_its_word():
     chain = CollisionChain((LABEL, ArcLabel(F(1), -1, 1)))
     assert len(chain) == 2 and chain.labels == tuple(chain)
