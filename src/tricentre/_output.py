@@ -8,23 +8,23 @@ digits, which round-trip every float64.
 """
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
-from .geometry import elliptic_to_xy, physical_time_of
+from .geometry import _linspace, elliptic_to_xy, physical_time_of
 
 _CSV_ROWS = 1000  # dense-output rows of a trajectory CSV
 
 
 def csv_text(header, columns) -> str:
-    """CSV document of equal-length numeric array columns under a header.
+    """CSV document of equal-length numeric columns under a header.
 
     Each value is printed as "%.17g" and each line ends in CRLF: the bytes
     csv.writer writes for the same rows formatted with f"{v:.17g}".
     """
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
-    lines = zip(*(c.tolist() for c in columns))
-    return ",".join(header) + "\r\n" + "".join([row % r for r in lines])
+    return ",".join(header) + "\r\n" + "".join([row % r for r in zip(*columns)])
 
 
 def write_atomic(path, text: str) -> None:
@@ -49,13 +49,14 @@ def trajectory_to_csv(traj, path) -> None:
     on a uniform grid of 1000 dense-output points.
 
     traj is a `dynamics.Trajectory` or an `arcs.SeparatedPath`: anything
-    with `taus`, `states` and `dense_grid`.  Nothing here integrates, so
-    the eps = 0 commands write their arcs without loading the integrator.
+    with `taus` and a `state_at` that takes a list of times.  A path
+    evaluates the list with math, so the eps = 0 commands write their arcs
+    without loading numpy or the integrator.
     """
-    taus, states = traj.dense_grid(_CSV_ROWS) if len(traj.taus) > 1 else (
-        traj.taus, traj.states)
-    t_phys = physical_time_of(taus, states[:, 0], states[:, 1])
-    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
+    taus = (_linspace(traj.taus[0], traj.taus[-1], _CSV_ROWS)
+            if len(traj.taus) > 1 else [traj.taus[0]])
+    xi, phi, *speeds = zip(*traj.state_at(taus))
+    x, y = zip(*(elliptic_to_xy(*point, math) for point in zip(xi, phi)))
     write_csv(path, ["tau", "xi", "phi", "xi_prime", "phi_prime",
                      "t_physical", "x", "y"],
-              [taus, *states.T, t_phys, x, y])
+              [taus, xi, phi, *speeds, physical_time_of(taus, xi, phi), x, y])

@@ -7,7 +7,8 @@ yield four labeled arcs; when C sits on a self-intersection of the orbit
 the arcs end at the first early return instead of the full period.
 Nothing here integrates: at eps = 0 both separated motions are Jacobi
 elliptic functions of tau, which `SeparatedPath` evaluates through `am`,
-and the first return comes from the exact times at which phi reaches
+with math for a float tau and with numpy, loaded then, for an array.  The
+first return comes from the exact times at which phi reaches
 +-phi0.  An arc's closest approach to a primary is exact too: Newton
 searches on the distance's tau-derivative start from the closed-form
 times at which xi = 0 or phi = 0 (mod pi), and from the arc's ends.
@@ -21,10 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
@@ -64,11 +62,11 @@ class CollisionArc(NamedTuple):
     closure_error: float      # Cartesian distance from the endpoint to C
 
     @property
-    def v0_cartesian(self) -> np.ndarray:
+    def v0_cartesian(self):
         return velocity_to_cartesian(self.start, self.v0)
 
     @property
-    def vT_cartesian(self) -> np.ndarray:
+    def vT_cartesian(self):
         return velocity_to_cartesian(self.end, self.vT)
 
     @property
@@ -96,24 +94,29 @@ def initial_velocities(centre: EllipticPoint, beta: float,
     return xi_speed, phi_speed
 
 
-def am(u, m: float) -> np.ndarray:
-    """Jacobi amplitude am(u | m) over an array u, for 0 <= m < 1.
-
-    The descending Landen (AGM) sequence a_n, c_n of (1, sqrt(1 - m),
-    sqrt(m)) runs until c_N <= 2^-26 a_N, where the next correction,
-    c_(N+1)/a ~ (c_N/a)^2 / 4, is below rounding; then phi_N = 2^N a_N u
-    and phi_(n-1) = (phi_n + arcsin(c_n / a_n sin phi_n)) / 2 (Abramowitz
-    and Stegun 16.4; DLMF 22.20).  sn, cn and dn are sin(am), cos(am) and
-    sqrt(1 - m sin^2(am)); am(u | 0) = u.
-    """
+def _landen(m: float) -> tuple[float, tuple[float, ...]]:
+    """The scale 2^N a_N and the ratios c_n / a_n, last first, that `am`
+    takes for the modulus m: the descending Landen (AGM) sequence a_n, c_n
+    of (1, sqrt(1 - m), sqrt(m)) runs until c_N <= 2^-26 a_N, where the
+    next correction, c_(N+1)/a ~ (c_N/a)^2 / 4, is below rounding."""
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     ratios = []
     while c > 2.0 ** -26 * a:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         ratios.append(c / a)
-    phi = 2.0 ** len(ratios) * a * np.asarray(u, dtype=float)
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
+    return 2.0 ** len(ratios) * a, tuple(reversed(ratios))
+
+
+def am(u, landen, lib):
+    """Jacobi amplitude am(u | m), for 0 <= m < 1, from m's `_landen`
+    sequence: phi_N = 2^N a_N u and phi_(n-1) = (phi_n + arcsin(c_n / a_n
+    sin phi_n)) / 2 (Abramowitz and Stegun 16.4; DLMF 22.20), over lib:
+    math for a float u, numpy for an array.  sn, cn and dn are sin(am),
+    cos(am) and sqrt(1 - m sin^2(am)); am(u | 0) = u."""
+    scale, ratios = landen
+    phi = scale * u
+    for r in ratios:
+        phi = 0.5 * (phi + lib.asin(r * lib.sin(phi)))
     return phi
 
 
@@ -128,10 +131,11 @@ class SeparatedPath:
         tanh(xi/2) = sqrt(u+) cn(lam*tau + v0 | m),
 
     with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
-    sign of `sign` at tau = 0.  It serves what readers of a collision
-    arc's path use: `taus` and `states` (the two ends), `state_at` and
-    `dense_grid`.  beta = 0 raises DomainError, as `turning_point_xi` does,
-    and so does a beta so small that u+ rounds to 1.
+    sign of `sign` at tau = 0; both Landen sequences are computed once.
+    It serves what readers of a collision arc's path use: `taus` (the two
+    ends), `state_at` and `dense_grid`.  beta = 0 raises DomainError, as
+    `turning_point_xi` does, and so does a beta so small that u+ rounds
+    to 1.
     """
 
     def __init__(self, prm: Params, start: EllipticPoint, sign: int,
@@ -147,34 +151,40 @@ class SeparatedPath:
         self._m = u_plus / (u_plus - u_minus)
         self._lam = math.sqrt(big_a * (u_plus - u_minus))
         self._root_u = math.sqrt(u_plus)
+        self._phi_landen, self._xi_landen = _landen(self._k2), _landen(self._m)
         cn0 = math.tanh(0.5 * start.xi) / self._root_u
         if not abs(cn0) <= 1.0:
             raise PlacementError(
                 f"start xi={start.xi:.6g} lies beyond the turning ellipse")
         self._v0 = -sign * incomplete_elliptic_f(math.acos(cn0), self._m)
-        self.taus = np.array([0.0, float(duration)])
+        self.taus = [0.0, float(duration)]
 
-    @cached_property
-    def states(self) -> np.ndarray:
-        return self.state_at(self.taus)
-
-    def state_at(self, tau) -> np.ndarray:
-        """State(s) (xi, phi, xi', phi') at scalar or array tau."""
-        t = np.asarray(tau, dtype=float)
-        phi = am(self._f0 + self._rate * t, self._k2)
-        theta = am(self._lam * t + self._v0, self._m)
-        sn, cn = np.sin(theta), np.cos(theta)
+    def _state(self, t, lib) -> tuple:
+        """(xi, phi, xi', phi') at t over lib, math for a float t and numpy
+        for an array: every state of the path is evaluated here."""
+        phi = am(self._f0 + self._rate * t, self._phi_landen, lib)
+        theta = am(self._lam * t + self._v0, self._xi_landen, lib)
+        sn, cn, sp = lib.sin(theta), lib.cos(theta), lib.sin(phi)
         half = self._root_u * cn  # tanh(xi/2)
-        return np.stack([
-            2.0 * np.arctanh(half),
-            phi,
-            -2.0 * self._root_u * self._lam * sn
-            * np.sqrt(1.0 - self._m * sn * sn) / (1.0 - half * half),
-            self._rate * np.sqrt(1.0 - self._k2 * np.sin(phi) ** 2),
-        ], axis=-1)
+        return (2.0 * lib.atanh(half), phi,
+                -2.0 * self._root_u * self._lam * sn
+                * lib.sqrt(1.0 - self._m * sn * sn) / (1.0 - half * half),
+                self._rate * lib.sqrt(1.0 - self._k2 * (sp * sp)))
 
-    def dense_grid(self, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform tau grid with its states, endpoints included."""
+    def state_at(self, tau):
+        """State (xi, phi, xi', phi') at tau: a tuple for a float and a
+        list of them for a list, with math; an (..., 4) array for an
+        array, with numpy."""
+        if isinstance(tau, (float, int)):
+            return self._state(tau, math)
+        if isinstance(tau, list):
+            return [self._state(t, math) for t in tau]
+        import numpy as np
+        return np.stack(self._state(np.asarray(tau, dtype=float), np), axis=-1)
+
+    def dense_grid(self, n: int = 1024):
+        """Uniform tau array with its (n, 4) states, endpoints included."""
+        import numpy as np
         t = np.linspace(self.taus[0], self.taus[-1], n)
         return t, self.state_at(t)
 
@@ -203,27 +213,16 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
     centre = prm.centre_elliptic
     xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1)
     path = SeparatedPath(prm, centre, sign, direction, t_full)
-    duration = _first_return(path, centre, t_full)
-    early = duration < t_full * (1.0 - 1e-6)
-    path.taus[-1] = duration  # before `states` is first read
-
-    y_end = path.states[-1]
-    end = EllipticPoint(float(y_end[0]), float(y_end[1]))
-    closure = elliptic_to_cartesian(end).distance_to(prm.centre)
-
+    duration = path.taus[-1] = _first_return(path, centre, t_full)
+    y_end = path.state_at(duration)
+    end = EllipticPoint(y_end[0], y_end[1])
     return CollisionArc(
-        params=prm,
-        label=ArcLabel(prm.q, sign, direction),
-        start=centre,
-        end=end,
-        v0=(sign * xi_speed, direction * phi_speed),
-        vT=(float(y_end[2]), float(y_end[3])),
-        duration=float(duration),
-        path=path,
-        early_collision=bool(early),
+        params=prm, label=ArcLabel(prm.q, sign, direction), start=centre,
+        end=end, v0=(sign * xi_speed, direction * phi_speed),
+        vT=(y_end[2], y_end[3]), duration=duration, path=path,
+        early_collision=duration < t_full * (1.0 - 1e-6),
         min_primary_distance=_closest_primary_approach(path),
-        closure_error=float(closure),
-    )
+        closure_error=elliptic_to_cartesian(end).distance_to(prm.centre))
 
 
 def _first_return(path: SeparatedPath, centre: EllipticPoint,
@@ -235,7 +234,8 @@ def _first_return(path: SeparatedPath, centre: EllipticPoint,
     +-F(phi0) + 4K*Z (K of phi's modulus).  At such a time xi must match
     +-xi0 to within 1e-6; for phi0 = 0 or pi, where the two angles
     coincide, either sign of xi0 matches.  The window reaches past m*T1 so
-    that it holds n*T2, the full-period return.
+    that it holds n*T2, the full-period return.  Each sign's times are
+    tried in increasing order up to its first match.
     """
     xi0, phi0 = centre.xi, centre.phi
     mirrored = wrap_angle(-phi0)
@@ -244,23 +244,24 @@ def _first_return(path: SeparatedPath, centre: EllipticPoint,
     lo, hi = 1e-6 * t_full, (1.0 + 2e-4) * t_full
     f0, rate = path._f0, path._rate
     step = 4.0 * complete_elliptic_k(path._k2) / abs(rate)  # phi turns 2pi
-    returns = []
+    first = math.inf
     for s in (1, -1):
         # tau = (s*f0 - f0 + 4K*j) / rate for integer j
         base = (s * f0 - f0) / rate
-        j = np.arange(math.floor((lo - base) / step),
-                      math.ceil((hi - base) / step) + 1)
-        taus = base + j * step
-        taus = taus[(taus > lo) & (taus <= hi)]
         targets = (xi0, -xi0) if one_angle else (s * xi0,)
-        xi = path.state_at(taus)[:, 0]
-        match = np.any(np.abs(xi[:, None] - np.array(targets)) < 1e-6, axis=1)
-        returns.extend(taus[match].tolist())
-    if not returns:
+        for j in range(math.floor((lo - base) / step),
+                       math.ceil((hi - base) / step) + 1):
+            tau = base + j * step
+            if tau >= first:
+                break
+            xi = path.state_at(tau)[0] if lo < tau <= hi else math.inf
+            if any(abs(xi - target) < 1e-6 for target in targets):
+                first = tau
+    if first == math.inf:
         raise DomainError(
             f"no return to the centre found within {hi:.6g} tau units;"
             " parameters are inconsistent")
-    return min(returns)
+    return first
 
 
 _APPROACH_TOL = 1e-10      # Newton step, over the duration, that ends a search
@@ -281,10 +282,12 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
     below _APPROACH_TOL of the duration.  d'' takes xi'' = 2 sinh xi
     (1 - 2 beta a1 cosh xi) and phi'' = -4 beta a1 sin phi cos phi from
     the separated equations of motion, with beta a1 = w'^2 k2^2 / 4.
-    Returns the least d found; a search still moving after
-    _APPROACH_MAX_STEPS trials raises StructuralError.
+    The searches step in turn, and one whose trial falls in the span of
+    the trials a converged search took ends there: the minimum it runs
+    down to is found already.  Returns the least d found; a search still
+    moving after _APPROACH_MAX_STEPS trials raises StructuralError.
     """
-    duration = float(path.taus[-1])
+    duration = path.taus[-1]
     starts = {0.0, duration}
     k_xi, k_phi = complete_elliptic_k(path._m), complete_elliptic_k(path._k2)
     # first + rate*tau = j*spacing: xi = 0, then psi = 0
@@ -293,33 +296,44 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
         lo, hi = sorted((first / spacing, (first + rate * duration) / spacing))
         starts.update(min(max((j * spacing - first) / rate, 0.0), duration)
                       for j in range(math.ceil(lo), math.floor(hi) + 1))
-    tau = trial = np.array(sorted(starts))
-    step, dist = np.zeros_like(trial), np.full(trial.size, math.inf)
     beta_a1 = 0.25 * path._rate ** 2 * path._k2
-    best = math.inf
+    # each search's (tau, d, step, lo, hi), [lo, hi] the span of its trials
+    searches = [(t, math.inf, 0.0, t, t) for t in sorted(starts)]
+    found, best = [], math.inf  # the spans of the converged searches
     for _ in range(_APPROACH_MAX_STEPS):
-        xi, phi, dxi, dphi = path.state_at(trial).T
-        psi = phi - math.pi * np.round(phi / math.pi)
-        sh, sp, ch, cp = np.sinh(xi), np.sin(psi), np.cosh(xi), np.cos(psi)
-        slope = sh * dxi + sp * dphi
-        curvature = (ch * dxi ** 2 + 2.0 * sh * sh * (1.0 - 2.0 * beta_a1 * ch)
-                     + cp * (dphi ** 2 - 4.0 * beta_a1 * sp * sp))
-        newton = np.clip(trial - slope / np.abs(curvature), 0.0, duration)
-        d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * psi) ** 2)
-        lower = d < dist
-        tau, dist = np.where(lower, trial, tau), np.minimum(d, dist)
-        step = np.where(lower, newton - trial, 0.5 * step)
-        best = min(best, float(dist.min()))
-        moving = np.abs(step) > _APPROACH_TOL * duration
-        if not moving.any():
+        moving = []
+        for tau, dist, step, lo, hi in searches:
+            trial = tau + step
+            if any(a <= trial <= b for a, b in found):
+                continue
+            xi, phi, dxi, dphi = path.state_at(trial)
+            psi = phi - math.pi * round(phi / math.pi)
+            d = 2.0 * (math.sinh(0.5 * xi) ** 2 + math.sin(0.5 * psi) ** 2)
+            if d < dist:
+                sh, ch = math.sinh(xi), math.cosh(xi)
+                sp, cp = math.sin(psi), math.cos(psi)
+                curvature = (ch * dxi ** 2 + cp * dphi ** 2
+                             + 2.0 * sh * sh * (1.0 - 2.0 * beta_a1 * ch)
+                             - 4.0 * beta_a1 * cp * sp * sp)
+                newton = trial - (sh * dxi + sp * dphi) / abs(curvature)
+                step = min(max(newton, 0.0), duration) - trial
+                tau, dist, lo, hi = trial, d, min(lo, trial), max(hi, trial)
+                best = min(best, d)
+            else:
+                step = 0.5 * step
+            if abs(step) > _APPROACH_TOL * duration:
+                moving.append((tau, dist, step, lo, hi))
+            else:
+                found.append((lo, hi))
+        if not moving:
             return best
-        tau, dist, step = tau[moving], dist[moving], step[moving]
-        trial = tau + step
+        searches = moving
     raise StructuralError("the closest primary approach did not converge"
                           f" in {_APPROACH_MAX_STEPS} trial steps")
 
 
-def _self_crossings(path: SeparatedPath, q: Fraction) -> np.ndarray:
+def _self_crossings(path: SeparatedPath,
+                    q: Fraction) -> list[tuple[float, float]]:
     """The m(2n - 1) time pairs (tau1, tau2), reduced to [0, m T1), at which
     the periodic path of class q = m/n is twice at one Cartesian point.
 
@@ -337,16 +351,16 @@ def _self_crossings(path: SeparatedPath, q: Fraction) -> np.ndarray:
     t2 = 4.0 * complete_elliptic_k(path._k2) / abs(path._rate)
     pairs = []
     for j in range(1, n // 2 + 1):
-        k = np.arange(m if 2 * j == n else 2 * m)
-        tau1 = 0.5 * (k * t1 - j * t2) - path._v0 / path._lam
-        pairs.append(np.column_stack([tau1, tau1 + j * t2]))
+        for k in range(m if 2 * j == n else 2 * m):
+            tau1 = 0.5 * (k * t1 - j * t2) - path._v0 / path._lam
+            pairs.append((tau1, tau1 + j * t2))
     for l in range((m + 1) // 2):
-        total = np.arange(n if 2 * l + 1 == m else 2 * n) * t2 \
-            - 2.0 * path._f0 / path._rate
         half_gap = 0.5 * (l + 0.5) * t1
-        pairs.append(np.column_stack([0.5 * total - half_gap,
-                                      0.5 * total + half_gap]))
-    return np.mod(np.concatenate(pairs), m * t1)
+        for j in range(n if 2 * l + 1 == m else 2 * n):
+            total = j * t2 - 2.0 * path._f0 / path._rate
+            pairs.append((0.5 * total - half_gap, 0.5 * total + half_gap))
+    period = m * t1
+    return [(a % period, b % period) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .periods import (_RESONANCE_TOL, modulus_squares, period_phi, period_xi,
                       solve_beta_for_energy, solve_resonant_a1,
                       turning_point_xi)
 
-# periods, solve and check run on the math-only modules above; the other
-# commands import numpy and the integrating layers inside their bodies, and
+# periods, solve and check run on the math-only modules above, arcs and figs
+# also on the closed-form arcs and figdata; the other commands load numpy.
 # json and hashlib are imported where a document is written or hashed.
 
 EXIT_OK = 0
@@ -368,15 +368,12 @@ _TRACK_HEADER = ["tau", "xi", "phi", "x", "y"]
 
 def _track_columns(track, window=None):
     """Columns of a figdata.OrbitTrack under _TRACK_HEADER, restricted to
-    the samples in window."""
-    cols = [track.taus, track.states[:, 0], track.states[:, 1],
-            track.x, track.y]
-    if window is None:
-        return cols
-    x0, x1, y0, y1 = window
-    keep = ((x0 <= track.x) & (track.x <= x1)
-            & (y0 <= track.y) & (track.y <= y1))
-    return [c[keep] for c in cols]
+    the samples in window (x0, x1, y0, y1)."""
+    rows = [(tau, s[0], s[1], x, y) for tau, s, x, y
+            in zip(track.taus, track.states, track.x, track.y)
+            if window is None or (window[0] <= x <= window[1]
+                                  and window[2] <= y <= window[3])]
+    return list(zip(*rows))
 
 
 def _mirror_sorted(crossings):
@@ -415,45 +412,32 @@ def cmd_figs(args) -> int:
 
     beta = args.beta
     if which == 3:
-        key = _param_hash({"cmd": "figs3", "beta": beta})
+        q, key = Fraction(1), _param_hash({"cmd": "figs3", "beta": beta})
         tracks = figdata.orbit_family_portrait(beta=beta)
-        files = []
-        for tr in tracks:
-            path = out / f"fig3_{key}_{tr.name}.csv"
-            write_csv(path, _TRACK_HEADER, _track_columns(tr))
-            files.append(path.name)
-        doc = {"command": "figs 3", "beta": beta, "q": "1",
-               "orbits": files}
-        json_path = out / f"fig3_{key}.json"
-        write_json(json_path, doc)
-        _emit(args, doc, [f"wrote {len(files)} orbit files and {json_path}"])
-        return EXIT_OK
-
-    q = Fraction(1) if which == 4 else Fraction(2)
-    key = _param_hash({"cmd": f"figs{which}", "beta": beta, "q": str(q)})
-    tracks = figdata.orbit_bundle_through(q=q, beta=beta)
-    crossings = [p for tr in tracks for p in tr.crossings]
+    else:
+        q = Fraction(1) if which == 4 else Fraction(2)
+        key = _param_hash({"cmd": f"figs{which}", "beta": beta, "q": str(q)})
+        tracks = figdata.orbit_bundle_through(q=q, beta=beta)
+    crossings = [p for tr in tracks for p in tr.crossings or ()]
+    doc = {"command": f"figs {which}", "beta": beta, "q": str(q)}
     window = None
     if which == 6:
-        cx, cy = [p[0] for p in crossings], [p[1] for p in crossings]
+        cx, cy = zip(*crossings)
         pad = 0.35
-        window = (float(min(cx) - pad), float(max(cx) + pad),
-                  float(min(cy) - pad), float(max(cy) + pad))
-    files = []
+        window = doc["window"] = [min(cx) - pad, max(cx) + pad,
+                                  min(cy) - pad, max(cy) + pad]
+    doc["orbits"] = []
     for tr in tracks:
         path = out / f"fig{which}_{key}_{tr.name}.csv"
         write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
-        files.append(path.name)
-    doc = {"command": f"figs {which}", "beta": beta, "q": str(q),
-           "orbits": files,
-           "self_intersections": [list(p) for p in _mirror_sorted(crossings)]}
-    if window is not None:
-        doc["window"] = list(window)
+        doc["orbits"].append(path.name)
     json_path = out / f"fig{which}_{key}.json"
+    lines = [f"wrote {len(tracks)} orbit files and {json_path}"]
+    if which > 3:
+        doc["self_intersections"] = [list(p) for p in _mirror_sorted(crossings)]
+        lines.append(f"self-intersections: {len(crossings)}")
     write_json(json_path, doc)
-    _emit(args, doc,
-          [f"wrote {len(files)} orbit files and {json_path}",
-           f"self-intersections: {len(crossings)}"])
+    _emit(args, doc, lines)
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ Six canned configurations: the two separated-system potential curves, the
 full q = 1 orbit family portrait with the primary-colliding pair, the
 two-orbit bundles through the reference off-axis centre for q = 1 and
 q = 2, and the enlargement of the q = 2 bundle around its
-self-intersections.  Every orbit track is an eps = 0 orbit, sampled from
-its closed form (`arcs.SeparatedPath`), and so are a bundle track's
-self-crossings, m(2n - 1) for q = m/n (`arcs._self_crossings`).
+self-intersections, as lists of floats computed with math.  Every orbit
+track is an eps = 0 orbit, sampled from its closed form, and so are a
+bundle track's self-crossings, m(2n - 1) for q = m/n (`arcs`).
 """
 from __future__ import annotations
 
@@ -14,11 +14,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .arcs import SeparatedPath, _self_crossings
 from .errors import DomainError
-from .geometry import EllipticPoint, elliptic_to_cartesian, elliptic_to_xy
+from .geometry import (EllipticPoint, _linspace, elliptic_to_cartesian,
+                       elliptic_to_xy)
 from .params import Params
 from .periods import solve_resonant_a1, turning_point_xi
 
@@ -31,10 +30,10 @@ _PORTRAIT_ORBITS = 18  # distinct orbits of figure 3 besides the colliding pair
 
 class OrbitTrack(NamedTuple):
     name: str
-    taus: np.ndarray
-    states: np.ndarray  # (n, 4) elliptic
-    x: np.ndarray
-    y: np.ndarray
+    taus: list[float]
+    states: list[tuple[float, float, float, float]]  # elliptic
+    x: tuple[float, ...]
+    y: tuple[float, ...]
     colliding: bool
     # (x, y) of each self-crossing on a bundle track; None on figure 3's
     crossings: list[tuple[float, float]] | None
@@ -48,8 +47,8 @@ def xi_potential_curve(energy: float):
     """
     if energy >= 0.0:
         raise DomainError("the double-well shape requires energy < 0")
-    xi = np.linspace(-3.0, 3.0, _CURVE_POINTS)
-    pot = -2.0 * np.cosh(xi) + abs(energy) * np.cosh(xi) ** 2
+    xi = _linspace(-3.0, 3.0, _CURVE_POINTS)
+    pot = [-2.0 * c + abs(energy) * (c * c) for c in map(math.cosh, xi)]
     meta = {}
     if abs(energy) < 1.0:
         c = 1.0 / abs(energy)  # cosh(xi) at the minima
@@ -63,8 +62,8 @@ def phi_potential_curve(energy: float):
     """Pendulum-type phi potential -|E| cos(phi)^2 over one revolution."""
     if energy >= 0.0:
         raise DomainError("energy must be negative")
-    phi = np.linspace(0.0, 2.0 * math.pi, _CURVE_POINTS)
-    pot = -abs(energy) * np.cos(phi) ** 2
+    phi = _linspace(0.0, 2.0 * math.pi, _CURVE_POINTS)
+    pot = [-abs(energy) * (c * c) for c in map(math.cos, phi)]
     meta = {"minima_phi": [0.0, math.pi], "minimum_value": -abs(energy)}
     return phi, pot, meta
 
@@ -73,13 +72,13 @@ def _orbit_track(prm: Params, start: EllipticPoint, sign: int, t_span: float,
                  name: str, colliding: bool,
                  n_samples: int = 2000, crossings: bool = False) -> OrbitTrack:
     path = SeparatedPath(prm, start, sign, 1, t_span)
-    taus, states = path.dense_grid(n_samples)
-    x, y = elliptic_to_xy(states[:, 0], states[:, 1])
+    taus = _linspace(0.0, t_span, n_samples)
+    states = path.state_at(taus)
+    x, y = zip(*(elliptic_to_xy(s[0], s[1], math) for s in states))
     points = None
     if crossings:
-        at = path.state_at(_self_crossings(path, prm.q)[:, 0])
-        cx, cy = elliptic_to_xy(at[:, 0], at[:, 1])
-        points = list(zip(cx.tolist(), cy.tolist()))
+        at = path.state_at([t for t, _ in _self_crossings(path, prm.q)])
+        points = [elliptic_to_xy(s[0], s[1], math) for s in at]
     return OrbitTrack(name=name, taus=taus, states=states, x=x, y=y,
                       colliding=colliding, crossings=points)
 

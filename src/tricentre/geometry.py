@@ -6,10 +6,10 @@ the cylinder R x S^1.  The two primaries sit at the ramification points
 point has exactly two elliptic representations, (xi, phi) and
 (-xi, -phi mod 2pi).
 
-The scalar maps use only math and cmath.  numpy is imported on the first
-call of an array helper (elliptic_to_xy without `lib`, transform_matrix,
-velocity_to_cartesian, physical_time_of), so the closed-form layer never
-loads it.
+The scalar maps and physical_time_of, which works on sequences, use only
+math and cmath.  numpy is imported on the first call of an array helper
+(elliptic_to_xy without `lib`, transform_matrix, velocity_to_cartesian),
+so the closed-form layer never loads it.
 """
 from __future__ import annotations
 
@@ -128,7 +128,14 @@ def velocity_to_cartesian(p: EllipticPoint, v) -> np.ndarray:
     return transform_matrix(p) @ np.asarray(v, dtype=float)
 
 
-def physical_time_of(taus, xis, phis) -> np.ndarray:
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """The n >= 2 floats of numpy.linspace(start, stop, n):
+    start + k (stop - start)/(n - 1), the last set to stop."""
+    step = (stop - start) / (n - 1)
+    return [start + k * step for k in range(n - 1)] + [stop]
+
+
+def physical_time_of(taus, xis, phis) -> list[float]:
     """Cumulative physical time t(tau) along a sampled trajectory.
 
     t(tau) = integral_0^tau (cosh^2 xi - cos^2 phi) dtau', evaluated with
@@ -136,17 +143,12 @@ def physical_time_of(taus, xis, phis) -> np.ndarray:
     vanishes only at the primaries, where the time reparametrization
     degenerates, so a sample there is rejected.
     """
-    import numpy as np
-    taus = np.asarray(taus, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    rho = np.cosh(xis) ** 2 - np.cos(phis) ** 2
-    if np.any(rho < 1e-14):
+    rho = [math.cosh(xi) ** 2 - math.cos(phi) ** 2
+           for xi, phi in zip(xis, phis)]
+    if any(r < 1e-14 for r in rho):
         raise SingularityError(
             "trajectory sample at a primary: physical time is undefined there")
-    t = np.empty_like(taus)
-    t[0] = 0.0
-    if len(taus) > 1:
-        dt = np.diff(taus) * 0.5 * (rho[1:] + rho[:-1])
-        np.cumsum(dt, out=t[1:])
+    t = [0.0]
+    for k in range(1, len(rho)):
+        t.append(t[-1] + (taus[k] - taus[k - 1]) * 0.5 * (rho[k] + rho[k - 1]))
     return t

@@ -15,7 +15,8 @@ import nondegeneracy_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import AccuracyError, adaptive_quadrature
 from tricentre import exclusion, special
-from tricentre.arcs import am, arc_family, build_arc, initial_velocities
+from tricentre.arcs import (_landen, am, arc_family, build_arc,
+                            initial_velocities)
 from tricentre.exclusion import (find_admissible_beta,
                                  nondegeneracy_certificate,
                                  primary_collision_check,
@@ -453,7 +454,7 @@ class TestClosedForm:
         from scipy.special import ellipj
         u = np.linspace(-30.0, 30.0, 6001)
         sn, cn, dn, ph = ellipj(u, m)
-        theta = am(u, m)
+        theta = am(u, _landen(m), np)
         assert np.max(np.abs(theta - ph)) <= 1e-14
         assert np.max(np.abs(np.sin(theta) - sn)) <= 2e-13
         assert np.max(np.abs(np.cos(theta) - cn)) <= 2e-13
@@ -462,8 +463,45 @@ class TestClosedForm:
 
     def test_amplitude_of_modulus_zero_is_the_argument(self):
         u = np.array([-30.0, -1e-300, 0.0, 0.3, 29.5])
-        assert am(u, 0.0).tobytes() == u.tobytes()
-        assert am(0.7, 0.0) == 0.7
+        assert am(u, _landen(0.0), np).tobytes() == u.tobytes()
+        assert am(0.7, _landen(0.0), math) == 0.7
+
+
+class TestScalarPath:
+    """`SeparatedPath.state_at` evaluates a float with math and an array
+    with numpy: the two agree to rounding."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.floats(0.02, 0.5), st.floats(1e-12, 1e-6)),
+           q=st.sampled_from((F(1), F(2), F(3, 2), F(1, 3))),
+           u=st.floats(0.02, 0.95),
+           phi0=st.one_of(st.sampled_from((0.0, math.pi, math.pi / 2.0)),
+                          st.floats(0.0, 2.0 * math.pi)),
+           sign=st.sampled_from((1, -1)), direction=st.sampled_from((1, -1)),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(beta=BETA_REF, q=F(1), u=0.5, phi0=math.pi / 2.0, sign=1,
+             direction=1, fractions=[0.0, 0.5, 1.0])  # an early return
+    @example(beta=1e-12, q=F(1, 3), u=0.9, phi0=0.0, sign=-1, direction=-1,
+             fractions=[0.0, 0.37, 1.0])
+    def test_float_matches_array(self, beta, q, u, phi0, sign, direction,
+                                 fractions):
+        sol = solve_resonant_a1(beta, q)
+        xi_p = turning_point_xi(beta, sol.a1_hat)
+        prm, _ = resonant_params(EllipticPoint(u * xi_p, phi0), q, beta)
+        assume(primary_collision_check(prm).safe)
+        path = build_arc(prm, sign, direction).path
+        for tau in (f * path.taus[-1] for f in fractions):
+            got = path.state_at(tau)
+            want = path.state_at(np.array([tau]))[0]
+            assert type(got) is tuple and len(got) == 4
+            assert all(type(v) is float for v in got)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
+
+    def test_list_is_the_floats(self, q1_family):
+        path = q1_family[2].path
+        taus = [0.0, 0.3, 1.7, path.taus[-1]]
+        assert path.state_at(taus) == [path.state_at(t) for t in taus]
 
 
 class TestClosestApproach:

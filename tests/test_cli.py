@@ -3,15 +3,18 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tricentre
 import tricentre._output
 from tricentre.cli import main
-from tricentre.periods import solve_resonant_a1
+from tricentre.periods import solve_resonant_a1, turning_point_xi
 
 
 def run(capsys, argv):
@@ -297,6 +300,66 @@ class TestFigs:
     def test_bad_index(self, capsys, tmp_path):
         assert main(["figs", "7", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestClosedFormCommands:
+    """arcs and figs evaluate the closed form with math, without numpy."""
+
+    def test_no_numpy_in_the_process(self, tmp_path):
+        # fresh interpreters: arcs at acceptance test 9's centre, figs 6
+        code = ("import sys\n"
+                "from tricentre.cli import main\n"
+                "codes = [main(sys.argv[1:7]), main(sys.argv[7:])]\n"
+                "print(codes, 'numpy' in sys.modules)\n")
+        sol = solve_resonant_a1(1.0 / 7.0, 1)
+        xi = 2.0 / 3.0 * turning_point_xi(1.0 / 7.0, sol.a1_hat)
+        argv = ["arcs", "--q", "1", f"--beta={1.0 / 7.0!r}",
+                f"--centre-elliptic={xi!r},0", f"--out={tmp_path}",
+                "figs", "6", f"--out={tmp_path}"]
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(tricentre.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
+
+    def test_arc_rows_are_the_array_evaluation(self, capsys, tmp_path):
+        import numpy as np
+        from tricentre.arcs import arc_family
+        from tricentre.exclusion import resonant_params
+        from tricentre.geometry import EllipticPoint, elliptic_to_xy
+        beta = 1.0 / 7.0
+        xi0 = 2.0 / 3.0 * turning_point_xi(
+            beta, solve_resonant_a1(beta, 1).a1_hat)
+        rc, out = run(capsys, ["arcs", "--q", "1", f"--beta={beta!r}",
+                               f"--centre-elliptic={xi0!r},0",
+                               "--out", str(tmp_path), "--json"])
+        assert rc == 0
+        doc = json.loads(out)
+        prm, _ = resonant_params(EllipticPoint(xi0, 0.0), 1, beta)
+        for record, arc in zip(doc["arcs"], arc_family(prm)):
+            assert record["label"] == str(arc.label)
+            rows = np.loadtxt(tmp_path / record["path_csv"], delimiter=",",
+                              skiprows=1)
+            taus = np.linspace(0.0, arc.duration, 1000)
+            assert rows[:, 0].tobytes() == taus.tobytes()
+            states = arc.path.state_at(taus)
+            xi, phi = states[:, 0], states[:, 1]
+            rho = np.cosh(xi) ** 2 - np.cos(phi) ** 2
+            t_phys = np.concatenate(
+                [[0.0], np.cumsum(np.diff(taus) * 0.5 * (rho[1:] + rho[:-1]))])
+            want = np.column_stack([states, t_phys, *elliptic_to_xy(xi, phi)])
+            assert np.all(np.abs(rows[:, 1:] - want)
+                          <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("which, per_track", [(4, 1), (5, 2), (6, 2)])
+    def test_crossings_per_track(self, capsys, tmp_path, which, per_track):
+        # m(2n - 1) for q = m/n: q = 1 in figure 4, q = 2 in 5 and 6
+        rc, out = run(capsys, ["figs", str(which), "--out", str(tmp_path),
+                               "--json"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert len(doc["orbits"]) == 2
+        assert len(doc["self_intersections"]) == 2 * per_track
 
 
 class TestDeterminism:

@@ -371,7 +371,7 @@ class TestDenseOutputInClosedForm:
     def test_step_midpoints(self, q1_family, tol):
         for arc in q1_family:
             path = arc.path
-            traj = integrate(path.states[0], arc.params, arc.duration,
+            traj = integrate(path.state_at(0.0), arc.params, arc.duration,
                              tol=tol)
             at_samples = np.abs(traj.states - path.state_at(traj.taus))
             ends = np.maximum(at_samples[:-1], at_samples[1:])

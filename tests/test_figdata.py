@@ -61,7 +61,7 @@ class TestSelfCrossings:
                               phi0)
         path = SeparatedPath(Params(beta=beta, a1=sol.a1_hat, q=q), start,
                              sign, direction, sol.full_period)
-        pairs = _self_crossings(path, q)
+        pairs = np.array(_self_crossings(path, q))
         t = sol.full_period
         assert pairs.shape == (_crossing_count(q), 2)
         # reduced modulo the path's own period, equal to t within rounding
