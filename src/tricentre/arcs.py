@@ -282,10 +282,8 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
     below _APPROACH_TOL of the duration.  d'' takes xi'' = 2 sinh xi
     (1 - 2 beta a1 cosh xi) and phi'' = -4 beta a1 sin phi cos phi from
     the separated equations of motion, with beta a1 = w'^2 k2^2 / 4.
-    The searches step in turn, and one whose trial falls in the span of
-    the trials a converged search took ends there: the minimum it runs
-    down to is found already.  Returns the least d found; a search still
-    moving after _APPROACH_MAX_STEPS trials raises StructuralError.
+    Returns the least d found; a search still moving after
+    _APPROACH_MAX_STEPS trials raises StructuralError.
     """
     duration = path.taus[-1]
     starts = {0.0, duration}
@@ -297,15 +295,11 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
         starts.update(min(max((j * spacing - first) / rate, 0.0), duration)
                       for j in range(math.ceil(lo), math.floor(hi) + 1))
     beta_a1 = 0.25 * path._rate ** 2 * path._k2
-    # each search's (tau, d, step, lo, hi), [lo, hi] the span of its trials
-    searches = [(t, math.inf, 0.0, t, t) for t in sorted(starts)]
-    found, best = [], math.inf  # the spans of the converged searches
-    for _ in range(_APPROACH_MAX_STEPS):
-        moving = []
-        for tau, dist, step, lo, hi in searches:
+    best = math.inf
+    for tau in sorted(starts):
+        dist, step = math.inf, 0.0
+        for _ in range(_APPROACH_MAX_STEPS):
             trial = tau + step
-            if any(a <= trial <= b for a, b in found):
-                continue
             xi, phi, dxi, dphi = path.state_at(trial)
             psi = phi - math.pi * round(phi / math.pi)
             d = 2.0 * (math.sinh(0.5 * xi) ** 2 + math.sin(0.5 * psi) ** 2)
@@ -317,19 +311,16 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
                              - 4.0 * beta_a1 * cp * sp * sp)
                 newton = trial - (sh * dxi + sp * dphi) / abs(curvature)
                 step = min(max(newton, 0.0), duration) - trial
-                tau, dist, lo, hi = trial, d, min(lo, trial), max(hi, trial)
-                best = min(best, d)
+                tau, dist, best = trial, d, min(best, d)
             else:
                 step = 0.5 * step
-            if abs(step) > _APPROACH_TOL * duration:
-                moving.append((tau, dist, step, lo, hi))
-            else:
-                found.append((lo, hi))
-        if not moving:
-            return best
-        searches = moving
-    raise StructuralError("the closest primary approach did not converge"
-                          f" in {_APPROACH_MAX_STEPS} trial steps")
+            if abs(step) <= _APPROACH_TOL * duration:
+                break
+        else:
+            raise StructuralError(
+                "the closest primary approach did not converge in"
+                f" {_APPROACH_MAX_STEPS} trial steps")
+    return best
 
 
 def _self_crossings(path: SeparatedPath,
