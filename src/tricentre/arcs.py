@@ -8,10 +8,11 @@ the arcs end at the first early return instead of the full period.
 Nothing here integrates: at eps = 0 both separated motions are Jacobi
 elliptic functions of tau, which `SeparatedPath` evaluates through `am`,
 with math for a float tau and with numpy, loaded then, for an array.  The
-first return comes from the exact times at which phi reaches
-+-phi0.  An arc's closest approach to a primary is exact too: Newton
-searches on the distance's tau-derivative start from the closed-form
-times at which xi = 0 or phi = 0 (mod pi), and from the arc's ends.
+orbit's self-crossings come in closed form too, and an arc returns to C
+early exactly when C is one of them.  An arc's closest approach to a
+primary is exact: Newton searches on the distance's tau-derivative start
+from the closed-form times at which xi = 0 or phi = 0 (mod pi), and from
+the arc's ends.
 
 A family is built only for a centre that passes the primary-collision
 exclusion test of `exclusion`, and only if no arc of it passes within
@@ -27,8 +28,8 @@ from typing import NamedTuple
 from .errors import (DomainError, PlacementError, StructuralError,
                      UnsafeCentreError)
 from .exclusion import _separated_motion, primary_collision_check
-from .geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
-                       velocity_to_cartesian, wrap_angle)
+from .geometry import (EllipticPoint, elliptic_to_cartesian,
+                       velocity_to_cartesian)
 from .params import Params
 from .periods import period_phi, period_xi, turning_point_xi
 from .special import complete_elliptic_k, incomplete_elliptic_f
@@ -131,7 +132,8 @@ class SeparatedPath:
         tanh(xi/2) = sqrt(u+) cn(lam*tau + v0 | m),
 
     with v0 = -sign F(arccos(tanh(xi0/2)/sqrt(u+)) | m), so that xi' has the
-    sign of `sign` at tau = 0; both Landen sequences are computed once.
+    sign of `sign` at tau = 0; both Landen sequences, and K of both moduli,
+    are computed once.
     It serves what readers of a collision arc's path use: `taus` (the two
     ends), `state_at` and `dense_grid`.  beta = 0 raises DomainError, as
     `turning_point_xi` does, and so does a beta so small that u+ rounds
@@ -152,6 +154,8 @@ class SeparatedPath:
         self._lam = math.sqrt(big_a * (u_plus - u_minus))
         self._root_u = math.sqrt(u_plus)
         self._phi_landen, self._xi_landen = _landen(self._k2), _landen(self._m)
+        self._k_phi = complete_elliptic_k(self._k2)
+        self._k_xi = complete_elliptic_k(self._m)
         cn0 = math.tanh(0.5 * start.xi) / self._root_u
         if not abs(cn0) <= 1.0:
             raise PlacementError(
@@ -192,12 +196,10 @@ class SeparatedPath:
 def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
     """One collision arc from C until its first return to C, in closed form.
 
-    The return is the earliest time at which phi = phi0 with xi = xi0, or
-    phi = -phi0 (mod 2pi) with xi = -xi0: both elliptic representations of
-    C are the same Cartesian point.  Without an early collision it lands
-    at the full resonant period m*T1 = n*T2; an earlier match sets the
-    early_collision flag.  min_primary_distance is the exact least
-    distance to a primary (`_closest_primary_approach`).
+    The return comes before the full resonant period m*T1 = n*T2 exactly
+    when C is a self-crossing of the periodic orbit (`_first_return`); such
+    an early return sets the early_collision flag.  min_primary_distance
+    is the exact least distance to a primary (`_closest_primary_approach`).
     """
     if sign not in (-1, 1) or direction not in (-1, 1):
         raise DomainError("sign and direction must each be +1 or -1")
@@ -213,7 +215,7 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
     centre = prm.centre_elliptic
     xi_speed, phi_speed = initial_velocities(centre, prm.beta, prm.a1)
     path = SeparatedPath(prm, centre, sign, direction, t_full)
-    duration = path.taus[-1] = _first_return(path, centre, t_full)
+    duration = path.taus[-1] = _first_return(path, prm.q, t_full)
     y_end = path.state_at(duration)
     end = EllipticPoint(y_end[0], y_end[1])
     return CollisionArc(
@@ -225,47 +227,34 @@ def build_arc(prm: Params, sign: int, direction: int) -> CollisionArc:
         closure_error=elliptic_to_cartesian(end).distance_to(prm.centre))
 
 
-def _first_return(path: SeparatedPath, centre: EllipticPoint,
-                  t_full: float) -> float:
-    """Earliest tau in (1e-6 t_full, (1 + 2e-4) t_full] at which the path is
-    back at C.
+_RETURN_CUT = 1e-9  # a crossing time this near 0, over the period, is at C
 
-    phi = +-phi0 (mod 2pi) exactly when F(phi0) + d*w*tau lies in
-    +-F(phi0) + 4K*Z (K of phi's modulus).  At such a time xi must match
-    +-xi0 to within 1e-6; for phi0 = 0 or pi, where the two angles
-    coincide, either sign of xi0 matches.  The window reaches past m*T1 so
-    that it holds n*T2, the full-period return.  Each sign's times are
-    tried in increasing order up to its first match.
+
+def _first_return(path: SeparatedPath, q: Fraction, period: float) -> float:
+    """The tau of the path's first return to C, its start, for the full
+    period m*T1 = n*T2.
+
+    The return is early exactly when C is a self-crossing of the orbit: one
+    time of a `_self_crossings` pair lies within _RETURN_CUT of the period
+    of 0 (mod the period), and the earliest other time of such a pair is
+    the return.  Otherwise it is the full period.  The time is snapped to
+    the nearest tau at which phi = +-phi0 (mod 2pi), where F(phi0) + w' tau
+    lies in +-F(phi0) + 4K*Z (K of phi's modulus), +phi0 on a tie.
     """
-    xi0, phi0 = centre.xi, centre.phi
-    mirrored = wrap_angle(-phi0)
-    one_angle = (abs(mirrored - phi0) <= 1e-12
-                 or abs(abs(mirrored - phi0) - TWO_PI) <= 1e-12)
-    lo, hi = 1e-6 * t_full, (1.0 + 2e-4) * t_full
-    f0, rate = path._f0, path._rate
-    step = 4.0 * complete_elliptic_k(path._k2) / abs(rate)  # phi turns 2pi
-    first = math.inf
-    for s in (1, -1):
-        # tau = (s*f0 - f0 + 4K*j) / rate for integer j
-        base = (s * f0 - f0) / rate
-        targets = (xi0, -xi0) if one_angle else (s * xi0,)
-        for j in range(math.floor((lo - base) / step),
-                       math.ceil((hi - base) / step) + 1):
-            tau = base + j * step
-            if tau >= first:
-                break
-            xi = path.state_at(tau)[0] if lo < tau <= hi else math.inf
-            if any(abs(xi - target) < 1e-6 for target in targets):
-                first = tau
-    if first == math.inf:
-        raise DomainError(
-            f"no return to the centre found within {hi:.6g} tau units;"
-            " parameters are inconsistent")
-    return first
+    target = min((b for pair in _self_crossings(path, q)
+                  for a, b in (pair, pair[::-1])
+                  if min(a, period - a) <= _RETURN_CUT * period),
+                 default=period)
+    step = 4.0 * path._k_phi / abs(path._rate)  # phi turns 2pi
+    return min((base + round((target - base) / step) * step
+                for base in (0.0, -2.0 * path._f0 / path._rate)),
+               key=lambda tau: abs(tau - target))
 
 
 _APPROACH_TOL = 1e-10      # Newton step, over the duration, that ends a search
-_APPROACH_MAX_STEPS = 60   # trial steps after which a search is abandoned
+# trial steps after which a search is abandoned; one from an end far out,
+# xi0 below about 39 while u+ < 1, creeps down about 0.6 in xi a step
+_APPROACH_MAX_STEPS = 100
 
 
 def _closest_primary_approach(path: SeparatedPath) -> float:
@@ -287,7 +276,7 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
     """
     duration = path.taus[-1]
     starts = {0.0, duration}
-    k_xi, k_phi = complete_elliptic_k(path._m), complete_elliptic_k(path._k2)
+    k_xi, k_phi = path._k_xi, path._k_phi
     # first + rate*tau = j*spacing: xi = 0, then psi = 0
     for first, rate, spacing in ((path._v0 - k_xi, path._lam, 2.0 * k_xi),
                                  (path._f0, path._rate, 2.0 * k_phi)):
@@ -338,8 +327,8 @@ def _self_crossings(path: SeparatedPath,
     since each pair would otherwise come twice.
     """
     m, n = q.numerator, q.denominator
-    t1 = 4.0 * complete_elliptic_k(path._m) / path._lam
-    t2 = 4.0 * complete_elliptic_k(path._k2) / abs(path._rate)
+    t1 = 4.0 * path._k_xi / path._lam
+    t2 = 4.0 * path._k_phi / abs(path._rate)
     pairs = []
     for j in range(1, n // 2 + 1):
         for k in range(m if 2 * j == n else 2 * m):

@@ -268,7 +268,7 @@ def _detect_events(traj: Trajectory, specs):
 # ---------------------------------------------------------------------------
 # integrate
 
-def integrate(state0, prm: Params, tau_end: float, tol: float = 1e-10,
+def integrate(state0, prm: Params, tau_end: float, tol: float,
               events: Sequence = ()) -> Trajectory:
     """Integrate the regularized flow from tau = 0 to tau_end.
 

@@ -24,7 +24,6 @@ __all__ = [
     "EllipticPoint", "CartesianPoint",
     "elliptic_to_xy", "elliptic_to_cartesian", "cartesian_to_elliptic",
     "transform_matrix", "velocity_to_cartesian", "physical_time_of",
-    "wrap_angle",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -56,11 +55,6 @@ class EllipticPoint(NamedTuple("EllipticPoint", [("xi", float), ("phi", float)])
             return False
         d = min(self.phi, TWO_PI - self.phi, abs(self.phi - math.pi))
         return d <= _PRIMARY_TOL
-
-
-def wrap_angle(phi: float) -> float:
-    """Reduce an angle to [0, 2pi), as EllipticPoint stores phi."""
-    return EllipticPoint(0.0, phi).phi
 
 
 class CartesianPoint(NamedTuple):

@@ -16,7 +16,7 @@ from tricentre.arcs import ArcLabel, CollisionArc, initial_velocities
 from tricentre.dynamics import PhiCrossing, integrate
 from tricentre.errors import DomainError
 from tricentre.geometry import (TWO_PI, EllipticPoint, elliptic_to_cartesian,
-                                elliptic_to_xy, wrap_angle)
+                                elliptic_to_xy)
 from tricentre.params import Params
 from tricentre.periods import period_phi, period_xi
 
@@ -48,7 +48,7 @@ def build_arc(prm: Params, sign: int, direction: int,
     y0 = np.array([xi0, phi0, sign * xi_speed, direction * phi_speed])
 
     targets = [(phi0, xi0)]
-    mirrored = wrap_angle(-phi0)
+    mirrored = EllipticPoint(0.0, -phi0).phi
     if abs(mirrored - phi0) > 1e-12 and abs(abs(mirrored - phi0) - TWO_PI) > 1e-12:
         targets.append((mirrored, -xi0))
     events = [PhiCrossing(t) for t, _ in targets]
@@ -59,12 +59,12 @@ def build_arc(prm: Params, sign: int, direction: int,
     int_tol = max(0.1 * tol, 1e-14)
     traj = integrate(y0, prm, t_full * (1.0 + 2e-4), tol=int_tol, events=events)
 
-    xi_match = {wrap_angle(t): x for t, x in targets}
+    xi_match = {EllipticPoint(0.0, t).phi: x for t, x in targets}
     returns = []
     for ev in traj.events:
         if ev.tau <= 1e-6 * t_full:
             continue
-        target_phi = wrap_angle(ev.spec.value)
+        target_phi = EllipticPoint(0.0, ev.spec.value).phi
         xi_target = xi_match[target_phi]
         candidates = (xi_target,) if len(targets) == 2 else (xi0, -xi0)
         for xt in candidates:

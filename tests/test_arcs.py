@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 import approach_reference
 import arc_reference
 import exclusion_reference
+import first_return_reference
 import nondegeneracy_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import AccuracyError, adaptive_quadrature
 from tricentre import exclusion, special
-from tricentre.arcs import (_landen, am, arc_family, build_arc,
-                            initial_velocities)
+from tricentre.arcs import (_landen, _self_crossings, am, arc_family,
+                            build_arc, initial_velocities)
 from tricentre.exclusion import (find_admissible_beta,
                                  nondegeneracy_certificate,
                                  primary_collision_check,
                                  primary_collision_ratios, resonant_params)
 from tricentre.dynamics import Params, integrate
-from tricentre.errors import (DomainError, PlacementError, StructuralError,
-                             UnsafeCentreError)
+from tricentre.errors import (DomainError, PlacementError, RangeError,
+                             StructuralError, UnsafeCentreError)
 from tricentre.figdata import orbit_family_portrait
 from tricentre.geometry import (CartesianPoint, EllipticPoint,
                                 elliptic_to_cartesian)
@@ -577,6 +578,148 @@ class TestClosestApproach:
         monkeypatch.setattr(arcs_mod, "_APPROACH_MAX_STEPS", 1)
         with pytest.raises(StructuralError, match="did not converge"):
             arcs_mod._closest_primary_approach(q1_family[0].path)
+
+
+LABELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+RETURN_CLASSES = (F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3), F(5, 2),
+                  F(5, 3), F(1, 3))
+
+
+def _crossing_offset(arc):
+    """The least distance of a `_self_crossings` time of the arc's path
+    from 0 (mod the period), over the period."""
+    path, q = arc.path, arc.params.q
+    period = q.numerator * (4.0 * path._k_xi / path._lam)
+    return min(min(t, period - t) for pair in _self_crossings(path, q)
+               for t in pair) / period
+
+
+def _compare_with_scan(arcs):
+    """Each arc's return against the scan of `first_return_reference`: the
+    same duration, bit for bit, and the same early_collision.  Each arc's
+    crossing offset lies more than 1e3 times away from the 1e-9 cut: below
+    1e-12 on an early arc, above 1e-6 on the others.  Returns the number of
+    arcs on which the scan found no return."""
+    missed = 0
+    for arc in arcs:
+        offset = _crossing_offset(arc)
+        assert offset <= 1e-12 if arc.early_collision else offset >= 1e-6
+        prm = arc.params
+        t_full = prm.q.numerator * period_xi(prm.beta, prm.a1)
+        try:
+            want = first_return_reference.first_return(
+                arc.path, prm.centre_elliptic, t_full)
+        except DomainError:
+            missed += 1
+            continue
+        assert arc.duration.hex() == want.hex()
+        assert arc.early_collision == (want < t_full * (1.0 - 1e-6))
+    return missed
+
+
+class TestFirstReturn:
+    """An arc's return read off the orbit's closed-form self-crossings
+    against the old scan of the phi = +-phi0 times, which matched xi there
+    to within 1e-6."""
+
+    def test_seeded_draws(self):
+        # generic centres, centres on both axes and on the segment xi = 0
+        rng = random.Random(2026)
+        arcs = []
+        while len(arcs) < 600:
+            q = rng.choice(RETURN_CLASSES)
+            try:
+                beta = solve_beta_for_energy(
+                    q, rng.choice((-0.05, -0.02, -0.2, -1e-6))).beta
+            except RangeError:  # the energy is out of the class's reach
+                continue
+            kind = rng.choice(("generic", "x", "y", "segment"))
+            u = 0.0 if kind == "segment" else rng.uniform(0.0, 0.97)
+            phi0 = {"x": rng.choice((0.0, math.pi)),
+                    "y": rng.choice((0.5 * math.pi, 1.5 * math.pi)),
+                    }.get(kind, rng.uniform(0.0, 2.0 * math.pi))
+            prm = _centre_params(q, beta, u, phi0)
+            if primary_collision_check(prm).safe:
+                arcs += [build_arc(prm, s, d) for s, d in LABELS]
+        assert 100 <= sum(arc.early_collision for arc in arcs) <= 500
+        assert _compare_with_scan(arcs) == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.floats(0.02, 0.5), st.floats(1e-12, 1e-6)),
+           q=st.sampled_from(RETURN_CLASSES),
+           u=st.one_of(st.just(0.0), st.floats(0.02, 0.97)),
+           phi0=st.one_of(st.sampled_from((0.0, math.pi, 0.5 * math.pi,
+                                           1.5 * math.pi)),
+                          st.floats(0.0, 2.0 * math.pi)))
+    @example(beta=BETA_REF, q=F(1), u=0.5, phi0=math.pi / 2.0)  # early
+    def test_drawn_centres(self, beta, q, u, phi0):
+        assume(u > 0.0 or abs(math.sin(phi0)) > 1e-3)  # not at a primary
+        # next to the axis, where the times of phi = phi0 and of phi = -phi0
+        # nearly meet, and next to a self-crossing, the scan's tolerances
+        # decide its return (the two tests below)
+        assume(not 0.0 < abs(math.remainder(phi0, math.pi)) < 1e-6)
+        prm = _centre_params(q, beta, u, phi0)
+        assume(primary_collision_check(prm).safe)
+        arcs = [build_arc(prm, s, d) for s, d in LABELS]
+        assume(not any(1e-12 < _crossing_offset(arc) < 1e-6 for arc in arcs))
+        _compare_with_scan(arcs)  # every arc built, where the scan missed too
+
+    @pytest.mark.parametrize("phi0, miss", [(7.989307938561241e-07, 9.4e-7),
+                                            (1e-7, 1.2e-7), (2e-8, 2.3e-8)])
+    def test_centre_near_a_crossing(self, phi0, miss):
+        # C is about phi0 from the point where the q = 1/2 orbit crosses the
+        # axis: the scan's 1e-6 match of xi took that crossing for a return,
+        # and its arc ended `miss` away from C; the arc runs its full period
+        prm = _centre_params(F(1, 2), 0.5, 0.5, phi0)
+        arc = build_arc(prm, 1, 1)
+        assert not arc.early_collision and arc.closure_error <= 1e-14
+        assert 1e-9 < _crossing_offset(arc) < 1e-6
+        t_full = period_xi(prm.beta, prm.a1)
+        scanned = first_return_reference.first_return(
+            arc.path, prm.centre_elliptic, t_full)
+        assert scanned < 0.5 * arc.duration
+        xi, phi, _, _ = arc.path.state_at(scanned)
+        end = elliptic_to_cartesian(EllipticPoint(xi, phi))
+        assert end.distance_to(prm.centre) == pytest.approx(miss, rel=0.05)
+
+    @pytest.mark.parametrize("phi0", [1e-15, 1e-13, 2.0 * math.pi - 1e-13,
+                                      6.283185307179585])
+    def test_centre_next_to_the_axis(self, phi0):
+        # within 1e-12 of phi = 0 the scan matched xi to either sign of xi0
+        # at both representations' phi times, and took the earlier of two
+        # times about 2 phi0 / w' apart; the return is the full period,
+        # the time at which phi = phi0
+        prm = _centre_params(F(1), 0.5, 0.5, phi0)
+        t_full = period_xi(prm.beta, prm.a1)
+        scanned = []
+        for s, d in LABELS:
+            arc = build_arc(prm, s, d)
+            path = arc.path
+            assert not arc.early_collision
+            assert arc.duration == 4.0 * path._k_phi / abs(path._rate)
+            scanned.append(first_return_reference.first_return(
+                path, prm.centre_elliptic, t_full))
+            assert scanned[-1] == pytest.approx(arc.duration, rel=1e-12)
+        assert min(scanned) < arc.duration
+
+    def test_far_centres_at_tiny_beta(self):
+        # xi at a return time is good to about e^xi0 * 1e-16 only, so the
+        # scan's 1e-6 match of xi misses some returns of centres far out;
+        # every family builds, and its closure error is that of the state
+        # formula, below 1e-4 cosh(xi0)
+        rng = random.Random(7)
+        missed = 0
+        for _ in range(400):
+            beta = 10.0 ** rng.uniform(-12.0, -6.0)
+            q = rng.choice((F(1), F(2), F(1, 2), F(3, 2)))
+            prm = _centre_params(q, beta, rng.uniform(0.5, 0.97),
+                                 rng.uniform(0.0, 2.0 * math.pi))
+            if primary_collision_check(prm).safe:
+                family = arc_family(prm)
+                missed += _compare_with_scan(family)
+                bound = 1e-4 * math.cosh(prm.centre_elliptic.xi)
+                assert max(arc.closure_error for arc in family) <= bound
+        assert missed > 0
 
 
 class TestClosedFormEdges:

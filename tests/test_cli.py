@@ -351,6 +351,21 @@ class TestClosedFormCommands:
             assert np.all(np.abs(rows[:, 1:] - want)
                           <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
+    def test_far_centre_at_tiny_beta(self, capsys, tmp_path):
+        # xi0 = 27.5, where xi is good to about e^xi0 * 1e-16 only: check
+        # calls the centre safe, and its four arcs run their full period,
+        # closing to within the state formula's own conditioning
+        argv = ["--q", "1", "--beta", "5.78e-12",
+                "--centre-elliptic=27.5,2.35"]
+        assert run(capsys, ["check", *argv])[0] == 0
+        rc, out = run(capsys, ["arcs", *argv, "--out", str(tmp_path),
+                               "--json"])
+        assert rc == 0
+        arcs = json.loads(out)["arcs"]
+        assert [arc["early_collision"] for arc in arcs] == [False] * 4
+        assert max(arc["closure_error"] for arc in arcs) \
+            <= 1e-4 * math.cosh(27.5)
+
     @pytest.mark.parametrize("which, per_track", [(4, 1), (5, 2), (6, 2)])
     def test_crossings_per_track(self, capsys, tmp_path, which, per_track):
         # m(2n - 1) for q = m/n: q = 1 in figure 4, q = 2 in 5 and 6

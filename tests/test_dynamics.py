@@ -279,7 +279,7 @@ def spans():
     prm = Params(beta=0.2, a1=0.3)
     y0 = separated_state(0.2, 0.3)
     events = [PhiCrossing(1.0), PhiCrossing(2.5), XiCrossing(0.0)]
-    return {end: integrate(y0, prm, end, events=events)
+    return {end: integrate(y0, prm, end, tol=1e-10, events=events)
             for end in (5.0, -5.0)}
 
 
@@ -290,12 +290,15 @@ class TestRootOnScanPoint:
         y0, prm = separated_state(0.2, 0.3), Params(beta=0.2, a1=0.3)
         v = spans[5.0].states[11, 0]  # xi rising at sample 11
         taus = [round(e.tau, 12) for e in
-                integrate(y0, prm, 5.0, events=[XiCrossing(v)]).events]
+                integrate(y0, prm, 5.0, tol=1e-10,
+                          events=[XiCrossing(v)]).events]
         assert taus == [1.015704761246, 1.832967047845]
-        rising = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=1)])
+        rising = integrate(y0, prm, 5.0, tol=1e-10,
+                           events=[XiCrossing(v, direction=1)])
         assert [round(e.tau, 12) for e in rising.events] == [1.015704761246]
         assert rising.events[0].state[0] == v
-        falling = integrate(y0, prm, 5.0, events=[XiCrossing(v, direction=-1)])
+        falling = integrate(y0, prm, 5.0, tol=1e-10,
+                            events=[XiCrossing(v, direction=-1)])
         assert [round(e.tau, 12) for e in falling.events] == [1.832967047845]
 
     @given(end=st.sampled_from([5.0, -5.0]), where=st.floats(0.0, 1.0))
@@ -305,7 +308,7 @@ class TestRootOnScanPoint:
         i = 1 + int(where * (len(traj.taus) - 3))
         assume(abs(traj.states[i, 2]) > 0.1)  # a crossing, not a turning point
         run = integrate(separated_state(0.2, 0.3), traj.params, end,
-                        events=[XiCrossing(traj.states[i, 0])])
+                        tol=1e-10, events=[XiCrossing(traj.states[i, 0])])
         near = [e.tau for e in run.events if abs(e.tau - traj.taus[i]) < 1e-6]
         assert len(near) == 1
         assert abs(near[0] - traj.taus[i]) <= 1e-11  # refinement tolerance

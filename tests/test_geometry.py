@@ -9,7 +9,7 @@ from tricentre.errors import SingularityError
 from tricentre.geometry import (TWO_PI, CartesianPoint, EllipticPoint,
                                 cartesian_to_elliptic, elliptic_to_cartesian,
                                 elliptic_to_xy, physical_time_of, transform_matrix,
-                                velocity_to_cartesian, wrap_angle)
+                                velocity_to_cartesian)
 
 
 class TestForwardMap:
@@ -155,6 +155,10 @@ class TestPhysicalTime:
 
 
 def test_wrap_angle():
-    assert wrap_angle(TWO_PI) == 0.0
-    assert wrap_angle(-0.5) == pytest.approx(TWO_PI - 0.5, rel=1e-15)
-    assert wrap_angle(7.0) == pytest.approx(7.0 - TWO_PI, rel=1e-14)
+    """EllipticPoint stores phi reduced to [0, 2pi)."""
+    def wrapped(phi):
+        return EllipticPoint(0.0, phi).phi
+
+    assert wrapped(TWO_PI) == 0.0
+    assert wrapped(-0.5) == pytest.approx(TWO_PI - 0.5, rel=1e-15)
+    assert wrapped(7.0) == pytest.approx(7.0 - TWO_PI, rel=1e-14)
