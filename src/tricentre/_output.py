@@ -18,12 +18,14 @@ _CSV_ROWS = 1000  # dense-output rows of a trajectory CSV
 
 
 def csv_text(header, columns) -> str:
-    """CSV document of equal-length numeric columns under a header.
+    """CSV document of equal-length columns under a header.
 
-    Each value is printed as "%.17g" and each line ends in CRLF: the bytes
-    csv.writer writes for the same rows formatted with f"{v:.17g}".
+    Each number is printed as "%.17g" and each line ends in CRLF: the bytes
+    csv.writer writes for the same rows formatted with f"{v:.17g}".  A
+    column of str, numbers a caller formatted so once, is written as it is.
     """
-    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    row = ",".join(["%s" if len(c) and isinstance(c[0], str) else "%.17g"
+                    for c in columns]) + "\r\n"
     return ",".join(header) + "\r\n" + "".join([row % r for r in zip(*columns)])
 
 

@@ -135,7 +135,8 @@ class SeparatedPath:
     sign of `sign` at tau = 0; both Landen sequences, and K of both moduli,
     are computed once.
     It serves what readers of a collision arc's path use: `taus` (the two
-    ends), `state_at` and `dense_grid`.  beta = 0 raises DomainError, as
+    ends), `state_at` and `dense_grid`; `figdata` samples the two motions
+    on their own, once per distinct key.  beta = 0 raises DomainError, as
     `turning_point_xi` does, and so does a beta so small that u+ rounds
     to 1.
     """
@@ -162,18 +163,35 @@ class SeparatedPath:
                 f"start xi={start.xi:.6g} lies beyond the turning ellipse")
         self._v0 = -sign * incomplete_elliptic_f(math.acos(cn0), self._m)
         self.taus = [0.0, float(duration)]
+        # the constants each motion reads: equal keys, equal floats
+        self._xi_key = ("xi", self._m, self._lam, self._root_u, self._v0)
+        self._phi_key = ("phi", self._k2, self._rate, self._f0)
+
+    def _xi_motion(self, t, lib, speed: bool):
+        """xi at t over lib, and xi' with it if speed."""
+        theta = am(self._lam * t + self._v0, self._xi_landen, lib)
+        half = self._root_u * lib.cos(theta)  # tanh(xi/2)
+        xi = 2.0 * lib.atanh(half)
+        if not speed:
+            return xi
+        sn = lib.sin(theta)
+        return xi, (-2.0 * self._root_u * self._lam * sn
+                    * lib.sqrt(1.0 - self._m * sn * sn) / (1.0 - half * half))
+
+    def _phi_motion(self, t, lib, speed: bool):
+        """phi at t over lib, and phi' with it if speed."""
+        phi = am(self._f0 + self._rate * t, self._phi_landen, lib)
+        if not speed:
+            return phi
+        sp = lib.sin(phi)
+        return phi, self._rate * lib.sqrt(1.0 - self._k2 * (sp * sp))
 
     def _state(self, t, lib) -> tuple:
         """(xi, phi, xi', phi') at t over lib, math for a float t and numpy
         for an array: every state of the path is evaluated here."""
-        phi = am(self._f0 + self._rate * t, self._phi_landen, lib)
-        theta = am(self._lam * t + self._v0, self._xi_landen, lib)
-        sn, cn, sp = lib.sin(theta), lib.cos(theta), lib.sin(phi)
-        half = self._root_u * cn  # tanh(xi/2)
-        return (2.0 * lib.atanh(half), phi,
-                -2.0 * self._root_u * self._lam * sn
-                * lib.sqrt(1.0 - self._m * sn * sn) / (1.0 - half * half),
-                self._rate * lib.sqrt(1.0 - self._k2 * (sp * sp)))
+        xi, dxi = self._xi_motion(t, lib, True)
+        phi, dphi = self._phi_motion(t, lib, True)
+        return xi, phi, dxi, dphi
 
     def state_at(self, tau):
         """State (xi, phi, xi', phi') at tau: a tuple for a float and a
@@ -289,7 +307,7 @@ def _closest_primary_approach(path: SeparatedPath) -> float:
         dist, step = math.inf, 0.0
         for _ in range(_APPROACH_MAX_STEPS):
             trial = tau + step
-            xi, phi, dxi, dphi = path.state_at(trial)
+            xi, phi, dxi, dphi = path._state(trial, math)
             psi = phi - math.pi * round(phi / math.pi)
             d = 2.0 * (math.sinh(0.5 * xi) ** 2 + math.sin(0.5 * psi) ** 2)
             if d < dist:

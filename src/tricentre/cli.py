@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -366,14 +367,22 @@ def cmd_shadow(args) -> int:
 _TRACK_HEADER = ["tau", "xi", "phi", "x", "y"]
 
 
-def _track_columns(track, window=None):
-    """Columns of a figdata.OrbitTrack under _TRACK_HEADER, restricted to
-    the samples in window (x0, x1, y0, y1)."""
-    rows = [(tau, s[0], s[1], x, y) for tau, s, x, y
-            in zip(track.taus, track.states, track.x, track.y)
-            if window is None or (window[0] <= x <= window[1]
-                                  and window[2] <= y <= window[3])]
-    return list(zip(*rows))
+def _track_columns(tracks, window=None):
+    """Each figdata.OrbitTrack's columns under _TRACK_HEADER, restricted to
+    the samples in window (x0, x1, y0, y1).  A column object that tracks
+    share is formatted once, and goes to each of their files as text."""
+    columns = [(tr.taus, tr.xi, tr.phi, tr.x, tr.y) for tr in tracks]
+    held = Counter(id(c) for cols in columns for c in cols)
+    text = {id(c): c for cols in columns for c in cols if held[id(c)] > 1}
+    text = {k: ["%.17g" % v for v in c] for k, c in text.items()}
+    for tr, cols in zip(tracks, columns):
+        cols = [text.get(id(c), c) for c in cols]
+        if window is not None:
+            keep = [i for i, (x, y) in enumerate(zip(tr.x, tr.y))
+                    if window[0] <= x <= window[1]
+                    and window[2] <= y <= window[3]]
+            cols = [[c[i] for i in keep] for c in cols]
+        yield cols
 
 
 def _mirror_sorted(crossings):
@@ -427,9 +436,9 @@ def cmd_figs(args) -> int:
         window = doc["window"] = [min(cx) - pad, max(cx) + pad,
                                   min(cy) - pad, max(cy) + pad]
     doc["orbits"] = []
-    for tr in tracks:
+    for tr, columns in zip(tracks, _track_columns(tracks, window)):
         path = out / f"fig{which}_{key}_{tr.name}.csv"
-        write_csv(path, _TRACK_HEADER, _track_columns(tr, window))
+        write_csv(path, _TRACK_HEADER, columns)
         doc["orbits"].append(path.name)
     json_path = out / f"fig{which}_{key}.json"
     lines = [f"wrote {len(tracks)} orbit files and {json_path}"]

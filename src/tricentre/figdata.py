@@ -4,9 +4,10 @@ Six canned configurations: the two separated-system potential curves, the
 full q = 1 orbit family portrait with the primary-colliding pair, the
 two-orbit bundles through the reference off-axis centre for q = 1 and
 q = 2, and the enlargement of the q = 2 bundle around its
-self-intersections, as lists of floats computed with math.  Every orbit
-track is an eps = 0 orbit, sampled from its closed form, and so are a
-bundle track's self-crossings, m(2n - 1) for q = m/n (`arcs`).
+self-intersections, as floats computed with math.  Every orbit track is
+an eps = 0 orbit, sampled from its closed form, whose xi and phi motions
+a figure's tracks share where they can, and so are a bundle track's
+self-crossings, m(2n - 1) for q = m/n (`arcs`).
 """
 from __future__ import annotations
 
@@ -28,10 +29,11 @@ _CURVE_POINTS = 1201   # samples of each potential curve
 _PORTRAIT_ORBITS = 18  # distinct orbits of figure 3 besides the colliding pair
 
 
-class OrbitTrack(NamedTuple):
+class OrbitTrack(NamedTuple):  # tracks share a column as one tuple object
     name: str
-    taus: list[float]
-    states: list[tuple[float, float, float, float]]  # elliptic
+    taus: tuple[float, ...]
+    xi: tuple[float, ...]
+    phi: tuple[float, ...]
     x: tuple[float, ...]
     y: tuple[float, ...]
     colliding: bool
@@ -68,19 +70,32 @@ def phi_potential_curve(energy: float):
     return phi, pot, meta
 
 
-def _orbit_track(prm: Params, start: EllipticPoint, sign: int, t_span: float,
-                 name: str, colliding: bool,
-                 n_samples: int = 2000, crossings: bool = False) -> OrbitTrack:
-    path = SeparatedPath(prm, start, sign, 1, t_span)
-    taus = _linspace(0.0, t_span, n_samples)
-    states = path.state_at(taus)
-    x, y = zip(*(elliptic_to_xy(s[0], s[1], math) for s in states))
-    points = None
-    if crossings:
-        at = path.state_at([t for t, _ in _self_crossings(path, prm.q)])
-        points = [elliptic_to_xy(s[0], s[1], math) for s in at]
-    return OrbitTrack(name=name, taus=taus, states=states, x=x, y=y,
-                      colliding=colliding, crossings=points)
+def _orbit_tracks(prm: Params, t_span: float, n_samples: int, orbits,
+                  crossings: bool) -> list[OrbitTrack]:
+    """The tracks of orbits, (name, start, sign, colliding) each with
+    direction +1, on one grid of n_samples taus over [0, t_span].  Each
+    distinct motion (its key) is sampled once, positions only: no figure
+    writes a speed."""
+    taus = tuple(_linspace(0.0, t_span, n_samples))
+    sampled = {}
+
+    def column(key, motion):
+        if key not in sampled:
+            sampled[key] = tuple([motion(t, math, False) for t in taus])
+        return sampled[key]
+
+    tracks = []
+    for name, start, sign, colliding in orbits:
+        path = SeparatedPath(prm, start, sign, 1, t_span)
+        xi = column(path._xi_key, path._xi_motion)
+        phi = column(path._phi_key, path._phi_motion)
+        x, y = zip(*[elliptic_to_xy(a, b, math) for a, b in zip(xi, phi)])
+        points = ([elliptic_to_xy(*path.state_at(t)[:2], math)
+                   for t, _ in _self_crossings(path, prm.q)]
+                  if crossings else None)
+        tracks.append(OrbitTrack(name, taus, xi, phi, x, y, colliding,
+                                 points))
+    return tracks
 
 
 def orbit_family_portrait(beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
@@ -93,17 +108,13 @@ def orbit_family_portrait(beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     """
     q = Fraction(1)
     sol = solve_resonant_a1(beta, q)
-    t_span = sol.full_period
     prm = Params(beta=beta, a1=sol.a1_hat, q=q)
-    tracks = []
-    for k in range(_PORTRAIT_ORBITS):
-        start = EllipticPoint(0.0, (k + 0.5) * math.pi / _PORTRAIT_ORBITS)
-        tracks.append(_orbit_track(prm, start, 1, t_span, f"orbit_{k:02d}",
-                                   False))
-    for label, sign in (("colliding_0", 1), ("colliding_1", -1)):
-        tracks.append(_orbit_track(prm, EllipticPoint(0.0, 0.0), sign, t_span,
-                                   label, True))
-    return tracks
+    orbits = [(f"orbit_{k:02d}",
+               EllipticPoint(0.0, (k + 0.5) * math.pi / _PORTRAIT_ORBITS), 1,
+               False) for k in range(_PORTRAIT_ORBITS)]
+    orbits += [(label, EllipticPoint(0.0, 0.0), sign, True)
+               for label, sign in (("colliding_0", 1), ("colliding_1", -1))]
+    return _orbit_tracks(prm, sol.full_period, 2000, orbits, False)
 
 
 def orbit_bundle_through(q, beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
@@ -114,7 +125,6 @@ def orbit_bundle_through(q, beta: float = 1.0 / 7.0) -> list[OrbitTrack]:
     centre = EllipticPoint(2.0 / 3.0 * xi_plus, 0.0)
     prm = Params(beta=beta, a1=sol.a1_hat, q=q,
                  centre=elliptic_to_cartesian(centre))
-    t_span = sol.full_period
-    return [_orbit_track(prm, centre, sign, t_span, label, False,
-                         n_samples=4000, crossings=True)
-            for label, sign in (("orbit_pos", 1), ("orbit_neg", -1))]
+    return _orbit_tracks(prm, sol.full_period, 4000,
+                         [("orbit_pos", centre, 1, False),
+                          ("orbit_neg", centre, -1, False)], True)

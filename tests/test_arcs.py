@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import approach_reference
 import arc_reference
 import exclusion_reference
+import figdata_reference
 import first_return_reference
 import nondegeneracy_reference
 from conftest import BETA_REF, direct_arcs, primary_visit_times
 from quadrature_reference import AccuracyError, adaptive_quadrature
 from tricentre import exclusion, special
-from tricentre.arcs import (_landen, _self_crossings, am, arc_family,
-                            build_arc, initial_velocities)
+from tricentre.arcs import (SeparatedPath, _landen, _self_crossings, am,
+                            arc_family, build_arc, initial_velocities)
 from tricentre.exclusion import (find_admissible_beta,
                                  nondegeneracy_certificate,
                                  primary_collision_check,
@@ -499,6 +500,34 @@ class TestScalarPath:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-14 * max(1.0, abs(w))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(beta=st.one_of(st.floats(0.02, 0.5), st.floats(1e-12, 1e-6)),
+           q=st.sampled_from((F(1), F(2), F(3, 2), F(1, 3))),
+           u=st.floats(0.0, 0.95),
+           phi0=st.one_of(st.sampled_from((0.0, math.pi, math.pi / 2.0)),
+                          st.floats(0.0, 2.0 * math.pi)),
+           sign=st.sampled_from((1, -1)), direction=st.sampled_from((1, -1)),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_motions_compose_the_one_piece_state(self, beta, q, u, phi0, sign,
+                                                 direction, fractions):
+        # the two separated motions give the state of the formula written in
+        # one piece bit for bit, with math and with numpy, and a position
+        # sampled without its speed is the state's position
+        sol = solve_resonant_a1(beta, q)
+        start = EllipticPoint(u * turning_point_xi(beta, sol.a1_hat), phi0)
+        path = SeparatedPath(Params(beta=beta, a1=sol.a1_hat, q=sol.q), start,
+                             sign, direction, sol.full_period)
+        taus = [f * sol.full_period for f in fractions]
+        for tau in taus:
+            want = np.array(figdata_reference.state(path, tau, math))
+            assert np.array(path.state_at(tau)).tobytes() == want.tobytes()
+            assert np.array([path._xi_motion(tau, math, False),
+                             path._phi_motion(tau, math, False)]).tobytes() \
+                == want[:2].tobytes()
+        arr = np.array(taus)
+        want = np.stack(figdata_reference.state(path, arr, np), axis=-1)
+        assert path.state_at(arr).tobytes() == want.tobytes()
+
     def test_list_is_the_floats(self, q1_family):
         path = q1_family[2].path
         taus = [0.0, 0.3, 1.7, path.taus[-1]]
@@ -739,9 +768,16 @@ class TestClosedFormEdges:
                                        sol.a1_hat)
         tracks = [t for t in orbit_family_portrait() if t.colliding]
         assert [t.name for t in tracks] == ["colliding_0", "colliding_1"]
+        prm = Params(beta=BETA_REF, a1=sol.a1_hat, q=sol.q)
         for track, sign in zip(tracks, (1, -1)):
-            assert np.all(np.isfinite(track.states))
-            assert np.allclose(track.states[0], [0.0, 0.0, sign * vxi, vphi],
+            # the figure writes positions; the speeds are the sampled path's
+            path = SeparatedPath(prm, EllipticPoint(0.0, 0.0), sign, 1,
+                                 sol.full_period)
+            states = np.array(path.state_at(list(track.taus)))
+            assert np.all(np.isfinite(states))
+            assert states[:, :2].tobytes() == \
+                np.column_stack([track.xi, track.phi]).tobytes()
+            assert np.allclose(states[0], [0.0, 0.0, sign * vxi, vphi],
                                rtol=0.0, atol=1e-14)
             assert math.hypot(track.x[0] - 1.0, track.y[0]) <= 1e-14
 

@@ -306,21 +306,24 @@ class TestClosedFormCommands:
     """arcs and figs evaluate the closed form with math, without numpy."""
 
     def test_no_numpy_in_the_process(self, tmp_path):
-        # fresh interpreters: arcs at acceptance test 9's centre, figs 6
+        # a fresh interpreter: arcs at acceptance test 9's centre, figs 6
+        # and figs 3
         code = ("import sys\n"
                 "from tricentre.cli import main\n"
-                "codes = [main(sys.argv[1:7]), main(sys.argv[7:])]\n"
+                "codes = [main(sys.argv[1:7]), main(sys.argv[7:10]),"
+                " main(sys.argv[10:])]\n"
                 "print(codes, 'numpy' in sys.modules)\n")
         sol = solve_resonant_a1(1.0 / 7.0, 1)
         xi = 2.0 / 3.0 * turning_point_xi(1.0 / 7.0, sol.a1_hat)
         argv = ["arcs", "--q", "1", f"--beta={1.0 / 7.0!r}",
                 f"--centre-elliptic={xi!r},0", f"--out={tmp_path}",
-                "figs", "6", f"--out={tmp_path}"]
+                "figs", "6", f"--out={tmp_path}",
+                "figs", "3", f"--out={tmp_path}"]
         env = {**os.environ,
                "PYTHONPATH": str(Path(tricentre.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "[0, 0] False"
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
     def test_arc_rows_are_the_array_evaluation(self, capsys, tmp_path):
         import numpy as np

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import figdata_reference
 import tricentre.exclusion
 import tricentre.figdata
 import tricentre.periods
 from intersections_reference import polyline_self_intersections
 from tricentre.arcs import SeparatedPath, _self_crossings
+from tricentre.cli import main
 from tricentre.errors import DomainError
-from tricentre.figdata import orbit_bundle_through
+from tricentre.exclusion import resonant_params
+from tricentre.figdata import orbit_bundle_through, orbit_family_portrait
 from tricentre.geometry import EllipticPoint, elliptic_to_xy
 from tricentre.params import Params
 from tricentre.periods import solve_resonant_a1, turning_point_xi
@@ -121,3 +124,74 @@ class TestOrbitBundle:
         # finite tanh^-1: refused, not sampled as inf and nan
         with pytest.raises(DomainError, match="beta = 1e-300"):
             orbit_bundle_through(q=2, beta=1e-300)
+
+
+def _assert_same_files(argv, out, want: dict) -> None:
+    """One command writes into out exactly the files of want, {name: text},
+    byte for byte; a mismatch names the file and its first differing line
+    (pytest's own diff of two such texts takes minutes)."""
+    assert main([*argv, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
+    for name, text in want.items():
+        got = (out / name).read_bytes().decode()
+        if got != text:
+            lines = got.splitlines(True), text.splitlines(True)
+            k = next((k for k, (a, b) in enumerate(zip(*lines)) if a != b),
+                     min(map(len, lines)))
+            pytest.fail(f"{name} differs from line {k}: "
+                        f"{lines[0][k:k + 1]!r} != {lines[1][k:k + 1]!r}")
+
+
+class TestPerPointOracle:
+    """Every figure and arc file, byte for byte, against the per-point
+    evaluation with row-by-row formatting of `figdata_reference`."""
+
+    @pytest.mark.parametrize("beta", [1.0 / 7.0, 0.3])
+    @pytest.mark.parametrize("which", [3, 4, 5, 6])
+    def test_figure_files(self, tmp_path, capsys, which, beta):
+        _assert_same_files(["figs", str(which), f"--beta={beta!r}"],
+                           tmp_path, figdata_reference.figure_files(which,
+                                                                    beta))
+
+    def test_arc_files_at_the_reference_centre(self, tmp_path, capsys):
+        # acceptance test 9's centre (2/3 xi_plus, 0), beta = 1/7, q = 1
+        beta = 1.0 / 7.0
+        xi = 2.0 / 3.0 * turning_point_xi(beta,
+                                          solve_resonant_a1(beta, 1).a1_hat)
+        prm, sol = resonant_params(EllipticPoint(xi, 0.0), 1, beta)
+        _assert_same_files(["arcs", "--q", "1", f"--beta={beta!r}",
+                            f"--centre-elliptic={xi!r},0"], tmp_path,
+                           figdata_reference.arcs_files(prm, sol))
+
+
+class TestSharedMotions:
+    def _count_motion_points(self, monkeypatch) -> dict:
+        counts = {}
+        for name in ("_xi_motion", "_phi_motion"):
+            inner = getattr(SeparatedPath, name)
+
+            def counted(path, t, lib, speed, inner=inner, name=name):
+                counts[name] = counts.get(name, 0) + np.size(t)
+                return inner(path, t, lib, speed)
+            monkeypatch.setattr(SeparatedPath, name, counted)
+        return counts
+
+    def test_portrait_samples_each_motion_once(self, monkeypatch):
+        # 19 tracks start at xi = 0 with xi' > 0 and share one xi motion;
+        # the colliding pair shares one phi motion
+        counts = self._count_motion_points(monkeypatch)
+        tracks = orbit_family_portrait()
+        assert counts == {"_xi_motion": 2 * 2000, "_phi_motion": 19 * 2000}
+        assert len({id(tr.taus) for tr in tracks}) == 1
+        assert len({id(tr.xi) for tr in tracks}) == 2
+        assert len({id(tr.phi) for tr in tracks}) == 19
+
+    def test_bundle_samples_each_motion_once(self, monkeypatch):
+        # two xi motions, one phi motion, and each track's two crossing
+        # states, one for each of the m(2n - 1) = 2 pairs of q = 2
+        counts = self._count_motion_points(monkeypatch)
+        tracks = orbit_bundle_through(q=2)
+        assert counts == {"_xi_motion": 2 * 4000 + 4,
+                          "_phi_motion": 4000 + 4}
+        assert tracks[0].phi is tracks[1].phi
+        assert tracks[0].xi is not tracks[1].xi

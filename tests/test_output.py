@@ -48,3 +48,17 @@ class TestCsvText:
                 for k in range(3)]
         assert csv_text(["p", "q", "r"], cols) == \
             _csv_writer_text(["p", "q", "r"], values)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(values=st.lists(st.tuples(st.floats(), st.floats(), st.floats()),
+                           max_size=20),
+           formatted=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    def test_formatted_columns_are_written_as_they_are(self, values,
+                                                       formatted):
+        # a column of str, formatted "%.17g" once by a caller that writes
+        # it to several files, gives the bytes of the numbers themselves
+        cols = [[v[k] for v in values] for k in range(3)]
+        mixed = [["%.17g" % x for x in c] if f else c
+                 for c, f in zip(cols, formatted)]
+        assert csv_text(["p", "q", "r"], mixed) == \
+            _csv_writer_text(["p", "q", "r"], values)

@@ -302,11 +302,20 @@ def _collapsed(sol) -> bool:
     return False
 
 
+_FLAT_ULPS = 8  # widest gap, in float spacings, a flat residual may leave
+
+
 def _assert_same_root(sol, other, a=1.0):
     """The two roots agree to within what their residuals allow on a
     residual of slope `slope`, plus one float spacing: where the residual
     rounds to zero on two adjacent floats, either is a root.  other may
-    solve at intensity a, where the residual carries a factor 1/sqrt(a)."""
+    solve at intensity a, where the residual carries a factor 1/sqrt(a).
+
+    Next to the a1 domain edge the residual is flat at float resolution,
+    and two equally good roots can lie a few floats apart.  A wider gap,
+    of at most _FLAT_ULPS spacings, passes when no float between the roots
+    has a larger unit-intensity residual than the larger of the roots'
+    own."""
     if sol.a1_hat == other.a1_hat:
         return
     beta, q, a1 = sol.beta, sol.q, sol.a1_hat
@@ -315,7 +324,18 @@ def _assert_same_root(sol, other, a=1.0):
              - ref.resonance_residual(beta, a1 - h, q)) / (2 * h)
     allowed = 1.001 * (abs(sol.residual)
                        + abs(other.residual) * math.sqrt(a)) + 1e-14
-    assert abs(a1 - other.a1_hat) <= allowed / slope + math.ulp(a1)
+    if abs(a1 - other.a1_hat) <= allowed / slope + math.ulp(a1):
+        return
+    lo, hi = sorted((a1, other.a1_hat))
+    worst = max(abs(ref.resonance_residual(beta, x, q)) for x in (lo, hi))
+    x = math.nextafter(lo, hi)
+    for _ in range(_FLAT_ULPS):
+        if x == hi:
+            return
+        assert abs(ref.resonance_residual(beta, x, q)) <= worst, x
+        x = math.nextafter(x, hi)
+    pytest.fail(f"roots {a1!r} and {other.a1_hat!r} are more than"
+                f" {_FLAT_ULPS} spacings apart, beyond the slope allowance")
 
 
 def _assert_like_reference(monkeypatch, beta, q):
@@ -363,7 +383,8 @@ class TestResonanceOracle:
                                         (1.0, 1e-14), (3.0, 1e-8)])
     @pytest.mark.parametrize("beta, q", [(0.0, Fraction(2, 3)),
                                          (0.2, Fraction(5)),
-                                         (0.9, Fraction(1, 3))])
+                                         (0.9, Fraction(1, 3)),
+                                         (0.0, Fraction(1, 6))])
     def test_other_intensity_and_tolerance(self, monkeypatch, beta, q, a,
                                            tol):
         sol = _assert_like_reference(monkeypatch, beta, q)

@@ -71,8 +71,7 @@ def records():
         EventRecord("phi_crossing", 1.5, xs, PhiCrossing(0.0)),
         ShadowResult(1e-3, 0.04, 1e-3, 1e-9, True, 1e-2, 1e-10, 4, 1e-5,
                      3.0, xs, prm, residual_history=(1e-3, 1e-10)),
-        OrbitTrack("orbit_pos", xs, np.zeros((3, 4)), xs, xs, False,
-                   [(0.0, 0.5)]),
+        OrbitTrack("orbit_pos", xs, xs, xs, xs, xs, False, [(0.0, 0.5)]),
     ]
 
 
