@@ -20,8 +20,8 @@ _EXPORTS = {
     "chains": ("ChainGraph", "CollisionChain", "assemble_chain",
                "build_alphabet", "build_graph", "count_periodic_chains",
                "entropy_estimate"),
-    "dynamics": ("CentreProximity", "EventRecord", "PhiCrossing",
-                 "Trajectory", "integrate", "trajectory_to_json"),
+    "dynamics": ("EventRecord", "PhiCrossing", "Trajectory", "integrate",
+                 "trajectory_to_json"),
     "errors": ("DomainError", "IntegrationError", "PlacementError",
                "RangeError", "SingularityError", "StructuralError",
                "TricentreError", "UnsafeCentreError"),

@@ -27,7 +27,7 @@ from .periods import _bracketed_root
 
 __all__ = [
     "Params", "Trajectory",
-    "PhiCrossing", "CentreProximity",
+    "PhiCrossing",
     "EventRecord", "StepStats",
     "integrate", "trajectory_to_json",
 ]
@@ -86,26 +86,6 @@ class PhiCrossing(NamedTuple("PhiCrossing", [("value", float), ("kind", str),
     def g(self, states: np.ndarray, prm: Params):
         # the half angle vanishes, with a sign change, only at value mod 2pi
         return np.sin(0.5 * (states[..., 1] - self.value))
-
-
-class CentreProximity(NamedTuple("CentreProximity", [
-        ("radius", float), ("direction", int), ("kind", str)])):
-    """Crossing of the circle dist(., centre) = radius; -1 means entering."""
-
-    __slots__ = ()
-    __getnewargs__ = lambda self: self[:2]  # for copy and pickle
-
-    def __new__(cls, radius: float, direction: int = -1):
-        return tuple.__new__(cls, (radius, direction, "centre_proximity"))
-
-    def g(self, states: np.ndarray, prm: Params):
-        # a single state is mapped through math, as the stepping kernel does
-        lib = math if states.ndim == 1 else np
-        c = prm.centre
-        if c is None:
-            raise DomainError("CentreProximity needs a perturbing centre")
-        x, y = elliptic_to_xy(states[..., 0], states[..., 1], lib)
-        return (x - c.x) ** 2 + (y - c.y) ** 2 - self.radius ** 2
 
 
 class EventRecord(NamedTuple):

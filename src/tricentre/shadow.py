@@ -15,8 +15,9 @@ converges, and every line search, on a fresh column.
 Deviation metrics quantify how closely the segment tracks the arc as eps
 shrinks; the maximum distance to the arc computes exact distances only
 where bounds leave room for the maximum, with the value of the exhaustive
-search bit for bit.  A central-difference pass through the centre's
-neighbourhood estimates the local expansion rate of the return map.
+search bit for bit.  The local expansion rate of the return map is the
+central difference, across the impact parameter, of the angle at which
+the Kepler conic about the centre leaves its neighbourhood: no integration.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arcs import CollisionArc
-from .dynamics import (CentreProximity, Params, hamiltonian_values,
-                       integrate)
+from .dynamics import Params, hamiltonian_values, integrate
 from .errors import DomainError, IntegrationError
 from .geometry import (CartesianPoint, EllipticPoint, cartesian_to_elliptic,
                        elliptic_to_xy, transform_matrix, velocity_to_cartesian)
@@ -43,8 +43,6 @@ _SWITCH_RESIDUAL = 1e-6     # loose residual at which Newton turns tight
 _ALPHA_STEP = 1e-7          # entry-angle offset of the twin start state
 _IMPACT_OFFSET_FRAC = 0.25  # impact parameter b0, over the entry radius
 _IMPACT_STEP_FRAC = 0.05    # its central-difference half step db, likewise
-_EXIT_SPAN = 4.0            # tau span of a branch, in entry radii over speed
-_EXIT_SPAN_MAX = 80.0       # the span again when the first finds no exit
 _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
 _SEED_BOX = 64              # consecutive samples per box of the seed search
 _SEED_BLOCK = 32            # track points per block of the seed search
@@ -353,27 +351,54 @@ def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:
     )
 
 
+def _kepler_exit_angle(offset, velocity, mu: float, radius: float) -> float:
+    """Direction of the velocity with which the Kepler conic of strength mu
+    through (offset from the centre, physical velocity) leaves the circle
+    of the given radius that holds it: at the true anomaly f > 0 with
+    cos f = (p/radius - 1)/e.  IntegrationError if it never does (an
+    ellipse inside the circle)."""
+    (x, y), (vx, vy) = offset, velocity
+    h = x * vy - y * vx  # angular momentum, positive anticlockwise
+    c = (vx * vx + vy * vy) / mu - 1.0 / math.hypot(x, y)
+    d = (x * vx + y * vy) / mu
+    ex, ey = c * x - d * vx, c * y - d * vy  # the eccentricity vector
+    e = math.hypot(ex, ey)
+    e_cos_f = h * h / (mu * radius) - 1.0  # p/radius - 1
+    if not abs(e_cos_f) < e:
+        raise IntegrationError(
+            "near-centre passage did not exit the measurement circle")
+    cos_f = e_cos_f / e
+    sin_f = math.sqrt(1.0 - cos_f * cos_f)
+    # the velocity is along -sin f P + (e + cos f) Q: P along the
+    # eccentricity vector, Q a quarter turn on in the sense of the motion
+    s = (e + cos_f) * math.copysign(1.0, h)
+    return math.atan2(-sin_f * ey + s * ex, -sin_f * ex - s * ey)
+
+
 def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     """Per-passage expansion rate through the centre neighbourhood.
 
     Takes the arrival state of the first converged segment, offsets it
     across the incoming direction by impact parameters b0 -+ db = (0.25 -+
-    0.05) entry radii (energy kept on the zero level), integrates each
-    branch through the near-centre swing, reads its first exit from the
-    doubled circle, and returns log |d(theta_out)/d(b)| by central
-    differences.  A branch runs for 4 entry radii over its speed (the exit
-    comes near 2.9), and for 80 only when that run finds no exit; a run's
-    steps do not depend on its end until one would pass it, so the exit is
-    that of the longer run.  The rate grows as the centre's attraction
-    strengthens relative to the passage distance, i.e. as eps decreases at
-    fixed b/entry_radius.
+    0.05) entry radii (energy kept on the zero level), follows each branch
+    along the Kepler conic of strength eps about the centre through its
+    start state (`_kepler_exit_angle`), reads the direction in which it
+    leaves the doubled circle, and returns log |d(theta_out)/d(b)| by
+    central differences.  The primaries' field across the disc is left
+    out, which moves the rate by about eps from that of the integrated
+    passage.  eps must be the segment's own eps, and positive.  The rate
+    grows as the centre's attraction strengthens relative to the passage
+    distance, i.e. as eps decreases at fixed b/entry_radius.
     """
     if len(results) < 2:
         raise DomainError("need at least 2 consecutive segments")
     if not all(r.converged for r in results[:2]):
         raise DomainError("expansion rate requires converged segments")
     seg = results[0]
-    prm = seg.params.with_eps(eps)
+    prm = seg.params
+    if not (eps > 0.0 and eps == prm.eps):
+        raise DomainError(f"eps must be positive and the segment's own"
+                          f" {prm.eps!r}, got {eps!r}")
     r_e = seg.entry_radius
 
     y_arr = seg.arrival_state
@@ -386,23 +411,13 @@ def local_expansion_rate(results: Sequence[ShadowResult], eps: float) -> float:
     db = _IMPACT_STEP_FRAC * r_e
 
     def theta_out(b: float) -> float:
-        pos = CartesianPoint(*(pos0 + b * normal))
-        y0 = _energy_consistent_state(pos, v_dir, prm)
-        speed_cart = float(np.hypot(*velocity_to_cartesian(
-            EllipticPoint(y0[0], y0[1]), y0[2:])))
-        exit_ev = CentreProximity(radius=2.0 * r_e, direction=+1)
-        for span in (_EXIT_SPAN, _EXIT_SPAN_MAX):
-            traj = integrate(y0, prm, span * r_e / speed_cart, tol=1e-12,
-                             events=[exit_ev])
-            if traj.events:
-                break
-        else:
-            raise IntegrationError(
-                "near-centre passage did not exit the measurement circle")
-        y_exit = traj.events[0].state
-        v_exit = velocity_to_cartesian(EllipticPoint(y_exit[0], y_exit[1]),
-                                       y_exit[2:])
-        return math.atan2(v_exit[1], v_exit[0])
+        pos = pos0 + b * normal
+        y0 = _energy_consistent_state(CartesianPoint(*pos), v_dir, prm)
+        rho = math.cosh(y0[0]) ** 2 - math.cos(y0[1]) ** 2
+        # the physical velocity is d(x, y)/dtau over dt/dtau = rho
+        v = velocity_to_cartesian(EllipticPoint(y0[0], y0[1]), y0[2:]) / rho
+        return _kepler_exit_angle(pos - (prm.centre.x, prm.centre.y), v,
+                                  eps, 2.0 * r_e)
 
     th_plus = theta_out(b0 + db)
     th_minus = theta_out(b0 - db)

@@ -8,10 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tricentre import _kernels, dynamics, trajectory_to_csv
-from event_specs import XiCrossing
-from tricentre.dynamics import (CentreProximity, Params, PhiCrossing,
-                                hamiltonian_values, integrate,
-                                trajectory_to_json)
+from event_specs import CentreProximity, XiCrossing
+from tricentre.dynamics import (Params, PhiCrossing, hamiltonian_values,
+                                integrate, trajectory_to_json)
 from tricentre.errors import DomainError, IntegrationError
 from tricentre.geometry import CartesianPoint, elliptic_to_xy
 from tricentre.periods import period_phi, period_xi, solve_resonant_a1

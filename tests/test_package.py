@@ -16,10 +16,12 @@ import tricentre
 # XiCrossing moved to tests/event_specs.py, EllipticState,
 # primary_potential, centre_potential, regularized_hamiltonian and
 # vector_field, which only tests used, are gone, and AccuracyError moved
-# to tests/quadrature_reference.py and resonance_residual left with the
-# finite-difference certificate, tests/nondegeneracy_reference.py).
+# to tests/quadrature_reference.py, resonance_residual left with the
+# finite-difference certificate, tests/nondegeneracy_reference.py, and
+# CentreProximity moved to tests/event_specs.py with the integrated
+# expansion rate, tests/expansion_reference.py).
 EXPORTS = {
-    "ArcLabel", "CartesianPoint", "CentreProximity",
+    "ArcLabel", "CartesianPoint",
     "ChainGraph", "CollisionArc", "CollisionChain", "DomainError",
     "EllipticPoint", "EventRecord", "IntegrationError",
     "NUMBA_ENABLED", "NondegeneracyCertificate", "Params", "PhiCrossing",

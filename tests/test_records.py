@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from tricentre.arcs import ArcLabel, build_arc
 from tricentre.chains import ChainGraph, CollisionChain
-from tricentre.dynamics import CentreProximity, EventRecord, PhiCrossing
+from tricentre.dynamics import EventRecord, PhiCrossing
 from tricentre.errors import DomainError, StructuralError
 from tricentre.exclusion import (nondegeneracy_certificate,
                                  primary_collision_check, resonant_params)
@@ -67,7 +67,7 @@ def records():
         solve_resonant_a1(1.0 / 7.0, F(3, 2)),
         primary_collision_check(prm), nondegeneracy_certificate(0.2, 2),
         arc, graph, CollisionChain((LABEL, LABEL)),
-        PhiCrossing(0.5), CentreProximity(0.1), CentreProximity(0.2, 1),
+        PhiCrossing(0.5),
         EventRecord("phi_crossing", 1.5, xs, PhiCrossing(0.0)),
         ShadowResult(1e-3, 0.04, 1e-3, 1e-9, True, 1e-2, 1e-10, 4, 1e-5,
                      3.0, xs, prm, residual_history=(1e-3, 1e-10)),
@@ -111,9 +111,6 @@ class TestText:
     def test_event_specs_keep_their_fixed_fields(self):
         assert str(PhiCrossing(0.5)) == \
             "PhiCrossing(value=0.5, kind='phi_crossing', direction=0)"
-        assert str(CentreProximity(0.1)) == \
-            "CentreProximity(radius=0.1, direction=-1, kind='centre_proximity')"
-        assert CentreProximity(0.1, direction=1).direction == 1
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(x=ANY_FLOAT, y=ANY_FLOAT)

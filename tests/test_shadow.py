@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from deviation_reference import _deviation_to_arc as reference_deviation
 from deviation_reference import (exhaustive_deviation_to_arc,
                                  exhaustive_nearest)
+from expansion_reference import integrated_expansion_rate
 from tricentre import shadow
+from tricentre.arcs import arc_family
 from tricentre.dynamics import Params, Trajectory, integrate
-from tricentre.errors import DomainError
+from tricentre.errors import DomainError, IntegrationError
+from tricentre.exclusion import resonant_params
 from tricentre.geometry import (CartesianPoint, EllipticPoint, elliptic_to_xy,
                                 velocity_to_cartesian)
+from tricentre.periods import turning_point_xi
 from tricentre.shadow import (ShadowResult, _deviation_to_arc,
                               _energy_consistent_state, _rotate,
                               local_expansion_rate, shoot_segment)
@@ -511,19 +516,24 @@ class TestExpansionRate:
         with pytest.raises(DomainError):
             local_expansion_rate([bad, res], 1e-3)
 
-    # A branch runs to 4 entry radii over its speed, past its exit near
-    # 2.9, and to 80 only when that finds no exit.  A run's steps do not
-    # depend on where it ends until one would pass the end, so the rate is
-    # bitwise that of one run to 80 (the span it had before), whether the
-    # short run is skipped or too short.
-    @pytest.mark.parametrize("span, runs_per_branch", [
-        (1e-6, 2),  # no exit in the first run: the long one follows
-        (shadow._EXIT_SPAN_MAX, 1),
-    ])
-    def test_short_branch_gives_the_long_branch_rate(
-            self, q1_family, monkeypatch, span, runs_per_branch):
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 0.0, -1e-3, math.nan])
+    def test_refuses_an_eps_not_the_segments_own(self, q1_family, eps):
+        # the segment was shot at eps = 1e-3: another eps would pair its
+        # arrival state with a centre of another strength
         res = shoot_segment(q1_family[0], 1e-3)
-        rate = local_expansion_rate([res, res], 1e-3)
+        with pytest.raises(DomainError, match="segment's own"):
+            local_expansion_rate([res, res], eps)
+
+    def test_refuses_eps_zero_on_its_own_segment(self, q1_family):
+        # the conic's strength is eps: at 0 there is no passage to measure
+        res = shoot_segment(q1_family[0], 0.0)
+        assert res.converged
+        with pytest.raises(DomainError, match="positive"):
+            local_expansion_rate([res, res], 0.0)
+
+    def test_integrates_nothing(self, q1_family, monkeypatch, field_calls):
+        res = shoot_segment(q1_family[0], 1e-3)
+        field_calls.clear()
         runs = []
 
         def counting_integrate(*args, **kwargs):
@@ -531,7 +541,101 @@ class TestExpansionRate:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(shadow, "integrate", counting_integrate)
-        monkeypatch.setattr(shadow, "_EXIT_SPAN", span)
-        assert local_expansion_rate([res, res], 1e-3) == rate
-        assert len(runs) == 2 * runs_per_branch
+        assert local_expansion_rate([res, res], 1e-3) > 1.0
+        assert (runs, field_calls) == ([], [])
 
+
+@pytest.fixture(scope="module")
+def rate_segments(q1_family, q1_solution):
+    """(eps, segment) of acceptance test 10's arc at its three eps, and of
+    q = 1 at (xi+/2, 0), arcs 0 and 3, at eps = 1e-3."""
+    beta = 1.0 / 7.0
+    xi_plus = turning_point_xi(beta, q1_solution.a1_hat)
+    prm, _ = resonant_params(EllipticPoint(0.5 * xi_plus, 0.0), 1, beta)
+    half = arc_family(prm)
+    return [(eps, shoot_segment(q1_family[0], eps))
+            for eps in (1e-2, 1e-3, 1e-4)] + \
+        [(1e-3, shoot_segment(half[k], 1e-3)) for k in (0, 3)]
+
+
+def test_kepler_rate_is_the_integrated_rate_to_order_eps(rate_segments):
+    """The conic leaves out the primaries' field across the disc, a gap
+    linear in eps: -0.50, -0.55 and -0.56 eps on test 10's arc, and up to
+    5.5 eps at (xi+/2, 0)."""
+    gaps = []
+    for eps, res in rate_segments:
+        assert res.converged
+        gap = local_expansion_rate([res, res], eps) \
+            - integrated_expansion_rate([res, res], eps)
+        assert abs(gap) <= 8.0 * eps, (eps, gap)
+        gaps.append(abs(gap))
+    slope = np.polyfit(np.log([1e-2, 1e-3, 1e-4]), np.log(gaps[:3]), 1)[0]
+    assert 0.9 <= slope <= 1.1
+
+
+def _integrated_kepler_exit_angle(offset, velocity, mu, radius):
+    """The exit angle of the Kepler problem integrated by scipy's DOP853
+    to its first outward crossing of the circle."""
+    def rhs(t, y):
+        r3 = math.hypot(y[0], y[1]) ** 3
+        return [y[2], y[3], -mu * y[0] / r3, -mu * y[1] / r3]
+
+    def leaves(t, y):
+        return math.hypot(y[0], y[1]) - radius
+    leaves.terminal, leaves.direction = True, 1.0
+    sol = solve_ivp(rhs, (0.0, 1e3), [*offset, *velocity], method="DOP853",
+                    rtol=1e-12, atol=1e-12, events=leaves)
+    (exit_state,) = sol.y_events[0]
+    return math.atan2(exit_state[3], exit_state[2])
+
+
+def _kepler_start(mu, radius, r_frac, theta, psi, sense, k):
+    """Start at radius r_frac*radius and angle theta, moving at psi from
+    the outward radial in the given sense, with speed^2 = k * 2 mu/r (a
+    hyperbola for k > 1, an ellipse below); its (offset, velocity,
+    periapsis, apoapsis)."""
+    r = r_frac * radius
+    v = math.sqrt(k * 2.0 * mu / r)
+    offset = (r * math.cos(theta), r * math.sin(theta))
+    heading = theta + sense * psi
+    velocity = (v * math.cos(heading), v * math.sin(heading))
+    p = (r * v * math.sin(psi)) ** 2 / mu
+    e = math.sqrt(max(0.0, 1.0 + 2.0 * (k - 1.0) * p / r))
+    return offset, velocity, p / (1.0 + e), \
+        p / (1.0 - e) if e < 1.0 else math.inf
+
+
+KEPLER_STARTS = dict(
+    mu=st.floats(1e-3, 1.0), r_frac=st.floats(0.2, 0.95),
+    theta=st.floats(-math.pi, math.pi), psi=st.floats(0.0, math.pi),
+    sense=st.sampled_from([-1, 1]))
+
+
+class TestKeplerExit:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 4.0)),
+           **KEPLER_STARTS)
+    @example(mu=1.0, r_frac=0.5, theta=0.3, psi=1.2, sense=1, k=0.8)
+    @example(mu=1e-3, r_frac=0.5, theta=0.3, psi=2.5, sense=-1, k=2.0)
+    def test_matches_the_integrated_conic(self, mu, r_frac, theta, psi,
+                                          sense, k):
+        radius = 1.0
+        offset, velocity, peri, apo = _kepler_start(mu, radius, r_frac,
+                                                    theta, psi, sense, k)
+        # a close periapsis or a grazing exit would test the integrator
+        assume(peri >= 0.05 * radius and apo >= 1.1 * radius)
+        angle = shadow._kepler_exit_angle(offset, velocity, mu, radius)
+        reference = _integrated_kepler_exit_angle(offset, velocity, mu,
+                                                  radius)
+        assert abs(math.remainder(angle - reference, 2.0 * math.pi)) <= 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.floats(0.05, 0.9), **KEPLER_STARTS)
+    def test_an_ellipse_inside_the_circle_does_not_exit(
+            self, mu, r_frac, theta, psi, sense, k):
+        radius = 1.0
+        offset, velocity, _, apo = _kepler_start(mu, radius, r_frac, theta,
+                                                 psi, sense, k)
+        assume(apo < radius)
+        with pytest.raises(IntegrationError, match="did not exit"):
+            shadow._kepler_exit_angle(offset, velocity, mu, radius)
