@@ -403,18 +403,17 @@ _FIGURE_PARAMETER = {n: "energy" if n <= 2 else "beta" for n in range(1, 7)}
 def cmd_figs(args) -> int:
     from . import figdata
     which = args.which
-    out = _out_dir(args)
     if which in (1, 2):
         energy = args.energy
         key = _param_hash({"cmd": f"figs{which}", "energy": energy})
         grid, pot, meta = (figdata.xi_potential_curve(energy) if which == 1
                            else figdata.phi_potential_curve(energy))
-        csv_path = out / f"fig{which}_{key}.csv"
+        csv_path = _out_dir(args) / f"fig{which}_{key}.csv"
         write_csv(csv_path, ["xi" if which == 1 else "phi", "potential"],
                   [grid, pot])
         meta_doc = {"command": f"figs {which}", "energy": energy,
                     **meta, "csv": csv_path.name}
-        json_path = out / f"fig{which}_{key}.json"
+        json_path = csv_path.with_suffix(".json")
         write_json(json_path, meta_doc)
         _emit(args, meta_doc, [f"wrote {csv_path}", f"wrote {json_path}"])
         return EXIT_OK
@@ -427,6 +426,7 @@ def cmd_figs(args) -> int:
         q = Fraction(1) if which == 4 else Fraction(2)
         key = _param_hash({"cmd": f"figs{which}", "beta": beta, "q": str(q)})
         tracks = figdata.orbit_bundle_through(q=q, beta=beta)
+    out = _out_dir(args)
     crossings = [p for tr in tracks for p in tr.crossings or ()]
     doc = {"command": f"figs {which}", "beta": beta, "q": str(q)}
     window = None

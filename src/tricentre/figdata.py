@@ -47,8 +47,8 @@ def xi_potential_curve(energy: float):
     For |E| < 1 the curve, sampled on xi in [-3, 3], is a double well with
     minima at cosh(xi) = 1/|E| and a local maximum at xi = 0.
     """
-    if energy >= 0.0:
-        raise DomainError("the double-well shape requires energy < 0")
+    if not -math.inf < energy < 0.0:
+        raise DomainError("the double-well shape requires finite energy < 0")
     xi = _linspace(-3.0, 3.0, _CURVE_POINTS)
     pot = [-2.0 * c + abs(energy) * (c * c) for c in map(math.cosh, xi)]
     meta = {}
@@ -62,8 +62,8 @@ def xi_potential_curve(energy: float):
 
 def phi_potential_curve(energy: float):
     """Pendulum-type phi potential -|E| cos(phi)^2 over one revolution."""
-    if energy >= 0.0:
-        raise DomainError("energy must be negative")
+    if not -math.inf < energy < 0.0:
+        raise DomainError("energy must be finite and negative")
     phi = _linspace(0.0, 2.0 * math.pi, _CURVE_POINTS)
     pot = [-abs(energy) * (c * c) for c in map(math.cos, phi)]
     meta = {"minima_phi": [0.0, math.pi], "minimum_value": -abs(energy)}

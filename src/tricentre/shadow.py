@@ -149,11 +149,11 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc) -> float:
     """Max over points of the distance to the continuous reference arc.
 
     A coarse polyline gives each point's nearest-sample seed
-    (`_nearest_samples`); a golden-section refinement on the arc's dense
-    output removes the discretization floor (the arc sweeps fast in
-    Cartesian terms far from the primaries, where uniform-tau sampling is
-    sparse).  Every point that can hold the maximum runs 40 steps, one
-    array dense-output query per step for the points refined together.
+    (`_nearest_samples`); a golden-section refinement on the arc's closed
+    form, `SeparatedPath.state_at`, removes the discretization floor (the
+    arc sweeps fast in Cartesian terms far from the primaries, where
+    uniform-tau sampling is sparse).  Every point that can hold the maximum
+    runs 40 steps, one array `state_at` call per step for those refined.
     A step never raises a point's min(fa, fb), so after _SCREEN_STEPS
     steps on all points each point's value bounds its final one from
     above.  The _FINISH_FIRST points of largest bound are finished first;

@@ -1,3 +1,4 @@
+import cProfile
 import math
 import random
 from fractions import Fraction
@@ -384,6 +385,23 @@ class TestFamilies:
         for arc, ref in zip(family, direct_arcs(family)):
             _assert_matches_integrated(arc, ref)
             assert arc.closure_error <= 1e-9
+
+    def test_build_cost_of_the_reference_family(self, q1_family,
+                                                monkeypatch):
+        # every state of a path, float or array, is evaluated by _state:
+        # acceptance test 9's q = 1 family takes 120 points in scalar
+        # searches, the first return none; a count of 0 means the wrapper
+        # no longer sees them
+        points = []
+        state = SeparatedPath._state
+
+        def counting_state(path, tau, lib):
+            points.append(np.size(tau))
+            return state(path, tau, lib)
+
+        monkeypatch.setattr(SeparatedPath, "_state", counting_state)
+        arc_family(q1_family[0].params)
+        assert 0 < sum(points) <= 120
 
     def test_admissible_beta_halving(self):
         beta = find_admissible_beta(EllipticPoint(0.6, 0.4), 1,
@@ -1069,6 +1087,34 @@ def _outcome(function, *args):
 def _cell(module, centre, q, beta, delta):
     prm, _ = module.resonant_params(centre, q, beta)
     return prm, module.primary_collision_check(prm, delta)
+
+
+def test_python_calls_per_warm_cell():
+    # the safety_map workload's classes and betas, 100 seeded centres
+    # inside every turning ellipse: 1,200 cells, each of resonant_params
+    # and primary_collision_check, after a pass that fills every cache
+    xi_max = 0.9 * min(turning_point_xi(b, solve_resonant_a1(b, q).a1_hat)
+                       for b in CELL_BETAS for q in CELL_CLASSES)
+    rng = random.Random(26)
+    cells = [(EllipticPoint(rng.uniform(0.02, xi_max),
+                            rng.uniform(-math.pi, math.pi)), q, beta)
+             for _ in range(100) for beta in CELL_BETAS for q in CELL_CLASSES]
+
+    def run():
+        for centre, q, beta in cells:
+            primary_collision_check(resonant_params(centre, q, beta)[0])
+
+    run()
+    profile = cProfile.Profile()
+    profile.enable()
+    run()
+    profile.disable()
+    # Python functions entered, builtins (whose code is a string) and run
+    # itself left out: 19 per cell (pstats files every plain NamedTuple's
+    # __new__ under one key and reads 18)
+    entries = sum(e.callcount for e in profile.getstats()
+                  if not isinstance(e.code, str)) - 1
+    assert 0 < entries <= 19 * len(cells)
 
 
 class TestCellMatchesReference:

@@ -301,29 +301,44 @@ class TestFigs:
         assert main(["figs", "7", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["3", "--beta=0"], ["1", "--energy=0.5"],
+        *([which, f"--energy={value}"] for which in ("1", "2")
+          for value in ("nan", "inf", "-inf"))],
+        ids=lambda argv: "figs" + "".join(argv))
+    def test_refused_input_creates_no_out(self, capsys, tmp_path, argv):
+        # each input is refused before --out is created
+        out = tmp_path / "out"
+        assert main(["figs", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error")
+        assert not out.exists()
+
 
 class TestClosedFormCommands:
     """arcs and figs evaluate the closed form with math, without numpy."""
 
     def test_no_numpy_in_the_process(self, tmp_path):
-        # a fresh interpreter: arcs at acceptance test 9's centre, figs 6
-        # and figs 3
+        # a fresh interpreter: arcs at acceptance test 9's centre, figs 6,
+        # figs 3 and figs 1, which load neither numpy nor the modules that
+        # dataclasses brought in
         code = ("import sys\n"
                 "from tricentre.cli import main\n"
                 "codes = [main(sys.argv[1:7]), main(sys.argv[7:10]),"
-                " main(sys.argv[10:])]\n"
-                "print(codes, 'numpy' in sys.modules)\n")
+                " main(sys.argv[10:13]), main(sys.argv[13:])]\n"
+                "print(codes, [m for m in ('numpy', 'dataclasses', 'inspect')"
+                " if m in sys.modules])\n")
         sol = solve_resonant_a1(1.0 / 7.0, 1)
         xi = 2.0 / 3.0 * turning_point_xi(1.0 / 7.0, sol.a1_hat)
         argv = ["arcs", "--q", "1", f"--beta={1.0 / 7.0!r}",
                 f"--centre-elliptic={xi!r},0", f"--out={tmp_path}",
                 "figs", "6", f"--out={tmp_path}",
-                "figs", "3", f"--out={tmp_path}"]
+                "figs", "3", f"--out={tmp_path}",
+                "figs", "1", f"--out={tmp_path}"]
         env = {**os.environ,
                "PYTHONPATH": str(Path(tricentre.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_arc_rows_are_the_array_evaluation(self, capsys, tmp_path):
         import numpy as np

@@ -126,6 +126,15 @@ class TestOrbitBundle:
             orbit_bundle_through(q=2, beta=1e-300)
 
 
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 0.0, 0.5])
+@pytest.mark.parametrize("curve", ["xi_potential_curve",
+                                   "phi_potential_curve"])
+def test_potential_curve_takes_only_finite_negative_energy(curve, energy):
+    # NaN and -inf would sample nan or inf potentials
+    with pytest.raises(DomainError, match="energy"):
+        getattr(tricentre.figdata, curve)(energy)
+
+
 def _assert_same_files(argv, out, want: dict) -> None:
     """One command writes into out exactly the files of want, {name: text},
     byte for byte; a mismatch names the file and its first differing line

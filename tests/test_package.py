@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import tricentre
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # The package's exports before they resolved lazily, less what was deleted
 # since (integrate_symplectic moved to tests/verlet_check.py,
@@ -54,16 +57,61 @@ def _fresh_python(code: str) -> str:
     return done.stdout
 
 
+def _public_signatures() -> dict:
+    """{module.name: signature} of each public function of tricentre and
+    tricentre.figdata."""
+    import inspect
+    import tricentre.figdata as figdata
+    return {f"{module.__name__}.{name}": inspect.signature(f)
+            for module in (tricentre, figdata) for name in module.__all__
+            if inspect.isfunction(f := getattr(module, name))}
+
+
 def test_no_public_function_takes_an_intensity():
     """The primaries' intensity is fixed at 1; only period_xi keeps a
     parameter for it, which takes 1.0 alone."""
-    import inspect
-    import tricentre.figdata as figdata
-    with_a = sorted(f"{module.__name__}.{name}"
-                    for module in (tricentre, figdata) for name in module.__all__
-                    if inspect.isfunction(f := getattr(module, name))
-                    and "a" in inspect.signature(f).parameters)
+    with_a = sorted(name for name, sig in _public_signatures().items()
+                    if "a" in sig.parameters)
     assert with_a == ["tricentre.period_xi"]
+
+
+def test_defaulted_parameters_of_the_public_api():
+    # a tracked number: a change that adds a default names it here and
+    # says why
+    defaulted = sorted(f"{name}({p.name})"
+                       for name, sig in _public_signatures().items()
+                       for p in sig.parameters.values()
+                       if p.default is not p.empty)
+    assert defaulted == [
+        "tricentre.arc_family(delta)", "tricentre.build_alphabet(delta)",
+        "tricentre.figdata.orbit_bundle_through(beta)",
+        "tricentre.figdata.orbit_family_portrait(beta)",
+        "tricentre.find_admissible_beta(beta_start)",
+        "tricentre.find_admissible_beta(delta)", "tricentre.integrate(events)",
+        "tricentre.period_xi(a)", "tricentre.primary_collision_check(delta)"]
+
+
+def test_src_line_count_within_bound():
+    # the newline count of src/tricentre/*.py, as `cat | wc -l` reads it;
+    # a change that adds a capability deletes first, or raises the bound
+    # and says why (ROADMAP aim 2 keeps its history)
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in (ROOT / "src" / "tricentre").glob("*.py"))
+    assert 0 < lines <= 3695
+
+
+def test_every_public_name_has_a_use():
+    # a mention in src/ counts unless it is the name's own def/class line
+    # or a quoted _EXPORTS/__all__ entry; any in perfbench/ or README counts
+    src = "\n".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    rest = "\n".join(p.read_text(errors="replace")
+                     for p in [*(ROOT / "perfbench").rglob("*"),
+                               ROOT / "README.md"] if p.is_file())
+    unused = [name for name in tricentre.__all__
+              if not re.search(rf"\b{name}\b", re.sub(
+                  rf'"{name}"|^\s*(def|class) {name}\b.*$', "", src,
+                  flags=re.M) + rest)]
+    assert unused == []
 
 
 def test_top_level_api_exports():

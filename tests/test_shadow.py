@@ -129,10 +129,21 @@ class TestShootSegment:
         (1e-4, (4, 18031, 4, 2, True)),
     ])
     def test_newton_path_of_the_reference_segments(self, q1_family, eps,
-                                                   path):
+                                                   path, monkeypatch):
+        tracks = []
+
+        def capturing(points, arc):
+            tracks.append(points)
+            return _deviation_to_arc(points, arc)
+
+        monkeypatch.setattr(shadow, "_deviation_to_arc", capturing)
         res = shoot_segment(q1_family[0], eps)
         assert (res.n_iterations, res.rhs_evals, res.loose_integrations,
                 res.tight_integrations, res.chord_accepted) == path
+        # the pruned metric against the exhaustive oracle, bit for bit
+        [track] = tracks
+        assert res.max_deviation == exhaustive_deviation_to_arc(
+            track, q1_family[0])
 
     def test_loose_stall_restarts_tight_from_the_guess(self, q1_family,
                                                        monkeypatch):
