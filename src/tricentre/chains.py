@@ -121,8 +121,7 @@ def build_alphabet(centre, classes: Sequence, energy: float,
     if not classes:
         raise DomainError("the class set must be nonempty")
     arcs: list[CollisionArc] = []
-    for q in classes:
-        q = Fraction(q)
+    for q in map(Fraction, classes):
         sol = solve_beta_for_energy(q, energy)
         prm, _ = resonant_params(centre, q, sol.beta)
         try:

@@ -143,9 +143,8 @@ def _centre(args):
 def _resonance(args):
     """resonant_params at the centre for --q and --beta, or the beta that
     puts --q on the --energy level."""
-    beta = args.beta
-    if beta is None:
-        beta = solve_beta_for_energy(args.q, args.energy).beta
+    beta = (solve_beta_for_energy(args.q, args.energy).beta
+            if args.beta is None else args.beta)
     return resonant_params(_centre(args), args.q, beta)
 
 
@@ -204,10 +203,8 @@ def cmd_periods(args) -> int:
 
 def cmd_solve(args) -> int:
     q = args.q
-    if args.energy is not None:
-        sol = solve_beta_for_energy(q, args.energy)
-    else:
-        sol = solve_resonant_a1(args.beta, q)
+    sol = (solve_resonant_a1(args.beta, q) if args.energy is None
+           else solve_beta_for_energy(q, args.energy))
     doc = {"command": "solve", "q": str(q), "beta": sol.beta,
            "a1_hat": sol.a1_hat, "t1": sol.t1, "t2": sol.t2,
            "energy": sol.energy, "residual": sol.residual,

@@ -47,10 +47,11 @@ def xi_potential_curve(energy: float):
     For |E| < 1 the curve, sampled on xi in [-3, 3], is a double well with
     minima at cosh(xi) = 1/|E| and a local maximum at xi = 0.
     """
-    if not -math.inf < energy < 0.0:
-        raise DomainError("the double-well shape requires finite energy < 0")
     xi = _linspace(-3.0, 3.0, _CURVE_POINTS)
     pot = [-2.0 * c + abs(energy) * (c * c) for c in map(math.cosh, xi)]
+    if not (energy < 0.0 and math.inf not in pot):  # so |E| < about 1.8e306
+        raise DomainError("the double-well shape requires energy < 0 with"
+                          f" |E| cosh(xi)^2 finite, got {energy!r}")
     meta = {}
     if abs(energy) < 1.0:
         c = 1.0 / abs(energy)  # cosh(xi) at the minima

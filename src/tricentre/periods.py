@@ -3,11 +3,11 @@
 For admissible (beta, a1) the xi motion is a double-well oscillation of
 period T1 and the phi motion a rotating pendulum of period T2, both given
 in closed form through the complete elliptic integral.  A resonance class
-q = m/n selects the unique a1_hat(beta, q) with q*T1 = T2, producing a
-periodic orbit of energy E = -2*beta*a1_hat.  Every resonance solve
-runs at one tolerance, |q*T1 - T2| <= 1e-12, and one bracketed root
-finder (_bracketed_root) serves the solves and the event roots of
-`dynamics`.
+q = m/n selects the unique a1_hat(beta, q) with q*T1 = T2, an orbit of
+energy E = -2*beta*a1_hat; a level E fixes a1 = -E/(2*beta), the curve
+the energy search runs on.  Every resonance solve stops at
+|q*T1 - T2| <= 1e-12, and one bracketed root finder (_bracketed_root)
+serves the solves, the energy search and the event roots of `dynamics`.
 
 The primaries' intensity is 1: with tau rescaled by sqrt(a), intensity a
 at energy E is intensity 1 at E/a.  `period_xi`'s a takes 1.0 alone.
@@ -32,6 +32,7 @@ __all__ = [
 _EDGE = 1e-9  # bracket inset from the a1 domain boundary
 _BETA_CAP = 0.95  # largest beta the energy bracket of a class may reach
 _RESONANCE_TOL = 1e-12  # |q*T1 - T2| at which a resonance solve stops
+_SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps
 
 
 class ResonanceSolution(NamedTuple):
@@ -134,9 +135,6 @@ def _residual_in_a1(beta: float, q: Fraction):
     float(q) and K(k2^2) are computed once, not per a1."""
     qf, t2 = float(q), _period_phi_in_a1(beta)
     return lambda a1: qf * _period_xi(beta, a1) - t2(a1)
-
-
-_SOLVE_CACHE_SIZE = 256  # resonances solve_resonant_a1 keeps
 
 
 def _memoised(solve):
@@ -251,34 +249,37 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, ftol, xtol):
 def solve_beta_for_energy(q, energy: float) -> ResonanceSolution:
     """Find beta with energy(beta, q) = -2*beta*a1_hat(beta, q) = energy.
 
-    The resonant energy decreases continuously from 0 at beta = 0, so a
-    bracket exists for each |energy| between the class's values at
-    beta = 1e-12 (about 6.1e-13 for q = 1) and at beta = 0.95, the cap; a
-    RangeError is raised outside it.  The beta search stops at an energy
-    gap of 1e-12 * |energy|.
+    One bracketed root over beta of R = q*T1 - T2 on the level's curve
+    a1 = -energy/(2*beta), one T1 and one K(k2^2) a trial, stops at
+    |R| <= 0.5e-12; as dR/da1 > T2/(2*a1) and T2 > pi, the resonance at
+    that beta, returned, lies within 1e-12*|energy| of the level.  The
+    bracket runs to beta = 0.95 from 1e-12, or from where the curve meets
+    the solves' inset a1 edge (the answer for a class clamped there);
+    beyond the class's energies at its ends a RangeError is raised.
     """
-    q = Fraction(q)
+    q, m = Fraction(q), -energy
     if not (energy < 0.0):
         raise DomainError(f"energy must be negative, got {energy}")
+    if q <= 0:
+        raise DomainError(f"class q must be positive, got {q}")
 
-    def gap(beta: float) -> float:
-        return solve_resonant_a1(beta, q).energy - energy
+    def residual(beta: float) -> float:  # q*T1 - T2 on the level's curve
+        return _residual_in_a1(beta, q)(m / (2.0 * beta))
 
-    lo = 1e-12
-    if gap(lo) < 0.0:
-        raise RangeError(
-            f"|energy| = {abs(energy):.6g} is below the reach of class {q}:"
-            f" beta >= {lo:g} gives |energy| >= "
-            f"{abs(solve_resonant_a1(lo, q).energy):.6g}")
-    hi = 0.05
-    while gap(hi) > 0.0:
-        hi = min(hi * 2.0, _BETA_CAP)
-        if hi >= _BETA_CAP and gap(_BETA_CAP) > 0.0:
-            raise RangeError(
-                f"|energy| = {abs(energy):.6g} is out of reach for class {q}"
-                f" with beta <= {_BETA_CAP}")
-    beta, _ = _bracketed_root(gap, lo, hi, gap(lo), gap(hi),
-                              _RESONANCE_TOL * abs(energy), 0.0)
+    span = 2.0 * (1.0 - _EDGE) - m  # m/(2*beta) = (1 - _EDGE)/(1 + beta)
+    edge = m / span if span > 0.0 else math.inf
+    f_cap = residual(_BETA_CAP) if edge < _BETA_CAP else math.inf
+    if f_cap > 0.0:
+        raise RangeError(f"|energy| = {m:.6g} is out of reach for class {q}"
+                         f" with beta <= {_BETA_CAP}")
+    lo = max(1e-12, edge)
+    f_lo = residual(lo)
+    if f_lo < 0.0 and lo > edge:
+        raise RangeError(f"|energy| = {m:.6g} is below the reach of class"
+                         f" {q}: beta >= {lo:g} gives |energy| >= "
+                         f"{abs(solve_resonant_a1(lo, q).energy):.6g}")
+    beta = lo if f_lo <= 0.0 else _bracketed_root(
+        residual, lo, _BETA_CAP, f_lo, f_cap, 0.5 * _RESONANCE_TOL, 0.0)[0]
     return solve_resonant_a1(beta, q)
 
 

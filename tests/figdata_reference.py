@@ -9,7 +9,8 @@ distinct xi or phi motion once per figure, positions only, and the CLI
 formats a column that tracks share once; the tests check that every file
 is byte for byte the one this module builds.  The state here is the
 closed form written in one piece, as it was before `SeparatedPath._state`
-was split into its two separated motions.
+was split into its two separated motions.  The potential curves of
+figures 1 and 2 are written here point by point from their formulas.
 """
 from __future__ import annotations
 
@@ -126,6 +127,28 @@ def figure_files(which: int, beta: float) -> dict[str, str]:
         doc["self_intersections"] = [list(p) for p in _mirror_sorted(crossings)]
     files[f"fig{which}_{key}.json"] = json_text(doc)
     return files
+
+
+def potential_files(which: int, energy: float) -> dict[str, str]:
+    """{file name: text} of the files `figs which --energy energy` writes
+    for figures 1 and 2, each potential evaluated on its own; figure 1 for
+    |energy| >= 1 only, where the curve has no wells to report."""
+    m = abs(energy)
+    if which == 1:
+        grid = _linspace(-3.0, 3.0, 1201)
+        pot = [-2.0 * math.cosh(x) + m * (math.cosh(x) * math.cosh(x))
+               for x in grid]
+        meta = {}
+    else:
+        grid = _linspace(0.0, 2.0 * math.pi, 1201)
+        pot = [-m * (math.cos(p) * math.cos(p)) for p in grid]
+        meta = {"minima_phi": [0.0, math.pi], "minimum_value": -m}
+    name = f"fig{which}_{_param_hash({'cmd': f'figs{which}', 'energy': energy})}"
+    doc = {"command": f"figs {which}", "energy": energy, **meta,
+           "csv": f"{name}.csv"}
+    return {f"{name}.csv": csv_text(["xi" if which == 1 else "phi",
+                                     "potential"], [grid, pot]),
+            f"{name}.json": json_text(doc)}
 
 
 def arcs_files(prm: Params, sol, delta: float = 1e-4) -> dict[str, str]:

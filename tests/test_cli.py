@@ -302,7 +302,7 @@ class TestFigs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["3", "--beta=0"], ["1", "--energy=0.5"],
+        ["3", "--beta=0"], ["1", "--energy=0.5"], ["1", "--energy=-1e307"],
         *([which, f"--energy={value}"] for which in ("1", "2")
           for value in ("nan", "inf", "-inf"))],
         ids=lambda argv: "figs" + "".join(argv))

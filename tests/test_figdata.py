@@ -135,6 +135,12 @@ def test_potential_curve_takes_only_finite_negative_energy(curve, energy):
         getattr(tricentre.figdata, curve)(energy)
 
 
+def test_overflowing_xi_potential_refused():
+    # 1e307 cosh(3)^2 is above the largest float: refused, not written as inf
+    with pytest.raises(DomainError, match="cosh"):
+        tricentre.figdata.xi_potential_curve(-1e307)
+
+
 def _assert_same_files(argv, out, want: dict) -> None:
     """One command writes into out exactly the files of want, {name: text},
     byte for byte; a mismatch names the file and its first differing line
@@ -171,6 +177,14 @@ class TestPerPointOracle:
         _assert_same_files(["arcs", "--q", "1", f"--beta={beta!r}",
                             f"--centre-elliptic={xi!r},0"], tmp_path,
                            figdata_reference.arcs_files(prm, sol))
+
+
+@pytest.mark.parametrize("which, energy", [(1, -1e305), (2, -1.7e308)])
+def test_potential_files_near_the_float_limit(tmp_path, capsys, which,
+                                              energy):
+    # 1e305 cosh(3)^2 and 1.7e308 cos(phi)^2 stay finite: written as ever
+    _assert_same_files(["figs", str(which), f"--energy={energy!r}"], tmp_path,
+                       figdata_reference.potential_files(which, energy))
 
 
 class TestSharedMotions:

@@ -512,6 +512,10 @@ class TestResonanceProperties:
             resonance_residual(beta, sol.a1_hat, q))
 
 
+ENERGY_CLASSES = tuple(Fraction(q) for q in (
+    "1/15", "1/10", "1/3", "1/2", "2/3", 1, "3/2", 2, 3, 15))
+
+
 class TestBetaForEnergyOracle:
     @pytest.mark.parametrize("q, energy", [
         (1, -0.05), (2, -0.05), (3, -0.05), (Fraction(1, 2), -0.05),
@@ -573,10 +577,40 @@ class TestBetaForEnergyOracle:
         assert solve_resonant_a1.cache_info().misses == len(set(betas))
 
     @pytest.mark.parametrize("q", [1, 2])
-    def test_nested_solves_at_the_reference_energy(self, q):
+    def test_nested_solves_at_the_reference_energy(self, monkeypatch, q):
+        # one nested solve, at the root; every other T1 is a trial on the
+        # curve a1 = -E/(2*beta) (the solve's own T1 are its residual
+        # evaluations and the period it reports)
         solve_resonant_a1.cache_clear()
-        solve_beta_for_energy(q, -0.05)
-        assert solve_resonant_a1.cache_info().misses == {1: 8, 2: 12}[q]
+        t1 = _record_calls(monkeypatch, periods, "_period_xi")
+        sol = solve_beta_for_energy(q, -0.05)
+        assert solve_resonant_a1.cache_info().misses == 1
+        assert len(t1) - sol.evaluations - 1 == {1: 14, 2: 13}[q]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(q=st.sampled_from(ENERGY_CLASSES), exponent=st.floats(-13.0, 0.3))
+    @example(q=Fraction(1, 15), exponent=math.log10(0.05))  # clamped at the edge
+    @example(q=Fraction(1, 10), exponent=math.log10(0.05))  # clamped, collapsed
+    def test_same_outcome_as_reference(self, q, exponent):
+        """The reference's error class, the energy within 1e-12*|E| (clamped
+        classes too), and the plain resonance at the returned beta."""
+        energy = -(10.0 ** exponent)
+        try:
+            expect = ref.solve_beta_for_energy(q, energy)
+        except RangeError:
+            with pytest.raises(RangeError, match="out of reach"):
+                solve_beta_for_energy(q, energy)
+            return
+        if expect.beta == 1e-12 and abs(expect.energy) >= abs(energy):
+            # below reach the reference answers with the beta = 1e-12
+            # resonance (see test_below_reach_refused)
+            with pytest.raises(RangeError, match="below the reach"):
+                solve_beta_for_energy(q, energy)
+            return
+        sol = solve_beta_for_energy(q, energy)
+        assert abs(sol.energy - energy) <= periods._RESONANCE_TOL * abs(energy)
+        fresh = solve_resonant_a1.__wrapped__(sol.beta, q)
+        assert _fields(sol) == _fields(fresh)
 
 
 class TestSolveCache:
