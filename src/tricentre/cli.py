@@ -188,6 +188,8 @@ def cmd_periods(args) -> int:
     lines = [f"a1 = {_fmt(a1)}"]
     if "a1_hat" in doc:
         lines.append(f"residual = {_fmt(doc['residual'])}")
+        if sol.clamped:
+            lines.append("clamped = True")
         lines.append(f"energy = {_fmt(doc['energy'])}")
     lines += [
         f"T1 = {_fmt(t1)}",
@@ -214,6 +216,8 @@ def cmd_solve(args) -> int:
              f"T1 = {_fmt(sol.t1)}", f"T2 = {_fmt(sol.t2)}",
              f"energy = {_fmt(sol.energy)}",
              f"residual = {_fmt(sol.residual)}"]
+    if sol.clamped:
+        lines.append("clamped = True")
     centre = _centre(args)
     if centre is not None:
         beta_adm = find_admissible_beta(centre, q, beta_start=sol.beta,

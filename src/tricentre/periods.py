@@ -39,12 +39,14 @@ class ResonanceSolution(NamedTuple):
     """Parameters of a q*T1 = T2 resonance at fixed beta.
 
     residual is the remaining q*T1 - T2 at the returned a1_hat; clamped is
-    True when float resolution stopped the solve above the tolerance: the
-    root lies closer to the a1 domain boundary than floats resolve (extreme
-    classes; a1_hat is then the inset domain edge), or the last bracket
-    holds no float strictly inside and neither end meets the tolerance
-    (small classes near the separatrix).  a1_hat is then the best
-    representable value and residual may exceed the tolerance.
+    True when the solve stopped above the tolerance.  Either the root lies
+    beyond the bracket's edges, inset 1e-9 from the a1 domain (extreme
+    classes; a1_hat is then the inset edge, which need not be the best
+    float: at q = 1/15, beta = 0.025641025667324 the root is 1.85e-13 from
+    the boundary in 1 - a1(1+beta), where the best float's residual is
+    1.3e-5, against -0.83 at the edge), or the last bracket holds no float
+    strictly inside and neither end meets the tolerance (small classes near
+    the separatrix; a1_hat is the trial of least |residual|).
     """
 
     beta: float

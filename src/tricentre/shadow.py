@@ -13,11 +13,11 @@ trial routine serves both the chord step, which tries the last loose
 column once at the first tight step and so saves its replay if that
 converges, and every line search, on a fresh column.
 Deviation metrics quantify how closely the segment tracks the arc as eps
-shrinks; the maximum distance to the arc computes exact distances only
-where bounds leave room for the maximum, with the value of the exhaustive
-search bit for bit.  The local expansion rate of the return map is the
-central difference, across the impact parameter, of the angle at which
-the Kepler conic about the centre leaves its neighbourhood: no integration.
+shrinks; the maximum distance to the arc refines each point's nearest
+polyline sample by a bracketed Newton search on the arc's closed form.
+The local expansion rate of the return map is the central difference,
+across the impact parameter, of the angle at which the Kepler conic about
+the centre leaves its neighbourhood: no integration.
 """
 from __future__ import annotations
 
@@ -47,9 +47,7 @@ _SEED_POINTS = 4096         # polyline samples of the arc that seed the search
 _SEED_BOX = 64              # consecutive samples per box of the seed search
 _SEED_BLOCK = 32            # track points per block of the seed search
 _SEED_NEAR = 3              # boxes of least gap that bound a block's distances
-_GOLDEN_STEPS = 40          # golden-section steps of each refined point
-_SCREEN_STEPS = 5           # of them, the steps taken on every point
-_FINISH_FIRST = 32          # points of largest bound, finished first
+_NEWTON_STEPS = 8           # bracketed Newton steps of the deviation search
 
 
 class ShadowResult(NamedTuple):
@@ -96,9 +94,6 @@ def _rotate(v: np.ndarray, angle: float) -> np.ndarray:
 
 def _cartesian_track(states: np.ndarray) -> np.ndarray:
     return np.column_stack(elliptic_to_xy(states[:, 0], states[:, 1]))
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _nearest_samples(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -148,63 +143,56 @@ def _nearest_samples(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 def _deviation_to_arc(points: np.ndarray, arc: CollisionArc) -> float:
     """Max over points of the distance to the continuous reference arc.
 
-    A coarse polyline gives each point's nearest-sample seed
-    (`_nearest_samples`); a golden-section refinement on the arc's closed
-    form, `SeparatedPath.state_at`, removes the discretization floor (the
-    arc sweeps fast in Cartesian terms far from the primaries, where
-    uniform-tau sampling is sparse).  Every point that can hold the maximum
-    runs 40 steps, one array `state_at` call per step for those refined.
-    A step never raises a point's min(fa, fb), so after _SCREEN_STEPS
-    steps on all points each point's value bounds its final one from
-    above.  The _FINISH_FIRST points of largest bound are finished first;
-    their largest final value bounds the maximum from below, and only the
-    points whose bound reaches it are finished after them.  Every
-    operation is elementwise, so each value is that of all points refined
-    in lockstep, bit for bit, as long as numpy's functions give an element
-    the same value in a subset as in the whole array (the oracle test in
-    tests/test_shadow.py checks that they do).
+    A coarse polyline gives each point Q its nearest sample tau_k
+    (`_nearest_samples`) and the bracket [tau_(k-1), tau_(k+1)]; the arc's
+    ends are both at C, so a point seeded at either end is refined in both
+    end brackets and keeps the smaller value.  The refinement, which removes
+    the polyline's floor where the arc sweeps fast, is a bracketed Newton
+    search (rtsafe: Press et al., Numerical Recipes, 9.4) on
+    f = |P(tau) - Q|^2 / 2 with P = cosh(zeta), zeta = xi + i phi, so
+    P' = sinh(zeta) zeta' and P'' = cosh(zeta) zeta'^2 + sinh(zeta) zeta''
+    (xi'' and phi'' as in `arcs._closest_primary_approach`).  A step shrinks
+    the bracket to the side the slope f' points to, then moves by -f'/|f''|,
+    or bisects where that leaves the bracket or f'' = 0.  All points step
+    together, one array `SeparatedPath._state` per step; a point's value is
+    the least distance at its _NEWTON_STEPS states.
     """
     if len(points) == 0:
         return 0.0
-    arc_taus, arc_states = arc.path.dense_grid(_SEED_POINTS)
-    nearest = _nearest_samples(points, _cartesian_track(arc_states))
-    px, py = points[:, 0], points[:, 1]
-
-    def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-        y = arc.path.state_at(tau)
-        x, yy = elliptic_to_xy(y[:, 0], y[:, 1])
-        return np.hypot(x - qx, yy - qy)
-
-    def golden(bracket, qx, qy, steps):
-        a, b, t1, t2, fa, fb = bracket
-        for _ in range(steps):
-            left = fa < fb
-            a, b = np.where(left, a, t1), np.where(left, t2, b)
-            t_new = a + np.where(left, 1.0 - _GOLDEN, _GOLDEN) * (b - a)
-            f_new = dist_at(t_new, qx, qy)
-            t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
-            fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
-        return a, b, t1, t2, fa, fb
-
-    def finished(idx: np.ndarray) -> float:
-        """The largest final value over the points idx."""
-        fa, fb = golden([v[idx] for v in screened], px[idx], py[idx],
-                        _GOLDEN_STEPS - _SCREEN_STEPS)[4:]
-        return float(np.minimum(fa, fb).max())
-
-    a = arc_taus[np.maximum(nearest - 1, 0)]
-    b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
-    t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
-    screened = golden((a, b, t1, t2, dist_at(t1, px, py), dist_at(t2, px, py)),
-                      px, py, _SCREEN_STEPS)
-    bound = np.minimum(screened[4], screened[5])
-    first = np.argsort(bound)[-_FINISH_FIRST:]
-    worst = finished(first)
-    rest = bound >= worst
-    rest[first] = False
-    if rest.any():
-        worst = max(worst, finished(np.flatnonzero(rest)))
-    return worst
+    taus, states = arc.path.dense_grid(_SEED_POINTS)
+    nearest = _nearest_samples(points, _cartesian_track(states))
+    last, n = len(taus) - 1, len(points)
+    ends = np.flatnonzero((nearest == 0) | (nearest == last))
+    # a point seeded at an end comes twice, once in each end bracket
+    rows = np.concatenate([np.arange(n), ends])
+    seeds = np.concatenate([nearest, last - nearest[ends]])
+    q = points[rows, 0] + 1j * points[rows, 1]
+    t = taus[seeds]
+    a, b = taus[np.maximum(seeds - 1, 0)], taus[np.minimum(seeds + 1, last)]
+    beta_a1 = arc.params.beta * arc.params.a1
+    dist = np.full(len(t), np.inf)
+    for _ in range(_NEWTON_STEPS):
+        xi, phi, dxi, dphi = arc.path._state(t, np)
+        sh, ch, s, c = np.sinh(xi), np.cosh(xi), np.sin(phi), np.cos(phi)
+        cosh_z, sinh_z = ch * c + 1j * (sh * s), sh * c + 1j * (ch * s)
+        speed = dxi + 1j * dphi
+        accel = 2.0 * sh * (1.0 - 2.0 * beta_a1 * ch) - 4j * beta_a1 * s * c
+        gap, velocity = (cosh_z - q).conjugate(), sinh_z * speed  # P'
+        dist = np.minimum(dist, np.abs(gap))
+        slope = (gap * velocity).real
+        curvature = np.abs(np.abs(velocity) ** 2 + (
+            gap * (cosh_z * speed * speed + sinh_z * accel)).real)
+        rising = slope >= 0.0
+        a, b = np.where(rising, a, t), np.where(rising, t, b)
+        # a zero curvature, or a Newton point out of [a, b], bisects; the
+        # test multiplies, so nothing divides by zero or overflows
+        newton = (curvature > 0.0) & ((t - b) * curvature <= slope) \
+            & (slope <= (t - a) * curvature)
+        t = np.where(newton, t - slope / np.where(newton, curvature, 1.0),
+                     0.5 * (a + b))
+    value = dist[:n]
+    value[ends] = np.minimum(value[ends], dist[n:])
+    return float(value.max())
 
 
 def shoot_segment(arc: CollisionArc, eps: float) -> ShadowResult:

@@ -1,17 +1,23 @@
 """Reference shadowing deviation metrics for the oracle tests.
 
 Two earlier implementations of ``tricentre.shadow._deviation_to_arc``,
-kept verbatim:
+both refining each point's nearest polyline sample by 40 golden-section
+steps inside [tau_(k-1), tau_(k+1)]:
 
-- ``_deviation_to_arc`` refines one point at a time, a scalar
-  golden-section search on the arc's dense output with math's functions.
-  The production version must agree with it to rounding.
+- ``_deviation_to_arc`` refines one point at a time, a scalar search on
+  the arc's dense output with math's functions.
 - ``exhaustive_deviation_to_arc`` computes every squared distance from
   every point to every one of the 4,096 polyline samples
-  (``exhaustive_nearest``), and refines every point together for 40
-  steps, the same numpy operations as the production version.  The
-  production version computes only the distances and refinements that can
-  set the maximum, and must agree with it bit for bit.
+  (``exhaustive_nearest``), and refines every point together in numpy.
+  The production seed search must give ``exhaustive_nearest``'s seeds bit
+  for bit.
+
+Both ends of an arc sit at C, so both refine a point seeded at either end
+in both end brackets and keep the smaller value, as the production
+version does; without that, a point near one end seeded at the other
+reads its distance to C.  The production Newton search must agree with
+both to the golden section's own floor: 40 steps leave 0.618^40 of the
+seed bracket, across which a distance moves by up to max|P'| times it.
 """
 from __future__ import annotations
 
@@ -41,11 +47,30 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
     """
     arc_taus, arc_states = arc.path.dense_grid(n_seed)
     poly = _cartesian_track(arc_states)
+    last = len(arc_taus) - 1
 
     def dist_at(tau: float, p: np.ndarray) -> float:
         y = arc.path.state_at(tau)
         x, yy = elliptic_to_xy(y[0], y[1], math)
         return math.hypot(x - p[0], yy - p[1])
+
+    def refined(j: int, p: np.ndarray) -> float:
+        a, b = arc_taus[max(j - 1, 0)], arc_taus[min(j + 1, last)]
+        fa = dist_at(a + (1.0 - _GOLDEN) * (b - a), p)
+        fb = dist_at(a + _GOLDEN * (b - a), p)
+        t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
+        for _ in range(40):
+            if fa < fb:
+                b, t2, fb = t2, t1, fa
+                t1 = a + (1.0 - _GOLDEN) * (b - a)
+                fa = dist_at(t1, p)
+            else:
+                a, t1, fa = t1, t2, fb
+                t2 = a + _GOLDEN * (b - a)
+                fb = dist_at(t2, p)
+            if abs(b - a) < 1e-12 * max(1.0, abs(b)):
+                break
+        return min(fa, fb)
 
     worst = 0.0
     chunk = 256
@@ -54,25 +79,8 @@ def _deviation_to_arc(points: np.ndarray, arc: CollisionArc,
         d2 = ((pts[:, None, :] - poly[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argmin(d2, axis=1)
         for row, j in enumerate(nearest):
-            p = pts[row]
-            lo = arc_taus[max(j - 1, 0)]
-            hi = arc_taus[min(j + 1, len(arc_taus) - 1)]
-            a, b = lo, hi
-            fa = dist_at(a + (1.0 - _GOLDEN) * (b - a), p)
-            fb = dist_at(a + _GOLDEN * (b - a), p)
-            t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
-            for _ in range(40):
-                if fa < fb:
-                    b, t2, fb = t2, t1, fa
-                    t1 = a + (1.0 - _GOLDEN) * (b - a)
-                    fa = dist_at(t1, p)
-                else:
-                    a, t1, fa = t1, t2, fb
-                    t2 = a + _GOLDEN * (b - a)
-                    fb = dist_at(t2, p)
-                if abs(b - a) < 1e-12 * max(1.0, abs(b)):
-                    break
-            worst = max(worst, min(fa, fb))
+            seeds = (j, last - j) if j in (0, last) else (j,)
+            worst = max(worst, min(refined(k, pts[row]) for k in seeds))
     return worst
 
 
@@ -98,6 +106,10 @@ def exhaustive_deviation_to_arc(points: np.ndarray,
     with every point seeded exhaustively and refined in lockstep."""
     arc_taus, arc_states = arc.path.dense_grid(4096)
     nearest = exhaustive_nearest(points, _cartesian_track(arc_states))
+    last, n = len(arc_taus) - 1, len(points)
+    ends = np.flatnonzero((nearest == 0) | (nearest == last))
+    nearest = np.concatenate([nearest, last - nearest[ends]])
+    points = points[np.concatenate([np.arange(n), ends])]
     px, py = points[:, 0], points[:, 1]
 
     def dist_at(tau: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
@@ -106,7 +118,7 @@ def exhaustive_deviation_to_arc(points: np.ndarray,
         return np.hypot(x - qx, yy - qy)
 
     a = arc_taus[np.maximum(nearest - 1, 0)]
-    b = arc_taus[np.minimum(nearest + 1, len(arc_taus) - 1)]
+    b = arc_taus[np.minimum(nearest + 1, last)]
     t1, t2 = a + (1.0 - _GOLDEN) * (b - a), a + _GOLDEN * (b - a)
     fa, fb = dist_at(t1, px, py), dist_at(t2, px, py)
     for _ in range(40):
@@ -116,4 +128,6 @@ def exhaustive_deviation_to_arc(points: np.ndarray,
         f_new = dist_at(t_new, px, py)
         t1, t2 = np.where(left, t_new, t2), np.where(left, t1, t_new)
         fa, fb = np.where(left, f_new, fb), np.where(left, fa, f_new)
-    return float(np.minimum(fa, fb).max(initial=0.0))
+    value = np.minimum(fa, fb)
+    value[ends] = np.minimum(value[ends], value[n:])
+    return float(value[:n].max(initial=0.0))

@@ -37,6 +37,21 @@ class TestPeriods:
         assert doc["t1"] == pytest.approx(doc["t2"], rel=1e-12)
         assert abs(doc["residual"]) <= 1e-12
 
+    # The q = 1/15 root lies 1.85e-13 from the a1 boundary, beyond the
+    # inset edge: the solve exits 0 with residual -0.83, and the text says
+    # so; an unclamped solve prints no such line
+    @pytest.mark.parametrize("argv, clamped", [
+        (["solve", "--q", "1/15", "--energy", "-0.05"], True),
+        (["periods", "--beta", "0.025641025667324131", "--q", "1/15"], True),
+        (["solve", "--q", "1", "--beta", "0.14285714285714285"], False),
+        (["periods", "--beta", "0.14285714285714285", "--q", "1"], False),
+    ])
+    def test_clamped_solve_says_so(self, capsys, argv, clamped):
+        rc, out = run(capsys, argv)
+        assert rc == 0
+        assert ("clamped = True\n" in out) == clamped
+        assert "clamped = False" not in out
+
     def test_domain_error_exit_code(self, capsys):
         assert main(["periods", "--beta", "1.5", "--a1", "0.3"]) == 2
         assert main(["periods", "--beta", "0.2"]) == 2
